@@ -9,7 +9,9 @@ import (
 
 // SeqScan reads a base table (or registered temp table) page by page,
 // charging one CPU tuple per tuple examined and applying pushed-down
-// filters before tuples leave the operator.
+// filters before tuples leave the operator. Heap scans hand the filters
+// to the storage scanner, which tests them on the columns they read
+// before decoding a record in full.
 type SeqScan struct {
 	node *plan.Scan
 	ctx  *Ctx
@@ -50,8 +52,37 @@ func (s *SeqScan) Open() error {
 	} else {
 		s.scan = s.node.Table.Heap.Scan()
 	}
-	s.scan.WithSnapshot(s.ctx.Snap)
+	s.scan.WithSnapshot(s.ctx.Snap).OnExamine(s.examine)
+	if len(s.node.Filters) > 0 {
+		// Filters of a shape PredColumns cannot see into leave cols
+		// nil: the scanner then tests them on whole tuples.
+		cols, _ := plan.PredColumns(s.node.Filters...)
+		s.scan.WithFilter(cols, s.pass)
+	}
 	return nil
+}
+
+// examine is the per-tuple work of a heap scan, done for every visible
+// tuple whether or not the filters pass it.
+func (s *SeqScan) examine() error {
+	if err := s.ctx.Tick(); err != nil {
+		return err
+	}
+	if err := faultinject.Hit("exec.scan.next"); err != nil {
+		return err
+	}
+	s.ctx.Meter.ChargeTuples(1)
+	return nil
+}
+
+// pass reports whether t satisfies every filter.
+func (s *SeqScan) pass(t types.Tuple) (bool, error) {
+	for _, f := range s.node.Filters {
+		if ok, err := f.Test(t, s.ctx.Params); err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // Next implements Operator.
@@ -64,46 +95,16 @@ func (s *SeqScan) Next() (types.Tuple, error) {
 			s.ctx.Meter.ChargeTuples(1)
 			t := s.rows[s.idx]
 			s.idx++
-			ok := true
-			for _, f := range s.node.Filters {
-				pass, err := f.Test(t, s.ctx.Params)
-				if err != nil {
-					return nil, err
-				}
-				if !pass {
-					ok = false
-					break
-				}
-			}
-			if ok {
+			if ok, err := s.pass(t); err != nil {
+				return nil, err
+			} else if ok {
 				return t, nil
 			}
 		}
 		return nil, nil
 	}
-	for s.scan.Next() {
-		if err := s.ctx.Tick(); err != nil {
-			return nil, err
-		}
-		if err := faultinject.Hit("exec.scan.next"); err != nil {
-			return nil, err
-		}
-		s.ctx.Meter.ChargeTuples(1)
-		t := s.scan.Tuple()
-		ok := true
-		for _, f := range s.node.Filters {
-			pass, err := f.Test(t, s.ctx.Params)
-			if err != nil {
-				return nil, err
-			}
-			if !pass {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return t, nil
-		}
+	if s.scan.Next() {
+		return s.scan.Tuple(), nil
 	}
 	return nil, s.scan.Err()
 }

@@ -103,6 +103,22 @@ func (e *Env) writeOps() []writeOp {
 	return ops
 }
 
+// heapSlackPages is how far a base table in steady state may outgrow
+// its vacuumed size: the tail page, and a page of space lost to records
+// that did not fit the holes exactly.
+const heapSlackPages = 2
+
+// tablePages returns each base table's heap page count, in Tables order.
+func (e *Env) tablePages() []int {
+	pages := make([]int, len(e.Tables))
+	for i, td := range e.Tables {
+		if t, err := e.Cat.Table(td.Name); err == nil {
+			pages[i] = t.Heap.NumPages()
+		}
+	}
+	return pages
+}
+
 // runInterleaved executes the case's write schedule interleaved with
 // readers and checks snapshot isolation differentially:
 //
@@ -118,6 +134,9 @@ func (e *Env) writeOps() []writeOp {
 //  4. Vacuum must reclaim every dead version once no snapshot pins
 //     them, and the usual residue invariants (no temp tables, broker
 //     repaid, no running queries) must hold.
+//  5. Vacuum must also have made the dead versions' space reusable: the
+//     schedule run once more (and rolled back) must fit into it, leaving
+//     every base table within heapSlackPages of its size after phase 4.
 //
 // It must run LAST for its case: the committed writes move the data
 // away from the reference answer every other configuration checks.
@@ -245,6 +264,32 @@ func runInterleaved(env *Env) (string, *Failure) {
 	}
 	if running := mgr.Running(); len(running) != 0 {
 		return fail("queries still registered as running: %v", running)
+	}
+
+	// Phase 5: heap pages are residue too. One transaction's updates need
+	// room for their new versions before any vacuum can free the old
+	// ones, so the tables may have grown by the schedule's own size; from
+	// here on they are in steady state and must not grow again.
+	pages := env.tablePages()
+	if _, err := writer.Exec(ctx, "begin", session.Options{}); err != nil {
+		return fail("begin: %v", err)
+	}
+	for _, op := range ops {
+		if _, err := writer.Exec(ctx, op.sql, session.Options{}); err != nil {
+			return fail("repeated writer %q: %v", op.sql, err)
+		}
+	}
+	if _, err := writer.Exec(ctx, "rollback", session.Options{}); err != nil {
+		return fail("rollback: %v", err)
+	}
+	if _, err := env.Cat.Vacuum(); err != nil {
+		return fail("vacuum: %v", err)
+	}
+	for i, now := range env.tablePages() {
+		if now > pages[i]+heapSlackPages {
+			return fail("table %s grew from %d to %d pages rerunning a schedule vacuum had made room for",
+				env.Tables[i].Name, pages[i], now)
+		}
 	}
 	outcome := "ok"
 	if hookFired {

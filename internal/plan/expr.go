@@ -11,6 +11,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/sql"
@@ -295,4 +296,53 @@ func likeMatch(s, pat string) bool {
 		pi++
 	}
 	return pi == len(pat)
+}
+
+// PredColumns returns, ascending and without duplicates, the tuple
+// ordinals the predicates read — everything a scan has to decode before
+// it can test them; never nil when ok. ok is false when a predicate, or
+// an expression inside one, is of a type this function does not know;
+// the caller must then hand the predicates whole tuples.
+func PredColumns(preds ...Pred) (cols []int, ok bool) {
+	cols = []int{}
+	for _, p := range preds {
+		var exprs []Expr
+		switch x := p.(type) {
+		case *CmpPred:
+			exprs = []Expr{x.Left, x.Right}
+		case *BetweenPred:
+			exprs = []Expr{x.Expr, x.Lo, x.Hi}
+		case *InPred:
+			exprs = append([]Expr{x.Expr}, x.List...)
+		case *LikePred:
+			exprs = []Expr{x.Expr}
+		default:
+			return nil, false
+		}
+		for _, e := range exprs {
+			if cols, ok = exprColumns(e, cols); !ok {
+				return nil, false
+			}
+		}
+	}
+	slices.Sort(cols)
+	return slices.Compact(cols), true
+}
+
+func exprColumns(e Expr, cols []int) ([]int, bool) {
+	switch x := e.(type) {
+	case *ColExpr:
+		// A negative ordinal fails in Eval; leave that to a whole tuple.
+		return append(cols, x.Idx), x.Idx >= 0
+	case *ConstExpr, *ParamExpr:
+		return cols, true
+	case *BinExpr:
+		cols, ok := exprColumns(x.Left, cols)
+		if !ok {
+			return nil, false
+		}
+		return exprColumns(x.Right, cols)
+	default:
+		return nil, false
+	}
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -192,5 +193,48 @@ func TestColExprOutOfRange(t *testing.T) {
 	e := &ColExpr{Idx: 9, Col: types.Column{Name: "x"}}
 	if _, err := e.Eval(types.Tuple{types.NewInt(1)}, nil); err == nil {
 		t.Error("out-of-range ColExpr did not error")
+	}
+}
+
+func TestPredColumns(t *testing.T) {
+	for cond, want := range map[string][]int{
+		"a = 10":                    {0},
+		"10 < a":                    {0},
+		"d between a and a + b":     {0, 1, 3},
+		"s like 'B%'":               {2},
+		"a in (1, 2, 3)":            {0},
+		"b * 4 = a":                 {0, 1},
+		"a = :x":                    {0},
+		"a + a - a = a":             {0},
+		"d >= 9000":                 {3},
+		"s = 'x'":                   {2},
+		"a * 2 - 5 between b and d": {0, 1, 3},
+	} {
+		p, err := BindPred(parseWhere(t, cond), bindSchema())
+		if err != nil {
+			t.Fatalf("%s: %v", cond, err)
+		}
+		got, ok := PredColumns(p)
+		if !ok || !slices.Equal(got, want) {
+			t.Errorf("PredColumns(%s) = %v, %v; want %v", cond, got, ok, want)
+		}
+	}
+	if got, ok := PredColumns(&CmpPred{Left: &ConstExpr{Val: types.NewInt(1)}, Right: &ConstExpr{Val: types.NewInt(1)}}); !ok || len(got) != 0 {
+		t.Errorf("constant predicate reads %v, %v", got, ok)
+	}
+
+	// Shapes the helper does not know are reported, not guessed at.
+	type futurePred struct{ Pred }
+	type futureExpr struct{ Expr }
+	col := &ColExpr{Idx: 1}
+	for name, p := range map[string]Pred{
+		"unknown predicate":  futurePred{&LikePred{Expr: col}},
+		"unknown expression": &CmpPred{Left: col, Right: futureExpr{col}},
+		"nested unknown":     &InPred{Expr: col, List: []Expr{&BinExpr{Op: '+', Left: col, Right: futureExpr{col}}}},
+		"negative ordinal":   &CmpPred{Left: &ColExpr{Idx: -1}, Right: col},
+	} {
+		if got, ok := PredColumns(p); ok {
+			t.Errorf("%s: PredColumns = %v, true", name, got)
+		}
 	}
 }

@@ -23,6 +23,9 @@ type BufferPool struct {
 
 	frames map[PageID]*frame
 	lru    *list.List // front = most recent; elements hold PageID
+	// spare holds the buffers of frames Evict and EvictAll emptied (a
+	// dropped temp file's pages), for the next frames created.
+	spare [][]byte
 }
 
 type frame struct {
@@ -71,16 +74,15 @@ func (bp *BufferPool) PinMetered(id PageID, m *CostMeter) ([]byte, error) {
 		bp.lru.MoveToFront(f.elem)
 		return f.data, nil
 	}
-	if err := bp.evictLocked(); err != nil {
-		return nil, err
-	}
-	data, err := bp.disk.ReadMetered(id, m)
+	f, err := bp.freeFrameLocked()
 	if err != nil {
 		return nil, err
 	}
-	f := &frame{data: data, pins: 1}
-	f.elem = bp.lru.PushFront(id)
-	bp.frames[id] = f
+	if err := bp.disk.ReadInto(id, f.data, m); err != nil {
+		bp.lru.Remove(f.elem)
+		return nil, err
+	}
+	bp.installLocked(id, f, false)
 	return f.data, nil
 }
 
@@ -89,41 +91,57 @@ func (bp *BufferPool) PinMetered(id PageID, m *CostMeter) ([]byte, error) {
 func (bp *BufferPool) PinNew() (PageID, []byte, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if err := bp.evictLocked(); err != nil {
+	f, err := bp.freeFrameLocked()
+	if err != nil {
 		return InvalidPageID, nil, err
 	}
+	clear(f.data)
 	id := bp.disk.Allocate()
-	f := &frame{data: make([]byte, PageSize), pins: 1, dirty: true}
-	f.elem = bp.lru.PushFront(id)
-	bp.frames[id] = f
+	bp.installLocked(id, f, true)
 	return id, f.data, nil
 }
 
-// evictLocked makes room for one more frame, writing back a dirty victim.
-func (bp *BufferPool) evictLocked() error {
-	for len(bp.frames) >= bp.capacity {
-		var victim PageID
-		found := false
-		for e := bp.lru.Back(); e != nil; e = e.Prev() {
-			id := e.Value.(PageID)
-			if bp.frames[id].pins == 0 {
-				victim, found = id, true
-				break
-			}
+// freeFrameLocked returns a frame that holds no page, at the front of
+// the LRU list: a new one while the pool has room, otherwise the least
+// recently used unpinned frame, written back if dirty. Recycling the
+// victim's buffer, frame and list element keeps a miss on a full pool
+// free of allocation. The caller installs a page in the frame or removes its
+// list element.
+func (bp *BufferPool) freeFrameLocked() (*frame, error) {
+	if len(bp.frames) < bp.capacity {
+		f := &frame{}
+		if n := len(bp.spare); n > 0 {
+			f.data, bp.spare = bp.spare[n-1], bp.spare[:n-1]
+		} else {
+			f.data = make([]byte, PageSize)
 		}
-		if !found {
-			return fmt.Errorf("storage: buffer pool exhausted (%d frames all pinned)", bp.capacity)
-		}
+		f.elem = bp.lru.PushFront(InvalidPageID)
+		return f, nil
+	}
+	for e := bp.lru.Back(); e != nil; e = e.Prev() {
+		victim := e.Value.(PageID)
 		f := bp.frames[victim]
+		if f.pins > 0 {
+			continue
+		}
 		if f.dirty {
 			if err := bp.disk.Write(victim, f.data); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		bp.lru.Remove(f.elem)
 		delete(bp.frames, victim)
+		bp.lru.MoveToFront(e)
+		return f, nil
 	}
-	return nil
+	return nil, fmt.Errorf("storage: buffer pool exhausted (%d frames all pinned)", bp.capacity)
+}
+
+// installLocked makes f, fresh from freeFrameLocked, the pinned frame of
+// page id.
+func (bp *BufferPool) installLocked(id PageID, f *frame, dirty bool) {
+	f.pins, f.dirty = 1, dirty
+	f.elem.Value = id
+	bp.frames[id] = f
 }
 
 // MarkDirty flags a pinned page as modified.
@@ -141,6 +159,19 @@ func (bp *BufferPool) Unpin(id PageID) {
 	defer bp.mu.Unlock()
 	if f, ok := bp.frames[id]; ok && f.pins > 0 {
 		f.pins--
+	}
+}
+
+// UnpinDirty is MarkDirty then Unpin under one acquisition of the pool's
+// lock, for writers that are done with the page they modified.
+func (bp *BufferPool) UnpinDirty(id PageID) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if f, ok := bp.frames[id]; ok {
+		f.dirty = true
+		if f.pins > 0 {
+			f.pins--
+		}
 	}
 }
 
@@ -171,14 +202,7 @@ func (bp *BufferPool) Evict(id PageID) error {
 	if f.pins > 0 {
 		return fmt.Errorf("storage: evicting pinned page %d", id)
 	}
-	if f.dirty {
-		if err := bp.disk.Write(id, f.data); err != nil {
-			return err
-		}
-	}
-	bp.lru.Remove(f.elem)
-	delete(bp.frames, id)
-	return nil
+	return bp.dropLocked(id, f)
 }
 
 // EvictAll writes back every dirty frame and empties the pool (pinned
@@ -191,14 +215,24 @@ func (bp *BufferPool) EvictAll() error {
 		if f.pins > 0 {
 			continue
 		}
-		if f.dirty {
-			if err := bp.disk.Write(id, f.data); err != nil {
-				return err
-			}
+		if err := bp.dropLocked(id, f); err != nil {
+			return err
 		}
-		bp.lru.Remove(f.elem)
-		delete(bp.frames, id)
 	}
+	return nil
+}
+
+// dropLocked writes back an unpinned frame if dirty and removes it,
+// keeping its buffer for reuse.
+func (bp *BufferPool) dropLocked(id PageID, f *frame) error {
+	if f.dirty {
+		if err := bp.disk.Write(id, f.data); err != nil {
+			return err
+		}
+	}
+	bp.lru.Remove(f.elem)
+	delete(bp.frames, id)
+	bp.spare = append(bp.spare, f.data)
 	return nil
 }
 

@@ -14,7 +14,8 @@ package storage
 
 import (
 	"fmt"
-	"sync"
+	"math"
+	"sync/atomic"
 )
 
 // CostWeights maps physical events to simulated time units. The defaults
@@ -40,16 +41,17 @@ func DefaultCostWeights() CostWeights {
 
 // CostMeter accumulates simulated execution cost. It is safe for
 // concurrent use; pipelined operators within a segment share one meter.
+// The counters are atomics, not a mutex: scans charge one tuple at a
+// time, and a lock per tuple was a measurable share of a query.
 type CostMeter struct {
-	mu      sync.Mutex
-	weights CostWeights
-	parent  *CostMeter // tributary meters forward every charge upstream
+	weights CostWeights // fixed at construction
+	parent  *CostMeter  // tributary meters forward every charge upstream
 
-	pageReads  int64
-	pageWrites int64
-	tupleCPU   int64
-	statCPU    int64
-	extra      float64 // directly-charged costs (e.g. re-optimization time)
+	pageReads  atomic.Int64
+	pageWrites atomic.Int64
+	tupleCPU   atomic.Int64
+	statCPU    atomic.Int64
+	extra      atomic.Uint64 // float64 bits: directly-charged costs (e.g. re-optimization time)
 }
 
 // NewCostMeter returns a meter with the given weights.
@@ -63,57 +65,47 @@ func NewCostMeter(w CostWeights) *CostMeter {
 // real time (the checkpoint's elapsed-cost arithmetic keeps working on
 // the shared meter while a gather point reads per-worker totals).
 func (m *CostMeter) Tributary() *CostMeter {
-	return &CostMeter{weights: m.Weights(), parent: m}
+	return &CostMeter{weights: m.weights, parent: m}
 }
 
 // ChargeRead records n simulated page reads.
 func (m *CostMeter) ChargeRead(n int64) {
-	m.mu.Lock()
-	m.pageReads += n
-	m.mu.Unlock()
-	if m.parent != nil {
-		m.parent.ChargeRead(n)
+	for ; m != nil; m = m.parent {
+		m.pageReads.Add(n)
 	}
 }
 
 // ChargeWrite records n simulated page writes.
 func (m *CostMeter) ChargeWrite(n int64) {
-	m.mu.Lock()
-	m.pageWrites += n
-	m.mu.Unlock()
-	if m.parent != nil {
-		m.parent.ChargeWrite(n)
+	for ; m != nil; m = m.parent {
+		m.pageWrites.Add(n)
 	}
 }
 
 // ChargeTuples records n tuples of operator CPU work.
 func (m *CostMeter) ChargeTuples(n int64) {
-	m.mu.Lock()
-	m.tupleCPU += n
-	m.mu.Unlock()
-	if m.parent != nil {
-		m.parent.ChargeTuples(n)
+	for ; m != nil; m = m.parent {
+		m.tupleCPU.Add(n)
 	}
 }
 
 // ChargeStatTuples records n tuples of statistics-collection CPU work.
 func (m *CostMeter) ChargeStatTuples(n int64) {
-	m.mu.Lock()
-	m.statCPU += n
-	m.mu.Unlock()
-	if m.parent != nil {
-		m.parent.ChargeStatTuples(n)
+	for ; m != nil; m = m.parent {
+		m.statCPU.Add(n)
 	}
 }
 
 // ChargeRaw adds a pre-computed cost in simulated units. The dispatcher
 // uses it to charge re-optimization time (T_opt).
 func (m *CostMeter) ChargeRaw(units float64) {
-	m.mu.Lock()
-	m.extra += units
-	m.mu.Unlock()
-	if m.parent != nil {
-		m.parent.ChargeRaw(units)
+	for ; m != nil; m = m.parent {
+		for {
+			old := m.extra.Load()
+			if m.extra.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+units)) {
+				break
+			}
+		}
 	}
 }
 
@@ -127,16 +119,16 @@ type Snapshot struct {
 	Weights    CostWeights
 }
 
-// Snapshot returns the current counters.
+// Snapshot returns the current counters. Each is read atomically; a
+// snapshot taken while other goroutines charge may straddle one of
+// their charges.
 func (m *CostMeter) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return Snapshot{
-		PageReads:  m.pageReads,
-		PageWrites: m.pageWrites,
-		TupleCPU:   m.tupleCPU,
-		StatCPU:    m.statCPU,
-		Extra:      m.extra,
+		PageReads:  m.pageReads.Load(),
+		PageWrites: m.pageWrites.Load(),
+		TupleCPU:   m.tupleCPU.Load(),
+		StatCPU:    m.statCPU.Load(),
+		Extra:      math.Float64frombits(m.extra.Load()),
 		Weights:    m.weights,
 	}
 }
@@ -166,17 +158,15 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 func (m *CostMeter) Cost() float64 { return m.Snapshot().Cost() }
 
 // Weights returns the meter's cost weights.
-func (m *CostMeter) Weights() CostWeights {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.weights
-}
+func (m *CostMeter) Weights() CostWeights { return m.weights }
 
 // Reset zeroes all counters, keeping the weights.
 func (m *CostMeter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pageReads, m.pageWrites, m.tupleCPU, m.statCPU, m.extra = 0, 0, 0, 0, 0
+	m.pageReads.Store(0)
+	m.pageWrites.Store(0)
+	m.tupleCPU.Store(0)
+	m.statCPU.Store(0)
+	m.extra.Store(0)
 }
 
 // String renders the meter for diagnostics.

@@ -51,39 +51,46 @@ func (d *Disk) Allocate() PageID {
 
 // Read copies the page into a fresh buffer, charging one page read.
 func (d *Disk) Read(id PageID) ([]byte, error) {
-	return d.ReadMetered(id, nil)
+	buf := make([]byte, PageSize)
+	if err := d.ReadInto(id, buf, nil); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
-// ReadMetered is Read with the page-read charge attributed to m (the
-// disk's own meter when m is nil). Parallel scan workers pass their
-// tributary meters so a gather point can see each partition's I/O.
-func (d *Disk) ReadMetered(id PageID, m *CostMeter) ([]byte, error) {
+// ReadInto copies the page into dst (PageSize bytes), with the page-read
+// charge attributed to m (the disk's own meter when m is nil). Parallel
+// scan workers pass their tributary meters so a gather point can see
+// each partition's I/O. The buffer pool passes the buffer of the frame
+// it just evicted, so a miss allocates nothing.
+func (d *Disk) ReadInto(id PageID, dst []byte, m *CostMeter) error {
 	d.mu.Lock()
 	p, ok := d.pages[id]
+	if ok {
+		copy(dst, p)
+	}
 	d.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("storage: read of unallocated page %d", id)
+		return fmt.Errorf("storage: read of unallocated page %d", id)
 	}
 	if m == nil {
 		m = d.meter
 	}
 	m.ChargeRead(1)
-	buf := make([]byte, PageSize)
-	copy(buf, p)
-	return buf, nil
+	return nil
 }
 
-// Write stores the page contents, charging one page write.
+// Write stores the page contents, charging one page write. The stored
+// page is overwritten in place (under the disk's lock, which ReadInto's
+// copy also holds).
 func (d *Disk) Write(id PageID, data []byte) error {
 	if len(data) != PageSize {
 		return fmt.Errorf("storage: write of %d bytes to page %d (want %d)", len(data), id, PageSize)
 	}
 	d.mu.Lock()
-	_, ok := d.pages[id]
+	p, ok := d.pages[id]
 	if ok {
-		buf := make([]byte, PageSize)
-		copy(buf, data)
-		d.pages[id] = buf
+		copy(p, data)
 	}
 	d.mu.Unlock()
 	if !ok {

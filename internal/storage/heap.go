@@ -17,8 +17,8 @@ type RID struct {
 // stampSize is the per-record MVCC overhead of a stamped heap: two
 // little-endian uint32 transaction stamps (xmin, xmax) preceding the
 // encoded tuple payload. The stamps are the only bytes of a record
-// ever mutated in place — slotted pages never move record data, so an
-// 8-byte overwrite at the record's start is safe.
+// ever mutated in place; a record moves only when Sweep compacts its
+// page, under the heap's write lock like every stamp update.
 const stampSize = 8
 
 // HeapFile is an unordered collection of tuples stored across slotted
@@ -40,6 +40,16 @@ type HeapFile struct {
 	pages  []PageID
 	tuples int64
 	bytes  int64
+	// roomy lists, by ascending page index, the pages Sweep compacted.
+	// Appends fill them, last first, before the tail page, so a heap
+	// under update traffic stops growing once vacuum keeps up.
+	roomy []roomyPage
+}
+
+// roomyPage is a page with reusable space: its index in HeapFile.pages
+// and its SlottedPage.FreeSpace when the heap last touched it.
+type roomyPage struct {
+	idx, free int
 }
 
 // NewHeapFile creates an empty unstamped heap file backed by pool.
@@ -107,61 +117,74 @@ func (h *HeapFile) AppendVersion(t types.Tuple, xmin TxnID) (RID, error) {
 }
 
 func (h *HeapFile) appendStamped(t types.Tuple, xmin TxnID) (RID, error) {
-	var rec []byte
+	payload := types.EncodedSize(t)
+	size := payload
 	if h.stamped {
-		rec = make([]byte, stampSize, stampSize+types.EncodedSize(t))
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(xmin))
-		rec = types.EncodeTuple(rec, t)
-	} else {
-		rec = types.EncodeTuple(nil, t)
+		size += stampSize
 	}
-	payload := len(rec)
-	if h.stamped {
-		payload -= stampSize
-	}
-	if len(rec) > PageSize-pageHeaderSize-4 {
-		return RID{}, fmt.Errorf("storage: tuple of %d bytes exceeds page capacity", len(rec))
+	if size > PageSize-pageHeaderSize-4 {
+		return RID{}, fmt.Errorf("storage: tuple of %d bytes exceeds page capacity", size)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	// Try the last page first.
+	id, buf, err := h.pageWithRoomLocked(size)
+	if err != nil {
+		return RID{}, err
+	}
+	slot, rec, err := LoadSlottedPage(buf).Reserve(size)
+	if err != nil {
+		h.pool.Unpin(id)
+		return RID{}, err
+	}
+	// Encode straight into the page: rec has exactly the record's
+	// capacity, so EncodeTuple's appends fill it without reallocating.
+	rec = rec[:0]
+	if h.stamped {
+		rec = binary.LittleEndian.AppendUint32(rec, uint32(xmin))
+		rec = binary.LittleEndian.AppendUint32(rec, 0)
+	}
+	types.EncodeTuple(rec, t)
+	h.pool.UnpinDirty(id)
+	h.tuples++
+	h.bytes += int64(payload)
+	return RID{Page: id, Slot: slot}, nil
+}
+
+// pageWithRoomLocked pins a page a record of size bytes fits on — a page
+// Sweep compacted, else the tail page, else a new, formatted one — and
+// returns its buffer.
+func (h *HeapFile) pageWithRoomLocked(size int) (PageID, []byte, error) {
+	for len(h.roomy) > 0 {
+		r := &h.roomy[len(h.roomy)-1]
+		if r.free < size+4 {
+			// Too full for this record: forget the page until the
+			// next Sweep that finds holes on it.
+			h.roomy = h.roomy[:len(h.roomy)-1]
+			continue
+		}
+		r.free -= size + 4
+		id := h.pages[r.idx]
+		buf, err := h.pool.Pin(id)
+		return id, buf, err
+	}
 	if n := len(h.pages); n > 0 {
 		id := h.pages[n-1]
 		buf, err := h.pool.Pin(id)
 		if err != nil {
-			return RID{}, err
+			return InvalidPageID, nil, err
 		}
-		page := LoadSlottedPage(buf)
-		if page.CanFit(len(rec)) {
-			slot, err := page.Insert(rec)
-			if err != nil {
-				h.pool.Unpin(id)
-				return RID{}, err
-			}
-			h.pool.MarkDirty(id)
-			h.pool.Unpin(id)
-			h.tuples++
-			h.bytes += int64(payload)
-			return RID{Page: id, Slot: slot}, nil
+		if LoadSlottedPage(buf).CanFit(size) {
+			return id, buf, nil
 		}
 		h.pool.Unpin(id)
 	}
 	id, buf, err := h.pool.PinNew()
 	if err != nil {
-		return RID{}, err
+		return InvalidPageID, nil, err
 	}
-	page := NewSlottedPage(buf)
-	slot, err := page.Insert(rec)
-	if err != nil {
-		h.pool.Unpin(id)
-		return RID{}, err
-	}
-	h.pool.MarkDirty(id)
-	h.pool.Unpin(id)
+	NewSlottedPage(buf)
 	h.pages = append(h.pages, id)
-	h.tuples++
-	h.bytes += int64(payload)
-	return RID{Page: id, Slot: slot}, nil
+	return id, buf, nil
 }
 
 // decodeStamp reads the (xmin, xmax) stamps from a stamped record.
@@ -320,7 +343,11 @@ func (h *HeapFile) deleteSlotLocked(rid RID) error {
 // transaction that committed below the GC horizon (no live snapshot
 // can still see them). isActive guards against sweeping versions whose
 // deleter is still in flight. It returns the number of versions
-// removed.
+// removed. Every page left with holes — by these deletes, or by the
+// undo of an aborted insert — is compacted and remembered as having
+// room, so later appends reuse the space: the record bytes, not the
+// slot numbers. Index entries of swept versions are left in place and
+// must keep resolving to "deleted", never to a newer record.
 func (h *HeapFile) Sweep(horizon TxnID, isActive func(TxnID) bool) (int64, error) {
 	if !h.stamped {
 		return 0, nil
@@ -328,37 +355,49 @@ func (h *HeapFile) Sweep(horizon TxnID, isActive func(TxnID) bool) (int64, error
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var removed int64
-	for _, id := range h.pages {
+	known := h.roomy // pages already listed stay listed, with a fresh count
+	roomy := make([]roomyPage, 0, len(known))
+	for idx, id := range h.pages {
+		listed := len(known) > 0 && known[0].idx == idx
+		if listed {
+			known = known[1:]
+		}
 		buf, err := h.pool.Pin(id)
 		if err != nil {
+			h.roomy = append(roomy, known...)
 			return removed, err
 		}
 		page := LoadSlottedPage(buf)
-		dirty := false
-		for slot := 0; slot < page.NumSlots(); slot++ {
-			rec, err := page.Record(slot)
-			if err != nil {
+		kept := 0 // data bytes of the records that stay
+		for slot, n := 0, page.NumSlots(); slot < n; slot++ {
+			rec := page.live(slot)
+			if rec == nil {
 				continue // already deleted
 			}
 			_, xmax := decodeStamp(rec)
 			if xmax == 0 || xmax >= horizon || (isActive != nil && isActive(xmax)) {
+				kept += 2 + len(rec)
 				continue
 			}
-			payload := len(rec) - stampSize
-			if err := page.Delete(slot); err != nil {
-				h.pool.Unpin(id)
-				return removed, err
-			}
+			page.Delete(slot) // in range: cannot fail
 			h.tuples--
-			h.bytes -= int64(payload)
+			h.bytes -= int64(len(rec) - stampSize)
 			removed++
-			dirty = true
 		}
-		if dirty {
-			h.pool.MarkDirty(id)
+		holes := page.DataBytes() > kept
+		if holes {
+			page.Compact()
 		}
-		h.pool.Unpin(id)
+		if holes || listed {
+			roomy = append(roomy, roomyPage{idx: idx, free: page.FreeSpace()})
+		}
+		if holes {
+			h.pool.UnpinDirty(id)
+		} else {
+			h.pool.Unpin(id)
+		}
 	}
+	h.roomy = roomy
 	return removed, nil
 }
 
@@ -377,13 +416,11 @@ func (h *HeapFile) DeadVersions() (int64, error) {
 			return dead, err
 		}
 		page := LoadSlottedPage(buf)
-		for slot := 0; slot < page.NumSlots(); slot++ {
-			rec, err := page.Record(slot)
-			if err != nil {
-				continue
-			}
-			if _, xmax := decodeStamp(rec); xmax != 0 {
-				dead++
+		for slot, n := 0, page.NumSlots(); slot < n; slot++ {
+			if rec := page.live(slot); rec != nil {
+				if _, xmax := decodeStamp(rec); xmax != 0 {
+					dead++
+				}
 			}
 		}
 		h.pool.Unpin(id)
@@ -425,25 +462,64 @@ func (h *HeapFile) Drop() error {
 		h.pool.Disk().Free(id)
 	}
 	h.pages = nil
+	h.roomy = nil
 	h.tuples = 0
 	h.bytes = 0
 	return nil
 }
 
-// HeapScanner iterates a heap file page by page. Each page is pinned once
-// per visit, so a full scan of an uncached file charges exactly
-// NumPages() reads. A partitioned scanner (stride > 1) visits only its
-// own pages and charges their reads to its meter.
+// slabValues caps the []types.Value block a scanner carves tuples from.
+// At 40 bytes a Value, 400 keep the block a small object for the
+// allocator; one block per page was measured to cost more bytes than
+// per-tuple allocation did.
+const slabValues = 400
+
+// HeapScanner iterates a heap file a page at a time. Each step takes the
+// heap's read lock and pins one page, once; walks the page's slots
+// applying MVCC visibility and the pushed filter; decodes the surviving
+// records; and releases pin and lock before Next hands anything out. No
+// lock or pin is ever held between calls, however many scanners a sort
+// merge or a partitioned join keeps open. A full scan of an uncached
+// file charges exactly NumPages() reads; a partitioned scanner
+// (stride > 1) visits only its own pages and charges their reads to its
+// meter.
+//
+// The scanner sees each page as it was when it loaded it: a record
+// appended to that page afterwards is not returned.
+//
+// Every tuple returned is the caller's to keep: tuples are carved from
+// blocks allocated per chunk of a page and never written again.
 type HeapScanner struct {
 	file    *HeapFile
-	pageIdx int
+	pageIdx int          // next page to load
 	stride  int          // page-index step; 1 for a full scan
 	meter   *CostMeter   // charge target for pool misses; nil = shared
 	snap    *TxnSnapshot // visibility filter for stamped heaps; nil = undeleted
-	slot    int
-	err     error
-	cur     types.Tuple
-	curRID  RID
+
+	filterCols []int
+	filter     func(types.Tuple) (bool, error)
+	examine    func() error
+
+	// The loaded page: one entry per visible record, in slot order.
+	page    PageID
+	batch   []scanEntry
+	pos     int
+	loadErr error // a decode or filter failure on this page, due after batch
+
+	slab    []types.Value // unused remainder of the current block
+	scratch types.Tuple   // filter-column decode target, reused under the pin
+
+	err    error
+	cur    types.Tuple
+	curRID RID
+}
+
+// scanEntry is one visible record of the loaded page: decoded if it
+// passed the filter, otherwise only there to be counted.
+type scanEntry struct {
+	slot int
+	pass bool
+	tup  types.Tuple
 }
 
 // WithSnapshot filters a stamped heap's scan to the versions visible
@@ -454,57 +530,142 @@ func (s *HeapScanner) WithSnapshot(snap *TxnSnapshot) *HeapScanner {
 	return s
 }
 
-// Next advances to the next visible tuple, returning false at the end
-// of the file or on error.
+// WithFilter pushes a predicate into the scan: Next returns only the
+// visible tuples for which pass reports true. cols lists, ascending, the
+// ordinals pass reads; the scanner decodes just those into a scratch
+// tuple it reuses from record to record, and decodes a record in full
+// only once pass accepted it. A nil cols means the ordinals are not
+// known: pass then gets each fully decoded tuple. pass runs under the
+// page's pin and the heap's read lock, so it must not retain its
+// argument nor call into the heap.
+func (s *HeapScanner) WithFilter(cols []int, pass func(types.Tuple) (bool, error)) *HeapScanner {
+	s.filterCols, s.filter = cols, pass
+	return s
+}
+
+// OnExamine registers fn to be called once for every visible tuple the
+// scan walks past, in storage order, whether or not the filter passes
+// it — immediately before the tuple is returned or skipped, and with no
+// lock or pin held. All of a page's calls are made before the next page
+// is loaded. An error from fn ends the scan and is reported by Err. The
+// executor charges its per-tuple cost, polls for cancellation and hits
+// its fault site here, so that pushing a filter into the scan moves none
+// of them.
+func (s *HeapScanner) OnExamine(fn func() error) *HeapScanner {
+	s.examine = fn
+	return s
+}
+
+// Next advances to the next visible tuple that passes the filter,
+// returning false at the end of the file or on error.
 func (s *HeapScanner) Next() bool {
-	h := s.file
-	if s.stride == 0 {
-		s.stride = 1
+	if s.err != nil {
+		return false
 	}
 	for {
-		h.mu.RLock()
-		if s.pageIdx >= len(h.pages) {
-			h.mu.RUnlock()
-			return false
-		}
-		id := h.pages[s.pageIdx]
-		buf, err := h.pool.PinMetered(id, s.meter)
-		if err != nil {
-			h.mu.RUnlock()
-			s.err = err
-			return false
-		}
-		page := LoadSlottedPage(buf)
-		for s.slot < page.NumSlots() {
-			slot := s.slot
-			s.slot++
-			rec, err := page.Record(slot)
-			if err != nil {
-				continue // deleted slot
-			}
-			if h.stamped {
-				xmin, xmax := decodeStamp(rec)
-				if !versionVisible(s.snap, xmin, xmax) {
-					continue
+		for s.pos < len(s.batch) {
+			e := &s.batch[s.pos]
+			s.pos++
+			if s.examine != nil {
+				if s.err = s.examine(); s.err != nil {
+					return false
 				}
-				rec = rec[stampSize:]
 			}
-			t, _, err := types.DecodeTuple(rec)
-			h.pool.Unpin(id)
-			h.mu.RUnlock()
-			if err != nil {
-				s.err = err
-				return false
+			if e.pass {
+				s.cur, s.curRID = e.tup, RID{Page: s.page, Slot: e.slot}
+				return true
 			}
-			s.cur = t
-			s.curRID = RID{Page: id, Slot: slot}
-			return true
 		}
-		h.pool.Unpin(id)
-		h.mu.RUnlock()
-		s.pageIdx += s.stride
-		s.slot = 0
+		if s.err = s.loadErr; s.err != nil || !s.loadPage() {
+			return false
+		}
 	}
+}
+
+// loadPage replaces the batch with the next page's visible records,
+// reporting false at the end of the file or on a pin failure. A record
+// that fails to decode, or on which the filter fails, ends the batch:
+// what preceded it is still served, then loadErr.
+func (s *HeapScanner) loadPage() bool {
+	h := s.file
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if s.pageIdx >= len(h.pages) {
+		return false
+	}
+	id := h.pages[s.pageIdx]
+	buf, err := h.pool.PinMetered(id, s.meter)
+	if err != nil {
+		s.err = err
+		return false
+	}
+	defer h.pool.Unpin(id)
+	s.pageIdx += s.stride
+	s.page, s.batch, s.pos = id, s.batch[:0], 0
+	page := LoadSlottedPage(buf)
+	for slot, n := 0, page.NumSlots(); slot < n; slot++ {
+		rec := page.live(slot)
+		if rec == nil {
+			continue
+		}
+		if h.stamped {
+			xmin, xmax := decodeStamp(rec)
+			if !versionVisible(s.snap, xmin, xmax) {
+				continue
+			}
+			rec = rec[stampSize:]
+		}
+		tup, pass, err := s.decode(rec, n-slot)
+		if err != nil {
+			s.loadErr = err // undecodable: fails before being examined
+			break
+		}
+		s.batch = append(s.batch, scanEntry{slot: slot, pass: pass, tup: tup})
+		if s.loadErr != nil {
+			break // the filter failed on this record, the last one examined
+		}
+	}
+	return true
+}
+
+// decode applies the filter to one record and, if it passed, decodes it
+// into a tuple of its own. A filter failure is left in loadErr and the
+// record reported as rejected; err is for records that do not parse.
+// left counts the page's slots from this record on: a new block is sized
+// for that many tuples at most, so a one-page table does not pay for a
+// full block.
+func (s *HeapScanner) decode(rec []byte, left int) (tup types.Tuple, pass bool, err error) {
+	width, err := types.TupleWidth(rec)
+	if err != nil {
+		return nil, false, err
+	}
+	if s.filter != nil && s.filterCols != nil {
+		if cap(s.scratch) < width {
+			s.scratch = make(types.Tuple, width)
+		}
+		probe := s.scratch[:width]
+		if _, err := types.DecodeColumns(probe, rec, s.filterCols); err != nil {
+			return nil, false, err
+		}
+		if pass, s.loadErr = s.filter(probe); !pass || s.loadErr != nil {
+			return nil, false, nil
+		}
+	}
+	if len(s.slab) < width {
+		s.slab = make([]types.Value, max(width, min(width*left, slabValues)))
+	}
+	tup = s.slab[:width:width]
+	if _, err := types.DecodeColumns(tup, rec, nil); err != nil {
+		return nil, false, err
+	}
+	if s.filter != nil && s.filterCols == nil {
+		// Rejected: the next record decodes over the same values.
+		if pass, s.loadErr = s.filter(tup); !pass || s.loadErr != nil {
+			return nil, false, nil
+		}
+	}
+	s.slab = s.slab[width:]
+	return tup, true, nil
 }
 
 // Tuple returns the current tuple after a successful Next.

@@ -88,3 +88,59 @@ func TestSlottedPageSurvivesReload(t *testing.T) {
 		t.Errorf("reloaded Record(0) = %q, %v", got, err)
 	}
 }
+
+func TestSlottedPageReserveFillsInPlace(t *testing.T) {
+	buf := make([]byte, PageSize)
+	p := NewSlottedPage(buf)
+	slot, dst, err := p.Reserve(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dst) != 5 || cap(dst) != 5 {
+		t.Fatalf("reserved slice has len %d cap %d, want 5 and 5", len(dst), cap(dst))
+	}
+	// Appending up to the capacity writes the page, not a copy.
+	_ = append(dst[:0], "hello"...)
+	if got, err := p.Record(slot); err != nil || string(got) != "hello" {
+		t.Errorf("Record = %q, %v", got, err)
+	}
+	if _, _, err := p.Reserve(PageSize); err == nil {
+		t.Error("oversize Reserve succeeded")
+	}
+}
+
+func TestSlottedPageCompactKeepsSlotNumbers(t *testing.T) {
+	p := NewSlottedPage(make([]byte, PageSize))
+	rec := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, 40+i%17) }
+	n := 0
+	for p.CanFit(len(rec(n))) {
+		p.Insert(rec(n))
+		n++
+	}
+	for i := 0; i < n; i += 3 {
+		p.Delete(i)
+	}
+	if p.CanFit(500) {
+		t.Fatal("holes counted as free space before Compact")
+	}
+	p.Compact()
+	if !p.CanFit(500) {
+		t.Errorf("FreeSpace = %d after Compact freed a third of the page", p.FreeSpace())
+	}
+	for i := 0; i < n; i++ {
+		got, err := p.Record(i)
+		if i%3 == 0 {
+			if err == nil {
+				t.Fatalf("deleted slot %d came back as %q", i, got)
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(got, rec(i)) {
+			t.Fatalf("slot %d = %q, %v after Compact", i, got, err)
+		}
+	}
+	// New records take new slot numbers, never a deleted one.
+	if slot, err := p.Insert([]byte("new")); err != nil || slot != n {
+		t.Errorf("Insert after Compact took slot %d (%v), want %d", slot, err, n)
+	}
+}

@@ -1,0 +1,501 @@
+package storage
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/types"
+)
+
+type scanned struct {
+	rid RID
+	tup types.Tuple
+}
+
+func sameScan(a, b []scanned) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d tuples, want %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].rid != b[i].rid || !slices.Equal(a[i].tup, b[i].tup) {
+			return fmt.Errorf("position %d: %v %v, want %v %v", i, a[i].rid, a[i].tup, b[i].rid, b[i].tup)
+		}
+	}
+	return nil
+}
+
+func drainScan(t *testing.T, s *HeapScanner) []scanned {
+	t.Helper()
+	var out []scanned
+	for s.Next() {
+		out = append(out, scanned{s.RID(), s.Tuple()})
+	}
+	if s.Err() != nil {
+		t.Fatal(s.Err())
+	}
+	return out
+}
+
+// fetchAll is the reference a scan is held to: FetchVisible over every
+// slot of the partition's pages, in order.
+func fetchAll(t *testing.T, h *HeapFile, snap *TxnSnapshot, part, of int) []scanned {
+	t.Helper()
+	var out []scanned
+	for idx := part; idx < len(h.pages); idx += of {
+		id := h.pages[idx]
+		buf, err := h.pool.Pin(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots := LoadSlottedPage(buf).NumSlots()
+		h.pool.Unpin(id)
+		for slot := 0; slot < slots; slot++ {
+			rid := RID{Page: id, Slot: slot}
+			tup, ok, err := h.FetchVisible(rid, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				out = append(out, scanned{rid, tup})
+			}
+		}
+	}
+	return out
+}
+
+// churnedHeap builds a stamped heap with a frozen load, committed
+// inserts, updates and deletes, aborted inserts, swept slots, one
+// transaction left in flight, and a snapshot taken at each stage.
+func churnedHeap(t *testing.T, r *rand.Rand, bp *BufferPool) (*HeapFile, []*TxnSnapshot, func()) {
+	t.Helper()
+	h := NewStampedHeapFile(bp)
+	m := NewTxnManager()
+	var live []RID
+	for i := 0; i < 300+r.Intn(300); i++ {
+		rid, err := h.Append(wideRow(r, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, rid)
+	}
+	snaps := []*TxnSnapshot{nil}
+	var readers []*Txn
+	hold := func() {
+		rd := m.BeginRead()
+		readers = append(readers, rd)
+		snaps = append(snaps, rd.Snapshot())
+	}
+	hold()
+	for round := 0; round < 12; round++ {
+		tx := m.Begin()
+		before := slices.Clone(live)
+		for i := 0; i < 1+r.Intn(40); i++ {
+			rid, err := tx.InsertTuple(h, wideRow(r, 1000*round+i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, rid)
+		}
+		for i := 0; i < r.Intn(30) && len(live) > 0; i++ {
+			k := r.Intn(len(live))
+			if err := tx.DeleteTuple(h, live[k]); err != nil {
+				t.Fatal(err)
+			}
+			live = slices.Delete(live, k, k+1)
+		}
+		if round%4 == 3 {
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			live = before
+		} else {
+			tx.Commit()
+		}
+		if round == 5 {
+			// A sweep under no reader: slots vanish, pages compact.
+			for _, rd := range readers {
+				rd.End()
+			}
+			readers = nil
+			if _, err := h.Sweep(m.Horizon(), m.IsActive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round%3 == 0 {
+			hold()
+		}
+	}
+	open := m.Begin() // in flight for the rest of the test
+	for i := 0; i < 20; i++ {
+		if _, err := open.InsertTuple(h, wideRow(r, 99000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := open.DeleteTuple(h, live[0]); err != nil {
+		t.Fatal(err)
+	}
+	snaps = append(snaps, open.Snapshot())
+	hold()
+	return h, snaps, func() {
+		open.Abort()
+		for _, rd := range readers {
+			rd.End()
+		}
+	}
+}
+
+// wideRow has every kind, a NULL now and then, and strings long enough
+// that a page holds a few dozen rows.
+func wideRow(r *rand.Rand, i int) types.Tuple {
+	t := types.Tuple{
+		types.NewInt(int64(i)),
+		types.NewFloat(r.Float64() * 100),
+		types.NewString(fmt.Sprintf("name-%d-%0*d", i, r.Intn(60), 0)),
+		types.NewDate(int64(9000 + r.Intn(2000))),
+		types.NewString("f"),
+	}
+	if r.Intn(10) == 0 {
+		t[r.Intn(len(t))] = types.Null()
+	}
+	return t
+}
+
+func TestScanMatchesFetchVisible(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		bp, _ := newTestPool(4 + r.Intn(32))
+		h, snaps, done := churnedHeap(t, r, bp)
+		for si, snap := range snaps {
+			if err := sameScan(drainScan(t, h.Scan().WithSnapshot(snap)), fetchAll(t, h, snap, 0, 1)); err != nil {
+				t.Errorf("seed %d snapshot %d: full scan: %v", seed, si, err)
+			}
+			for _, of := range []int{2, 3, 7} {
+				for part := 0; part < of; part++ {
+					got := drainScan(t, h.ScanPartition(part, of, nil).WithSnapshot(snap))
+					if err := sameScan(got, fetchAll(t, h, snap, part, of)); err != nil {
+						t.Errorf("seed %d snapshot %d: partition %d/%d: %v", seed, si, part, of, err)
+					}
+				}
+			}
+		}
+		done()
+	}
+}
+
+// A filter pushed with its columns, the same filter pushed without them,
+// and no filter plus a test by the caller must agree on the tuples and
+// on how many tuples were examined before each.
+func TestScanFilterPushdownEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	bp, _ := newTestPool(16)
+	h, snaps, done := churnedHeap(t, r, bp)
+	defer done()
+	pass := func(tup types.Tuple) (bool, error) {
+		return !tup[0].IsNull() && tup[0].Int()%7 == 0 && !tup[3].IsNull(), nil
+	}
+	type step struct {
+		scanned
+		examined int
+	}
+	run := func(s *HeapScanner, test func(types.Tuple) (bool, error)) []step {
+		examined := 0
+		s.OnExamine(func() error { examined++; return nil })
+		var out []step
+		for s.Next() {
+			if test != nil {
+				if ok, _ := test(s.Tuple()); !ok {
+					continue
+				}
+			}
+			out = append(out, step{scanned{s.RID(), s.Tuple()}, examined})
+		}
+		if s.Err() != nil {
+			t.Fatal(s.Err())
+		}
+		out = append(out, step{examined: examined}) // the tail after the last survivor
+		return out
+	}
+	for si, snap := range snaps {
+		want := run(h.Scan().WithSnapshot(snap), pass)
+		for name, cols := range map[string][]int{"columns": {0, 3}, "whole tuple": nil} {
+			got := run(h.Scan().WithSnapshot(snap).WithFilter(cols, pass), nil)
+			if len(got) != len(want) {
+				t.Fatalf("snapshot %d, %s: %d steps, want %d", si, name, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].examined != want[i].examined || got[i].rid != want[i].rid || !slices.Equal(got[i].tup, want[i].tup) {
+					t.Fatalf("snapshot %d, %s, step %d: %+v, want %+v", si, name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// The filter sees a reused scratch tuple; what the scan returns must
+// never be that scratch, nor share storage with an earlier tuple.
+func TestScanTuplesAreNotOverwritten(t *testing.T) {
+	bp, _ := newTestPool(8)
+	h := NewHeapFile(bp)
+	const n = 3000
+	for i := 0; i < n; i++ {
+		if _, err := h.Append(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	even := func(tup types.Tuple) (bool, error) { return tup[0].Int()%2 == 0, nil }
+	var kept []types.Tuple
+	s := h.Scan().WithFilter([]int{0}, even)
+	for s.Next() {
+		kept = append(kept, s.Tuple())
+	}
+	if len(kept) != n/2 {
+		t.Fatalf("kept %d tuples, want %d", len(kept), n/2)
+	}
+	for i, tup := range kept {
+		if !slices.Equal(tup, row(2*i)) {
+			t.Fatalf("retained tuple %d reads %v after the scan moved on", i, tup)
+		}
+	}
+}
+
+func TestScanFilterAndExamineErrors(t *testing.T) {
+	bp, _ := newTestPool(8)
+	h := NewHeapFile(bp)
+	for i := 0; i < 1000; i++ {
+		h.Append(row(i))
+	}
+	boom := errors.New("boom")
+	for name, cols := range map[string][]int{"columns": {0}, "whole tuple": nil} {
+		examined, returned := 0, 0
+		s := h.Scan().OnExamine(func() error { examined++; return nil }).
+			WithFilter(cols, func(tup types.Tuple) (bool, error) {
+				if tup[0].Int() == 500 {
+					return false, boom
+				}
+				return tup[0].Int()%2 == 0, nil
+			})
+		for s.Next() {
+			returned++
+		}
+		// Rows 0..499 pass through, row 500 is examined and then fails.
+		if s.Err() != boom || returned != 250 || examined != 501 {
+			t.Errorf("%s: err %v after %d returned, %d examined; want boom, 250, 501", name, s.Err(), returned, examined)
+		}
+		if s.Next() {
+			t.Errorf("%s: Next succeeded after an error", name)
+		}
+	}
+
+	examined := 0
+	s := h.Scan().OnExamine(func() error {
+		if examined++; examined == 300 {
+			return boom
+		}
+		return nil
+	})
+	n := 0
+	for s.Next() {
+		n++
+	}
+	if s.Err() != boom || n != 299 {
+		t.Errorf("examine error: err %v after %d tuples, want boom after 299", s.Err(), n)
+	}
+}
+
+// No pin may outlive a Next: with many scanners open and paused at
+// arbitrary positions, EvictAll must be able to empty the pool, and a
+// pool far smaller than the number of open scanners must suffice.
+func TestScanHoldsNoPinBetweenNext(t *testing.T) {
+	bp, _ := newTestPool(4)
+	const files = 128
+	scanners := make([]*HeapScanner, files)
+	for i := range scanners {
+		h := NewHeapFile(bp)
+		for j := 0; j < 400; j++ {
+			if _, err := h.Append(row(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scanners[i] = h.Scan()
+	}
+	total := 0
+	for open := files; open > 0; {
+		open = 0
+		for _, s := range scanners {
+			if s.Next() {
+				open++
+				total++
+			} else if s.Err() != nil {
+				t.Fatal(s.Err())
+			}
+			if total%97 == 0 {
+				if err := bp.EvictAll(); err != nil {
+					t.Fatal(err)
+				}
+				if len(bp.frames) != 0 {
+					t.Fatalf("%d frames still pinned between Next calls", len(bp.frames))
+				}
+			}
+		}
+	}
+	if total != files*400 {
+		t.Errorf("merged %d tuples, want %d", total, files*400)
+	}
+}
+
+// A scan allocates per page (a block of values, the batch), never per
+// tuple: a per-tuple allocation creeping back in fails here.
+func TestScanAllocatesPerPageNotPerTuple(t *testing.T) {
+	bp, _ := newTestPool(64)
+	h := NewStampedHeapFile(bp)
+	const n = 20000
+	for i := 0; i < n; i++ {
+		tup := types.Tuple{types.NewInt(int64(i)), types.NewFloat(1.5), types.NewDate(9000), types.NewInt(7)}
+		if _, err := h.Append(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := h.NumPages()
+	if n < 50*pages {
+		t.Fatalf("%d tuples on %d pages: too few per page to tell the two apart", n, pages)
+	}
+	snap := NewTxnManager().LatestSnapshot()
+	for name, filter := range map[string]func(types.Tuple) (bool, error){
+		"unfiltered": nil,
+		"filtered":   func(tup types.Tuple) (bool, error) { return tup[0].Int()%50 == 0, nil },
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			s := h.Scan().WithSnapshot(snap)
+			if filter != nil {
+				s.WithFilter([]int{0}, filter)
+			}
+			for s.Next() {
+			}
+			if s.Err() != nil {
+				t.Fatal(s.Err())
+			}
+		})
+		if allocs > float64(3*pages) {
+			t.Errorf("%s scan of %d tuples on %d pages made %.0f allocations", name, n, pages, allocs)
+		}
+	}
+}
+
+func TestSweepReclaimsSpaceWithoutReusingSlots(t *testing.T) {
+	bp, _ := newTestPool(64)
+	h := NewStampedHeapFile(bp)
+	m := NewTxnManager()
+	r := rand.New(rand.NewSource(3))
+	var live []RID
+	for i := 0; i < 4000; i++ {
+		rid, err := h.Append(wideRow(r, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, rid)
+	}
+	start := h.NumPages()
+	var stale []RID
+	for txn := 0; txn < 2000; txn++ {
+		tx := m.Begin()
+		var mine []RID
+		for i := 0; i < 4; i++ {
+			rid, err := tx.InsertTuple(h, wideRow(r, 10000+4*txn+i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mine = append(mine, rid)
+		}
+		// Update one old row: delete its version, insert the new one.
+		k := r.Intn(len(live))
+		if err := tx.DeleteTuple(h, live[k]); err != nil {
+			t.Fatal(err)
+		}
+		stale = append(stale, live[k])
+		rid, err := tx.InsertTuple(h, wideRow(r, 20000+txn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[k] = rid
+		for _, rid := range mine {
+			if err := tx.DeleteTuple(h, rid); err != nil {
+				t.Fatal(err)
+			}
+			stale = append(stale, rid)
+		}
+		tx.Commit()
+		if txn%16 == 15 {
+			if _, err := h.Sweep(m.Horizon(), m.IsActive); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := h.Sweep(m.Horizon(), m.IsActive); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.NumPages(); got > start+8 {
+		t.Errorf("heap grew from %d to %d pages under steady update traffic", start, got)
+	}
+	if h.NumTuples() != int64(len(live)) {
+		t.Errorf("NumTuples = %d, want %d", h.NumTuples(), len(live))
+	}
+
+	// Refill the freed space, then look the swept versions up again: an
+	// index entry left behind must find nothing, never a newer record.
+	for i := 0; i < 500; i++ {
+		if _, err := h.Append(wideRow(r, 50000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := m.LatestSnapshot()
+	for _, rid := range stale {
+		if tup, ok, err := h.FetchVisible(rid, snap); err != nil || ok {
+			t.Fatalf("swept %v resolves to %v (ok=%v, err=%v)", rid, tup, ok, err)
+		}
+	}
+	want := fetchAll(t, h, snap, 0, 1)
+	if len(want) != len(live)+500 {
+		t.Errorf("%d visible rows, want %d", len(want), len(live)+500)
+	}
+	if err := sameScan(drainScan(t, h.Scan().WithSnapshot(snap)), want); err != nil {
+		t.Error(err)
+	}
+}
+
+// The undo of an aborted insert deletes slots without any version dying;
+// the next Sweep must still find the holes, or every rolled-back bulk
+// insert would leak its pages for good.
+func TestSweepReclaimsAbortedInserts(t *testing.T) {
+	bp, _ := newTestPool(64)
+	h := NewStampedHeapFile(bp)
+	m := NewTxnManager()
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		h.Append(wideRow(r, i))
+	}
+	start := h.NumPages()
+	for round := 0; round < 10; round++ {
+		tx := m.Begin()
+		for i := 0; i < 1000; i++ {
+			if _, err := tx.InsertTuple(h, wideRow(r, 1000+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := h.Sweep(m.Horizon(), m.IsActive); err != nil || n != 0 {
+			t.Fatalf("Sweep removed %d versions (%v), want none: nothing died", n, err)
+		}
+	}
+	one := start + (start*1000+499)/500 // the file with one round's inserts on top
+	if got := h.NumPages(); got > one+2 {
+		t.Errorf("ten aborted rounds of inserts left %d pages; the load is %d, one round on top about %d", got, start, one)
+	}
+	if got := countVisible(t, h, m.LatestSnapshot()); got != 500 {
+		t.Errorf("%d rows visible, want the 500 loaded", got)
+	}
+}

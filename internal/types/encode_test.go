@@ -82,3 +82,86 @@ func TestEncodeAppendsToExisting(t *testing.T) {
 		t.Errorf("decode after prefix: %v, %v", out, err)
 	}
 }
+
+// DecodeColumns with a column list fills exactly those columns, leaves
+// the rest of dst alone, and stops walking after the last one it wants.
+func TestDecodeColumnsPartial(t *testing.T) {
+	in := Tuple{NewInt(-1), NewFloat(math.Pi), NewString("hello"), Null(), NewDate(9500), NewString("tail")}
+	buf := EncodeTuple(nil, in)
+	if w, err := TupleWidth(buf); err != nil || w != len(in) {
+		t.Fatalf("TupleWidth = %d, %v", w, err)
+	}
+	stale := NewString("stale")
+	for _, cols := range [][]int{{}, {0}, {2}, {3}, {5}, {1, 4}, {0, 1, 2, 3, 4, 5}, {2, 9}} {
+		dst := make(Tuple, len(in))
+		for i := range dst {
+			dst[i] = stale
+		}
+		if _, err := DecodeColumns(dst, buf, cols); err != nil {
+			t.Fatalf("cols %v: %v", cols, err)
+		}
+		for i := range dst {
+			want := stale
+			for _, c := range cols {
+				if c == i {
+					want = in[i]
+				}
+			}
+			if dst[i] != want {
+				t.Errorf("cols %v: column %d = %v, want %v", cols, i, dst[i], want)
+			}
+		}
+	}
+	// Damage past the last wanted column is not this call's to find;
+	// damage before it is.
+	cut := buf[:len(buf)-3]
+	if _, err := DecodeColumns(make(Tuple, len(in)), cut, []int{0, 4}); err != nil {
+		t.Errorf("truncated tail reported while decoding columns before it: %v", err)
+	}
+	if _, err := DecodeColumns(make(Tuple, len(in)), cut, []int{5}); err == nil {
+		t.Error("truncated wanted column decoded")
+	}
+	if _, err := DecodeColumns(make(Tuple, len(in)), cut, nil); err == nil {
+		t.Error("truncated tuple decoded in full")
+	}
+}
+
+// An encode into a slice with room is done in place.
+func TestEncodeFillsSpareCapacity(t *testing.T) {
+	in := Tuple{NewInt(7), NewString("abc"), Null()}
+	backing := make([]byte, 4+EncodedSize(in))
+	out := EncodeTuple(backing[:4], in)
+	if &out[0] != &backing[0] || len(out) != len(backing) {
+		t.Fatal("EncodeTuple reallocated a destination with exactly enough room")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { EncodeTuple(backing[:4], in) }); allocs != 0 {
+		t.Errorf("in-place encode allocated %.0f times", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { EncodeTuple(nil, in) }); allocs != 1 {
+		t.Errorf("encode into nil allocated %.0f times, want one presized buffer", allocs)
+	}
+}
+
+var sinkTuple Tuple
+
+// BenchmarkDecodeTuple decodes a 16-column row with five strings, the
+// shape of TPC-D lineitem.
+func BenchmarkDecodeTuple(b *testing.B) {
+	row := Tuple{
+		NewInt(1), NewInt(2), NewInt(3), NewInt(4),
+		NewFloat(17), NewFloat(21168.23), NewFloat(0.04), NewFloat(0.02),
+		NewString("N"), NewString("O"),
+		NewDate(9500), NewDate(9530), NewDate(9510),
+		NewString("DELIVER IN PERSON"), NewString("TRUCK"), NewString("carefully final deposits"),
+	}
+	enc := EncodeTuple(nil, row)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, _, err := DecodeTuple(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkTuple = t
+	}
+}
