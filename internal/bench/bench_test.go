@@ -188,11 +188,16 @@ func TestSummarizeEmptyIsSkipped(t *testing.T) {
 	}
 	// Non-finite speedups must not poison the geomean.
 	ps = SummarizeParallel([]ParallelRow{
-		{Query: "Qx", Degree: 2, Speedup: 2},
-		{Query: "Qy", Degree: 2, Speedup: math.Inf(1)},
+		{Query: "Qx", Degree: 2, Speedup: 2, MeasuredSpeedup: 0.5},
+		{Query: "Qy", Degree: 2, Speedup: math.Inf(1), MeasuredSpeedup: math.NaN()},
 	})
 	if got := ps.Speedup["d2"]; got != 2 {
 		t.Errorf("d2 geomean = %v, want 2 (Inf row excluded)", got)
+	}
+	// The stopwatch column is summarized beside the modelled one, never
+	// in place of it.
+	if got := ps.MeasuredSpeedup["d2"]; got != 0.5 {
+		t.Errorf("d2 measured geomean = %v, want 0.5 (NaN row excluded)", got)
 	}
 }
 

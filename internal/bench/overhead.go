@@ -108,22 +108,14 @@ type OverheadSummary struct {
 // SummarizeOverhead computes the geomean and worst-case ratios.
 func SummarizeOverhead(rows []OverheadRow) OverheadSummary {
 	var s OverheadSummary
-	var logSum float64
-	n := 0
+	var g geomean
 	for _, r := range rows {
-		if r.Ratio <= 0 || math.IsInf(r.Ratio, 0) || math.IsNaN(r.Ratio) {
-			continue
-		}
-		logSum += math.Log(r.Ratio)
-		n++
-		if r.Ratio > s.MaxRatio {
+		if g.add(r.Ratio) && r.Ratio > s.MaxRatio {
 			s.MaxRatio = r.Ratio
 		}
 	}
-	if n > 0 {
-		s.GeomeanRatio, _ = finite(math.Exp(logSum / float64(n)))
-	}
-	s.Skipped = n == 0
+	s.GeomeanRatio, _ = g.value()
+	s.Skipped = g.n == 0
 	return s
 }
 

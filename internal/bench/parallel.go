@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/reopt"
 	"repro/internal/tpcd"
@@ -14,26 +15,34 @@ import (
 // parallelism sweep. Cost is the metered resource total (all workers'
 // charges); Wall subtracts the overlap credited at each gather point
 // (only the slowest tributary of a parallel region contributes to
-// elapsed time), so Wall is the simulated answer-latency the exchange
-// operators buy.
+// elapsed time), so Wall is the modelled answer latency the exchange
+// operators buy. ElapsedMs is what a stopwatch said about the same run
+// (the fastest of parallelReps), and MeasuredSpeedup the ratio of those:
+// the model credits overlap the machine may not deliver.
 type ParallelRow struct {
-	Query    string     `json:"query"`
-	Class    tpcd.Class `json:"class"`
-	Degree   int        `json:"degree"`
-	Cost     float64    `json:"cost"`
-	Wall     float64    `json:"wall"`
-	Speedup  float64    `json:"speedup"` // wall(degree 1) / wall(this degree)
-	Workers  int        `json:"workers"`
-	Switches int        `json:"switches"`
+	Query           string     `json:"query"`
+	Class           tpcd.Class `json:"class"`
+	Degree          int        `json:"degree"`
+	Cost            float64    `json:"cost"`
+	Wall            float64    `json:"wall"`
+	Speedup         float64    `json:"speedup"` // wall(degree 1) / wall(this degree)
+	ElapsedMs       float64    `json:"elapsed_ms"`
+	MeasuredSpeedup float64    `json:"measured_speedup"` // elapsed(degree 1) / elapsed(this degree)
+	Workers         int        `json:"workers"`
+	Switches        int        `json:"switches"`
 }
+
+// parallelReps is how often each (query, degree) cell runs; the fastest
+// run is the cell's elapsed time.
+const parallelReps = 3
 
 // Parallel sweeps degree 1..maxDegree over the medium and complex
 // queries under full re-optimization with the configured stale
 // statistics — the workload where checkpoints, collector merges, and
 // plan switches all fire on parallel segments. Results at every degree
 // must be identical (the harness cross-checks row counts); the
-// interesting columns are wall speedup and whether the switch rate
-// stays put as the degree grows.
+// interesting columns are the modelled and the measured speedup, side by
+// side, and whether the switch rate stays put as the degree grows.
 func Parallel(cfg Config, maxDegree int) ([]ParallelRow, error) {
 	if maxDegree < 1 {
 		maxDegree = 1
@@ -47,21 +56,32 @@ func Parallel(cfg Config, maxDegree int) ([]ParallelRow, error) {
 		if q.Class == tpcd.Simple {
 			continue
 		}
-		var serialWall float64
+		var serialWall, serialMs float64
 		var serialRows int
 		for deg := 1; deg <= maxDegree; deg *= 2 {
-			cost, st, n, err := env.RunCounted(q, reopt.ModeFull, func(c *reopt.Config) {
-				c.Degree = deg
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s degree %d: %w", q.Name, deg, err)
+			var (
+				cost float64
+				st   *reopt.Stats
+				n    int
+				ms   = math.Inf(1)
+			)
+			for rep := 0; rep < parallelReps; rep++ {
+				t0 := time.Now()
+				var err error
+				cost, st, n, err = env.RunCounted(q, reopt.ModeFull, func(c *reopt.Config) {
+					c.Degree = deg
+				})
+				if err != nil {
+					return nil, fmt.Errorf("%s degree %d: %w", q.Name, deg, err)
+				}
+				ms = math.Min(ms, float64(time.Since(t0))/float64(time.Millisecond))
 			}
 			wall := cost - st.WallSavedCost
 			if wall < 0 {
 				wall = 0
 			}
 			if deg == 1 {
-				serialWall = wall
+				serialWall, serialMs = wall, ms
 				serialRows = n
 			} else if n != serialRows {
 				return nil, fmt.Errorf("%s degree %d: %d rows, serial produced %d",
@@ -74,6 +94,7 @@ func Parallel(cfg Config, maxDegree int) ([]ParallelRow, error) {
 			rows = append(rows, ParallelRow{
 				Query: q.Name, Class: q.Class, Degree: deg,
 				Cost: cost, Wall: wall, Speedup: speedup,
+				ElapsedMs: ms, MeasuredSpeedup: serialMs / ms,
 				Workers: st.WorkersSpawned, Switches: st.PlanSwitches,
 			})
 		}
@@ -82,11 +103,15 @@ func Parallel(cfg Config, maxDegree int) ([]ParallelRow, error) {
 }
 
 // ParallelSummary condenses the sweep into the columns tracked across
-// commits: per-degree geometric-mean wall speedup and switch rate.
+// commits: per-degree geometric-mean speedup, modelled and measured, and
+// switch rate.
 type ParallelSummary struct {
-	// Speedup maps "d<degree>" to the geometric mean of wall speedups
-	// at that degree across queries.
+	// Speedup maps "d<degree>" to the geometric mean of modelled wall
+	// speedups at that degree across queries.
 	Speedup map[string]float64 `json:"speedup"`
+	// MeasuredSpeedup is the same geometric mean over the stopwatch
+	// speedups.
+	MeasuredSpeedup map[string]float64 `json:"measured_speedup"`
 	// SwitchRate maps "d<degree>" to the fraction of queries that
 	// switched plans at least once at that degree.
 	SwitchRate map[string]float64 `json:"switch_rate"`
@@ -97,13 +122,36 @@ type ParallelSummary struct {
 	Skipped []string `json:"skipped,omitempty"`
 }
 
+// geomean accumulates the geometric mean of the positive finite values
+// added to it.
+type geomean struct {
+	logSum float64
+	n      int
+}
+
+// add reports whether v qualified.
+func (g *geomean) add(v float64) bool {
+	if !(v > 0) || math.IsInf(v, 0) {
+		return false
+	}
+	g.logSum += math.Log(v)
+	g.n++
+	return true
+}
+
+// value reports the mean, and false when nothing qualified.
+func (g geomean) value() (float64, bool) {
+	if g.n == 0 {
+		return 0, false
+	}
+	return finite(math.Exp(g.logSum / float64(g.n)))
+}
+
 // SummarizeParallel computes per-degree speedup and switch-rate columns.
 func SummarizeParallel(rows []ParallelRow) ParallelSummary {
 	type acc struct {
-		logSum   float64
-		n        int
-		switched int
-		total    int
+		modelled, measured geomean
+		switched, total    int
 	}
 	byDeg := map[int]*acc{}
 	for _, r := range rows {
@@ -112,31 +160,25 @@ func SummarizeParallel(rows []ParallelRow) ParallelSummary {
 			a = &acc{}
 			byDeg[r.Degree] = a
 		}
-		if r.Speedup > 0 && !math.IsInf(r.Speedup, 0) && !math.IsNaN(r.Speedup) {
-			a.logSum += math.Log(r.Speedup)
-			a.n++
-		}
+		a.modelled.add(r.Speedup)
+		a.measured.add(r.MeasuredSpeedup)
 		a.total++
 		if r.Switches > 0 {
 			a.switched++
 		}
 	}
-	s := ParallelSummary{Speedup: map[string]float64{}, SwitchRate: map[string]float64{}}
+	s := ParallelSummary{Speedup: map[string]float64{}, MeasuredSpeedup: map[string]float64{}, SwitchRate: map[string]float64{}}
 	for deg, a := range byDeg {
 		key := fmt.Sprintf("d%d", deg)
-		ok := false
-		if a.n > 0 {
-			var v float64
-			if v, ok = finite(math.Exp(a.logSum / float64(a.n))); ok {
-				s.Speedup[key] = v
-			}
-		}
-		if !ok {
+		if v, ok := a.modelled.value(); ok {
+			s.Speedup[key] = v
+		} else {
 			s.Skipped = append(s.Skipped, key)
 		}
-		if a.total > 0 {
-			s.SwitchRate[key] = float64(a.switched) / float64(a.total)
+		if v, ok := a.measured.value(); ok {
+			s.MeasuredSpeedup[key] = v
 		}
+		s.SwitchRate[key] = float64(a.switched) / float64(a.total)
 	}
 	sort.Strings(s.Skipped)
 	return s
@@ -146,11 +188,11 @@ func SummarizeParallel(rows []ParallelRow) ParallelSummary {
 func FormatParallel(title string, rows []ParallelRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-5s %-8s %3s %10s %10s %8s %8s %3s\n",
-		"query", "class", "deg", "cost", "wall", "speedup", "workers", "sw")
+	fmt.Fprintf(&b, "%-5s %-8s %3s %10s %10s %8s %10s %9s %8s %3s\n",
+		"query", "class", "deg", "cost", "wall", "modelled", "elapsed_ms", "measured", "workers", "sw")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-5s %-8s %3d %10.0f %10.0f %7.2fx %8d %3d\n",
-			r.Query, r.Class, r.Degree, r.Cost, r.Wall, r.Speedup, r.Workers, r.Switches)
+		fmt.Fprintf(&b, "%-5s %-8s %3d %10.0f %10.0f %7.2fx %10.1f %8.2fx %8d %3d\n",
+			r.Query, r.Class, r.Degree, r.Cost, r.Wall, r.Speedup, r.ElapsedMs, r.MeasuredSpeedup, r.Workers, r.Switches)
 	}
 	return b.String()
 }

@@ -2,7 +2,6 @@ package exchange
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/faultinject"
@@ -31,8 +30,8 @@ type parallelAgg struct {
 	ctx  *exec.Ctx
 
 	reg      *region
-	inQ      []chan types.Tuple
-	stateQ   chan types.Tuple
+	inQ      []chan []types.Tuple
+	stateQ   chan []types.Tuple
 	final    exec.Operator
 	partials []exec.Operator
 	meters   []*storage.CostMeter
@@ -62,7 +61,7 @@ func (a *parallelAgg) Open() error {
 	n := degree(a.x)
 	a.reg = newRegion(a.ctx.Context)
 	a.inQ = makeQueues(n)
-	a.stateQ = make(chan types.Tuple, chanCap)
+	a.stateQ = make(chan []types.Tuple, chanCap)
 	a.partials = make([]exec.Operator, n)
 	a.meters = make([]*storage.CostMeter, n)
 	a.states = newStateSlots(n)
@@ -104,19 +103,14 @@ func (a *parallelAgg) Open() error {
 	fc.StateSink = nil
 	a.final = exec.Instrument(exec.NewFinalAgg(a.agg, newSource(a.reg, a.stateQ, inSchema), &fc), a.agg, &fc)
 
-	var emit sync.WaitGroup
+	done := lastOf(n, a.stateQ)
 	for w := 0; w < n; w++ {
 		op := a.partials[w]
 		a.reg.spawn(a.ctx, fmt.Sprintf("agg-worker-%d", w), func() error {
 			return runWorker(a.reg, op, a.stateQ)
-		}, &emit)
+		}, done)
 	}
-	a.reg.spawn(a.ctx, "agg-state-close", func() error {
-		emit.Wait()
-		close(a.stateQ)
-		return nil
-	})
-	a.reg.spawn(a.ctx, "agg-route", a.route(n))
+	a.reg.spawn(a.ctx, "agg-route", a.route(n), lastOf(1, a.inQ...))
 
 	if err := a.final.Open(); err != nil {
 		return err
@@ -131,11 +125,11 @@ func (a *parallelAgg) Open() error {
 // route deals input tuples to partial workers in rotation.
 func (a *parallelAgg) route(n int) func() error {
 	return func() error {
-		defer closeAll(a.inQ)
 		if err := a.left.Open(); err != nil {
 			a.left.Close()
 			return err
 		}
+		box := newOutbox(a.reg, a.inQ...)
 		i := 0
 		for {
 			if err := faultinject.Hit("exchange.route"); err != nil {
@@ -150,13 +144,13 @@ func (a *parallelAgg) route(n int) func() error {
 			if t == nil {
 				break
 			}
-			if !send(a.reg, a.inQ[i%n], t) {
+			if !box.put(i%n, t) {
 				a.left.Close()
 				return a.reg.cause()
 			}
 			i++
 		}
-		return a.left.Close()
+		return box.finish(a.left)
 	}
 }
 

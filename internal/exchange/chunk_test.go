@@ -1,0 +1,367 @@
+package exchange
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"sort"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/catalog"
+	"repro/internal/exec"
+	"repro/internal/plan"
+	"repro/internal/sql"
+	"repro/internal/storage"
+	"repro/internal/types"
+)
+
+// testEnv is a catalog on its own disk, pool and meter.
+type testEnv struct {
+	cat  *catalog.Catalog
+	pool *storage.BufferPool
+	m    *storage.CostMeter
+}
+
+func newEnv() *testEnv {
+	m := storage.NewCostMeter(storage.DefaultCostWeights())
+	pool := storage.NewBufferPool(storage.NewDisk(m), 256)
+	return &testEnv{cat: catalog.New(pool), pool: pool, m: m}
+}
+
+func (e *testEnv) ctx(parent context.Context) *exec.Ctx {
+	return &exec.Ctx{Context: parent, Pool: e.pool, Meter: e.m, Params: plan.Params{}, CheckEvery: 64}
+}
+
+// table creates name(k INTEGER key, v INTEGER, s VARCHAR) with n rows:
+// k = i, v = i % 7.
+func (e *testEnv) table(tb testing.TB, name string, n int) *catalog.Table {
+	tb.Helper()
+	tbl, err := e.cat.CreateTable(name, types.NewSchema(
+		types.Column{Name: "k", Kind: types.KindInt, Key: true},
+		types.Column{Name: "v", Kind: types.KindInt},
+		types.Column{Name: "s", Kind: types.KindString},
+	))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := tbl.Insert(types.Tuple{types.NewInt(int64(i)), types.NewInt(int64(i % 7)), types.NewString("row")}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tbl
+}
+
+func scanOf(t *catalog.Table) *plan.Scan {
+	return &plan.Scan{Table: t, Binding: t.Name, Out: t.Schema}
+}
+
+// joinOf joins build and probe on k: one output row per key in both.
+func joinOf(build, probe *catalog.Table) *plan.HashJoin {
+	return &plan.HashJoin{Build: scanOf(build), Probe: scanOf(probe), BuildKeys: []int{0}, ProbeKeys: []int{0}}
+}
+
+// aggOf groups by v: count(*) and sum(k).
+func aggOf(t *catalog.Table) *plan.Agg {
+	k := &plan.ColExpr{Idx: 0, Col: t.Schema.Columns[0]}
+	return &plan.Agg{
+		Input:     scanOf(t),
+		GroupCols: []int{1},
+		Aggs:      []plan.AggSpec{{Func: sql.AggCount, Name: "n"}, {Func: sql.AggSum, Arg: k, Name: "sum_k"}},
+		Out: types.NewSchema(t.Schema.Columns[1],
+			types.Column{Name: "n", Kind: types.KindInt}, types.Column{Name: "sum_k", Kind: types.KindInt}),
+	}
+}
+
+// multiset runs a plan to the end and returns its rows, rendered and
+// sorted.
+func multiset(t *testing.T, e *testEnv, n plan.Node) []string {
+	t.Helper()
+	op, err := exec.Build(n, e.ctx(context.Background()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := exec.Collect(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprint(r)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Streams that end before, on and after a chunk boundary come out of a
+// gather, a hash-partitioned join and a partial/final aggregation as
+// the serial multiset, at every degree. Degree 1 (which Parallelize
+// itself never emits) puts the whole stream through one queue, so the
+// lengths fall on that queue's chunk boundaries exactly.
+func TestChunkBoundaryStreamsMatchSerial(t *testing.T) {
+	for _, n := range []int{0, 1, chunkCap - 1, chunkCap, chunkCap + 1, 3*chunkCap + 7} {
+		e := newEnv()
+		r, s := e.table(t, "r", n), e.table(t, "s", n)
+		for name, mk := range map[string]func() plan.Node{
+			"gather": func() plan.Node { return scanOf(r) },
+			"join":   func() plan.Node { return joinOf(r, s) },
+			"agg":    func() plan.Node { return aggOf(r) },
+		} {
+			want := multiset(t, e, mk())
+			if name != "agg" && len(want) != n {
+				t.Fatalf("%s n=%d: serial plan yields %d rows", name, n, len(want))
+			}
+			for _, deg := range []int{1, 2, 4} {
+				if got := multiset(t, e, topsPass(mk(), deg)); !slices.Equal(got, want) {
+					t.Errorf("%s n=%d degree %d: %d rows differ from the serial %d", name, n, deg, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// waitFor polls cond until it holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// anyFull reports whether one of the queues is at capacity.
+func anyFull(qs ...chan []types.Tuple) bool {
+	for _, q := range qs {
+		if len(q) == cap(q) {
+			return true
+		}
+	}
+	return false
+}
+
+// drainErr pulls op to the end of its stream — a chunk already queued
+// may still be handed out after a cancel — and returns how it ended.
+func drainErr(op exec.Operator) error {
+	for {
+		if tup, err := op.Next(); tup == nil {
+			return err
+		}
+	}
+}
+
+// settles returns a condition that holds once the goroutine count is
+// back to what it was when settles was called.
+func settles() func() bool {
+	base := runtime.NumGoroutine()
+	return func() bool { return runtime.NumGoroutine() <= base }
+}
+
+// Cancelling a query whose consumer has stopped pulling — the queues
+// backed up to the producers, which park on their sends — releases all
+// of them: Close returns and no goroutine outlives it.
+func TestCancelWithFullQueuesReleasesProducers(t *testing.T) {
+	e := newEnv()
+	big := e.table(t, "big", 16*chanCap*chunkCap)
+
+	t.Run("gather", func(t *testing.T) {
+		settled := settles()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		g := newGather(topsPass(scanOf(big), 4).(*plan.Exchange), e.ctx(ctx))
+		if err := g.Open(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "a full gather queue", func() bool { return anyFull(g.out.q) })
+		cancel()
+		if err := drainErr(g); !errors.Is(err, context.Canceled) {
+			t.Errorf("Next after cancel = %v, want context.Canceled", err)
+		}
+		g.Close()
+		waitFor(t, "the gather's goroutines to exit", settled)
+	})
+
+	t.Run("join", func(t *testing.T) {
+		settled := settles()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		op, err := exec.Build(topsPass(joinOf(big, big), 4), e.ctx(ctx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := op.(*parallelJoin)
+		if err := j.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if tup, err := j.Next(); tup == nil || err != nil {
+			t.Fatalf("first Next = %v, %v", tup, err)
+		}
+		// A full gather queue parks the join workers; a full probe
+		// queue then parks every probe worker that routes to it.
+		waitFor(t, "full gather and probe queues", func() bool { return anyFull(j.out.q) && anyFull(j.probeQ...) })
+		cancel()
+		if err := drainErr(j); !errors.Is(err, context.Canceled) {
+			t.Errorf("Next after cancel = %v, want context.Canceled", err)
+		}
+		j.Close()
+		waitFor(t, "the join's goroutines to exit", settled)
+	})
+
+	t.Run("agg", func(t *testing.T) {
+		settled := settles()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		x := topsPass(aggOf(big), 2).(*plan.Exchange)
+		in := &endless{sch: big.Schema, row: types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("row")}}
+		a := newParallelAgg(x, x.Input.(*plan.Agg), in, e.ctx(ctx))
+		opened := make(chan error, 1)
+		go func() { opened <- a.Open() }()
+		waitFor(t, "the router to fill its queues", func() bool { return in.n.Load() > 4*chanCap*chunkCap })
+		cancel()
+		if err := <-opened; !errors.Is(err, context.Canceled) {
+			t.Errorf("Open under cancel = %v, want context.Canceled", err)
+		}
+		a.Close()
+		waitFor(t, "the aggregation's goroutines to exit", settled)
+	})
+}
+
+// endless yields the same row forever.
+type endless struct {
+	sch *types.Schema
+	row types.Tuple
+	n   atomic.Int64
+}
+
+func (s *endless) Schema() *types.Schema { return s.sch }
+func (s *endless) Open() error           { return nil }
+func (s *endless) Close() error          { return nil }
+func (s *endless) Next() (types.Tuple, error) {
+	s.n.Add(1)
+	return s.row, nil
+}
+
+// A consumer may keep every tuple it is handed: recycling the chunk that
+// carried them reuses the chunk's slots, never the tuples.
+func TestRetainedTuplesSurviveChunkRecycling(t *testing.T) {
+	e := newEnv()
+	tbl := e.table(t, "r", 8*chanCap*chunkCap)
+	g := newGather(topsPass(scanOf(tbl), 2).(*plan.Exchange), e.ctx(context.Background()))
+	if err := g.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	var kept, copies []types.Tuple
+	for {
+		tup, err := g.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tup == nil {
+			break
+		}
+		kept, copies = append(kept, tup), append(copies, tup.Clone())
+	}
+	if len(kept) != 8*chanCap*chunkCap {
+		t.Fatalf("gathered %d tuples, want %d", len(kept), 8*chanCap*chunkCap)
+	}
+	if len(g.reg.free) == 0 {
+		t.Fatal("no chunk was recycled: the test saw no reuse")
+	}
+	for i := range kept {
+		if !slices.Equal(kept[i], copies[i]) {
+			t.Fatalf("tuple %d changed after its chunk was recycled: %v, was %v", i, kept[i], copies[i])
+		}
+	}
+}
+
+// The gather hop allocates for the chunks alive at once — not per tuple,
+// and not per chunk sent.
+func TestGatherHopAllocations(t *testing.T) {
+	e := newEnv()
+	const chunks = 200
+	tbl := e.table(t, "r", chunks*chunkCap)
+	drain := func(n plan.Node) func() {
+		return func() {
+			op, err := exec.Build(n, e.ctx(context.Background()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := op.Open(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := exec.Drain(op); err != nil || got != chunks*chunkCap {
+				t.Fatalf("drained %d tuples: %v", got, err)
+			}
+			op.Close()
+		}
+	}
+	scan := testing.AllocsPerRun(5, drain(scanOf(tbl)))
+	for _, deg := range []int{1, 2} {
+		hop := testing.AllocsPerRun(5, drain(topsPass(scanOf(tbl), deg))) - scan
+		t.Logf("degree %d: %.0f allocations over the bare scan's %.0f, %d chunks sent", deg, hop, scan, chunks)
+		if hop > chunks/2 {
+			t.Errorf("degree %d: gather adds %.0f allocations for %d chunks; want a fixed set-up cost plus the live chunks", deg, hop, chunks)
+		}
+	}
+}
+
+// unbuildable is a plan node exec.Build has no operator for.
+type unbuildable struct{ *plan.Scan }
+
+// A consumer that calls Next after Open or the probe start failed — no
+// producer was spawned, so nobody will ever close the queue — gets the
+// region's error instead of blocking.
+func TestNextAfterFailedStartReturnsTheError(t *testing.T) {
+	e := newEnv()
+	tbl := e.table(t, "r", 100)
+	next := func(op exec.Operator) error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := op.Next()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("Next blocked on a queue nobody will close")
+			return nil
+		}
+	}
+
+	g := newGather(&plan.Exchange{Input: unbuildable{scanOf(tbl)}, Degree: 2, Mode: plan.ExGather}, e.ctx(context.Background()))
+	openErr := g.Open()
+	if openErr == nil || !strings.Contains(openErr.Error(), "no operator") {
+		t.Fatalf("gather Open = %v, want the build error", openErr)
+	}
+	if err := next(g); err != openErr {
+		t.Errorf("gather Next after failed Open = %v, want %v", err, openErr)
+	}
+	g.Close()
+
+	join := joinOf(tbl, tbl)
+	x := topsPass(join, 2).(*plan.Exchange)
+	join.Probe.(*plan.Exchange).Input = unbuildable{scanOf(tbl)}
+	op, err := exec.Build(x, e.ctx(context.Background()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	probeErr := next(op)
+	if probeErr == nil || !strings.Contains(probeErr.Error(), "no operator") {
+		t.Fatalf("join Next = %v, want the probe's build error", probeErr)
+	}
+	if err := next(op); err != probeErr {
+		t.Errorf("join Next after failed probe start = %v, want %v", err, probeErr)
+	}
+	op.Close()
+}

@@ -153,7 +153,7 @@ func degree(x *plan.Exchange) int {
 // runWorker drives one worker pipeline to completion, forwarding its
 // output into the gather queue. It owns the operator's lifecycle on
 // every path.
-func runWorker(r *region, op exec.Operator, out chan types.Tuple) error {
+func runWorker(r *region, op exec.Operator, out chan []types.Tuple) error {
 	if err := faultinject.Hit("exchange.worker"); err != nil {
 		op.Close()
 		return err
@@ -162,6 +162,13 @@ func runWorker(r *region, op exec.Operator, out chan types.Tuple) error {
 		op.Close()
 		return err
 	}
+	return forward(r, op, out)
+}
+
+// forward streams an opened pipeline into out, a chunk at a time, and
+// closes the pipeline on every path.
+func forward(r *region, op exec.Operator, out chan []types.Tuple) error {
+	box := newOutbox(r, out)
 	for {
 		t, err := op.Next()
 		if err != nil {
@@ -169,12 +176,11 @@ func runWorker(r *region, op exec.Operator, out chan types.Tuple) error {
 			return err
 		}
 		if t == nil {
-			break
+			return box.finish(op)
 		}
-		if !send(r, out, t) {
+		if !box.put(0, t) {
 			op.Close()
 			return r.cause()
 		}
 	}
-	return op.Close()
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/exec"
-	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -37,66 +36,6 @@ func intRow(vs ...int64) types.Tuple {
 		t[i] = types.NewInt(v)
 	}
 	return t
-}
-
-func TestOrderedMergePreservesSort(t *testing.T) {
-	sch := types.NewSchema(types.Column{Name: "k", Kind: types.KindInt})
-	a := &sliceOp{sch: sch, rows: []types.Tuple{intRow(1), intRow(4), intRow(9)}}
-	b := &sliceOp{sch: sch, rows: []types.Tuple{intRow(2), intRow(4), intRow(7)}}
-	c := &sliceOp{sch: sch, rows: []types.Tuple{}}
-	m := NewOrderedMerge([]plan.SortKey{{Col: 0}}, a, b, c)
-	if err := m.Open(); err != nil {
-		t.Fatal(err)
-	}
-	var got []int64
-	for {
-		tp, err := m.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tp == nil {
-			break
-		}
-		got = append(got, tp[0].Int())
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{1, 2, 4, 4, 7, 9}
-	if len(got) != len(want) {
-		t.Fatalf("merged %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged %v, want %v", got, want)
-		}
-	}
-}
-
-func TestOrderedMergeDescending(t *testing.T) {
-	sch := types.NewSchema(types.Column{Name: "k", Kind: types.KindInt})
-	a := &sliceOp{sch: sch, rows: []types.Tuple{intRow(9), intRow(3)}}
-	b := &sliceOp{sch: sch, rows: []types.Tuple{intRow(7), intRow(1)}}
-	m := NewOrderedMerge([]plan.SortKey{{Col: 0, Desc: true}}, a, b)
-	if err := m.Open(); err != nil {
-		t.Fatal(err)
-	}
-	var got []int64
-	for {
-		tp, _ := m.Next()
-		if tp == nil {
-			break
-		}
-		got = append(got, tp[0].Int())
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] > got[i-1] {
-			t.Fatalf("descending merge out of order: %v", got)
-		}
-	}
-	if len(got) != 4 {
-		t.Fatalf("merged %d tuples, want 4", len(got))
-	}
 }
 
 // TestPoolContainsPanics: a panicking worker must surface as an error
@@ -130,9 +69,10 @@ func TestRegionFirstErrorWins(t *testing.T) {
 		t.Error("region not cancelled after fail")
 	}
 	// A send into a full queue must unblock via cancellation.
-	q := make(chan types.Tuple) // unbuffered, nobody reading
-	if ok := send(r, q, intRow(1)); ok {
-		t.Error("send succeeded into a dead region")
+	box := newOutbox(r, make(chan []types.Tuple)) // unbuffered, nobody reading
+	box.put(0, intRow(1))
+	if err := box.finish(&sliceOp{}); err != first {
+		t.Errorf("finish into a dead region = %v, want the region's error", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package exchange
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -22,7 +21,7 @@ type gather struct {
 	ctx *exec.Ctx
 
 	reg     *region
-	out     chan types.Tuple
+	out     inbox
 	workers []exec.Operator
 	meters  []*storage.CostMeter
 	states  stateSlots
@@ -49,7 +48,7 @@ func (g *gather) Open() error {
 	g.opened = true
 	n := degree(g.x)
 	g.reg = newRegion(g.ctx.Context)
-	g.out = make(chan types.Tuple, chanCap)
+	g.out = inbox{r: g.reg, q: make(chan []types.Tuple, chanCap)}
 	g.workers = make([]exec.Operator, n)
 	g.meters = make([]*storage.CostMeter, n)
 	g.states = newStateSlots(n)
@@ -59,23 +58,18 @@ func (g *gather) Open() error {
 		g.meters[w] = wc.Meter
 		op, err := exec.Build(g.x.Input, wc)
 		if err != nil {
-			g.reg.cancel()
+			g.reg.fail(err)
 			return err
 		}
 		g.workers[w] = op
 	}
-	var emit sync.WaitGroup
+	done := lastOf(n, g.out.q)
 	for w := 0; w < n; w++ {
 		op := g.workers[w]
 		g.reg.spawn(g.ctx, fmt.Sprintf("scan-worker-%d", w), func() error {
-			return runWorker(g.reg, op, g.out)
-		}, &emit)
+			return runWorker(g.reg, op, g.out.q)
+		}, done)
 	}
-	g.reg.spawn(g.ctx, "scan-gather-close", func() error {
-		emit.Wait()
-		close(g.out)
-		return nil
-	})
 	return nil
 }
 
@@ -86,11 +80,10 @@ func (g *gather) Next() (types.Tuple, error) {
 	if g.finalized || !g.opened {
 		return nil, nil
 	}
-	t, ok := <-g.out
-	if ok {
-		return t, nil
+	if t, err := g.out.next(); t != nil || err != nil {
+		return t, err
 	}
-	// Channel closed: every worker has exited and recorded any error.
+	// Queue closed: every worker has exited and recorded any error.
 	if err := g.reg.peekErr(); err != nil {
 		return nil, err
 	}

@@ -36,15 +36,14 @@ type parallelJoin struct {
 	ctx      *exec.Ctx
 
 	reg     *region
-	out     chan types.Tuple
-	buildQ  []chan types.Tuple
-	probeQ  []chan types.Tuple
+	out     inbox
+	buildQ  []chan []types.Tuple
+	probeQ  []chan []types.Tuple
 	tops    []exec.Operator // per-worker wrapped pipelines
 	joins   []exec.Operator // per-worker join ops (memory reporting)
 	meters  []*storage.CostMeter
 	states  stateSlots
 	probeOp []exec.Operator
-	emit    sync.WaitGroup
 	probeGo chan struct{}
 
 	opened       bool
@@ -68,7 +67,7 @@ func (j *parallelJoin) Open() error {
 	j.opened = true
 	n := degree(j.x)
 	j.reg = newRegion(j.ctx.Context)
-	j.out = make(chan types.Tuple, chanCap)
+	j.out = inbox{r: j.reg, q: make(chan []types.Tuple, chanCap)}
 	j.buildQ = makeQueues(n)
 	j.probeQ = makeQueues(n)
 	j.probeGo = make(chan struct{})
@@ -85,7 +84,7 @@ func (j *parallelJoin) Open() error {
 		var err error
 		j.left, err = exec.Build(plan.StripPartition(j.join.Build), j.ctx)
 		if err != nil {
-			j.reg.cancel()
+			j.reg.fail(err)
 			return err
 		}
 	}
@@ -104,7 +103,7 @@ func (j *parallelJoin) Open() error {
 			var err error
 			op, err = exec.BuildStep(wr, op, wc)
 			if err != nil {
-				j.reg.cancel()
+				j.reg.fail(err)
 				return err
 			}
 		}
@@ -113,33 +112,25 @@ func (j *parallelJoin) Open() error {
 
 	// buildWG gates Open's return: the router plus every worker's build.
 	var buildWG sync.WaitGroup
-	buildWG.Add(n)
-	j.reg.spawn(j.ctx, "build-route", j.routeBuild(n), &buildWG)
+	buildWG.Add(n + 1)
+	j.reg.spawn(j.ctx, "build-route", j.routeBuild(n), lastOf(1, j.buildQ...), buildWG.Done)
+	emitted := lastOf(n, j.out.q)
 	for w := 0; w < n; w++ {
-		j.reg.spawn(j.ctx, fmt.Sprintf("join-worker-%d", w), j.joinWorker(w, &buildWG), &j.emit)
+		j.reg.spawn(j.ctx, fmt.Sprintf("join-worker-%d", w), j.joinWorker(w, &buildWG), emitted)
 	}
-	buildDone := make(chan struct{})
-	j.reg.spawn(j.ctx, "build-barrier", func() error {
-		buildWG.Wait()
-		close(buildDone)
-		return nil
-	})
-	<-buildDone
-	if err := j.reg.peekErr(); err != nil {
-		return err
-	}
-	return nil
+	buildWG.Wait()
+	return j.reg.peekErr()
 }
 
 // routeBuild drains the serial build input, dealing tuples to workers by
 // build-key hash. It owns the input operator's lifecycle.
 func (j *parallelJoin) routeBuild(n int) func() error {
 	return func() error {
-		defer closeAll(j.buildQ)
 		if err := j.left.Open(); err != nil {
 			j.left.Close()
 			return err
 		}
+		box := newOutbox(j.reg, j.buildQ...)
 		for {
 			if err := faultinject.Hit("exchange.route"); err != nil {
 				j.left.Close()
@@ -154,12 +145,12 @@ func (j *parallelJoin) routeBuild(n int) func() error {
 				break
 			}
 			w := int(hashTuple(t, j.join.BuildKeys) % uint64(n))
-			if !send(j.reg, j.buildQ[w], t) {
+			if !box.put(w, t) {
 				j.left.Close()
 				return j.reg.cause()
 			}
 		}
-		return j.left.Close()
+		return box.finish(j.left)
 	}
 }
 
@@ -189,21 +180,7 @@ func (j *parallelJoin) joinWorker(w int, buildWG *sync.WaitGroup) func() error {
 			op.Close()
 			return j.reg.cause()
 		}
-		for {
-			t, err := op.Next()
-			if err != nil {
-				op.Close()
-				return err
-			}
-			if t == nil {
-				break
-			}
-			if !send(j.reg, j.out, t) {
-				op.Close()
-				return j.reg.cause()
-			}
-		}
-		return op.Close()
+		return forward(j.reg, op, j.out.q)
 	}
 }
 
@@ -226,20 +203,10 @@ func (j *parallelJoin) startProbe() error {
 		}
 		j.probeOp[p] = op
 	}
-	var probeWG sync.WaitGroup
+	routed := lastOf(n, j.probeQ...)
 	for p := 0; p < n; p++ {
-		j.reg.spawn(j.ctx, fmt.Sprintf("probe-route-%d", p), j.probeWorker(j.probeOp[p], n), &probeWG)
+		j.reg.spawn(j.ctx, fmt.Sprintf("probe-route-%d", p), j.probeWorker(j.probeOp[p], n), routed)
 	}
-	j.reg.spawn(j.ctx, "probe-close", func() error {
-		probeWG.Wait()
-		closeAll(j.probeQ)
-		return nil
-	})
-	j.reg.spawn(j.ctx, "join-gather-close", func() error {
-		j.emit.Wait()
-		close(j.out)
-		return nil
-	})
 	close(j.probeGo)
 	return nil
 }
@@ -256,6 +223,7 @@ func (j *parallelJoin) probeWorker(op exec.Operator, n int) func() error {
 			op.Close()
 			return err
 		}
+		box := newOutbox(j.reg, j.probeQ...)
 		for {
 			t, err := op.Next()
 			if err != nil {
@@ -270,12 +238,12 @@ func (j *parallelJoin) probeWorker(op exec.Operator, n int) func() error {
 				return err
 			}
 			w := int(hashTuple(t, j.join.ProbeKeys) % uint64(n))
-			if !send(j.reg, j.probeQ[w], t) {
+			if !box.put(w, t) {
 				op.Close()
 				return j.reg.cause()
 			}
 		}
-		return op.Close()
+		return box.finish(op)
 	}
 }
 
@@ -291,9 +259,8 @@ func (j *parallelJoin) Next() (types.Tuple, error) {
 			return nil, err
 		}
 	}
-	t, ok := <-j.out
-	if ok {
-		return t, nil
+	if t, err := j.out.next(); t != nil || err != nil {
+		return t, err
 	}
 	if err := j.reg.peekErr(); err != nil {
 		return nil, err
