@@ -166,28 +166,36 @@ func main() {
 		for _, d := range res.Stats.Decisions {
 			fmt.Println("  " + d)
 		}
-		if res.Plan != "" {
-			fmt.Print(res.Plan)
-		}
-		for _, ev := range res.Trace {
-			fmt.Println("  " + ev.String())
-		}
-		if len(res.Columns) > 0 {
-			fmt.Println("  " + strings.Join(res.Columns, " | "))
-		}
-		for i, r := range res.Rows {
-			if i >= *maxRows {
-				fmt.Printf("  ... %d more rows\n", len(res.Rows)-i)
-				break
-			}
-			fmt.Println("  " + r.String())
-		}
-		fmt.Println()
+		printBody(res.Plan, res.Trace, res.Columns, len(res.Rows), *maxRows,
+			func(i int) string { return res.Rows[i].String() })
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "mqr: %d of %d queries failed\n", failed, len(queries))
 		os.Exit(1)
 	}
+}
+
+// printBody renders what a local and a remote result share: the
+// annotated plan, the event log, the column header, and the first
+// maxRows of n rows, each rendered by row.
+func printBody(planText string, trace []midquery.TraceEvent, cols []string, n, maxRows int, row func(i int) string) {
+	if planText != "" {
+		fmt.Print(planText)
+	}
+	for _, ev := range trace {
+		fmt.Println("  " + ev.String())
+	}
+	if len(cols) > 0 {
+		fmt.Println("  " + strings.Join(cols, " | "))
+	}
+	for i := 0; i < n; i++ {
+		if i >= maxRows {
+			fmt.Printf("  ... %d more rows\n", n-i)
+			break
+		}
+		fmt.Println("  " + row(i))
+	}
+	fmt.Println()
 }
 
 // runThinClient sends the queries to a running mqr-server and renders
@@ -225,23 +233,8 @@ func runThinClient(addr, mode, ten string, weight float64, queries []namedQuery,
 				res.Stats.CollectorsInserted, res.Stats.MemReallocs, res.Stats.PlanSwitches)
 		}
 		fmt.Println()
-		if res.Plan != "" {
-			fmt.Print(res.Plan)
-		}
-		for _, ev := range res.Trace {
-			fmt.Println("  " + ev.String())
-		}
-		if len(res.Columns) > 0 {
-			fmt.Println("  " + strings.Join(res.Columns, " | "))
-		}
-		for i, r := range res.Rows {
-			if i >= maxRows {
-				fmt.Printf("  ... %d more rows\n", len(res.Rows)-i)
-				break
-			}
-			fmt.Println("  (" + strings.Join(r, ", ") + ")")
-		}
-		fmt.Println()
+		printBody(res.Plan, res.Trace, res.Columns, len(res.Rows), maxRows,
+			func(i int) string { return "(" + strings.Join(res.Rows[i], ", ") + ")" })
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "mqr: %d of %d queries failed\n", failed, len(queries))

@@ -108,7 +108,7 @@ func TestAggSpillCleansUpOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !op.Spilled() {
-		t.Skip("aggregate did not spill at this size")
+		t.Fatal("aggregate over 2500 groups did not spill under a 4 KiB grant")
 	}
 	if err := op.Close(); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,180 @@
+package exec
+
+import (
+	"repro/internal/obs"
+	"repro/internal/plan"
+	"repro/internal/types"
+)
+
+// memReporter is implemented by operators that can report their peak
+// memory use (hash join, aggregate, sort).
+type memReporter interface {
+	MemUsed() float64
+}
+
+// spillReporter is implemented by operators that can report how many
+// bytes they have written to spill files (hash join, aggregate, sort).
+type spillReporter interface {
+	SpilledBytes() float64
+}
+
+// observeFlushRows is how many output rows an observation wrapper
+// buffers locally before publishing to the shared accumulators — the
+// same amortized cadence idea as Ctx.Tick, keeping the per-tuple cost of
+// always-on monitoring to one local increment.
+const observeFlushRows = 64
+
+// instrument wraps op in the observation wrapper when the context has
+// EXPLAIN ANALYZE accounting (ctx.Analyze) or live progress publication
+// (ctx.Prog) enabled. It is the single gate: with both off the operator
+// is returned untouched, so the bare path never allocates or indirects
+// through a wrapper.
+func instrument(op Operator, n plan.Node, ctx *Ctx) Operator {
+	if op == nil || (ctx.Analyze == nil && ctx.Prog == nil) {
+		return op
+	}
+	o := &observedOp{op: op, ctx: ctx}
+	if ctx.Analyze != nil {
+		o.act = ctx.Analyze.Op(n)
+	}
+	if ctx.Prog != nil {
+		o.prog = ctx.Prog.Op(n)
+	}
+	return o
+}
+
+// Instrument exposes the observation wrapper for operators composed
+// outside Build/BuildStep — the exchange subsystem hand-assembles worker
+// pipelines from queue sources and needs the same per-node accounting.
+// Like the internal gate, it is a no-op when observation is off.
+func Instrument(op Operator, n plan.Node, ctx *Ctx) Operator {
+	return instrument(op, n, ctx)
+}
+
+// observedOp watches one operator for whichever observers are attached:
+// EXPLAIN ANALYZE actuals (act: output rows, inclusive simulated cost,
+// peak memory) and live progress (prog: rows, spill footprint, lifecycle
+// state). Cost is measured as meter deltas around each call, so a
+// wrapper's inclusive cost covers its whole subtree; the renderer
+// subtracts children to get self time. Writes are batched: the hot path
+// touches only local fields, and every observeFlushRows rows (plus at
+// open, end of stream, and close) the batch is flushed to the shared
+// accumulators where concurrent observers and sibling workers meet.
+type observedOp struct {
+	op   Operator
+	ctx  *Ctx
+	act  *obs.OpActual   // nil unless ctx.Analyze is on
+	prog *obs.OpProgress // nil unless ctx.Prog is on
+
+	rows int64   // output rows not yet flushed
+	cost float64 // inclusive cost not yet flushed (act only)
+}
+
+// Open implements Operator.
+func (o *observedOp) Open() error {
+	if o.prog != nil {
+		o.prog.MarkOpen()
+	}
+	var err error
+	if o.act == nil {
+		err = o.op.Open()
+	} else {
+		before := o.ctx.Meter.Snapshot()
+		err = o.op.Open()
+		o.cost += o.ctx.Meter.Snapshot().Sub(before).Cost()
+	}
+	// Blocking operators do their heavy lifting (builds, spills) in
+	// Open; publish what they produced before the first Next.
+	o.flush()
+	return err
+}
+
+// Next implements Operator.
+func (o *observedOp) Next() (types.Tuple, error) {
+	var t types.Tuple
+	var err error
+	if o.act == nil {
+		t, err = o.op.Next()
+	} else {
+		before := o.ctx.Meter.Snapshot()
+		t, err = o.op.Next()
+		o.cost += o.ctx.Meter.Snapshot().Sub(before).Cost()
+	}
+	if t != nil && err == nil {
+		if o.rows++; o.rows >= observeFlushRows {
+			o.flush()
+		}
+		return t, nil
+	}
+	o.flush()
+	return t, err
+}
+
+// Close implements Operator.
+func (o *observedOp) Close() error {
+	o.flush()
+	if o.prog != nil {
+		o.prog.MarkDone()
+	}
+	if o.act == nil {
+		return o.op.Close()
+	}
+	before := o.ctx.Meter.Snapshot()
+	err := o.op.Close()
+	o.act.Record(0, o.ctx.Meter.Snapshot().Sub(before).Cost())
+	if m, ok := o.op.(memReporter); ok {
+		o.act.RecordMem(m.MemUsed())
+	}
+	return err
+}
+
+// flush publishes the batched rows and cost, refreshes the spill
+// footprint, and folds this operator's estimate error into the
+// query-level overshoot (the live suboptimality signal).
+func (o *observedOp) flush() {
+	if o.act != nil {
+		o.act.Record(o.rows, o.cost)
+		o.cost = 0
+	}
+	if o.prog != nil {
+		if o.rows > 0 {
+			o.prog.AddRows(o.rows)
+		}
+		if s, ok := o.op.(spillReporter); ok {
+			o.prog.SetSpillBytes(s.SpilledBytes())
+		}
+		o.ctx.Prog.NoteRatio(o.prog)
+	}
+	o.rows = 0
+}
+
+// Schema implements Operator.
+func (o *observedOp) Schema() *types.Schema { return o.op.Schema() }
+
+// Spilled forwards the wrapped operator's spill report so diagnostics
+// that look for it keep working under observation.
+func (o *observedOp) Spilled() bool {
+	if s, ok := o.op.(interface{ Spilled() bool }); ok {
+		return s.Spilled()
+	}
+	return false
+}
+
+// MemUsed forwards the wrapped operator's peak memory.
+func (o *observedOp) MemUsed() float64 {
+	if m, ok := o.op.(memReporter); ok {
+		return m.MemUsed()
+	}
+	return 0
+}
+
+// SpilledBytes forwards the wrapped operator's spill footprint.
+func (o *observedOp) SpilledBytes() float64 {
+	if s, ok := o.op.(spillReporter); ok {
+		return s.SpilledBytes()
+	}
+	return 0
+}
+
+// Unwrap exposes the wrapped operator (diagnostics).
+func (o *observedOp) Unwrap() Operator { return o.op }

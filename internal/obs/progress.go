@@ -13,7 +13,7 @@ import (
 // counters published by the executor as tuples flow, plus the
 // query-level aggregates the continuous suboptimality score is derived
 // from. It is written lock-free from the query's own goroutines
-// (operators flush local row counts every progressFlushRows tuples, on
+// (operators flush local row counts every observeFlushRows tuples, on
 // the same amortized cadence as Ctx.Tick) and read at any moment by
 // observers — the /progress endpoint, the mqr.queries system table —
 // without perturbing execution.

@@ -14,27 +14,63 @@ import (
 	"repro/internal/types"
 )
 
+// dispatchRun is the state one dispatch of one plan carries from
+// checkpoint to checkpoint: the plan and its decomposition, the
+// baselines Equations 1 and 2 measure against, and the query-wide
+// bindings, context, stats and switch budget. A plan switch starts a
+// fresh dispatchRun for the remainder plan.
+type dispatchRun struct {
+	*Dispatcher
+	res *optimizer.Result
+	dec *decomposed
+	// collectors indexes the plan's statistics collectors by ID, to
+	// match a report to the node that produced it.
+	collectors map[int]*plan.Collector
+	// origTotal is the optimizer's promise for this plan; startSnap the
+	// meter when the dispatch began (elapsed = meter − startSnap); stale
+	// the statistics baseline the plan was optimized against.
+	origTotal float64
+	startSnap storage.Snapshot
+	stale     staleBase
+
+	params       plan.Params
+	ctx          *exec.Ctx
+	st           *Stats
+	switchesLeft int
+}
+
 // dispatch executes a decomposed plan segment by segment. After each
 // hash-join build phase completes — the paper's decision point, where
 // "the build phase of the hash-join is complete but the probe phase has
 // not yet started" (§2.4) — freshly-delivered collector reports drive
 // memory re-allocation and, if Equations 1 and 2 warrant it, a plan
-// switch via materialization.
-func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *exec.Ctx, st *Stats, switchesLeft int) ([]types.Tuple, error) {
-	return d.dispatchWith(res, params, ctx, st, switchesLeft, nil)
-}
-
-// dispatchWith additionally accepts a live operator stream standing in
-// for the plan's leftmost scan — the splice of Figure 5, where the new
-// remainder plan consumes the running join's output directly.
-func (d *Dispatcher) dispatchWith(res *optimizer.Result, params plan.Params, ctx *exec.Ctx, st *Stats, switchesLeft int, leafOverride exec.Operator) ([]types.Tuple, error) {
+// switch via materialization. A non-nil leafOverride is a live operator
+// stream standing in for the plan's leftmost scan — the splice of
+// Figure 5, where the new remainder plan consumes the running join's
+// output directly.
+func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *exec.Ctx, st *Stats, switchesLeft int, leafOverride exec.Operator) ([]types.Tuple, error) {
 	dec, err := decompose(res.Root)
 	if err != nil {
 		return nil, err
 	}
-	origTotal := res.Root.Est().Cost
-	startSnap := ctx.Meter.Snapshot()
-	stale := d.captureStale(res)
+	r := &dispatchRun{
+		Dispatcher:   d,
+		res:          res,
+		dec:          dec,
+		collectors:   map[int]*plan.Collector{},
+		origTotal:    res.Root.Est().Cost,
+		startSnap:    ctx.Meter.Snapshot(),
+		stale:        d.captureStale(res),
+		params:       params,
+		ctx:          ctx,
+		st:           st,
+		switchesLeft: switchesLeft,
+	}
+	plan.Walk(res.Root, func(n plan.Node) {
+		if c, ok := n.(*plan.Collector); ok {
+			r.collectors[c.ID] = c
+		}
+	})
 
 	// Intercept collector reports for the duration of this dispatch.
 	var pending []*plan.Observed
@@ -44,13 +80,6 @@ func (d *Dispatcher) dispatchWith(res *optimizer.Result, params plan.Params, ctx
 		st.Observations++
 	}
 	defer func() { ctx.StatsSink = oldSink }()
-
-	collectors := map[int]*plan.Collector{}
-	plan.Walk(res.Root, func(n plan.Node) {
-		if c, ok := n.(*plan.Collector); ok {
-			collectors[c.ID] = c
-		}
-	})
 
 	cur, err := d.buildLeafOp(dec, ctx, leafOverride)
 	if err != nil {
@@ -88,7 +117,7 @@ func (d *Dispatcher) dispatchWith(res *optimizer.Result, params plan.Params, ctx
 			return abort(err)
 		}
 		step := dec.steps[i]
-		var joinOp, topOp exec.Operator
+		first, wrappers := step.join, step.wrappers
 		px, isGather := step.top().(*plan.Exchange)
 		_, isHash := step.join.(*plan.HashJoin)
 		if isGather && isHash && px.Mode == plan.ExGather {
@@ -97,27 +126,21 @@ func (d *Dispatcher) dispatchWith(res *optimizer.Result, params plan.Params, ctx
 			// as one operator consuming the serial stream below. Open runs
 			// the parallel build phase; the probe waits for the first
 			// Next, so the decision point is unchanged.
-			op, err := exec.BuildStep(px, cur, ctx)
+			first, wrappers = px, nil
+		}
+		joinOp, err := exec.BuildStep(first, cur, ctx)
+		if err != nil {
+			return abort(err)
+		}
+		topOp := joinOp
+		live = topOp
+		for _, w := range wrappers {
+			wrapped, err := exec.BuildStep(w, topOp, ctx)
 			if err != nil {
 				return abort(err)
 			}
-			joinOp, topOp = op, op
-			live = op
-		} else {
-			op, err := exec.BuildStep(step.join, cur, ctx)
-			if err != nil {
-				return abort(err)
-			}
-			joinOp, topOp = op, op
-			live = op
-			for _, w := range step.wrappers {
-				wrapped, err := exec.BuildStep(w, topOp, ctx)
-				if err != nil {
-					return abort(err)
-				}
-				topOp = wrapped
-				live = topOp
-			}
+			topOp = wrapped
+			live = topOp
 		}
 		// Run this join's build phase (for index joins this is free and
 		// no statistics can have completed).
@@ -127,12 +150,12 @@ func (d *Dispatcher) dispatchWith(res *optimizer.Result, params plan.Params, ctx
 		if len(pending) > 0 {
 			obs := pending[len(pending)-1] // latest = closest to this join
 			pending = nil
-			doSwitch, err := d.checkpoint(res, dec, i, obs, collectors, origTotal, startSnap, stale, ctx, st, switchesLeft)
+			doSwitch, err := r.checkpoint(i, obs)
 			if err != nil {
 				return abort(err)
 			}
 			if doSwitch {
-				rows, serr := d.switchPlan(res, dec, i, topOp, obs, collectors[obs.CollectorID], params, ctx, st, switchesLeft)
+				rows, serr := r.switchPlan(i, obs, topOp)
 				if serr != nil {
 					// A failed switch may bail out before anything has
 					// consumed (and closed) the running join; Close is
@@ -184,12 +207,9 @@ func (d *Dispatcher) buildLeafOp(dec *decomposed, ctx *exec.Ctx, override exec.O
 	cur := dec.leafTop
 	for {
 		switch x := cur.(type) {
-		case *plan.Collector:
+		case *plan.Collector, *plan.Filter:
 			wrappers = append(wrappers, x)
-			cur = x.Input
-		case *plan.Filter:
-			wrappers = append(wrappers, x)
-			cur = x.Input
+			cur = x.Children()[0]
 		case *plan.Exchange:
 			// The live stream replacing the scan is already serial; a
 			// gather (or partition annotation) over it is meaningless, so
@@ -233,8 +253,8 @@ type staleBase struct {
 
 // captureStale records the dispatch-start statistics baseline for every
 // base relation in the query.
-func (d *Dispatcher) captureStale(res *optimizer.Result) *staleBase {
-	sb := &staleBase{
+func (d *Dispatcher) captureStale(res *optimizer.Result) staleBase {
+	sb := staleBase{
 		statsVer: d.Cat.StatsVersion(),
 		cards:    make(map[*catalog.Table]float64, len(res.Query.Rels)),
 	}
@@ -299,14 +319,8 @@ func (d *Dispatcher) refreshStale(dec *decomposed, i int, stale *staleBase) {
 		case *plan.Exchange:
 			// Delegates Est to its input; scale below only.
 			return scalePipeline(x.Input)
-		case *plan.Filter:
-			r := scalePipeline(x.Input)
-			if r != 1 {
-				scale(x, r)
-			}
-			return r
-		case *plan.Collector:
-			r := scalePipeline(x.Input)
+		case *plan.Filter, *plan.Collector:
+			r := scalePipeline(x.Children()[0])
 			if r != 1 {
 				scale(x, r)
 			}
@@ -354,7 +368,8 @@ func (d *Dispatcher) refreshStale(dec *decomposed, i int, stale *staleBase) {
 // suffix, re-invokes the Memory Manager (memory modes), and evaluates
 // Equations 1 and 2 plus the trial re-optimization (plan modes),
 // returning whether to switch plans.
-func (d *Dispatcher) checkpoint(res *optimizer.Result, dec *decomposed, i int, obs *plan.Observed, collectors map[int]*plan.Collector, origTotal float64, startSnap storage.Snapshot, stale *staleBase, ctx *exec.Ctx, st *Stats, switchesLeft int) (bool, error) {
+func (r *dispatchRun) checkpoint(i int, obs *plan.Observed) (bool, error) {
+	ctx := r.ctx
 	// A cancelled query must not start a trial re-optimization or commit
 	// to a plan switch; check once at the decision point.
 	if err := ctx.Err(); err != nil {
@@ -363,10 +378,10 @@ func (d *Dispatcher) checkpoint(res *optimizer.Result, dec *decomposed, i int, o
 	if err := faultinject.Hit("reopt.checkpoint"); err != nil {
 		return false, err
 	}
-	if d.Cfg.CheckpointHook != nil {
-		d.Cfg.CheckpointHook(i)
+	if r.Cfg.CheckpointHook != nil {
+		r.Cfg.CheckpointHook(i)
 	}
-	cnode := collectors[obs.CollectorID]
+	cnode := r.collectors[obs.CollectorID]
 	if cnode == nil {
 		return false, nil
 	}
@@ -379,9 +394,9 @@ func (d *Dispatcher) checkpoint(res *optimizer.Result, dec *decomposed, i int, o
 		ratio = obs.Rows // estimate said empty; scale from 1
 	}
 
-	d.applyImproved(dec, i, cnode, obs, ratio)
-	if d.Cfg.Trace.Enabled() {
-		d.Cfg.Trace.Emit("checkpoint", "build phase complete, estimates refreshed",
+	r.applyImproved(r.dec, i, cnode, obs, ratio)
+	if r.Cfg.Trace.Enabled() {
+		r.Cfg.Trace.Emit("checkpoint", "build phase complete, estimates refreshed",
 			"step", i,
 			"collector_id", obs.CollectorID,
 			"est_rows", estRows,
@@ -389,7 +404,7 @@ func (d *Dispatcher) checkpoint(res *optimizer.Result, dec *decomposed, i int, o
 			"ratio", ratio,
 		)
 	}
-	d.refreshStale(dec, i, stale)
+	r.refreshStale(r.dec, i, &r.stale)
 
 	// Publish the checkpoint's Eq.2 position (elapsed + improved
 	// remainder over the original promise) into the live progress
@@ -397,12 +412,11 @@ func (d *Dispatcher) checkpoint(res *optimizer.Result, dec *decomposed, i int, o
 	// operator counters alone, and each checkpoint pins it from below
 	// with this measured value.
 	if ctx.Prog.Enabled() {
-		if origTotal > 0 {
-			elapsed := ctx.Meter.Snapshot().Sub(startSnap).Cost()
-			pos := (elapsed + d.recostRemainder(dec, i)) / origTotal
+		if r.origTotal > 0 {
+			pos := (r.elapsed() + r.recostRemainder(r.dec, i)) / r.origTotal
 			ctx.Prog.RecordCheckpoint(pos)
-			if d.Cfg.Trace.Enabled() {
-				d.Cfg.Trace.Emit("score", "suboptimality at checkpoint",
+			if r.Cfg.Trace.Enabled() {
+				r.Cfg.Trace.Emit("score", "suboptimality at checkpoint",
 					"step", i, "eq2_position", pos, "live_score", ctx.Prog.Score())
 			}
 		} else {
@@ -415,61 +429,68 @@ func (d *Dispatcher) checkpoint(res *optimizer.Result, dec *decomposed, i int, o
 	// matter once an operator starts), and Equation 2's improved
 	// estimate must reflect the memory the remainder will actually
 	// have — otherwise a plan switch can preempt a superior memory fix.
-	planMode := d.Cfg.Mode == ModePlanOnly || d.Cfg.Mode == ModeFull || d.Cfg.Mode == ModeRestart
-	memMode := d.Cfg.Mode == ModeMemoryOnly || d.Cfg.Mode == ModeFull
+	planMode := r.Cfg.Mode == ModePlanOnly || r.Cfg.Mode == ModeFull || r.Cfg.Mode == ModeRestart
+	memMode := r.Cfg.Mode == ModeMemoryOnly || r.Cfg.Mode == ModeFull
 	if memMode {
-		d.reallocate(dec, i, st)
+		r.reallocate(r.dec, i, r.st)
 	}
-	if planMode && switchesLeft > 0 {
-		return d.considerSwitch(res, dec, i, obs, cnode, origTotal, startSnap, ctx, st)
+	if planMode && r.switchesLeft > 0 {
+		return r.considerSwitch(i, obs)
 	}
 	return false, nil
 }
 
+// elapsed is the simulated time this dispatch has consumed so far — the
+// paper's already-spent term in T_cur-plan,improved.
+func (r *dispatchRun) elapsed() float64 {
+	return r.ctx.Meter.Snapshot().Sub(r.startSnap).Cost()
+}
+
 // considerSwitch evaluates Equations 1 and 2 and the trial
 // re-optimization at one checkpoint.
-func (d *Dispatcher) considerSwitch(res *optimizer.Result, dec *decomposed, i int, obs *plan.Observed, cnode *plan.Collector, origTotal float64, startSnap storage.Snapshot, ctx *exec.Ctx, st *Stats) (bool, error) {
+func (r *dispatchRun) considerSwitch(i int, obs *plan.Observed) (bool, error) {
+	st, origTotal := r.st, r.origTotal
 	st.ReoptConsidered++
-	elapsed := ctx.Meter.Snapshot().Sub(startSnap).Cost()
-	remainderImproved := d.recostRemainder(dec, i)
+	elapsed := r.elapsed()
+	remainderImproved := r.recostRemainder(r.dec, i)
 	tCurImproved := elapsed + remainderImproved
 	if origTotal <= 0 {
 		return false, nil
 	}
 	// Equation 2: the plan is only suspect if the improved estimate is
 	// significantly worse than what the optimizer promised.
-	if (tCurImproved-origTotal)/origTotal <= d.Cfg.Theta2 {
-		d.decide(st, fmt.Sprintf(
+	if (tCurImproved-origTotal)/origTotal <= r.Cfg.Theta2 {
+		r.decide(st, fmt.Sprintf(
 			"checkpoint %d: keep (eq2: improved %.0f vs estimate %.0f)", i, tCurImproved, origTotal),
 			"step", i, "eq", 2, "keep", true,
-			"improved", tCurImproved, "estimate", origTotal, "theta2", d.Cfg.Theta2)
+			"improved", tCurImproved, "estimate", origTotal, "theta2", r.Cfg.Theta2)
 		return false, nil
 	}
 	// Equation 1: re-optimization must be cheap relative to the
 	// remaining work.
-	remRels := len(res.Query.Rels) - (i + 2)
-	tOptEst := d.Calib.OptTime(maxInt(1, remRels))
-	if tOptEst/tCurImproved > d.Cfg.Theta1 {
-		d.decide(st, fmt.Sprintf(
+	remRels := len(r.res.Query.Rels) - (i + 2)
+	tOptEst := r.Calib.OptTime(maxInt(1, remRels))
+	if tOptEst/tCurImproved > r.Cfg.Theta1 {
+		r.decide(st, fmt.Sprintf(
 			"checkpoint %d: keep (eq1: T_opt %.1f vs improved %.0f)", i, tOptEst, tCurImproved),
 			"step", i, "eq", 1, "keep", true,
-			"t_opt", tOptEst, "improved", tCurImproved, "theta1", d.Cfg.Theta1)
+			"t_opt", tOptEst, "improved", tCurImproved, "theta1", r.Cfg.Theta1)
 		return false, nil
 	}
-	if d.Cfg.Mode == ModeRestart {
+	if r.Cfg.Mode == ModeRestart {
 		// The discard-everything ablation skips the trial: it always
 		// believes a fresh start will win.
-		d.decide(st, fmt.Sprintf("checkpoint %d: restart", i), "step", i, "restart", true)
+		r.decide(st, fmt.Sprintf("checkpoint %d: restart", i), "step", i, "restart", true)
 		return true, nil
 	}
 	// Trial re-optimization: T_opt,actual is charged whether or not the
 	// new plan is adopted (§2.4).
-	tNewTotal, ok, err := d.trialOptimize(res, dec, i, obs, cnode, elapsed, ctx)
+	tNewTotal, ok, err := r.trialOptimize(i, obs, elapsed)
 	if err != nil {
 		return false, err
 	}
-	doSwitch := ok && tNewTotal < tCurImproved*(1-d.Cfg.SwitchMargin)
-	d.decide(st, fmt.Sprintf(
+	doSwitch := ok && tNewTotal < tCurImproved*(1-r.Cfg.SwitchMargin)
+	r.decide(st, fmt.Sprintf(
 		"checkpoint %d: trial new %.0f vs improved %.0f (elapsed %.0f) -> switch=%v",
 		i, tNewTotal, tCurImproved, elapsed, doSwitch),
 		"step", i, "trial_new", tNewTotal, "improved", tCurImproved,
@@ -805,55 +826,64 @@ func consumedMask(res *optimizer.Result, i int) uint32 {
 // total time of the switch path: elapsed + finishing the running join +
 // materialization write + the new plan (which itself includes re-reading
 // the temp). T_opt,actual is charged to the meter here, adopted or not.
-func (d *Dispatcher) trialOptimize(res *optimizer.Result, dec *decomposed, i int, obs *plan.Observed, cnode *plan.Collector, elapsed float64, ctx *exec.Ctx) (float64, bool, error) {
-	matNode := dec.stepTopNode(i)
-	matEst := matNode.Est()
+func (r *dispatchRun) trialOptimize(i int, obs *plan.Observed, elapsed float64) (float64, bool, error) {
+	matEst := r.dec.stepTopNode(i).Est()
 	if matEst.Rows <= 0 {
 		return 0, false, nil
 	}
-	d.tempSeq++
-	tempName := d.tempName("trial")
-	heap := storage.NewHeapFile(ctx.Pool) // placeholder; never populated
-	tbl, err := d.Cat.RegisterTemp(tempName, tempSchema(matNode.Schema()), heap)
+	tempName, newRes, err := r.optimizeRemainder(i, obs, "trial")
 	if err != nil {
 		return 0, false, err
 	}
-	d.trackTemp(tempName)
-	defer d.dropTemp(tempName)
-	tbl.Cardinality = matEst.Rows
-	tbl.AvgTupleBytes = matEst.Bytes / matEst.Rows
-	fillTempStats(tbl, matNode.Schema(), obs, cnode, res.Query, matEst.Rows)
-
-	remStmt, err := remainderStmt(res.Query, consumedMask(res, i), tempName)
-	if err != nil {
-		return 0, false, err
-	}
-	rq, err := optimizer.Analyze(d.Cat, remStmt)
-	if err != nil {
-		return 0, false, err
-	}
-	opt := &optimizer.Optimizer{
-		Weights:          d.Cfg.Weights,
-		MemBudget:        d.budget(),
-		DisableIndexJoin: d.Cfg.DisableIndexJoin,
-		PoolPages:        d.Cfg.PoolPages,
-	}
-	newRes, err := opt.Optimize(rq)
-	if err != nil {
-		return 0, false, err
-	}
-	ctx.Meter.ChargeRaw(float64(newRes.PlansConsidered) * optimizer.OptCostPerPlan)
+	defer r.dropTemp(tempName)
+	r.ctx.Meter.ChargeRaw(float64(newRes.PlansConsidered) * optimizer.OptCostPerPlan)
 
 	// The splice strategy (Figure 5) avoids the materialization
 	// write; the new plan's temp-scan cost is already ~zero because
 	// the virtual temp has no pages, matching the live-stream reality.
 	tMat := 0.0
-	if d.Cfg.Strategy == StrategyMaterialize {
-		tMat = pagesOf(matEst.Bytes) * d.Cfg.Weights.PageWrite
+	if r.Cfg.Strategy == StrategyMaterialize {
+		tMat = pagesOf(matEst.Bytes) * r.Cfg.Weights.PageWrite
 	}
-	tFinish := d.finishStepCost(dec, i)
+	tFinish := r.finishStepCost(r.dec, i)
 	tNew := elapsed + tFinish + tMat + newRes.Root.Est().Cost
 	return tNew, true, nil
+}
+
+// optimizeRemainder re-optimizes what is left of the query after step i
+// against a virtual temp table — registered under a fresh name of the
+// given kind, never populated — that stands for step i's output and
+// carries the improved estimates and the collector's run-time
+// statistics. The caller drops the returned temp once it is done with
+// the new plan; on error nothing is left registered (a drop that itself
+// fails stays tracked for Cleanup).
+func (r *dispatchRun) optimizeRemainder(i int, obs *plan.Observed, kind string) (string, *optimizer.Result, error) {
+	matNode := r.dec.stepTopNode(i)
+	matEst := matNode.Est()
+	r.tempSeq++
+	tempName := r.tempName(kind)
+	heap := storage.NewHeapFile(r.ctx.Pool) // placeholder; never populated
+	tbl, err := r.Cat.RegisterTemp(tempName, tempSchema(matNode.Schema()), heap)
+	if err != nil {
+		return "", nil, err
+	}
+	r.trackTemp(tempName)
+	tbl.Cardinality = matEst.Rows
+	if matEst.Rows > 0 {
+		tbl.AvgTupleBytes = matEst.Bytes / matEst.Rows
+	}
+	fillTempStats(tbl, matNode.Schema(), obs, r.collectors[obs.CollectorID], r.res.Query, matEst.Rows)
+
+	var newRes *optimizer.Result
+	remStmt, err := remainderStmt(r.res.Query, consumedMask(r.res, i), tempName)
+	if err == nil {
+		newRes, err = r.Optimize(remStmt)
+	}
+	if err != nil {
+		r.dropTemp(tempName)
+		return "", nil, err
+	}
+	return tempName, newRes, nil
 }
 
 // fillTempStats populates the virtual (or real) temp table's column

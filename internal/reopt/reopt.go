@@ -299,14 +299,52 @@ func New(cat *catalog.Catalog, cfg Config) *Dispatcher {
 	return &Dispatcher{Cat: cat, Cfg: cfg, Calib: optimizer.NewCalibrator()}
 }
 
+// Optimize is the one place a statement becomes an optimizer plan:
+// semantic analysis, then the single optimizer.Optimizer built from the
+// dispatcher's Config and the budget it runs under right now. The
+// initial compile, every trial and splice re-optimization, EXPLAIN, and
+// the session's plan-cache misses all come through here, so a plan
+// switch re-plans through exactly the entry that planned the query.
+func (d *Dispatcher) Optimize(stmt *sql.SelectStmt) (*optimizer.Result, error) {
+	q, err := optimizer.Analyze(d.Cat, stmt)
+	if err != nil {
+		return nil, err
+	}
+	opt := &optimizer.Optimizer{
+		Weights:          d.Cfg.Weights,
+		MemBudget:        d.budget(),
+		DisableIndexJoin: d.Cfg.DisableIndexJoin,
+		PoolPages:        d.Cfg.PoolPages,
+	}
+	return opt.Optimize(q)
+}
+
+// arm turns an optimized plan into the one that executes: SCIA
+// collectors (every mode but Off), the Memory Manager's grants under the
+// current budget, exchange operators for the configured degree, and the
+// registration observers read.
+func (d *Dispatcher) arm(res *optimizer.Result, st *Stats, ctx *exec.Ctx) error {
+	if d.Cfg.Mode != ModeOff {
+		ins, err := scia.Insert(res, d.sciaConfig())
+		if err != nil {
+			return err
+		}
+		st.CollectorsInserted += len(ins)
+	}
+	memmgr.New(d.budget()).Allocate(res.Root)
+	res.Root = exchange.Parallelize(res.Root, d.Cfg.Degree)
+	d.registerPlan(res, st, ctx)
+	return nil
+}
+
 // Run compiles and executes one query, applying Dynamic Re-Optimization
 // per the configured mode.
 func (d *Dispatcher) Run(stmt *sql.SelectStmt, params plan.Params, ctx *exec.Ctx) ([]types.Tuple, *Stats, error) {
-	st := &Stats{}
-	pool := d.armParallel(ctx)
-	rows, err := d.run(stmt, params, ctx, st, d.Cfg.MaxSwitches)
-	err = d.finishParallel(ctx, pool, st, err)
-	return rows, st, err
+	res, err := d.Optimize(stmt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.RunPlan(res, params, ctx)
 }
 
 // armParallel prepares a context for parallel execution: a per-query
@@ -357,34 +395,13 @@ func (d *Dispatcher) RunSQL(src string, params plan.Params, ctx *exec.Ctx) ([]ty
 	return d.Run(stmt, params, ctx)
 }
 
-// run is the recursive entry: plan switches re-enter here with the
-// remainder statement.
-func (d *Dispatcher) run(stmt *sql.SelectStmt, params plan.Params, ctx *exec.Ctx, st *Stats, switchesLeft int) ([]types.Tuple, error) {
-	q, err := optimizer.Analyze(d.Cat, stmt)
-	if err != nil {
+// execute arms an optimized plan and runs it: straight through in
+// ModeOff, segment by segment with checkpoints otherwise. Plan switches
+// by materialization re-enter here with the re-optimized remainder.
+func (d *Dispatcher) execute(res *optimizer.Result, params plan.Params, ctx *exec.Ctx, st *Stats, switchesLeft int) ([]types.Tuple, error) {
+	if err := d.arm(res, st, ctx); err != nil {
 		return nil, err
 	}
-	opt := &optimizer.Optimizer{
-		Weights:          d.Cfg.Weights,
-		MemBudget:        d.budget(),
-		DisableIndexJoin: d.Cfg.DisableIndexJoin,
-		PoolPages:        d.Cfg.PoolPages,
-	}
-	res, err := opt.Optimize(q)
-	if err != nil {
-		return nil, err
-	}
-	if d.Cfg.Mode != ModeOff {
-		ins, err := scia.Insert(res, d.sciaConfig())
-		if err != nil {
-			return nil, err
-		}
-		st.CollectorsInserted += len(ins)
-	}
-	memmgr.New(d.budget()).Allocate(res.Root)
-	res.Root = exchange.Parallelize(res.Root, d.Cfg.Degree)
-	d.registerPlan(res, st, ctx)
-
 	if d.Cfg.Mode == ModeOff {
 		op, err := exec.Build(res.Root, ctx)
 		if err != nil {
@@ -392,39 +409,21 @@ func (d *Dispatcher) run(stmt *sql.SelectStmt, params plan.Params, ctx *exec.Ctx
 		}
 		return exec.Collect(op)
 	}
-	return d.dispatch(res, params, ctx, st, switchesLeft)
+	return d.dispatch(res, params, ctx, st, switchesLeft, nil)
 }
 
 // RunPlan executes an already-optimized plan through the full dispatch
 // path (SCIA insertion, memory allocation, segmented execution with
-// checkpoints). The parametric hybrid (the paper's §4 proposal) uses it
-// to execute the candidate chosen at bind time while keeping Dynamic
-// Re-Optimization armed for the cases the parametric plan did not
-// anticipate. The Result is consumed: its annotations are mutated during
-// execution.
+// checkpoints). The session runs every query through it (the plan comes
+// from the plan cache or Optimize), and the parametric hybrid (the
+// paper's §4 proposal) uses it to execute the candidate chosen at bind
+// time while keeping Dynamic Re-Optimization armed for the cases the
+// parametric plan did not anticipate. The Result is consumed: its
+// annotations are mutated during execution.
 func (d *Dispatcher) RunPlan(res *optimizer.Result, params plan.Params, ctx *exec.Ctx) ([]types.Tuple, *Stats, error) {
 	st := &Stats{}
 	pool := d.armParallel(ctx)
-	if d.Cfg.Mode != ModeOff {
-		ins, err := scia.Insert(res, d.sciaConfig())
-		if err != nil {
-			return nil, nil, err
-		}
-		st.CollectorsInserted += len(ins)
-	}
-	memmgr.New(d.budget()).Allocate(res.Root)
-	res.Root = exchange.Parallelize(res.Root, d.Cfg.Degree)
-	d.registerPlan(res, st, ctx)
-	if d.Cfg.Mode == ModeOff {
-		op, err := exec.Build(res.Root, ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows, err := exec.Collect(op)
-		err = d.finishParallel(ctx, pool, st, err)
-		return rows, st, err
-	}
-	rows, err := d.dispatch(res, params, ctx, st, d.Cfg.MaxSwitches)
+	rows, err := d.execute(res, params, ctx, st, d.Cfg.MaxSwitches)
 	err = d.finishParallel(ctx, pool, st, err)
 	return rows, st, err
 }
@@ -436,27 +435,15 @@ func (d *Dispatcher) EstimateOnly(src string) (*optimizer.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	q, err := optimizer.Analyze(d.Cat, stmt)
+	res, err := d.Optimize(stmt)
 	if err != nil {
 		return nil, err
 	}
-	opt := &optimizer.Optimizer{
-		Weights:          d.Cfg.Weights,
-		MemBudget:        d.budget(),
-		DisableIndexJoin: d.Cfg.DisableIndexJoin,
-		PoolPages:        d.Cfg.PoolPages,
-	}
-	res, err := opt.Optimize(q)
-	if err != nil {
+	// Nothing runs, so the registration lands in a throwaway Stats and a
+	// context with no observers attached.
+	if err := d.arm(res, &Stats{}, &exec.Ctx{}); err != nil {
 		return nil, err
 	}
-	if d.Cfg.Mode != ModeOff {
-		if _, err := scia.Insert(res, d.sciaConfig()); err != nil {
-			return nil, err
-		}
-	}
-	memmgr.New(d.budget()).Allocate(res.Root)
-	res.Root = exchange.Parallelize(res.Root, d.Cfg.Degree)
 	return res, nil
 }
 

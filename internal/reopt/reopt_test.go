@@ -295,7 +295,7 @@ func TestRestartModeWorksButCostsMore(t *testing.T) {
 	gotRows, st, restartCost := runMode(t, e, ModeRestart, src, params, 0)
 	rowsEqual(t, "restart", gotRows, wantRows)
 	if st.PlanSwitches == 0 {
-		t.Skip("restart never triggered on this instance")
+		t.Fatalf("restart never triggered on the instance built to force it: %v", st.Decisions)
 	}
 	_, _, fullCost := runMode(t, e, ModeFull, src, params, 0)
 	if restartCost < fullCost {

@@ -3,14 +3,10 @@ package reopt
 import (
 	"fmt"
 
-	"repro/internal/exchange"
 	"repro/internal/exec"
-	"repro/internal/memmgr"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
-	"repro/internal/scia"
 	"repro/internal/sql"
-	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -25,18 +21,16 @@ const matCollectorID = -1
 // register the temp table with its real statistics, generate SQL for the
 // remainder of the query in terms of the temp table, and re-submit it
 // through the regular compile-and-dispatch path.
-func (d *Dispatcher) switchPlan(res *optimizer.Result, dec *decomposed, i int, topOp exec.Operator, obs *plan.Observed, cnode *plan.Collector, params plan.Params, ctx *exec.Ctx, st *Stats, switchesLeft int) ([]types.Tuple, error) {
-	if d.Cfg.Mode == ModeRestart {
+func (r *dispatchRun) switchPlan(i int, obs *plan.Observed, topOp exec.Operator) ([]types.Tuple, error) {
+	if r.Cfg.Mode == ModeRestart {
 		// The restart ablation discards the completed work entirely, so
 		// the running join is never drained — close it now or its
 		// spilled build/probe partitions outlive the query.
 		topOp.Close()
-		return d.restartPlan(res, dec, params, ctx, st, switchesLeft)
+		return r.restartPlan()
 	}
-	matNode := dec.stepTopNode(i)
-	consumed := consumedMask(res, i)
-	if d.Cfg.Strategy == StrategySplice && cnode != nil {
-		rows, ok, err := d.splicePlan(res, matNode, topOp, obs, cnode, consumed, params, ctx, st, switchesLeft)
+	if r.Cfg.Strategy == StrategySplice {
+		rows, ok, err := r.splicePlan(i, obs, topOp)
 		if err != nil {
 			return nil, err
 		}
@@ -45,10 +39,10 @@ func (d *Dispatcher) switchPlan(res *optimizer.Result, dec *decomposed, i int, t
 		}
 		// The re-optimized remainder did not keep the intermediate
 		// leftmost; fall back to Figure 6.
-		d.decide(st, "splice: remainder reordered the intermediate; falling back to materialization",
+		r.decide(r.st, "splice: remainder reordered the intermediate; falling back to materialization",
 			"strategy", "splice", "fallback", "materialize")
 	}
-	return d.materializeAndResubmit(res, matNode, topOp, consumed, params, ctx, st, switchesLeft)
+	return r.materializeAndResubmit(r.dec.stepTopNode(i), topOp, consumedMask(r.res, i))
 }
 
 // splicePlan implements Figure 5: the remainder of the query is
@@ -57,79 +51,35 @@ func (d *Dispatcher) switchPlan(res *optimizer.Result, dec *decomposed, i int, t
 // leftmost input — the running join's output stream is spliced directly
 // into the new plan, preserving all completed execution state and
 // paying no materialization.
-func (d *Dispatcher) splicePlan(res *optimizer.Result, matNode plan.Node, liveOp exec.Operator, obs *plan.Observed, cnode *plan.Collector, consumed uint32, params plan.Params, ctx *exec.Ctx, st *Stats, switchesLeft int) ([]types.Tuple, bool, error) {
-	matEst := matNode.Est()
-	d.tempSeq++
-	tempName := d.tempName("splice")
-	heap := storage.NewHeapFile(ctx.Pool) // never populated: the stream is live
-	tbl, err := d.Cat.RegisterTemp(tempName, tempSchema(matNode.Schema()), heap)
+func (r *dispatchRun) splicePlan(i int, obs *plan.Observed, liveOp exec.Operator) ([]types.Tuple, bool, error) {
+	tempName, newRes, err := r.optimizeRemainder(i, obs, "splice")
 	if err != nil {
 		return nil, false, err
 	}
-	d.trackTemp(tempName)
-	// Best-effort at each early exit; a failed drop leaves the name
-	// tracked for the session's Cleanup backstop.
-	dropTemp := func() {
-		d.dropTemp(tempName)
-	}
-	tbl.Cardinality = matEst.Rows
-	if matEst.Rows > 0 {
-		tbl.AvgTupleBytes = matEst.Bytes / matEst.Rows
-	}
-	fillTempStats(tbl, matNode.Schema(), obs, cnode, res.Query, matEst.Rows)
-
-	remStmt, err := remainderStmt(res.Query, consumed, tempName)
-	if err != nil {
-		dropTemp()
-		return nil, false, err
-	}
-	rq, err := optimizer.Analyze(d.Cat, remStmt)
-	if err != nil {
-		dropTemp()
-		return nil, false, err
-	}
-	opt := &optimizer.Optimizer{
-		Weights:          d.Cfg.Weights,
-		MemBudget:        d.budget(),
-		DisableIndexJoin: d.Cfg.DisableIndexJoin,
-		PoolPages:        d.Cfg.PoolPages,
-	}
-	newRes, err := opt.Optimize(rq)
-	if err != nil {
-		dropTemp()
-		return nil, false, err
-	}
+	// Best-effort on every exit; a failed drop leaves the name tracked
+	// for the session's Cleanup backstop.
+	defer r.dropTemp(tempName)
 	// Splice is only possible when the intermediate stays leftmost: the
 	// live stream can be consumed exactly once, as a build input.
 	if newRes.Query.Rels[newRes.Order[0]].Binding != tempName {
-		dropTemp()
 		return nil, false, nil
 	}
-	if d.Cfg.Mode != ModeOff {
-		ins, err := scia.Insert(newRes, d.sciaConfig())
-		if err != nil {
-			dropTemp()
-			return nil, false, err
-		}
-		st.CollectorsInserted += len(ins)
+	if err := r.arm(newRes, r.st, r.ctx); err != nil {
+		return nil, false, err
 	}
-	memmgr.New(d.budget()).Allocate(newRes.Root)
-	newRes.Root = exchange.Parallelize(newRes.Root, d.Cfg.Degree)
-	st.PlanSwitches++
-	ctx.Prog.RecordSwitch()
-	d.registerPlan(newRes, st, ctx)
-	d.decide(st, fmt.Sprintf("splice: remainder spliced onto live stream as %s", tempName),
+	r.st.PlanSwitches++
+	r.ctx.Prog.RecordSwitch()
+	r.decide(r.st, fmt.Sprintf("splice: remainder spliced onto live stream as %s", tempName),
 		"strategy", "splice", "temp", tempName)
-	if d.Cfg.Trace.Enabled() {
-		d.Cfg.Trace.Emit("switch", "plan switch via splice (Figure 5)",
+	if r.Cfg.Trace.Enabled() {
+		r.Cfg.Trace.Emit("switch", "plan switch via splice (Figure 5)",
 			"strategy", "splice",
 			"temp", tempName,
-			"est_rows", matEst.Rows,
+			"est_rows", r.dec.stepTopNode(i).Est().Rows,
 			"new_plan_est_cost", newRes.Root.Est().Cost,
 		)
 	}
-	rows, err := d.dispatchWith(newRes, params, ctx, st, switchesLeft-1, liveOp)
-	dropTemp()
+	rows, err := r.dispatch(newRes, r.params, r.ctx, r.st, r.switchesLeft-1, liveOp)
 	return rows, true, err
 }
 
@@ -137,20 +87,22 @@ func (d *Dispatcher) splicePlan(res *optimizer.Result, matNode plan.Node, liveOp
 // completed build work, re-scan the leftmost relation into a temp table,
 // and re-plan everything else. The re-scan is the "discarded work" made
 // visible in the cost meter.
-func (d *Dispatcher) restartPlan(res *optimizer.Result, dec *decomposed, params plan.Params, ctx *exec.Ctx, st *Stats, switchesLeft int) ([]types.Tuple, error) {
-	consumed := uint32(1) << uint(res.Order[0])
-	leafOp, err := exec.Build(dec.leafTop, ctx)
+func (r *dispatchRun) restartPlan() ([]types.Tuple, error) {
+	leafOp, err := exec.Build(r.dec.leafTop, r.ctx)
 	if err != nil {
 		return nil, err
 	}
-	return d.materializeAndResubmit(res, dec.leafTop, leafOp, consumed, params, ctx, st, switchesLeft)
+	return r.materializeAndResubmit(r.dec.leafTop, leafOp, uint32(1)<<uint(r.res.Order[0]))
 }
 
-// materializeAndResubmit drains op into a temp table under an ad-hoc
-// statistics collector, then recursively runs the remainder query.
-func (d *Dispatcher) materializeAndResubmit(res *optimizer.Result, matNode plan.Node, op exec.Operator, consumed uint32, params plan.Params, ctx *exec.Ctx, st *Stats, switchesLeft int) ([]types.Tuple, error) {
+// materializeAndResubmit drains op — the operator tree rooted at plan
+// node matNode, covering the relations in consumed — into a temp table
+// under an ad-hoc statistics collector, then re-optimizes and runs the
+// remainder query over it.
+func (r *dispatchRun) materializeAndResubmit(matNode plan.Node, op exec.Operator, consumed uint32) ([]types.Tuple, error) {
+	ctx := r.ctx
 	matSchema := matNode.Schema()
-	spec := d.matSpec(res, matSchema, consumed)
+	spec := r.matSpec(r.res, matSchema, consumed)
 	cnode := &plan.Collector{Input: matNode, Spec: spec, ID: matCollectorID}
 
 	var matObs *plan.Observed
@@ -179,34 +131,40 @@ func (d *Dispatcher) materializeAndResubmit(res *optimizer.Result, matNode plan.
 		return nil, err
 	}
 
-	d.tempSeq++
-	tempName := d.tempName("temp")
-	tbl, err := d.Cat.RegisterTemp(tempName, tempSchema(matSchema), heap)
+	r.tempSeq++
+	tempName := r.tempName("temp")
+	tbl, err := r.Cat.RegisterTemp(tempName, tempSchema(matSchema), heap)
 	if err != nil {
 		heap.Drop() // free the materialized pages; nobody owns them now
 		return nil, err
 	}
-	d.trackTemp(tempName)
+	r.trackTemp(tempName)
 	if matObs != nil {
-		fillTempStats(tbl, matSchema, matObs, cnode, res.Query, float64(heap.NumTuples()))
+		fillTempStats(tbl, matSchema, matObs, cnode, r.res.Query, float64(heap.NumTuples()))
 	}
 
-	remStmt, err := remainderStmt(res.Query, consumed, tempName)
+	remStmt, err := remainderStmt(r.res.Query, consumed, tempName)
 	if err != nil {
-		d.dropTemp(tempName)
+		r.dropTemp(tempName)
 		return nil, err
 	}
-	st.PlanSwitches++
+	r.st.PlanSwitches++
 	ctx.Prog.RecordSwitch()
-	if d.Cfg.Trace.Enabled() {
-		d.Cfg.Trace.Emit("switch", "plan switch via materialize-and-resubmit (Figure 6)",
+	if r.Cfg.Trace.Enabled() {
+		r.Cfg.Trace.Emit("switch", "plan switch via materialize-and-resubmit (Figure 6)",
 			"strategy", "materialize",
 			"temp", tempName,
 			"rows", heap.NumTuples(),
 		)
 	}
-	rows, err := d.run(remStmt, params, ctx, st, switchesLeft-1)
-	if derr := d.dropTemp(tempName); derr != nil && err == nil {
+	// Re-submission: the remainder goes through the same Optimize and
+	// execute steps that compiled the query in the first place.
+	var rows []types.Tuple
+	newRes, err := r.Optimize(remStmt)
+	if err == nil {
+		rows, err = r.execute(newRes, r.params, ctx, r.st, r.switchesLeft-1)
+	}
+	if derr := r.dropTemp(tempName); derr != nil && err == nil {
 		err = derr
 	}
 	return rows, err

@@ -350,6 +350,15 @@ func (m *Manager) Analyze(table string, family histogram.Family) error {
 	return m.cat.Analyze(table, catalog.AnalyzeOptions{Family: family})
 }
 
+// CreateIndex builds a B+tree index on one column under the exclusive
+// schema lock, quiescing the engine the same way Analyze does. The
+// schema-version bump invalidates cached plans lazily.
+func (m *Manager) CreateIndex(table, column string) error {
+	m.schemaMu.Lock()
+	defer m.schemaMu.Unlock()
+	return m.cat.CreateIndex(table, column)
+}
+
 // Session is one client's handle on the shared engine. Sessions are
 // cheap; a session's Exec calls may themselves run concurrently (each
 // query gets its own tag and lease). A session additionally carries at
@@ -388,21 +397,28 @@ func (s *Session) SetTenant(name string) { s.tenant = name }
 // Tenant returns the session's default tenant name (canonicalized).
 func (s *Session) Tenant() string { return tenant.Canonical(s.tenant) }
 
-// Options tunes one query execution (mirrors the top-level ExecOptions,
-// minus the fixed MemBudget — memory comes from the broker).
+// Options tunes one query execution (the top-level ExecOptions maps onto
+// it field for field).
 type Options struct {
-	Mode               reopt.Mode
-	Params             map[string]types.Value
+	Mode   reopt.Mode
+	Params map[string]types.Value
+	// MemBudget, when positive, is a private operator-memory budget in
+	// bytes: the query is optimized and run under exactly this much, with
+	// no broker lease, no admission wait and no preemption — the fixed
+	// per-query budget of the paper's single-query experiments, which the
+	// library façade always sets. Zero (the server's setting) takes memory
+	// from the shared broker pool instead.
+	MemBudget          float64
 	Mu, Theta1, Theta2 float64
 	// Tenant names the service class the query's memory admission
 	// queues under (weights, quotas, priorities are configured on the
 	// broker's tenant registry). Empty defers to the session's default
 	// tenant, then to tenant.Default.
-	Tenant string
-	HistFamily         histogram.Family
-	SpliceSwitch       bool
-	DisableIndexJoin   bool
-	Seed               int64
+	Tenant           string
+	HistFamily       histogram.Family
+	SpliceSwitch     bool
+	DisableIndexJoin bool
+	Seed             int64
 	// NoCache bypasses the plan cache for this statement.
 	NoCache bool
 	// Explain runs the query under EXPLAIN ANALYZE instrumentation and
@@ -439,10 +455,13 @@ type Options struct {
 type Result struct {
 	Columns []string
 	Rows    []types.Tuple
-	Stats   *reopt.Stats
+	// Stats reports the dispatcher's re-optimization activity; non-nil
+	// and empty for statements that never reach the dispatcher (DML,
+	// BEGIN/COMMIT/ROLLBACK).
+	Stats *reopt.Stats
 	// Cost is the simulated time charged to the shared meter during
-	// this query's window. Under concurrency it includes overlapping
-	// queries' charges; single-stream it matches DB.Exec.
+	// this statement's window. Under concurrency it includes overlapping
+	// queries' charges; single-stream it is the statement's own.
 	Cost float64
 	// WallCost subtracts the overlap credited by this query's parallel
 	// regions (only each gathered region's slowest tributary counts
@@ -486,22 +505,38 @@ type Result struct {
 // leases, and the schema lock are all released and the session stays
 // usable.
 func (s *Session) Exec(ctx context.Context, src string, opts Options) (r *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			r, err = nil, fmt.Errorf("query panic: %v", p)
-		}
-		if err != nil {
-			s.m.em.Queries.Inc()
-			s.m.em.QueryErrors.Inc()
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				s.m.em.QueriesCancelled.Inc()
-			}
-		}
-	}()
-	return s.exec(ctx, src, opts)
+	defer s.endQuery(&r, &err)
+	return s.exec(ctx, src, nil, opts)
 }
 
-func (s *Session) exec(ctx context.Context, src string, opts Options) (*Result, error) {
+// ExecPlan runs an already-optimized SELECT plan — the parametric
+// hybrid's candidate, chosen at bind time — through the same path as
+// Exec: snapshot, admission, the re-optimizing dispatcher, result
+// assembly. The plan is consumed. If the query is preempted at a
+// checkpoint it resumes on a plan the regular optimizer produces.
+func (s *Session) ExecPlan(ctx context.Context, pre *optimizer.Result, opts Options) (r *Result, err error) {
+	defer s.endQuery(&r, &err)
+	return s.exec(ctx, "", pre, opts)
+}
+
+// endQuery is the deferred tail of every entry point: it turns a panic
+// into the query's error and counts failed queries.
+func (s *Session) endQuery(r **Result, err *error) {
+	if p := recover(); p != nil {
+		*r, *err = nil, fmt.Errorf("query panic: %v", p)
+	}
+	if *err != nil {
+		s.m.em.Queries.Inc()
+		s.m.em.QueryErrors.Inc()
+		if errors.Is(*err, context.Canceled) || errors.Is(*err, context.DeadlineExceeded) {
+			s.m.em.QueriesCancelled.Inc()
+		}
+	}
+}
+
+// exec runs one statement: src is parsed and routed by statement kind,
+// unless pre carries a SELECT plan that is already optimized.
+func (s *Session) exec(ctx context.Context, src string, pre *optimizer.Result, opts Options) (*Result, error) {
 	m := s.m
 	tag := fmt.Sprintf("s%d_q%d", s.id, m.queries.Add(1))
 
@@ -525,13 +560,16 @@ func (s *Session) exec(ctx context.Context, src string, opts Options) (*Result, 
 	m.schemaMu.RLock()
 	defer m.schemaMu.RUnlock()
 
+	if pre != nil {
+		return s.execSelect(ctx, pre.Query.Stmt, pre, opts, tag)
+	}
 	stmt, err := sql.ParseStatement(src)
 	if err != nil {
 		return nil, err
 	}
 	switch st := stmt.(type) {
 	case *sql.SelectStmt:
-		return s.execSelect(ctx, st, opts, tag)
+		return s.execSelect(ctx, st, nil, opts, tag)
 	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
 		return s.execDML(ctx, st, opts, tag)
 	case *sql.BeginStmt:
@@ -544,13 +582,28 @@ func (s *Session) exec(ctx context.Context, src string, opts Options) (*Result, 
 	return nil, fmt.Errorf("session: unsupported statement %T", stmt)
 }
 
-// execSelect runs one query under the broker's memory admission and the
-// re-optimizing dispatcher. Reads execute under a snapshot: the open
-// explicit transaction's if one exists (so a transaction reads its own
-// uncommitted writes), otherwise a fresh read snapshot registered with
-// the transaction manager so concurrent committers stay invisible and
-// the garbage collector keeps every version the query can still see.
-func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, opts Options, tag string) (*Result, error) {
+// Explain compiles a query the way Exec would — same optimizer entry,
+// collectors, grants and exchanges for the given options — and returns
+// the annotated plan text. Nothing is executed and nothing is admitted.
+func (s *Session) Explain(src string, opts Options) (string, error) {
+	s.m.schemaMu.RLock()
+	defer s.m.schemaMu.RUnlock()
+	res, err := reopt.New(s.m.cat, s.dispatcherConfig(opts, nil, "")).EstimateOnly(src)
+	if err != nil {
+		return "", err
+	}
+	return obs.FormatPlan(res.Root), nil
+}
+
+// execSelect runs one query under the broker's memory admission (or its
+// private Options.MemBudget) and the re-optimizing dispatcher; pre, when
+// non-nil, is stmt's plan, already optimized. Reads execute under a
+// snapshot: the open explicit transaction's if one exists (so a
+// transaction reads its own uncommitted writes), otherwise a fresh read
+// snapshot registered with the transaction manager so concurrent
+// committers stay invisible and the garbage collector keeps every
+// version the query can still see.
+func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *optimizer.Result, opts Options, tag string) (*Result, error) {
 	m := s.m
 	ten := tenant.Canonical(opts.Tenant)
 	if opts.Tenant == "" {
@@ -562,9 +615,12 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, opts Opt
 		m.em.QueryDuration.Observe(time.Since(start).Seconds())
 		s.noteSlow(tag, stmt.SQL(), time.Since(start), opts, qp)
 	}()
-	res, hit, err := s.plan(stmt, opts)
-	if err != nil {
-		return nil, err
+	res, hit := pre, false
+	if res == nil {
+		var err error
+		if res, hit, err = s.plan(stmt, opts); err != nil {
+			return nil, err
+		}
 	}
 	// Column names come from the pristine root: dispatch may wrap or
 	// replace it (collector insertion, plan switches).
@@ -630,23 +686,26 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, opts Opt
 	var rows []types.Tuple
 	var st *reopt.Stats
 	var mu float64
+	var err error
 	for {
-		min, max := memmgr.Demands(res.Root)
-		waitStart := time.Now()
-		lease, err = m.broker.AdmitTenant(ctx, ten, tag, min, max)
-		wait := time.Since(waitStart).Seconds()
-		m.em.BrokerWait.Observe(wait)
-		m.em.BrokerWaitTenant.Observe(ten, wait)
-		if err != nil {
-			return nil, err
+		if opts.MemBudget <= 0 {
+			min, max := memmgr.Demands(res.Root)
+			waitStart := time.Now()
+			lease, err = m.broker.AdmitTenant(ctx, ten, tag, min, max)
+			wait := time.Since(waitStart).Seconds()
+			m.em.BrokerWait.Observe(wait)
+			m.em.BrokerWaitTenant.Observe(ten, wait)
+			if err != nil {
+				return nil, err
+			}
+			if preempted >= maxPreemptResumes {
+				// A query can only be parked so many times; past the cap
+				// its lease stops being a preemption victim so it is
+				// guaranteed to finish.
+				lease.MarkNonPreemptible()
+			}
+			m.setRunningLease(tag, lease)
 		}
-		if preempted >= maxPreemptResumes {
-			// A query can only be parked so many times; past the cap
-			// its lease stops being a preemption victim so it is
-			// guaranteed to finish.
-			lease.MarkNonPreemptible()
-		}
-		m.setRunningLease(tag, lease)
 		cfg := s.dispatcherConfig(opts, lease, tag)
 		cfg.Trace = tr
 		mu = cfg.Mu
@@ -699,8 +758,10 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, opts Opt
 		Tenant:       ten,
 		Preempted:    preempted,
 		CacheHit:     hit,
-		Broker:       lease.Stats(),
 		TraceDropped: tr.Dropped(),
+	}
+	if lease != nil {
+		out.Broker = lease.Stats()
 	}
 	if d := tr.Dropped(); d > 0 {
 		m.em.TraceDropped.Add(float64(d))
@@ -768,6 +829,7 @@ func (s *Session) execDML(ctx context.Context, stmt sql.Stmt, opts Options, tag 
 		params[k] = v
 	}
 	ectx := &exec.Ctx{Context: ctx, Pool: m.pool, Meter: m.meter, Params: params, Trace: tr, Txn: tx, Snap: tx.Snapshot()}
+	before := m.meter.Snapshot()
 	n, err := exec.RunDML(node, ectx)
 	if err != nil {
 		tx.Abort()
@@ -791,7 +853,13 @@ func (s *Session) execDML(ctx context.Context, stmt sql.Stmt, opts Options, tag 
 		}
 	}
 	m.em.Queries.Inc()
-	out := &Result{RowsAffected: n, Query: tag, TraceDropped: tr.Dropped()}
+	out := &Result{
+		Stats:        &reopt.Stats{},
+		Cost:         m.meter.Snapshot().Sub(before).Cost(),
+		RowsAffected: n,
+		Query:        tag,
+		TraceDropped: tr.Dropped(),
+	}
 	if d := tr.Dropped(); d > 0 {
 		m.em.TraceDropped.Add(float64(d))
 	}
@@ -813,7 +881,7 @@ func (s *Session) beginTxn(tag string) (*Result, error) {
 		return nil, errors.New("session: transaction already open")
 	}
 	s.txn = s.m.cat.BeginTxn()
-	return &Result{Query: tag}, nil
+	return &Result{Stats: &reopt.Stats{}, Query: tag}, nil
 }
 
 // commitTxn commits the session's explicit transaction. RowsAffected
@@ -830,7 +898,7 @@ func (s *Session) commitTxn(tag string) (*Result, error) {
 	tx.Commit()
 	s.m.em.TxnsCommitted.Inc()
 	s.m.em.RowsWritten.Add(float64(rows))
-	return &Result{Query: tag, RowsAffected: rows}, nil
+	return &Result{Stats: &reopt.Stats{}, Query: tag, RowsAffected: rows}, nil
 }
 
 // rollbackTxn aborts the session's explicit transaction, undoing its
@@ -845,7 +913,7 @@ func (s *Session) rollbackTxn(tag string) (*Result, error) {
 	}
 	err := tx.Abort()
 	s.m.em.TxnsAborted.Inc()
-	return &Result{Query: tag}, err
+	return &Result{Stats: &reopt.Stats{}, Query: tag}, err
 }
 
 // clearTxn closes the session's explicit-transaction slot if it still
@@ -872,10 +940,11 @@ func (m *Manager) QueriesRun() int64 { return m.queries.Load() }
 func (m *Manager) Uptime() time.Duration { return time.Since(m.start) }
 
 // plan resolves the statement to an executable optimizer result,
-// consulting the plan cache. The optimizer runs under the manager's
-// fixed budget so the cache key is stable across admissions; the
-// broker's actual grant reshapes memory at allocation time, not plan
-// shape.
+// consulting the plan cache. The optimizer runs through the dispatcher's
+// own entry (reopt.Dispatcher.Optimize) with no lease attached, so under
+// the fixed budget — the manager's, or the query's private one — and the
+// cache key is stable across admissions; the broker's actual grant
+// reshapes memory at allocation time, not plan shape.
 func (s *Session) plan(stmt *sql.SelectStmt, opts Options) (*optimizer.Result, bool, error) {
 	m := s.m
 	var key string
@@ -885,17 +954,7 @@ func (s *Session) plan(stmt *sql.SelectStmt, opts Options) (*optimizer.Result, b
 			return res, true, nil
 		}
 	}
-	q, err := optimizer.Analyze(m.cat, stmt)
-	if err != nil {
-		return nil, false, err
-	}
-	opt := &optimizer.Optimizer{
-		Weights:          m.meter.Weights(),
-		MemBudget:        m.cfg.MemBudget,
-		DisableIndexJoin: opts.DisableIndexJoin,
-		PoolPages:        float64(m.pool.Capacity()),
-	}
-	res, err := opt.Optimize(q)
+	res, err := reopt.New(m.cat, s.dispatcherConfig(opts, nil, "")).Optimize(stmt)
 	if err != nil {
 		return nil, false, err
 	}
@@ -914,7 +973,16 @@ func (s *Session) plan(stmt *sql.SelectStmt, opts Options) (*optimizer.Result, b
 // entries across degrees.
 func (s *Session) fingerprint(opts Options) string {
 	return fmt.Sprintf("mem=%.0f|idxjoin=%t|pool=%d|par=%d",
-		s.m.cfg.MemBudget, !opts.DisableIndexJoin, s.m.pool.Capacity(), normDegree(opts.Parallel))
+		s.budget(opts), !opts.DisableIndexJoin, s.m.pool.Capacity(), normDegree(opts.Parallel))
+}
+
+// budget is the fixed operator-memory budget the query is optimized
+// under: its private Options.MemBudget when set, else the manager's.
+func (s *Session) budget(opts Options) float64 {
+	if opts.MemBudget > 0 {
+		return opts.MemBudget
+	}
+	return s.m.cfg.MemBudget
 }
 
 // normDegree collapses every serial setting to 1 so "unset", 0, and 1
@@ -926,10 +994,13 @@ func normDegree(d int) int {
 	return d
 }
 
+// dispatcherConfig is the one mapping from per-query options to the
+// dispatcher's configuration; a nil lease means the query plans (and,
+// with a private MemBudget, runs) under the fixed budget.
 func (s *Session) dispatcherConfig(opts Options, lease *memmgr.Lease, tag string) reopt.Config {
 	cfg := reopt.DefaultConfig(opts.Mode)
 	cfg.Weights = s.m.meter.Weights()
-	cfg.MemBudget = s.m.cfg.MemBudget
+	cfg.MemBudget = s.budget(opts)
 	cfg.Lease = lease
 	cfg.QueryTag = tag
 	if opts.Mu > 0 {

@@ -19,24 +19,26 @@
 // weighted tuple CPU), which makes runs deterministic and directly
 // comparable with the optimizer's estimates — see DESIGN.md for the
 // substitution rationale.
+//
+// The package is a thin façade: a DB owns one session.Manager and a
+// default Session, and Exec, Explain, ExplainAnalyze and Prepared.Exec
+// are an options mapping plus one call into internal/session — the same
+// path cmd/mqr-server serves, minus the memory broker (library queries
+// run under a private fixed MemBudget).
 package midquery
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/exec"
 	"repro/internal/histogram"
 	"repro/internal/obs"
 	"repro/internal/parametric"
 	"repro/internal/plan"
 	"repro/internal/reopt"
 	"repro/internal/session"
-	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/tpcd"
 	"repro/internal/types"
@@ -121,11 +123,14 @@ type DB struct {
 	pool  *storage.BufferPool
 	meter *storage.CostMeter
 
-	// txnMu guards txn, the one explicit transaction a DB-level client
-	// may hold open between Exec calls (BEGIN … COMMIT/ROLLBACK). DML
-	// outside it autocommits.
-	txnMu sync.Mutex
-	txn   *catalog.Txn
+	// mgr is the engine every statement runs through; sess is the DB's
+	// default session, which holds the one explicit transaction a
+	// DB-level client may keep open between Exec calls (BEGIN …
+	// COMMIT/ROLLBACK). The manager caches no plans: the library's bulk
+	// Insert moves table sizes without bumping any statistics version, so
+	// every Exec optimizes against the catalog as it is now.
+	mgr  *session.Manager
+	sess *session.Session
 }
 
 // Open creates an empty database.
@@ -139,7 +144,9 @@ func Open(opts Options) *DB {
 	}
 	meter := storage.NewCostMeter(opts.Weights)
 	pool := storage.NewBufferPool(storage.NewDisk(meter), opts.BufferPoolPages)
-	return &DB{cat: catalog.New(pool), pool: pool, meter: meter}
+	cat := catalog.New(pool)
+	mgr := session.NewManager(cat, pool, meter, session.Config{PlanCacheSize: -1})
+	return &DB{cat: cat, pool: pool, meter: meter, mgr: mgr, sess: mgr.Session()}
 }
 
 // Catalog exposes the underlying catalog for advanced use (the examples
@@ -192,15 +199,16 @@ func (db *DB) Insert(table string, values ...any) error {
 	return t.Insert(tup)
 }
 
-// CreateIndex builds a B+tree index on one column.
+// CreateIndex builds a B+tree index on one column, waiting for the DB's
+// running statements to drain first.
 func (db *DB) CreateIndex(table, column string) error {
-	return db.cat.CreateIndex(table, column)
+	return db.mgr.CreateIndex(table, column)
 }
 
 // Analyze refreshes a table's statistics with the given histogram
-// family.
+// family, waiting for the DB's running statements to drain first.
 func (db *DB) Analyze(table string, family HistFamily) error {
-	return db.cat.Analyze(table, catalog.AnalyzeOptions{Family: family})
+	return db.mgr.Analyze(table, family)
 }
 
 // LoadTPCD generates and loads the TPC-D-style dataset (§3.2).
@@ -261,8 +269,8 @@ type ExecOptions struct {
 	Seed             int64
 	// Trace records the query's lifecycle events — collector reports,
 	// checkpoint decisions, memory re-allocations, plan switches — into
-	// Result.Trace. Off by default; enabling it costs one ring-buffer
-	// append per event.
+	// Result.Trace. The session records the events either way (they
+	// feed mqr.trace); the flag attaches the query's own log.
 	Trace bool
 	// Timeout bounds the query's wall-clock time; 0 means no deadline.
 	// Expiry aborts the query mid-execution (operators poll the
@@ -280,228 +288,46 @@ type ExecOptions struct {
 	Parallel int
 }
 
-func (db *DB) dispatcher(o ExecOptions) *reopt.Dispatcher {
-	return db.dispatcherWithTrace(o, nil)
+// sessionOptions maps the public options onto the session's. The
+// library's fixed per-query budget travels as Options.MemBudget, so the
+// query plans and runs under it with no broker lease.
+func (o ExecOptions) sessionOptions() session.Options {
+	so := session.Options{
+		Mode:             o.Mode,
+		Params:           o.Params,
+		MemBudget:        o.MemBudget,
+		Mu:               o.Mu,
+		Theta1:           o.Theta1,
+		Theta2:           o.Theta2,
+		HistFamily:       o.HistFamily, // zero value is MaxDiff, the default
+		SpliceSwitch:     o.SpliceSwitch,
+		DisableIndexJoin: o.DisableIndexJoin,
+		Seed:             o.Seed,
+		Trace:            o.Trace,
+		Timeout:          o.Timeout,
+		Parallel:         o.Parallel,
+	}
+	if so.MemBudget <= 0 {
+		so.MemBudget = defaultMemBudget
+	}
+	return so
 }
 
-func (db *DB) dispatcherWithTrace(o ExecOptions, tr *obs.Trace) *reopt.Dispatcher {
-	cfg := reopt.DefaultConfig(o.Mode)
-	cfg.Trace = tr
-	cfg.Weights = db.meter.Weights()
-	if o.MemBudget > 0 {
-		cfg.MemBudget = o.MemBudget
-	}
-	if o.Mu > 0 {
-		cfg.Mu = o.Mu
-	}
-	if o.Theta1 > 0 {
-		cfg.Theta1 = o.Theta1
-	}
-	if o.Theta2 > 0 {
-		cfg.Theta2 = o.Theta2
-	}
-	cfg.HistFamily = o.HistFamily // zero value is MaxDiff, the default
-	if o.SpliceSwitch {
-		cfg.Strategy = reopt.StrategySplice
-	}
-	cfg.DisableIndexJoin = o.DisableIndexJoin
-	cfg.Seed = o.Seed
-	cfg.PoolPages = float64(db.pool.Capacity())
-	cfg.Degree = o.Parallel
-	return reopt.New(db.cat, cfg)
-}
+// defaultMemBudget is the per-query operator memory when
+// ExecOptions.MemBudget is unset.
+const defaultMemBudget = 32 << 20
 
-// Result is one query's outcome.
-type Result struct {
-	// Columns are the output column names.
-	Columns []string
-	// Rows are the result tuples.
-	Rows []Tuple
-	// Stats reports the dispatcher's re-optimization activity.
-	Stats *Stats
-	// Cost is the simulated execution time of this query alone.
-	Cost float64
-	// WallCost is the simulated elapsed time: Cost minus the overlap
-	// credited by parallel regions (workers running concurrently charge
-	// the meter for all their work, but only the slowest tributary of
-	// each gathered region contributes to elapsed time). Equal to Cost
-	// for serial execution.
-	WallCost float64
-	// Plan is the EXPLAIN ANALYZE rendering (ExplainAnalyze only).
-	Plan string
-	// Trace is the query's event log (ExecOptions.Trace only).
-	Trace []TraceEvent
-	// RowsAffected is the number of rows a DML statement wrote (for
-	// COMMIT, the whole transaction's total). Zero for queries.
-	RowsAffected int64
-}
+// Result is one statement's outcome: Columns and Rows, the dispatcher's
+// Stats, the simulated Cost (and WallCost, which credits parallel
+// overlap), RowsAffected for DML, and Plan / Trace when asked for.
+type Result = session.Result
 
 // Exec compiles and runs one SQL statement: SELECT queries go through
 // the re-optimizing dispatcher; INSERT/UPDATE/DELETE execute under
 // snapshot-isolation MVCC (autocommitting unless a BEGIN is open); and
 // BEGIN/COMMIT/ROLLBACK manage the DB's explicit transaction.
 func (db *DB) Exec(src string, opts ExecOptions) (*Result, error) {
-	return db.exec(src, opts, nil)
-}
-
-func (db *DB) exec(src string, opts ExecOptions, az *obs.Analyze) (*Result, error) {
-	stmt, err := sql.ParseStatement(src)
-	if err != nil {
-		return nil, err
-	}
-	switch stmt.(type) {
-	case *sql.SelectStmt:
-		// Falls through to the dispatcher path below.
-	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-		return db.execDML(stmt, opts)
-	case *sql.BeginStmt:
-		db.txnMu.Lock()
-		defer db.txnMu.Unlock()
-		if db.txn != nil {
-			return nil, errors.New("midquery: transaction already open")
-		}
-		db.txn = db.cat.BeginTxn()
-		return &Result{Stats: &Stats{}}, nil
-	case *sql.CommitStmt:
-		db.txnMu.Lock()
-		tx := db.txn
-		db.txn = nil
-		db.txnMu.Unlock()
-		if tx == nil {
-			return nil, errors.New("midquery: no transaction open")
-		}
-		rows := tx.Rows()
-		tx.Commit()
-		return &Result{Stats: &Stats{}, RowsAffected: rows}, nil
-	case *sql.RollbackStmt:
-		db.txnMu.Lock()
-		tx := db.txn
-		db.txn = nil
-		db.txnMu.Unlock()
-		if tx == nil {
-			return nil, errors.New("midquery: no transaction open")
-		}
-		if err := tx.Abort(); err != nil {
-			return nil, err
-		}
-		return &Result{Stats: &Stats{}}, nil
-	}
-	var tr *obs.Trace
-	if opts.Trace {
-		tr = obs.NewTrace(obs.DefaultTraceCap)
-	}
-	qctx := opts.Context
-	if qctx == nil {
-		qctx = context.Background()
-	}
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		qctx, cancel = context.WithTimeout(qctx, opts.Timeout)
-		defer cancel()
-	}
-	d := db.dispatcherWithTrace(opts, tr)
-	// Whatever path the query exits by, drop every temp table the
-	// dispatcher registered.
-	defer d.Cleanup()
-	params := plan.Params{}
-	for k, v := range opts.Params {
-		params[k] = v
-	}
-	// Reads run under a snapshot: the open explicit transaction's if
-	// any (reading its own uncommitted writes), else a fresh read
-	// snapshot registered with the transaction manager so the garbage
-	// collector keeps every version this query can still see.
-	db.txnMu.Lock()
-	tx := db.txn
-	db.txnMu.Unlock()
-	var snap *storage.TxnSnapshot
-	if tx != nil {
-		snap = tx.Snapshot()
-	} else {
-		rd := db.cat.BeginRead()
-		defer rd.End()
-		snap = rd.Snapshot()
-	}
-	ctx := &exec.Ctx{Context: qctx, Pool: db.pool, Meter: db.meter, Params: params, Trace: tr, Analyze: az, Snap: snap}
-	before := db.meter.Snapshot()
-	rows, st, err := d.RunSQL(src, params, ctx)
-	if err != nil {
-		return nil, err
-	}
-	cols, err := db.outputColumns(d, src)
-	if err != nil {
-		cols = nil // column names are best-effort
-	}
-	res := &Result{
-		Columns: cols,
-		Rows:    rows,
-		Stats:   st,
-		Cost:    db.meter.Snapshot().Sub(before).Cost(),
-	}
-	res.WallCost = res.Cost - st.WallSavedCost
-	if res.WallCost < 0 {
-		res.WallCost = 0
-	}
-	if az != nil {
-		res.Plan = az.Render()
-	}
-	if tr != nil {
-		res.Trace = tr.Events()
-	}
-	return res, nil
-}
-
-// execDML plans and runs one write statement under MVCC. Inside an
-// explicit transaction the writes join it; otherwise the statement
-// autocommits. Any error aborts the governing transaction (MVCC undo is
-// physical; there are no statement-level savepoints).
-func (db *DB) execDML(stmt sql.Stmt, opts ExecOptions) (*Result, error) {
-	node, err := plan.PlanDML(db.cat, stmt)
-	if err != nil {
-		return nil, err
-	}
-	qctx := opts.Context
-	if qctx == nil {
-		qctx = context.Background()
-	}
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		qctx, cancel = context.WithTimeout(qctx, opts.Timeout)
-		defer cancel()
-	}
-	db.txnMu.Lock()
-	tx := db.txn
-	db.txnMu.Unlock()
-	own := tx == nil
-	if own {
-		tx = db.cat.BeginTxn()
-	}
-	params := plan.Params{}
-	for k, v := range opts.Params {
-		params[k] = v
-	}
-	ctx := &exec.Ctx{Context: qctx, Pool: db.pool, Meter: db.meter, Params: params, Txn: tx, Snap: tx.Snapshot()}
-	before := db.meter.Snapshot()
-	n, err := exec.RunDML(node, ctx)
-	if err != nil {
-		tx.Abort()
-		if !own {
-			db.txnMu.Lock()
-			if db.txn == tx {
-				db.txn = nil
-			}
-			db.txnMu.Unlock()
-		}
-		return nil, err
-	}
-	if own {
-		tx.Commit()
-	}
-	return &Result{
-		Stats:        &Stats{},
-		RowsAffected: n,
-		Cost:         db.meter.Snapshot().Sub(before).Cost(),
-	}, nil
+	return db.sess.Exec(opts.Context, src, opts.sessionOptions())
 }
 
 // Vacuum removes dead row versions no live snapshot can see, returning
@@ -513,12 +339,7 @@ func (db *DB) Vacuum() (int64, error) { return db.cat.Vacuum() }
 // memory demands — with statistics collectors inserted when mode is not
 // ReoptOff. Nothing is executed.
 func (db *DB) Explain(src string, opts ExecOptions) (string, error) {
-	d := db.dispatcher(opts)
-	res, err := d.EstimateOnly(src)
-	if err != nil {
-		return "", err
-	}
-	return obs.FormatPlan(res.Root), nil
+	return db.sess.Explain(src, opts.sessionOptions())
 }
 
 // ExplainAnalyze executes the query with per-operator instrumentation
@@ -528,7 +349,9 @@ func (db *DB) Explain(src string, opts ExecOptions) (string, error) {
 // each re-optimized remainder plan follows the initial one, with the
 // temp-table splice point marked "[re-optimized here]".
 func (db *DB) ExplainAnalyze(src string, opts ExecOptions) (*Result, error) {
-	return db.exec(src, opts, obs.NewAnalyze())
+	so := opts.sessionOptions()
+	so.Explain = true
+	return db.sess.Exec(opts.Context, src, so)
 }
 
 // Prepared is a parametric plan: candidate plans enumerated across
@@ -547,12 +370,9 @@ type Prepared struct {
 func (db *DB) Prepare(src string, opts ExecOptions) (*Prepared, error) {
 	cfg := parametric.OptimizerConfig{
 		Weights:          db.meter.Weights(),
-		MemBudget:        opts.MemBudget,
+		MemBudget:        opts.sessionOptions().MemBudget,
 		PoolPages:        float64(db.pool.Capacity()),
 		DisableIndexJoin: opts.DisableIndexJoin,
-	}
-	if cfg.MemBudget <= 0 {
-		cfg.MemBudget = 32 << 20
 	}
 	p, err := parametric.Prepare(db.cat, src, cfg, nil)
 	if err != nil {
@@ -572,44 +392,22 @@ func (pq *Prepared) Candidates() []string {
 }
 
 // Exec chooses the candidate nearest the actual bindings' selectivity
-// and executes it through the re-optimizing dispatcher.
+// and executes it through the re-optimizing dispatcher, under the
+// options given to Prepare (snapshot, Context and Timeout included).
 func (pq *Prepared) Exec(params map[string]Value) (*Result, error) {
-	bound := plan.Params{}
-	for k, v := range params {
-		bound[k] = v
-	}
-	res, scenario, err := pq.p.Choose(bound)
+	pre, scenario, err := pq.p.Choose(plan.Params(params))
 	if err != nil {
 		return nil, err
 	}
-	d := pq.db.dispatcher(pq.opts)
-	defer d.Cleanup()
-	ctx := &exec.Ctx{Pool: pq.db.pool, Meter: pq.db.meter, Params: bound}
-	before := pq.db.meter.Snapshot()
-	rows, st, err := d.RunPlan(res, bound, ctx)
+	so := pq.opts.sessionOptions()
+	so.Params = params
+	res, err := pq.db.sess.ExecPlan(pq.opts.Context, pre, so)
 	if err != nil {
 		return nil, err
 	}
-	st.Decisions = append([]string{
+	res.Stats.Decisions = append([]string{
 		fmt.Sprintf("parametric: chose scenario %.3g for actual selectivity %.3g",
-			scenario, pq.p.ActualSelectivity(bound)),
-	}, st.Decisions...)
-	return &Result{
-		Rows:  rows,
-		Stats: st,
-		Cost:  pq.db.meter.Snapshot().Sub(before).Cost(),
-	}, nil
-}
-
-func (db *DB) outputColumns(d *reopt.Dispatcher, src string) ([]string, error) {
-	res, err := d.EstimateOnly(src)
-	if err != nil {
-		return nil, err
-	}
-	sch := res.Root.Schema()
-	cols := make([]string, sch.Len())
-	for i, c := range sch.Columns {
-		cols[i] = c.Name
-	}
-	return cols, nil
+			scenario, pq.p.ActualSelectivity(plan.Params(params))),
+	}, res.Stats.Decisions...)
+	return res, nil
 }
