@@ -29,6 +29,10 @@ type ColumnStats struct {
 	Distinct float64              // 0 if unknown
 	Min, Max types.Value          // NULL if unknown
 	NullFrac float64
+	// AvgWidth is the column's mean Value.EncodedSize over all rows,
+	// NULLs included — its share of AvgTupleBytes, in the unit hash
+	// tables, sort buffers and spills are accounted in. 0 if unknown.
+	AvgWidth float64
 
 	// Sketch is the FM distinct-count sketch seeded by ANALYZE and fed
 	// by committed inserts, so Distinct tracks write activity between
@@ -121,6 +125,47 @@ func (t *Table) Stats() (card, avgBytes float64) {
 	t.statsMu.RLock()
 	defer t.statsMu.RUnlock()
 	return t.Cardinality, t.AvgTupleBytes
+}
+
+// KindWidth is the encoded width assumed for a column of the kind when
+// no statistics give a measured one.
+func KindWidth(k types.Kind) float64 {
+	if k == types.KindString {
+		return 24
+	}
+	return 9
+}
+
+// AvgBytes returns the average encoded size of a tuple holding only the
+// columns at cols (nil = every column), 0 if the table's tuple size is
+// unknown. With a measured width for every kept column it is the tuple
+// header plus their sum; otherwise — a temp table, a table analyzed on
+// other columns — AvgTupleBytes is split by the kinds' assumed widths.
+func (t *Table) AvgBytes(cols []int) float64 {
+	t.statsMu.RLock()
+	defer t.statsMu.RUnlock()
+	if cols == nil {
+		return t.AvgTupleBytes
+	}
+	measured, kept, all := float64(types.TupleHeaderSize), 0.0, 0.0
+	for _, c := range cols {
+		cs := t.ColStats[c]
+		if cs == nil || cs.AvgWidth <= 0 {
+			measured = 0
+			break
+		}
+		measured += cs.AvgWidth
+	}
+	if measured > 0 {
+		return measured
+	}
+	for _, c := range cols {
+		kept += KindWidth(t.Schema.Columns[c].Kind)
+	}
+	for _, c := range t.Schema.Columns {
+		all += KindWidth(c.Kind)
+	}
+	return t.AvgTupleBytes * kept / all
 }
 
 // ColStat returns the column's statistics under the stats lock, or nil
@@ -465,6 +510,7 @@ func (c *Catalog) Analyze(table string, opts AnalyzeOptions) error {
 
 	vals := make(map[int][]types.Value)
 	nulls := make(map[int]float64)
+	widths := make([]float64, t.Schema.Len()) // encoded bytes per column
 	var count float64
 	var bytes float64
 	s := t.Heap.Scan().WithSnapshot(c.txns.LatestSnapshot())
@@ -474,6 +520,7 @@ func (c *Catalog) Analyze(table string, opts AnalyzeOptions) error {
 		bytes += float64(types.EncodedSize(tup))
 		for col := range want {
 			v := tup[col]
+			widths[col] += float64(v.EncodedSize())
 			if v.IsNull() {
 				nulls[col]++
 				continue
@@ -492,6 +539,7 @@ func (c *Catalog) Analyze(table string, opts AnalyzeOptions) error {
 		vs := vals[col]
 		if count > 0 {
 			cs.NullFrac = nulls[col] / count
+			cs.AvgWidth = widths[col] / count
 		}
 		if len(vs) > 0 {
 			mn, mx := vs[0], vs[0]

@@ -196,6 +196,49 @@ func TestAnalyzeNulls(t *testing.T) {
 	}
 }
 
+// ANALYZE records each column's mean encoded width, NULLs included, so
+// the widths of all columns plus the tuple header are AvgTupleBytes, and
+// a projection's size is the header plus the widths of what it keeps.
+// Without measured widths the tuple size is split by kind.
+func TestColumnWidths(t *testing.T) {
+	c := newTestCatalog()
+	tbl, _ := c.CreateTable("r", rsSchema())
+	tbl.Insert(types.Tuple{types.NewInt(1), types.Null(), types.NewString("abcd")})
+	tbl.Insert(types.Tuple{types.NewInt(2), types.NewInt(5), types.NewString("ab")})
+	if got := tbl.AvgBytes([]int{0}); got != 0 {
+		t.Errorf("unanalyzed AvgBytes = %g, want 0 (unknown)", got)
+	}
+	if err := c.Analyze("r", AnalyzeOptions{Columns: []string{"id", "grp"}}); err != nil {
+		t.Fatal(err)
+	}
+	// id: 9 and 9; grp: 1 (NULL) and 9; name: 5+4 and 5+2.
+	for col, want := range map[int]float64{0: 9, 1: 5} {
+		if got := tbl.ColStat(col).AvgWidth; got != want {
+			t.Errorf("column %d AvgWidth = %g, want %g", col, got, want)
+		}
+	}
+	_, avg := tbl.Stats()
+	if want := float64(types.TupleHeaderSize) + 9 + 5 + 8; avg != want {
+		t.Fatalf("AvgTupleBytes = %g, want %g", avg, want)
+	}
+	if got, want := tbl.AvgBytes([]int{0, 1}), float64(types.TupleHeaderSize)+9+5; got != want {
+		t.Errorf("AvgBytes(id, grp) = %g, want %g", got, want)
+	}
+	if got := tbl.AvgBytes(nil); got != avg {
+		t.Errorf("AvgBytes(all) = %g, want AvgTupleBytes %g", got, avg)
+	}
+	// name was not analyzed: split the tuple size by kind (9 : 9 : 24).
+	if got, want := tbl.AvgBytes([]int{0, 2}), avg*(9+24)/(9+9+24); got != want {
+		t.Errorf("AvgBytes(id, name) = %g, want %g", got, want)
+	}
+	if err := c.Analyze("r", AnalyzeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tbl.AvgBytes([]int{0, 2}), float64(types.TupleHeaderSize)+9+8; got != want {
+		t.Errorf("AvgBytes(id, name) after full ANALYZE = %g, want %g", got, want)
+	}
+}
+
 func TestDropTable(t *testing.T) {
 	c := newTestCatalog()
 	c.CreateTable("r", rsSchema())

@@ -186,14 +186,15 @@ func (t *Table) applyDelta(d *tableDelta) {
 	}
 	newStats := make(map[int]*ColumnStats, len(t.ColStats))
 	for col, cs := range t.ColStats {
-		newStats[col] = cs.withDelta(col, d, newCard)
+		newStats[col] = cs.withDelta(col, d, oldCard, newCard)
 	}
 	t.ColStats = newStats
 }
 
 // withDelta returns a copy of the column stats adjusted for a committed
-// delta. The receiver is never mutated.
-func (cs *ColumnStats) withDelta(col int, d *tableDelta, newCard float64) *ColumnStats {
+// delta that moved the table from oldCard to newCard rows. The receiver
+// is never mutated.
+func (cs *ColumnStats) withDelta(col int, d *tableDelta, oldCard, newCard float64) *ColumnStats {
 	if cs == nil {
 		return nil
 	}
@@ -202,6 +203,7 @@ func (cs *ColumnStats) withDelta(col int, d *tableDelta, newCard float64) *Colum
 		Min:      cs.Min,
 		Max:      cs.Max,
 		NullFrac: cs.NullFrac,
+		AvgWidth: cs.AvgWidth,
 		nulls:    cs.nulls,
 		Sketch:   cs.Sketch,
 		Hist:     cs.Hist,
@@ -212,8 +214,11 @@ func (cs *ColumnStats) withDelta(col int, d *tableDelta, newCard float64) *Colum
 	if n.Sketch != nil && hasNonNull(d.inserted, col) {
 		n.Sketch = n.Sketch.Clone()
 	}
+	// The column's total width moves as the table's total bytes do.
+	width := cs.AvgWidth * oldCard
 	for _, tup := range d.inserted {
 		v := tup[col]
+		width += float64(v.EncodedSize())
 		if v.IsNull() {
 			n.nulls++
 			continue
@@ -233,6 +238,7 @@ func (cs *ColumnStats) withDelta(col int, d *tableDelta, newCard float64) *Colum
 	}
 	for _, tup := range d.deleted {
 		v := tup[col]
+		width -= float64(v.EncodedSize())
 		if v.IsNull() {
 			if n.nulls > 0 {
 				n.nulls--
@@ -254,6 +260,9 @@ func (cs *ColumnStats) withDelta(col int, d *tableDelta, newCard float64) *Colum
 		n.NullFrac = n.nulls / newCard
 		if n.NullFrac > 1 {
 			n.NullFrac = 1
+		}
+		if cs.AvgWidth > 0 && width > 0 {
+			n.AvgWidth = width / newCard
 		}
 	} else {
 		n.NullFrac = 0

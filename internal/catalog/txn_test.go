@@ -147,6 +147,7 @@ func TestIncrementalStatsTrackAnalyze(t *testing.T) {
 	incCard, incAvg := tbl.Stats()
 	incID := tbl.ColStat(0)
 	incGrp := tbl.ColStat(1)
+	incName := tbl.ColStat(2)
 
 	// Re-analyze from scratch over the same (post-write) data.
 	if err := c.Analyze("r", AnalyzeOptions{Family: histogram.MaxDiff}); err != nil {
@@ -172,6 +173,17 @@ func TestIncrementalStatsTrackAnalyze(t *testing.T) {
 	}
 	if math.Abs(incGrp.Distinct-freshGrp.Distinct)/math.Max(1, freshGrp.Distinct) > 0.5 {
 		t.Errorf("grp distinct: incremental %.0f vs fresh %.0f", incGrp.Distinct, freshGrp.Distinct)
+	}
+	// Column widths are folded exactly, like the tuple size they add up
+	// to: same sums, so the same means up to rounding.
+	for col, inc := range []*ColumnStats{incID, incGrp, incName} {
+		fresh := tbl.ColStat(col).AvgWidth
+		if fresh <= 0 || math.Abs(inc.AvgWidth-fresh) > 1e-9*fresh {
+			t.Errorf("column %d width: incremental %g vs fresh %g", col, inc.AvgWidth, fresh)
+		}
+	}
+	if sum := float64(types.TupleHeaderSize) + incID.AvgWidth + incGrp.AvgWidth + incName.AvgWidth; math.Abs(sum-incAvg) > 1e-9*incAvg {
+		t.Errorf("incremental widths add up to %g, AvgTupleBytes is %g", sum, incAvg)
 	}
 	// Histogram totals track the live row count.
 	if math.Abs(incID.Hist.Total-freshID.Hist.Total)/freshID.Hist.Total > 0.05 {

@@ -39,7 +39,10 @@ type Agg struct {
 	ctx  *Ctx
 	mode aggMode
 
-	grant   float64
+	grant float64
+	// keyCols are the input ordinals of the group key: the node's
+	// GroupCols, or in final mode the state tuples' leading columns.
+	keyCols []int
 	groups  map[uint64][]*group
 	size    float64
 	peakMem float64 // high-water group-table memory, for EXPLAIN ANALYZE
@@ -86,6 +89,10 @@ func (a *Agg) Schema() *types.Schema { return a.node.Out }
 // consumed here.
 func (a *Agg) Open() error {
 	a.grant = a.node.Est().Grant * a.ctx.grantShare()
+	a.keyCols = a.node.GroupCols
+	if a.mode == aggFinal {
+		a.keyCols = leadingCols(len(a.node.GroupCols))
+	}
 	a.groups = make(map[uint64][]*group)
 	if err := a.in.Open(); err != nil {
 		return err
@@ -126,23 +133,19 @@ func (a *Agg) Open() error {
 }
 
 // absorb folds one input tuple into its group. In final mode the input
-// is a stream of encoded group states, keyed by its leading columns.
+// is a stream of encoded group states, keyed by its leading columns. The
+// group is looked up by comparing stored keys against the tuple's key
+// columns in place; a key tuple is built only for a group not seen
+// before.
 func (a *Agg) absorb(t types.Tuple) error {
-	var key types.Tuple
-	var h uint64
-	if a.mode == aggFinal {
-		key = t[:len(a.node.GroupCols)]
-		h = hashKeysAll(key)
-	} else {
-		key = make(types.Tuple, len(a.node.GroupCols))
-		for i, c := range a.node.GroupCols {
+	h := hashKeys(t, a.keyCols)
+	g := a.findGroup(h, t)
+	if g == nil {
+		key := make(types.Tuple, len(a.keyCols))
+		for i, c := range a.keyCols {
 			key[i] = t[c]
 		}
-		h = hashKeys(t, a.node.GroupCols)
-	}
-	g := a.findGroup(h, key)
-	if g == nil {
-		g = newGroup(key.Clone(), len(a.node.Aggs))
+		g = newGroup(key, len(a.node.Aggs))
 		a.groups[h] = append(a.groups[h], g)
 		stateSize := float64(types.EncodedSize(key)) + float64(aggStateWidth*8*len(a.node.Aggs)) + 48
 		a.size += stateSize
@@ -154,7 +157,7 @@ func (a *Agg) absorb(t types.Tuple) error {
 				return err
 			}
 			// Re-locate the group: spill cleared the table.
-			g = newGroup(key.Clone(), len(a.node.Aggs))
+			g = newGroup(key, len(a.node.Aggs))
 			a.groups[h] = append(a.groups[h], g)
 			a.size += stateSize
 		}
@@ -164,6 +167,16 @@ func (a *Agg) absorb(t types.Tuple) error {
 		return nil
 	}
 	return a.update(g, t)
+}
+
+// leadingCols returns the ordinals 0..n-1: where an encoded group state
+// carries its key.
+func leadingCols(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
 }
 
 func newGroup(key types.Tuple, nAggs int) *group {
@@ -177,24 +190,26 @@ func newGroup(key types.Tuple, nAggs int) *group {
 	return g
 }
 
-func (a *Agg) findGroup(h uint64, key types.Tuple) *group {
+// findGroup returns the group in bucket h whose key equals t's key
+// columns, or nil.
+func (a *Agg) findGroup(h uint64, t types.Tuple) *group {
 	for _, g := range a.groups[h] {
-		if tuplesEqual(g.key, key) {
+		if keyEqual(g.key, t, a.keyCols) {
 			return g
 		}
 	}
 	return nil
 }
 
-func tuplesEqual(x, y types.Tuple) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if x[i].Kind() != y[i].Kind() && !(x[i].Kind().Numeric() && y[i].Kind().Numeric()) {
+// keyEqual reports whether key equals t's values at cols: same kind (or
+// both numeric) and equal, column by column.
+func keyEqual(key, t types.Tuple, cols []int) bool {
+	for i, c := range cols {
+		x, y := key[i], t[c]
+		if x.Kind() != y.Kind() && !(x.Kind().Numeric() && y.Kind().Numeric()) {
 			return false
 		}
-		if !x[i].Equal(y[i]) {
+		if !x.Equal(y) {
 			return false
 		}
 	}
@@ -276,6 +291,7 @@ func (a *Agg) encodeState(g *group) types.Tuple {
 // mergePartitions re-aggregates each partition's states and emits.
 func (a *Agg) mergePartitions() error {
 	nk := len(a.node.GroupCols)
+	keyCols := leadingCols(nk)
 	for _, part := range a.parts {
 		if err := faultinject.Hit("exec.agg.merge"); err != nil {
 			return err
@@ -288,17 +304,16 @@ func (a *Agg) mergePartitions() error {
 			}
 			a.ctx.Meter.ChargeTuples(1)
 			st := s.Tuple()
-			key := st[:nk]
-			h := hashKeysAll(key)
+			h := hashKeys(st, keyCols)
 			var g *group
 			for _, cand := range table[h] {
-				if tuplesEqual(cand.key, key) {
+				if keyEqual(cand.key, st, keyCols) {
 					g = cand
 					break
 				}
 			}
 			if g == nil {
-				g = newGroup(key.Clone(), len(a.node.Aggs))
+				g = newGroup(st[:nk].Clone(), len(a.node.Aggs))
 				table[h] = append(table[h], g)
 			}
 			mergeState(g, st, nk)
@@ -314,14 +329,6 @@ func (a *Agg) mergePartitions() error {
 		part.Drop()
 	}
 	return nil
-}
-
-func hashKeysAll(key types.Tuple) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, v := range key {
-		h = h*1099511628211 ^ v.Hash()
-	}
-	return h
 }
 
 // mergeState folds an encoded state tuple into a group.

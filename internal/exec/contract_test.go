@@ -1,0 +1,167 @@
+package exec
+
+import (
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/plan"
+	"repro/internal/types"
+)
+
+// retain drains op keeping every tuple Next returned and, beside each, a
+// value copy taken at return time; after the last Next and Close, the
+// kept tuples must still read as their copies. This is the Operator
+// contract — a returned tuple is immutable and the caller's to keep —
+// that lets hash tables, sort buffers and pending outputs hold input
+// tuples without cloning them.
+func retain(t *testing.T, label string, op Operator) {
+	t.Helper()
+	if err := op.Open(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	var kept, copies []types.Tuple
+	for {
+		tup, err := op.Next()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if tup == nil {
+			break
+		}
+		kept = append(kept, tup)
+		copies = append(copies, tup.Clone())
+	}
+	if err := op.Close(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if len(kept) == 0 {
+		t.Fatalf("%s: no output", label)
+	}
+	for i := range kept {
+		if !slices.Equal(kept[i], copies[i]) {
+			t.Fatalf("%s: tuple %d of %d reads %v after the operator moved on, was %v",
+				label, i, len(kept), kept[i], copies[i])
+		}
+		// No later tuple may have been built in an earlier one's spare
+		// capacity either.
+		if i > 0 && len(kept[i]) > 0 && len(kept[i-1]) > 0 && &kept[i][0] == &kept[i-1][0] {
+			t.Fatalf("%s: tuples %d and %d share storage", label, i-1, i)
+		}
+	}
+}
+
+func TestOperatorsReturnTuplesTheCallerMayKeep(t *testing.T) {
+	e := newEnv(256)
+	big := e.makeTable(t, "big", 3000, 37)
+	small := e.makeTable(t, "small", 400, 37)
+	if err := e.cat.CreateIndex("small", "v"); err != nil {
+		t.Fatal(err)
+	}
+	pruned := func() *plan.Scan {
+		return &plan.Scan{Table: big, Binding: "big", Cols: []int{0, 2}, Out: big.Schema.Project([]int{0, 2}),
+			Filters: []plan.Pred{mustPred(t, big.Schema, "v < 30")}}
+	}
+	join := func(grant float64) *plan.HashJoin { return hashJoinNode(e, t, small, big, grant) }
+	agg := func(grant float64) *plan.Agg { return aggNode(t, e, "big", grant) }
+	sorted := func(grant float64) *plan.Sort {
+		s := &plan.Sort{Input: scanNode(big), Keys: []plan.SortKey{{Col: 1}, {Col: 0, Desc: true}}}
+		s.Est().Grant = grant
+		return s
+	}
+	for label, node := range map[string]plan.Node{
+		"scan":             scanNode(big),
+		"scan, filtered":   scanNode(big, mustPred(t, big.Schema, "v = 3")),
+		"scan, projected":  pruned(),
+		"filter":           &plan.Filter{Input: scanNode(big), Preds: []plan.Pred{mustPred(t, big.Schema, "v > 20")}},
+		"collector":        &plan.Collector{Input: scanNode(big), ID: 1, Spec: plan.CollectorSpec{HistCols: []int{1}}},
+		"hash join":        join(0),
+		"hash join, spill": join(8 << 10),
+		"index join": &plan.IndexJoin{Outer: scanNode(big, mustPred(t, big.Schema, "k < 200")), Table: small, Binding: "small",
+			OuterKey: 1, InnerCol: 1, InnerOut: small.Schema},
+		"index join, projected": &plan.IndexJoin{Outer: pruned(), Table: small, Binding: "small",
+			OuterKey: 0, InnerCol: 1, InnerCols: []int{1, 2}, InnerOut: small.Schema.Project([]int{1, 2}),
+			InnerFilters: []plan.Pred{mustPred(t, small.Schema, "k < 300")}},
+		"aggregate":        agg(0),
+		"aggregate, spill": agg(512),
+		"sort":             sorted(0),
+		"sort, spill":      sorted(4096),
+		"project": &plan.Project{Input: scanNode(big),
+			Exprs: []plan.Expr{&plan.ColExpr{Idx: 2, Col: big.Schema.Columns[2]}, &plan.ColExpr{Idx: 0, Col: big.Schema.Columns[0]}},
+			Out:   big.Schema.Project([]int{2, 0})},
+		"limit": &plan.Limit{Input: scanNode(big), N: 500},
+	} {
+		op := mustBuild(t, e, node)
+		retain(t, label, op)
+		if sp, ok := op.(interface{ Spilled() bool }); ok && sp.Spilled() != strings.HasSuffix(label, ", spill") {
+			t.Errorf("%s: spilled = %v", label, sp.Spilled())
+		}
+	}
+
+	// The partial/final aggregate pair of a parallel region: the final
+	// stage keys on the leading columns of the partial stage's states.
+	a := agg(0)
+	partial := NewPartialAgg(a, mustBuild(t, e, a.Input), e.ctx)
+	retain(t, "aggregate, partial", NewPartialAgg(a, mustBuild(t, e, a.Input), e.ctx))
+	retain(t, "aggregate, final", NewFinalAgg(a, partial, e.ctx))
+}
+
+// TestAggLooksGroupsUpWithoutAllocating: absorbing a tuple whose group
+// exists builds no key — the stored key is compared against the tuple's
+// group columns in place — in complete and in final mode.
+func TestAggLooksGroupsUpWithoutAllocating(t *testing.T) {
+	e := newEnv(64)
+	e.makeTable(t, "r", 10, 10)
+	for _, mode := range []aggMode{aggComplete, aggFinal} {
+		node := aggNode(t, e, "r", 0)
+		node.Aggs = node.Aggs[2:3] // count(*): no argument to evaluate
+		a := &Agg{node: node, ctx: e.ctx, mode: mode, groups: map[uint64][]*group{}}
+		a.keyCols = node.GroupCols
+		in := types.Tuple{types.NewInt(1), types.NewInt(7), types.NewString("row")}
+		if mode == aggFinal {
+			a.keyCols = leadingCols(1)
+			in = types.Tuple{types.NewInt(7), types.Null(), types.NewInt(1), types.Null(), types.Null()}
+		}
+		if err := a.absorb(in); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { a.absorb(in) }); allocs != 0 {
+			t.Errorf("mode %d: absorbing into an existing group allocated %.0f times", mode, allocs)
+		}
+		if len(a.groups) != 1 {
+			t.Errorf("mode %d: %d buckets, want the one group", mode, len(a.groups))
+		}
+	}
+}
+
+// TestDMLMatchTestsFiltersBeforeDecoding: the scan behind UPDATE and
+// DELETE examines (ticks, charges) every visible tuple, as it always
+// did, but decodes in full only the rows its filters matched — a
+// statement that touches one row of a table does not materialise the
+// table.
+func TestDMLMatchTestsFiltersBeforeDecoding(t *testing.T) {
+	e := newEnv(64)
+	tbl := e.makeTable(t, "r", 2000, 10)
+	filters := []plan.Pred{mustPred(t, tbl.Schema, "k = 7")}
+	before := e.ctx.Meter.Snapshot()
+	got, err := matchVisible(e.ctx, tbl.Heap, filters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !slices.Equal(got[0].tup, types.Tuple{types.NewInt(7), types.NewInt(7), types.NewString("row")}) {
+		t.Fatalf("matched %v, want the whole tuple of row 7", got)
+	}
+	if d := e.ctx.Meter.Snapshot().Sub(before); d.TupleCPU != 2000 {
+		t.Errorf("charged %d tuples, want all 2000 examined", d.TupleCPU)
+	}
+	// Every row carries a string: decoding them all would allocate at
+	// least once a row.
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := matchVisible(e.ctx, tbl.Heap, filters); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Errorf("matching 1 row of 2000 allocated %.0f times", allocs)
+	}
+}

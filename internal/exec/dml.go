@@ -158,36 +158,41 @@ type match struct {
 }
 
 // matchVisible scans the heap under the transaction's snapshot and
-// materializes the RID and tuple of every row passing the filters.
+// materializes the RID and tuple of every row passing the filters. Like
+// a SeqScan it pushes the filters into the storage scanner, which tests
+// them on the columns they read and decodes in full — DML reads and
+// writes whole tuples — only the rows that matched.
 func matchVisible(ctx *Ctx, heap *storage.HeapFile, filters []plan.Pred) ([]match, error) {
 	snap := ctx.Snap
 	if snap == nil && ctx.Txn != nil {
 		snap = ctx.Txn.Snapshot()
 	}
-	s := heap.Scan().WithSnapshot(snap)
-	var out []match
-	for s.Next() {
+	s := heap.Scan().WithSnapshot(snap).OnExamine(func() error {
 		if err := ctx.Tick(); err != nil {
-			return nil, err
+			return err
 		}
 		ctx.Meter.ChargeTuples(1)
-		t := s.Tuple()
-		ok := true
-		for _, f := range filters {
-			pass, err := f.Test(t, ctx.Params)
-			if err != nil {
-				return nil, err
-			}
-			if !pass {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, match{rid: s.RID(), tup: t.Clone()})
-		}
+		return nil
+	})
+	if len(filters) > 0 {
+		cols, _ := plan.PredColumns(filters...)
+		s.WithFilter(cols, func(t types.Tuple) (bool, error) { return testAll(filters, t, ctx.Params) })
+	}
+	var out []match
+	for s.Next() {
+		out = append(out, match{rid: s.RID(), tup: s.Tuple()})
 	}
 	return out, s.Err()
+}
+
+// testAll reports whether t satisfies every predicate.
+func testAll(preds []plan.Pred, t types.Tuple, params plan.Params) (bool, error) {
+	for _, p := range preds {
+		if ok, err := p.Test(t, params); err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // coerceValue converts v to the column kind where the conversion is

@@ -143,6 +143,15 @@ func (c *Ctx) Err() error {
 
 // Operator is a Volcano-style iterator. Next returns a nil tuple at end
 // of stream. Operators are single-use: Open, drain, Close.
+//
+// A tuple returned by Next is immutable and the caller's to keep: no
+// operator writes to a tuple after returning it, nor to one it was
+// handed, so a hash table, a sort buffer or a pending output holds its
+// input tuples as they came, without copying them. An operator that
+// wants different values builds a new tuple (Concat, Project, an
+// aggregate's output); the storage scanner carves each tuple from a
+// block it never touches again; exchange queues recycle the chunk that
+// carried the tuples, never the tuples.
 type Operator interface {
 	Open() error
 	Next() (types.Tuple, error)

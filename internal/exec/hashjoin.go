@@ -116,7 +116,6 @@ func (j *HashJoin) Open() error {
 		if keysNull(t, j.node.BuildKeys) {
 			continue
 		}
-		t = t.Clone()
 		if !j.spilled {
 			h := hashKeys(t, j.node.BuildKeys)
 			j.table[h] = append(j.table[h], t)
@@ -263,7 +262,7 @@ func (j *HashJoin) openProbe() error {
 		if keysNull(t, j.node.ProbeKeys) {
 			continue
 		}
-		if err := j.writePart(j.probeParts, t.Clone(), j.node.ProbeKeys); err != nil {
+		if err := j.writePart(j.probeParts, t, j.node.ProbeKeys); err != nil {
 			return err
 		}
 	}

@@ -10,15 +10,18 @@ import (
 )
 
 // IndexJoin is an indexed nested-loops join: for every outer tuple it
-// probes the inner table's B+tree and fetches matching tuples by RID.
-// Each probe charges one index-leaf read plus the heap-page reads the
-// fetches incur (cached pages are free), which is why the optimizer
-// prefers it only when the outer side is small.
+// probes the inner table's B+tree and fetches matching tuples by RID,
+// testing the inner filters on the columns they read and decoding only
+// the node's InnerCols, as a scan does. Each probe charges one
+// index-leaf read plus the heap-page reads the fetches incur (cached
+// pages are free), which is why the optimizer prefers it only when the
+// outer side is small.
 type IndexJoin struct {
 	node  *plan.IndexJoin
 	outer Operator
 	ctx   *Ctx
 	idx   *storage.BTree
+	inner *storage.HeapFetcher
 
 	opened bool
 	closed bool
@@ -35,7 +38,18 @@ func NewIndexJoin(n *plan.IndexJoin, outer Operator, ctx *Ctx) (*IndexJoin, erro
 	if !ok {
 		return nil, fmt.Errorf("exec: no index on %s column %d", n.Table.Name, n.InnerCol)
 	}
-	return &IndexJoin{node: n, outer: outer, ctx: ctx, idx: idx.Tree}, nil
+	j := &IndexJoin{node: n, outer: outer, ctx: ctx, idx: idx.Tree}
+	j.inner = n.Table.Heap.Fetcher().WithColumns(n.InnerCols)
+	if len(n.InnerFilters) > 0 {
+		cols, _ := plan.PredColumns(n.InnerFilters...)
+		j.inner.WithFilter(cols, j.pass)
+	}
+	return j, nil
+}
+
+// pass reports whether an inner tuple satisfies every inner filter.
+func (j *IndexJoin) pass(t types.Tuple) (bool, error) {
+	return testAll(j.node.InnerFilters, t, j.ctx.Params)
 }
 
 // Schema implements Operator.
@@ -58,24 +72,11 @@ func (j *IndexJoin) Next() (types.Tuple, error) {
 			j.ridPos++
 			// Visibility-checked fetch: index entries may point at
 			// versions outside the snapshot, deleted slots from aborted
-			// inserts, or swept versions — all skipped here.
-			inner, visible, err := j.node.Table.Heap.FetchVisible(rid, j.ctx.Snap)
+			// inserts, or swept versions — all skipped here, like the
+			// versions the inner filters reject.
+			inner, ok, err := j.inner.FetchVisible(rid, j.ctx.Snap)
 			if err != nil {
 				return nil, err
-			}
-			if !visible {
-				continue
-			}
-			ok := true
-			for _, f := range j.node.InnerFilters {
-				pass, err := f.Test(inner, j.ctx.Params)
-				if err != nil {
-					return nil, err
-				}
-				if !pass {
-					ok = false
-					break
-				}
 			}
 			if !ok {
 				continue
@@ -105,7 +106,7 @@ func (j *IndexJoin) Next() (types.Tuple, error) {
 		if key.IsNull() {
 			continue
 		}
-		j.cur = t.Clone()
+		j.cur = t
 		j.rids = j.idx.Lookup(key)
 		j.ridPos = 0
 	}

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/types"
@@ -34,6 +36,10 @@ func instrument(op Operator, n plan.Node, ctx *Ctx) Operator {
 		return op
 	}
 	o := &observedOp{op: op, ctx: ctx}
+	switch n.(type) {
+	case *plan.Scan, *plan.IndexJoin:
+		o.width = n.Schema().Len()
+	}
 	if ctx.Analyze != nil {
 		o.act = ctx.Analyze.Op(n)
 	}
@@ -68,6 +74,14 @@ type observedOp struct {
 
 	rows int64   // output rows not yet flushed
 	cost float64 // inclusive cost not yet flushed (act only)
+
+	// width is the tuple width the plan promises for a leaf that reads a
+	// table (scan, index join): every ordinal above it was resolved
+	// against that schema, so a tuple of another width is a planner or
+	// storage bug, reported here instead of as a wrong answer further
+	// up. Zero for every other operator (a partial aggregate's states
+	// are legitimately wider than its node's schema).
+	width int
 }
 
 // Open implements Operator.
@@ -101,6 +115,9 @@ func (o *observedOp) Next() (types.Tuple, error) {
 		o.cost += o.ctx.Meter.Snapshot().Sub(before).Cost()
 	}
 	if t != nil && err == nil {
+		if o.width > 0 && len(t) != o.width {
+			return nil, fmt.Errorf("exec: %T emitted a tuple of %d values, its schema has %d", o.op, len(t), o.width)
+		}
 		if o.rows++; o.rows >= observeFlushRows {
 			o.flush()
 		}

@@ -10,8 +10,9 @@ import (
 // SeqScan reads a base table (or registered temp table) page by page,
 // charging one CPU tuple per tuple examined and applying pushed-down
 // filters before tuples leave the operator. Heap scans hand the filters
-// to the storage scanner, which tests them on the columns they read
-// before decoding a record in full.
+// and the node's column list to the storage scanner, which tests the
+// filters on the columns they read and then decodes only the columns the
+// plan kept: a column that only a filter reads never leaves the page.
 type SeqScan struct {
 	node *plan.Scan
 	ctx  *Ctx
@@ -52,7 +53,7 @@ func (s *SeqScan) Open() error {
 	} else {
 		s.scan = s.node.Table.Heap.Scan()
 	}
-	s.scan.WithSnapshot(s.ctx.Snap).OnExamine(s.examine)
+	s.scan.WithSnapshot(s.ctx.Snap).WithColumns(s.node.Cols).OnExamine(s.examine)
 	if len(s.node.Filters) > 0 {
 		// Filters of a shape PredColumns cannot see into leave cols
 		// nil: the scanner then tests them on whole tuples.
@@ -77,12 +78,7 @@ func (s *SeqScan) examine() error {
 
 // pass reports whether t satisfies every filter.
 func (s *SeqScan) pass(t types.Tuple) (bool, error) {
-	for _, f := range s.node.Filters {
-		if ok, err := f.Test(t, s.ctx.Params); err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
+	return testAll(s.node.Filters, t, s.ctx.Params)
 }
 
 // Next implements Operator.

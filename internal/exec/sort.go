@@ -75,7 +75,6 @@ func (s *Sort) Open() error {
 			break
 		}
 		s.ctx.Meter.ChargeTuples(1)
-		t = t.Clone()
 		s.buf = append(s.buf, t)
 		s.size += float64(types.EncodedSize(t))
 		if s.size > s.peakMem {

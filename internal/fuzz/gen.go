@@ -54,6 +54,16 @@ type Case struct {
 	// ANALYZE ran; 100 means fresh statistics. Stale statistics are
 	// what make the forced-reopt configurations actually switch plans.
 	StalePct int `json:"stale_pct"`
+	// Alias binds every table under an alias (t0 a0, t1 a1, ...) and
+	// qualifies every column reference with it, so the optimizer's
+	// per-binding bookkeeping (required columns, join keys, remainder
+	// SQL) is exercised through names that are not table names.
+	Alias bool `json:"alias,omitempty"`
+	// Star makes an ungrouped query's select list `*` (`a0.*, a1.*`
+	// under Alias): every column leaves every scan, the case column
+	// pruning must leave alone. Seed files written before these two
+	// fields existed decode them as false and replay unchanged.
+	Star bool `json:"star,omitempty"`
 }
 
 // NewCase derives a case from a seed.
@@ -75,6 +85,9 @@ func NewCase(seed int64) Case {
 	}
 	c.GroupPK = c.Grouped && r.Intn(2) == 0
 	c.JoinK = 2 + r.Intn(c.NTables-1)
+	// Drawn last, so the fields above keep the values older seeds gave.
+	c.Alias = r.Intn(2) == 0
+	c.Star = !c.Grouped && r.Intn(3) == 0
 	return c
 }
 
@@ -87,8 +100,15 @@ func (c Case) String() string {
 			g = "pk"
 		}
 	}
-	return fmt.Sprintf("seed=%d tables=%d rows<=%d k=%d groupby=%s hostvar=%v stale=%d%%",
+	s := fmt.Sprintf("seed=%d tables=%d rows<=%d k=%d groupby=%s hostvar=%v stale=%d%%",
 		c.Seed, c.NTables, c.MaxRows, c.JoinK, g, c.HostVar, c.StalePct)
+	if c.Alias {
+		s += " alias"
+	}
+	if c.Star {
+		s += " star"
+	}
+	return s
 }
 
 // TableData holds one generated table's raw rows for the reference
@@ -120,6 +140,13 @@ type Env struct {
 	Params map[string]types.Value
 	// Want is the canonicalized reference answer.
 	Want []string
+	// AltSQL is the same FROM and WHERE under the other kind of select
+	// list — `*` when SQL names its columns, two named columns when SQL
+	// is a star — and AltWant its reference answer. The warm
+	// configuration runs it between SQL's two executions, so one plan
+	// cache serves a pruned and an unpruned plan over the same tables.
+	AltSQL  string
+	AltWant []string
 	// BasePages is the disk-page count right after load: the residue
 	// invariant holds every query to this baseline.
 	BasePages int
@@ -203,7 +230,6 @@ func Build(c Case) (*Env, error) {
 	}
 
 	env.buildQuery()
-	env.Want = Canonical(env.reference())
 	env.BasePages = pool.Disk().NumPages()
 	return env, nil
 }
@@ -227,48 +253,109 @@ func (c Case) filterCuts() []int {
 	return cuts
 }
 
-// buildQuery assembles the chain-join SQL (prev.fk = cur.pk) with the
-// seed-derived filters and projection.
+// projection is the shape of a generated query's select list.
+type projection uint8
+
+const (
+	// projNarrow selects the first and last table's primary keys: the
+	// value filters read columns the select list does not.
+	projNarrow projection = iota
+	// projStar selects every column of every table.
+	projStar
+	// projGrouped groups by a column of the first table and aggregates
+	// the last table's value column.
+	projGrouped
+)
+
+// projections returns the case's own select-list shape and the
+// alternate one run beside it on a warm plan cache.
+func (c Case) projections() (own, alt projection) {
+	switch {
+	case c.Grouped:
+		return projGrouped, projStar
+	case c.Star:
+		return projStar, projNarrow
+	}
+	return projNarrow, projStar
+}
+
+// buildQuery assembles the case's query and its alternate, with their
+// reference answers.
 func (e *Env) buildQuery() {
+	own, alt := e.Case.projections()
+	e.Params = map[string]types.Value{}
+	e.SQL, e.AltSQL = e.querySQL(own), e.querySQL(alt) // these bind e.Params
+	e.Want, e.AltWant = Canonical(e.reference(own)), Canonical(e.reference(alt))
+}
+
+// querySQL renders the chain join (prev.fk = cur.pk) with the
+// seed-derived filters under the given select list.
+func (e *Env) querySQL(p projection) string {
 	c := e.Case
 	used := e.Tables[:c.JoinK]
-	var from, where []string
+	// col names column i's attribute; qual is the same with the
+	// relation's binding in front. Without aliases only join
+	// predicates are qualified, as older seeds rendered them.
+	qual := func(i int, attr string) string {
+		binding := used[i].Name
+		if c.Alias {
+			binding = fmt.Sprintf("a%d", i)
+		}
+		return fmt.Sprintf("%s.%s_%s", binding, used[i].Name, attr)
+	}
+	col := func(i int, attr string) string {
+		if c.Alias {
+			return qual(i, attr)
+		}
+		return used[i].Name + "_" + attr
+	}
+	var from, where, stars []string
 	for i, t := range used {
-		from = append(from, t.Name)
+		if c.Alias {
+			from = append(from, fmt.Sprintf("%s a%d", t.Name, i))
+			stars = append(stars, fmt.Sprintf("a%d.*", i))
+		} else {
+			from = append(from, t.Name)
+		}
 		if i > 0 {
-			where = append(where, fmt.Sprintf("%s.%s_fk = %s.%s_pk",
-				used[i-1].Name, used[i-1].Name, t.Name, t.Name))
+			where = append(where, qual(i-1, "fk")+" = "+qual(i, "pk"))
 		}
 	}
-	cuts := c.filterCuts()
-	e.Params = map[string]types.Value{}
-	for i, cut := range cuts {
+	for i, cut := range c.filterCuts() {
 		if cut < 0 {
 			continue
 		}
 		if i == 0 && c.HostVar {
-			where = append(where, fmt.Sprintf("%s_val < :cut", used[0].Name))
+			where = append(where, col(0, "val")+" < :cut")
 			e.Params["cut"] = types.NewFloat(float64(cut))
 			continue
 		}
-		where = append(where, fmt.Sprintf("%s_val < %d", used[i].Name, cut))
+		where = append(where, fmt.Sprintf("%s < %d", col(i, "val"), cut))
 	}
 
 	k := c.JoinK
-	if c.Grouped {
+	var sel, tail string
+	switch p {
+	case projGrouped:
 		gcol := "grp"
 		if c.GroupPK {
 			gcol = "pk"
 		}
-		e.SQL = fmt.Sprintf("select %s_%s, count(*) as cnt, sum(%s_val) as sv from %s where %s group by %s_%s",
-			used[0].Name, gcol, used[k-1].Name, strings.Join(from, ", "), strings.Join(where, " and "), used[0].Name, gcol)
-	} else {
-		e.SQL = fmt.Sprintf("select %s_pk, %s_pk from %s where %s",
-			used[0].Name, used[k-1].Name, strings.Join(from, ", "), strings.Join(where, " and "))
+		sel = fmt.Sprintf("%s, count(*) as cnt, sum(%s) as sv", col(0, gcol), col(k-1, "val"))
+		tail = " group by " + col(0, gcol)
+	case projStar:
+		sel = "*"
+		if c.Alias {
+			sel = strings.Join(stars, ", ")
+		}
+	default:
+		sel = col(0, "pk") + ", " + col(k-1, "pk")
 	}
-	if len(where) == 0 {
-		e.SQL = strings.Replace(e.SQL, " where ", " ", 1)
+	sql := "select " + sel + " from " + strings.Join(from, ", ")
+	if len(where) > 0 {
+		sql += " where " + strings.Join(where, " and ")
 	}
+	return sql + tail
 }
 
 // Canonical renders rows order-insensitively with limited float

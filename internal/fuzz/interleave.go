@@ -240,7 +240,8 @@ func runInterleaved(env *Env) (string, *Failure) {
 			return fail("%q affected %d rows, reference says %d", op.sql, affected[i], want)
 		}
 	}
-	want2 := Canonical(env.reference())
+	own, _ := env.Case.projections()
+	want2 := Canonical(env.reference(own))
 	if msg := check(reader, readOpts, want2, "reader after commit"); msg != "" {
 		return fail("%s", msg)
 	}

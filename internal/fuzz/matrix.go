@@ -45,9 +45,10 @@ type RunConfig struct {
 	// Splice switches via the Figure-5 in-place splice instead of
 	// materialize-and-resubmit.
 	Splice bool `json:"splice,omitempty"`
-	// Warm executes the query twice on one manager; the second run
-	// must come from the plan cache and still agree with the
-	// reference.
+	// Warm executes the query twice on one manager, with the case's
+	// alternate query (star for narrow, narrow for star) in between:
+	// the second run must come from the plan cache, and all three must
+	// agree with their references.
 	Warm bool `json:"warm,omitempty"`
 	// CancelTick > 0 cancels the query's context from inside the
 	// engine at the Nth scanned tuple (serial runs only).
@@ -197,14 +198,21 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 		}
 	}
 
-	runs := 1
+	type step struct {
+		sql     string
+		want    []string
+		mustHit bool
+	}
+	steps := []step{{sql: env.SQL, want: env.Want}}
 	if rc.Warm {
-		runs = 2
+		steps = append(steps,
+			step{sql: env.AltSQL, want: env.AltWant},
+			step{sql: env.SQL, want: env.Want, mustHit: true})
 	}
 	outcome := "ok"
-	for i := 0; i < runs; i++ {
+	for _, s := range steps {
 		before := counterSnapshot(mgr)
-		res, err := sess.Exec(ctx, env.SQL, opts)
+		res, err := sess.Exec(ctx, s.sql, opts)
 
 		after := counterSnapshot(mgr)
 		for _, name := range engineCounters {
@@ -219,15 +227,15 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 		switch {
 		case err == nil:
 			got := Canonical(res.Rows)
-			if len(got) != len(env.Want) {
-				return fail("%d rows, reference has %d", len(got), len(env.Want))
+			if len(got) != len(s.want) {
+				return fail("%q: %d rows, reference has %d", s.sql, len(got), len(s.want))
 			}
 			for j := range got {
-				if got[j] != env.Want[j] {
-					return fail("row %d: got %s, want %s", j, got[j], env.Want[j])
+				if got[j] != s.want[j] {
+					return fail("%q: row %d: got %s, want %s", s.sql, j, got[j], s.want[j])
 				}
 			}
-			if rc.Warm && i == 1 && !res.CacheHit {
+			if s.mustHit && !res.CacheHit {
 				return fail("second run missed the plan cache")
 			}
 			if rc.Preempt && res.Preempted > 0 {

@@ -4,12 +4,12 @@ import (
 	"repro/internal/types"
 )
 
-// reference evaluates the case's query naively: nested loops over the
-// chain join, filters applied to the concatenated row, then hash
-// aggregation when grouped. It shares nothing with the engine's
-// planner, optimizer, or executors — that independence is what makes
-// the differential check meaningful.
-func (e *Env) reference() []types.Tuple {
+// reference evaluates the case's query under select list p naively:
+// nested loops over the chain join, filters applied to the concatenated
+// row, then hash aggregation when grouped. It shares nothing with the
+// engine's planner, optimizer, or executors — that independence is what
+// makes the differential check meaningful.
+func (e *Env) reference(p projection) []types.Tuple {
 	c := e.Case
 	k := c.JoinK
 	used := e.Tables[:k]
@@ -58,7 +58,10 @@ func (e *Env) reference() []types.Tuple {
 	recurse(0, types.Tuple{})
 
 	var want []types.Tuple
-	if c.Grouped {
+	switch p {
+	case projStar:
+		want = joined
+	case projGrouped:
 		type aggState struct {
 			cnt int64
 			sum float64
@@ -79,7 +82,7 @@ func (e *Env) reference() []types.Tuple {
 		for g, st := range groups {
 			want = append(want, types.Tuple{types.NewInt(g), types.NewInt(st.cnt), types.NewFloat(st.sum)})
 		}
-	} else {
+	default:
 		for _, row := range joined {
 			want = append(want, types.Tuple{row[0], row[(k-1)*4]})
 		}

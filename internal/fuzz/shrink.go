@@ -44,7 +44,8 @@ func Check(c Case, rc RunConfig) *Failure {
 
 // Shrink greedily minimizes a failing case: each pass tries every
 // single-field reduction (fewer tables, shorter join chain, half the
-// rows, drop grouping, drop the host variable, fresh statistics) and
+// rows, drop grouping, drop the host variable, fresh statistics, no
+// aliases, named columns instead of a star) and
 // keeps the first one under which the same configuration still fails,
 // until no reduction survives. The result is the smallest repro the
 // greedy walk can reach, suitable for checking into the seed corpus.
@@ -109,6 +110,16 @@ func shrinkCandidates(c Case) []Case {
 	if c.StalePct != 100 {
 		n := c
 		n.StalePct = 100
+		out = append(out, n)
+	}
+	if c.Alias {
+		n := c
+		n.Alias = false
+		out = append(out, n)
+	}
+	if c.Star {
+		n := c
+		n.Star = false
 		out = append(out, n)
 	}
 	return out

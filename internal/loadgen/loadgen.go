@@ -69,7 +69,7 @@ type TenantReport struct {
 	Rejected int64 `json:"rejected,omitempty"`
 	Errors   int64 `json:"errors,omitempty"`
 	// Preempts sums checkpoint suspensions over completed queries.
-	Preempts int64 `json:"preempts,omitempty"`
+	Preempts int64   `json:"preempts,omitempty"`
 	MeanMs   float64 `json:"mean_ms"`
 	P50Ms    float64 `json:"p50_ms"`
 	P99Ms    float64 `json:"p99_ms"`

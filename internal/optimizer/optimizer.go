@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -164,15 +165,18 @@ func (o *Optimizer) buildLeaf(q *Query, i int, cm *costModel) (*dpEntry, error) 
 		predSQL = append(predSQL, pr.AST)
 	}
 	sel := relSelectivity(rel, o.HostVarSelectivity)
-	card, avg := t.Stats()
+	card, _ := t.Stats()
 	if card <= 0 {
 		card = float64(t.Heap.NumTuples()) // unanalyzed: physical count
 	}
 	rows := math.Max(0, card*sel)
+	// Sized by what the scan emits, not by what the table stores: every
+	// memory demand, spill volume and temp-table size above follows.
+	avg := t.AvgBytes(rel.Cols)
 	if avg <= 0 {
-		avg = defaultWidth(rel.Schema)
+		avg = defaultWidth(rel.Out)
 	}
-	node := &plan.Scan{Table: t, Binding: rel.Binding, Filters: preds, FilterSQL: predSQL, Out: rel.Schema}
+	node := &plan.Scan{Table: t, Binding: rel.Binding, Filters: preds, FilterSQL: predSQL, Cols: rel.Cols, Out: rel.Out}
 	e := node.Est()
 	e.Rows = rows
 	e.Bytes = rows * avg
@@ -184,7 +188,7 @@ func (o *Optimizer) buildLeaf(q *Query, i int, cm *costModel) (*dpEntry, error) 
 func defaultWidth(s *types.Schema) float64 {
 	w := 0.0
 	for _, c := range s.Columns {
-		w += valueWidth(c.Kind)
+		w += catalog.KindWidth(c.Kind)
 	}
 	return w
 }
@@ -408,7 +412,8 @@ func (o *Optimizer) tryIndexJoin(q *Query, entry *dpEntry, j int, equi []*PredRe
 		InnerFilters: innerPreds,
 		JoinSQL:      []sql.Predicate{pr.AST},
 		InnerSQL:     innerSQL,
-		InnerOut:     rel.Schema,
+		InnerCols:    rel.Cols,
+		InnerOut:     rel.Out,
 	}
 	innerCard, _ := rel.Table.Stats()
 	matches := innerCard / colNDV(rel.Table, rCol)

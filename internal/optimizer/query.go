@@ -29,6 +29,17 @@ type Rel struct {
 	Schema *types.Schema
 	// LocalPreds reference only this relation.
 	LocalPreds []*PredRef
+	// Cols is the relation's required column set: ascending, the table
+	// ordinals something above the relation's scan reads — the select
+	// list, GROUP BY, and every join or other cross-relation predicate.
+	// (ORDER BY names select-list outputs, so it adds nothing.) Columns
+	// that only LocalPreds read are not in it: those are tested inside
+	// the scan and never leave it. Nil means every column: SELECT *, a
+	// query that does use them all, and virtual tables, whose rows are
+	// not decoded from pages.
+	Cols []int
+	// Out is Schema at Cols — what the relation's scan emits.
+	Out *types.Schema
 }
 
 // PredKind classifies a conjunct.
@@ -100,14 +111,18 @@ func Analyze(cat *catalog.Catalog, stmt *sql.SelectStmt) (*Query, error) {
 			Schema:  requalify(tbl.Schema, binding),
 		})
 	}
+	// used collects every (relation, column) read above the scans.
+	var used [][2]int
 	for _, p := range stmt.Where {
-		pr, err := q.classify(p)
+		pr, cols, err := q.classify(p)
 		if err != nil {
 			return nil, err
 		}
 		q.Preds = append(q.Preds, pr)
 		if pr.Kind == PredLocal {
 			q.Rels[pr.Rels[0]].LocalPreds = append(q.Rels[pr.Rels[0]].LocalPreds, pr)
+		} else {
+			used = append(used, cols...)
 		}
 	}
 	if expanded, err := expandStars(stmt, q.Rels); err != nil {
@@ -120,23 +135,54 @@ func Analyze(cat *catalog.Catalog, stmt *sql.SelectStmt) (*Query, error) {
 		q.Stmt = expanded
 	}
 	q.HasAggregate = len(stmt.GroupBy) > 0 || stmt.Distinct
-	var sink [][2]int
 	for _, item := range stmt.Select {
 		if _, ok := item.Expr.(*sql.AggExpr); ok {
 			q.HasAggregate = true
 		}
-		if err := q.exprCols(item.Expr, &sink); err != nil {
+		if err := q.exprCols(item.Expr, &used); err != nil {
 			return nil, err
 		}
 	}
 	for _, g := range stmt.GroupBy {
-		if err := q.exprCols(g, &sink); err != nil {
+		if err := q.exprCols(g, &used); err != nil {
 			return nil, err
 		}
 	}
 	// ORDER BY may reference select-list aliases, so unknown columns
 	// there are checked at plan-build time instead.
+	q.pruneColumns(used)
 	return q, nil
+}
+
+// pruneColumns sets every relation's Cols and Out from the columns used
+// above the scans.
+func (q *Query) pruneColumns(used [][2]int) {
+	need := make([][]bool, len(q.Rels))
+	for i := range q.Rels {
+		need[i] = make([]bool, q.Rels[i].Schema.Len())
+	}
+	for _, rc := range used {
+		need[rc[0]][rc[1]] = true
+	}
+	for i := range q.Rels {
+		rel := &q.Rels[i]
+		rel.Out = rel.Schema
+		var cols []int
+		for c, ok := range need[i] {
+			if ok {
+				cols = append(cols, c)
+			}
+		}
+		if len(cols) == len(need[i]) || rel.Table.Virtual != nil {
+			continue
+		}
+		if len(cols) == 0 {
+			// count(*) over the relation: a tuple of no values could
+			// not be told from the end of the stream.
+			cols = []int{0}
+		}
+		rel.Cols, rel.Out = cols, rel.Schema.Project(cols)
+	}
 }
 
 // expandStars replaces `*` / `t.*` select items with explicit column
@@ -246,8 +292,9 @@ func (q *Query) exprCols(e sql.Expr, out *[][2]int) error {
 	return nil
 }
 
-// classify determines a conjunct's kind and endpoints.
-func (q *Query) classify(p sql.Predicate) (*PredRef, error) {
+// classify determines a conjunct's kind and endpoints, and returns the
+// (relation, column) pairs it reads.
+func (q *Query) classify(p sql.Predicate) (*PredRef, [][2]int, error) {
 	var cols [][2]int
 	collect := func(exprs ...sql.Expr) error {
 		for _, e := range exprs {
@@ -261,22 +308,22 @@ func (q *Query) classify(p sql.Predicate) (*PredRef, error) {
 	switch x := p.(type) {
 	case *sql.ComparePred:
 		if err := collect(x.Left, x.Right); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	case *sql.BetweenPred:
 		if err := collect(x.Expr, x.Lo, x.Hi); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	case *sql.InPred:
 		if err := collect(append([]sql.Expr{x.Expr}, x.List...)...); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	case *sql.LikePred:
 		if err := collect(x.Expr); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	default:
-		return nil, fmt.Errorf("optimizer: unsupported predicate %T", p)
+		return nil, nil, fmt.Errorf("optimizer: unsupported predicate %T", p)
 	}
 
 	relSet := map[int]bool{}
@@ -315,9 +362,9 @@ func (q *Query) classify(p sql.Predicate) (*PredRef, error) {
 			}
 		}
 	default:
-		return nil, fmt.Errorf("optimizer: predicate touches %d relations: %s", len(relSet), p.SQL())
+		return nil, nil, fmt.Errorf("optimizer: predicate touches %d relations: %s", len(relSet), p.SQL())
 	}
-	return pr, nil
+	return pr, cols, nil
 }
 
 func sortInts(xs []int) {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/histogram"
 	"repro/internal/sql"
-	"repro/internal/types"
 )
 
 // Selectivity estimation from catalog statistics. Host variables are
@@ -308,13 +307,4 @@ func clamp01(f float64) float64 {
 		return 1
 	}
 	return f
-}
-
-// valueKindOf returns a representative literal kind for default tuple
-// width estimation.
-func valueWidth(k types.Kind) float64 {
-	if k == types.KindString {
-		return 24
-	}
-	return 9
 }

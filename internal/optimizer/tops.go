@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/types"
@@ -137,7 +138,7 @@ func (o *Optimizer) buildAgg(q *Query, joined *dpEntry, cm *costModel) (*plan.Ag
 	groups := o.estimateGroups(q, inSchema, groupCols, joined.rows)
 	keyBytes := 0.0
 	for _, c := range groupCols {
-		keyBytes += valueWidth(inSchema.Columns[c].Kind)
+		keyBytes += catalog.KindWidth(inSchema.Columns[c].Kind)
 	}
 	state := aggStateBytes(keyBytes, len(aggs))
 	e := node.Est()

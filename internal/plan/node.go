@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -57,17 +58,26 @@ type base struct {
 
 func (b *base) Est() *Est { return &b.est }
 
-// Scan reads a base table sequentially, applying pushed-down filters.
+// Scan reads a base table sequentially, applying pushed-down filters and
+// emitting only the columns the query uses above the scan.
 type Scan struct {
 	base
 	Table   *catalog.Table
 	Binding string // FROM-clause alias the query refers to the table by
-	// Filters are applied as tuples stream out of the pages.
+	// Filters are applied as tuples stream out of the pages. They are
+	// bound to the table's full schema, whatever Cols keeps: a column
+	// only a filter reads is tested inside the scan and never emitted.
 	Filters []Pred
 	// FilterSQL preserves the original AST of each filter for
 	// remainder-query regeneration.
 	FilterSQL []sql.Predicate
-	// Out is the scan's schema with columns re-qualified by Binding.
+	// Cols lists, ascending, the table ordinals the scan emits; nil
+	// means every column (DML, virtual tables, SELECT *, hand-built
+	// plans).
+	Cols []int
+	// Out is the scan's schema — the table's columns at Cols,
+	// re-qualified by Binding. Everything above the scan resolves its
+	// ordinals against it by name.
 	Out *types.Schema
 }
 
@@ -93,7 +103,20 @@ func (s *Scan) Describe() string {
 		}
 		d += " filter " + strings.Join(parts, " and ")
 	}
-	return d
+	return d + describeCols(s.Cols, s.Out)
+}
+
+// describeCols renders a pruned leaf's kept columns, so that a plan
+// display shows why its estimated bytes are a fraction of the table's.
+func describeCols(cols []int, out *types.Schema) string {
+	if cols == nil {
+		return ""
+	}
+	names := make([]string, out.Len())
+	for i, c := range out.Columns {
+		names[i] = c.Name
+	}
+	return " cols " + strings.Join(names, ",")
 }
 
 // HashJoin joins Build (left) against Probe (right) on equality of the
@@ -138,7 +161,8 @@ type IndexJoin struct {
 	Binding  string
 	OuterKey int // ordinal into Outer.Schema()
 	InnerCol int // ordinal into Table.Schema (index must exist)
-	// InnerFilters apply to fetched inner tuples.
+	// InnerFilters apply to fetched inner tuples; like Scan.Filters they
+	// are bound to the table's full schema.
 	InnerFilters []Pred
 	// EstMatches is the optimizer's expected index matches per probe,
 	// recorded so the dispatcher can re-cost the join under improved
@@ -147,8 +171,23 @@ type IndexJoin struct {
 	// SQL forms for regeneration.
 	JoinSQL  []sql.Predicate
 	InnerSQL []sql.Predicate
-	// InnerOut is the inner table's schema re-qualified by Binding.
+	// InnerCols lists, ascending, the inner table ordinals the join
+	// emits after the outer tuple's values; nil means every column.
+	InnerCols []int
+	// InnerOut is the inner side's schema: the table's columns at
+	// InnerCols, re-qualified by Binding.
 	InnerOut *types.Schema
+}
+
+// InnerKey returns the inner join column as InnerOut names it. The join
+// column is always among InnerCols: the predicate that made the join is
+// a use of it.
+func (j *IndexJoin) InnerKey() types.Column {
+	at := j.InnerCol
+	if j.InnerCols != nil {
+		at, _ = slices.BinarySearch(j.InnerCols, j.InnerCol)
+	}
+	return j.InnerOut.Columns[at]
 }
 
 // Schema implements Node.
@@ -164,8 +203,8 @@ func (j *IndexJoin) Label() string { return "indexed-join" }
 func (j *IndexJoin) Describe() string {
 	return fmt.Sprintf("%s = %s (index on %s)",
 		j.Outer.Schema().Columns[j.OuterKey].QualifiedName(),
-		j.InnerOut.Columns[j.InnerCol].QualifiedName(),
-		j.Table.Name)
+		j.InnerKey().QualifiedName(),
+		j.Table.Name) + describeCols(j.InnerCols, j.InnerOut)
 }
 
 // CollectorSpec says which statistics a statistics-collector operator

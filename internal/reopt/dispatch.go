@@ -196,8 +196,10 @@ func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *ex
 }
 
 // buildLeafOp builds the operator for the leftmost pipeline. With an
-// override, the pipeline's scan is replaced by the live stream and any
-// wrappers (collectors) above it are applied on top.
+// override, the pipeline's scan is replaced by the live stream —
+// narrowed to the columns the scan would have emitted, which is what
+// every ordinal above it was resolved against — and any wrappers
+// (collectors) above it are applied on top.
 func (d *Dispatcher) buildLeafOp(dec *decomposed, ctx *exec.Ctx, override exec.Operator) (exec.Operator, error) {
 	if override == nil {
 		return exec.Build(dec.leafTop, ctx)
@@ -217,6 +219,13 @@ func (d *Dispatcher) buildLeafOp(dec *decomposed, ctx *exec.Ctx, override exec.O
 			cur = x.Input
 		case *plan.Scan:
 			op := override
+			if x.Cols != nil {
+				exprs := make([]plan.Expr, len(x.Cols))
+				for k, c := range x.Cols {
+					exprs[k] = &plan.ColExpr{Idx: c, Col: x.Out.Columns[k]}
+				}
+				op = exec.NewProject(&plan.Project{Input: x, Exprs: exprs, Out: x.Out}, op, ctx)
+			}
 			for k := len(wrappers) - 1; k >= 0; k-- {
 				var err error
 				op, err = exec.BuildStep(wrappers[k], op, ctx)

@@ -2,6 +2,7 @@ package reopt
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -104,10 +105,18 @@ func TestParallelSwitchCleanup(t *testing.T) {
 // out with serial-identical rows and zero residue — spilled partitions,
 // temp tables, and heap pages all reclaimed. Runs under -race in CI.
 func TestParallelForcedSwitchSpilledJoin(t *testing.T) {
+	// Aggregating over every column of rel1 keeps the build side at the
+	// table's full width: with two of its four columns pruned away,
+	// 1350 tuples split four ways fit each worker's share of the
+	// minimum grant and nothing would spill.
+	wide := func(src string) string {
+		return strings.Replace(src, "count(*) as cnt", "count(*) as cnt, sum(rel1_val) as sv, max(rel1_pk) as mp", 1)
+	}
 	e, src, params := spliceEnv(t)
-	want, _, _ := runMode(t, e, ModeOff, src, params, 0)
+	want, _, _ := runMode(t, e, ModeOff, wide(src), params, 0)
 	for _, strat := range []Strategy{StrategyMaterialize, StrategySplice} {
 		e2, src, params := spliceEnv(t)
+		src = wide(src)
 		tablesBefore := len(e2.cat.Tables())
 		pagesBefore := e2.pool.Disk().NumPages()
 		inj := faultinject.Enable()

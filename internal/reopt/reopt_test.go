@@ -174,14 +174,17 @@ func TestCollectorsInsertedAndObserved(t *testing.T) {
 // smaller cardinality — lets the second join run in one pass.
 func TestFigure3MemoryReallocation(t *testing.T) {
 	e := newEnv(4096)
-	// rel1: 30000 rows, filtered by a host variable. The optimizer
-	// guesses 1/3 = 10000 rows; :cut = 150 actually keeps 4500. rel1's
+	// rel1: 60000 rows, filtered by a host variable. The optimizer
+	// guesses 1/3 = 20000 rows; :cut = 150 actually keeps 9000. rel1's
 	// estimate is the smallest relation, so it becomes the leftmost
 	// build — the paper's plan shape, where the filter's error
-	// propagates into every later build size.
-	e.addTable(t, "rel1", 30000, 15000, 25)
-	e.addTable(t, "rel2", 15000, 20000, 5)
-	e.addTable(t, "rel3", 20000, 5, 5)
+	// propagates into every later build size. (The scans emit two of
+	// their four columns; the tables are sized so that the second
+	// join's true build, 9000 × 40 bytes, still outgrows the 256 KiB
+	// minimum grant it is starved down to.)
+	e.addTable(t, "rel1", 60000, 30000, 25)
+	e.addTable(t, "rel2", 30000, 40000, 5)
+	e.addTable(t, "rel3", 40000, 5, 5)
 	e.analyzeAll(t)
 	params := plan.Params{"cut": types.NewFloat(150)}
 	src := `select rel1_grp, count(*) as cnt from rel1, rel2, rel3
@@ -189,7 +192,7 @@ func TestFigure3MemoryReallocation(t *testing.T) {
 		and rel1_val < :cut group by rel1_grp`
 
 	// 1 MB cannot satisfy both joins under the optimizer's estimates,
-	// but can once the observed build is known to be ~3x smaller.
+	// but can once the observed build is known to be ~2x smaller.
 	const budget = 1 << 20
 
 	wantRows, _, offCost := runMode(t, e, ModeOff, src, params, budget)

@@ -110,7 +110,7 @@ func (lt *levelTracer) pointLevel(n plan.Node) Level {
 		}
 		l = maxLevel(l, inner)
 		oc := x.Outer.Schema().Columns[x.OuterKey]
-		ic := x.InnerOut.Columns[x.InnerCol]
+		ic := x.InnerKey()
 		if !lt.isKeyColumn(oc.Table, oc.Name) && !lt.isKeyColumn(ic.Table, ic.Name) {
 			l = l.bump()
 		}

@@ -469,7 +469,7 @@ func usesColumn(n plan.Node, table, name string) bool {
 		if equalCol(c.Table, c.Name, table, name) {
 			return true
 		}
-		ic := x.InnerOut.Columns[x.InnerCol]
+		ic := x.InnerKey()
 		if equalCol(ic.Table, ic.Name, table, name) {
 			return true
 		}

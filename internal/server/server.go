@@ -113,19 +113,19 @@ type QueryResponse struct {
 	Rows    [][]string `json:"rows"`
 	// RowsAffected is the row count a DML statement wrote (COMMIT
 	// reports the whole transaction's total).
-	RowsAffected int64             `json:"rows_affected,omitempty"`
-	Cost         float64           `json:"cost"`
-	WallCost     float64           `json:"wall_cost"`
-	Query        string            `json:"query"`
-	Tenant       string            `json:"tenant,omitempty"`
+	RowsAffected int64   `json:"rows_affected,omitempty"`
+	Cost         float64 `json:"cost"`
+	WallCost     float64 `json:"wall_cost"`
+	Query        string  `json:"query"`
+	Tenant       string  `json:"tenant,omitempty"`
 	// Preempted counts how many times this query was suspended at a
 	// re-optimization checkpoint and re-queued before finishing.
-	Preempted int          `json:"preempted,omitempty"`
-	CacheHit  bool         `json:"cache_hit"`
-	Stats     *reopt.Stats `json:"stats,omitempty"`
-	Broker       memmgr.LeaseStats `json:"broker"`
-	Plan         string            `json:"plan,omitempty"`
-	Trace        []obs.Event       `json:"trace,omitempty"`
+	Preempted int               `json:"preempted,omitempty"`
+	CacheHit  bool              `json:"cache_hit"`
+	Stats     *reopt.Stats      `json:"stats,omitempty"`
+	Broker    memmgr.LeaseStats `json:"broker"`
+	Plan      string            `json:"plan,omitempty"`
+	Trace     []obs.Event       `json:"trace,omitempty"`
 	// TraceDropped counts trace events the query's ring evicted.
 	TraceDropped int    `json:"trace_dropped,omitempty"`
 	Error        string `json:"error,omitempty"`

@@ -68,6 +68,13 @@ func runFaultSweep(t *testing.T, cfg Config, mustSee []string) {
 		queries = append(queries, tpcd.Query{Name: "QAggSpill", SQL: `
 			select l_orderkey, sum(l_quantity) as qty, count(*) as cnt
 			from lineitem group by l_orderkey`})
+		// Likewise their joins build on two or three narrow key columns
+		// of a dimension table, which fit the smallest grant; selecting
+		// every column of orders makes a build side that does not (and
+		// an unfiltered lineitem is too many probes for an index join).
+		queries = append(queries, tpcd.Query{Name: "QJoinSpill", SQL: `
+			select orders.*, l_shipmode
+			from orders, lineitem where o_orderkey = l_orderkey limit 10`})
 	}
 	run := func(q tpcd.Query) error {
 		_, err := m.Session().Exec(context.Background(), q.SQL,

@@ -202,10 +202,12 @@ func TestAnalyzeInvalidatesCachedPlans(t *testing.T) {
 func TestBrokeredHandoffBetweenSessions(t *testing.T) {
 	db := newTestDB(4096)
 	// Figure 3's shape: the host-var filter on rel1 is over-estimated
-	// 3x, so A's re-allocation shrinks demands and returns the surplus.
-	db.addTable(t, "rel1", 30000, 15000, 25)
-	db.addTable(t, "rel2", 15000, 20000, 5)
-	db.addTable(t, "rel3", 20000, 5, 5)
+	// 2x, so A's re-allocation shrinks demands and returns the surplus.
+	// Sized, at two emitted columns a scan, so that A's estimated
+	// demands still swallow the pool.
+	db.addTable(t, "rel1", 60000, 30000, 25)
+	db.addTable(t, "rel2", 30000, 40000, 5)
+	db.addTable(t, "rel3", 40000, 5, 5)
 	// Small tables for B: a real join, tiny memory minimum.
 	db.addTable(t, "a", 2000, 100, 10)
 	db.addTable(t, "b", 100, 10, 5)

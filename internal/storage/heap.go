@@ -229,6 +229,39 @@ func (h *HeapFile) Fetch(rid RID) (types.Tuple, error) {
 // physically deleted (aborted insert, swept version) or the version is
 // outside the snapshot, so index probes can skip stale entries.
 func (h *HeapFile) FetchVisible(rid RID, snap *TxnSnapshot) (types.Tuple, bool, error) {
+	return (&HeapFetcher{file: h}).FetchVisible(rid, snap)
+}
+
+// Fetcher returns a reader of single records by RID that can carry the
+// filter and projection a scanner can: an index join fetches inner
+// tuples through one, so that it too tests its inner filters before
+// decoding and materialises only the columns the query uses.
+func (h *HeapFile) Fetcher() *HeapFetcher { return &HeapFetcher{file: h} }
+
+// HeapFetcher fetches records of one heap file by RID. Not safe for
+// concurrent use: it reuses a scratch tuple from fetch to fetch.
+type HeapFetcher struct {
+	file *HeapFile
+	recordReader
+}
+
+// WithFilter is HeapScanner.WithFilter for fetches: a visible record the
+// filter rejects is reported as ok=false.
+func (f *HeapFetcher) WithFilter(cols []int, pass func(types.Tuple) (bool, error)) *HeapFetcher {
+	f.filterCols, f.filter = cols, pass
+	return f
+}
+
+// WithColumns is HeapScanner.WithColumns for fetches.
+func (f *HeapFetcher) WithColumns(cols []int) *HeapFetcher {
+	f.cols = cols
+	return f
+}
+
+// FetchVisible is HeapFile.FetchVisible under the fetcher's filter and
+// projection.
+func (f *HeapFetcher) FetchVisible(rid RID, snap *TxnSnapshot) (types.Tuple, bool, error) {
+	h := f.file
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	buf, err := h.pool.Pin(rid.Page)
@@ -247,11 +280,11 @@ func (h *HeapFile) FetchVisible(rid RID, snap *TxnSnapshot) (types.Tuple, bool, 
 		}
 		rec = rec[stampSize:]
 	}
-	t, _, err := types.DecodeTuple(rec)
-	if err != nil {
-		return nil, false, err
+	tup, pass, filterErr, err := f.read(rec, 1)
+	if err == nil {
+		err = filterErr
 	}
-	return t, true, nil
+	return tup, pass && err == nil, err
 }
 
 // SetXmax stamps the version at rid as deleted by transaction id.
@@ -496,9 +529,8 @@ type HeapScanner struct {
 	meter   *CostMeter   // charge target for pool misses; nil = shared
 	snap    *TxnSnapshot // visibility filter for stamped heaps; nil = undeleted
 
-	filterCols []int
-	filter     func(types.Tuple) (bool, error)
-	examine    func() error
+	recordReader
+	examine func() error
 
 	// The loaded page: one entry per visible record, in slot order.
 	page    PageID
@@ -506,12 +538,20 @@ type HeapScanner struct {
 	pos     int
 	loadErr error // a decode or filter failure on this page, due after batch
 
-	slab    []types.Value // unused remainder of the current block
-	scratch types.Tuple   // filter-column decode target, reused under the pin
-
 	err    error
 	cur    types.Tuple
 	curRID RID
+}
+
+// recordReader turns stored records into tuples for one reader — a
+// scanner or a fetcher — under its pushed filter and its projection.
+type recordReader struct {
+	cols       []int // ascending ordinals to materialise; nil = every column
+	filterCols []int
+	filter     func(types.Tuple) (bool, error)
+
+	slab    []types.Value // unused remainder of the current block
+	scratch types.Tuple   // filter-column decode target, reused under the pin
 }
 
 // scanEntry is one visible record of the loaded page: decoded if it
@@ -540,6 +580,19 @@ func (s *HeapScanner) WithSnapshot(snap *TxnSnapshot) *HeapScanner {
 // argument nor call into the heap.
 func (s *HeapScanner) WithFilter(cols []int, pass func(types.Tuple) (bool, error)) *HeapScanner {
 	s.filterCols, s.filter = cols, pass
+	return s
+}
+
+// WithColumns projects the scan: Next returns tuples holding only the
+// columns at the given ordinals (ascending), in that order — len(cols)
+// values each, carved at that width — and the bytes of every other
+// column are walked past without being decoded; nothing beyond the last
+// wanted column is touched at all. The filter still reads the columns
+// WithFilter named, whether or not they are projected: a column only
+// the filter reads is decoded into the scratch tuple, tested, and never
+// leaves the scan. Nil, the default, is every column.
+func (s *HeapScanner) WithColumns(cols []int) *HeapScanner {
+	s.cols = cols
 	return s
 }
 
@@ -615,57 +668,59 @@ func (s *HeapScanner) loadPage() bool {
 			}
 			rec = rec[stampSize:]
 		}
-		tup, pass, err := s.decode(rec, n-slot)
+		tup, pass, filterErr, err := s.read(rec, n-slot)
 		if err != nil {
 			s.loadErr = err // undecodable: fails before being examined
 			break
 		}
 		s.batch = append(s.batch, scanEntry{slot: slot, pass: pass, tup: tup})
-		if s.loadErr != nil {
+		if s.loadErr = filterErr; filterErr != nil {
 			break // the filter failed on this record, the last one examined
 		}
 	}
 	return true
 }
 
-// decode applies the filter to one record and, if it passed, decodes it
-// into a tuple of its own. A filter failure is left in loadErr and the
-// record reported as rejected; err is for records that do not parse.
-// left counts the page's slots from this record on: a new block is sized
-// for that many tuples at most, so a one-page table does not pay for a
-// full block.
-func (s *HeapScanner) decode(rec []byte, left int) (tup types.Tuple, pass bool, err error) {
-	width, err := types.TupleWidth(rec)
+// read applies the filter to one record and, if it passed, decodes the
+// projected columns into a tuple of its own; every column is the nil
+// projection of the same decode. A filter failure is returned apart, in
+// filterErr, with the record reported as rejected: it was examined, and
+// the caller serves what preceded it first. err is for records that do
+// not parse. left bounds how many more tuples the caller may ask for
+// (the page's slots from this record on): a new block is sized for that
+// many at most, so a one-page table does not pay for a full block.
+func (r *recordReader) read(rec []byte, left int) (tup types.Tuple, pass bool, filterErr, err error) {
+	recWidth, err := types.TupleWidth(rec)
 	if err != nil {
-		return nil, false, err
+		return nil, false, nil, err
 	}
-	if s.filter != nil && s.filterCols != nil {
-		if cap(s.scratch) < width {
-			s.scratch = make(types.Tuple, width)
+	if r.filter != nil {
+		// Nil filterCols: the ordinals the filter reads are not known,
+		// so it is handed every column.
+		if cap(r.scratch) < recWidth {
+			r.scratch = make(types.Tuple, recWidth)
 		}
-		probe := s.scratch[:width]
-		if _, err := types.DecodeColumns(probe, rec, s.filterCols); err != nil {
-			return nil, false, err
+		probe := r.scratch[:recWidth]
+		if _, err := types.DecodeColumns(probe, rec, r.filterCols); err != nil {
+			return nil, false, nil, err
 		}
-		if pass, s.loadErr = s.filter(probe); !pass || s.loadErr != nil {
-			return nil, false, nil
-		}
-	}
-	if len(s.slab) < width {
-		s.slab = make([]types.Value, max(width, min(width*left, slabValues)))
-	}
-	tup = s.slab[:width:width]
-	if _, err := types.DecodeColumns(tup, rec, nil); err != nil {
-		return nil, false, err
-	}
-	if s.filter != nil && s.filterCols == nil {
-		// Rejected: the next record decodes over the same values.
-		if pass, s.loadErr = s.filter(tup); !pass || s.loadErr != nil {
-			return nil, false, nil
+		if pass, filterErr = r.filter(probe); !pass || filterErr != nil {
+			return nil, false, filterErr, nil
 		}
 	}
-	s.slab = s.slab[width:]
-	return tup, true, nil
+	width := recWidth
+	if r.cols != nil {
+		width = len(r.cols)
+	}
+	if len(r.slab) < width {
+		r.slab = make([]types.Value, max(width, min(width*left, slabValues)))
+	}
+	tup = r.slab[:width:width]
+	if _, err := types.DecodeProjected(tup, rec, r.cols); err != nil {
+		return nil, false, nil, err
+	}
+	r.slab = r.slab[width:]
+	return tup, true, nil, nil
 }
 
 // Tuple returns the current tuple after a successful Next.

@@ -499,3 +499,229 @@ func TestSweepReclaimsAbortedInserts(t *testing.T) {
 		t.Errorf("%d rows visible, want the 500 loaded", got)
 	}
 }
+
+// project returns the values of tup at cols (every value for nil).
+func project(tup types.Tuple, cols []int) types.Tuple {
+	if cols == nil {
+		return tup
+	}
+	out := make(types.Tuple, len(cols))
+	for i, c := range cols {
+		out[i] = tup[c]
+	}
+	return out
+}
+
+// A projected scan returns, record for record, the projection of what
+// the unprojected scan returns — on stamped and unstamped heaps, for
+// full and partitioned scans, with no filter, a filter on columns inside
+// and outside the projection, and a filter handed whole tuples — and
+// examines the same tuples on the way. Every tuple has exactly len(cols)
+// values.
+func TestScanProjection(t *testing.T) {
+	pass := func(tup types.Tuple) (bool, error) {
+		return !tup[0].IsNull() && tup[0].Int()%3 != 0 && !tup[3].IsNull(), nil
+	}
+	type filter struct {
+		name string
+		cols []int
+		fn   func(types.Tuple) (bool, error)
+	}
+	filters := []filter{{name: "none"}, {"columns", []int{0, 3}, pass}, {"whole tuple", nil, pass}}
+	projections := [][]int{{0}, {2}, {4}, {1, 3}, {2, 4}, {0, 1, 2, 3, 4}}
+
+	r := rand.New(rand.NewSource(11))
+	bp, _ := newTestPool(16)
+	stamped, snaps, done := churnedHeap(t, r, bp)
+	defer done()
+	plain := NewHeapFile(bp)
+	for i := 0; i < 700; i++ {
+		if _, err := plain.Append(wideRow(r, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type examinedScan struct {
+		rows     []scanned
+		examined int
+	}
+	run := func(s *HeapScanner) examinedScan {
+		var out examinedScan
+		s.OnExamine(func() error { out.examined++; return nil })
+		out.rows = drainScan(t, s)
+		return out
+	}
+	check := func(label string, scan func() *HeapScanner) {
+		t.Helper()
+		for _, f := range filters {
+			with := func(s *HeapScanner) *HeapScanner {
+				if f.fn != nil {
+					s.WithFilter(f.cols, f.fn)
+				}
+				return s
+			}
+			want := run(with(scan()))
+			for _, cols := range projections {
+				got := run(with(scan().WithColumns(cols)))
+				if got.examined != want.examined || len(got.rows) != len(want.rows) {
+					t.Fatalf("%s, filter %s, cols %v: %d rows of %d examined, want %d of %d",
+						label, f.name, cols, len(got.rows), got.examined, len(want.rows), want.examined)
+				}
+				for i, g := range got.rows {
+					w := want.rows[i]
+					if len(g.tup) != len(cols) || cap(g.tup) != len(cols) {
+						t.Fatalf("%s, cols %v: tuple of %d values (cap %d)", label, cols, len(g.tup), cap(g.tup))
+					}
+					if g.rid != w.rid || !slices.Equal(g.tup, project(w.tup, cols)) {
+						t.Fatalf("%s, filter %s, cols %v, row %d: %v %v, want %v %v",
+							label, f.name, cols, i, g.rid, g.tup, w.rid, project(w.tup, cols))
+					}
+				}
+			}
+		}
+	}
+	for si, snap := range snaps {
+		check(fmt.Sprintf("stamped snapshot %d", si), func() *HeapScanner { return stamped.Scan().WithSnapshot(snap) })
+		for part := 0; part < 3; part++ {
+			check(fmt.Sprintf("stamped snapshot %d partition %d/3", si, part),
+				func() *HeapScanner { return stamped.ScanPartition(part, 3, nil).WithSnapshot(snap) })
+		}
+	}
+	check("unstamped", plain.Scan)
+	check("unstamped partition 1/2", func() *HeapScanner { return plain.ScanPartition(1, 2, nil) })
+}
+
+// A fetcher agrees with a scanner carrying the same filter and
+// projection on every slot: the tuple if the scan returned that RID,
+// ok=false if it did not.
+func TestFetcherMatchesScanner(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	bp, _ := newTestPool(16)
+	h, snaps, done := churnedHeap(t, r, bp)
+	defer done()
+	pass := func(tup types.Tuple) (bool, error) { return !tup[3].IsNull() && tup[3].Days() < 10000, nil }
+	for _, cols := range [][]int{nil, {0, 2}, {4}} {
+		for si, snap := range snaps {
+			want := map[RID]types.Tuple{}
+			for _, s := range drainScan(t, h.Scan().WithSnapshot(snap).WithFilter([]int{3}, pass).WithColumns(cols)) {
+				want[s.rid] = s.tup
+			}
+			f := h.Fetcher().WithFilter([]int{3}, pass).WithColumns(cols)
+			found := 0
+			for _, s := range fetchAll(t, h, nil, 0, 1) { // every undeleted slot, visible to snap or not
+				tup, ok, err := f.FetchVisible(s.rid, snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, in := want[s.rid]
+				if ok != in || (ok && !slices.Equal(tup, w)) {
+					t.Fatalf("cols %v snapshot %d, %v: fetched %v (ok=%v), scan has %v (ok=%v)", cols, si, s.rid, tup, ok, w, in)
+				}
+				if ok {
+					found++
+				}
+			}
+			if snap == nil && found != len(want) {
+				t.Errorf("cols %v: fetched %d of the scan's %d tuples", cols, found, len(want))
+			}
+		}
+	}
+	boom := errors.New("boom")
+	f := h.Fetcher().WithFilter([]int{0}, func(types.Tuple) (bool, error) { return true, boom })
+	if _, ok, err := f.FetchVisible(fetchAll(t, h, nil, 0, 1)[0].rid, nil); err != boom || ok {
+		t.Errorf("filter error: ok=%v err=%v, want boom", ok, err)
+	}
+}
+
+// A projected scan of a table that fits one page carves its tuples from
+// a block sized for that page's tuples at the projected width, not for a
+// full block and not at the table's width.
+func TestProjectedScanBlockFitsSmallTable(t *testing.T) {
+	bp, _ := newTestPool(8)
+	h := NewHeapFile(bp)
+	for i := 0; i < 5; i++ {
+		if _, err := h.Append(lineitemRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := h.Scan().WithColumns([]int{4, 5, 6, 10})
+	for i := 0; s.Next(); i++ {
+		tup := s.Tuple()
+		if len(tup) != 4 || !slices.Equal(tup, project(lineitemRow(i), []int{4, 5, 6, 10})) {
+			t.Fatalf("row %d: %v", i, tup)
+		}
+		// The page is decoded as a whole: after it, the block that was
+		// sized for 5 tuples of 4 values is used up.
+		if len(s.slab) != 0 {
+			t.Errorf("row %d: %d values of the block left over after a 5-row page at 4 columns", i, len(s.slab))
+		}
+	}
+	if s.Err() != nil {
+		t.Fatal(s.Err())
+	}
+}
+
+// A record that does not decode under the projection — truncated, or
+// with fewer columns than the projection names — ends the scan with an
+// error, after the tuples that preceded it on the page.
+func TestProjectedScanSurfacesDecodeErrors(t *testing.T) {
+	for name, damage := range map[string]func(rec []byte) []byte{
+		"truncated":   func(rec []byte) []byte { return rec[:len(rec)-6] },
+		"too narrow":  func([]byte) []byte { return types.EncodeTuple(nil, types.Tuple{types.NewInt(1)}) },
+		"bad header":  func(rec []byte) []byte { return rec[:1] },
+		"beyond want": nil, // damage past the last wanted column is not the projection's to find
+	} {
+		bp, _ := newTestPool(8)
+		h := NewHeapFile(bp)
+		for i := 0; i < 10; i++ {
+			if _, err := h.Append(lineitemRow(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bad := types.EncodeTuple(nil, lineitemRow(10))
+		cols := []int{1, 15}
+		if damage != nil {
+			bad = damage(bad)
+		} else {
+			bad, cols = bad[:len(bad)-6], []int{0, 9}
+		}
+		if err := appendRaw(h, bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Append(lineitemRow(11)); err != nil {
+			t.Fatal(err)
+		}
+		s := h.Scan().WithColumns(cols)
+		n := 0
+		for s.Next() {
+			if !slices.Equal(s.Tuple(), project(lineitemRow(n), cols)) {
+				t.Fatalf("%s: row %d reads %v", name, n, s.Tuple())
+			}
+			n++
+		}
+		switch {
+		case damage == nil:
+			if s.Err() != nil || n != 12 {
+				t.Errorf("%s: %d rows, err %v; want all 12", name, n, s.Err())
+			}
+		case s.Err() == nil || n != 10:
+			t.Errorf("%s: %d rows, err %v; want the 10 before the damage, then an error", name, n, s.Err())
+		}
+	}
+}
+
+// appendRaw stores rec as the next record of an unstamped heap's tail
+// page, bypassing the tuple encoder.
+func appendRaw(h *HeapFile, rec []byte) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	id, buf, err := h.pageWithRoomLocked(len(rec))
+	if err != nil {
+		return err
+	}
+	if _, err = LoadSlottedPage(buf).Insert(rec); err == nil {
+		h.tuples++
+	}
+	h.pool.UnpinDirty(id)
+	return err
+}

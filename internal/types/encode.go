@@ -20,20 +20,32 @@ import (
 // The format is self-describing so temp files materialized mid-query can
 // be re-read without consulting the catalog.
 
+// TupleHeaderSize is the encoded column count that precedes the values:
+// an encoded tuple takes this plus its values' EncodedSize.
+const TupleHeaderSize = 2
+
 // EncodedSize returns the number of bytes EncodeTuple will produce.
 func EncodedSize(t Tuple) int {
-	n := 2
+	n := TupleHeaderSize
 	for _, v := range t {
-		n++ // kind byte
-		switch v.kind {
-		case KindNull:
-		case KindString:
-			n += 4 + len(v.s)
-		default:
-			n += 8
-		}
+		n += v.EncodedSize()
 	}
 	return n
+}
+
+// EncodedSize returns the bytes the value takes inside an encoded tuple:
+// its kind byte plus its payload. Per-column width statistics are
+// averages of this, so that a projection's estimated size is in the unit
+// operators account memory in.
+func (v Value) EncodedSize() int {
+	switch v.kind {
+	case KindNull:
+		return 1
+	case KindString:
+		return 1 + 4 + len(v.s)
+	default:
+		return 1 + 8
+	}
 }
 
 // EncodeTuple appends the wire form of t to dst and returns the extended
@@ -76,33 +88,55 @@ func DecodeTuple(b []byte) (Tuple, int, error) {
 		return nil, 0, err
 	}
 	t := make(Tuple, n)
-	off, err := DecodeColumns(t, b, nil)
+	off, err := decode(t, b, nil, false)
 	if err != nil {
 		return nil, 0, err
 	}
 	return t, off, nil
 }
 
-// DecodeColumns is the engine's one tuple decode loop. It parses the
-// encoded tuple at the front of b into dst, whose length must be the
-// tuple's TupleWidth, and returns the number of bytes walked. A nil cols
-// decodes every column; otherwise cols lists, in ascending order, the
-// only ordinals to materialise: the rest of dst is left untouched, the
-// bytes of unwanted columns are skipped without being looked at, and the
-// walk stops after the last wanted column. Page scans use that to test a
+// DecodeColumns parses the encoded tuple at the front of b into dst,
+// whose length must be the tuple's TupleWidth, and returns the number of
+// bytes walked. A nil cols decodes every column; otherwise cols lists, in
+// ascending order, the only ordinals to materialise, each at its own
+// ordinal in dst: the rest of dst is left untouched, the bytes of
+// unwanted columns are skipped without being looked at, and the walk
+// stops after the last wanted column. Page scans use that to test a
 // predicate on its own columns before paying for the whole record.
 func DecodeColumns(dst Tuple, b []byte, cols []int) (int, error) {
-	if len(b) < 2 {
+	return decode(dst, b, cols, false)
+}
+
+// DecodeProjected is DecodeColumns with a dense destination: dst has one
+// value per entry of cols and receives column cols[k] at dst[k], so a
+// scan that emits four columns of sixteen carves four values, not
+// sixteen. A nil cols is every column, exactly DecodeColumns. A record
+// with fewer columns than the projection names is an error.
+func DecodeProjected(dst Tuple, b []byte, cols []int) (int, error) {
+	return decode(dst, b, cols, true)
+}
+
+// decode is the engine's one tuple decode loop. dense selects where a
+// wanted column lands: at its position in cols, or at its own ordinal.
+func decode(dst Tuple, b []byte, cols []int, dense bool) (int, error) {
+	if len(b) < TupleHeaderSize {
 		return 0, fmt.Errorf("types: truncated tuple header")
 	}
-	off, next := 2, 0
-	for i := range dst {
-		want := cols == nil
+	n := len(dst)
+	if dense && cols != nil {
+		n = int(binary.LittleEndian.Uint16(b[:2]))
+	}
+	off, next := TupleHeaderSize, 0
+	for i := 0; i < n; i++ {
+		want, at := cols == nil, i
 		if !want {
 			if next == len(cols) {
 				break
 			}
 			if want = cols[next] == i; want {
+				if dense {
+					at = next
+				}
 				next++
 			}
 		}
@@ -114,7 +148,7 @@ func DecodeColumns(dst Tuple, b []byte, cols []int) (int, error) {
 		switch kind {
 		case KindNull:
 			if want {
-				dst[i] = Value{}
+				dst[at] = Value{}
 			}
 		case KindInt, KindDate, KindFloat:
 			if off+8 > len(b) {
@@ -123,9 +157,9 @@ func DecodeColumns(dst Tuple, b []byte, cols []int) (int, error) {
 			if want {
 				raw := binary.LittleEndian.Uint64(b[off : off+8])
 				if kind == KindFloat {
-					dst[i] = Value{kind: kind, f: math.Float64frombits(raw)}
+					dst[at] = Value{kind: kind, f: math.Float64frombits(raw)}
 				} else {
-					dst[i] = Value{kind: kind, i: int64(raw)}
+					dst[at] = Value{kind: kind, i: int64(raw)}
 				}
 			}
 			off += 8
@@ -139,12 +173,15 @@ func DecodeColumns(dst Tuple, b []byte, cols []int) (int, error) {
 				return 0, fmt.Errorf("types: truncated string at column %d", i)
 			}
 			if want {
-				dst[i] = Value{kind: kind, s: string(b[off : off+l])}
+				dst[at] = Value{kind: kind, s: string(b[off : off+l])}
 			}
 			off += l
 		default:
 			return 0, fmt.Errorf("types: unknown kind %d at column %d", kind, i)
 		}
+	}
+	if dense && next < len(cols) {
+		return 0, fmt.Errorf("types: tuple has %d columns, projection wants column %d", n, cols[next])
 	}
 	return off, nil
 }

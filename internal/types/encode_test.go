@@ -3,6 +3,7 @@ package types
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -126,6 +127,52 @@ func TestDecodeColumnsPartial(t *testing.T) {
 	}
 }
 
+// DecodeProjected fills a dense destination — column cols[k] at dst[k] —
+// agrees with DecodeColumns value for value, is DecodeColumns when cols
+// is nil, and refuses a record narrower than the projection.
+func TestDecodeProjected(t *testing.T) {
+	in := Tuple{NewInt(-1), NewFloat(math.Pi), NewString("hello"), Null(), NewDate(9500), NewString("tail")}
+	buf := EncodeTuple(nil, in)
+	for _, cols := range [][]int{{0}, {2}, {3}, {5}, {1, 4}, {2, 3, 5}, {0, 1, 2, 3, 4, 5}} {
+		dst := make(Tuple, len(cols))
+		if _, err := DecodeProjected(dst, buf, cols); err != nil {
+			t.Fatalf("cols %v: %v", cols, err)
+		}
+		for k, c := range cols {
+			if dst[k] != in[c] {
+				t.Errorf("cols %v: dst[%d] = %v, want column %d = %v", cols, k, dst[k], c, in[c])
+			}
+		}
+	}
+	all := make(Tuple, len(in))
+	if n, err := DecodeProjected(all, buf, nil); err != nil || n != len(buf) || !slices.Equal(all, in) {
+		t.Errorf("nil projection decoded %v (%d bytes, %v), want %v", all, n, err, in)
+	}
+	if _, err := DecodeProjected(make(Tuple, 2), buf, []int{2, 9}); err == nil {
+		t.Error("projection of a column the record does not have decoded")
+	}
+	// Like DecodeColumns, the walk stops after the last wanted column.
+	cut := buf[:len(buf)-3]
+	if _, err := DecodeProjected(make(Tuple, 2), cut, []int{0, 4}); err != nil {
+		t.Errorf("truncated tail reported while projecting columns before it: %v", err)
+	}
+	if _, err := DecodeProjected(make(Tuple, 1), cut, []int{5}); err == nil {
+		t.Error("truncated wanted column decoded")
+	}
+}
+
+// A tuple's encoded size is the header plus its values' encoded sizes.
+func TestEncodedSizeAddsUp(t *testing.T) {
+	in := Tuple{NewInt(7), NewString("abc"), Null(), NewFloat(1.5), NewDate(3)}
+	sum := TupleHeaderSize
+	for _, v := range in {
+		sum += v.EncodedSize()
+	}
+	if got := len(EncodeTuple(nil, in)); got != sum || EncodedSize(in) != sum {
+		t.Errorf("encoded %d bytes, EncodedSize %d, header + values %d", got, EncodedSize(in), sum)
+	}
+}
+
 // An encode into a slice with room is done in place.
 func TestEncodeFillsSpareCapacity(t *testing.T) {
 	in := Tuple{NewInt(7), NewString("abc"), Null()}
@@ -133,6 +180,9 @@ func TestEncodeFillsSpareCapacity(t *testing.T) {
 	out := EncodeTuple(backing[:4], in)
 	if &out[0] != &backing[0] || len(out) != len(backing) {
 		t.Fatal("EncodeTuple reallocated a destination with exactly enough room")
+	}
+	if raceEnabled {
+		return // the allocation counts below are not the encoder's alone
 	}
 	if allocs := testing.AllocsPerRun(10, func() { EncodeTuple(backing[:4], in) }); allocs != 0 {
 		t.Errorf("in-place encode allocated %.0f times", allocs)
