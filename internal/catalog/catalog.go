@@ -436,7 +436,10 @@ func (c *Catalog) CreateIndex(table, column string) error {
 		return fmt.Errorf("catalog: index on %s.%s already exists", table, column)
 	}
 	tree := storage.NewBTree(c.pool.Disk().Meter())
-	s := t.Heap.Scan().WithSnapshot(c.txns.LatestSnapshot())
+	// The tree keeps every key for good, so the scan emits nothing else:
+	// a kept value pins the block it was carved from, and these blocks
+	// then hold keys only.
+	s := t.Heap.Scan().WithSnapshot(c.txns.LatestSnapshot()).WithColumns([]int{col})
 	// The clustering factor is measured during the build scan: the
 	// fraction of heap-order transitions where the key does not
 	// decrease. 1.0 means index order equals storage order, so
@@ -445,7 +448,7 @@ func (c *Catalog) CreateIndex(table, column string) error {
 	var total, ordered float64
 	first := true
 	for s.Next() {
-		v := s.Tuple()[col]
+		v := s.Tuple()[0]
 		tree.Insert(v, s.RID())
 		if !first {
 			total++

@@ -275,7 +275,7 @@ func TestRetainedTuplesSurviveChunkRecycling(t *testing.T) {
 		t.Fatal("no chunk was recycled: the test saw no reuse")
 	}
 	for i := range kept {
-		if !slices.Equal(kept[i], copies[i]) {
+		if !kept[i].Equal(copies[i]) {
 			t.Fatalf("tuple %d changed after its chunk was recycled: %v, was %v", i, kept[i], copies[i])
 		}
 	}

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"slices"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,13 +9,26 @@ import (
 	"repro/internal/types"
 )
 
+// deepCopy copies a tuple down to its string bytes: Tuple.Clone shares
+// them, and would change with the original if a block were rewritten.
+func deepCopy(t types.Tuple) types.Tuple {
+	c := t.Clone()
+	for i, v := range c {
+		if v.Kind() == types.KindString {
+			c[i] = types.NewString(strings.Clone(v.Str()))
+		}
+	}
+	return c
+}
+
 // retain drains op keeping every tuple Next returned and, beside each, a
-// value copy taken at return time; after the last Next and Close, the
+// deep copy taken at return time; after the last Next and Close, and
+// after whatever after does (more scanning over the same pool), the
 // kept tuples must still read as their copies. This is the Operator
 // contract — a returned tuple is immutable and the caller's to keep —
 // that lets hash tables, sort buffers and pending outputs hold input
 // tuples without cloning them.
-func retain(t *testing.T, label string, op Operator) {
+func retain(t *testing.T, label string, op Operator, after ...func()) {
 	t.Helper()
 	if err := op.Open(); err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -30,7 +43,7 @@ func retain(t *testing.T, label string, op Operator) {
 			break
 		}
 		kept = append(kept, tup)
-		copies = append(copies, tup.Clone())
+		copies = append(copies, deepCopy(tup))
 	}
 	if err := op.Close(); err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -38,8 +51,11 @@ func retain(t *testing.T, label string, op Operator) {
 	if len(kept) == 0 {
 		t.Fatalf("%s: no output", label)
 	}
+	for _, fn := range after {
+		fn()
+	}
 	for i := range kept {
-		if !slices.Equal(kept[i], copies[i]) {
+		if !kept[i].Equal(copies[i]) {
 			t.Fatalf("%s: tuple %d of %d reads %v after the operator moved on, was %v",
 				label, i, len(kept), kept[i], copies[i])
 		}
@@ -53,10 +69,26 @@ func retain(t *testing.T, label string, op Operator) {
 
 func TestOperatorsReturnTuplesTheCallerMayKeep(t *testing.T) {
 	e := newEnv(256)
+	// Every row its own string, of its own length: a string block
+	// written twice, or a view of a page frame, would show.
+	e.rowString = func(table string, i int) string {
+		return fmt.Sprintf("%s-%d-%s", table, i, strings.Repeat("x", i%23))
+	}
 	big := e.makeTable(t, "big", 3000, 37)
 	small := e.makeTable(t, "small", 400, 37)
 	if err := e.cat.CreateIndex("small", "v"); err != nil {
 		t.Fatal(err)
+	}
+	// After an operator is closed: empty the pool, so its frames are
+	// handed out again, and scan other pages into them.
+	other := e.makeTable(t, "other", 3000, 37)
+	churn := func() {
+		if err := e.pool.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(collectAll(t, mustBuild(t, e, scanNode(other)))); n != 3000 {
+			t.Fatalf("churn scan read %d rows", n)
+		}
 	}
 	pruned := func() *plan.Scan {
 		return &plan.Scan{Table: big, Binding: "big", Cols: []int{0, 2}, Out: big.Schema.Project([]int{0, 2}),
@@ -70,9 +102,11 @@ func TestOperatorsReturnTuplesTheCallerMayKeep(t *testing.T) {
 		return s
 	}
 	for label, node := range map[string]plan.Node{
-		"scan":             scanNode(big),
-		"scan, filtered":   scanNode(big, mustPred(t, big.Schema, "v = 3")),
-		"scan, projected":  pruned(),
+		"scan":            scanNode(big),
+		"scan, filtered":  scanNode(big, mustPred(t, big.Schema, "v = 3")),
+		"scan, projected": pruned(),
+		"scan, strings": &plan.Scan{Table: big, Binding: "big", Cols: []int{2}, Out: big.Schema.Project([]int{2}),
+			Filters: []plan.Pred{mustPred(t, big.Schema, "s like 'big-1%'")}},
 		"filter":           &plan.Filter{Input: scanNode(big), Preds: []plan.Pred{mustPred(t, big.Schema, "v > 20")}},
 		"collector":        &plan.Collector{Input: scanNode(big), ID: 1, Spec: plan.CollectorSpec{HistCols: []int{1}}},
 		"hash join":        join(0),
@@ -92,7 +126,7 @@ func TestOperatorsReturnTuplesTheCallerMayKeep(t *testing.T) {
 		"limit": &plan.Limit{Input: scanNode(big), N: 500},
 	} {
 		op := mustBuild(t, e, node)
-		retain(t, label, op)
+		retain(t, label, op, churn)
 		if sp, ok := op.(interface{ Spilled() bool }); ok && sp.Spilled() != strings.HasSuffix(label, ", spill") {
 			t.Errorf("%s: spilled = %v", label, sp.Spilled())
 		}
@@ -148,7 +182,7 @@ func TestDMLMatchTestsFiltersBeforeDecoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || !slices.Equal(got[0].tup, types.Tuple{types.NewInt(7), types.NewInt(7), types.NewString("row")}) {
+	if len(got) != 1 || !got[0].tup.Equal(types.Tuple{types.NewInt(7), types.NewInt(7), types.NewString("row")}) {
 		t.Fatalf("matched %v, want the whole tuple of row 7", got)
 	}
 	if d := e.ctx.Meter.Snapshot().Sub(before); d.TupleCPU != 2000 {

@@ -148,10 +148,12 @@ func (c *Ctx) Err() error {
 // operator writes to a tuple after returning it, nor to one it was
 // handed, so a hash table, a sort buffer or a pending output holds its
 // input tuples as they came, without copying them. An operator that
-// wants different values builds a new tuple (Concat, Project, an
-// aggregate's output); the storage scanner carves each tuple from a
-// block it never touches again; exchange queues recycle the chunk that
-// carried the tuples, never the tuples.
+// wants different values builds a new tuple (a join's output, Project,
+// an aggregate's output). The operators that mint a tuple per row — the
+// storage scanner, the joins, Project — carve it, strings included, from
+// a types.Arena, whose blocks are written once and never recycled; what
+// a kept tuple costs is that it pins its block. Exchange queues recycle
+// the chunk that carried the tuples, never the tuples.
 type Operator interface {
 	Open() error
 	Next() (types.Tuple, error)

@@ -18,6 +18,9 @@ type testEnv struct {
 	cat  *catalog.Catalog
 	ctx  *Ctx
 	pool *storage.BufferPool
+	// rowString, if set, gives row i of a makeTable table its s value;
+	// otherwise every row holds "row".
+	rowString func(table string, i int) string
 }
 
 func newEnv(poolPages int) *testEnv {
@@ -33,7 +36,7 @@ func newEnv(poolPages int) *testEnv {
 
 // makeTable creates table name(k INTEGER key, v INTEGER, s VARCHAR) with
 // n rows: k = i, v = i % mod, s = short string.
-func (e *testEnv) makeTable(t *testing.T, name string, n int, mod int64) *catalog.Table {
+func (e *testEnv) makeTable(t testing.TB, name string, n int, mod int64) *catalog.Table {
 	t.Helper()
 	tbl, err := e.cat.CreateTable(name, types.NewSchema(
 		types.Column{Name: "k", Kind: types.KindInt, Key: true},
@@ -44,10 +47,14 @@ func (e *testEnv) makeTable(t *testing.T, name string, n int, mod int64) *catalo
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
+		s := "row"
+		if e.rowString != nil {
+			s = e.rowString(name, i)
+		}
 		err := tbl.Insert(types.Tuple{
 			types.NewInt(int64(i)),
 			types.NewInt(int64(i) % mod),
-			types.NewString("row"),
+			types.NewString(s),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +171,7 @@ func tuplesetEqual(t *testing.T, got, want []types.Tuple) {
 	}
 }
 
-func hashJoinNode(e *testEnv, t *testing.T, left, right *catalog.Table, grant float64) *plan.HashJoin {
+func hashJoinNode(e *testEnv, t testing.TB, left, right *catalog.Table, grant float64) *plan.HashJoin {
 	t.Helper()
 	j := &plan.HashJoin{
 		Build:     scanNode(left),

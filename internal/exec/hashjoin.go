@@ -46,7 +46,9 @@ type HashJoin struct {
 	closed      bool
 	probeOpened bool
 	probeDone   bool
-	pending     []types.Tuple // joined outputs awaiting emission
+	mem         types.Arena   // what joined outputs are carved from
+	pending     []types.Tuple // joined outputs of the last probe tuple matched
+	head        int           // next of pending to emit
 	curPart     int
 	partScan    *storage.HeapScanner
 	partTable   map[uint64][]types.Tuple
@@ -189,12 +191,15 @@ func (j *HashJoin) writePart(parts []*storage.HeapFile, t types.Tuple, keys []in
 // Next implements Operator: the probe phase.
 func (j *HashJoin) Next() (types.Tuple, error) {
 	for {
-		if len(j.pending) > 0 {
-			t := j.pending[0]
-			j.pending = j.pending[1:]
+		if j.head < len(j.pending) {
+			t := j.pending[j.head]
+			j.pending[j.head] = nil // emitted: the caller's, not ours to pin
+			j.head++
 			j.ctx.Meter.ChargeTuples(1)
 			return t, nil
 		}
+		// Drained: the next match fills the same backing array.
+		j.pending, j.head = j.pending[:0], 0
 		if j.probeDone {
 			return nil, nil
 		}
@@ -278,7 +283,7 @@ func (j *HashJoin) match(table map[uint64][]types.Tuple, t types.Tuple) {
 	h := hashKeys(t, j.node.ProbeKeys)
 	for _, b := range table[h] {
 		if j.keysEqual(b, t) {
-			j.pending = append(j.pending, b.Concat(t))
+			j.pending = append(j.pending, j.mem.Concat(b, t))
 		}
 	}
 }

@@ -22,6 +22,7 @@ type IndexJoin struct {
 	ctx   *Ctx
 	idx   *storage.BTree
 	inner *storage.HeapFetcher
+	mem   types.Arena // what joined outputs are carved from
 
 	opened bool
 	closed bool
@@ -82,7 +83,7 @@ func (j *IndexJoin) Next() (types.Tuple, error) {
 				continue
 			}
 			j.ctx.Meter.ChargeTuples(1)
-			return j.cur.Concat(inner), nil
+			return j.mem.Concat(j.cur, inner), nil
 		}
 		if j.done {
 			return nil, nil

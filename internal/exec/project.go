@@ -12,6 +12,7 @@ type Project struct {
 	node *plan.Project
 	in   Operator
 	ctx  *Ctx
+	mem  types.Arena
 }
 
 // NewProject builds a projection operator.
@@ -31,7 +32,7 @@ func (p *Project) Next() (types.Tuple, error) {
 	if err != nil || t == nil {
 		return nil, err
 	}
-	out := make(types.Tuple, len(p.node.Exprs))
+	out := p.mem.New(len(p.node.Exprs), 0)
 	for i, e := range p.node.Exprs {
 		v, err := e.Eval(t, p.ctx.Params)
 		if err != nil {

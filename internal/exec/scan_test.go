@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"errors"
-	"slices"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -91,7 +90,7 @@ func TestSeqScanPushdownIsInvisible(t *testing.T) {
 				continue
 			}
 			for i := range got {
-				if !slices.Equal(got[i].tup, want[i].tup) || got[i].cost != want[i].cost || got[i].hits != want[i].hits || got[i].ticks != want[i].ticks {
+				if !got[i].tup.Equal(want[i].tup) || got[i].cost != want[i].cost || got[i].hits != want[i].hits || got[i].ticks != want[i].ticks {
 					t.Errorf("%s, %s: after Next %d: %v cost{%v} hits %d ticks %d; want %v cost{%v} hits %d ticks %d", name, variant, i,
 						got[i].tup, got[i].cost, got[i].hits, got[i].ticks, want[i].tup, want[i].cost, want[i].hits, want[i].ticks)
 					break

@@ -317,7 +317,8 @@ func (o *Optimizer) tryHashJoin(q *Query, entry, leaf *dpEntry, j int, equi []*P
 	if err != nil {
 		return nil, 0, err
 	}
-	buildKeys, probeKeys, joinSQL, err := joinKeyOrdinals(q, entry.node.Schema(), probeLeaf.node.Schema(), j, equi)
+	buildSchema, probeSchema := entry.node.Schema(), probeLeaf.node.Schema()
+	buildKeys, probeKeys, joinSQL, err := joinKeyOrdinals(q, buildSchema, probeSchema, j, equi)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -327,6 +328,7 @@ func (o *Optimizer) tryHashJoin(q *Query, entry, leaf *dpEntry, j int, equi []*P
 		BuildKeys: buildKeys,
 		ProbeKeys: probeKeys,
 		JoinSQL:   joinSQL,
+		Out:       buildSchema.Concat(probeSchema),
 	}
 	e := node.Est()
 	e.MemMin, e.MemMax = joinMemDemands(entry.bytes)
@@ -414,6 +416,7 @@ func (o *Optimizer) tryIndexJoin(q *Query, entry *dpEntry, j int, equi []*PredRe
 		InnerSQL:     innerSQL,
 		InnerCols:    rel.Cols,
 		InnerOut:     rel.Out,
+		Out:          entry.node.Schema().Concat(rel.Out),
 	}
 	innerCard, _ := rel.Table.Stats()
 	matches := innerCard / colNDV(rel.Table, rCol)

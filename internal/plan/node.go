@@ -129,10 +129,22 @@ type HashJoin struct {
 	ProbeKeys    []int // ordinals into Probe.Schema()
 	// JoinSQL preserves the join predicate ASTs for regeneration.
 	JoinSQL []sql.Predicate
+	// Out is the join's schema, Build's columns then Probe's, resolved
+	// once when the optimizer makes the node: Schema is asked per node
+	// and column by SCIA and would otherwise concatenate, recursively,
+	// on every call. Clone carries it over; the wrappers later put
+	// around a child (collector, exchange) have their input's schema,
+	// so it stays right. Nil on a hand-built plan, which pays per call.
+	Out *types.Schema
 }
 
 // Schema implements Node.
-func (j *HashJoin) Schema() *types.Schema { return j.Build.Schema().Concat(j.Probe.Schema()) }
+func (j *HashJoin) Schema() *types.Schema {
+	if j.Out != nil {
+		return j.Out
+	}
+	return j.Build.Schema().Concat(j.Probe.Schema())
+}
 
 // Children implements Node.
 func (j *HashJoin) Children() []Node { return []Node{j.Build, j.Probe} }
@@ -177,6 +189,9 @@ type IndexJoin struct {
 	// InnerOut is the inner side's schema: the table's columns at
 	// InnerCols, re-qualified by Binding.
 	InnerOut *types.Schema
+	// Out is the join's schema, Outer's columns then InnerOut's; see
+	// HashJoin.Out.
+	Out *types.Schema
 }
 
 // InnerKey returns the inner join column as InnerOut names it. The join
@@ -191,7 +206,12 @@ func (j *IndexJoin) InnerKey() types.Column {
 }
 
 // Schema implements Node.
-func (j *IndexJoin) Schema() *types.Schema { return j.Outer.Schema().Concat(j.InnerOut) }
+func (j *IndexJoin) Schema() *types.Schema {
+	if j.Out != nil {
+		return j.Out
+	}
+	return j.Outer.Schema().Concat(j.InnerOut)
+}
 
 // Children implements Node.
 func (j *IndexJoin) Children() []Node { return []Node{j.Outer} }

@@ -280,7 +280,7 @@ func (f *HeapFetcher) FetchVisible(rid RID, snap *TxnSnapshot) (types.Tuple, boo
 		}
 		rec = rec[stampSize:]
 	}
-	tup, pass, filterErr, err := f.read(rec, 1)
+	tup, pass, filterErr, err := f.read(rec, 0) // how many more fetches: unknown
 	if err == nil {
 		err = filterErr
 	}
@@ -501,12 +501,6 @@ func (h *HeapFile) Drop() error {
 	return nil
 }
 
-// slabValues caps the []types.Value block a scanner carves tuples from.
-// At 40 bytes a Value, 400 keep the block a small object for the
-// allocator; one block per page was measured to cost more bytes than
-// per-tuple allocation did.
-const slabValues = 400
-
 // HeapScanner iterates a heap file a page at a time. Each step takes the
 // heap's read lock and pins one page, once; walks the page's slots
 // applying MVCC visibility and the pushed filter; decodes the surviving
@@ -520,8 +514,8 @@ const slabValues = 400
 // The scanner sees each page as it was when it loaded it: a record
 // appended to that page afterwards is not returned.
 //
-// Every tuple returned is the caller's to keep: tuples are carved from
-// blocks allocated per chunk of a page and never written again.
+// Every tuple returned is the caller's to keep: tuples and their strings
+// are carved from a types.Arena's blocks and never written again.
 type HeapScanner struct {
 	file    *HeapFile
 	pageIdx int          // next page to load
@@ -550,8 +544,13 @@ type recordReader struct {
 	filterCols []int
 	filter     func(types.Tuple) (bool, error)
 
-	slab    []types.Value // unused remainder of the current block
-	scratch types.Tuple   // filter-column decode target, reused under the pin
+	mem types.Arena // what the tuples handed out are carved from
+
+	// The filter's view of a record: a tuple reused from record to
+	// record, and the strings it tested — garbage once tested, so kept
+	// out of the blocks emitted tuples retain.
+	scratch    types.Tuple
+	scratchMem types.Arena
 }
 
 // scanEntry is one visible record of the loaded page: decoded if it
@@ -686,40 +685,30 @@ func (s *HeapScanner) loadPage() bool {
 // projection of the same decode. A filter failure is returned apart, in
 // filterErr, with the record reported as rejected: it was examined, and
 // the caller serves what preceded it first. err is for records that do
-// not parse. left bounds how many more tuples the caller may ask for
-// (the page's slots from this record on): a new block is sized for that
-// many at most, so a one-page table does not pay for a full block.
+// not parse. left is types.Arena.New's: a bound on how many more tuples
+// the caller may ask for (the page's slots from this record on), or 0.
 func (r *recordReader) read(rec []byte, left int) (tup types.Tuple, pass bool, filterErr, err error) {
-	recWidth, err := types.TupleWidth(rec)
-	if err != nil {
-		return nil, false, nil, err
-	}
 	if r.filter != nil {
+		recWidth, err := types.TupleWidth(rec)
+		if err != nil {
+			return nil, false, nil, err
+		}
 		// Nil filterCols: the ordinals the filter reads are not known,
 		// so it is handed every column.
 		if cap(r.scratch) < recWidth {
 			r.scratch = make(types.Tuple, recWidth)
 		}
 		probe := r.scratch[:recWidth]
-		if _, err := types.DecodeColumns(probe, rec, r.filterCols); err != nil {
+		if _, err := r.scratchMem.DecodeColumns(probe, rec, r.filterCols); err != nil {
 			return nil, false, nil, err
 		}
 		if pass, filterErr = r.filter(probe); !pass || filterErr != nil {
 			return nil, false, filterErr, nil
 		}
 	}
-	width := recWidth
-	if r.cols != nil {
-		width = len(r.cols)
-	}
-	if len(r.slab) < width {
-		r.slab = make([]types.Value, max(width, min(width*left, slabValues)))
-	}
-	tup = r.slab[:width:width]
-	if _, err := types.DecodeProjected(tup, rec, r.cols); err != nil {
+	if tup, err = r.mem.Decode(rec, r.cols, left); err != nil {
 		return nil, false, nil, err
 	}
-	r.slab = r.slab[width:]
 	return tup, true, nil, nil
 }
 

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/types"
 )
@@ -20,7 +22,7 @@ func sameScan(a, b []scanned) error {
 		return fmt.Errorf("%d tuples, want %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].rid != b[i].rid || !slices.Equal(a[i].tup, b[i].tup) {
+		if a[i].rid != b[i].rid || !a[i].tup.Equal(b[i].tup) {
 			return fmt.Errorf("position %d: %v %v, want %v %v", i, a[i].rid, a[i].tup, b[i].rid, b[i].tup)
 		}
 	}
@@ -226,7 +228,7 @@ func TestScanFilterPushdownEquivalence(t *testing.T) {
 				t.Fatalf("snapshot %d, %s: %d steps, want %d", si, name, len(got), len(want))
 			}
 			for i := range got {
-				if got[i].examined != want[i].examined || got[i].rid != want[i].rid || !slices.Equal(got[i].tup, want[i].tup) {
+				if got[i].examined != want[i].examined || got[i].rid != want[i].rid || !got[i].tup.Equal(want[i].tup) {
 					t.Fatalf("snapshot %d, %s, step %d: %+v, want %+v", si, name, i, got[i], want[i])
 				}
 			}
@@ -255,7 +257,7 @@ func TestScanTuplesAreNotOverwritten(t *testing.T) {
 		t.Fatalf("kept %d tuples, want %d", len(kept), n/2)
 	}
 	for i, tup := range kept {
-		if !slices.Equal(tup, row(2*i)) {
+		if !tup.Equal(row(2 * i)) {
 			t.Fatalf("retained tuple %d reads %v after the scan moved on", i, tup)
 		}
 	}
@@ -381,6 +383,47 @@ func TestScanAllocatesPerPageNotPerTuple(t *testing.T) {
 		if allocs > float64(3*pages) {
 			t.Errorf("%s scan of %d tuples on %d pages made %.0f allocations", name, n, pages, allocs)
 		}
+	}
+}
+
+// Strings are carved like values: a projected scan that emits a string
+// column, under a filter that reads another, copies their bytes into
+// blocks — allocations per page, not one object per string emitted or
+// tested.
+func TestScanAllocatesPerPageNotPerString(t *testing.T) {
+	bp, _ := newTestPool(256)
+	h := NewStampedHeapFile(bp)
+	const n = 10000
+	for i := 0; i < n; i++ {
+		if _, err := h.Append(lineitemRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := h.NumPages()
+	if n < 30*pages {
+		t.Fatalf("%d tuples on %d pages: too few per page to tell the two apart", n, pages)
+	}
+	snap := NewTxnManager().LatestSnapshot()
+	emitted := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		emitted = 0
+		// l_shipinstruct and l_comment out, l_shipmode tested.
+		s := h.Scan().WithSnapshot(snap).WithColumns([]int{0, 13, 15}).
+			WithFilter([]int{14}, func(tup types.Tuple) (bool, error) { return tup[14].Str() == "TRUCK", nil })
+		for s.Next() {
+			emitted++
+		}
+		if s.Err() != nil {
+			t.Fatal(s.Err())
+		}
+	})
+	if emitted != n {
+		t.Fatalf("scan emitted %d of %d rows", emitted, n)
+	}
+	// A block of values a page, and a 16 KiB block of string bytes
+	// every few 8 KiB pages.
+	if allocs > float64(2*pages) {
+		t.Errorf("scan emitting %d strings from %d pages made %.0f allocations", 2*n, pages, allocs)
 	}
 }
 
@@ -572,7 +615,7 @@ func TestScanProjection(t *testing.T) {
 					if len(g.tup) != len(cols) || cap(g.tup) != len(cols) {
 						t.Fatalf("%s, cols %v: tuple of %d values (cap %d)", label, cols, len(g.tup), cap(g.tup))
 					}
-					if g.rid != w.rid || !slices.Equal(g.tup, project(w.tup, cols)) {
+					if g.rid != w.rid || !g.tup.Equal(project(w.tup, cols)) {
 						t.Fatalf("%s, filter %s, cols %v, row %d: %v %v, want %v %v",
 							label, f.name, cols, i, g.rid, g.tup, w.rid, project(w.tup, cols))
 					}
@@ -614,7 +657,7 @@ func TestFetcherMatchesScanner(t *testing.T) {
 					t.Fatal(err)
 				}
 				w, in := want[s.rid]
-				if ok != in || (ok && !slices.Equal(tup, w)) {
+				if ok != in || (ok && !tup.Equal(w)) {
 					t.Fatalf("cols %v snapshot %d, %v: fetched %v (ok=%v), scan has %v (ok=%v)", cols, si, s.rid, tup, ok, w, in)
 				}
 				if ok {
@@ -635,7 +678,8 @@ func TestFetcherMatchesScanner(t *testing.T) {
 
 // A projected scan of a table that fits one page carves its tuples from
 // a block sized for that page's tuples at the projected width, not for a
-// full block and not at the table's width.
+// full block and not at the table's width: the whole scan allocates less
+// than the table's width would.
 func TestProjectedScanBlockFitsSmallTable(t *testing.T) {
 	bp, _ := newTestPool(8)
 	h := NewHeapFile(bp)
@@ -644,20 +688,30 @@ func TestProjectedScanBlockFitsSmallTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := h.Scan().WithColumns([]int{4, 5, 6, 10})
-	for i := 0; s.Next(); i++ {
-		tup := s.Tuple()
-		if len(tup) != 4 || !slices.Equal(tup, project(lineitemRow(i), []int{4, 5, 6, 10})) {
-			t.Fatalf("row %d: %v", i, tup)
+	got := make([]types.Tuple, 0, 5)
+	scan := func() {
+		got = got[:0]
+		s := h.Scan().WithColumns([]int{4, 5, 6, 10})
+		for s.Next() {
+			got = append(got, s.Tuple())
 		}
-		// The page is decoded as a whole: after it, the block that was
-		// sized for 5 tuples of 4 values is used up.
-		if len(s.slab) != 0 {
-			t.Errorf("row %d: %d values of the block left over after a 5-row page at 4 columns", i, len(s.slab))
+		if s.Err() != nil {
+			t.Fatal(s.Err())
 		}
 	}
-	if s.Err() != nil {
-		t.Fatal(s.Err())
+	scan() // the page is in the pool from here on
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	scan()
+	runtime.ReadMemStats(&after)
+	for i, tup := range got {
+		if len(tup) != 4 || !tup.Equal(project(lineitemRow(i), []int{4, 5, 6, 10})) {
+			t.Fatalf("row %d: %v", i, tup)
+		}
+	}
+	// 5 tuples of 4 values, the scanner and its one-page batch.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 5*uint64(len(lineitemRow(0)))*uint64(unsafe.Sizeof(types.Value{})); got >= limit {
+		t.Errorf("a 5-row scan at 4 columns allocated %d bytes, the unprojected tuples alone would take %d", got, limit)
 	}
 }
 
@@ -694,7 +748,7 @@ func TestProjectedScanSurfacesDecodeErrors(t *testing.T) {
 		s := h.Scan().WithColumns(cols)
 		n := 0
 		for s.Next() {
-			if !slices.Equal(s.Tuple(), project(lineitemRow(n), cols)) {
+			if !s.Tuple().Equal(project(lineitemRow(n), cols)) {
 				t.Fatalf("%s: row %d reads %v", name, n, s.Tuple())
 			}
 			n++

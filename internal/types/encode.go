@@ -42,7 +42,7 @@ func (v Value) EncodedSize() int {
 	case KindNull:
 		return 1
 	case KindString:
-		return 1 + 4 + len(v.s)
+		return 1 + 4 + len(v.str())
 	default:
 		return 1 + 8
 	}
@@ -60,12 +60,13 @@ func EncodeTuple(dst []byte, t Tuple) []byte {
 		switch v.kind {
 		case KindNull:
 		case KindInt, KindDate:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.i))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.int()))
 		case KindFloat:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.float()))
 		case KindString:
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.s)))
-			dst = append(dst, v.s...)
+			s := v.str()
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+			dst = append(dst, s...)
 		}
 	}
 	return dst
@@ -74,51 +75,33 @@ func EncodeTuple(dst []byte, t Tuple) []byte {
 // TupleWidth returns the column count of the encoded tuple at the front
 // of b.
 func TupleWidth(b []byte) (int, error) {
-	if len(b) < 2 {
+	if len(b) < TupleHeaderSize {
 		return 0, fmt.Errorf("types: truncated tuple header")
 	}
-	return int(binary.LittleEndian.Uint16(b[:2])), nil
+	return int(binary.LittleEndian.Uint16(b)), nil
 }
 
 // DecodeTuple parses one tuple from the front of b, returning the tuple
-// and the number of bytes consumed.
+// and the number of bytes consumed. The tuple is allocated on its own
+// (an Arena of one); a reader of many records decodes through an Arena.
 func DecodeTuple(b []byte) (Tuple, int, error) {
 	n, err := TupleWidth(b)
 	if err != nil {
 		return nil, 0, err
 	}
-	t := make(Tuple, n)
-	off, err := decode(t, b, nil, false)
+	var a Arena
+	t := a.New(n, 1)
+	off, err := a.decode(t, b, nil, false)
 	if err != nil {
 		return nil, 0, err
 	}
 	return t, off, nil
 }
 
-// DecodeColumns parses the encoded tuple at the front of b into dst,
-// whose length must be the tuple's TupleWidth, and returns the number of
-// bytes walked. A nil cols decodes every column; otherwise cols lists, in
-// ascending order, the only ordinals to materialise, each at its own
-// ordinal in dst: the rest of dst is left untouched, the bytes of
-// unwanted columns are skipped without being looked at, and the walk
-// stops after the last wanted column. Page scans use that to test a
-// predicate on its own columns before paying for the whole record.
-func DecodeColumns(dst Tuple, b []byte, cols []int) (int, error) {
-	return decode(dst, b, cols, false)
-}
-
-// DecodeProjected is DecodeColumns with a dense destination: dst has one
-// value per entry of cols and receives column cols[k] at dst[k], so a
-// scan that emits four columns of sixteen carves four values, not
-// sixteen. A nil cols is every column, exactly DecodeColumns. A record
-// with fewer columns than the projection names is an error.
-func DecodeProjected(dst Tuple, b []byte, cols []int) (int, error) {
-	return decode(dst, b, cols, true)
-}
-
 // decode is the engine's one tuple decode loop. dense selects where a
 // wanted column lands: at its position in cols, or at its own ordinal.
-func decode(dst Tuple, b []byte, cols []int, dense bool) (int, error) {
+// String bytes are copied into a's block.
+func (a *Arena) decode(dst Tuple, b []byte, cols []int, dense bool) (int, error) {
 	if len(b) < TupleHeaderSize {
 		return 0, fmt.Errorf("types: truncated tuple header")
 	}
@@ -155,12 +138,7 @@ func decode(dst Tuple, b []byte, cols []int, dense bool) (int, error) {
 				return 0, fmt.Errorf("types: truncated %s at column %d", kind, i)
 			}
 			if want {
-				raw := binary.LittleEndian.Uint64(b[off : off+8])
-				if kind == KindFloat {
-					dst[at] = Value{kind: kind, f: math.Float64frombits(raw)}
-				} else {
-					dst[at] = Value{kind: kind, i: int64(raw)}
-				}
+				dst[at] = Value{kind: kind, w: binary.LittleEndian.Uint64(b[off : off+8])}
 			}
 			off += 8
 		case KindString:
@@ -173,7 +151,7 @@ func decode(dst Tuple, b []byte, cols []int, dense bool) (int, error) {
 				return 0, fmt.Errorf("types: truncated string at column %d", i)
 			}
 			if want {
-				dst[at] = Value{kind: kind, s: string(b[off : off+l])}
+				dst[at] = a.str(b[off : off+l])
 			}
 			off += l
 		default:

@@ -2,11 +2,12 @@ package types
 
 import (
 	"math"
-	"reflect"
-	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// same is Tuple.Equal for one value: the same kind, and Equal.
+func same(a, b Value) bool { return Tuple{a}.Equal(Tuple{b}) }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tuples := []Tuple{
@@ -65,7 +66,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		if err != nil || n != len(buf) {
 			return false
 		}
-		return reflect.DeepEqual(in, out)
+		return in.Equal(out)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -98,7 +99,7 @@ func TestDecodeColumnsPartial(t *testing.T) {
 		for i := range dst {
 			dst[i] = stale
 		}
-		if _, err := DecodeColumns(dst, buf, cols); err != nil {
+		if _, err := new(Arena).DecodeColumns(dst, buf, cols); err != nil {
 			t.Fatalf("cols %v: %v", cols, err)
 		}
 		for i := range dst {
@@ -108,7 +109,7 @@ func TestDecodeColumnsPartial(t *testing.T) {
 					want = in[i]
 				}
 			}
-			if dst[i] != want {
+			if !same(dst[i], want) {
 				t.Errorf("cols %v: column %d = %v, want %v", cols, i, dst[i], want)
 			}
 		}
@@ -116,47 +117,50 @@ func TestDecodeColumnsPartial(t *testing.T) {
 	// Damage past the last wanted column is not this call's to find;
 	// damage before it is.
 	cut := buf[:len(buf)-3]
-	if _, err := DecodeColumns(make(Tuple, len(in)), cut, []int{0, 4}); err != nil {
+	if _, err := new(Arena).DecodeColumns(make(Tuple, len(in)), cut, []int{0, 4}); err != nil {
 		t.Errorf("truncated tail reported while decoding columns before it: %v", err)
 	}
-	if _, err := DecodeColumns(make(Tuple, len(in)), cut, []int{5}); err == nil {
+	if _, err := new(Arena).DecodeColumns(make(Tuple, len(in)), cut, []int{5}); err == nil {
 		t.Error("truncated wanted column decoded")
 	}
-	if _, err := DecodeColumns(make(Tuple, len(in)), cut, nil); err == nil {
+	if _, err := new(Arena).DecodeColumns(make(Tuple, len(in)), cut, nil); err == nil {
 		t.Error("truncated tuple decoded in full")
 	}
 }
 
-// DecodeProjected fills a dense destination — column cols[k] at dst[k] —
-// agrees with DecodeColumns value for value, is DecodeColumns when cols
-// is nil, and refuses a record narrower than the projection.
+// Arena.Decode returns a dense tuple — column cols[k] at position k —
+// that agrees with DecodeColumns value for value, is the whole tuple when
+// cols is nil, and refuses a record narrower than the projection.
 func TestDecodeProjected(t *testing.T) {
 	in := Tuple{NewInt(-1), NewFloat(math.Pi), NewString("hello"), Null(), NewDate(9500), NewString("tail")}
 	buf := EncodeTuple(nil, in)
-	for _, cols := range [][]int{{0}, {2}, {3}, {5}, {1, 4}, {2, 3, 5}, {0, 1, 2, 3, 4, 5}} {
-		dst := make(Tuple, len(cols))
-		if _, err := DecodeProjected(dst, buf, cols); err != nil {
-			t.Fatalf("cols %v: %v", cols, err)
+	var a Arena
+	for _, cols := range [][]int{{}, {0}, {2}, {3}, {5}, {1, 4}, {2, 3, 5}, {0, 1, 2, 3, 4, 5}} {
+		got, err := a.Decode(buf, cols, 1)
+		if err != nil || len(got) != len(cols) {
+			t.Fatalf("cols %v: %v, %v", cols, got, err)
 		}
 		for k, c := range cols {
-			if dst[k] != in[c] {
-				t.Errorf("cols %v: dst[%d] = %v, want column %d = %v", cols, k, dst[k], c, in[c])
+			if !same(got[k], in[c]) {
+				t.Errorf("cols %v: position %d = %v, want column %d = %v", cols, k, got[k], c, in[c])
 			}
 		}
 	}
-	all := make(Tuple, len(in))
-	if n, err := DecodeProjected(all, buf, nil); err != nil || n != len(buf) || !slices.Equal(all, in) {
-		t.Errorf("nil projection decoded %v (%d bytes, %v), want %v", all, n, err, in)
+	if all, err := a.Decode(buf, nil, 1); err != nil || !all.Equal(in) {
+		t.Errorf("nil projection decoded %v (%v), want %v", all, err, in)
 	}
-	if _, err := DecodeProjected(make(Tuple, 2), buf, []int{2, 9}); err == nil {
+	if _, err := a.Decode(buf, []int{2, 9}, 1); err == nil {
 		t.Error("projection of a column the record does not have decoded")
+	}
+	if _, err := a.Decode(buf[:1], nil, 1); err == nil {
+		t.Error("a record without a header decoded")
 	}
 	// Like DecodeColumns, the walk stops after the last wanted column.
 	cut := buf[:len(buf)-3]
-	if _, err := DecodeProjected(make(Tuple, 2), cut, []int{0, 4}); err != nil {
+	if _, err := a.Decode(cut, []int{0, 4}, 1); err != nil {
 		t.Errorf("truncated tail reported while projecting columns before it: %v", err)
 	}
-	if _, err := DecodeProjected(make(Tuple, 1), cut, []int{5}); err == nil {
+	if _, err := a.Decode(cut, []int{5}, 1); err == nil {
 		t.Error("truncated wanted column decoded")
 	}
 }

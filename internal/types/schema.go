@@ -114,6 +114,23 @@ func (t Tuple) ByteSize() int {
 	return n
 }
 
+// Equal reports whether t and o have the same length and hold, position
+// by position, values of the same kind that are Equal. It is stricter
+// than Value.Equal by the kind — INTEGER 2 is not FLOAT 2.0 here — since
+// two tuples of one schema that differ in a kind differ. Values cannot be
+// compared with ==; this is the comparison tests want.
+func (t Tuple) Equal(o Tuple) bool {
+	if len(t) != len(o) {
+		return false
+	}
+	for i, v := range t {
+		if v.kind != o[i].kind || !v.Equal(o[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns a copy of the tuple safe to retain after the producing
 // operator advances. Values are immutable, so a shallow slice copy is a
 // deep copy.

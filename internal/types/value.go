@@ -8,11 +8,13 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
+	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind identifies the runtime type of a Value.
@@ -48,27 +50,56 @@ func (k Kind) String() string {
 // Numeric reports whether values of this kind participate in arithmetic.
 func (k Kind) Numeric() bool { return k == KindInt || k == KindFloat }
 
-// Value is a tagged union over the engine's SQL types. The zero Value is
+// Value is a tagged union over the engine's SQL types, 24 bytes wide: a
+// data pointer, one 64-bit payload word and the kind. The zero Value is
 // the SQL NULL.
+//
+// The payload word holds an INTEGER, a DATE's days since the epoch, a
+// FLOAT's IEEE-754 bits, or a VARCHAR's length in bytes; the pointer is
+// the first byte of a VARCHAR's data and nil for every other kind and
+// for "". A string is therefore carried as (pointer, length) without the
+// string header's second copy of either, and viewed through
+// unsafe.String: this package is the only one that imports unsafe, and
+// nothing outside int, float and str reads p or w.
+//
+// Two Values holding the same string need not hold the same pointer, so
+// == would be identity where every caller wants Equal; the zero-size
+// func array makes it a compile error.
 type Value struct {
+	_    [0]func()
+	p    *byte
+	w    uint64
 	kind Kind
-	i    int64 // int payload, or days-since-epoch for dates
-	f    float64
-	s    string
 }
 
+// int returns the payload word as an INTEGER or DATE.
+func (v Value) int() int64 { return int64(v.w) }
+
+// float returns the payload word as a FLOAT.
+func (v Value) float() float64 { return math.Float64frombits(v.w) }
+
+// str views the payload as a VARCHAR. The bytes behind p are never
+// written once a Value points at them (see Arena), which is what lets a
+// string share them.
+func (v Value) str() string { return unsafe.String(v.p, int(v.w)) }
+
 // NewInt returns an INTEGER value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return Value{kind: KindInt, w: uint64(v)} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, w: math.Float64bits(v)} }
 
-// NewString returns a VARCHAR value.
-func NewString(v string) Value { return Value{kind: KindString, s: v} }
+// NewString returns a VARCHAR value sharing v's bytes.
+func NewString(v string) Value {
+	if len(v) == 0 {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, p: unsafe.StringData(v), w: uint64(len(v))}
+}
 
 // NewDate returns a DATE value holding the given number of days since the
 // Unix epoch (1970-01-01).
-func NewDate(days int64) Value { return Value{kind: KindDate, i: days} }
+func NewDate(days int64) Value { return Value{kind: KindDate, w: uint64(days)} }
 
 // NewDateFromTime converts a time.Time (interpreted in UTC) to a DATE.
 func NewDateFromTime(t time.Time) Value {
@@ -90,7 +121,7 @@ func (v Value) Int() int64 {
 	if v.kind != KindInt && v.kind != KindDate {
 		panic(fmt.Sprintf("types: Int() on %s value", v.kind))
 	}
-	return v.i
+	return v.int()
 }
 
 // Float returns the float payload. It panics unless the value is a FLOAT.
@@ -98,7 +129,7 @@ func (v Value) Float() float64 {
 	if v.kind != KindFloat {
 		panic(fmt.Sprintf("types: Float() on %s value", v.kind))
 	}
-	return v.f
+	return v.float()
 }
 
 // Str returns the string payload. It panics unless the value is a VARCHAR.
@@ -106,7 +137,7 @@ func (v Value) Str() string {
 	if v.kind != KindString {
 		panic(fmt.Sprintf("types: Str() on %s value", v.kind))
 	}
-	return v.s
+	return v.str()
 }
 
 // Days returns the DATE payload as days since the epoch. It panics unless
@@ -115,7 +146,7 @@ func (v Value) Days() int64 {
 	if v.kind != KindDate {
 		panic(fmt.Sprintf("types: Days() on %s value", v.kind))
 	}
-	return v.i
+	return v.int()
 }
 
 // AsFloat converts any numeric or date value to float64 for estimation
@@ -125,9 +156,9 @@ func (v Value) Days() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindInt, KindDate:
-		return float64(v.i)
+		return float64(v.int())
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindString:
 		return float64(v.Hash() & 0x7fffffffffff)
 	default:
@@ -171,26 +202,18 @@ func (v Value) Compare(o Value) int {
 	}
 	switch v.kind {
 	case KindInt, KindDate:
-		switch {
-		case v.i < o.i:
-			return -1
-		case v.i > o.i:
-			return 1
-		}
+		return cmp.Compare(v.int(), o.int())
 	case KindFloat:
-		switch {
-		case v.f < o.f:
+		// Not cmp.Compare: a NaN compares equal to everything here, as
+		// it always has.
+		switch a, b := v.float(), o.float(); {
+		case a < b:
 			return -1
-		case v.f > o.f:
+		case a > b:
 			return 1
 		}
 	case KindString:
-		switch {
-		case v.s < o.s:
-			return -1
-		case v.s > o.s:
-			return 1
-		}
+		return strings.Compare(v.str(), o.str())
 	}
 	return 0
 }
@@ -200,42 +223,36 @@ func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 
 // Hash returns a stable 64-bit hash of the value, suitable for hash joins
 // and hash aggregation. Equal values (including cross-kind numeric equals
-// like 2 and 2.0) hash identically.
+// like 2 and 2.0) hash identically. It is FNV-1a over the payload: the
+// eight little-endian bytes of a number, the bytes of a string.
 func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	switch v.kind {
 	case KindNull:
 		return 0x9e3779b97f4a7c15
-	case KindInt, KindDate:
-		// Hash integers through their float image when exactly
-		// representable so that 2 and 2.0 collide, matching Equal.
-		f := float64(v.i)
-		if int64(f) == v.i {
-			putUint64(buf[:], math.Float64bits(f))
-		} else {
-			putUint64(buf[:], uint64(v.i))
+	case KindInt, KindDate, KindFloat:
+		bits := v.w
+		if v.kind != KindFloat {
+			// Hash integers through their float image when exactly
+			// representable so that 2 and 2.0 collide, matching Equal.
+			if f := float64(v.int()); int64(f) == v.int() {
+				bits = math.Float64bits(f)
+			}
 		}
-		h.Write(buf[:])
-	case KindFloat:
-		putUint64(buf[:], math.Float64bits(v.f))
-		h.Write(buf[:])
+		for i := 0; i < 64; i += 8 {
+			h = (h ^ uint64(byte(bits>>i))) * prime64
+		}
 	case KindString:
-		h.Write([]byte(v.s))
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime64
+		}
 	}
-	return h.Sum64()
-}
-
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
+	return h
 }
 
 // String renders the value for display and plan output.
@@ -244,13 +261,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindDate:
-		return time.Unix(v.i*86400, 0).UTC().Format("2006-01-02")
+		return time.Unix(v.int()*86400, 0).UTC().Format("2006-01-02")
 	default:
 		return fmt.Sprintf("Value(kind=%d)", v.kind)
 	}
@@ -263,7 +280,7 @@ func (v Value) String() string {
 func (v Value) ByteSize() int {
 	switch v.kind {
 	case KindString:
-		return 16 + len(v.s)
+		return 16 + int(v.w)
 	default:
 		return 8
 	}
@@ -290,26 +307,27 @@ func arith(v, o Value, op byte) (Value, error) {
 	// DATE +/- INTEGER shifts by days.
 	if v.kind == KindDate && o.kind == KindInt && (op == '+' || op == '-') {
 		if op == '+' {
-			return NewDate(v.i + o.i), nil
+			return NewDate(v.int() + o.int()), nil
 		}
-		return NewDate(v.i - o.i), nil
+		return NewDate(v.int() - o.int()), nil
 	}
 	if !v.kind.Numeric() || !o.kind.Numeric() {
 		return Null(), fmt.Errorf("types: cannot apply %c to %s and %s", op, v.kind, o.kind)
 	}
 	if v.kind == KindInt && o.kind == KindInt {
+		a, b := v.int(), o.int()
 		switch op {
 		case '+':
-			return NewInt(v.i + o.i), nil
+			return NewInt(a + b), nil
 		case '-':
-			return NewInt(v.i - o.i), nil
+			return NewInt(a - b), nil
 		case '*':
-			return NewInt(v.i * o.i), nil
+			return NewInt(a * b), nil
 		case '/':
-			if o.i == 0 {
+			if b == 0 {
 				return Null(), fmt.Errorf("types: integer division by zero")
 			}
-			return NewInt(v.i / o.i), nil
+			return NewInt(a / b), nil
 		}
 	}
 	a, b := v.AsFloat(), o.AsFloat()
