@@ -496,9 +496,13 @@ func (c *Catalog) Analyze(table string, opts AnalyzeOptions) error {
 	if opts.Buckets <= 0 {
 		opts.Buckets = 20
 	}
-	want := make(map[int]bool)
+	// The analysed columns, as ascending ordinals: the scan loop walks
+	// this list and indexes per-column slices by ordinal — no map, and no
+	// growth by doubling, on the per-value path.
+	ncols := t.Schema.Len()
+	want := make([]bool, ncols)
 	if opts.Columns == nil {
-		for i := range t.Schema.Columns {
+		for i := range want {
 			want[i] = true
 		}
 	} else {
@@ -510,10 +514,20 @@ func (c *Catalog) Analyze(table string, opts AnalyzeOptions) error {
 			want[i] = true
 		}
 	}
+	var cols []int
+	for i, w := range want {
+		if w {
+			cols = append(cols, i)
+		}
+	}
 
-	vals := make(map[int][]types.Value)
-	nulls := make(map[int]float64)
-	widths := make([]float64, t.Schema.Len()) // encoded bytes per column
+	rows := int(t.Heap.NumTuples()) // every version: at least the visible ones
+	vals := make([][]types.Value, ncols)
+	for _, col := range cols {
+		vals[col] = make([]types.Value, 0, rows)
+	}
+	nulls := make([]float64, ncols)
+	widths := make([]float64, ncols) // encoded bytes per column
 	var count float64
 	var bytes float64
 	s := t.Heap.Scan().WithSnapshot(c.txns.LatestSnapshot())
@@ -521,7 +535,7 @@ func (c *Catalog) Analyze(table string, opts AnalyzeOptions) error {
 		tup := s.Tuple()
 		count++
 		bytes += float64(types.EncodedSize(tup))
-		for col := range want {
+		for _, col := range cols {
 			v := tup[col]
 			widths[col] += float64(v.EncodedSize())
 			if v.IsNull() {
@@ -536,8 +550,8 @@ func (c *Catalog) Analyze(table string, opts AnalyzeOptions) error {
 	}
 
 	// Build the new statistics off-lock, then publish atomically.
-	newStats := make(map[int]*ColumnStats, len(want))
-	for col := range want {
+	newStats := make(map[int]*ColumnStats, len(cols))
+	for _, col := range cols {
 		cs := &ColumnStats{nulls: nulls[col]}
 		vs := vals[col]
 		if count > 0 {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/memmgr"
 	"repro/internal/plan"
-	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -34,7 +33,6 @@ type parallelAgg struct {
 	stateQ   chan []types.Tuple
 	final    exec.Operator
 	partials []exec.Operator
-	meters   []*storage.CostMeter
 	states   stateSlots
 
 	opened    bool
@@ -63,7 +61,6 @@ func (a *parallelAgg) Open() error {
 	a.inQ = makeQueues(n)
 	a.stateQ = make(chan []types.Tuple, chanCap)
 	a.partials = make([]exec.Operator, n)
-	a.meters = make([]*storage.CostMeter, n)
 	a.states = newStateSlots(n)
 
 	rr, _ := a.agg.Input.(*plan.Exchange)
@@ -85,7 +82,6 @@ func (a *parallelAgg) Open() error {
 	for w := 0; w < n; w++ {
 		wc := workerCtx(a.ctx, a.reg, w, n, share)
 		wc.StateSink = a.states.sink(w)
-		a.meters[w] = wc.Meter
 		// Partials are not instrumented: their outputs are encoded group
 		// states, not result rows, and would inflate the agg node's
 		// actual row count. Worker costs reach ANALYZE via the region's
@@ -105,10 +101,10 @@ func (a *parallelAgg) Open() error {
 
 	done := lastOf(n, a.stateQ)
 	for w := 0; w < n; w++ {
-		op := a.partials[w]
+		op, m := a.partials[w], a.reg.meters[w]
 		a.reg.spawn(a.ctx, fmt.Sprintf("agg-worker-%d", w), func() error {
-			return runWorker(a.reg, op, a.stateQ)
-		}, done)
+			return runWorker(a.reg, op, m, a.stateQ)
+		}, m.Flush, done)
 	}
 	a.reg.spawn(a.ctx, "agg-route", a.route(n), lastOf(1, a.inQ...))
 
@@ -119,7 +115,7 @@ func (a *parallelAgg) Open() error {
 		return err
 	}
 	a.finalized = true
-	return finalizeRegion(a.x, a.ctx, a.meters, a.states, a.partials)
+	return finalizeRegion(a.x, a.ctx, a.reg, a.states, a.partials)
 }
 
 // route deals input tuples to partial workers in rotation.
@@ -129,7 +125,7 @@ func (a *parallelAgg) route(n int) func() error {
 			a.left.Close()
 			return err
 		}
-		box := newOutbox(a.reg, a.inQ...)
+		box := newOutbox(a.reg, nil, a.inQ...)
 		i := 0
 		for {
 			if err := faultinject.Hit("exchange.route"); err != nil {
@@ -168,10 +164,7 @@ func (a *parallelAgg) Close() error {
 		return nil
 	}
 	a.closed = true
-	if a.reg != nil {
-		a.reg.cancel()
-		a.reg.wg.Wait()
-	}
+	a.reg.close()
 	var err error
 	if a.final != nil {
 		err = a.final.Close()
@@ -184,5 +177,6 @@ func (a *parallelAgg) Close() error {
 	if a.left != nil {
 		a.left.Close()
 	}
+	a.reg.traceClosed(a.ctx, "agg")
 	return err
 }

@@ -85,7 +85,7 @@ func BenchmarkHashRoute(b *testing.B) {
 				}
 			}(newSource(r, q, li.Schema))
 		}
-		box := newOutbox(r, qs...)
+		box := newOutbox(r, nil, qs...)
 		for _, t := range rows {
 			box.put(int(hashTuple(t, []int{0})%deg), t)
 		}

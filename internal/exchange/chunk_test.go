@@ -125,6 +125,141 @@ func TestChunkBoundaryStreamsMatchSerial(t *testing.T) {
 	}
 }
 
+// A region that runs to its end has forwarded, by the time its consumer
+// sees the end of the stream, every charge its workers made: the query
+// meter is the sum of the tributaries, as it was when every charge was
+// forwarded by itself.
+func TestRegionsForwardEveryCharge(t *testing.T) {
+	e := newEnv()
+	r := e.table(t, "r", 5*chunkCap+3)
+	for _, deg := range []int{1, 2, 4} {
+		before := e.m.Snapshot()
+		g := newGather(topsPass(scanOf(r), deg).(*plan.Exchange), e.ctx(context.Background()))
+		if _, err := exec.Collect(g); err != nil {
+			t.Fatal(err)
+		}
+		sameCharges(t, fmt.Sprintf("gather, degree %d", deg), e, before, g.reg)
+
+		before = e.m.Snapshot()
+		op, err := exec.Build(topsPass(joinOf(r, r), deg), e.ctx(context.Background()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.Collect(op); err != nil {
+			t.Fatal(err)
+		}
+		j := op.(*parallelJoin)
+		sameCharges(t, fmt.Sprintf("join, degree %d", deg), e, before, j.reg, j.left.(*gather).reg)
+
+		before = e.m.Snapshot()
+		op, err = exec.Build(topsPass(aggOf(r), deg), e.ctx(context.Background()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.Collect(op); err != nil {
+			t.Fatal(err)
+		}
+		a := op.(*parallelAgg)
+		// Serial on top of the workers: the gather that feeds the router,
+		// and the final merge, which absorbs one state per (worker,
+		// group) and emits one row per group.
+		sum := forwarded(t, fmt.Sprintf("agg, degree %d", deg), a.reg, a.left.(*gather).reg)
+		groups := int64(min(7, r.Heap.NumTuples()))
+		if d := e.m.Snapshot().Sub(before); d.TupleCPU != sum.TupleCPU+int64(deg)*groups+groups {
+			t.Errorf("agg, degree %d: query meter moved by %d tuples, workers charged %d and the final merge %d",
+				deg, d.TupleCPU, sum.TupleCPU, int64(deg)*groups+groups)
+		}
+	}
+}
+
+// failAt is a scan filter that passes every row and fails the query at
+// row k.
+type failAt struct{ k int64 }
+
+var errRow = errors.New("exchange test: bad row")
+
+func (f failAt) String() string { return fmt.Sprintf("k <> %d or fail", f.k) }
+func (f failAt) Test(t types.Tuple, _ plan.Params) (bool, error) {
+	if t[0].Int() == f.k {
+		return false, errRow
+	}
+	return true, nil
+}
+
+// A worker that fails in the middle of a chunk — tuples charged since its
+// last send, nothing more to send — forwards them from its exit hook, and
+// so do the workers its failure cancels.
+func TestWorkerFailingMidChunkStillForwards(t *testing.T) {
+	e := newEnv()
+	r := e.table(t, "r", 8*chunkCap)
+	bad := scanOf(r)
+	bad.Filters = []plan.Pred{failAt{k: chunkCap / 2}}
+	run := func(n plan.Node) exec.Operator {
+		t.Helper()
+		op, err := exec.Build(n, e.ctx(context.Background()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.Collect(op); !errors.Is(err, errRow) {
+			t.Fatalf("Collect = %v, want the bad row's error", err)
+		}
+		return op
+	}
+
+	before := e.m.Snapshot()
+	g := run(topsPass(bad, 2)).(*gather)
+	sameCharges(t, "gather over a failing scan", e, before, g.reg)
+
+	before = e.m.Snapshot()
+	join := joinOf(r, r)
+	join.Probe = bad
+	j := run(topsPass(join, 2)).(*parallelJoin)
+	sameCharges(t, "join over a failing probe", e, before, j.reg, j.left.(*gather).reg)
+
+	before = e.m.Snapshot()
+	agg := aggOf(r)
+	agg.Input = bad
+	a := run(topsPass(agg, 2)).(*parallelAgg)
+	sum := forwarded(t, "agg over a failing scan", a.reg, a.left.(*gather).reg)
+	if d := e.m.Snapshot().Sub(before); sum.TupleCPU == 0 || d.TupleCPU < sum.TupleCPU {
+		t.Errorf("agg over a failing scan: query meter moved by %d tuples, the workers charged %d", d.TupleCPU, sum.TupleCPU)
+	}
+}
+
+// Joins on a column with duplicates — every probe tuple meets a chain of
+// build tuples — produce the nested-loop multiset in memory, spilled, and
+// across 1, 2 and 4 workers.
+func TestJoinOnDuplicateKeysMatchesNestedLoop(t *testing.T) {
+	e := newEnv()
+	build, probe := e.table(t, "b", 600), e.table(t, "p", 150)
+	var want []string
+	for i := 0; i < 600; i++ {
+		for k := 0; k < 150; k++ {
+			if i%7 == k%7 {
+				want = append(want, fmt.Sprint(types.Tuple{
+					types.NewInt(int64(i)), types.NewInt(int64(i % 7)), types.NewString("row"),
+					types.NewInt(int64(k)), types.NewInt(int64(k % 7)), types.NewString("row")}))
+			}
+		}
+	}
+	sort.Strings(want)
+	mk := func(grant float64) *plan.HashJoin {
+		j := &plan.HashJoin{Build: scanOf(build), Probe: scanOf(probe), BuildKeys: []int{1}, ProbeKeys: []int{1}}
+		j.Est().Grant = grant
+		return j
+	}
+	for _, grant := range []float64{0, 4096} { // in memory; far below the build side
+		if got := multiset(t, e, mk(grant)); !slices.Equal(got, want) {
+			t.Errorf("serial, grant %.0f: %d rows differ from the nested loop's %d", grant, len(got), len(want))
+		}
+		for _, deg := range []int{1, 2, 4} {
+			if got := multiset(t, e, topsPass(mk(grant), deg)); !slices.Equal(got, want) {
+				t.Errorf("degree %d, grant %.0f: %d rows differ from the nested loop's %d", deg, grant, len(got), len(want))
+			}
+		}
+	}
+}
+
 // waitFor polls cond until it holds.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -156,6 +291,39 @@ func drainErr(op exec.Operator) error {
 	}
 }
 
+// forwarded fails the test if a worker of the (closed, or waited-for)
+// regions charged something its tributary has not flushed to the query
+// meter, and returns what the workers charged in all.
+func forwarded(t *testing.T, what string, regs ...*region) (sum storage.Snapshot) {
+	t.Helper()
+	for _, r := range regs {
+		for w, m := range r.meters {
+			if u := m.Unflushed(); u.PageReads != 0 || u.PageWrites != 0 || u.TupleCPU != 0 || u.StatCPU != 0 {
+				t.Errorf("%s: worker %d kept %v from the query meter", what, w, u)
+			}
+			c := m.Snapshot()
+			sum.PageReads += c.PageReads
+			sum.TupleCPU += c.TupleCPU
+			sum.StatCPU += c.StatCPU
+		}
+	}
+	return sum
+}
+
+// sameCharges fails the test unless the query meter moved by exactly
+// what the regions' workers charged: no serial operator charges tuples
+// or reads pages in the plans it is used on.
+func sameCharges(t *testing.T, what string, e *testEnv, before storage.Snapshot, regs ...*region) {
+	t.Helper()
+	sum, d := forwarded(t, what, regs...), e.m.Snapshot().Sub(before)
+	if sum.TupleCPU == 0 {
+		t.Errorf("%s: the workers charged nothing: the test saw no work", what)
+	}
+	if d.TupleCPU != sum.TupleCPU || d.StatCPU != sum.StatCPU || d.PageReads != sum.PageReads {
+		t.Errorf("%s: query meter moved by %v, its workers charged %v", what, d, sum)
+	}
+}
+
 // settles returns a condition that holds once the goroutine count is
 // back to what it was when settles was called.
 func settles() func() bool {
@@ -174,6 +342,7 @@ func TestCancelWithFullQueuesReleasesProducers(t *testing.T) {
 		settled := settles()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
+		before := e.m.Snapshot()
 		g := newGather(topsPass(scanOf(big), 4).(*plan.Exchange), e.ctx(ctx))
 		if err := g.Open(); err != nil {
 			t.Fatal(err)
@@ -185,12 +354,16 @@ func TestCancelWithFullQueuesReleasesProducers(t *testing.T) {
 		}
 		g.Close()
 		waitFor(t, "the gather's goroutines to exit", settled)
+		// Workers parked on a send, with a chunk in hand and more charged
+		// behind it, still forwarded it all on their way out.
+		sameCharges(t, "cancelled gather", e, before, g.reg)
 	})
 
 	t.Run("join", func(t *testing.T) {
 		settled := settles()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
+		before := e.m.Snapshot()
 		op, err := exec.Build(topsPass(joinOf(big, big), 4), e.ctx(ctx))
 		if err != nil {
 			t.Fatal(err)
@@ -198,6 +371,14 @@ func TestCancelWithFullQueuesReleasesProducers(t *testing.T) {
 		j := op.(*parallelJoin)
 		if err := j.Open(); err != nil {
 			t.Fatal(err)
+		}
+		// Open returned: the dispatcher is at a checkpoint and reads the
+		// query meter, which holds the whole build — two charges a build
+		// tuple in the join workers, one in the scan workers below.
+		build := j.left.(*gather).reg
+		sameCharges(t, "join after Open", e, before, j.reg, build)
+		if got, want := e.m.Snapshot().Sub(before).TupleCPU, int64(3*16*chanCap*chunkCap); got != want {
+			t.Errorf("query meter holds %d tuple charges after the build, want %d", got, want)
 		}
 		if tup, err := j.Next(); tup == nil || err != nil {
 			t.Fatalf("first Next = %v, %v", tup, err)
@@ -211,12 +392,14 @@ func TestCancelWithFullQueuesReleasesProducers(t *testing.T) {
 		}
 		j.Close()
 		waitFor(t, "the join's goroutines to exit", settled)
+		sameCharges(t, "cancelled join", e, before, j.reg, build)
 	})
 
 	t.Run("agg", func(t *testing.T) {
 		settled := settles()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
+		before := e.m.Snapshot()
 		x := topsPass(aggOf(big), 2).(*plan.Exchange)
 		in := &endless{sch: big.Schema, row: types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("row")}}
 		a := newParallelAgg(x, x.Input.(*plan.Agg), in, e.ctx(ctx))
@@ -229,6 +412,13 @@ func TestCancelWithFullQueuesReleasesProducers(t *testing.T) {
 		}
 		a.Close()
 		waitFor(t, "the aggregation's goroutines to exit", settled)
+		// The final merge charges the query meter itself, so the total is
+		// not the workers' alone; what they charged must all be in it.
+		if sum := forwarded(t, "cancelled agg", a.reg); sum.TupleCPU == 0 {
+			t.Error("the partial workers charged nothing: the test saw no work")
+		} else if d := e.m.Snapshot().Sub(before); d.TupleCPU < sum.TupleCPU {
+			t.Errorf("query meter moved by %d tuples, the partial workers alone charged %d", d.TupleCPU, sum.TupleCPU)
+		}
 	})
 }
 

@@ -92,7 +92,7 @@ func (s stateSlots) sink(w int) func(*exec.CollectorState) {
 // account the region's wall-clock savings, and roll worker costs and
 // memory into EXPLAIN ANALYZE. It runs on the consumer's goroutine after
 // every region goroutine has exited.
-func finalizeRegion(x *plan.Exchange, ctx *exec.Ctx, meters []*storage.CostMeter, states stateSlots, memOps []exec.Operator) error {
+func finalizeRegion(x *plan.Exchange, ctx *exec.Ctx, r *region, states stateSlots, memOps []exec.Operator) error {
 	if err := faultinject.Hit("exchange.gather"); err != nil {
 		return err
 	}
@@ -125,11 +125,11 @@ func finalizeRegion(x *plan.Exchange, ctx *exec.Ctx, meters []*storage.CostMeter
 			ctx.StatsSink(o)
 		}
 	}
-	sum, max := meterCosts(meters)
+	sum, max := r.meterCosts()
 	ctx.Wall.AddSavings(sum - max)
 	if ctx.Analyze.Enabled() {
 		acc := ctx.Analyze.Op(x)
-		for i, m := range meters {
+		for i, m := range r.meters {
 			mem := 0.0
 			if i < len(memOps) && memOps[i] != nil {
 				if mr, ok := memOps[i].(interface{ MemUsed() float64 }); ok {
@@ -150,10 +150,10 @@ func degree(x *plan.Exchange) int {
 	return x.Degree
 }
 
-// runWorker drives one worker pipeline to completion, forwarding its
-// output into the gather queue. It owns the operator's lifecycle on
-// every path.
-func runWorker(r *region, op exec.Operator, out chan []types.Tuple) error {
+// runWorker drives one worker pipeline, whose tributary meter is m, to
+// completion, forwarding its output into the gather queue. It owns the
+// operator's lifecycle on every path.
+func runWorker(r *region, op exec.Operator, m *storage.CostMeter, out chan []types.Tuple) error {
 	if err := faultinject.Hit("exchange.worker"); err != nil {
 		op.Close()
 		return err
@@ -162,13 +162,13 @@ func runWorker(r *region, op exec.Operator, out chan []types.Tuple) error {
 		op.Close()
 		return err
 	}
-	return forward(r, op, out)
+	return forward(r, op, m, out)
 }
 
 // forward streams an opened pipeline into out, a chunk at a time, and
 // closes the pipeline on every path.
-func forward(r *region, op exec.Operator, out chan []types.Tuple) error {
-	box := newOutbox(r, out)
+func forward(r *region, op exec.Operator, m *storage.CostMeter, out chan []types.Tuple) error {
+	box := newOutbox(r, m, out)
 	for {
 		t, err := op.Next()
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/plan"
-	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -23,7 +22,6 @@ type gather struct {
 	reg     *region
 	out     inbox
 	workers []exec.Operator
-	meters  []*storage.CostMeter
 	states  stateSlots
 
 	opened    bool
@@ -50,12 +48,10 @@ func (g *gather) Open() error {
 	g.reg = newRegion(g.ctx.Context)
 	g.out = inbox{r: g.reg, q: make(chan []types.Tuple, chanCap)}
 	g.workers = make([]exec.Operator, n)
-	g.meters = make([]*storage.CostMeter, n)
 	g.states = newStateSlots(n)
 	for w := 0; w < n; w++ {
 		wc := workerCtx(g.ctx, g.reg, w, n, 0)
 		wc.StateSink = g.states.sink(w)
-		g.meters[w] = wc.Meter
 		op, err := exec.Build(g.x.Input, wc)
 		if err != nil {
 			g.reg.fail(err)
@@ -65,10 +61,10 @@ func (g *gather) Open() error {
 	}
 	done := lastOf(n, g.out.q)
 	for w := 0; w < n; w++ {
-		op := g.workers[w]
+		op, m := g.workers[w], g.reg.meters[w]
 		g.reg.spawn(g.ctx, fmt.Sprintf("scan-worker-%d", w), func() error {
-			return runWorker(g.reg, op, g.out.q)
-		}, done)
+			return runWorker(g.reg, op, m, g.out.q)
+		}, m.Flush, done)
 	}
 	return nil
 }
@@ -88,7 +84,7 @@ func (g *gather) Next() (types.Tuple, error) {
 		return nil, err
 	}
 	g.finalized = true
-	if err := finalizeRegion(g.x, g.ctx, g.meters, g.states, nil); err != nil {
+	if err := finalizeRegion(g.x, g.ctx, g.reg, g.states, nil); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -102,14 +98,12 @@ func (g *gather) Close() error {
 		return nil
 	}
 	g.closed = true
-	if g.reg != nil {
-		g.reg.cancel()
-		g.reg.wg.Wait()
-	}
+	g.reg.close()
 	for _, op := range g.workers {
 		if op != nil {
 			op.Close()
 		}
 	}
+	g.reg.traceClosed(g.ctx, "gather")
 	return nil
 }

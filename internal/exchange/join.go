@@ -41,7 +41,6 @@ type parallelJoin struct {
 	probeQ  []chan []types.Tuple
 	tops    []exec.Operator // per-worker wrapped pipelines
 	joins   []exec.Operator // per-worker join ops (memory reporting)
-	meters  []*storage.CostMeter
 	states  stateSlots
 	probeOp []exec.Operator
 	probeGo chan struct{}
@@ -73,7 +72,6 @@ func (j *parallelJoin) Open() error {
 	j.probeGo = make(chan struct{})
 	j.tops = make([]exec.Operator, n)
 	j.joins = make([]exec.Operator, n)
-	j.meters = make([]*storage.CostMeter, 2*n)
 	j.states = newStateSlots(2 * n)
 	j.probeOp = make([]exec.Operator, n)
 
@@ -93,7 +91,6 @@ func (j *parallelJoin) Open() error {
 	for w := 0; w < n; w++ {
 		wc := workerCtx(j.ctx, j.reg, w, n, share)
 		wc.StateSink = j.states.sink(w)
-		j.meters[w] = wc.Meter
 		var op exec.Operator = exec.NewHashJoin(j.join,
 			newSource(j.reg, j.buildQ[w], j.join.Build.Schema()),
 			newSource(j.reg, j.probeQ[w], j.join.Probe.Schema()), wc)
@@ -116,7 +113,7 @@ func (j *parallelJoin) Open() error {
 	j.reg.spawn(j.ctx, "build-route", j.routeBuild(n), lastOf(1, j.buildQ...), buildWG.Done)
 	emitted := lastOf(n, j.out.q)
 	for w := 0; w < n; w++ {
-		j.reg.spawn(j.ctx, fmt.Sprintf("join-worker-%d", w), j.joinWorker(w, &buildWG), emitted)
+		j.reg.spawn(j.ctx, fmt.Sprintf("join-worker-%d", w), j.joinWorker(w, &buildWG), j.reg.meters[w].Flush, emitted)
 	}
 	buildWG.Wait()
 	return j.reg.peekErr()
@@ -130,7 +127,7 @@ func (j *parallelJoin) routeBuild(n int) func() error {
 			j.left.Close()
 			return err
 		}
-		box := newOutbox(j.reg, j.buildQ...)
+		box := newOutbox(j.reg, nil, j.buildQ...)
 		for {
 			if err := faultinject.Hit("exchange.route"); err != nil {
 				j.left.Close()
@@ -157,17 +154,17 @@ func (j *parallelJoin) routeBuild(n int) func() error {
 // joinWorker runs one worker's pipeline: open (drains its build
 // partition), signal build completion, wait for the probe gate, then
 // stream join outputs into the gather queue. Errors during build are
-// recorded before buildWG is released so Open observes them.
+// recorded, and the build's charges flushed to the query meter, before
+// buildWG is released: Open's caller is at a checkpoint and reads both.
 func (j *parallelJoin) joinWorker(w int, buildWG *sync.WaitGroup) func() error {
-	op := j.tops[w]
+	op, m := j.tops[w], j.reg.meters[w]
 	return func() error {
-		if err := faultinject.Hit("exchange.worker"); err != nil {
-			j.reg.fail(err)
-			buildWG.Done()
-			op.Close()
-			return nil
+		err := faultinject.Hit("exchange.worker")
+		if err == nil {
+			err = op.Open()
 		}
-		if err := op.Open(); err != nil {
+		m.Flush()
+		if err != nil {
 			j.reg.fail(err)
 			buildWG.Done()
 			op.Close()
@@ -180,7 +177,7 @@ func (j *parallelJoin) joinWorker(w int, buildWG *sync.WaitGroup) func() error {
 			op.Close()
 			return j.reg.cause()
 		}
-		return forward(j.reg, op, j.out.q)
+		return forward(j.reg, op, m, j.out.q)
 	}
 }
 
@@ -195,7 +192,6 @@ func (j *parallelJoin) startProbe() error {
 	for p := 0; p < n; p++ {
 		pc := workerCtx(j.ctx, j.reg, p, n, 0)
 		pc.StateSink = j.states.sink(n + p)
-		j.meters[n+p] = pc.Meter
 		op, err := exec.Build(probePlan, pc)
 		if err != nil {
 			j.reg.fail(err)
@@ -205,7 +201,8 @@ func (j *parallelJoin) startProbe() error {
 	}
 	routed := lastOf(n, j.probeQ...)
 	for p := 0; p < n; p++ {
-		j.reg.spawn(j.ctx, fmt.Sprintf("probe-route-%d", p), j.probeWorker(j.probeOp[p], n), routed)
+		m := j.reg.meters[n+p]
+		j.reg.spawn(j.ctx, fmt.Sprintf("probe-route-%d", p), j.probeWorker(j.probeOp[p], m, n), m.Flush, routed)
 	}
 	close(j.probeGo)
 	return nil
@@ -213,7 +210,7 @@ func (j *parallelJoin) startProbe() error {
 
 // probeWorker scans one page partition of the probe side and routes its
 // tuples to join workers by probe-key hash.
-func (j *parallelJoin) probeWorker(op exec.Operator, n int) func() error {
+func (j *parallelJoin) probeWorker(op exec.Operator, m *storage.CostMeter, n int) func() error {
 	return func() error {
 		if err := faultinject.Hit("exchange.worker"); err != nil {
 			op.Close()
@@ -223,7 +220,7 @@ func (j *parallelJoin) probeWorker(op exec.Operator, n int) func() error {
 			op.Close()
 			return err
 		}
-		box := newOutbox(j.reg, j.probeQ...)
+		box := newOutbox(j.reg, m, j.probeQ...)
 		for {
 			t, err := op.Next()
 			if err != nil {
@@ -266,7 +263,7 @@ func (j *parallelJoin) Next() (types.Tuple, error) {
 		return nil, err
 	}
 	j.finalized = true
-	if err := finalizeRegion(j.x, j.ctx, j.meters, j.states, j.joins); err != nil {
+	if err := finalizeRegion(j.x, j.ctx, j.reg, j.states, j.joins); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -281,10 +278,7 @@ func (j *parallelJoin) Close() error {
 		return nil
 	}
 	j.closed = true
-	if j.reg != nil {
-		j.reg.cancel()
-		j.reg.wg.Wait()
-	}
+	j.reg.close()
 	for _, op := range j.tops {
 		if op != nil {
 			op.Close()
@@ -298,5 +292,6 @@ func (j *parallelJoin) Close() error {
 	if j.left != nil {
 		j.left.Close()
 	}
+	j.reg.traceClosed(j.ctx, "join")
 	return nil
 }

@@ -47,6 +47,13 @@ type region struct {
 	// to one goroutine at a time: its producer until the send, its
 	// consumer until put.
 	free chan []types.Tuple
+
+	// meters are the workers' tributary meters, in the order workerCtx
+	// made them (the consumer's goroutine makes them all). A worker
+	// flushes its own as it sends a chunk and from its spawn's first done
+	// hook, so once a worker has been waited for the query meter holds
+	// everything it charged.
+	meters []*storage.CostMeter
 }
 
 func newRegion(parent context.Context) *region {
@@ -89,10 +96,13 @@ func (r *region) cause() error {
 
 // spawn runs fn on the query pool under the region: the goroutine is
 // counted in the region's WaitGroup, panics are recovered into fail, and
-// a non-nil return value fails the region. The done hooks run after the
-// error is recorded and before the WaitGroup is released, so whoever a
-// hook wakes — a waiter on a group, the consumer of a queue it closes —
-// also observes the error.
+// a non-nil return value fails the region. The done hooks run, in order,
+// after the error is recorded and before the WaitGroup is released, so
+// whoever a hook wakes — a waiter on a group, the consumer of a queue it
+// closes — also observes the error. A worker with a tributary meter
+// passes its Flush first: the hooks run on every exit path (end of
+// stream, error, cancel, panic), and whoever a later hook wakes then
+// also finds the worker's charges on the query meter.
 func (r *region) spawn(c *exec.Ctx, label string, fn func() error, done ...func()) {
 	r.wg.Add(1)
 	c.Go("exchange:"+label, func() {
@@ -145,15 +155,20 @@ func (r *region) putChunk(c []types.Tuple) {
 	}
 }
 
-// outbox is one producer's private chunks, one per destination queue.
+// outbox is one producer's private chunks, one per destination queue. m
+// is the producer's tributary meter, flushed ahead of every chunk sent:
+// the charges behind a chunk reach the query meter no later than its
+// tuples reach their consumer. A router working on the consumer's own
+// context has no tributary and passes nil.
 type outbox struct {
 	r    *region
+	m    *storage.CostMeter
 	qs   []chan []types.Tuple
 	bufs [][]types.Tuple
 }
 
-func newOutbox(r *region, qs ...chan []types.Tuple) *outbox {
-	return &outbox{r: r, qs: qs, bufs: make([][]types.Tuple, len(qs))}
+func newOutbox(r *region, m *storage.CostMeter, qs ...chan []types.Tuple) *outbox {
+	return &outbox{r: r, m: m, qs: qs, bufs: make([][]types.Tuple, len(qs))}
 }
 
 // put appends t to the chunk for queue w and sends the chunk once it is
@@ -186,6 +201,7 @@ func (o *outbox) finish(op exec.Operator) error {
 // send hands the chunk for queue w to its consumer unless the region is
 // done; it reports whether the send happened.
 func (o *outbox) send(w int) bool {
+	o.m.Flush()
 	select {
 	case o.qs[w] <- o.bufs[w]:
 		o.bufs[w] = nil
@@ -259,13 +275,16 @@ func makeQueues(n int) []chan []types.Tuple {
 
 // workerCtx derives a worker's execution context from the consumer's:
 // its own tick counter and tributary cost meter (local accounting that
-// still feeds the query totals), the region's cancellation scope, its
-// partition coordinates, and its share of memory grants. Stats sinks are
-// left nil — the caller wires StateSink to the gather's merge buffer.
+// feeds the query totals a chunk at a time), the region's cancellation
+// scope, its partition coordinates, and its share of memory grants.
+// Stats sinks are left nil — the caller wires StateSink to the gather's
+// merge buffer.
 func workerCtx(parent *exec.Ctx, r *region, part, of int, share float64) *exec.Ctx {
+	m := parent.Meter.Tributary()
+	r.meters = append(r.meters, m)
 	return &exec.Ctx{
 		Pool:       parent.Pool,
-		Meter:      parent.Meter.Tributary(),
+		Meter:      m,
 		Params:     parent.Params,
 		Context:    r.ctx,
 		CheckEvery: parent.CheckEvery,
@@ -292,15 +311,45 @@ func hashTuple(t types.Tuple, keys []int) uint64 {
 	return h
 }
 
+// close ends the region: it cancels whatever still runs and waits for
+// every goroutine, and so for every worker's last flush. A nil region —
+// an operator closed before it was opened — has nothing to end.
+func (r *region) close() {
+	if r == nil {
+		return
+	}
+	r.cancel()
+	r.wg.Wait()
+}
+
+// traceClosed reports a closed region to the query's trace: what its
+// workers charged, and how much of that never reached the query meter —
+// zero, unless a flush point is missing. The caller has closed the region
+// and swept its operators.
+func (r *region) traceClosed(ctx *exec.Ctx, kind string) {
+	if r == nil || len(r.meters) == 0 || !ctx.Trace.Enabled() {
+		return
+	}
+	var tuples, stats, unflushed int64
+	for _, m := range r.meters {
+		s, u := m.Snapshot(), m.Unflushed()
+		tuples += s.TupleCPU
+		stats += s.StatCPU
+		unflushed += u.PageReads + u.PageWrites + u.TupleCPU + u.StatCPU
+	}
+	ctx.Trace.Emit("exchange", "parallel region closed", "region", kind,
+		"workers", len(r.meters), "tuples", tuples, "stat_tuples", stats, "unflushed", unflushed)
+}
+
 func panicErr(label string, p any) error {
 	return fmt.Errorf("exchange: %s panicked: %v", label, p)
 }
 
-// meterCosts sums the given tributary meters and finds the maximum — the
-// inputs to the wall-clock savings model (sum - max is the overlapped
+// meterCosts sums the region's tributary meters and finds the maximum —
+// the inputs to the wall-clock savings model (sum - max is the overlapped
 // work).
-func meterCosts(meters []*storage.CostMeter) (sum, max float64) {
-	for _, m := range meters {
+func (r *region) meterCosts() (sum, max float64) {
+	for _, m := range r.meters {
 		c := m.Snapshot().Cost()
 		sum += c
 		if c > max {

@@ -43,25 +43,78 @@ type Agg struct {
 	// keyCols are the input ordinals of the group key: the node's
 	// GroupCols, or in final mode the state tuples' leading columns.
 	keyCols []int
-	groups  map[uint64][]*group
+	// The group table. Group g — entry g of index, so numbered in
+	// first-seen order — owns keys[g*nk:][:nk], accs[g*3*na:][:3*na]
+	// (sums, then mins, then maxs) and counts[g*na:][:na], for nk key
+	// columns and na aggregates: three slabs that grow by doubling, so a
+	// new group allocates nothing of its own.
+	index   hashIndex
+	keys    []types.Value
+	accs    []types.Value
+	counts  []int64
 	size    float64
 	peakMem float64 // high-water group-table memory, for EXPLAIN ANALYZE
 
 	spilled bool
 	parts   []*storage.HeapFile
 
-	out    []types.Tuple
-	outPos int
-	opened bool
-	closed bool
+	mem     types.Arena // what output rows and emitted states are carved from
+	scratch types.Tuple // the state being written to a spill partition
+	out     []types.Tuple
+	outPos  int
+	opened  bool
+	closed  bool
 }
 
+// group is a view of one group's pieces of the slabs.
 type group struct {
-	key    types.Tuple
-	sums   []types.Value
-	counts []int64
-	mins   []types.Value
-	maxs   []types.Value
+	key              types.Tuple
+	sums, mins, maxs []types.Value
+	counts           []int64
+}
+
+// group returns the view of group g.
+func (a *Agg) group(g int) group {
+	nk, na := len(a.keyCols), len(a.node.Aggs)
+	acc := a.accs[g*3*na : (g+1)*3*na]
+	return group{
+		key:    types.Tuple(a.keys[g*nk : (g+1)*nk]),
+		sums:   acc[:na],
+		mins:   acc[na : 2*na],
+		maxs:   acc[2*na:],
+		counts: a.counts[g*na : (g+1)*na],
+	}
+}
+
+// lookup returns the number of the group whose key is t's values at
+// cols, adding an empty group when t is the first of its key. Stored
+// keys are compared against the tuple's key columns in place.
+func (a *Agg) lookup(t types.Tuple, cols []int) (g int, added bool) {
+	h := hashKeys(t, cols)
+	nk := len(cols)
+	for e := a.index.first(h); e >= 0; e = a.index.after(e, h) {
+		if keyEqual(a.keys[int(e)*nk:][:nk], t, cols) {
+			return int(e), false
+		}
+	}
+	g = a.index.insert(h)
+	a.keys = room(a.keys, nk)
+	for _, c := range cols {
+		a.keys = append(a.keys, t[c])
+	}
+	na := len(a.node.Aggs)
+	a.accs = extend(a.accs, 3*na)
+	a.counts = extend(a.counts, na)
+	return g, true
+}
+
+// resetGroups empties the group table, keeping its slabs for the next
+// fill and letting go of the values they held.
+func (a *Agg) resetGroups() {
+	a.index.reset()
+	clear(a.keys)
+	clear(a.accs)
+	a.keys, a.accs, a.counts = a.keys[:0], a.accs[:0], a.counts[:0]
 }
 
 // NewAgg builds a hash aggregation operator.
@@ -93,7 +146,6 @@ func (a *Agg) Open() error {
 	if a.mode == aggFinal {
 		a.keyCols = leadingCols(len(a.node.GroupCols))
 	}
-	a.groups = make(map[uint64][]*group)
 	if err := a.in.Open(); err != nil {
 		return err
 	}
@@ -119,35 +171,28 @@ func (a *Agg) Open() error {
 	if err := a.in.Close(); err != nil {
 		return err
 	}
-	if a.mode == aggPartial {
-		return a.emitStates()
-	}
-	if a.spilled {
-		if err := a.flushGroups(); err != nil {
-			return err
+	var err error
+	switch {
+	case a.mode == aggPartial:
+		err = a.emitStates()
+	case a.spilled:
+		if err = a.flushGroups(); err == nil {
+			err = a.mergePartitions()
 		}
-		return a.mergePartitions()
+	default:
+		a.emitGroups()
 	}
-	a.emitGroups()
-	return nil
+	// The table is spent: what is left of the operator is a.out.
+	a.index, a.keys, a.accs, a.counts = hashIndex{}, nil, nil, nil
+	return err
 }
 
 // absorb folds one input tuple into its group. In final mode the input
-// is a stream of encoded group states, keyed by its leading columns. The
-// group is looked up by comparing stored keys against the tuple's key
-// columns in place; a key tuple is built only for a group not seen
-// before.
+// is a stream of encoded group states, keyed by its leading columns.
 func (a *Agg) absorb(t types.Tuple) error {
-	h := hashKeys(t, a.keyCols)
-	g := a.findGroup(h, t)
-	if g == nil {
-		key := make(types.Tuple, len(a.keyCols))
-		for i, c := range a.keyCols {
-			key[i] = t[c]
-		}
-		g = newGroup(key, len(a.node.Aggs))
-		a.groups[h] = append(a.groups[h], g)
-		stateSize := float64(types.EncodedSize(key)) + float64(aggStateWidth*8*len(a.node.Aggs)) + 48
+	g, added := a.lookup(t, a.keyCols)
+	if added {
+		stateSize := float64(types.EncodedSize(a.group(g).key)) + float64(aggStateWidth*8*len(a.node.Aggs)) + 48
 		a.size += stateSize
 		if a.size > a.peakMem {
 			a.peakMem = a.size
@@ -157,16 +202,15 @@ func (a *Agg) absorb(t types.Tuple) error {
 				return err
 			}
 			// Re-locate the group: spill cleared the table.
-			g = newGroup(key, len(a.node.Aggs))
-			a.groups[h] = append(a.groups[h], g)
+			g, _ = a.lookup(t, a.keyCols)
 			a.size += stateSize
 		}
 	}
 	if a.mode == aggFinal {
-		mergeState(g, t, len(a.node.GroupCols))
+		mergeState(a.group(g), t, len(a.node.GroupCols))
 		return nil
 	}
-	return a.update(g, t)
+	return a.update(a.group(g), t)
 }
 
 // leadingCols returns the ordinals 0..n-1: where an encoded group state
@@ -177,28 +221,6 @@ func leadingCols(n int) []int {
 		cols[i] = i
 	}
 	return cols
-}
-
-func newGroup(key types.Tuple, nAggs int) *group {
-	g := &group{
-		key:    key,
-		sums:   make([]types.Value, nAggs),
-		counts: make([]int64, nAggs),
-		mins:   make([]types.Value, nAggs),
-		maxs:   make([]types.Value, nAggs),
-	}
-	return g
-}
-
-// findGroup returns the group in bucket h whose key equals t's key
-// columns, or nil.
-func (a *Agg) findGroup(h uint64, t types.Tuple) *group {
-	for _, g := range a.groups[h] {
-		if keyEqual(g.key, t, a.keyCols) {
-			return g
-		}
-	}
-	return nil
 }
 
 // keyEqual reports whether key equals t's values at cols: same kind (or
@@ -217,7 +239,7 @@ func keyEqual(key, t types.Tuple, cols []int) bool {
 }
 
 // update applies one tuple to a group's accumulators.
-func (a *Agg) update(g *group, t types.Tuple) error {
+func (a *Agg) update(g group, t types.Tuple) error {
 	for i, spec := range a.node.Aggs {
 		if spec.Arg == nil { // COUNT(*)
 			g.counts[i]++
@@ -261,31 +283,39 @@ func (a *Agg) spill() error {
 	return a.flushGroups()
 }
 
-// flushGroups writes every in-memory group's state to its partition and
-// clears the table.
+// flushGroups writes every in-memory group's state to its partition, in
+// first-seen order, and clears the table.
 func (a *Agg) flushGroups() error {
-	for h, bucket := range a.groups {
-		for _, g := range bucket {
-			state := a.encodeState(g)
-			idx := int((h >> 32) % uint64(len(a.parts)))
-			if _, err := a.parts[idx].Append(state); err != nil {
-				return err
-			}
+	if a.scratch == nil {
+		a.scratch = make(types.Tuple, a.stateWidth())
+	}
+	for g, h := range a.index.hashes {
+		// Append encodes the state into the page: one scratch serves
+		// every group.
+		encodeState(a.scratch, a.group(g))
+		idx := int((h >> 32) % uint64(len(a.parts)))
+		if _, err := a.parts[idx].Append(a.scratch); err != nil {
+			return err
 		}
 	}
-	a.groups = make(map[uint64][]*group)
+	a.resetGroups()
 	a.size = 0
 	return nil
 }
 
-// encodeState flattens a group to a tuple: key values, then per
-// aggregate sum, count, min, max.
-func (a *Agg) encodeState(g *group) types.Tuple {
-	state := g.key.Clone()
-	for i := range a.node.Aggs {
-		state = append(state, g.sums[i], types.NewInt(g.counts[i]), g.mins[i], g.maxs[i])
+// stateWidth is the number of values in an encoded group state.
+func (a *Agg) stateWidth() int {
+	return len(a.node.GroupCols) + aggStateWidth*len(a.node.Aggs)
+}
+
+// encodeState flattens a group into dst: key values, then per aggregate
+// sum, count, min, max.
+func encodeState(dst types.Tuple, g group) {
+	st := dst[copy(dst, g.key):]
+	for i := range g.sums {
+		st[0], st[1], st[2], st[3] = g.sums[i], types.NewInt(g.counts[i]), g.mins[i], g.maxs[i]
+		st = st[aggStateWidth:]
 	}
-	return state
 }
 
 // mergePartitions re-aggregates each partition's states and emits.
@@ -296,7 +326,7 @@ func (a *Agg) mergePartitions() error {
 		if err := faultinject.Hit("exec.agg.merge"); err != nil {
 			return err
 		}
-		table := make(map[uint64][]*group)
+		a.resetGroups()
 		s := part.Scan()
 		for s.Next() {
 			if err := a.ctx.Tick(); err != nil {
@@ -304,35 +334,20 @@ func (a *Agg) mergePartitions() error {
 			}
 			a.ctx.Meter.ChargeTuples(1)
 			st := s.Tuple()
-			h := hashKeys(st, keyCols)
-			var g *group
-			for _, cand := range table[h] {
-				if keyEqual(cand.key, st, keyCols) {
-					g = cand
-					break
-				}
-			}
-			if g == nil {
-				g = newGroup(st[:nk].Clone(), len(a.node.Aggs))
-				table[h] = append(table[h], g)
-			}
-			mergeState(g, st, nk)
+			g, _ := a.lookup(st, keyCols)
+			mergeState(a.group(g), st, nk)
 		}
 		if err := s.Err(); err != nil {
 			return err
 		}
-		for _, bucket := range table {
-			for _, g := range bucket {
-				a.out = append(a.out, a.finalize(g))
-			}
-		}
+		a.emitGroups()
 		part.Drop()
 	}
 	return nil
 }
 
 // mergeState folds an encoded state tuple into a group.
-func mergeState(g *group, st types.Tuple, nk int) {
+func mergeState(g group, st types.Tuple, nk int) {
 	for i := range g.sums {
 		base := nk + i*aggStateWidth
 		sum, cnt, mn, mx := st[base], st[base+1], st[base+2], st[base+3]
@@ -354,16 +369,16 @@ func mergeState(g *group, st types.Tuple, nk int) {
 }
 
 // emitStates renders the partial aggregate's output: every group's
-// encoded state. A spilled partial aggregate streams its partition files
-// back out unchanged — a group flushed twice yields two states for the
-// same key, which the downstream final merge combines.
+// encoded state, in first-seen order. A spilled partial aggregate streams
+// its partition files back out unchanged — a group flushed twice yields
+// two states for the same key, which the downstream final merge combines.
 func (a *Agg) emitStates() error {
-	for _, bucket := range a.groups {
-		for _, g := range bucket {
-			a.out = append(a.out, a.encodeState(g))
-		}
+	n, width := a.index.len(), a.stateWidth()
+	for g := 0; g < n; g++ {
+		state := a.mem.New(width, n-g)
+		encodeState(state, a.group(g))
+		a.out = append(a.out, state)
 	}
-	a.groups = nil
 	for i, part := range a.parts {
 		s := part.Scan()
 		for s.Next() {
@@ -382,27 +397,24 @@ func (a *Agg) emitStates() error {
 	return nil
 }
 
-// emitGroups converts all in-memory groups to output rows.
+// emitGroups converts all in-memory groups to output rows, in first-seen
+// order: group columns then aggregate results, matching the node's
+// output schema.
 func (a *Agg) emitGroups() {
-	for _, bucket := range a.groups {
-		for _, g := range bucket {
-			a.out = append(a.out, a.finalize(g))
+	n := a.index.len()
+	nk := len(a.node.GroupCols)
+	for i := 0; i < n; i++ {
+		g := a.group(i)
+		row := a.mem.New(nk+len(a.node.Aggs), n-i)
+		copy(row, g.key)
+		for j, spec := range a.node.Aggs {
+			row[nk+j] = finalizeAgg(spec.Func, g, j)
 		}
+		a.out = append(a.out, row)
 	}
-	a.groups = nil
 }
 
-// finalize renders one group as an output tuple: group columns then
-// aggregate results, matching the node's output schema.
-func (a *Agg) finalize(g *group) types.Tuple {
-	out := g.key.Clone()
-	for i, spec := range a.node.Aggs {
-		out = append(out, finalizeAgg(spec.Func, g, i))
-	}
-	return out
-}
-
-func finalizeAgg(f sql.AggFunc, g *group, i int) types.Value {
+func finalizeAgg(f sql.AggFunc, g group, i int) types.Value {
 	switch f {
 	case sql.AggCount:
 		return types.NewInt(g.counts[i])

@@ -11,7 +11,7 @@ import (
 
 // aggNode builds: select v, sum(k), avg(k), count(*), min(k), max(k)
 // from tbl group by v.
-func aggNode(t *testing.T, e *testEnv, tblName string, grant float64) *plan.Agg {
+func aggNode(t testing.TB, e *testEnv, tblName string, grant float64) *plan.Agg {
 	t.Helper()
 	tbl, err := e.cat.Table(tblName)
 	if err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -52,4 +53,59 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(rows)/float64(after.Mallocs-before.Mallocs), "rows/alloc")
+}
+
+var sinkEntry int32
+
+// BenchmarkHashIndex times the index by itself: build (add N hashes,
+// seal) and probe (one lookup per entry), per entry.
+func BenchmarkHashIndex(b *testing.B) {
+	const n = 1 << 16
+	hs := make([]uint64, n)
+	rng := rand.New(rand.NewSource(1))
+	for i := range hs {
+		hs[i] = rng.Uint64()
+	}
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		var x hashIndex
+		for i := 0; i < b.N; i += n {
+			x = hashIndex{}
+			for _, h := range hs {
+				x.add(h)
+			}
+			x.seal()
+		}
+	})
+	b.Run("probe", func(b *testing.B) {
+		var x hashIndex
+		for _, h := range hs {
+			x.add(h)
+		}
+		x.seal()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkEntry = x.first(hs[i%n])
+		}
+	})
+}
+
+// BenchmarkAggAbsorb folds in-memory rows into 1 000 groups under five
+// aggregates: time, bytes and allocations per input row.
+func BenchmarkAggAbsorb(b *testing.B) {
+	e := newEnv(64)
+	e.makeTable(b, "r", 1, 1)
+	node := aggNode(b, e, "r", 0)
+	rows := kvRows(1<<16, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += len(rows) {
+		a := &Agg{node: node, ctx: e.ctx, keyCols: node.GroupCols}
+		for _, r := range rows {
+			if err := a.absorb(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

@@ -29,10 +29,15 @@ type CollectorState struct {
 
 	Rows  float64
 	Bytes float64
-	Res   map[int]*sample.Reservoir
-	Uniq  map[string]*sketch.HybridDistinct
-	Mins  map[int]types.Value
-	Maxs  map[int]types.Value
+	// Res, Mins and Maxs are parallel to Spec.HistCols, Uniq to
+	// Spec.UniqueCols: everything a tuple needs is resolved once, here,
+	// and Observe walks slices. The states of one collector share a Spec,
+	// so Merge pairs them by position. A NULL in Mins or Maxs means no
+	// non-NULL value was seen.
+	Res  []*sample.Reservoir
+	Uniq []*sketch.HybridDistinct
+	Mins []types.Value
+	Maxs []types.Value
 }
 
 // NewCollectorState returns an empty state for the collector node. A
@@ -47,17 +52,17 @@ func NewCollectorState(n *plan.Collector, partition int) *CollectorState {
 	s := &CollectorState{
 		ID:   n.ID,
 		Spec: spec,
-		Res:  make(map[int]*sample.Reservoir, len(spec.HistCols)),
-		Uniq: make(map[string]*sketch.HybridDistinct, len(spec.UniqueCols)),
-		Mins: make(map[int]types.Value),
-		Maxs: make(map[int]types.Value),
+		Res:  make([]*sample.Reservoir, len(spec.HistCols)),
+		Uniq: make([]*sketch.HybridDistinct, len(spec.UniqueCols)),
+		Mins: make([]types.Value, len(spec.HistCols)),
+		Maxs: make([]types.Value, len(spec.HistCols)),
 	}
-	for _, col := range spec.HistCols {
-		s.Res[col] = sample.NewReservoir(size, spec.Seed+int64(col)+int64(partition)*7919)
+	for i, col := range spec.HistCols {
+		s.Res[i] = sample.NewReservoir(size, spec.Seed+int64(col)+int64(partition)*7919)
 	}
-	for _, set := range spec.UniqueCols {
+	for i := range spec.UniqueCols {
 		// One page worth of exact hashes before degrading to FM.
-		s.Uniq[plan.UniqueKey(set)] = sketch.NewHybridDistinct(1024, 64)
+		s.Uniq[i] = sketch.NewHybridDistinct(1024, 64)
 	}
 	return s
 }
@@ -66,77 +71,59 @@ func NewCollectorState(n *plan.Collector, partition int) *CollectorState {
 func (s *CollectorState) Observe(t types.Tuple) {
 	s.Rows++
 	s.Bytes += float64(types.EncodedSize(t))
-	for col, r := range s.Res {
+	for i, col := range s.Spec.HistCols {
 		v := t[col]
-		if !v.IsNull() {
-			r.Add(v)
+		if v.IsNull() {
+			continue
 		}
+		s.Res[i].Add(v)
+		s.widen(i, v)
 	}
-	for _, set := range s.Spec.UniqueCols {
-		key := plan.UniqueKey(set)
+	for i, set := range s.Spec.UniqueCols {
 		// Combine the set's values into one hash: distinct counting
 		// over attribute combinations only needs hash identity.
 		var h uint64 = 1469598103934665603
 		for _, col := range set {
 			h = h*1099511628211 ^ t[col].Hash()
 		}
-		s.Uniq[key].AddHash(h)
-	}
-	for _, col := range s.Spec.HistCols {
-		s.updateMinMax(col, t[col])
+		s.Uniq[i].AddHash(h)
 	}
 }
 
-func (s *CollectorState) updateMinMax(col int, v types.Value) {
-	if v.IsNull() {
-		return
+// widen stretches histogram column i's extrema to cover the non-NULL v.
+func (s *CollectorState) widen(i int, v types.Value) {
+	if cur := s.Mins[i]; cur.IsNull() || v.Compare(cur) < 0 {
+		s.Mins[i] = v
 	}
-	if cur, ok := s.Mins[col]; !ok || v.Compare(cur) < 0 {
-		s.Mins[col] = v
-	}
-	if cur, ok := s.Maxs[col]; !ok || v.Compare(cur) > 0 {
-		s.Maxs[col] = v
+	if cur := s.Maxs[i]; cur.IsNull() || v.Compare(cur) > 0 {
+		s.Maxs[i] = v
 	}
 }
 
-// Merge folds another partition's state into s. The other state is
-// consumed. Merging is associative; gather points merge worker states in
-// worker-index order so results are deterministic.
+// Merge folds another partition's state of the same collector into s.
+// The other state is consumed. Merging is associative; gather points
+// merge worker states in worker-index order so results are deterministic.
 func (s *CollectorState) Merge(o *CollectorState) {
 	if o == nil {
 		return
 	}
 	s.Rows += o.Rows
 	s.Bytes += o.Bytes
-	for col, r := range o.Res {
-		if mine, ok := s.Res[col]; ok {
-			mine.Merge(r)
-		} else {
-			s.Res[col] = r
+	for i, r := range o.Res {
+		s.Res[i].Merge(r)
+		if mn := o.Mins[i]; !mn.IsNull() {
+			s.widen(i, mn)
+			s.widen(i, o.Maxs[i])
 		}
 	}
-	for key, u := range o.Uniq {
-		if mine, ok := s.Uniq[key]; ok {
-			mine.Merge(u)
-		} else {
-			s.Uniq[key] = u
-		}
-	}
-	for col, v := range o.Mins {
-		if cur, ok := s.Mins[col]; !ok || v.Compare(cur) < 0 {
-			s.Mins[col] = v
-		}
-	}
-	for col, v := range o.Maxs {
-		if cur, ok := s.Maxs[col]; !ok || v.Compare(cur) > 0 {
-			s.Maxs[col] = v
-		}
+	for i, u := range o.Uniq {
+		s.Uniq[i].Merge(u)
 	}
 }
 
 // Observed builds the collector's report from the state: histograms from
 // the (possibly merged) reservoirs, distinct estimates clamped to the
-// observed cardinality.
+// observed cardinality, extrema for the columns that held a value.
 func (s *CollectorState) Observed() *plan.Observed {
 	o := &plan.Observed{
 		CollectorID: s.ID,
@@ -144,18 +131,22 @@ func (s *CollectorState) Observed() *plan.Observed {
 		Bytes:       s.Bytes,
 		Hists:       make(map[int]*histogram.Histogram, len(s.Res)),
 		Uniques:     make(map[string]float64, len(s.Uniq)),
-		Mins:        s.Mins,
-		Maxs:        s.Maxs,
+		Mins:        make(map[int]types.Value, len(s.Mins)),
+		Maxs:        make(map[int]types.Value, len(s.Maxs)),
 	}
-	for col, r := range s.Res {
+	for i, col := range s.Spec.HistCols {
+		r := s.Res[i]
 		o.Hists[col] = histogram.Build(s.Spec.HistFamily, r.Sample(), 20, float64(r.Seen()))
+		if !s.Mins[i].IsNull() {
+			o.Mins[col], o.Maxs[col] = s.Mins[i], s.Maxs[i]
+		}
 	}
-	for key, u := range s.Uniq {
-		est := u.Estimate()
+	for i, set := range s.Spec.UniqueCols {
+		est := s.Uniq[i].Estimate()
 		if est > s.Rows {
 			est = s.Rows
 		}
-		o.Uniques[key] = est
+		o.Uniques[plan.UniqueKey(set)] = est
 	}
 	return o
 }

@@ -157,3 +157,54 @@ func TestCollectorSkipsNullsInHistogram(t *testing.T) {
 		t.Errorf("Min = %v", report.Mins[0])
 	}
 }
+
+// Observe walks slices resolved once per state; the report keeps its
+// shape: histograms and extrema keyed by column ordinal, distinct counts
+// by plan.UniqueKey, extrema only for columns that held a value — and
+// observing a tuple allocates nothing.
+func TestCollectorStateReportShape(t *testing.T) {
+	node := &plan.Collector{ID: 3, Spec: plan.CollectorSpec{
+		HistCols:   []int{2, 0, 3},
+		UniqueCols: [][]int{{1}, {0, 1}},
+		Seed:       5,
+	}}
+	st := NewCollectorState(node, 0)
+	rows := make([]types.Tuple, 600)
+	for i := range rows {
+		// Column 3 is NULL throughout.
+		rows[i] = types.Tuple{types.NewInt(int64(i % 50)), types.NewInt(int64(i % 7)), types.NewFloat(float64(i) / 2), types.Null()}
+	}
+	for _, r := range rows[:100] {
+		st.Observe(r)
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		for _, r := range rows[100:350] {
+			st.Observe(r)
+		}
+	}); allocs > 2 { // two reservoirs may still be growing to their page
+		t.Errorf("observing 250 tuples allocated %.0f times", allocs)
+	}
+	// AllocsPerRun ran the 250 twice.
+	for _, r := range rows[350:] {
+		st.Observe(r)
+	}
+	o := st.Observed()
+	if o.CollectorID != 3 || o.Rows != 850 {
+		t.Fatalf("report of collector %d over %g rows, want 3 over 850", o.CollectorID, o.Rows)
+	}
+	if len(o.Hists) != 3 || o.Hists[0] == nil || o.Hists[2] == nil || o.Hists[3] == nil {
+		t.Errorf("histograms on columns %v, want 0, 2 and 3", o.Hists)
+	}
+	if len(o.Mins) != 2 || len(o.Maxs) != 2 {
+		t.Errorf("extrema for %d/%d columns, want the two that held values", len(o.Mins), len(o.Maxs))
+	}
+	if o.Mins[0].Int() != 0 || o.Maxs[0].Int() != 49 || o.Mins[2].Float() != 0 || o.Maxs[2].Float() != 299.5 {
+		t.Errorf("extrema %v .. %v", o.Mins, o.Maxs)
+	}
+	if _, ok := o.Mins[3]; ok {
+		t.Error("an all-NULL column reports a minimum")
+	}
+	if len(o.Uniques) != 2 || o.Uniques[plan.UniqueKey([]int{1})] != 7 || o.Uniques[plan.UniqueKey([]int{0, 1})] != 350 {
+		t.Errorf("distinct counts %v, want 7 and 350", o.Uniques)
+	}
+}

@@ -149,7 +149,7 @@ func TestAggLooksGroupsUpWithoutAllocating(t *testing.T) {
 	for _, mode := range []aggMode{aggComplete, aggFinal} {
 		node := aggNode(t, e, "r", 0)
 		node.Aggs = node.Aggs[2:3] // count(*): no argument to evaluate
-		a := &Agg{node: node, ctx: e.ctx, mode: mode, groups: map[uint64][]*group{}}
+		a := &Agg{node: node, ctx: e.ctx, mode: mode}
 		a.keyCols = node.GroupCols
 		in := types.Tuple{types.NewInt(1), types.NewInt(7), types.NewString("row")}
 		if mode == aggFinal {
@@ -162,8 +162,8 @@ func TestAggLooksGroupsUpWithoutAllocating(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { a.absorb(in) }); allocs != 0 {
 			t.Errorf("mode %d: absorbing into an existing group allocated %.0f times", mode, allocs)
 		}
-		if len(a.groups) != 1 {
-			t.Errorf("mode %d: %d buckets, want the one group", mode, len(a.groups))
+		if n := a.index.len(); n != 1 {
+			t.Errorf("mode %d: %d groups, want the one group", mode, n)
 		}
 	}
 }

@@ -31,8 +31,12 @@ type HashJoin struct {
 
 	grant float64 // bytes; 0 means unlimited
 
-	// In-memory mode.
-	table     map[uint64][]types.Tuple
+	// The hash table: build tuples as the build side handed them over
+	// (they live in its scan's arena blocks; nothing is copied), indexed
+	// by key hash. In-memory mode fills it once in Open; partitioned mode
+	// refills the same slices for each build partition.
+	rows      []types.Tuple
+	index     hashIndex
 	tableSize float64
 	peakMem   float64 // high-water hash-table memory, for EXPLAIN ANALYZE
 
@@ -51,7 +55,6 @@ type HashJoin struct {
 	head        int           // next of pending to emit
 	curPart     int
 	partScan    *storage.HeapScanner
-	partTable   map[uint64][]types.Tuple
 }
 
 // NewHashJoin builds a hash join operator. The memory grant is read from
@@ -94,7 +97,6 @@ func (j *HashJoin) Open() error {
 	// A parallel worker builds 1/N of the tuples under 1/N of the
 	// node's broker-backed grant (the context's share).
 	j.grant = j.node.Est().Grant * j.ctx.grantShare()
-	j.table = make(map[uint64][]types.Tuple)
 	if err := j.build.Open(); err != nil {
 		return err
 	}
@@ -118,9 +120,9 @@ func (j *HashJoin) Open() error {
 		if keysNull(t, j.node.BuildKeys) {
 			continue
 		}
+		h := hashKeys(t, j.node.BuildKeys)
 		if !j.spilled {
-			h := hashKeys(t, j.node.BuildKeys)
-			j.table[h] = append(j.table[h], t)
+			j.addBuild(t, h)
 			// Memory is accounted in encoded bytes, the same unit the
 			// optimizer's size estimates use; the buildFudge factor
 			// covers hash-table overhead in both places.
@@ -135,16 +137,35 @@ func (j *HashJoin) Open() error {
 			}
 			continue
 		}
-		if err := j.writePart(j.buildParts, t, j.node.BuildKeys); err != nil {
+		if err := writePart(j.buildParts, t, h); err != nil {
 			return err
 		}
+	}
+	if !j.spilled {
+		j.index.seal()
 	}
 	return j.build.Close()
 }
 
+// addBuild appends a build tuple and its key hash to the table; the
+// index is sealed when the side (or the partition) is drained.
+func (j *HashJoin) addBuild(t types.Tuple, h uint64) {
+	j.rows = append(room(j.rows, 1), t)
+	j.index.add(h)
+}
+
+// resetTable empties the table, keeping its slices, and lets go of the
+// tuples.
+func (j *HashJoin) resetTable() {
+	clear(j.rows)
+	j.rows = j.rows[:0]
+	j.index.reset()
+}
+
 // spillBuild switches to partitioned mode, flushing the current in-memory
-// table into fresh partitions. The partition count is chosen so each
-// build partition fits in the grant under uniform hashing.
+// table into fresh partitions in insertion order, so the same input
+// writes the same partition files every run. The partition count is
+// chosen so each build partition fits in the grant under uniform hashing.
 func (j *HashJoin) spillBuild() error {
 	// Estimate the final build size from the fraction seen so far is
 	// unknowable here, so size partitions for 4x the overflow point;
@@ -166,23 +187,21 @@ func (j *HashJoin) spillBuild() error {
 		j.buildParts[i] = storage.NewTempFile(j.ctx.Pool)
 		j.probeParts[i] = storage.NewTempFile(j.ctx.Pool)
 	}
-	for _, bucket := range j.table {
-		for _, t := range bucket {
-			if err := j.writePart(j.buildParts, t, j.node.BuildKeys); err != nil {
-				return err
-			}
+	for i, t := range j.rows {
+		if err := writePart(j.buildParts, t, j.index.hashes[i]); err != nil {
+			return err
 		}
 	}
-	j.table = nil
+	j.resetTable()
 	j.tableSize = 0
 	j.spilled = true
 	return nil
 }
 
-func (j *HashJoin) writePart(parts []*storage.HeapFile, t types.Tuple, keys []int) error {
-	h := hashKeys(t, keys)
-	// Use high bits for partition choice so the per-partition table
-	// hash (low bits) stays well distributed.
+// writePart appends t, whose key hash is h, to its partition.
+func writePart(parts []*storage.HeapFile, t types.Tuple, h uint64) error {
+	// The high bits choose the partition (exchange routing takes the low
+	// ones); hashIndex mixes every bit, so neither choice skews a table.
 	idx := int((h >> 32) % uint64(len(parts)))
 	_, err := parts[idx].Append(t)
 	return err
@@ -230,7 +249,7 @@ func (j *HashJoin) Next() (types.Tuple, error) {
 			if keysNull(t, j.node.ProbeKeys) {
 				continue
 			}
-			j.match(j.table, t)
+			j.match(t)
 			continue
 		}
 		if err := j.nextSpilled(); err != nil {
@@ -267,7 +286,7 @@ func (j *HashJoin) openProbe() error {
 		if keysNull(t, j.node.ProbeKeys) {
 			continue
 		}
-		if err := j.writePart(j.probeParts, t, j.node.ProbeKeys); err != nil {
+		if err := writePart(j.probeParts, t, hashKeys(t, j.node.ProbeKeys)); err != nil {
 			return err
 		}
 	}
@@ -278,11 +297,12 @@ func (j *HashJoin) openProbe() error {
 	return nil
 }
 
-// match appends all join results for probe tuple t to pending.
-func (j *HashJoin) match(table map[uint64][]types.Tuple, t types.Tuple) {
+// match appends all join results for probe tuple t to pending, in the
+// order their build tuples arrived.
+func (j *HashJoin) match(t types.Tuple) {
 	h := hashKeys(t, j.node.ProbeKeys)
-	for _, b := range table[h] {
-		if j.keysEqual(b, t) {
+	for e := j.index.first(h); e >= 0; e = j.index.after(e, h) {
+		if b := j.rows[e]; j.keysEqual(b, t) {
 			j.pending = append(j.pending, j.mem.Concat(b, t))
 		}
 	}
@@ -310,7 +330,7 @@ func (j *HashJoin) nextSpilled() error {
 			if j.partScan.Next() {
 				t := j.partScan.Tuple()
 				j.ctx.Meter.ChargeTuples(1)
-				j.match(j.partTable, t)
+				j.match(t)
 				if len(j.pending) > 0 {
 					return nil
 				}
@@ -320,7 +340,6 @@ func (j *HashJoin) nextSpilled() error {
 				return err
 			}
 			j.partScan = nil
-			j.partTable = nil
 			j.buildParts[j.curPart].Drop()
 			j.probeParts[j.curPart].Drop()
 		}
@@ -330,7 +349,7 @@ func (j *HashJoin) nextSpilled() error {
 			return nil
 		}
 		// Load this build partition into memory.
-		j.partTable = make(map[uint64][]types.Tuple)
+		j.resetTable()
 		s := j.buildParts[j.curPart].Scan()
 		partSize := 0.0
 		for s.Next() {
@@ -339,8 +358,7 @@ func (j *HashJoin) nextSpilled() error {
 			}
 			t := s.Tuple()
 			j.ctx.Meter.ChargeTuples(1)
-			h := hashKeys(t, j.node.BuildKeys)
-			j.partTable[h] = append(j.partTable[h], t)
+			j.addBuild(t, hashKeys(t, j.node.BuildKeys))
 			partSize += float64(types.EncodedSize(t))
 		}
 		if m := partSize * buildFudge; m > j.peakMem {
@@ -349,6 +367,7 @@ func (j *HashJoin) nextSpilled() error {
 		if err := s.Err(); err != nil {
 			return err
 		}
+		j.index.seal()
 		j.partScan = j.probeParts[j.curPart].Scan()
 	}
 }
@@ -399,8 +418,7 @@ func (j *HashJoin) Close() error {
 			p.Drop()
 		}
 	}
-	j.table = nil
-	j.partTable = nil
+	j.rows, j.index = nil, hashIndex{}
 	err := j.build.Close()
 	if err2 := j.probe.Close(); err == nil {
 		err = err2

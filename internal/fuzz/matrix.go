@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/reopt"
 	"repro/internal/session"
+	"repro/internal/storage"
 	"repro/internal/tenant"
 )
 
@@ -149,6 +150,7 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 
 	mgr := newManager(env, rc.Budget)
 	sess := mgr.Session()
+	meterBefore := env.Meter.Snapshot()
 
 	opts := session.Options{
 		Mode:         rc.Mode,
@@ -261,7 +263,44 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 	if msg := checkResidue(env, mgr); msg != "" {
 		return fail("%s", msg)
 	}
+	if msg := checkRegionCharges(mgr.EngineTrace(), env.Meter.Snapshot().Sub(meterBefore), rc.Degree); msg != "" {
+		return fail("%s", msg)
+	}
 	return fmt.Sprintf("%s: %s", rc.Name, outcome), nil
+}
+
+// checkRegionCharges is the meter's flush invariant: at query end the
+// query meter holds what the serial operators charged it plus everything
+// the workers of every parallel region charged their tributary meters.
+// A tributary forwards in batches, so a missing flush point — a worker
+// exit path that skips it — shows as a total that is short. Every region
+// reports, in the trace event it closes with, what its tributaries
+// counted and how much of that they never forwarded; the run fails if
+// any region kept anything back, if the regions together counted more
+// tuple or statistics work than the query meter moved by, or if a serial
+// run opened a region at all. It runs after failed and cancelled queries
+// too: the engine-wide trace ring outlives them.
+func checkRegionCharges(tr *obs.Trace, moved storage.Snapshot, degree int) string {
+	var tuples, stats int64
+	for _, ev := range tr.Events() {
+		if ev.Kind != "exchange" {
+			continue
+		}
+		if degree < 2 {
+			return fmt.Sprintf("a degree-%d run closed a parallel region: %v", degree, ev)
+		}
+		if kept, _ := ev.Attrs["unflushed"].(int64); kept != 0 {
+			return fmt.Sprintf("a parallel region closed with %d charges its workers never forwarded to the query meter: %v", kept, ev)
+		}
+		t, _ := ev.Attrs["tuples"].(int64)
+		st, _ := ev.Attrs["stat_tuples"].(int64)
+		tuples, stats = tuples+t, stats+st
+	}
+	if tr.Dropped() == 0 && (tuples > moved.TupleCPU || stats > moved.StatCPU) {
+		return fmt.Sprintf("parallel regions charged %d tuples and %d stat tuples, the query meter moved by %d and %d",
+			tuples, stats, moved.TupleCPU, moved.StatCPU)
+	}
+	return ""
 }
 
 // checkResidue verifies the cleanup invariants that must hold after

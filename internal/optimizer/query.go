@@ -251,8 +251,10 @@ func (q *Query) Owner(ref *sql.ColumnRef) (rel, col int, err error) {
 func (q *Query) resolveColumn(ref *sql.ColumnRef) (rel, col int, err error) {
 	rel, col = -1, -1
 	for ri := range q.Rels {
-		ci, rerr := q.Rels[ri].Schema.Resolve(ref.Table, ref.Name)
-		if rerr != nil {
+		// A reference one relation cannot place (unknown there, or
+		// ambiguous there) may still be another's.
+		ci, _ := q.Rels[ri].Schema.Find(ref.Table, ref.Name)
+		if ci < 0 {
 			continue
 		}
 		if rel >= 0 {

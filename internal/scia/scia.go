@@ -325,6 +325,7 @@ func replaceChild(parent, old, new plan.Node) error {
 func enumerate(res *optimizer.Result, points []point, totalCost float64, cfg Config) []candidate {
 	var cands []candidate
 	levels := newLevelTracer(res)
+	parents := parentLinks(res.Root)
 	seenHist := map[string]bool{}
 	seenUnique := map[string]bool{}
 
@@ -354,7 +355,7 @@ func enumerate(res *optimizer.Result, points []point, totalCost float64, cfg Con
 
 		// Histogram candidates: columns consumed by joins above.
 		for ci, col := range schema.Columns {
-			consumer, ok := laterJoinUse(res.Root, pt.node, col.Table, col.Name)
+			consumer, ok := laterJoinUse(parents, pt.node, col.Table, col.Name)
 			if !ok {
 				continue
 			}
@@ -384,8 +385,8 @@ func enumerate(res *optimizer.Result, points []point, totalCost float64, cfg Con
 			names := ""
 			for _, gc := range agg.GroupCols {
 				c := inSchema.Columns[gc]
-				ci, err := schema.Resolve(c.Table, c.Name)
-				if err != nil {
+				ci, _ := schema.Find(c.Table, c.Name)
+				if ci < 0 {
 					okAll = false
 					break
 				}
@@ -416,17 +417,10 @@ func enumerate(res *optimizer.Result, points []point, totalCost float64, cfg Con
 }
 
 // laterJoinUse reports whether the named column is a join key or filter
-// input of an operator above `below` in the plan, returning that
-// consumer.
-func laterJoinUse(root plan.Node, below plan.Node, table, name string) (plan.Node, bool) {
-	// Collect the path from root down to `below`; consumers are the
-	// nodes strictly above it.
-	path := pathTo(root, below)
-	if path == nil {
-		return nil, false
-	}
-	for i := len(path) - 1; i >= 0; i-- { // deepest consumer first
-		n := path[i]
+// input of an operator above `below` in the plan, returning the deepest
+// such consumer.
+func laterJoinUse(parents map[plan.Node]plan.Node, below plan.Node, table, name string) (plan.Node, bool) {
+	for n := parents[below]; n != nil; n = parents[n] {
 		if usesColumn(n, table, name) {
 			return n, true
 		}
@@ -434,16 +428,17 @@ func laterJoinUse(root plan.Node, below plan.Node, table, name string) (plan.Nod
 	return nil, false
 }
 
-func pathTo(root, target plan.Node) []plan.Node {
-	if root == target {
-		return []plan.Node{}
-	}
-	for _, c := range root.Children() {
-		if sub := pathTo(c, target); sub != nil {
-			return append([]plan.Node{root}, sub...)
+// parentLinks maps every node under root to its parent, once per Insert:
+// enumerate asks for the consumers above a point for every column of
+// every point.
+func parentLinks(root plan.Node) map[plan.Node]plan.Node {
+	parents := map[plan.Node]plan.Node{}
+	plan.Walk(root, func(n plan.Node) {
+		for _, c := range n.Children() {
+			parents[c] = n
 		}
-	}
-	return nil
+	})
+	return parents
 }
 
 // usesColumn reports whether the operator's own predicates or keys read

@@ -22,17 +22,18 @@ type BufferPool struct {
 	capacity int
 
 	frames map[PageID]*frame
-	lru    *list.List // front = most recent; elements hold PageID
+	lru    *list.List // front = most recent; elements hold their *frame
 	// spare holds the buffers of frames Evict and EvictAll emptied (a
 	// dropped temp file's pages), for the next frames created.
 	spare [][]byte
 }
 
 type frame struct {
+	id    PageID // the page held; InvalidPageID until one is installed
 	data  []byte
 	dirty bool
 	pins  int
-	elem  *list.Element
+	elem  *list.Element // holds this frame, for as long as the frame lives
 }
 
 // NewBufferPool returns a pool of capacity frames over disk. Capacity
@@ -109,27 +110,28 @@ func (bp *BufferPool) PinNew() (PageID, []byte, error) {
 // list element.
 func (bp *BufferPool) freeFrameLocked() (*frame, error) {
 	if len(bp.frames) < bp.capacity {
-		f := &frame{}
+		f := &frame{id: InvalidPageID}
 		if n := len(bp.spare); n > 0 {
 			f.data, bp.spare = bp.spare[n-1], bp.spare[:n-1]
 		} else {
 			f.data = make([]byte, PageSize)
 		}
-		f.elem = bp.lru.PushFront(InvalidPageID)
+		// A pointer in the element's interface value is stored as it is:
+		// a page id would be boxed, one allocation a miss.
+		f.elem = bp.lru.PushFront(f)
 		return f, nil
 	}
 	for e := bp.lru.Back(); e != nil; e = e.Prev() {
-		victim := e.Value.(PageID)
-		f := bp.frames[victim]
+		f := e.Value.(*frame)
 		if f.pins > 0 {
 			continue
 		}
 		if f.dirty {
-			if err := bp.disk.Write(victim, f.data); err != nil {
+			if err := bp.disk.Write(f.id, f.data); err != nil {
 				return nil, err
 			}
 		}
-		delete(bp.frames, victim)
+		delete(bp.frames, f.id)
 		bp.lru.MoveToFront(e)
 		return f, nil
 	}
@@ -139,8 +141,7 @@ func (bp *BufferPool) freeFrameLocked() (*frame, error) {
 // installLocked makes f, fresh from freeFrameLocked, the pinned frame of
 // page id.
 func (bp *BufferPool) installLocked(id PageID, f *frame, dirty bool) {
-	f.pins, f.dirty = 1, dirty
-	f.elem.Value = id
+	f.id, f.pins, f.dirty = id, 1, dirty
 	bp.frames[id] = f
 }
 

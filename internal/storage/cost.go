@@ -15,6 +15,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 )
 
@@ -45,13 +46,16 @@ func DefaultCostWeights() CostWeights {
 // time, and a lock per tuple was a measurable share of a query.
 type CostMeter struct {
 	weights CostWeights // fixed at construction
-	parent  *CostMeter  // tributary meters forward every charge upstream
+	parent  *CostMeter  // a tributary forwards its counters here, at Flush
 
 	pageReads  atomic.Int64
 	pageWrites atomic.Int64
 	tupleCPU   atomic.Int64
 	statCPU    atomic.Int64
 	extra      atomic.Uint64 // float64 bits: directly-charged costs (e.g. re-optimization time)
+
+	flushMu sync.Mutex
+	sent    Snapshot // the counter values the last Flush forwarded up to
 }
 
 // NewCostMeter returns a meter with the given weights.
@@ -59,45 +63,76 @@ func NewCostMeter(w CostWeights) *CostMeter {
 	return &CostMeter{weights: w}
 }
 
-// Tributary returns a child meter that records charges locally and also
-// forwards them to this meter, so a parallel worker's cost is both
-// attributable to that worker and visible in the shared query total in
-// real time (the checkpoint's elapsed-cost arithmetic keeps working on
-// the shared meter while a gather point reads per-worker totals).
+// Tributary returns a child meter for one parallel worker. Every charge
+// counts on the child at once, so the worker's cost is attributable to
+// it (a gather point reads per-worker totals), and reaches this meter
+// when the child is flushed: the worker flushes as it hands a chunk of
+// tuples downstream and when it exits, so what two workers contend for
+// is one add per chunk, not one per tuple. This meter therefore trails a
+// running worker by at most the charges behind one chunk, and is exact
+// wherever the worker has been waited for — which is everywhere the
+// dispatcher's elapsed-cost arithmetic reads it (a parallel join's Open
+// returns, and a gather ends, only after its workers flushed). The
+// counters are integers, so the totals are those of forwarding each
+// charge by itself.
 func (m *CostMeter) Tributary() *CostMeter {
 	return &CostMeter{weights: m.weights, parent: m}
 }
 
-// ChargeRead records n simulated page reads.
-func (m *CostMeter) ChargeRead(n int64) {
-	for ; m != nil; m = m.parent {
-		m.pageReads.Add(n)
+// Flush forwards to the parent what this tributary has counted since its
+// last Flush. On a meter that is not a tributary it does nothing.
+func (m *CostMeter) Flush() {
+	if m == nil || m.parent == nil {
+		return
+	}
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
+	now := m.Snapshot()
+	d := now.Sub(m.sent)
+	m.sent = now
+	if d.PageReads != 0 {
+		m.parent.pageReads.Add(d.PageReads)
+	}
+	if d.PageWrites != 0 {
+		m.parent.pageWrites.Add(d.PageWrites)
+	}
+	if d.TupleCPU != 0 {
+		m.parent.tupleCPU.Add(d.TupleCPU)
+	}
+	if d.StatCPU != 0 {
+		m.parent.statCPU.Add(d.StatCPU)
 	}
 }
+
+// Unflushed returns what this tributary has counted and not yet
+// forwarded: zero counters on a flushed tributary and on any other meter.
+func (m *CostMeter) Unflushed() Snapshot {
+	if m.parent == nil {
+		return Snapshot{Weights: m.weights}
+	}
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
+	d := m.Snapshot().Sub(m.sent)
+	d.Extra = 0 // raw charges are forwarded as they are made
+	return d
+}
+
+// ChargeRead records n simulated page reads.
+func (m *CostMeter) ChargeRead(n int64) { m.pageReads.Add(n) }
 
 // ChargeWrite records n simulated page writes.
-func (m *CostMeter) ChargeWrite(n int64) {
-	for ; m != nil; m = m.parent {
-		m.pageWrites.Add(n)
-	}
-}
+func (m *CostMeter) ChargeWrite(n int64) { m.pageWrites.Add(n) }
 
 // ChargeTuples records n tuples of operator CPU work.
-func (m *CostMeter) ChargeTuples(n int64) {
-	for ; m != nil; m = m.parent {
-		m.tupleCPU.Add(n)
-	}
-}
+func (m *CostMeter) ChargeTuples(n int64) { m.tupleCPU.Add(n) }
 
 // ChargeStatTuples records n tuples of statistics-collection CPU work.
-func (m *CostMeter) ChargeStatTuples(n int64) {
-	for ; m != nil; m = m.parent {
-		m.statCPU.Add(n)
-	}
-}
+func (m *CostMeter) ChargeStatTuples(n int64) { m.statCPU.Add(n) }
 
 // ChargeRaw adds a pre-computed cost in simulated units. The dispatcher
-// uses it to charge re-optimization time (T_opt).
+// uses it to charge re-optimization time (T_opt). Raw charges are rare
+// and floating-point, so a tributary forwards each one as it is made: a
+// batched sum would round differently.
 func (m *CostMeter) ChargeRaw(units float64) {
 	for ; m != nil; m = m.parent {
 		for {
@@ -162,6 +197,9 @@ func (m *CostMeter) Weights() CostWeights { return m.weights }
 
 // Reset zeroes all counters, keeping the weights.
 func (m *CostMeter) Reset() {
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
+	m.sent = Snapshot{}
 	m.pageReads.Store(0)
 	m.pageWrites.Store(0)
 	m.tupleCPU.Store(0)

@@ -386,6 +386,49 @@ func TestScanAllocatesPerPageNotPerTuple(t *testing.T) {
 	}
 }
 
+// A miss on a full pool recycles the victim's frame, buffer and list
+// element and allocates nothing: scanning a table several times the
+// pool's size allocates what scanning it from a pool that holds it all
+// does — a block of values per arena block, nothing per page read.
+func TestScanOfTableLargerThanPoolAllocatesNothingPerMiss(t *testing.T) {
+	scanAllocs := func(frames int) (allocs float64, pages int, misses int64) {
+		bp, m := newTestPool(frames)
+		h := NewStampedHeapFile(bp)
+		// Page ids past 255: the runtime boxes smaller integers for free.
+		for i := 0; i < 100000; i++ {
+			tup := types.Tuple{types.NewInt(int64(i)), types.NewFloat(1.5), types.NewDate(9000), types.NewInt(7)}
+			if _, err := h.Append(tup); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := NewTxnManager().LatestSnapshot()
+		scan := func() {
+			s := h.Scan().WithSnapshot(snap)
+			for s.Next() {
+			}
+			if s.Err() != nil {
+				t.Fatal(s.Err())
+			}
+		}
+		scan() // the pool is full (or the table resident) from here on
+		before := m.Snapshot().PageReads
+		allocs = testing.AllocsPerRun(5, scan)
+		return allocs, h.NumPages(), (m.Snapshot().PageReads - before) / 6
+	}
+	resident, pages, misses := scanAllocs(1024)
+	if misses != 0 {
+		t.Fatalf("a pool of 1024 frames missed %d times a scan of %d pages", misses, pages)
+	}
+	thrashing, _, misses := scanAllocs(8)
+	if misses != int64(pages) {
+		t.Fatalf("a pool of 8 frames missed %d times a scan of %d pages, want every page", misses, pages)
+	}
+	if thrashing > resident+float64(pages)/10 {
+		t.Errorf("scanning %d pages made %.0f allocations through a pool of 8 frames, %.0f when resident: a miss allocates",
+			pages, thrashing, resident)
+	}
+}
+
 // Strings are carved like values: a projected scan that emits a string
 // column, under a filter that reads another, copies their bytes into
 // blocks — allocations per page, not one object per string emitted or

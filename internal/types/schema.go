@@ -45,7 +45,26 @@ func (s *Schema) Len() int { return len(s.Columns) }
 // matches columns from more than one table is ambiguous and returns an
 // error; an unknown reference also returns an error.
 func (s *Schema) Resolve(table, name string) (int, error) {
-	found := -1
+	idx, ambiguous := s.Find(table, name)
+	if ambiguous {
+		return -1, fmt.Errorf("types: ambiguous column reference %q", name)
+	}
+	if idx < 0 {
+		ref := name
+		if table != "" {
+			ref = table + "." + name
+		}
+		return -1, fmt.Errorf("types: unknown column %q", ref)
+	}
+	return idx, nil
+}
+
+// Find is Resolve for a caller that expects misses — the optimizer asks
+// every relation of a query about every column reference — and so builds
+// no error: it returns the column's index, or -1 when no column matches,
+// or -1 and ambiguous when more than one does.
+func (s *Schema) Find(table, name string) (idx int, ambiguous bool) {
+	idx = -1
 	for i, c := range s.Columns {
 		if !strings.EqualFold(c.Name, name) {
 			continue
@@ -53,19 +72,12 @@ func (s *Schema) Resolve(table, name string) (int, error) {
 		if table != "" && !strings.EqualFold(c.Table, table) {
 			continue
 		}
-		if found >= 0 {
-			return -1, fmt.Errorf("types: ambiguous column reference %q", name)
+		if idx >= 0 {
+			return -1, true
 		}
-		found = i
+		idx = i
 	}
-	if found < 0 {
-		ref := name
-		if table != "" {
-			ref = table + "." + name
-		}
-		return -1, fmt.Errorf("types: unknown column %q", ref)
-	}
-	return found, nil
+	return idx, false
 }
 
 // Concat returns a new schema holding s's columns followed by o's. Join

@@ -41,6 +41,28 @@ func TestResolveBare(t *testing.T) {
 	}
 }
 
+// Find answers what Resolve answers, without building an error for the
+// caller to throw away.
+func TestFindReportsMissesWithoutAllocating(t *testing.T) {
+	s := testSchema()
+	for _, c := range []struct {
+		table, name string
+		idx         int
+		ambiguous   bool
+	}{{"r", "a", 0, false}, {"S", "A", 2, false}, {"", "b", 1, false}, {"", "a", -1, true}, {"", "zzz", -1, false}, {"t", "a", -1, false}} {
+		idx, ambiguous := s.Find(c.table, c.name)
+		if idx != c.idx || ambiguous != c.ambiguous {
+			t.Errorf("Find(%q, %q) = %d, %v; want %d, %v", c.table, c.name, idx, ambiguous, c.idx, c.ambiguous)
+		}
+		if _, err := s.Resolve(c.table, c.name); (err == nil) != (c.idx >= 0) {
+			t.Errorf("Resolve(%q, %q) = %v, Find says index %d", c.table, c.name, err, c.idx)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Find("t", "zzz"); s.Find("", "a") }); allocs != 0 {
+		t.Errorf("a miss and an ambiguous reference allocated %.0f times", allocs)
+	}
+}
+
 func TestResolveCaseInsensitive(t *testing.T) {
 	s := testSchema()
 	i, err := s.Resolve("R", "B")
