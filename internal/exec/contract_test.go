@@ -1,11 +1,14 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/plan"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -79,15 +82,45 @@ func TestOperatorsReturnTuplesTheCallerMayKeep(t *testing.T) {
 	if err := e.cat.CreateIndex("small", "v"); err != nil {
 		t.Fatal(err)
 	}
-	// After an operator is closed: empty the pool, so its frames are
-	// handed out again, and scan other pages into them.
+	// After an operator is closed: empty the pool, scan other pages
+	// through it, and overwrite every page the operator read. The pool
+	// lends the disk's pages, so a string that was a view of one — what a
+	// filter tests, compiled or through Pred.Test — would read as 0xEE
+	// bytes; an emitted string is a copy in the operator's arena.
 	other := e.makeTable(t, "other", 3000, 37)
+	saved := map[storage.PageID][]byte{}
 	churn := func() {
 		if err := e.pool.EvictAll(); err != nil {
 			t.Fatal(err)
 		}
 		if n := len(collectAll(t, mustBuild(t, e, scanNode(other)))); n != 3000 {
 			t.Fatalf("churn scan read %d rows", n)
+		}
+		for _, tbl := range []*catalog.Table{big, small} {
+			for s := tbl.Heap.Scan(); s.Next(); {
+				saved[s.RID().Page] = nil
+			}
+		}
+		for id := range saved {
+			buf, err := e.pool.Pin(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saved[id] = bytes.Clone(buf)
+			for i := range buf {
+				buf[i] = 0xEE
+			}
+			e.pool.Unpin(id)
+		}
+	}
+	restore := func() {
+		for id, page := range saved {
+			buf, err := e.pool.Pin(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, page)
+			e.pool.Unpin(id)
 		}
 	}
 	pruned := func() *plan.Scan {
@@ -127,6 +160,7 @@ func TestOperatorsReturnTuplesTheCallerMayKeep(t *testing.T) {
 	} {
 		op := mustBuild(t, e, node)
 		retain(t, label, op, churn)
+		restore()
 		if sp, ok := op.(interface{ Spilled() bool }); ok && sp.Spilled() != strings.HasSuffix(label, ", spill") {
 			t.Errorf("%s: spilled = %v", label, sp.Spilled())
 		}

@@ -159,24 +159,29 @@ type match struct {
 
 // matchVisible scans the heap under the transaction's snapshot and
 // materializes the RID and tuple of every row passing the filters. Like
-// a SeqScan it pushes the filters into the storage scanner, which tests
-// them on the columns they read and decodes in full — DML reads and
-// writes whole tuples — only the rows that matched.
+// a SeqScan it pushes the compiled filters into the storage scanner,
+// which tests each record where it lies and decodes in full — DML reads
+// and writes whole tuples — only the rows that matched.
 func matchVisible(ctx *Ctx, heap *storage.HeapFile, filters []plan.Pred) ([]match, error) {
 	snap := ctx.Snap
 	if snap == nil && ctx.Txn != nil {
 		snap = ctx.Txn.Snapshot()
 	}
-	s := heap.Scan().WithSnapshot(snap).OnExamine(func() error {
+	// Nothing reads the meter between two records of a match scan (there
+	// is no fault site here, and no operator above), so the examined
+	// tuples are counted here and charged once, on every way out: one
+	// atomic add a statement, not one a record.
+	var examined int64
+	defer func() { ctx.Meter.ChargeTuples(examined) }()
+	s := heap.ScanPartition(0, 1, ctx.Meter).WithSnapshot(snap).OnExamine(func() error {
 		if err := ctx.Tick(); err != nil {
 			return err
 		}
-		ctx.Meter.ChargeTuples(1)
+		examined++
 		return nil
 	})
-	if len(filters) > 0 {
-		cols, _ := plan.PredColumns(filters...)
-		s.WithFilter(cols, func(t types.Tuple) (bool, error) { return testAll(filters, t, ctx.Params) })
+	if f := plan.CompileFilter(filters, ctx.Params); f != nil {
+		s.WithFilter(f)
 	}
 	var out []match
 	for s.Next() {

@@ -40,17 +40,11 @@ func NewIndexJoin(n *plan.IndexJoin, outer Operator, ctx *Ctx) (*IndexJoin, erro
 		return nil, fmt.Errorf("exec: no index on %s column %d", n.Table.Name, n.InnerCol)
 	}
 	j := &IndexJoin{node: n, outer: outer, ctx: ctx, idx: idx.Tree}
-	j.inner = n.Table.Heap.Fetcher().WithColumns(n.InnerCols)
-	if len(n.InnerFilters) > 0 {
-		cols, _ := plan.PredColumns(n.InnerFilters...)
-		j.inner.WithFilter(cols, j.pass)
+	j.inner = n.Table.Heap.Fetcher(ctx.Meter).WithColumns(n.InnerCols)
+	if f := plan.CompileFilter(n.InnerFilters, ctx.Params); f != nil {
+		j.inner.WithFilter(f)
 	}
 	return j, nil
-}
-
-// pass reports whether an inner tuple satisfies every inner filter.
-func (j *IndexJoin) pass(t types.Tuple) (bool, error) {
-	return testAll(j.node.InnerFilters, t, j.ctx.Params)
 }
 
 // Schema implements Operator.

@@ -9,10 +9,11 @@ import (
 
 // SeqScan reads a base table (or registered temp table) page by page,
 // charging one CPU tuple per tuple examined and applying pushed-down
-// filters before tuples leave the operator. Heap scans hand the filters
-// and the node's column list to the storage scanner, which tests the
-// filters on the columns they read and then decodes only the columns the
-// plan kept: a column that only a filter reads never leaves the page.
+// filters before tuples leave the operator. Heap scans hand the filters,
+// compiled against the stored record, and the node's column list to the
+// storage scanner, which tests a record where it lies and builds a tuple
+// of only the columns the plan kept: a column that only a filter reads
+// never leaves the page.
 type SeqScan struct {
 	node *plan.Scan
 	ctx  *Ctx
@@ -35,8 +36,9 @@ func NewSeqScan(n *plan.Scan, ctx *Ctx) *SeqScan {
 func (s *SeqScan) Schema() *types.Schema { return s.node.Out }
 
 // Open implements Operator. In a partitioned context (a parallel scan
-// worker) the scan covers only its own page partition and attributes the
-// partition's I/O to the worker's tributary meter.
+// worker) the scan covers only its own page partition. The pages it
+// misses are charged to the context's meter either way: the query's, or
+// the worker's tributary of it.
 func (s *SeqScan) Open() error {
 	if s.node.Table.Virtual != nil {
 		// Virtual tables have no pages to partition; in a parallel
@@ -48,17 +50,10 @@ func (s *SeqScan) Open() error {
 		}
 		return nil
 	}
-	if s.ctx.PartOf > 1 {
-		s.scan = s.node.Table.Heap.ScanPartition(s.ctx.Part, s.ctx.PartOf, s.ctx.Meter)
-	} else {
-		s.scan = s.node.Table.Heap.Scan()
-	}
-	s.scan.WithSnapshot(s.ctx.Snap).WithColumns(s.node.Cols).OnExamine(s.examine)
-	if len(s.node.Filters) > 0 {
-		// Filters of a shape PredColumns cannot see into leave cols
-		// nil: the scanner then tests them on whole tuples.
-		cols, _ := plan.PredColumns(s.node.Filters...)
-		s.scan.WithFilter(cols, s.pass)
+	s.scan = s.node.Table.Heap.ScanPartition(s.ctx.Part, s.ctx.PartOf, s.ctx.Meter).
+		WithSnapshot(s.ctx.Snap).WithColumns(s.node.Cols).OnExamine(s.examine)
+	if f := plan.CompileFilter(s.node.Filters, s.ctx.Params); f != nil {
+		s.scan.WithFilter(f)
 	}
 	return nil
 }
@@ -76,11 +71,6 @@ func (s *SeqScan) examine() error {
 	return nil
 }
 
-// pass reports whether t satisfies every filter.
-func (s *SeqScan) pass(t types.Tuple) (bool, error) {
-	return testAll(s.node.Filters, t, s.ctx.Params)
-}
-
 // Next implements Operator.
 func (s *SeqScan) Next() (types.Tuple, error) {
 	if s.node.Table.Virtual != nil {
@@ -91,7 +81,7 @@ func (s *SeqScan) Next() (types.Tuple, error) {
 			s.ctx.Meter.ChargeTuples(1)
 			t := s.rows[s.idx]
 			s.idx++
-			if ok, err := s.pass(t); err != nil {
+			if ok, err := testAll(s.node.Filters, t, s.ctx.Params); err != nil {
 				return nil, err
 			} else if ok {
 				return t, nil

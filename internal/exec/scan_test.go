@@ -160,3 +160,57 @@ func TestSeqScanFilterErrorPropagates(t *testing.T) {
 		t.Errorf("charged %d tuples before failing on the first, want 1", got)
 	}
 }
+
+// Every page a scan path misses is charged to the context's meter, not
+// to the disk's by default: with a tributary as the context's meter — a
+// query's own meter, one day — a serial scan, a DML match scan and an
+// index join's fetches leave the engine's meter untouched until the
+// tributary is flushed, and then it holds every read. (The B+tree still
+// charges its leaf reads, one a probe, to the meter it was built with.)
+func TestScanPathsChargeReadsToTheContextMeter(t *testing.T) {
+	e := newEnv(4)
+	big := e.makeTable(t, "big", 3000, 37)
+	small := e.makeTable(t, "small", 400, 37)
+	if err := e.cat.CreateIndex("small", "v"); err != nil {
+		t.Fatal(err)
+	}
+	engine := e.ctx.Meter
+	for name, run := range map[string]func(ctx *Ctx) (probes int64){
+		"serial scan": func(ctx *Ctx) int64 {
+			collectAll(t, NewSeqScan(scanNode(big, mustPred(t, big.Schema, "v = 3")), ctx))
+			return 0
+		},
+		"dml match": func(ctx *Ctx) int64 {
+			if _, err := matchVisible(ctx, big.Heap, []plan.Pred{mustPred(t, big.Schema, "k = 7")}); err != nil {
+				t.Fatal(err)
+			}
+			return 0
+		},
+		"index join": func(ctx *Ctx) int64 {
+			j, err := NewIndexJoin(&plan.IndexJoin{Outer: scanNode(big, mustPred(t, big.Schema, "k < 200")), Table: small,
+				Binding: "small", OuterKey: 1, InnerCol: 1, InnerOut: small.Schema}, NewSeqScan(scanNode(big, mustPred(t, big.Schema, "k < 200")), ctx), ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			collectAll(t, j)
+			return 200
+		},
+	} {
+		if err := e.pool.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		ctx := *e.ctx
+		ctx.Meter = engine.Tributary()
+		before := engine.Snapshot()
+		probes := run(&ctx)
+		own := ctx.Meter.Snapshot()
+		if d := engine.Snapshot().Sub(before); d.PageReads != probes || own.PageReads < int64(big.Heap.NumPages()) {
+			t.Errorf("%s: the engine's meter took %d reads before the flush, want %d; the context's holds %d of at least %d",
+				name, d.PageReads, probes, own.PageReads, big.Heap.NumPages())
+		}
+		ctx.Meter.Flush()
+		if d := engine.Snapshot().Sub(before); d.PageReads != probes+own.PageReads || d.TupleCPU != own.TupleCPU {
+			t.Errorf("%s: after the flush the engine's meter moved by %v, the context's holds %v", name, d, own)
+		}
+	}
+}

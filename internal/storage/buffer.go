@@ -12,6 +12,11 @@ import (
 // the paper's per-node 32 MB buffer pool, which they deliberately kept
 // small "to study the effect of memory management techniques".
 //
+// The disk is simulated in memory, so the pool copies nothing: a frame
+// holds the disk's own page, and the pool is the accounting over that
+// memory — which pages are resident, in what LRU order, pinned how many
+// times, dirty or clean, and what each miss and write-back costs.
+//
 // The pool is distinct from the Memory Manager's per-operator working
 // memory: the pool caches base-table and temp-file pages, while operator
 // memory (hash tables, sort runs) is tracked separately by
@@ -23,14 +28,11 @@ type BufferPool struct {
 
 	frames map[PageID]*frame
 	lru    *list.List // front = most recent; elements hold their *frame
-	// spare holds the buffers of frames Evict and EvictAll emptied (a
-	// dropped temp file's pages), for the next frames created.
-	spare [][]byte
 }
 
 type frame struct {
 	id    PageID // the page held; InvalidPageID until one is installed
-	data  []byte
+	data  []byte // the disk's page
 	dirty bool
 	pins  int
 	elem  *list.Element // holds this frame, for as long as the frame lives
@@ -56,9 +58,9 @@ func (bp *BufferPool) Capacity() int { return bp.capacity }
 // Disk returns the underlying disk.
 func (bp *BufferPool) Disk() *Disk { return bp.disk }
 
-// Pin fetches a page into the pool and pins it, returning its buffer. The
-// buffer aliases the frame; callers may mutate it but must call
-// MarkDirty before Unpin for changes to survive eviction.
+// Pin fetches a page into the pool and pins it, returning its buffer.
+// Callers may mutate it but must call MarkDirty before Unpin for the
+// write-back to be charged.
 func (bp *BufferPool) Pin(id PageID) ([]byte, error) {
 	return bp.PinMetered(id, nil)
 }
@@ -79,15 +81,20 @@ func (bp *BufferPool) PinMetered(id PageID, m *CostMeter) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := bp.disk.ReadInto(id, f.data, m); err != nil {
+	data, err := bp.disk.page(id)
+	if err != nil {
 		bp.lru.Remove(f.elem)
 		return nil, err
 	}
-	bp.installLocked(id, f, false)
-	return f.data, nil
+	if m == nil {
+		m = bp.disk.meter
+	}
+	m.ChargeRead(1)
+	bp.installLocked(id, f, data, false)
+	return data, nil
 }
 
-// PinNew allocates a fresh page on disk, installs an empty frame for it
+// PinNew allocates a fresh, zeroed page on disk, installs a frame for it
 // without a disk read, and pins it. Use for appends.
 func (bp *BufferPool) PinNew() (PageID, []byte, error) {
 	bp.mu.Lock()
@@ -96,26 +103,20 @@ func (bp *BufferPool) PinNew() (PageID, []byte, error) {
 	if err != nil {
 		return InvalidPageID, nil, err
 	}
-	clear(f.data)
-	id := bp.disk.Allocate()
-	bp.installLocked(id, f, true)
-	return id, f.data, nil
+	id, data := bp.disk.Allocate()
+	bp.installLocked(id, f, data, true)
+	return id, data, nil
 }
 
 // freeFrameLocked returns a frame that holds no page, at the front of
 // the LRU list: a new one while the pool has room, otherwise the least
-// recently used unpinned frame, written back if dirty. Recycling the
-// victim's buffer, frame and list element keeps a miss on a full pool
-// free of allocation. The caller installs a page in the frame or removes its
-// list element.
+// recently used unpinned frame, its write-back charged if dirty.
+// Recycling the victim's frame and list element keeps a miss on a full
+// pool free of allocation. The caller installs a page in the frame or
+// removes its list element.
 func (bp *BufferPool) freeFrameLocked() (*frame, error) {
 	if len(bp.frames) < bp.capacity {
 		f := &frame{id: InvalidPageID}
-		if n := len(bp.spare); n > 0 {
-			f.data, bp.spare = bp.spare[n-1], bp.spare[:n-1]
-		} else {
-			f.data = make([]byte, PageSize)
-		}
 		// A pointer in the element's interface value is stored as it is:
 		// a page id would be boxed, one allocation a miss.
 		f.elem = bp.lru.PushFront(f)
@@ -126,11 +127,7 @@ func (bp *BufferPool) freeFrameLocked() (*frame, error) {
 		if f.pins > 0 {
 			continue
 		}
-		if f.dirty {
-			if err := bp.disk.Write(f.id, f.data); err != nil {
-				return nil, err
-			}
-		}
+		bp.writeBackLocked(f)
 		delete(bp.frames, f.id)
 		bp.lru.MoveToFront(e)
 		return f, nil
@@ -138,10 +135,19 @@ func (bp *BufferPool) freeFrameLocked() (*frame, error) {
 	return nil, fmt.Errorf("storage: buffer pool exhausted (%d frames all pinned)", bp.capacity)
 }
 
+// writeBackLocked charges the write of a dirty frame and marks it clean.
+// The frame is the disk's page, so there is nothing to copy.
+func (bp *BufferPool) writeBackLocked(f *frame) {
+	if f.dirty {
+		bp.disk.meter.ChargeWrite(1)
+		f.dirty = false
+	}
+}
+
 // installLocked makes f, fresh from freeFrameLocked, the pinned frame of
 // page id.
-func (bp *BufferPool) installLocked(id PageID, f *frame, dirty bool) {
-	f.id, f.pins, f.dirty = id, 1, dirty
+func (bp *BufferPool) installLocked(id PageID, f *frame, data []byte, dirty bool) {
+	f.id, f.data, f.pins, f.dirty = id, data, 1, dirty
 	bp.frames[id] = f
 }
 
@@ -180,13 +186,8 @@ func (bp *BufferPool) UnpinDirty(id PageID) {
 func (bp *BufferPool) FlushAll() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	for id, f := range bp.frames {
-		if f.dirty {
-			if err := bp.disk.Write(id, f.data); err != nil {
-				return err
-			}
-			f.dirty = false
-		}
+	for _, f := range bp.frames {
+		bp.writeBackLocked(f)
 	}
 	return nil
 }
@@ -203,7 +204,8 @@ func (bp *BufferPool) Evict(id PageID) error {
 	if f.pins > 0 {
 		return fmt.Errorf("storage: evicting pinned page %d", id)
 	}
-	return bp.dropLocked(id, f)
+	bp.dropLocked(f)
+	return nil
 }
 
 // EvictAll writes back every dirty frame and empties the pool (pinned
@@ -212,29 +214,19 @@ func (bp *BufferPool) Evict(id PageID) error {
 func (bp *BufferPool) EvictAll() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	for id, f := range bp.frames {
-		if f.pins > 0 {
-			continue
-		}
-		if err := bp.dropLocked(id, f); err != nil {
-			return err
+	for _, f := range bp.frames {
+		if f.pins == 0 {
+			bp.dropLocked(f)
 		}
 	}
 	return nil
 }
 
-// dropLocked writes back an unpinned frame if dirty and removes it,
-// keeping its buffer for reuse.
-func (bp *BufferPool) dropLocked(id PageID, f *frame) error {
-	if f.dirty {
-		if err := bp.disk.Write(id, f.data); err != nil {
-			return err
-		}
-	}
+// dropLocked writes back an unpinned frame if dirty and removes it.
+func (bp *BufferPool) dropLocked(f *frame) {
+	bp.writeBackLocked(f)
 	bp.lru.Remove(f.elem)
-	delete(bp.frames, id)
-	bp.spare = append(bp.spare, f.data)
-	return nil
+	delete(bp.frames, f.id)
 }
 
 // Cached reports whether the page currently occupies a frame (for tests).

@@ -144,27 +144,39 @@ func TestBufferPoolEvict(t *testing.T) {
 func TestDiskErrors(t *testing.T) {
 	m := NewCostMeter(DefaultCostWeights())
 	d := NewDisk(m)
-	if _, err := d.Read(999); err == nil {
-		t.Error("read of unallocated page succeeded")
+	for _, id := range []PageID{InvalidPageID, 1, 999} {
+		if _, err := d.page(id); err == nil {
+			t.Errorf("read of unallocated page %d succeeded", id)
+		}
 	}
-	if err := d.Write(999, make([]byte, PageSize)); err == nil {
-		t.Error("write to unallocated page succeeded")
-	}
-	id := d.Allocate()
-	if err := d.Write(id, make([]byte, 10)); err == nil {
-		t.Error("short write succeeded")
+	id, page := d.Allocate()
+	if got, err := d.page(id); err != nil || &got[0] != &page[0] || len(got) != PageSize {
+		t.Errorf("page(%d) = %d bytes, %v; want the page Allocate returned", id, len(got), err)
 	}
 	d.Free(id)
+	d.Free(id)   // a second Free does not count twice
+	d.Free(9999) // nor does one of a page that never was
 	if d.NumPages() != 0 {
 		t.Errorf("NumPages after free = %d", d.NumPages())
 	}
+	if _, err := d.page(id); err == nil {
+		t.Error("read of a freed page succeeded")
+	}
+	if next, _ := d.Allocate(); next == id || d.NumPages() != 1 {
+		t.Errorf("Allocate after Free returned page %d (freed: %d), NumPages %d", next, id, d.NumPages())
+	}
+	if snap := m.Snapshot(); snap.PageReads != 0 || snap.PageWrites != 0 {
+		t.Errorf("the disk itself charged %v: only the pool's misses and write-backs cost", snap)
+	}
 }
 
-// A miss on a full pool reuses the victim's buffer: what a caller reads
-// through a recycled frame must be the page it asked for, dirty victims
-// must reach the disk first, and a fresh page must come up zeroed.
+// A frame is the disk's page, lent: what a caller reads through a frame
+// that held other pages before must be the page it asked for, a fresh
+// page must come up zeroed, and the charges are the ones a copying pool
+// made — a read per miss, a write per dirty victim, per dirty frame
+// flushed and per dirty page evicted.
 func TestBufferPoolRecyclesFramesSafely(t *testing.T) {
-	bp, _ := newTestPool(3)
+	bp, m := newTestPool(3)
 	var ids []PageID
 	for i := 0; i < 10; i++ {
 		id, buf, err := bp.PinNew()
@@ -185,7 +197,12 @@ func TestBufferPoolRecyclesFramesSafely(t *testing.T) {
 	if len(bp.frames) != 3 || bp.lru.Len() != 3 {
 		t.Fatalf("%d frames, %d LRU entries in a pool of 3", len(bp.frames), bp.lru.Len())
 	}
+	// Ten dirty pages went through three frames: seven were written back.
+	if got := m.Snapshot(); got.PageWrites != 7 || got.PageReads != 0 {
+		t.Fatalf("filling the pool charged %v, want 7 writes", got)
+	}
 	for round := 0; round < 3; round++ {
+		before := m.Snapshot()
 		for i, id := range ids {
 			buf, err := bp.Pin(id)
 			if err != nil {
@@ -196,18 +213,40 @@ func TestBufferPoolRecyclesFramesSafely(t *testing.T) {
 			}
 			bp.Unpin(id)
 		}
+		// A cyclic walk of ten pages through an LRU of three misses every
+		// time; only the first round finds dirty victims, the last three
+		// pages filled.
+		wantWrites := int64(0)
+		if round == 0 {
+			wantWrites = 3
+		}
+		if d := m.Snapshot().Sub(before); d.PageReads != 10 || d.PageWrites != wantWrites {
+			t.Fatalf("round %d charged %v, want 10 reads and %d writes", round, d, wantWrites)
+		}
 	}
-	// Frames emptied by Evict give their buffers to the next pages.
+	buf, _ := bp.Pin(ids[9])
+	buf[0] = 0xFF
+	bp.UnpinDirty(ids[9])
+	before := m.Snapshot()
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range ids {
 		if err := bp.Evict(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(bp.frames) != 0 || bp.lru.Len() != 0 || len(bp.spare) != 3 {
-		t.Fatalf("after evicting everything: %d frames, %d LRU entries, %d spare buffers", len(bp.frames), bp.lru.Len(), len(bp.spare))
+	if d := m.Snapshot().Sub(before); d.PageWrites != 1 || d.PageReads != 0 {
+		t.Errorf("FlushAll of one dirty page, then evicting it clean, charged %v", d)
 	}
-	if _, buf, _ := bp.PinNew(); buf[0] != 0 || len(bp.spare) != 2 {
-		t.Errorf("page on a spare buffer starts with %d, %d buffers left", buf[0], len(bp.spare))
+	if len(bp.frames) != 0 || bp.lru.Len() != 0 {
+		t.Fatalf("after evicting everything: %d frames, %d LRU entries", len(bp.frames), bp.lru.Len())
+	}
+	if buf, _ = bp.Pin(ids[9]); buf[0] != 0xFF || buf[1] != 10 {
+		t.Errorf("page %d reads %d %d after its eviction, want 255 10", ids[9], buf[0], buf[1])
+	}
+	if _, buf, _ := bp.PinNew(); buf[0] != 0 {
+		t.Errorf("a fresh page in an emptied pool starts with %d", buf[0])
 	}
 }
 
@@ -241,24 +280,32 @@ func TestBufferPoolUnpinDirty(t *testing.T) {
 	}
 }
 
-// Disk.Write overwrites the stored page in place; a buffer handed out by
-// an earlier Read must not change with it.
+// The pool lends the disk's pages instead of copying them: two pins of
+// one page, and a pin after the page was evicted, see one buffer; pins of
+// two pages never do.
 func TestDiskWriteDoesNotAliasReads(t *testing.T) {
-	d := NewDisk(NewCostMeter(DefaultCostWeights()))
-	id := d.Allocate()
-	page := make([]byte, PageSize)
-	page[0] = 1
-	d.Write(id, page)
-	got, err := d.Read(id)
-	if err != nil {
-		t.Fatal(err)
+	bp, _ := newTestPool(2)
+	a, bufA, _ := bp.PinNew()
+	b, bufB, _ := bp.PinNew()
+	bufA[0], bufB[0] = 1, 2
+	again, err := bp.Pin(a)
+	if err != nil || &again[0] != &bufA[0] {
+		t.Fatalf("a second pin of page %d returned another buffer (%v)", a, err)
 	}
-	page[0] = 2
-	d.Write(id, page)
-	if got[0] != 1 {
-		t.Error("a buffer returned by Read changed on a later Write")
+	bp.Unpin(a)
+	bp.UnpinDirty(a)
+	bp.UnpinDirty(b)
+	if bufA[0] != 1 || bufB[0] != 2 {
+		t.Fatalf("pages %d and %d share memory: read %d, %d", a, b, bufA[0], bufB[0])
 	}
-	if again, _ := d.Read(id); again[0] != 2 {
-		t.Error("second Write did not reach the page")
+	for i := 0; i < 2; i++ { // push both out
+		id, _, _ := bp.PinNew()
+		bp.Unpin(id)
+	}
+	if bp.Cached(a) || bp.Cached(b) {
+		t.Fatal("pages still cached in a pool of 2 after 2 more were pinned")
+	}
+	if back, err := bp.Pin(b); err != nil || &back[0] != &bufB[0] || back[0] != 2 {
+		t.Errorf("page %d re-pinned after eviction is not the page it was (%v)", b, err)
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/types"
@@ -229,26 +230,30 @@ func (h *HeapFile) Fetch(rid RID) (types.Tuple, error) {
 // physically deleted (aborted insert, swept version) or the version is
 // outside the snapshot, so index probes can skip stale entries.
 func (h *HeapFile) FetchVisible(rid RID, snap *TxnSnapshot) (types.Tuple, bool, error) {
-	return (&HeapFetcher{file: h}).FetchVisible(rid, snap)
+	return h.Fetcher(nil).FetchVisible(rid, snap)
 }
 
 // Fetcher returns a reader of single records by RID that can carry the
 // filter and projection a scanner can: an index join fetches inner
 // tuples through one, so that it too tests its inner filters before
-// decoding and materialises only the columns the query uses.
-func (h *HeapFile) Fetcher() *HeapFetcher { return &HeapFetcher{file: h} }
+// decoding and materialises only the columns the query uses. Like
+// ScanPartition it charges the pages it misses to meter.
+func (h *HeapFile) Fetcher(meter *CostMeter) *HeapFetcher {
+	return &HeapFetcher{file: h, meter: meter}
+}
 
 // HeapFetcher fetches records of one heap file by RID. Not safe for
-// concurrent use: it reuses a scratch tuple from fetch to fetch.
+// concurrent use: it reuses its column offsets from fetch to fetch.
 type HeapFetcher struct {
-	file *HeapFile
+	file  *HeapFile
+	meter *CostMeter // charge target for pool misses; nil = shared
 	recordReader
 }
 
 // WithFilter is HeapScanner.WithFilter for fetches: a visible record the
 // filter rejects is reported as ok=false.
-func (f *HeapFetcher) WithFilter(cols []int, pass func(types.Tuple) (bool, error)) *HeapFetcher {
-	f.filterCols, f.filter = cols, pass
+func (f *HeapFetcher) WithFilter(filter RecordFilter) *HeapFetcher {
+	f.filter, f.filterUpto = filter, filter.Upto()
 	return f
 }
 
@@ -264,7 +269,7 @@ func (f *HeapFetcher) FetchVisible(rid RID, snap *TxnSnapshot) (types.Tuple, boo
 	h := f.file
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	buf, err := h.pool.Pin(rid.Page)
+	buf, err := h.pool.PinMetered(rid.Page, f.meter)
 	if err != nil {
 		return nil, false, err
 	}
@@ -526,10 +531,12 @@ type HeapScanner struct {
 	recordReader
 	examine func() error
 
-	// The loaded page: one entry per visible record, in slot order.
+	// The loaded page: one entry per record that passed, in slot order,
+	// and the count of rejected records after the last of them.
 	page    PageID
 	batch   []scanEntry
 	pos     int
+	tail    int
 	loadErr error // a decode or filter failure on this page, due after batch
 
 	err    error
@@ -537,28 +544,39 @@ type HeapScanner struct {
 	curRID RID
 }
 
+// RecordFilter is a predicate pushed into a scan or a fetcher, tested
+// against the stored bytes of a record. plan.CompileFilter builds them.
+type RecordFilter interface {
+	// Upto is how much of a record Test reads: the columns below it.
+	Upto() int
+	// Test reports whether the record passes. offs is what
+	// types.LocateColumns returned for rec and Upto: the columns below
+	// Upto, or all the record has. It runs under the page's pin and the
+	// heap's read lock, so it must not call into the heap, and what it
+	// reads of rec is not to be kept.
+	Test(rec []byte, offs []int) (bool, error)
+}
+
 // recordReader turns stored records into tuples for one reader — a
 // scanner or a fetcher — under its pushed filter and its projection.
 type recordReader struct {
 	cols       []int // ascending ordinals to materialise; nil = every column
-	filterCols []int
-	filter     func(types.Tuple) (bool, error)
+	filter     RecordFilter
+	filterUpto int // filter.Upto()
 
 	mem types.Arena // what the tuples handed out are carved from
 
-	// The filter's view of a record: a tuple reused from record to
-	// record, and the strings it tested — garbage once tested, so kept
-	// out of the blocks emitted tuples retain.
-	scratch    types.Tuple
-	scratchMem types.Arena
+	// The current record's column offsets, reused from record to record:
+	// offsBuf until a record is wider than it.
+	offs    []int
+	offsBuf [24]int
 }
 
-// scanEntry is one visible record of the loaded page: decoded if it
-// passed the filter, otherwise only there to be counted.
+// scanEntry is one record of the loaded page that passed the filter.
 type scanEntry struct {
-	slot int
-	pass bool
-	tup  types.Tuple
+	slot    int32
+	skipped int32 // visible records the filter rejected since the entry before
+	tup     types.Tuple
 }
 
 // WithSnapshot filters a stamped heap's scan to the versions visible
@@ -570,15 +588,11 @@ func (s *HeapScanner) WithSnapshot(snap *TxnSnapshot) *HeapScanner {
 }
 
 // WithFilter pushes a predicate into the scan: Next returns only the
-// visible tuples for which pass reports true. cols lists, ascending, the
-// ordinals pass reads; the scanner decodes just those into a scratch
-// tuple it reuses from record to record, and decodes a record in full
-// only once pass accepted it. A nil cols means the ordinals are not
-// known: pass then gets each fully decoded tuple. pass runs under the
-// page's pin and the heap's read lock, so it must not retain its
-// argument nor call into the heap.
-func (s *HeapScanner) WithFilter(cols []int, pass func(types.Tuple) (bool, error)) *HeapScanner {
-	s.filterCols, s.filter = cols, pass
+// visible tuples that pass it. The scanner walks a record as far as the
+// filter reads, tests it where it lies on the page, and only for a record
+// that passed walks on and builds a tuple.
+func (s *HeapScanner) WithFilter(filter RecordFilter) *HeapScanner {
+	s.filter, s.filterUpto = filter, filter.Upto()
 	return s
 }
 
@@ -586,10 +600,9 @@ func (s *HeapScanner) WithFilter(cols []int, pass func(types.Tuple) (bool, error
 // columns at the given ordinals (ascending), in that order — len(cols)
 // values each, carved at that width — and the bytes of every other
 // column are walked past without being decoded; nothing beyond the last
-// wanted column is touched at all. The filter still reads the columns
-// WithFilter named, whether or not they are projected: a column only
-// the filter reads is decoded into the scratch tuple, tested, and never
-// leaves the scan. Nil, the default, is every column.
+// column the filter or the projection wants is touched at all. A column
+// only the filter reads is tested on the page and never leaves the scan.
+// Nil, the default, is every column.
 func (s *HeapScanner) WithColumns(cols []int) *HeapScanner {
 	s.cols = cols
 	return s
@@ -615,26 +628,37 @@ func (s *HeapScanner) Next() bool {
 		return false
 	}
 	for {
-		for s.pos < len(s.batch) {
+		if s.pos < len(s.batch) {
 			e := &s.batch[s.pos]
 			s.pos++
-			if s.examine != nil {
-				if s.err = s.examine(); s.err != nil {
-					return false
-				}
+			if !s.examined(int(e.skipped) + 1) {
+				return false
 			}
-			if e.pass {
-				s.cur, s.curRID = e.tup, RID{Page: s.page, Slot: e.slot}
-				return true
-			}
+			s.cur, s.curRID = e.tup, RID{Page: s.page, Slot: int(e.slot)}
+			return true
 		}
+		if !s.examined(s.tail) {
+			return false
+		}
+		s.tail = 0
 		if s.err = s.loadErr; s.err != nil || !s.loadPage() {
 			return false
 		}
 	}
 }
 
-// loadPage replaces the batch with the next page's visible records,
+// examined runs the OnExamine hook for n records, reporting false once
+// it fails.
+func (s *HeapScanner) examined(n int) bool {
+	for ; n > 0 && s.examine != nil; n-- {
+		if s.err = s.examine(); s.err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// loadPage replaces the batch with the next page's records that pass,
 // reporting false at the end of the file or on a pin failure. A record
 // that fails to decode, or on which the filter fails, ends the batch:
 // what preceded it is still served, then loadErr.
@@ -655,6 +679,7 @@ func (s *HeapScanner) loadPage() bool {
 	s.pageIdx += s.stride
 	s.page, s.batch, s.pos = id, s.batch[:0], 0
 	page := LoadSlottedPage(buf)
+	skipped := 0
 	for slot, n := 0, page.NumSlots(); slot < n; slot++ {
 		rec := page.live(slot)
 		if rec == nil {
@@ -672,44 +697,56 @@ func (s *HeapScanner) loadPage() bool {
 			s.loadErr = err // undecodable: fails before being examined
 			break
 		}
-		s.batch = append(s.batch, scanEntry{slot: slot, pass: pass, tup: tup})
-		if s.loadErr = filterErr; filterErr != nil {
-			break // the filter failed on this record, the last one examined
+		if !pass {
+			skipped++
+			if s.loadErr = filterErr; filterErr != nil {
+				break // the filter failed on this record, the last one examined
+			}
+			continue
 		}
+		s.batch = append(s.batch, scanEntry{slot: int32(slot), skipped: int32(skipped), tup: tup})
+		skipped = 0
 	}
+	s.tail = skipped
 	return true
 }
 
-// read applies the filter to one record and, if it passed, decodes the
-// projected columns into a tuple of its own; every column is the nil
-// projection of the same decode. A filter failure is returned apart, in
-// filterErr, with the record reported as rejected: it was examined, and
-// the caller serves what preceded it first. err is for records that do
-// not parse. left is types.Arena.New's: a bound on how many more tuples
-// the caller may ask for (the page's slots from this record on), or 0.
+// read walks one record once: as far as the filter reads, to test it
+// where it lies, and — only if it passed — on to the last projected
+// column, to build the tuple from the offsets the walk found; every
+// column is the nil projection of the same walk. A filter failure is
+// returned apart, in filterErr, with the record reported as rejected: it
+// was examined, and the caller serves what preceded it first. A record
+// narrower than a column the filter reads is such a failure; err is for
+// records that do not parse, or are narrower than the projection. left is types.Arena.New's: a bound on how many
+// more tuples the caller may ask for (the page's slots from this record
+// on), or 0.
 func (r *recordReader) read(rec []byte, left int) (tup types.Tuple, pass bool, filterErr, err error) {
+	if r.offs == nil {
+		r.offs = r.offsBuf[:0]
+	}
+	offs := r.offs[:0]
 	if r.filter != nil {
-		recWidth, err := types.TupleWidth(rec)
-		if err != nil {
+		if offs, err = types.LocateColumns(rec, offs, r.filterUpto); err != nil {
 			return nil, false, nil, err
 		}
-		// Nil filterCols: the ordinals the filter reads are not known,
-		// so it is handed every column.
-		if cap(r.scratch) < recWidth {
-			r.scratch = make(types.Tuple, recWidth)
-		}
-		probe := r.scratch[:recWidth]
-		if _, err := r.scratchMem.DecodeColumns(probe, rec, r.filterCols); err != nil {
-			return nil, false, nil, err
-		}
-		if pass, filterErr = r.filter(probe); !pass || filterErr != nil {
+		if pass, filterErr = r.filter.Test(rec, offs); !pass || filterErr != nil {
+			r.offs = offs
 			return nil, false, filterErr, nil
 		}
 	}
-	if tup, err = r.mem.Decode(rec, r.cols, left); err != nil {
-		return nil, false, nil, err
+	upto := math.MaxInt
+	if n := len(r.cols); n > 0 {
+		upto = r.cols[n-1] + 1
+	} else if r.cols != nil {
+		upto = 0
 	}
-	return tup, true, nil, nil
+	offs, err = types.LocateColumns(rec, offs, upto)
+	r.offs = offs
+	if err == nil {
+		tup, err = r.mem.Materialize(rec, offs, r.cols, left)
+	}
+	return tup, err == nil, nil, err
 }
 
 // Tuple returns the current tuple after a successful Next.

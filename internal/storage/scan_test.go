@@ -3,9 +3,11 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -15,6 +17,44 @@ import (
 type scanned struct {
 	rid RID
 	tup types.Tuple
+}
+
+// tupleFilter is a RecordFilter over a predicate on tuples, the way
+// plan's filters wrap a predicate they cannot compile: views of the
+// columns the predicate reads (every column for nil), each at its own
+// ordinal in a tuple reused from record to record.
+type tupleFilter struct {
+	cols    []int
+	pass    func(types.Tuple) (bool, error)
+	scratch types.Tuple
+}
+
+func filterOn(cols []int, pass func(types.Tuple) (bool, error)) *tupleFilter {
+	return &tupleFilter{cols: cols, pass: pass}
+}
+
+func (f *tupleFilter) Upto() int {
+	if f.cols == nil {
+		return math.MaxInt
+	}
+	return slices.Max(append([]int{-1}, f.cols...)) + 1
+}
+
+func (f *tupleFilter) Test(rec []byte, offs []int) (bool, error) {
+	width := len(offs) - 1
+	if cap(f.scratch) < width {
+		f.scratch = make(types.Tuple, width)
+	}
+	probe := f.scratch[:width]
+	for i := 0; f.cols == nil && i < width; i++ {
+		probe[i] = types.View(rec, offs[i])
+	}
+	for _, c := range f.cols {
+		if c < width {
+			probe[c] = types.View(rec, offs[c])
+		}
+	}
+	return f.pass(probe)
 }
 
 func sameScan(a, b []scanned) error {
@@ -223,7 +263,7 @@ func TestScanFilterPushdownEquivalence(t *testing.T) {
 	for si, snap := range snaps {
 		want := run(h.Scan().WithSnapshot(snap), pass)
 		for name, cols := range map[string][]int{"columns": {0, 3}, "whole tuple": nil} {
-			got := run(h.Scan().WithSnapshot(snap).WithFilter(cols, pass), nil)
+			got := run(h.Scan().WithSnapshot(snap).WithFilter(filterOn(cols, pass)), nil)
 			if len(got) != len(want) {
 				t.Fatalf("snapshot %d, %s: %d steps, want %d", si, name, len(got), len(want))
 			}
@@ -249,7 +289,7 @@ func TestScanTuplesAreNotOverwritten(t *testing.T) {
 	}
 	even := func(tup types.Tuple) (bool, error) { return tup[0].Int()%2 == 0, nil }
 	var kept []types.Tuple
-	s := h.Scan().WithFilter([]int{0}, even)
+	s := h.Scan().WithFilter(filterOn([]int{0}, even))
 	for s.Next() {
 		kept = append(kept, s.Tuple())
 	}
@@ -273,12 +313,12 @@ func TestScanFilterAndExamineErrors(t *testing.T) {
 	for name, cols := range map[string][]int{"columns": {0}, "whole tuple": nil} {
 		examined, returned := 0, 0
 		s := h.Scan().OnExamine(func() error { examined++; return nil }).
-			WithFilter(cols, func(tup types.Tuple) (bool, error) {
+			WithFilter(filterOn(cols, func(tup types.Tuple) (bool, error) {
 				if tup[0].Int() == 500 {
 					return false, boom
 				}
 				return tup[0].Int()%2 == 0, nil
-			})
+			}))
 		for s.Next() {
 			returned++
 		}
@@ -304,6 +344,154 @@ func TestScanFilterAndExamineErrors(t *testing.T) {
 	}
 	if s.Err() != boom || n != 299 {
 		t.Errorf("examine error: err %v after %d tuples, want boom after 299", s.Err(), n)
+	}
+
+	// A record narrower than a column the filter reads is not a record
+	// that does not parse: the walk stops quietly at its width and the
+	// failure is the filter's, so the record is examined, what preceded
+	// it is served, and then the scan fails — where a projection the
+	// record is too narrow for (TestProjectedScanSurfacesDecodeErrors)
+	// fails before the record is examined.
+	h = NewHeapFile(bp)
+	for i := 0; i < 40; i++ {
+		h.Append(row(i))
+	}
+	if err := appendRaw(h, types.EncodeTuple(nil, types.Tuple{types.NewInt(40)})); err != nil {
+		t.Fatal(err)
+	}
+	h.Append(row(41))
+	narrow := errors.New("column ordinal 1 out of range")
+	examined, n = 0, 0
+	s = h.Scan().WithColumns([]int{0}).OnExamine(func() error { examined++; return nil }).
+		WithFilter(filterOn([]int{1}, func(tup types.Tuple) (bool, error) {
+			if len(tup) < 2 {
+				return false, narrow
+			}
+			return tup[1].Str() != "row-7", nil
+		}))
+	for s.Next() {
+		n++
+	}
+	if s.Err() != narrow || n != 39 || examined != 41 {
+		t.Errorf("narrow record: err %v after %d returned, %d examined; want the filter's error, 39, 41", s.Err(), n, examined)
+	}
+}
+
+// The examine hook runs once per visible record, in storage order, the
+// record's own call last before it is returned — whatever share of the
+// records the filter passes — and an error from the k-th call ends the
+// scan there: the batch holds only the records that passed, the cadence
+// is that of a scan that hands out every record.
+func TestScanExamineCadence(t *testing.T) {
+	bp, _ := newTestPool(8)
+	h := NewStampedHeapFile(bp)
+	const n = 5000
+	for i := 0; i < n; i++ {
+		if _, err := h.Append(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := NewTxnManager()
+	tx := m.Begin() // every 11th row invisible: deleted by a transaction in flight
+	for s := h.Scan(); s.Next(); {
+		if s.Tuple()[0].Int()%11 == 0 {
+			if err := tx.DeleteTuple(h, s.RID()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap := tx.Snapshot()
+	defer tx.Abort()
+	visible := func(i int) int { return i - (i+10)/11 } // visible rows before row i
+	boom := errors.New("boom")
+	for name, every := range map[string]int{"0%": 0, "2%": 50, "100%": 1} {
+		for _, failAt := range []int{0, 1, 777, visible(n)} {
+			examined, returned := 0, 0
+			s := h.Scan().WithSnapshot(snap).OnExamine(func() error {
+				if examined++; examined == failAt {
+					return boom
+				}
+				return nil
+			}).WithFilter(filterOn([]int{0}, func(tup types.Tuple) (bool, error) {
+				return every > 0 && tup[0].Int()%int64(every) == int64(1%every), nil
+			}))
+			for s.Next() {
+				i := int(s.Tuple()[0].Int())
+				if want := visible(i) + 1; examined != want {
+					t.Fatalf("%s: row %d returned after %d examine calls, want %d", name, i, examined, want)
+				}
+				returned++
+			}
+			wantExamined, wantErr := visible(n), error(nil)
+			if failAt > 0 {
+				wantExamined, wantErr = failAt, boom
+			}
+			wantReturned := 0 // passers among the visible records examined without error
+			for i := 0; i < n && every > 0; i++ {
+				if i%11 != 0 && i%every == 1%every && (failAt == 0 || visible(i)+1 < failAt) {
+					wantReturned++
+				}
+			}
+			if s.Err() != wantErr || examined != wantExamined || returned != wantReturned {
+				t.Errorf("%s, failing call %d: err %v, %d examined, %d returned; want %v, %d, %d",
+					name, failAt, s.Err(), examined, returned, wantErr, wantExamined, wantReturned)
+			}
+		}
+	}
+}
+
+// Two partition scanners over one pool much smaller than the file, each
+// on its own goroutine with its own meter: every miss takes the pool's
+// lock and lends a page another scanner's miss may evict. Run under
+// -race; the two partitions together are the file and their meters hold
+// every read.
+func TestPartitionScannersShareAPool(t *testing.T) {
+	bp, shared := newTestPool(4)
+	h := NewStampedHeapFile(bp)
+	const n = 20000
+	for i := 0; i < n; i++ {
+		if _, err := h.Append(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bp.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	before := shared.Snapshot()
+	var wg sync.WaitGroup
+	var sums, reads [2]int64
+	for part := range sums {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			meter := shared.Tributary()
+			s := h.ScanPartition(part, 2, meter).WithFilter(filterOn([]int{0}, func(tup types.Tuple) (bool, error) {
+				return tup[0].Int()%3 != 0, nil
+			}))
+			for s.Next() {
+				sums[part] += s.Tuple()[0].Int()
+			}
+			if s.Err() != nil {
+				t.Error(s.Err())
+			}
+			reads[part] = meter.Snapshot().PageReads
+		}()
+	}
+	wg.Wait()
+	want := int64(0)
+	for i := 0; i < n; i++ {
+		if i%3 != 0 {
+			want += int64(i)
+		}
+	}
+	if sums[0]+sums[1] != want {
+		t.Errorf("the partitions summed to %d, want %d", sums[0]+sums[1], want)
+	}
+	if got := reads[0] + reads[1]; got != int64(h.NumPages()) {
+		t.Errorf("the scanners' meters hold %d reads of %d pages", got, h.NumPages())
+	}
+	if d := shared.Snapshot().Sub(before); d.PageReads != 0 {
+		t.Errorf("%d reads reached the shared meter before any flush", d.PageReads)
 	}
 }
 
@@ -372,7 +560,7 @@ func TestScanAllocatesPerPageNotPerTuple(t *testing.T) {
 		allocs := testing.AllocsPerRun(5, func() {
 			s := h.Scan().WithSnapshot(snap)
 			if filter != nil {
-				s.WithFilter([]int{0}, filter)
+				s.WithFilter(filterOn([]int{0}, filter))
 			}
 			for s.Next() {
 			}
@@ -386,12 +574,14 @@ func TestScanAllocatesPerPageNotPerTuple(t *testing.T) {
 	}
 }
 
-// A miss on a full pool recycles the victim's frame, buffer and list
-// element and allocates nothing: scanning a table several times the
-// pool's size allocates what scanning it from a pool that holds it all
-// does — a block of values per arena block, nothing per page read.
+// A miss on a full pool recycles the victim's frame and list element and
+// borrows the disk's page: it allocates nothing and copies nothing.
+// Scanning a table several times the pool's size allocates what scanning
+// it from a pool that holds it all does — a block of values per arena
+// block, nothing per page read — and under a filter that passes nothing,
+// next to nothing at all.
 func TestScanOfTableLargerThanPoolAllocatesNothingPerMiss(t *testing.T) {
-	scanAllocs := func(frames int) (allocs float64, pages int, misses int64) {
+	scanAllocs := func(frames int) (allocs, rejecting float64, pages int, misses int64) {
 		bp, m := newTestPool(frames)
 		h := NewStampedHeapFile(bp)
 		// Page ids past 255: the runtime boxes smaller integers for free.
@@ -402,30 +592,40 @@ func TestScanOfTableLargerThanPoolAllocatesNothingPerMiss(t *testing.T) {
 			}
 		}
 		snap := NewTxnManager().LatestSnapshot()
-		scan := func() {
-			s := h.Scan().WithSnapshot(snap)
-			for s.Next() {
-			}
-			if s.Err() != nil {
-				t.Fatal(s.Err())
+		scan := func(filter RecordFilter) func() {
+			return func() {
+				s := h.Scan().WithSnapshot(snap)
+				if filter != nil {
+					s.WithFilter(filter)
+				}
+				for s.Next() {
+				}
+				if s.Err() != nil {
+					t.Fatal(s.Err())
+				}
 			}
 		}
-		scan() // the pool is full (or the table resident) from here on
+		scan(nil)() // the pool is full (or the table resident) from here on
 		before := m.Snapshot().PageReads
-		allocs = testing.AllocsPerRun(5, scan)
-		return allocs, h.NumPages(), (m.Snapshot().PageReads - before) / 6
+		allocs = testing.AllocsPerRun(5, scan(nil))
+		misses = (m.Snapshot().PageReads - before) / 6
+		rejecting = testing.AllocsPerRun(5, scan(lessThan{0, types.NewInt(-1)}))
+		return allocs, rejecting, h.NumPages(), misses
 	}
-	resident, pages, misses := scanAllocs(1024)
+	resident, _, pages, misses := scanAllocs(1024)
 	if misses != 0 {
 		t.Fatalf("a pool of 1024 frames missed %d times a scan of %d pages", misses, pages)
 	}
-	thrashing, _, misses := scanAllocs(8)
+	thrashing, rejecting, _, misses := scanAllocs(8)
 	if misses != int64(pages) {
 		t.Fatalf("a pool of 8 frames missed %d times a scan of %d pages, want every page", misses, pages)
 	}
 	if thrashing > resident+float64(pages)/10 {
 		t.Errorf("scanning %d pages made %.0f allocations through a pool of 8 frames, %.0f when resident: a miss allocates",
 			pages, thrashing, resident)
+	}
+	if rejecting > 4 {
+		t.Errorf("a scan of %d pages, every one a miss, that returns nothing made %.0f allocations", pages, rejecting)
 	}
 }
 
@@ -452,7 +652,7 @@ func TestScanAllocatesPerPageNotPerString(t *testing.T) {
 		emitted = 0
 		// l_shipinstruct and l_comment out, l_shipmode tested.
 		s := h.Scan().WithSnapshot(snap).WithColumns([]int{0, 13, 15}).
-			WithFilter([]int{14}, func(tup types.Tuple) (bool, error) { return tup[14].Str() == "TRUCK", nil })
+			WithFilter(filterOn([]int{14}, func(tup types.Tuple) (bool, error) { return tup[14].Str() == "TRUCK", nil }))
 		for s.Next() {
 			emitted++
 		}
@@ -642,7 +842,7 @@ func TestScanProjection(t *testing.T) {
 		for _, f := range filters {
 			with := func(s *HeapScanner) *HeapScanner {
 				if f.fn != nil {
-					s.WithFilter(f.cols, f.fn)
+					s.WithFilter(filterOn(f.cols, f.fn))
 				}
 				return s
 			}
@@ -689,10 +889,10 @@ func TestFetcherMatchesScanner(t *testing.T) {
 	for _, cols := range [][]int{nil, {0, 2}, {4}} {
 		for si, snap := range snaps {
 			want := map[RID]types.Tuple{}
-			for _, s := range drainScan(t, h.Scan().WithSnapshot(snap).WithFilter([]int{3}, pass).WithColumns(cols)) {
+			for _, s := range drainScan(t, h.Scan().WithSnapshot(snap).WithFilter(filterOn([]int{3}, pass)).WithColumns(cols)) {
 				want[s.rid] = s.tup
 			}
-			f := h.Fetcher().WithFilter([]int{3}, pass).WithColumns(cols)
+			f := h.Fetcher(nil).WithFilter(filterOn([]int{3}, pass)).WithColumns(cols)
 			found := 0
 			for _, s := range fetchAll(t, h, nil, 0, 1) { // every undeleted slot, visible to snap or not
 				tup, ok, err := f.FetchVisible(s.rid, snap)
@@ -713,7 +913,7 @@ func TestFetcherMatchesScanner(t *testing.T) {
 		}
 	}
 	boom := errors.New("boom")
-	f := h.Fetcher().WithFilter([]int{0}, func(types.Tuple) (bool, error) { return true, boom })
+	f := h.Fetcher(nil).WithFilter(filterOn([]int{0}, func(types.Tuple) (bool, error) { return true, boom }))
 	if _, ok, err := f.FetchVisible(fetchAll(t, h, nil, 0, 1)[0].rid, nil); err != boom || ok {
 		t.Errorf("filter error: ok=%v err=%v, want boom", ok, err)
 	}

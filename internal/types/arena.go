@@ -1,6 +1,10 @@
 package types
 
-import "unsafe"
+import (
+	"encoding/binary"
+	"fmt"
+	"unsafe"
+)
 
 // Block sizes. A full block is 16 KiB, which the Go allocator still
 // serves from a size class (a small object, no page-granular rounding);
@@ -66,39 +70,45 @@ func (a *Arena) Concat(l, r Tuple) Tuple {
 	return t
 }
 
-// Decode parses the encoded tuple at the front of b into a new tuple
-// holding one value per entry of cols — column cols[k] at position k —
-// so a scan that emits four columns of sixteen carves four values, not
-// sixteen. The bytes of unwanted columns are skipped without being
-// looked at and the walk stops after the last wanted one. A nil cols is
-// every column. A record with fewer columns than cols names is an error.
-// left is New's.
-func (a *Arena) Decode(b []byte, cols []int, left int) (Tuple, error) {
-	width := len(cols)
+// Materialize builds a new tuple from the columns LocateColumns found in
+// b: one value per entry of cols — column cols[k] at position k — so a
+// scan that emits four columns of sixteen carves four values, not
+// sixteen; a nil cols is every located column. Strings are copied into
+// the arena's block. A cols entry that was not located — the record is
+// narrower than the projection — is an error. left is New's.
+func (a *Arena) Materialize(b []byte, offs, cols []int, left int) (Tuple, error) {
+	n := len(offs) - 1
 	if cols == nil {
-		var err error
-		if width, err = TupleWidth(b); err != nil {
-			return nil, err
+		t := a.New(n, left)
+		for i := range t {
+			t[i] = a.value(b, offs[i])
 		}
+		return t, nil
 	}
-	t := a.New(width, left)
-	if _, err := a.decode(t, b, cols, true); err != nil {
-		return nil, err
+	t := a.New(len(cols), left)
+	for k, c := range cols {
+		if c >= n {
+			return nil, fmt.Errorf("types: tuple has %d columns, projection wants column %d", n, c)
+		}
+		t[k] = a.value(b, offs[c])
 	}
 	return t, nil
 }
 
-// DecodeColumns parses the encoded tuple at the front of b into dst,
-// whose length must be the tuple's TupleWidth, and returns the number of
-// bytes walked. A nil cols decodes every column; otherwise cols lists, in
-// ascending order, the only ordinals to materialise, each at its own
-// ordinal in dst: the rest of dst is left untouched, the bytes of
-// unwanted columns are skipped without being looked at, and the walk
-// stops after the last wanted column. Page scans use that to test a
-// predicate on its own columns, in a scratch tuple they reuse, before
-// paying for the whole record. Only the strings are the arena's.
-func (a *Arena) DecodeColumns(dst Tuple, b []byte, cols []int) (int, error) {
-	return a.decode(dst, b, cols, false)
+// value is View with a VARCHAR's bytes copied into the string block —
+// its own switch, not View and then a copy: a full-width decode is this
+// function per column, and the detour through View's Value measured 8 %
+// on BenchmarkHeapScan/all.
+func (a *Arena) value(b []byte, off int) Value {
+	switch kind := Kind(b[off]); kind {
+	case KindNull:
+		return Value{}
+	case KindString:
+		n := int(binary.LittleEndian.Uint32(b[off+1:]))
+		return a.str(b[off+5 : off+5+n])
+	default:
+		return Value{kind: kind, w: binary.LittleEndian.Uint64(b[off+1:])}
+	}
 }
 
 // str returns a VARCHAR holding a copy of src in the string block.

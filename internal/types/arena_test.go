@@ -104,8 +104,9 @@ func agree(got, want Value) string {
 }
 
 // Encode, then decode through each of the three entry points — DecodeTuple,
-// Arena.DecodeColumns, Arena.Decode — and the values agree with the ones
-// the constructors built, for every kind and the edge payloads of each.
+// View at the located offsets, Arena.Materialize — and the values agree
+// with the ones the constructors built, for every kind and the edge
+// payloads of each.
 func TestDecodeAgreesWithConstructors(t *testing.T) {
 	edges := []Value{
 		Null(), NewInt(0), NewInt(math.MinInt64), NewInt(math.MaxInt64),
@@ -125,17 +126,21 @@ func TestDecodeAgreesWithConstructors(t *testing.T) {
 			t.Errorf("DecodeTuple(%v): %d of %d bytes, %v", in, n, len(buf), err)
 			return false
 		}
-		inPlace := make(Tuple, len(in))
-		if n, err := arena.DecodeColumns(inPlace, buf, nil); err != nil || n != len(buf) {
-			t.Errorf("DecodeColumns(%v): %d of %d bytes, %v", in, n, len(buf), err)
+		offs, err := LocateColumns(buf, nil, math.MaxInt)
+		if err != nil || offs[len(offs)-1] != len(buf) {
+			t.Errorf("LocateColumns(%v): %v, %v", in, offs, err)
 			return false
 		}
-		carved, err := arena.Decode(buf, nil, 0)
+		views := make(Tuple, len(in))
+		for i := range views {
+			views[i] = View(buf, offs[i])
+		}
+		carved, err := arena.Materialize(buf, offs, nil, 0)
 		if err != nil {
-			t.Errorf("Decode(%v): %v", in, err)
+			t.Errorf("Materialize(%v): %v", in, err)
 			return false
 		}
-		for name, out := range map[string]Tuple{"DecodeTuple": whole, "DecodeColumns": inPlace, "Decode": carved} {
+		for name, out := range map[string]Tuple{"DecodeTuple": whole, "View": views, "Materialize": carved} {
 			if len(out) != len(in) || !out.Equal(in) || out.ByteSize() != in.ByteSize() || out.String() != in.String() {
 				t.Errorf("%s(%v) = %v", name, in, out)
 				return false
@@ -147,11 +152,12 @@ func TestDecodeAgreesWithConstructors(t *testing.T) {
 				}
 			}
 		}
-		// The decode copied: scribbling over the record changes nothing.
+		// The decodes copied, the views did not: scribbling over the
+		// record changes nothing but them.
 		for i := range buf {
 			buf[i] = 0xEE
 		}
-		return carved.Equal(in) && inPlace.Equal(in) && whole.Equal(in)
+		return carved.Equal(in) && whole.Equal(in)
 	}
 	if !check(edges) {
 		t.Fatal("edge values do not round-trip")
@@ -211,7 +217,7 @@ func TestArenaTuplesAreTheCallersToKeep(t *testing.T) {
 		if len(fresh) != 2 || cap(fresh) != 2 || !fresh[0].IsNull() || !fresh[1].IsNull() {
 			t.Fatalf("New(2) = %v, cap %d", fresh, cap(fresh))
 		}
-		got, err := a.Decode(EncodeTuple(nil, row(i)), nil, 0)
+		got, err := decode(&a, EncodeTuple(nil, row(i)), nil, 0)
 		if err != nil || cap(got) != 3 {
 			t.Fatalf("row %d: %v, cap %d, %v", i, got, cap(got), err)
 		}
@@ -285,9 +291,10 @@ func TestArenaAllocatesPerBlock(t *testing.T) {
 	rec := EncodeTuple(nil, Tuple{NewInt(1), NewString("DELIVER IN PERSON"), NewDate(9000), NewString("TRUCK")})
 	var a Arena
 	const n = 10000
+	offs, _ := LocateColumns(rec, nil, math.MaxInt)
 	allocs := testing.AllocsPerRun(3, func() {
 		for i := 0; i < n; i++ {
-			if _, err := a.Decode(rec, nil, 0); err != nil {
+			if _, err := a.Materialize(rec, offs, nil, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

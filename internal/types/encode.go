@@ -1,6 +1,7 @@
 package types
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -72,94 +73,107 @@ func EncodeTuple(dst []byte, t Tuple) []byte {
 	return dst
 }
 
-// TupleWidth returns the column count of the encoded tuple at the front
-// of b.
-func TupleWidth(b []byte) (int, error) {
-	if len(b) < TupleHeaderSize {
-		return 0, fmt.Errorf("types: truncated tuple header")
-	}
-	return int(binary.LittleEndian.Uint16(b)), nil
-}
-
 // DecodeTuple parses one tuple from the front of b, returning the tuple
 // and the number of bytes consumed. The tuple is allocated on its own
 // (an Arena of one); a reader of many records decodes through an Arena.
 func DecodeTuple(b []byte) (Tuple, int, error) {
-	n, err := TupleWidth(b)
+	offs, err := LocateColumns(b, make([]int, 0, 32), math.MaxInt)
 	if err != nil {
 		return nil, 0, err
 	}
 	var a Arena
-	t := a.New(n, 1)
-	off, err := a.decode(t, b, nil, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, off, nil
+	t, err := a.Materialize(b, offs, nil, 1)
+	return t, offs[len(offs)-1], err
 }
 
-// decode is the engine's one tuple decode loop. dense selects where a
-// wanted column lands: at its position in cols, or at its own ordinal.
-// String bytes are copied into a's block.
-func (a *Arena) decode(dst Tuple, b []byte, cols []int, dense bool) (int, error) {
+// LocateColumns is the engine's one walk over an encoded record. It
+// extends offs until it holds the byte offset of every column below upto
+// (or of every column the record has, if those are fewer): offs[i] is
+// where column i's kind byte sits and the last entry where the next
+// column would start, so len(offs)-1 columns are located. Every column
+// the walk passes is checked to lie inside b with a known kind; nothing
+// past the last one asked for is looked at. Handing the result back with
+// a larger upto resumes the walk where it stopped — a scan locates its
+// filter's columns, tests them, and walks on to the projection's only for
+// a record that passed. An empty offs starts a record.
+func LocateColumns(b []byte, offs []int, upto int) ([]int, error) {
 	if len(b) < TupleHeaderSize {
-		return 0, fmt.Errorf("types: truncated tuple header")
+		return offs, fmt.Errorf("types: truncated tuple header")
 	}
-	n := len(dst)
-	if dense && cols != nil {
-		n = int(binary.LittleEndian.Uint16(b[:2]))
+	upto = min(upto, int(binary.LittleEndian.Uint16(b)))
+	if cap(offs) <= upto {
+		// Once per reader, not once per doubling: records of one file
+		// are all as wide.
+		offs = append(make([]int, 0, upto+1), offs...)
 	}
-	off, next := TupleHeaderSize, 0
-	for i := 0; i < n; i++ {
-		want, at := cols == nil, i
-		if !want {
-			if next == len(cols) {
-				break
-			}
-			if want = cols[next] == i; want {
-				if dense {
-					at = next
-				}
-				next++
-			}
-		}
+	if len(offs) == 0 {
+		offs = append(offs, TupleHeaderSize)
+	}
+	off := offs[len(offs)-1]
+	for i := len(offs) - 1; i < upto; i++ {
 		if off >= len(b) {
-			return 0, fmt.Errorf("types: truncated tuple at column %d", i)
+			return offs, fmt.Errorf("types: truncated tuple at column %d", i)
 		}
-		kind := Kind(b[off])
-		off++
-		switch kind {
+		switch kind := Kind(b[off]); kind {
 		case KindNull:
-			if want {
-				dst[at] = Value{}
-			}
+			off++
 		case KindInt, KindDate, KindFloat:
-			if off+8 > len(b) {
-				return 0, fmt.Errorf("types: truncated %s at column %d", kind, i)
+			if off+9 > len(b) {
+				return offs, fmt.Errorf("types: truncated %s at column %d", kind, i)
 			}
-			if want {
-				dst[at] = Value{kind: kind, w: binary.LittleEndian.Uint64(b[off : off+8])}
-			}
-			off += 8
+			off += 9
 		case KindString:
-			if off+4 > len(b) {
-				return 0, fmt.Errorf("types: truncated string length at column %d", i)
+			if off+5 > len(b) {
+				return offs, fmt.Errorf("types: truncated string length at column %d", i)
 			}
-			l := int(binary.LittleEndian.Uint32(b[off : off+4]))
-			off += 4
-			if off+l > len(b) {
-				return 0, fmt.Errorf("types: truncated string at column %d", i)
+			off += 5 + int(binary.LittleEndian.Uint32(b[off+1:]))
+			if off > len(b) {
+				return offs, fmt.Errorf("types: truncated string at column %d", i)
 			}
-			if want {
-				dst[at] = a.str(b[off : off+l])
-			}
-			off += l
 		default:
-			return 0, fmt.Errorf("types: unknown kind %d at column %d", kind, i)
+			return offs, fmt.Errorf("types: unknown kind %d at column %d", kind, i)
+		}
+		offs = append(offs, off)
+	}
+	return offs, nil
+}
+
+// View returns the column LocateColumns found at off in b. A VARCHAR
+// aliases b's bytes: the value is good for as long as b is neither
+// written nor recycled — under a page's pin, for a filter's test — and is
+// never handed on; Arena.Materialize copies.
+func View(b []byte, off int) Value {
+	switch kind := Kind(b[off]); kind {
+	case KindInt, KindDate, KindFloat:
+		return Value{kind: kind, w: binary.LittleEndian.Uint64(b[off+1:])}
+	case KindString:
+		if n := binary.LittleEndian.Uint32(b[off+1:]); n > 0 {
+			return Value{kind: kind, p: &b[off+5], w: uint64(n)}
+		}
+		return Value{kind: kind}
+	}
+	return Value{}
+}
+
+// CompareAt is View(b, off).Compare(c) for a c that is not NULL, without
+// building the view where the stored kind is c's: the payload bytes are
+// compared as they lie. Another kind takes Compare's own rules
+// (promotion, ordering across kinds).
+func CompareAt(b []byte, off int, c Value) int {
+	if Kind(b[off]) == c.kind {
+		switch c.kind {
+		case KindInt, KindDate:
+			return cmp.Compare(int64(binary.LittleEndian.Uint64(b[off+1:])), c.int())
+		case KindFloat:
+			// A NaN compares equal to everything, as in Compare.
+			switch x, y := math.Float64frombits(binary.LittleEndian.Uint64(b[off+1:])), c.float(); {
+			case x < y:
+				return -1
+			case x > y:
+				return 1
+			}
+			return 0
 		}
 	}
-	if dense && next < len(cols) {
-		return 0, fmt.Errorf("types: tuple has %d columns, projection wants column %d", n, cols[next])
-	}
-	return off, nil
+	return View(b, off).Compare(c)
 }

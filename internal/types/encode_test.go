@@ -2,6 +2,7 @@ package types
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -85,58 +86,75 @@ func TestEncodeAppendsToExisting(t *testing.T) {
 	}
 }
 
-// DecodeColumns with a column list fills exactly those columns, leaves
-// the rest of dst alone, and stops walking after the last one it wants.
+// decode is what a scan without a filter does to a record: locate the
+// columns up to the last one wanted, then materialise the wanted ones.
+func decode(a *Arena, b []byte, cols []int, left int) (Tuple, error) {
+	upto := math.MaxInt
+	if cols != nil {
+		upto = 0
+		for _, c := range cols {
+			upto = max(upto, c+1)
+		}
+	}
+	offs, err := LocateColumns(b, nil, upto)
+	if err != nil {
+		return nil, err
+	}
+	return a.Materialize(b, offs, cols, left)
+}
+
+// LocateColumns finds exactly the columns below upto (or all the record
+// has), each where View reads the value encoded there, stops walking
+// after the last one asked for, and resumes from what it returned.
 func TestDecodeColumnsPartial(t *testing.T) {
 	in := Tuple{NewInt(-1), NewFloat(math.Pi), NewString("hello"), Null(), NewDate(9500), NewString("tail")}
 	buf := EncodeTuple(nil, in)
-	if w, err := TupleWidth(buf); err != nil || w != len(in) {
-		t.Fatalf("TupleWidth = %d, %v", w, err)
+	for upto := 0; upto <= len(in)+3; upto++ {
+		offs, err := LocateColumns(buf, nil, upto)
+		if want := min(upto, len(in)); err != nil || len(offs)-1 != want {
+			t.Fatalf("upto %d: located %d columns, %v", upto, len(offs)-1, err)
+		}
+		for i := 0; i < len(offs)-1; i++ {
+			if got := View(buf, offs[i]); !same(got, in[i]) {
+				t.Errorf("upto %d: column %d = %v, want %v", upto, i, got, in[i])
+			}
+		}
+		for first := 0; first <= upto; first++ {
+			part, err := LocateColumns(buf, nil, first)
+			if err == nil {
+				part, err = LocateColumns(buf, part, upto)
+			}
+			if err != nil || !slices.Equal(part, offs) {
+				t.Errorf("upto %d resumed from %d: %v (%v), want %v", upto, first, part, err, offs)
+			}
+		}
 	}
-	stale := NewString("stale")
-	for _, cols := range [][]int{{}, {0}, {2}, {3}, {5}, {1, 4}, {0, 1, 2, 3, 4, 5}, {2, 9}} {
-		dst := make(Tuple, len(in))
-		for i := range dst {
-			dst[i] = stale
-		}
-		if _, err := new(Arena).DecodeColumns(dst, buf, cols); err != nil {
-			t.Fatalf("cols %v: %v", cols, err)
-		}
-		for i := range dst {
-			want := stale
-			for _, c := range cols {
-				if c == i {
-					want = in[i]
-				}
-			}
-			if !same(dst[i], want) {
-				t.Errorf("cols %v: column %d = %v, want %v", cols, i, dst[i], want)
-			}
-		}
+	if offs, _ := LocateColumns(buf, nil, math.MaxInt); offs[len(offs)-1] != len(buf) {
+		t.Errorf("the walk of a whole record ends at byte %d of %d", offs[len(offs)-1], len(buf))
 	}
 	// Damage past the last wanted column is not this call's to find;
 	// damage before it is.
 	cut := buf[:len(buf)-3]
-	if _, err := new(Arena).DecodeColumns(make(Tuple, len(in)), cut, []int{0, 4}); err != nil {
-		t.Errorf("truncated tail reported while decoding columns before it: %v", err)
+	if _, err := LocateColumns(cut, nil, 5); err != nil {
+		t.Errorf("truncated tail reported while locating columns before it: %v", err)
 	}
-	if _, err := new(Arena).DecodeColumns(make(Tuple, len(in)), cut, []int{5}); err == nil {
-		t.Error("truncated wanted column decoded")
+	if offs, err := LocateColumns(cut, nil, 6); err == nil || len(offs)-1 != 5 {
+		t.Errorf("truncated wanted column located: %v, %v", offs, err)
 	}
-	if _, err := new(Arena).DecodeColumns(make(Tuple, len(in)), cut, nil); err == nil {
-		t.Error("truncated tuple decoded in full")
+	if _, err := LocateColumns(cut, nil, math.MaxInt); err == nil {
+		t.Error("truncated tuple located in full")
 	}
 }
 
-// Arena.Decode returns a dense tuple — column cols[k] at position k —
-// that agrees with DecodeColumns value for value, is the whole tuple when
-// cols is nil, and refuses a record narrower than the projection.
+// Materialize returns a dense tuple — column cols[k] at position k —
+// whose values are the ones encoded, is the whole tuple when cols is nil,
+// and refuses a record narrower than the projection.
 func TestDecodeProjected(t *testing.T) {
 	in := Tuple{NewInt(-1), NewFloat(math.Pi), NewString("hello"), Null(), NewDate(9500), NewString("tail")}
 	buf := EncodeTuple(nil, in)
 	var a Arena
 	for _, cols := range [][]int{{}, {0}, {2}, {3}, {5}, {1, 4}, {2, 3, 5}, {0, 1, 2, 3, 4, 5}} {
-		got, err := a.Decode(buf, cols, 1)
+		got, err := decode(&a, buf, cols, 1)
 		if err != nil || len(got) != len(cols) {
 			t.Fatalf("cols %v: %v, %v", cols, got, err)
 		}
@@ -146,21 +164,21 @@ func TestDecodeProjected(t *testing.T) {
 			}
 		}
 	}
-	if all, err := a.Decode(buf, nil, 1); err != nil || !all.Equal(in) {
+	if all, err := decode(&a, buf, nil, 1); err != nil || !all.Equal(in) {
 		t.Errorf("nil projection decoded %v (%v), want %v", all, err, in)
 	}
-	if _, err := a.Decode(buf, []int{2, 9}, 1); err == nil {
+	if _, err := decode(&a, buf, []int{2, 9}, 1); err == nil {
 		t.Error("projection of a column the record does not have decoded")
 	}
-	if _, err := a.Decode(buf[:1], nil, 1); err == nil {
+	if _, err := decode(&a, buf[:1], nil, 1); err == nil {
 		t.Error("a record without a header decoded")
 	}
-	// Like DecodeColumns, the walk stops after the last wanted column.
+	// The walk stops after the last wanted column.
 	cut := buf[:len(buf)-3]
-	if _, err := a.Decode(cut, []int{0, 4}, 1); err != nil {
+	if _, err := decode(&a, cut, []int{0, 4}, 1); err != nil {
 		t.Errorf("truncated tail reported while projecting columns before it: %v", err)
 	}
-	if _, err := a.Decode(cut, []int{5}, 1); err == nil {
+	if _, err := decode(&a, cut, []int{5}, 1); err == nil {
 		t.Error("truncated wanted column decoded")
 	}
 }
