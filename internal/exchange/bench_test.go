@@ -87,7 +87,7 @@ func BenchmarkHashRoute(b *testing.B) {
 		}
 		box := newOutbox(r, nil, qs...)
 		for _, t := range rows {
-			box.put(int(hashTuple(t, []int{0})%deg), t)
+			box.put(int(exec.HashKeys(t, []int{0})%deg), t)
 		}
 		if err := box.finish(&sliceOp{}); err != nil {
 			b.Fatal(err)

@@ -98,6 +98,29 @@ func multiset(t *testing.T, e *testEnv, n plan.Node) []string {
 	return out
 }
 
+// leafStage is the stage over a parallelized leaf segment.
+func leafStage(n plan.Node, ctx *exec.Ctx) *stage {
+	return &stage{x: n.(*plan.Exchange), ctx: ctx}
+}
+
+// aggStage assembles what buildExchange does for a parallelized
+// aggregation over left (nil: built from the plan) and returns the final
+// merge with the stage under it.
+func aggStage(n plan.Node, left exec.Operator, ctx *exec.Ctx) (exec.Operator, *stage) {
+	x := n.(*plan.Exchange)
+	s := &stage{x: x, ctx: ctx, left: left, agg: x.Input.(*plan.Agg)}
+	return finalMerge(s), s
+}
+
+// feeder is the stage behind s's early router, if there is one.
+func feeder(s *stage) *stage {
+	if len(s.early.from) == 0 {
+		return nil
+	}
+	f, _ := s.early.from[0].op.(*stage)
+	return f
+}
+
 // Streams that end before, on and after a chunk boundary come out of a
 // gather, a hash-partitioned join and a partial/final aggregation as
 // the serial multiset, at every degree. Degree 1 (which Parallelize
@@ -134,7 +157,7 @@ func TestRegionsForwardEveryCharge(t *testing.T) {
 	r := e.table(t, "r", 5*chunkCap+3)
 	for _, deg := range []int{1, 2, 4} {
 		before := e.m.Snapshot()
-		g := newGather(topsPass(scanOf(r), deg).(*plan.Exchange), e.ctx(context.Background()))
+		g := leafStage(topsPass(scanOf(r), deg), e.ctx(context.Background()))
 		if _, err := exec.Collect(g); err != nil {
 			t.Fatal(err)
 		}
@@ -148,22 +171,18 @@ func TestRegionsForwardEveryCharge(t *testing.T) {
 		if _, err := exec.Collect(op); err != nil {
 			t.Fatal(err)
 		}
-		j := op.(*parallelJoin)
-		sameCharges(t, fmt.Sprintf("join, degree %d", deg), e, before, j.reg, j.left.(*gather).reg)
+		j := op.(*stage)
+		sameCharges(t, fmt.Sprintf("join, degree %d", deg), e, before, j.reg, feeder(j).reg)
 
 		before = e.m.Snapshot()
-		op, err = exec.Build(topsPass(aggOf(r), deg), e.ctx(context.Background()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		op, a := aggStage(topsPass(aggOf(r), deg), nil, e.ctx(context.Background()))
 		if _, err := exec.Collect(op); err != nil {
 			t.Fatal(err)
 		}
-		a := op.(*parallelAgg)
 		// Serial on top of the workers: the gather that feeds the router,
 		// and the final merge, which absorbs one state per (worker,
 		// group) and emits one row per group.
-		sum := forwarded(t, fmt.Sprintf("agg, degree %d", deg), a.reg, a.left.(*gather).reg)
+		sum := forwarded(t, fmt.Sprintf("agg, degree %d", deg), a.reg, feeder(a).reg)
 		groups := int64(min(7, r.Heap.NumTuples()))
 		if d := e.m.Snapshot().Sub(before); d.TupleCPU != sum.TupleCPU+int64(deg)*groups+groups {
 			t.Errorf("agg, degree %d: query meter moved by %d tuples, workers charged %d and the final merge %d",
@@ -194,33 +213,35 @@ func TestWorkerFailingMidChunkStillForwards(t *testing.T) {
 	r := e.table(t, "r", 8*chunkCap)
 	bad := scanOf(r)
 	bad.Filters = []plan.Pred{failAt{k: chunkCap / 2}}
-	run := func(n plan.Node) exec.Operator {
+	fails := func(op exec.Operator) {
 		t.Helper()
-		op, err := exec.Build(n, e.ctx(context.Background()))
-		if err != nil {
-			t.Fatal(err)
-		}
 		if _, err := exec.Collect(op); !errors.Is(err, errRow) {
 			t.Fatalf("Collect = %v, want the bad row's error", err)
 		}
-		return op
 	}
 
 	before := e.m.Snapshot()
-	g := run(topsPass(bad, 2)).(*gather)
+	g := leafStage(topsPass(bad, 2), e.ctx(context.Background()))
+	fails(g)
 	sameCharges(t, "gather over a failing scan", e, before, g.reg)
 
 	before = e.m.Snapshot()
 	join := joinOf(r, r)
 	join.Probe = bad
-	j := run(topsPass(join, 2)).(*parallelJoin)
-	sameCharges(t, "join over a failing probe", e, before, j.reg, j.left.(*gather).reg)
+	op, err := exec.Build(topsPass(join, 2), e.ctx(context.Background()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails(op)
+	j := op.(*stage)
+	sameCharges(t, "join over a failing probe", e, before, j.reg, feeder(j).reg)
 
 	before = e.m.Snapshot()
 	agg := aggOf(r)
 	agg.Input = bad
-	a := run(topsPass(agg, 2)).(*parallelAgg)
-	sum := forwarded(t, "agg over a failing scan", a.reg, a.left.(*gather).reg)
+	op, a := aggStage(topsPass(agg, 2), nil, e.ctx(context.Background()))
+	fails(op)
+	sum := forwarded(t, "agg over a failing scan", a.reg, feeder(a).reg)
 	if d := e.m.Snapshot().Sub(before); sum.TupleCPU == 0 || d.TupleCPU < sum.TupleCPU {
 		t.Errorf("agg over a failing scan: query meter moved by %d tuples, the workers charged %d", d.TupleCPU, sum.TupleCPU)
 	}
@@ -343,7 +364,7 @@ func TestCancelWithFullQueuesReleasesProducers(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		before := e.m.Snapshot()
-		g := newGather(topsPass(scanOf(big), 4).(*plan.Exchange), e.ctx(ctx))
+		g := leafStage(topsPass(scanOf(big), 4), e.ctx(ctx))
 		if err := g.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -368,24 +389,30 @@ func TestCancelWithFullQueuesReleasesProducers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j := op.(*parallelJoin)
+		j := op.(*stage)
 		if err := j.Open(); err != nil {
 			t.Fatal(err)
 		}
 		// Open returned: the dispatcher is at a checkpoint and reads the
 		// query meter, which holds the whole build — two charges a build
 		// tuple in the join workers, one in the scan workers below.
-		build := j.left.(*gather).reg
+		build := feeder(j).reg
 		sameCharges(t, "join after Open", e, before, j.reg, build)
 		if got, want := e.m.Snapshot().Sub(before).TupleCPU, int64(3*16*chanCap*chunkCap); got != want {
 			t.Errorf("query meter holds %d tuple charges after the build, want %d", got, want)
+		}
+		// ... and the probe is untouched: its scans exist, nothing runs them.
+		for p, pr := range j.late.from {
+			if c := pr.m.Snapshot(); c.PageReads != 0 || c.TupleCPU != 0 {
+				t.Errorf("probe scan %d charged %v before the first Next", p, c)
+			}
 		}
 		if tup, err := j.Next(); tup == nil || err != nil {
 			t.Fatalf("first Next = %v, %v", tup, err)
 		}
 		// A full gather queue parks the join workers; a full probe
 		// queue then parks every probe worker that routes to it.
-		waitFor(t, "full gather and probe queues", func() bool { return anyFull(j.out.q) && anyFull(j.probeQ...) })
+		waitFor(t, "full gather and probe queues", func() bool { return anyFull(j.out.q) && anyFull(j.late.to...) })
 		cancel()
 		if err := drainErr(j); !errors.Is(err, context.Canceled) {
 			t.Errorf("Next after cancel = %v, want context.Canceled", err)
@@ -400,17 +427,16 @@ func TestCancelWithFullQueuesReleasesProducers(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		before := e.m.Snapshot()
-		x := topsPass(aggOf(big), 2).(*plan.Exchange)
 		in := &endless{sch: big.Schema, row: types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("row")}}
-		a := newParallelAgg(x, x.Input.(*plan.Agg), in, e.ctx(ctx))
+		op, a := aggStage(topsPass(aggOf(big), 2), in, e.ctx(ctx))
 		opened := make(chan error, 1)
-		go func() { opened <- a.Open() }()
+		go func() { opened <- op.Open() }()
 		waitFor(t, "the router to fill its queues", func() bool { return in.n.Load() > 4*chanCap*chunkCap })
 		cancel()
 		if err := <-opened; !errors.Is(err, context.Canceled) {
 			t.Errorf("Open under cancel = %v, want context.Canceled", err)
 		}
-		a.Close()
+		op.Close()
 		waitFor(t, "the aggregation's goroutines to exit", settled)
 		// The final merge charges the query meter itself, so the total is
 		// not the workers' alone; what they charged must all be in it.
@@ -442,7 +468,7 @@ func (s *endless) Next() (types.Tuple, error) {
 func TestRetainedTuplesSurviveChunkRecycling(t *testing.T) {
 	e := newEnv()
 	tbl := e.table(t, "r", 8*chanCap*chunkCap)
-	g := newGather(topsPass(scanOf(tbl), 2).(*plan.Exchange), e.ctx(context.Background()))
+	g := leafStage(topsPass(scanOf(tbl), 2), e.ctx(context.Background()))
 	if err := g.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -505,33 +531,19 @@ func TestGatherHopAllocations(t *testing.T) {
 // unbuildable is a plan node exec.Build has no operator for.
 type unbuildable struct{ *plan.Scan }
 
-// A consumer that calls Next after Open or the probe start failed — no
-// producer was spawned, so nobody will ever close the queue — gets the
-// region's error instead of blocking.
+// A consumer that calls Next after a failed Open — no producer was
+// spawned, so nobody will ever close the queue — gets the region's error
+// instead of blocking. A join's probe scans are assembled in Open with
+// the rest of the region, so one that cannot be built fails Open too.
 func TestNextAfterFailedStartReturnsTheError(t *testing.T) {
 	e := newEnv()
 	tbl := e.table(t, "r", 100)
-	next := func(op exec.Operator) error {
-		done := make(chan error, 1)
-		go func() {
-			_, err := op.Next()
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			return err
-		case <-time.After(10 * time.Second):
-			t.Fatal("Next blocked on a queue nobody will close")
-			return nil
-		}
-	}
-
-	g := newGather(&plan.Exchange{Input: unbuildable{scanOf(tbl)}, Degree: 2, Mode: plan.ExGather}, e.ctx(context.Background()))
+	g := leafStage(&plan.Exchange{Input: unbuildable{scanOf(tbl)}, Degree: 2, Mode: plan.ExGather}, e.ctx(context.Background()))
 	openErr := g.Open()
 	if openErr == nil || !strings.Contains(openErr.Error(), "no operator") {
 		t.Fatalf("gather Open = %v, want the build error", openErr)
 	}
-	if err := next(g); err != openErr {
+	if _, err := nextOrTimeout(t, g); err != openErr {
 		t.Errorf("gather Next after failed Open = %v, want %v", err, openErr)
 	}
 	g.Close()
@@ -543,15 +555,12 @@ func TestNextAfterFailedStartReturnsTheError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := op.Open(); err != nil {
-		t.Fatal(err)
-	}
-	probeErr := next(op)
+	probeErr := op.Open()
 	if probeErr == nil || !strings.Contains(probeErr.Error(), "no operator") {
-		t.Fatalf("join Next = %v, want the probe's build error", probeErr)
+		t.Fatalf("join Open = %v, want the probe's build error", probeErr)
 	}
-	if err := next(op); err != probeErr {
-		t.Errorf("join Next after failed probe start = %v, want %v", err, probeErr)
+	if _, err := nextOrTimeout(t, op); err != probeErr {
+		t.Errorf("join Next after failed Open = %v, want %v", err, probeErr)
 	}
 	op.Close()
 }

@@ -65,7 +65,7 @@ func TestMergedCollectorsMatchSingleStream(t *testing.T) {
 				}
 				for _, tp := range tuples {
 					// Hash-partition on the key column, as ExHash routing does.
-					states[hashTuple(tp, []int{0})%uint64(parts)].Observe(tp)
+					states[exec.HashKeys(tp, []int{0})%uint64(parts)].Observe(tp)
 				}
 				merged := states[0]
 				for _, s := range states[1:] {

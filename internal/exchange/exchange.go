@@ -4,8 +4,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/plan"
-	"repro/internal/storage"
-	"repro/internal/types"
 )
 
 // init installs the exchange runtime into the executor. exec cannot
@@ -31,21 +29,20 @@ func buildExchange(x *plan.Exchange, left exec.Operator, ctx *exec.Ctx) (exec.Op
 		}
 		return exec.Build(x.Input, ctx)
 	}
-	// Gather: pick the runtime for the segment under it.
+	// Gather: one stage, assembled for the segment under it.
+	s := &stage{x: x, ctx: ctx, left: left}
 	if agg, ok := x.Input.(*plan.Agg); ok {
 		if _, rr := agg.Input.(*plan.Exchange); rr {
-			return newParallelAgg(x, agg, left, ctx), nil
+			s.agg = agg
+			return finalMerge(s), nil
 		}
 	}
-	if wrappers, join := splitSegment(x.Input); join != nil {
-		return newParallelJoin(x, join, wrappers, left, ctx), nil
-	}
-	if left != nil {
+	if s.wrappers, s.join = splitSegment(x.Input); s.join == nil && left != nil {
 		// A gather over an already-built serial stream has nothing to
 		// parallelize; pass it through.
 		return left, nil
 	}
-	return newGather(x, ctx), nil
+	return s, nil
 }
 
 // splitSegment peels the wrapper nodes (collectors, residual filters)
@@ -92,7 +89,7 @@ func (s stateSlots) sink(w int) func(*exec.CollectorState) {
 // account the region's wall-clock savings, and roll worker costs and
 // memory into EXPLAIN ANALYZE. It runs on the consumer's goroutine after
 // every region goroutine has exited.
-func finalizeRegion(x *plan.Exchange, ctx *exec.Ctx, r *region, states stateSlots, memOps []exec.Operator) error {
+func finalizeRegion(x *plan.Exchange, ctx *exec.Ctx, r *region, states stateSlots, pipes []pipeline) error {
 	if err := faultinject.Hit("exchange.gather"); err != nil {
 		return err
 	}
@@ -131,8 +128,8 @@ func finalizeRegion(x *plan.Exchange, ctx *exec.Ctx, r *region, states stateSlot
 		acc := ctx.Analyze.Op(x)
 		for i, m := range r.meters {
 			mem := 0.0
-			if i < len(memOps) && memOps[i] != nil {
-				if mr, ok := memOps[i].(interface{ MemUsed() float64 }); ok {
+			if i < len(pipes) {
+				if mr, ok := pipes[i].mem.(interface{ MemUsed() float64 }); ok {
 					mem = mr.MemUsed()
 				}
 			}
@@ -148,39 +145,4 @@ func degree(x *plan.Exchange) int {
 		return 1
 	}
 	return x.Degree
-}
-
-// runWorker drives one worker pipeline, whose tributary meter is m, to
-// completion, forwarding its output into the gather queue. It owns the
-// operator's lifecycle on every path.
-func runWorker(r *region, op exec.Operator, m *storage.CostMeter, out chan []types.Tuple) error {
-	if err := faultinject.Hit("exchange.worker"); err != nil {
-		op.Close()
-		return err
-	}
-	if err := op.Open(); err != nil {
-		op.Close()
-		return err
-	}
-	return forward(r, op, m, out)
-}
-
-// forward streams an opened pipeline into out, a chunk at a time, and
-// closes the pipeline on every path.
-func forward(r *region, op exec.Operator, m *storage.CostMeter, out chan []types.Tuple) error {
-	box := newOutbox(r, m, out)
-	for {
-		t, err := op.Next()
-		if err != nil {
-			op.Close()
-			return err
-		}
-		if t == nil {
-			return box.finish(op)
-		}
-		if !box.put(0, t) {
-			op.Close()
-			return r.cause()
-		}
-	}
 }

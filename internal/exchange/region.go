@@ -277,7 +277,7 @@ func makeQueues(n int) []chan []types.Tuple {
 // its own tick counter and tributary cost meter (local accounting that
 // feeds the query totals a chunk at a time), the region's cancellation
 // scope, its partition coordinates, and its share of memory grants.
-// Stats sinks are left nil — the caller wires StateSink to the gather's
+// Stats sinks are left nil — the caller wires StateSink to the stage's
 // merge buffer.
 func workerCtx(parent *exec.Ctx, r *region, part, of int, share float64) *exec.Ctx {
 	m := parent.Meter.Tributary()
@@ -298,17 +298,6 @@ func workerCtx(parent *exec.Ctx, r *region, part, of int, share float64) *exec.C
 		Analyze:    parent.Analyze,
 		Prog:       parent.Prog,
 	}
-}
-
-// hashTuple combines key columns into one hash — the same FNV scheme the
-// hash join uses, so routing by hashTuple%N sends equal keys on build
-// and probe sides to the same worker.
-func hashTuple(t types.Tuple, keys []int) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, k := range keys {
-		h = h*1099511628211 ^ t[k].Hash()
-	}
-	return h
 }
 
 // close ends the region: it cancels whatever still runs and waits for

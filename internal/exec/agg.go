@@ -90,7 +90,7 @@ func (a *Agg) group(g int) group {
 // cols, adding an empty group when t is the first of its key. Stored
 // keys are compared against the tuple's key columns in place.
 func (a *Agg) lookup(t types.Tuple, cols []int) (g int, added bool) {
-	h := hashKeys(t, cols)
+	h := HashKeys(t, cols)
 	nk := len(cols)
 	for e := a.index.first(h); e >= 0; e = a.index.after(e, h) {
 		if keyEqual(a.keys[int(e)*nk:][:nk], t, cols) {

@@ -239,7 +239,4 @@ func TestMaterialize(t *testing.T) {
 	if tf.NumTuples() != 300 {
 		t.Errorf("materialized %d tuples", tf.NumTuples())
 	}
-	if !tf.IsTemp() {
-		t.Error("materialized file not temp")
-	}
 }

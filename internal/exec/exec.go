@@ -272,64 +272,22 @@ func build(n plan.Node, ctx *Ctx) (Operator, error) {
 	switch x := n.(type) {
 	case *plan.Scan:
 		return NewSeqScan(x, ctx), nil
-	case *plan.HashJoin:
-		build, err := Build(x.Build, ctx)
-		if err != nil {
-			return nil, err
-		}
-		probe, err := Build(x.Probe, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return NewHashJoin(x, build, probe, ctx), nil
-	case *plan.IndexJoin:
-		outer, err := Build(x.Outer, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return NewIndexJoin(x, outer, ctx)
-	case *plan.Filter:
-		in, err := Build(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return NewFilter(x, in, ctx), nil
-	case *plan.Collector:
-		in, err := Build(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return NewCollector(x, in, ctx), nil
-	case *plan.Agg:
-		in, err := Build(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return NewAgg(x, in, ctx), nil
-	case *plan.Project:
-		in, err := Build(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return NewProject(x, in, ctx), nil
-	case *plan.Sort:
-		in, err := Build(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return NewSort(x, in, ctx), nil
-	case *plan.Limit:
-		in, err := Build(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return NewLimit(x, in), nil
 	case *plan.Exchange:
 		if ExchangeBuilder != nil {
 			return ExchangeBuilder(x, nil, ctx)
 		}
+		// No exchange runtime linked in: the node is transparent.
 		return build(x.Input, ctx)
-	default:
+	}
+	// Every other node is a step over its first child: build that from
+	// the plan, then the step over it.
+	kids := n.Children()
+	if len(kids) == 0 {
 		return nil, fmt.Errorf("exec: no operator for plan node %T", n)
 	}
+	left, err := Build(kids[0], ctx)
+	if err != nil {
+		return nil, err
+	}
+	return buildStep(n, left, ctx)
 }

@@ -67,8 +67,10 @@ func NewHashJoin(n *plan.HashJoin, build, probe Operator, ctx *Ctx) *HashJoin {
 // Schema implements Operator.
 func (j *HashJoin) Schema() *types.Schema { return j.node.Schema() }
 
-// hashKeys combines the key columns of a tuple into one hash.
-func hashKeys(t types.Tuple, keys []int) uint64 {
+// HashKeys combines the key columns of a tuple into one hash. Exchange
+// routers deal tuples by HashKeys%N, which sends equal keys of a join's
+// build and probe sides to the same worker.
+func HashKeys(t types.Tuple, keys []int) uint64 {
 	var h uint64 = 1469598103934665603
 	for _, k := range keys {
 		h = h*1099511628211 ^ t[k].Hash()
@@ -120,7 +122,7 @@ func (j *HashJoin) Open() error {
 		if keysNull(t, j.node.BuildKeys) {
 			continue
 		}
-		h := hashKeys(t, j.node.BuildKeys)
+		h := HashKeys(t, j.node.BuildKeys)
 		if !j.spilled {
 			j.addBuild(t, h)
 			// Memory is accounted in encoded bytes, the same unit the
@@ -286,7 +288,7 @@ func (j *HashJoin) openProbe() error {
 		if keysNull(t, j.node.ProbeKeys) {
 			continue
 		}
-		if err := writePart(j.probeParts, t, hashKeys(t, j.node.ProbeKeys)); err != nil {
+		if err := writePart(j.probeParts, t, HashKeys(t, j.node.ProbeKeys)); err != nil {
 			return err
 		}
 	}
@@ -300,7 +302,7 @@ func (j *HashJoin) openProbe() error {
 // match appends all join results for probe tuple t to pending, in the
 // order their build tuples arrived.
 func (j *HashJoin) match(t types.Tuple) {
-	h := hashKeys(t, j.node.ProbeKeys)
+	h := HashKeys(t, j.node.ProbeKeys)
 	for e := j.index.first(h); e >= 0; e = j.index.after(e, h) {
 		if b := j.rows[e]; j.keysEqual(b, t) {
 			j.pending = append(j.pending, j.mem.Concat(b, t))
@@ -358,7 +360,7 @@ func (j *HashJoin) nextSpilled() error {
 			}
 			t := s.Tuple()
 			j.ctx.Meter.ChargeTuples(1)
-			j.addBuild(t, hashKeys(t, j.node.BuildKeys))
+			j.addBuild(t, HashKeys(t, j.node.BuildKeys))
 			partSize += float64(types.EncodedSize(t))
 		}
 		if m := partSize * buildFudge; m > j.peakMem {

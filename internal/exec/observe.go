@@ -192,6 +192,3 @@ func (o *observedOp) SpilledBytes() float64 {
 	}
 	return 0
 }
-
-// Unwrap exposes the wrapped operator (diagnostics).
-func (o *observedOp) Unwrap() Operator { return o.op }

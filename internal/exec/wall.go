@@ -14,9 +14,8 @@ import "sync"
 // which reduces to the metered cost exactly when every region ran on one
 // worker.
 type WallMeter struct {
-	mu      sync.Mutex
-	saved   float64
-	regions int
+	mu    sync.Mutex
+	saved float64
 }
 
 // NewWallMeter returns an empty meter.
@@ -30,7 +29,6 @@ func (w *WallMeter) AddSavings(s float64) {
 	}
 	w.mu.Lock()
 	w.saved += s
-	w.regions++
 	w.mu.Unlock()
 }
 
@@ -42,14 +40,4 @@ func (w *WallMeter) Saved() float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.saved
-}
-
-// Regions returns the number of gather points that reported savings.
-func (w *WallMeter) Regions() int {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.regions
 }

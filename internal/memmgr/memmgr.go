@@ -105,13 +105,3 @@ func SplitGrant(workers int) float64 {
 	}
 	return 1 / float64(workers)
 }
-
-// HeldBy sums the grants of the given nodes — the memory unavailable for
-// re-allocation while those operators are still running.
-func HeldBy(ops []plan.Node) float64 {
-	total := 0.0
-	for _, op := range ops {
-		total += op.Est().Grant
-	}
-	return total
-}

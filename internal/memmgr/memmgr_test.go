@@ -120,16 +120,6 @@ func TestConsumersExecutionOrder(t *testing.T) {
 	}
 }
 
-func TestHeldBy(t *testing.T) {
-	a := newMem(1, 2)
-	b := newMem(1, 2)
-	a.est.Grant = 100
-	b.est.Grant = 50
-	if got := HeldBy([]plan.Node{a, b}); got != 150 {
-		t.Errorf("HeldBy = %g", got)
-	}
-}
-
 func TestAllocateProperty(t *testing.T) {
 	// Properties: grant >= min(MemMin, MemMax); grant <= MemMax; total
 	// <= max(budget, sum of minimums); monotone priority — an earlier

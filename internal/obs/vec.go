@@ -48,13 +48,6 @@ func (r *Registry) NewGaugeFuncVec(name, help, label string, fn func() map[strin
 	return r.register(f).(*FuncVec)
 }
 
-// NewCounterFuncVec registers a labeled counter family read at scrape
-// time (each label's backing source must be monotonic).
-func (r *Registry) NewCounterFuncVec(name, help, label string, fn func() map[string]float64) *FuncVec {
-	f := &FuncVec{mname: name, mhelp: help, mtyp: "counter", label: label, fn: fn}
-	return r.register(f).(*FuncVec)
-}
-
 // HistogramVec is a family of histograms sharing one name and bucket
 // layout, split by a single label — per-tenant broker-wait latency.
 // Children spring into existence on first observation.

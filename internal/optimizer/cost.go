@@ -81,11 +81,6 @@ func (c *costModel) scanCost(pages, rows float64) float64 {
 	return pages*c.w.PageRead + rows*c.w.TupleCPU
 }
 
-// collectorCost is the CPU the statistics collector adds per input row.
-func (c *costModel) collectorCost(rows float64) float64 {
-	return rows * c.w.StatCPU
-}
-
 // hashJoinSelf returns the join's own cost (excluding children) and
 // whether it is expected to spill under the given grant.
 func (c *costModel) hashJoinSelf(buildRows, buildBytes, probeRows, probeBytes, outRows, grant float64) (cost float64, spills bool) {

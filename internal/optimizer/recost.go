@@ -62,8 +62,3 @@ func JoinMemDemands(buildBytes float64) (mn, mx float64) {
 func StepMemDemands(needBytes float64) (mn, mx float64) {
 	return stepMemDemands(needBytes)
 }
-
-// AggStateBytes exposes the per-group state-size estimate.
-func AggStateBytes(keyBytes float64, nAggs int) float64 {
-	return aggStateBytes(keyBytes, nAggs)
-}

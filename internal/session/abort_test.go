@@ -54,10 +54,11 @@ func checkNoResidue(t *testing.T, label string, db *testDB, m *Manager) {
 // (operator loops, checkpoint decisions, temp drops); then, for each
 // site in turn, the workload is re-run with a one-shot error armed
 // there and the abort invariant is asserted after every query.
-// mustSee lists sites the recording run is required to reach — the
-// low-grant variant uses it to prove the spill paths are actually in
-// the swept surface rather than vacuously absent.
-func runFaultSweep(t *testing.T, cfg Config, mustSee []string) {
+// The workload runs at the given parallel degree. mustSee lists sites
+// the recording run is required to reach — the low-grant variants use it
+// to prove the spill paths are actually in the swept surface rather than
+// vacuously absent.
+func runFaultSweep(t *testing.T, cfg Config, degree int, mustSee []string) {
 	db, m := newTPCDManager(t, cfg)
 	queries := tpcd.Queries()
 	if len(mustSee) > 0 {
@@ -78,7 +79,7 @@ func runFaultSweep(t *testing.T, cfg Config, mustSee []string) {
 	}
 	run := func(q tpcd.Query) error {
 		_, err := m.Session().Exec(context.Background(), q.SQL,
-			Options{Mode: reopt.ModeFull, NoCache: true})
+			Options{Mode: reopt.ModeFull, NoCache: true, Parallel: degree})
 		return err
 	}
 
@@ -146,7 +147,7 @@ func runFaultSweep(t *testing.T, cfg Config, mustSee []string) {
 // fit their grants, so this covers the in-memory paths plus the
 // occasional spill.
 func TestFaultSweepTPCDNoLeaks(t *testing.T) {
-	runFaultSweep(t, Config{MemPoolBytes: 512 << 10, MemBudget: 512 << 10}, nil)
+	runFaultSweep(t, Config{MemPoolBytes: 512 << 10, MemBudget: 512 << 10}, 1, nil)
 }
 
 // TestFaultSweepTPCDNoLeaksLowGrant re-runs the sweep with grants so
@@ -155,8 +156,17 @@ func TestFaultSweepTPCDNoLeaks(t *testing.T) {
 // when a fault lands mid-build, mid-probe, or mid-merge. The mustSee
 // list pins the spill sites into the swept surface.
 func TestFaultSweepTPCDNoLeaksLowGrant(t *testing.T) {
-	runFaultSweep(t, Config{MemPoolBytes: 96 << 10, MemBudget: 96 << 10},
+	runFaultSweep(t, Config{MemPoolBytes: 96 << 10, MemBudget: 96 << 10}, 1,
 		[]string{"exec.hashjoin.spill", "exec.hashjoin.probe", "exec.agg.merge"})
+}
+
+// TestFaultSweepTPCDNoLeaksParallel re-runs the low-grant sweep at
+// degree 2, which adds the region runtime's own sites — a goroutine's
+// start, a routed tuple, a region's end — to the swept surface, under a
+// dispatcher that switches plans between regions.
+func TestFaultSweepTPCDNoLeaksParallel(t *testing.T) {
+	runFaultSweep(t, Config{MemPoolBytes: 96 << 10, MemBudget: 96 << 10}, 2,
+		[]string{"exec.hashjoin.spill", "exec.agg.merge", "exchange.worker", "exchange.route", "exchange.gather"})
 }
 
 // TestPanicRecoveredPerQuery pins the per-query fault boundary: a panic

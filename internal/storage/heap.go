@@ -95,9 +95,6 @@ func (h *HeapFile) ByteSize() int64 {
 	return h.bytes
 }
 
-// IsTemp reports whether Drop will free the file's pages.
-func (h *HeapFile) IsTemp() bool { return h.temp }
-
 // Stamped reports whether records carry MVCC transaction stamps.
 func (h *HeapFile) Stamped() bool { return h.stamped }
 
@@ -202,27 +199,6 @@ func versionVisible(snap *TxnSnapshot, xmin, xmax TxnID) bool {
 		return xmax == 0
 	}
 	return snap.Sees(xmin, xmax)
-}
-
-// Fetch reads the tuple at rid, regardless of version visibility (the
-// slot must not have been physically deleted).
-func (h *HeapFile) Fetch(rid RID) (types.Tuple, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	buf, err := h.pool.Pin(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	defer h.pool.Unpin(rid.Page)
-	rec, err := LoadSlottedPage(buf).Record(rid.Slot)
-	if err != nil {
-		return nil, err
-	}
-	if h.stamped {
-		rec = rec[stampSize:]
-	}
-	t, _, err := types.DecodeTuple(rec)
-	return t, err
 }
 
 // FetchVisible reads the tuple at rid if its version is visible to

@@ -50,12 +50,12 @@ func TestHeapFileFetchByRID(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	for i, rid := range rids {
-		tup, err := h.Fetch(rid)
-		if err != nil {
-			t.Fatal(err)
+		tup, ok, err := h.FetchVisible(rid, nil)
+		if err != nil || !ok {
+			t.Fatalf("FetchVisible(%v) = %v, %v", rid, ok, err)
 		}
 		if tup[0].Int() != int64(i*7) {
-			t.Errorf("Fetch(%v) = %v", rid, tup)
+			t.Errorf("FetchVisible(%v) = %v", rid, tup)
 		}
 	}
 }
@@ -86,9 +86,6 @@ func TestTempFileDrop(t *testing.T) {
 	tf := NewTempFile(bp)
 	for i := 0; i < 1000; i++ {
 		tf.Append(types.Tuple{types.NewInt(int64(i))})
-	}
-	if !tf.IsTemp() {
-		t.Error("temp file not marked temp")
 	}
 	disk := bp.Disk()
 	before := disk.NumPages()

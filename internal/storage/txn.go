@@ -209,14 +209,6 @@ func (m *TxnManager) Horizon() TxnID {
 	return h
 }
 
-// ActiveWriters returns the number of in-flight read-write
-// transactions (tests and status reporting).
-func (m *TxnManager) ActiveWriters() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.active)
-}
-
 // TxnInfo describes one in-flight transaction for introspection
 // (the mqr.txns system table).
 type TxnInfo struct {
