@@ -41,12 +41,10 @@
 // is outside (1±T)x the configured 3:1 — the CI fairness gates.
 //
 // The parallel figure sweeps exchange-operator degrees 1..N (set N with
-// -parallel, default 4) over the medium and complex queries and reports,
-// per row and per degree, the speedup of the modelled WallCost beside the
-// speedup a stopwatch measured (elapsed_ms), and the switch rate. With
-// -parallel-gate X the process exits non-zero if the geometric mean of
-// the modelled speedup at the top degree falls below X — a gate on the
-// cost model's overlap credit, not on measured time.
+// -parallel, default 4) over the medium and complex queries, fails if any
+// degree returns a different row count than serial, and reports, per row
+// and per degree, the metered cost, the speedup a stopwatch measured
+// (elapsed_ms), and the switch rate. The speedup is reported, not gated.
 //
 // With -json FILE ("-" for stdout) the run also emits a
 // machine-readable report: the configuration, every figure's rows, and
@@ -91,7 +89,6 @@ func main() {
 		stale   = flag.Float64("stale", 0.5, "fraction of data loaded when ANALYZE ran")
 		seed    = flag.Int64("seed", 0, "data generator seed")
 		par     = flag.Int("parallel", 4, "top degree for the parallel sweep (degrees 1,2,..,N by doubling)")
-		parGate = flag.Float64("parallel-gate", 0, "exit non-zero if top-degree geomean modelled (WallCost) speedup is below this (0 = no gate)")
 		writers = flag.Int("writers", 4, "concurrent writer sessions for the mixed workload")
 		wtxns   = flag.Int("write-txns", 30, "transactions each mixed-workload writer commits")
 		reps    = flag.Int("reps", 3, "measured on/off pairs per query for the overhead figure")
@@ -186,31 +183,9 @@ func main() {
 			rep.Figures["parallel"] = figure{Rows: rows, Parallel: &s}
 			for d := 2; d <= *par; d *= 2 {
 				key := fmt.Sprintf("d%d", d)
-				fmt.Printf("degree %d geomean speedup: modelled %.2fx, measured %.2fx\n", d, s.Speedup[key], s.MeasuredSpeedup[key])
+				fmt.Printf("degree %d geomean measured speedup: %.2fx\n", d, s.MeasuredSpeedup[key])
 			}
 			fmt.Println()
-			if *parGate > 0 {
-				key := fmt.Sprintf("d%d", topDegree(*par))
-				got, measured := s.Speedup[key]
-				if !measured {
-					// No qualifying queries at the gated degree: the
-					// summary marks the degree skipped rather than
-					// reporting a fake 0/1.0, and the gate must not
-					// pass (or fail with a misleading number) on a
-					// measurement that never happened.
-					fmt.Fprintf(os.Stderr,
-						"mqr-bench: parallel gate failed: %s skipped (no qualifying queries measured)\n", key)
-					os.Exit(1)
-				}
-				if got < *parGate {
-					fmt.Fprintf(os.Stderr,
-						"mqr-bench: parallel gate failed: %s geomean modelled speedup %.2f < %.2f\n",
-						key, got, *parGate)
-					os.Exit(1)
-				}
-				fmt.Printf("parallel gate passed: %s geomean modelled speedup %.2f >= %.2f\n\n",
-					key, got, *parGate)
-			}
 		case "mixed":
 			res, err := bench.Mixed(cfg, *writers, *wtxns)
 			check(err)
@@ -305,16 +280,6 @@ func writeReport(path string, rep report) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// topDegree returns the largest degree the doubling sweep 1,2,4,...
-// actually reaches without exceeding max.
-func topDegree(max int) int {
-	d := 1
-	for d*2 <= max {
-		d *= 2
-	}
-	return d
 }
 
 func check(err error) {

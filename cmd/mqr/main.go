@@ -159,9 +159,7 @@ func main() {
 				res.Stats.MemReallocs, res.Stats.PlanSwitches)
 		}
 		if res.Stats.Degree > 1 {
-			fmt.Printf("degree=%d workers=%d wall=%.0f (%.2fx overlap)\n",
-				res.Stats.Degree, res.Stats.WorkersSpawned, res.WallCost,
-				res.Cost/maxf(res.WallCost, 1))
+			fmt.Printf("degree=%d workers=%d\n", res.Stats.Degree, res.Stats.WorkersSpawned)
 		}
 		for _, d := range res.Stats.Decisions {
 			fmt.Println("  " + d)
@@ -334,11 +332,4 @@ func queryError(name string, err error, failed *int) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mqr:", err)
 	os.Exit(1)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -117,9 +117,7 @@ func (e *Env) RunWith(q tpcd.Query, mode reopt.Mode, tweak func(*reopt.Config)) 
 // RunCounted is RunWith plus the result-row count, for harnesses that
 // cross-check result cardinality across configurations.
 func (e *Env) RunCounted(q tpcd.Query, mode reopt.Mode, tweak func(*reopt.Config)) (float64, *reopt.Stats, int, error) {
-	if err := e.Pool.EvictAll(); err != nil {
-		return 0, nil, 0, err
-	}
+	e.Pool.EvictAll()
 	cfg := reopt.DefaultConfig(mode)
 	cfg.MemBudget = e.Cfg.MemBudget
 	cfg.PoolPages = float64(e.Cfg.PoolPages)
@@ -483,9 +481,7 @@ func Hybrid(cfg Config) ([]HybridRow, error) {
 		return c
 	}
 	measure := func(f func(ctx *exec.Ctx) (*reopt.Stats, error)) (float64, int, error) {
-		if err := env.Pool.EvictAll(); err != nil {
-			return 0, 0, err
-		}
+		env.Pool.EvictAll()
 		ctx := &exec.Ctx{Pool: env.Pool, Meter: env.Meter, Params: params}
 		before := env.Meter.Snapshot()
 		st, err := f(ctx)

@@ -179,25 +179,21 @@ func TestSummarizeEmptyIsSkipped(t *testing.T) {
 		t.Error("figure with no qualifying estimate rows not marked skipped")
 	}
 
-	ps := SummarizeParallel([]ParallelRow{{Query: "Qx", Degree: 4, Speedup: 0}})
-	if _, ok := ps.Speedup["d4"]; ok {
-		t.Error("unmeasured degree has a Speedup entry")
+	ps := SummarizeParallel([]ParallelRow{{Query: "Qx", Degree: 4, MeasuredSpeedup: 0}})
+	if _, ok := ps.MeasuredSpeedup["d4"]; ok {
+		t.Error("unmeasured degree has a MeasuredSpeedup entry")
 	}
 	if len(ps.Skipped) != 1 || ps.Skipped[0] != "d4" {
 		t.Errorf("Skipped = %v, want [d4]", ps.Skipped)
 	}
 	// Non-finite speedups must not poison the geomean.
 	ps = SummarizeParallel([]ParallelRow{
-		{Query: "Qx", Degree: 2, Speedup: 2, MeasuredSpeedup: 0.5},
-		{Query: "Qy", Degree: 2, Speedup: math.Inf(1), MeasuredSpeedup: math.NaN()},
+		{Query: "Qx", Degree: 2, MeasuredSpeedup: 2},
+		{Query: "Qy", Degree: 2, MeasuredSpeedup: math.Inf(1)},
+		{Query: "Qz", Degree: 2, MeasuredSpeedup: math.NaN()},
 	})
-	if got := ps.Speedup["d2"]; got != 2 {
-		t.Errorf("d2 geomean = %v, want 2 (Inf row excluded)", got)
-	}
-	// The stopwatch column is summarized beside the modelled one, never
-	// in place of it.
-	if got := ps.MeasuredSpeedup["d2"]; got != 0.5 {
-		t.Errorf("d2 measured geomean = %v, want 0.5 (NaN row excluded)", got)
+	if got := ps.MeasuredSpeedup["d2"]; got != 2 {
+		t.Errorf("d2 geomean = %v, want 2 (Inf and NaN rows excluded)", got)
 	}
 }
 

@@ -13,19 +13,14 @@ import (
 
 // ParallelRow is one (query, degree) measurement of the intra-query
 // parallelism sweep. Cost is the metered resource total (all workers'
-// charges); Wall subtracts the overlap credited at each gather point
-// (only the slowest tributary of a parallel region contributes to
-// elapsed time), so Wall is the modelled answer latency the exchange
-// operators buy. ElapsedMs is what a stopwatch said about the same run
-// (the fastest of parallelReps), and MeasuredSpeedup the ratio of those:
-// the model credits overlap the machine may not deliver.
+// charges). ElapsedMs is what a stopwatch said about the run (the
+// fastest of parallelReps), and MeasuredSpeedup the serial run's
+// elapsed time over this one's.
 type ParallelRow struct {
 	Query           string     `json:"query"`
 	Class           tpcd.Class `json:"class"`
 	Degree          int        `json:"degree"`
 	Cost            float64    `json:"cost"`
-	Wall            float64    `json:"wall"`
-	Speedup         float64    `json:"speedup"` // wall(degree 1) / wall(this degree)
 	ElapsedMs       float64    `json:"elapsed_ms"`
 	MeasuredSpeedup float64    `json:"measured_speedup"` // elapsed(degree 1) / elapsed(this degree)
 	Workers         int        `json:"workers"`
@@ -41,8 +36,8 @@ const parallelReps = 3
 // statistics — the workload where checkpoints, collector merges, and
 // plan switches all fire on parallel segments. Results at every degree
 // must be identical (the harness cross-checks row counts); the
-// interesting columns are the modelled and the measured speedup, side by
-// side, and whether the switch rate stays put as the degree grows.
+// interesting columns are the measured speedup and whether the switch
+// rate stays put as the degree grows.
 func Parallel(cfg Config, maxDegree int) ([]ParallelRow, error) {
 	if maxDegree < 1 {
 		maxDegree = 1
@@ -56,7 +51,7 @@ func Parallel(cfg Config, maxDegree int) ([]ParallelRow, error) {
 		if q.Class == tpcd.Simple {
 			continue
 		}
-		var serialWall, serialMs float64
+		var serialMs float64
 		var serialRows int
 		for deg := 1; deg <= maxDegree; deg *= 2 {
 			var (
@@ -76,25 +71,15 @@ func Parallel(cfg Config, maxDegree int) ([]ParallelRow, error) {
 				}
 				ms = math.Min(ms, float64(time.Since(t0))/float64(time.Millisecond))
 			}
-			wall := cost - st.WallSavedCost
-			if wall < 0 {
-				wall = 0
-			}
 			if deg == 1 {
-				serialWall, serialMs = wall, ms
-				serialRows = n
+				serialMs, serialRows = ms, n
 			} else if n != serialRows {
 				return nil, fmt.Errorf("%s degree %d: %d rows, serial produced %d",
 					q.Name, deg, n, serialRows)
 			}
-			speedup := 0.0
-			if wall > 0 {
-				speedup = serialWall / wall
-			}
 			rows = append(rows, ParallelRow{
 				Query: q.Name, Class: q.Class, Degree: deg,
-				Cost: cost, Wall: wall, Speedup: speedup,
-				ElapsedMs: ms, MeasuredSpeedup: serialMs / ms,
+				Cost: cost, ElapsedMs: ms, MeasuredSpeedup: serialMs / ms,
 				Workers: st.WorkersSpawned, Switches: st.PlanSwitches,
 			})
 		}
@@ -103,22 +88,17 @@ func Parallel(cfg Config, maxDegree int) ([]ParallelRow, error) {
 }
 
 // ParallelSummary condenses the sweep into the columns tracked across
-// commits: per-degree geometric-mean speedup, modelled and measured, and
-// switch rate.
+// commits: per-degree geometric-mean measured speedup and switch rate.
 type ParallelSummary struct {
-	// Speedup maps "d<degree>" to the geometric mean of modelled wall
-	// speedups at that degree across queries.
-	Speedup map[string]float64 `json:"speedup"`
-	// MeasuredSpeedup is the same geometric mean over the stopwatch
-	// speedups.
+	// MeasuredSpeedup maps "d<degree>" to the geometric mean of the
+	// stopwatch speedups at that degree across queries.
 	MeasuredSpeedup map[string]float64 `json:"measured_speedup"`
 	// SwitchRate maps "d<degree>" to the fraction of queries that
 	// switched plans at least once at that degree.
 	SwitchRate map[string]float64 `json:"switch_rate"`
 	// Skipped lists "d<degree>" keys with zero qualifying measurements:
-	// their Speedup entry is absent (not 1.0, not 0), and a CI gate on
-	// that degree must fail loudly instead of comparing against a zero
-	// value that merely means "nothing was measured".
+	// their MeasuredSpeedup entry is absent (not 1.0, not 0), so a reader
+	// of that degree sees "nothing was measured" rather than a zero.
 	Skipped []string `json:"skipped,omitempty"`
 }
 
@@ -150,8 +130,8 @@ func (g geomean) value() (float64, bool) {
 // SummarizeParallel computes per-degree speedup and switch-rate columns.
 func SummarizeParallel(rows []ParallelRow) ParallelSummary {
 	type acc struct {
-		modelled, measured geomean
-		switched, total    int
+		measured        geomean
+		switched, total int
 	}
 	byDeg := map[int]*acc{}
 	for _, r := range rows {
@@ -160,23 +140,19 @@ func SummarizeParallel(rows []ParallelRow) ParallelSummary {
 			a = &acc{}
 			byDeg[r.Degree] = a
 		}
-		a.modelled.add(r.Speedup)
 		a.measured.add(r.MeasuredSpeedup)
 		a.total++
 		if r.Switches > 0 {
 			a.switched++
 		}
 	}
-	s := ParallelSummary{Speedup: map[string]float64{}, MeasuredSpeedup: map[string]float64{}, SwitchRate: map[string]float64{}}
+	s := ParallelSummary{MeasuredSpeedup: map[string]float64{}, SwitchRate: map[string]float64{}}
 	for deg, a := range byDeg {
 		key := fmt.Sprintf("d%d", deg)
-		if v, ok := a.modelled.value(); ok {
-			s.Speedup[key] = v
-		} else {
-			s.Skipped = append(s.Skipped, key)
-		}
 		if v, ok := a.measured.value(); ok {
 			s.MeasuredSpeedup[key] = v
+		} else {
+			s.Skipped = append(s.Skipped, key)
 		}
 		s.SwitchRate[key] = float64(a.switched) / float64(a.total)
 	}
@@ -188,11 +164,11 @@ func SummarizeParallel(rows []ParallelRow) ParallelSummary {
 func FormatParallel(title string, rows []ParallelRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-5s %-8s %3s %10s %10s %8s %10s %9s %8s %3s\n",
-		"query", "class", "deg", "cost", "wall", "modelled", "elapsed_ms", "measured", "workers", "sw")
+	fmt.Fprintf(&b, "%-5s %-8s %3s %10s %10s %9s %8s %3s\n",
+		"query", "class", "deg", "cost", "elapsed_ms", "measured", "workers", "sw")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-5s %-8s %3d %10.0f %10.0f %7.2fx %10.1f %8.2fx %8d %3d\n",
-			r.Query, r.Class, r.Degree, r.Cost, r.Wall, r.Speedup, r.ElapsedMs, r.MeasuredSpeedup, r.Workers, r.Switches)
+		fmt.Fprintf(&b, "%-5s %-8s %3d %10.0f %10.1f %8.2fx %8d %3d\n",
+			r.Query, r.Class, r.Degree, r.Cost, r.ElapsedMs, r.MeasuredSpeedup, r.Workers, r.Switches)
 	}
 	return b.String()
 }

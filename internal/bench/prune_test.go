@@ -96,9 +96,7 @@ func TestPlanSwitchTempHoldsOnlyRequiredColumns(t *testing.T) {
 	}
 
 	run := func(mode reopt.Mode, hook func(int)) ([]types.Tuple, *reopt.Stats) {
-		if err := env.Pool.EvictAll(); err != nil {
-			t.Fatal(err)
-		}
+		env.Pool.EvictAll()
 		cfg := reopt.DefaultConfig(mode)
 		cfg.MemBudget = env.Cfg.MemBudget
 		cfg.PoolPages = float64(env.Cfg.PoolPages)

@@ -122,8 +122,6 @@ func finalizeRegion(x *plan.Exchange, ctx *exec.Ctx, r *region, states stateSlot
 			ctx.StatsSink(o)
 		}
 	}
-	sum, max := r.meterCosts()
-	ctx.Wall.AddSavings(sum - max)
 	if ctx.Analyze.Enabled() {
 		acc := ctx.Analyze.Op(x)
 		for i, m := range r.meters {

@@ -293,7 +293,6 @@ func workerCtx(parent *exec.Ctx, r *region, part, of int, share float64) *exec.C
 		GrantShare: share,
 		Snap:       parent.Snap,
 		Spawn:      parent.Spawn,
-		Wall:       parent.Wall,
 		Trace:      parent.Trace,
 		Analyze:    parent.Analyze,
 		Prog:       parent.Prog,
@@ -332,18 +331,4 @@ func (r *region) traceClosed(ctx *exec.Ctx, kind string) {
 
 func panicErr(label string, p any) error {
 	return fmt.Errorf("exchange: %s panicked: %v", label, p)
-}
-
-// meterCosts sums the region's tributary meters and finds the maximum —
-// the inputs to the wall-clock savings model (sum - max is the overlapped
-// work).
-func (r *region) meterCosts() (sum, max float64) {
-	for _, m := range r.meters {
-		c := m.Snapshot().Cost()
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	return sum, max
 }

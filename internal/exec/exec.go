@@ -71,11 +71,6 @@ type Ctx struct {
 	// Spawn runs fn on the query's worker pool (panic recovery, pool
 	// accounting). Nil falls back to a plain goroutine.
 	Spawn func(label string, fn func())
-	// Wall accumulates parallel wall-clock savings: at each gather the
-	// overlap between workers (sum of worker costs minus the slowest
-	// worker) is subtracted from the metered total to get the query's
-	// simulated wall time. Nil when parallelism is off.
-	Wall *WallMeter
 	// Trace, when non-nil, receives lifecycle events (collector
 	// reports, dispatcher decisions). Nil disables tracing at the cost
 	// of a nil check.

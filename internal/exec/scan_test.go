@@ -28,9 +28,7 @@ type scanStep struct {
 // step is the end of stream.
 func runSteps(t *testing.T, e *testEnv, inj *faultinject.Injector, op Operator) []scanStep {
 	t.Helper()
-	if err := e.pool.EvictAll(); err != nil {
-		t.Fatal(err)
-	}
+	e.pool.EvictAll()
 	e.ctx.ticks = 0
 	start, hits := e.ctx.Meter.Snapshot(), inj.Hits("exec.scan.next")
 	if err := op.Open(); err != nil {
@@ -113,9 +111,7 @@ func TestSeqScanPushdownFaultsAtTheSamePoint(t *testing.T) {
 	boom := errors.New("boom")
 	failAt := func(op Operator, k int) (int, storage.Snapshot) {
 		t.Helper()
-		if err := e.pool.EvictAll(); err != nil {
-			t.Fatal(err)
-		}
+		e.pool.EvictAll()
 		start := e.ctx.Meter.Snapshot()
 		inj.Arm("exec.scan.next", faultinject.Fault{Err: boom, After: k})
 		if err := op.Open(); err != nil {
@@ -196,9 +192,7 @@ func TestScanPathsChargeReadsToTheContextMeter(t *testing.T) {
 			return 200
 		},
 	} {
-		if err := e.pool.EvictAll(); err != nil {
-			t.Fatal(err)
-		}
+		e.pool.EvictAll()
 		ctx := *e.ctx
 		ctx.Meter = engine.Tributary()
 		before := engine.Snapshot()

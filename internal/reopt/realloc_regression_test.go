@@ -24,9 +24,7 @@ func TestReallocationNeverAddsSpillIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(mode Mode) storage.Snapshot {
-		if err := pool.EvictAll(); err != nil {
-			t.Fatal(err)
-		}
+		pool.EvictAll()
 		cfg := DefaultConfig(mode)
 		cfg.MemBudget = 2 << 20
 		cfg.PoolPages = 256

@@ -188,12 +188,11 @@ type Stats struct {
 	// harness reports.
 	EstimatedCost float64
 	// Parallel execution accounting (zero when Degree < 2): the degree
-	// the query ran at, how many worker goroutines its exchanges
-	// spawned, and the wall-clock savings from worker overlap — the
-	// query's simulated wall time is its metered total cost minus this.
+	// the query ran at and how many worker goroutines its exchanges
+	// spawned. Every worker's work is in the metered total cost; how
+	// much of it overlapped is a question for the stopwatch.
 	Degree         int
 	WorkersSpawned int
-	WallSavedCost  float64
 }
 
 // Dispatcher is the modified scheduler/dispatcher of §3.1: it owns query
@@ -348,9 +347,8 @@ func (d *Dispatcher) Run(stmt *sql.SelectStmt, params plan.Params, ctx *exec.Ctx
 }
 
 // armParallel prepares a context for parallel execution: a per-query
-// worker pool (panic containment, goroutine accounting) and a wall-time
-// meter for gather points to record worker overlap. No-op below degree
-// 2, or when the session pre-installed its own pool/meter.
+// worker pool (panic containment, goroutine accounting). No-op below
+// degree 2, or when the session pre-installed its own pool.
 func (d *Dispatcher) armParallel(ctx *exec.Ctx) *exchange.Pool {
 	if d.Cfg.Degree < 2 {
 		return nil
@@ -360,9 +358,6 @@ func (d *Dispatcher) armParallel(ctx *exec.Ctx) *exchange.Pool {
 		pool = exchange.NewPool()
 		ctx.Spawn = pool.Go
 	}
-	if ctx.Wall == nil {
-		ctx.Wall = exec.NewWallMeter()
-	}
 	return pool
 }
 
@@ -370,7 +365,7 @@ func (d *Dispatcher) armParallel(ctx *exec.Ctx) *exchange.Pool {
 // has been closed by now, so this is prompt), surfaces any contained
 // worker panic as the query error, and folds the parallel accounting
 // into the stats.
-func (d *Dispatcher) finishParallel(ctx *exec.Ctx, pool *exchange.Pool, st *Stats, err error) error {
+func (d *Dispatcher) finishParallel(pool *exchange.Pool, st *Stats, err error) error {
 	if d.Cfg.Degree > 1 {
 		st.Degree = d.Cfg.Degree
 	}
@@ -379,9 +374,6 @@ func (d *Dispatcher) finishParallel(ctx *exec.Ctx, pool *exchange.Pool, st *Stat
 			err = werr
 		}
 		st.WorkersSpawned = pool.Spawned()
-	}
-	if ctx.Wall != nil {
-		st.WallSavedCost = ctx.Wall.Saved()
 	}
 	return err
 }
@@ -424,7 +416,7 @@ func (d *Dispatcher) RunPlan(res *optimizer.Result, params plan.Params, ctx *exe
 	st := &Stats{}
 	pool := d.armParallel(ctx)
 	rows, err := d.execute(res, params, ctx, st, d.Cfg.MaxSwitches)
-	err = d.finishParallel(ctx, pool, st, err)
+	err = d.finishParallel(pool, st, err)
 	return rows, st, err
 }
 

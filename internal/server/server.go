@@ -115,7 +115,6 @@ type QueryResponse struct {
 	// reports the whole transaction's total).
 	RowsAffected int64   `json:"rows_affected,omitempty"`
 	Cost         float64 `json:"cost"`
-	WallCost     float64 `json:"wall_cost"`
 	Query        string  `json:"query"`
 	Tenant       string  `json:"tenant,omitempty"`
 	// Preempted counts how many times this query was suspended at a
@@ -376,7 +375,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Rows:         rows,
 		RowsAffected: res.RowsAffected,
 		Cost:         res.Cost,
-		WallCost:     res.WallCost,
 		Query:        res.Query,
 		Tenant:       res.Tenant,
 		Preempted:    res.Preempted,

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -463,10 +462,6 @@ type Result struct {
 	// this statement's window. Under concurrency it includes overlapping
 	// queries' charges; single-stream it is the statement's own.
 	Cost float64
-	// WallCost subtracts the overlap credited by this query's parallel
-	// regions (only each gathered region's slowest tributary counts
-	// toward elapsed time). Equal to Cost for serial execution.
-	WallCost float64
 	// Query is the engine-unique tag ("s3_q17") the query ran under —
 	// the same tag appears in broker traces and temp-table names.
 	Query string
@@ -753,7 +748,6 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 		Rows:         rows,
 		Stats:        st,
 		Cost:         cost,
-		WallCost:     math.Max(0, cost-st.WallSavedCost),
 		Query:        tag,
 		Tenant:       ten,
 		Preempted:    preempted,

@@ -183,13 +183,12 @@ func (bp *BufferPool) UnpinDirty(id PageID) {
 }
 
 // FlushAll writes back every dirty frame, leaving them cached.
-func (bp *BufferPool) FlushAll() error {
+func (bp *BufferPool) FlushAll() {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for _, f := range bp.frames {
 		bp.writeBackLocked(f)
 	}
-	return nil
 }
 
 // Evict drops a page from the pool, writing it back if dirty. Used when a
@@ -211,7 +210,7 @@ func (bp *BufferPool) Evict(id PageID) error {
 // EvictAll writes back every dirty frame and empties the pool (pinned
 // frames are left in place). Benchmarks call it between runs to measure
 // cold-cache executions deterministically.
-func (bp *BufferPool) EvictAll() error {
+func (bp *BufferPool) EvictAll() {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for _, f := range bp.frames {
@@ -219,7 +218,6 @@ func (bp *BufferPool) EvictAll() error {
 			bp.dropLocked(f)
 		}
 	}
-	return nil
 }
 
 // dropLocked writes back an unpinned frame if dirty and removes it.

@@ -162,7 +162,7 @@ func (db *DB) ResetCost() { db.meter.Reset() }
 // DropCaches empties the buffer pool so the next query runs cold. The
 // benchmark harness calls it before every measured execution so that
 // run-order effects cannot masquerade as re-optimization effects.
-func (db *DB) DropCaches() error { return db.pool.EvictAll() }
+func (db *DB) DropCaches() { db.pool.EvictAll() }
 
 // CreateTable registers a new table.
 func (db *DB) CreateTable(name string, cols ...Column) error {
@@ -318,8 +318,8 @@ func (o ExecOptions) sessionOptions() session.Options {
 const defaultMemBudget = 32 << 20
 
 // Result is one statement's outcome: Columns and Rows, the dispatcher's
-// Stats, the simulated Cost (and WallCost, which credits parallel
-// overlap), RowsAffected for DML, and Plan / Trace when asked for.
+// Stats, the simulated Cost, RowsAffected for DML, and Plan / Trace when
+// asked for.
 type Result = session.Result
 
 // Exec compiles and runs one SQL statement: SELECT queries go through

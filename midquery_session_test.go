@@ -194,16 +194,12 @@ func TestExecMatchesSessionManagerPath(t *testing.T) {
 	const budget = 2 << 20
 	for _, name := range []string{"Q3", "Q5", "Q10"} {
 		q := Q(name)
-		if err := db.DropCaches(); err != nil {
-			t.Fatal(err)
-		}
+		db.DropCaches()
 		lib, err := db.Exec(q.SQL, ExecOptions{Mode: ReoptFull, MemBudget: budget})
 		if err != nil {
 			t.Fatalf("%s library: %v", name, err)
 		}
-		if err := db.DropCaches(); err != nil {
-			t.Fatal(err)
-		}
+		db.DropCaches()
 		srv, err := sess.Exec(context.Background(), q.SQL, session.Options{Mode: ReoptFull, MemBudget: budget})
 		if err != nil {
 			t.Fatalf("%s session: %v", name, err)

@@ -17,9 +17,7 @@ func TestObservabilityDoesNotChangeSimulatedCost(t *testing.T) {
 	db := openTPCD(t, 0.002, 0)
 	q := Q("Q5")
 	run := func(analyze bool, opts ExecOptions) *Result {
-		if err := db.DropCaches(); err != nil {
-			t.Fatal(err)
-		}
+		db.DropCaches()
 		var res *Result
 		var err error
 		if analyze {
@@ -58,9 +56,7 @@ func benchmarkQuery(b *testing.B, analyze, trace bool) {
 	opts := ExecOptions{Trace: trace}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := db.DropCaches(); err != nil {
-			b.Fatal(err)
-		}
+		db.DropCaches()
 		var err error
 		if analyze {
 			_, err = db.ExplainAnalyze(q.SQL, opts)
