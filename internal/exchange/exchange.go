@@ -86,9 +86,9 @@ func (s stateSlots) sink(w int) func(*exec.CollectorState) {
 // finalizeRegion completes a gather: merge per-worker collector states
 // into single reports (worker-index order, so merged histograms and
 // samples are deterministic), deliver them to the consumer's stats sink,
-// account the region's wall-clock savings, and roll worker costs and
-// memory into EXPLAIN ANALYZE. It runs on the consumer's goroutine after
-// every region goroutine has exited.
+// and, when the query is timed for EXPLAIN ANALYZE, roll worker costs and
+// memory into the gather's record. It runs on the consumer's goroutine
+// after every region goroutine has exited.
 func finalizeRegion(x *plan.Exchange, ctx *exec.Ctx, r *region, states stateSlots, pipes []pipeline) error {
 	if err := faultinject.Hit("exchange.gather"); err != nil {
 		return err
@@ -122,8 +122,8 @@ func finalizeRegion(x *plan.Exchange, ctx *exec.Ctx, r *region, states stateSlot
 			ctx.StatsSink(o)
 		}
 	}
-	if ctx.Analyze.Enabled() {
-		acc := ctx.Analyze.Op(x)
+	if ctx.Prog.Timed() {
+		acc := ctx.Prog.Op(x)
 		for i, m := range r.meters {
 			mem := 0.0
 			if i < len(pipes) {

@@ -294,7 +294,6 @@ func workerCtx(parent *exec.Ctx, r *region, part, of int, share float64) *exec.C
 		Snap:       parent.Snap,
 		Spawn:      parent.Spawn,
 		Trace:      parent.Trace,
-		Analyze:    parent.Analyze,
 		Prog:       parent.Prog,
 	}
 }

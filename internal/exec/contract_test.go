@@ -259,7 +259,7 @@ func TestLendingContract(t *testing.T) {
 	for _, s := range stacks {
 		ctx := *e.ctx
 		if s.analyze {
-			ctx.Analyze = obs.NewAnalyze()
+			ctx.Prog = obs.NewProgress("q", 0, "", true)
 		}
 		for lname, l := range lenders {
 			label := lname + " over " + s.name

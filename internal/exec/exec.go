@@ -75,16 +75,12 @@ type Ctx struct {
 	// reports, dispatcher decisions). Nil disables tracing at the cost
 	// of a nil check.
 	Trace *obs.Trace
-	// Analyze, when non-nil, turns on EXPLAIN ANALYZE instrumentation:
-	// Build and BuildStep wrap every operator to record per-operator
-	// rows, cost, and peak memory. Nil skips wrapping entirely.
-	Analyze *obs.Analyze
-	// Prog, when non-nil, turns on live progress publication: every
+	// Prog, when non-nil, is the query's per-operator record: every
 	// built operator is wrapped to flush row counts and spill bytes
-	// into the query's obs.Progress on an amortized cadence, so
-	// concurrent observers (system tables, /progress) can watch the
-	// query without perturbing it. Unlike Analyze it is cheap enough to
-	// stay on for every query.
+	// into it on an amortized cadence, so concurrent observers (system
+	// tables, /progress) can watch the query without perturbing it. A
+	// timed Prog also records each operator's cost and peak memory for
+	// EXPLAIN ANALYZE. Nil skips wrapping entirely.
 	Prog *obs.Progress
 }
 

@@ -26,25 +26,18 @@ type spillReporter interface {
 // always-on monitoring to one local increment.
 const observeFlushRows = 64
 
-// instrument wraps op in the observation wrapper when the context has
-// EXPLAIN ANALYZE accounting (ctx.Analyze) or live progress publication
-// (ctx.Prog) enabled. It is the single gate: with both off the operator
-// is returned untouched, so the bare path never allocates or indirects
-// through a wrapper.
+// instrument wraps op in the observation wrapper when the context
+// carries a progress record (ctx.Prog). It is the single gate: without
+// one the operator is returned untouched, so the bare path never
+// allocates or indirects through a wrapper.
 func instrument(op Operator, n plan.Node, ctx *Ctx) Operator {
-	if op == nil || (ctx.Analyze == nil && ctx.Prog == nil) {
+	if op == nil || ctx.Prog == nil {
 		return op
 	}
-	o := &observedOp{op: op, ctx: ctx}
+	o := &observedOp{op: op, ctx: ctx, prog: ctx.Prog.Op(n), timed: ctx.Prog.Timed()}
 	switch n.(type) {
 	case *plan.Scan, *plan.IndexJoin:
 		o.width = n.Schema().Len()
-	}
-	if ctx.Analyze != nil {
-		o.act = ctx.Analyze.Op(n)
-	}
-	if ctx.Prog != nil {
-		o.prog = ctx.Prog.Op(n)
 	}
 	return o
 }
@@ -57,23 +50,23 @@ func Instrument(op Operator, n plan.Node, ctx *Ctx) Operator {
 	return instrument(op, n, ctx)
 }
 
-// observedOp watches one operator for whichever observers are attached:
-// EXPLAIN ANALYZE actuals (act: output rows, inclusive simulated cost,
-// peak memory) and live progress (prog: rows, spill footprint, lifecycle
-// state). Cost is measured as meter deltas around each call, so a
-// wrapper's inclusive cost covers its whole subtree; the renderer
-// subtracts children to get self time. Writes are batched: the hot path
-// touches only local fields, and every observeFlushRows rows (plus at
-// open, end of stream, and close) the batch is flushed to the shared
-// accumulators where concurrent observers and sibling workers meet.
+// observedOp publishes one operator's run into its progress record:
+// rows, spill footprint and lifecycle state, and — when the query is
+// timed for EXPLAIN ANALYZE — inclusive simulated cost and peak memory.
+// Cost is measured as meter deltas around each call, so a wrapper's
+// inclusive cost covers its whole subtree; the renderer subtracts
+// children to get self time. Writes are batched: the hot path touches
+// only local fields, and every observeFlushRows rows (plus at open, end
+// of stream, and close) the batch is flushed to the shared record where
+// concurrent observers and sibling workers meet.
 type observedOp struct {
-	op   Operator
-	ctx  *Ctx
-	act  *obs.OpActual   // nil unless ctx.Analyze is on
-	prog *obs.OpProgress // nil unless ctx.Prog is on
+	op    Operator
+	ctx   *Ctx
+	prog  *obs.OpProgress
+	timed bool // measure cost: the record is timed
 
 	rows int64   // output rows not yet flushed
-	cost float64 // inclusive cost not yet flushed (act only)
+	cost float64 // inclusive cost not yet flushed (timed only)
 
 	// width is the tuple width the plan promises for a leaf that reads a
 	// table (scan, index join): every ordinal above it was resolved
@@ -86,11 +79,9 @@ type observedOp struct {
 
 // Open implements Operator.
 func (o *observedOp) Open() error {
-	if o.prog != nil {
-		o.prog.MarkOpen()
-	}
+	o.prog.MarkOpen()
 	var err error
-	if o.act == nil {
+	if !o.timed {
 		err = o.op.Open()
 	} else {
 		before := o.ctx.Meter.Snapshot()
@@ -107,7 +98,7 @@ func (o *observedOp) Open() error {
 func (o *observedOp) Next() (types.Tuple, error) {
 	var t types.Tuple
 	var err error
-	if o.act == nil {
+	if !o.timed {
 		t, err = o.op.Next()
 	} else {
 		before := o.ctx.Meter.Snapshot()
@@ -130,17 +121,15 @@ func (o *observedOp) Next() (types.Tuple, error) {
 // Close implements Operator.
 func (o *observedOp) Close() error {
 	o.flush()
-	if o.prog != nil {
-		o.prog.MarkDone()
-	}
-	if o.act == nil {
+	o.prog.MarkDone()
+	if !o.timed {
 		return o.op.Close()
 	}
 	before := o.ctx.Meter.Snapshot()
 	err := o.op.Close()
-	o.act.Record(0, o.ctx.Meter.Snapshot().Sub(before).Cost())
+	o.prog.AddCost(o.ctx.Meter.Snapshot().Sub(before).Cost())
 	if m, ok := o.op.(memReporter); ok {
-		o.act.RecordMem(m.MemUsed())
+		o.prog.RecordMem(m.MemUsed())
 	}
 	return err
 }
@@ -149,20 +138,18 @@ func (o *observedOp) Close() error {
 // footprint, and folds this operator's estimate error into the
 // query-level overshoot (the live suboptimality signal).
 func (o *observedOp) flush() {
-	if o.act != nil {
-		o.act.Record(o.rows, o.cost)
+	if o.timed {
+		o.prog.AddCost(o.cost)
 		o.cost = 0
 	}
-	if o.prog != nil {
-		if o.rows > 0 {
-			o.prog.AddRows(o.rows)
-		}
-		if s, ok := o.op.(spillReporter); ok {
-			o.prog.SetSpillBytes(s.SpilledBytes())
-		}
-		o.ctx.Prog.NoteRatio(o.prog)
+	if o.rows > 0 {
+		o.prog.AddRows(o.rows)
+		o.rows = 0
 	}
-	o.rows = 0
+	if s, ok := o.op.(spillReporter); ok {
+		o.prog.SetSpillBytes(s.SpilledBytes())
+	}
+	o.ctx.Prog.NoteRatio(o.prog)
 }
 
 // Schema implements Operator.

@@ -8,193 +8,136 @@ import (
 	"repro/internal/plan"
 )
 
-// OpActual accumulates one operator's measured execution during EXPLAIN
-// ANALYZE: output rows, inclusive simulated cost (the operator and its
-// whole subtree), and peak operator memory where the operator reports
-// it. In a parallel region several worker goroutines execute clones of
-// the same plan node and accumulate into one OpActual through Record —
-// the shared entry is the per-node rollup — so mutation goes through the
-// internal mutex; fields are read directly only after the query's
+// opCost is the part of an operator's record only EXPLAIN ANALYZE reads:
+// inclusive simulated cost (the operator and its whole subtree), peak
+// operator memory where the operator reports it, and the parallel-worker
+// rollup recorded at gather points — how many workers ran under the node,
+// the slowest worker's cost and the largest worker's peak memory. Only a
+// timed Progress allocates it. Parallel clones of one plan node share it,
+// so writes take the mutex; the renderer reads it after the query's
 // workers have joined.
-type OpActual struct {
-	mu   sync.Mutex
-	Rows int64
-	Cost float64 // inclusive simulated cost units
-	Mem  float64 // peak operator memory in bytes, 0 when unreported
-
-	// Parallel-worker rollup, recorded at gather points: how many
-	// workers executed under this node, and the slowest worker's cost
-	// and largest worker's peak memory.
-	Workers       int
-	MaxWorkerCost float64
-	MaxWorkerMem  float64
+type opCost struct {
+	mu            sync.Mutex
+	cost          float64
+	mem           float64
+	workers       int
+	maxWorkerCost float64
+	maxWorkerMem  float64
 }
 
-// Record adds measured rows and inclusive cost. Safe for concurrent use
-// by parallel workers sharing the node.
-func (o *OpActual) Record(rows int64, cost float64) {
-	o.mu.Lock()
-	o.Rows += rows
-	o.Cost += cost
-	o.mu.Unlock()
-}
-
-// RecordMem raises the peak-memory high-water mark.
-func (o *OpActual) RecordMem(m float64) {
-	o.mu.Lock()
-	if m > o.Mem {
-		o.Mem = m
+// AddCost adds inclusive simulated cost. Safe for concurrent use by
+// parallel workers sharing the node; a no-op unless the query is timed.
+func (o *OpProgress) AddCost(c float64) {
+	if a := o.act; a != nil {
+		a.mu.Lock()
+		a.cost += c
+		a.mu.Unlock()
 	}
-	o.mu.Unlock()
 }
 
-// RecordWorker folds one parallel worker's totals into the node's
+// RecordMem raises the peak-memory high-water mark of a timed operator.
+func (o *OpProgress) RecordMem(m float64) {
+	if a := o.act; a != nil {
+		a.mu.Lock()
+		a.mem = max(a.mem, m)
+		a.mu.Unlock()
+	}
+}
+
+// RecordWorker folds one parallel worker's totals into a timed node's
 // rollup: worker count, critical-path (max) worker cost, and max worker
 // peak memory.
-func (o *OpActual) RecordWorker(cost, mem float64) {
-	o.mu.Lock()
-	o.Workers++
-	if cost > o.MaxWorkerCost {
-		o.MaxWorkerCost = cost
+func (o *OpProgress) RecordWorker(cost, mem float64) {
+	if a := o.act; a != nil {
+		a.mu.Lock()
+		a.workers++
+		a.maxWorkerCost = max(a.maxWorkerCost, cost)
+		a.maxWorkerMem = max(a.maxWorkerMem, mem)
+		a.mu.Unlock()
 	}
-	if mem > o.MaxWorkerMem {
-		o.MaxWorkerMem = mem
-	}
-	o.mu.Unlock()
 }
 
-// Analyze collects per-operator actuals for EXPLAIN ANALYZE. The
-// dispatcher registers each plan it executes (the initial plan, plus
-// one per mid-query switch) via StartPlan; the executor's analyzing
-// operator wrappers feed Op entries as tuples flow.
-//
-// A nil *Analyze is the disabled instance: methods are no-ops and the
-// executor skips wrapping entirely.
-type Analyze struct {
-	mu   sync.Mutex
-	ops  map[plan.Node]*OpActual
-	runs []plan.Node
+// lookup returns a node's record, or nil if it was never registered.
+func (p *Progress) lookup(n plan.Node) *OpProgress {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.ops[n]
 }
 
-// NewAnalyze returns an enabled collector.
-func NewAnalyze() *Analyze {
-	return &Analyze{ops: map[plan.Node]*OpActual{}}
-}
-
-// Enabled reports whether actuals are being recorded. Safe on nil.
-func (a *Analyze) Enabled() bool { return a != nil }
-
-// StartPlan registers the root of a plan about to execute. The first
-// registration is the optimizer's initial plan; later ones are
-// re-optimized remainders spliced in by plan switches. Safe on nil.
-func (a *Analyze) StartPlan(root plan.Node) {
-	if a == nil || root == nil {
-		return
+// cost returns a node's inclusive measured cost; zero for nodes that
+// never executed.
+func (p *Progress) cost(n plan.Node) float64 {
+	if o := p.lookup(n); o != nil && o.act != nil {
+		return o.act.cost
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.runs = append(a.runs, root)
-}
-
-// Plans returns the registered plan roots in execution order. Safe on
-// nil.
-func (a *Analyze) Plans() []plan.Node {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]plan.Node(nil), a.runs...)
-}
-
-// Op returns the actuals accumulator for a plan node, creating it on
-// first use.
-func (a *Analyze) Op(n plan.Node) *OpActual {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	acc := a.ops[n]
-	if acc == nil {
-		acc = &OpActual{}
-		a.ops[n] = acc
-	}
-	return acc
-}
-
-// Actual returns the recorded actuals for a node, or nil if the node
-// never executed. Safe on nil.
-func (a *Analyze) Actual(n plan.Node) *OpActual {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ops[n]
+	return 0
 }
 
 // SelfCost returns a node's own measured cost: its inclusive cost minus
-// its children's. Zero for nodes that never executed.
-func (a *Analyze) SelfCost(n plan.Node) float64 {
-	acc := a.Actual(n)
-	if acc == nil {
-		return 0
-	}
-	self := acc.Cost
+// its children's. Zero for nodes that never executed and on an untimed
+// Progress.
+func (p *Progress) SelfCost(n plan.Node) float64 {
+	self := p.cost(n)
 	for _, c := range n.Children() {
-		if ca := a.Actual(c); ca != nil {
-			self -= ca.Cost
-		}
+		self -= p.cost(c)
 	}
-	if self < 0 {
-		return 0
-	}
-	return self
+	return max(self, 0)
 }
 
 // TotalSelfCost sums every executed operator's self cost across all
-// registered plans — it should match the query's metered wall cost.
-func (a *Analyze) TotalSelfCost() float64 {
+// registered plans — it should match the query's metered cost.
+func (p *Progress) TotalSelfCost() float64 {
 	var total float64
-	for _, root := range a.Plans() {
+	for _, root := range p.plans() {
 		plan.Walk(root, func(n plan.Node) {
-			total += a.SelfCost(n)
+			total += p.SelfCost(n)
 		})
 	}
 	return total
 }
 
-// Render produces the EXPLAIN ANALYZE report: each executed plan in
-// order, every operator annotated with its estimates and — where it
-// ran — its actuals. A scan of a temp table in a re-optimized
-// remainder is the splice point of the plan switch that produced it
-// and is marked "[re-optimized here]".
-func (a *Analyze) Render() string {
-	if a == nil {
+// plans returns the registered plan roots in execution order.
+func (p *Progress) plans() []plan.Node {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]plan.Node(nil), p.roots...)
+}
+
+// Render produces the EXPLAIN ANALYZE report of a timed Progress: each
+// executed plan in order, every operator annotated with its estimates
+// and — where it ran — its actuals. A scan of a temp table in a
+// re-optimized remainder is the splice point of the plan switch that
+// produced it and is marked "[re-optimized here]". Empty when the
+// Progress is nil or untimed.
+func (p *Progress) Render() string {
+	if !p.Timed() {
 		return ""
 	}
 	var b strings.Builder
-	for i, root := range a.Plans() {
+	for i, root := range p.plans() {
 		if i == 0 {
 			b.WriteString("plan 1 (initial):\n")
 		} else {
 			fmt.Fprintf(&b, "plan %d (re-optimized remainder):\n", i+1)
 		}
-		a.render(&b, root, 1)
+		p.render(&b, root, 1)
 	}
 	return b.String()
 }
 
-func (a *Analyze) render(b *strings.Builder, n plan.Node, depth int) {
+func (p *Progress) render(b *strings.Builder, n plan.Node, depth int) {
 	b.WriteString(strings.Repeat("  ", depth))
 	writeEstimates(b, n)
-	if acc := a.Actual(n); acc != nil && (acc.Rows > 0 || acc.Cost > 0) {
-		fmt.Fprintf(b, " (actual rows=%d time=%.1f", acc.Rows, a.SelfCost(n))
-		if acc.Mem > 0 {
-			fmt.Fprintf(b, " mem=%.0f", acc.Mem)
+	if o := p.lookup(n); o != nil && (o.Rows() > 0 || o.act.cost > 0) {
+		a := o.act
+		fmt.Fprintf(b, " (actual rows=%d time=%.1f", o.Rows(), p.SelfCost(n))
+		if a.mem > 0 {
+			fmt.Fprintf(b, " mem=%.0f", a.mem)
 		}
-		if acc.Workers > 0 {
-			fmt.Fprintf(b, " workers=%d max-worker-time=%.1f", acc.Workers, acc.MaxWorkerCost)
-			if acc.MaxWorkerMem > 0 {
-				fmt.Fprintf(b, " max-worker-mem=%.0f", acc.MaxWorkerMem)
+		if a.workers > 0 {
+			fmt.Fprintf(b, " workers=%d max-worker-time=%.1f", a.workers, a.maxWorkerCost)
+			if a.maxWorkerMem > 0 {
+				fmt.Fprintf(b, " max-worker-mem=%.0f", a.maxWorkerMem)
 			}
 		}
 		b.WriteByte(')')
@@ -206,7 +149,7 @@ func (a *Analyze) render(b *strings.Builder, n plan.Node, depth int) {
 	}
 	b.WriteByte('\n')
 	for _, c := range n.Children() {
-		a.render(b, c, depth+1)
+		p.render(b, c, depth+1)
 	}
 }
 

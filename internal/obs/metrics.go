@@ -1,13 +1,12 @@
 // Package obs is the engine's observability layer: a dependency-free
 // metrics registry (counters, gauges, histograms) with a Prometheus
-// text-format writer, a per-query structured event trace, and the
-// EXPLAIN ANALYZE overlay that renders optimizer estimates next to
-// per-operator actuals.
+// text-format writer, a per-query structured event trace, and each
+// query's per-operator progress record, which EXPLAIN ANALYZE renders
+// next to the optimizer's estimates.
 //
-// Everything here is off by default and nil-safe: a nil *Trace or nil
-// *Analyze is a valid disabled instance whose methods are no-ops, so
-// the engine's hot paths pay only a nil check when observability is not
-// requested.
+// Everything here is nil-safe: a nil *Trace or nil *Progress is a valid
+// disabled instance whose methods are no-ops, so the engine's hot paths
+// pay only a nil check when observability is not requested.
 package obs
 
 import (

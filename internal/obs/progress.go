@@ -18,8 +18,13 @@ import (
 // observers — the /progress endpoint, the mqr.queries system table —
 // without perturbing execution.
 //
+// A timed Progress is also the query's EXPLAIN ANALYZE record: its
+// operators measure inclusive cost and peak memory as well (see opCost),
+// and Render draws its plans. Untimed, the always-on path carries none of
+// that.
+//
 // A nil *Progress is the disabled instance: every method is a no-op or
-// returns a zero value, mirroring Trace and Analyze.
+// returns a zero value, mirroring Trace.
 type Progress struct {
 	// Tag is the engine-unique query tag ("s3_q17"); Session, Tenant,
 	// and SQL identify the query for system-table rows. Immutable
@@ -29,6 +34,9 @@ type Progress struct {
 	Tenant  string
 	SQL     string
 	Started time.Time
+
+	// timed turns on EXPLAIN ANALYZE accounting. Immutable.
+	timed bool
 
 	// preempts counts checkpoint preemptions this query survived
 	// (each one re-queued it for admission).
@@ -70,10 +78,12 @@ type Progress struct {
 
 	// mu guards the operator registry. StartPlan appends under the
 	// query's own goroutine; snapshots copy the slice header under the
-	// lock and then read only atomics.
-	mu   sync.Mutex
-	ops  map[plan.Node]*OpProgress
-	list []*OpProgress
+	// lock and then read only atomics. roots are the registered plans in
+	// execution order, kept only when timed: only Render reads them.
+	mu    sync.Mutex
+	ops   map[plan.Node]*OpProgress
+	list  []*OpProgress
+	roots []plan.Node
 }
 
 // OpProgress is one operator's live counters. The executor's progress
@@ -93,8 +103,9 @@ type OpProgress struct {
 
 	rows    atomic.Int64
 	spill   atomicFloat
-	workers atomic.Int64
+	workers atomic.Int32 // concurrent openers
 	state   atomic.Int32 // 0 pending, 1 open, 2 done
+	act     *opCost      // nil unless the query is timed
 }
 
 // Operator lifecycle states as rendered in snapshots.
@@ -153,19 +164,25 @@ func (o *OpProgress) stateName() string {
 	}
 }
 
-// NewProgress returns live progress state for one query.
-func NewProgress(tag string, session int64, sql string) *Progress {
+// NewProgress returns live progress state for one query; timed also
+// measures what EXPLAIN ANALYZE renders.
+func NewProgress(tag string, session int64, sql string, timed bool) *Progress {
 	return &Progress{
 		Tag:     tag,
 		Session: session,
 		SQL:     sql,
 		Started: time.Now(),
+		timed:   timed,
 		ops:     map[plan.Node]*OpProgress{},
 	}
 }
 
 // Enabled reports whether progress is being recorded. Safe on nil.
 func (p *Progress) Enabled() bool { return p != nil }
+
+// Timed reports whether operators measure cost and memory for EXPLAIN
+// ANALYZE. Safe on nil.
+func (p *Progress) Timed() bool { return p != nil && p.timed }
 
 // StartPlan registers a plan's operators (pre-order), capturing labels
 // and estimates while the plan is quiescent. The dispatcher calls it for
@@ -178,6 +195,9 @@ func (p *Progress) StartPlan(root plan.Node) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.timed {
+		p.roots = append(p.roots, root)
+	}
 	p.walk(root, 0)
 }
 
@@ -186,37 +206,40 @@ func (p *Progress) walk(n plan.Node, depth int) {
 		return
 	}
 	if _, ok := p.ops[n]; !ok {
-		o := &OpProgress{ID: len(p.list), Depth: depth, Label: n.Label(), Detail: n.Describe()}
-		if e := n.Est(); e != nil {
-			o.EstRows = e.Rows
-			o.EstCost = e.Cost
-		}
-		p.ops[n] = o
-		p.list = append(p.list, o)
+		p.add(n, depth)
 	}
 	for _, c := range n.Children() {
 		p.walk(c, depth+1)
 	}
 }
 
-// Op returns the live counters for a plan node, creating an orphan entry
-// if the node was never registered (defensive: exchange workers build
-// pipelines from registered nodes, so this is rare). Safe on nil
-// receivers only through the executor's nil check.
+// add registers a node's record, capturing its label and estimates.
+// Caller holds mu.
+func (p *Progress) add(n plan.Node, depth int) *OpProgress {
+	o := &OpProgress{ID: len(p.list), Depth: depth, Label: n.Label(), Detail: n.Describe()}
+	if e := n.Est(); e != nil {
+		o.EstRows = e.Rows
+		o.EstCost = e.Cost
+	}
+	if p.timed {
+		o.act = &opCost{}
+	}
+	p.ops[n] = o
+	p.list = append(p.list, o)
+	return o
+}
+
+// Op returns the record for a plan node, creating an orphan entry if the
+// node was never registered (defensive: exchange workers build pipelines
+// from registered nodes, so this is rare). Safe on nil receivers only
+// through the executor's nil check.
 func (p *Progress) Op(n plan.Node) *OpProgress {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	o := p.ops[n]
-	if o == nil {
-		o = &OpProgress{ID: len(p.list), Label: n.Label(), Detail: n.Describe()}
-		if e := n.Est(); e != nil {
-			o.EstRows = e.Rows
-			o.EstCost = e.Cost
-		}
-		p.ops[n] = o
-		p.list = append(p.list, o)
+	if o := p.ops[n]; o != nil {
+		return o
 	}
-	return o
+	return p.add(n, 0)
 }
 
 // SetEstimate records the optimizer's total cost estimate (first plan
@@ -494,21 +517,11 @@ func NewProgressRegistry() *ProgressRegistry {
 	return &ProgressRegistry{running: map[string]*Progress{}}
 }
 
-// Start registers a new query under the default tenant and returns its
-// Progress.
-func (r *ProgressRegistry) Start(tag string, session int64, sql string) *Progress {
-	return r.StartTenant(tag, session, sql, "")
-}
-
-// StartTenant registers a new query under a tenant and returns its
-// Progress.
-func (r *ProgressRegistry) StartTenant(tag string, session int64, sql, tenant string) *Progress {
-	p := NewProgress(tag, session, sql)
-	p.Tenant = tenant
+// Start registers a query's Progress as running.
+func (r *ProgressRegistry) Start(p *Progress) {
 	r.mu.Lock()
-	r.running[tag] = p
+	r.running[p.Tag] = p
 	r.mu.Unlock()
-	return p
 }
 
 // Finish moves a query from running to the recent ring.

@@ -3,6 +3,9 @@ package obs
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/plan"
 )
 
 func TestNilProgressIsDisabledNoOp(t *testing.T) {
@@ -26,7 +29,7 @@ func TestNilProgressIsDisabledNoOp(t *testing.T) {
 }
 
 func TestScoreRisesWithOvershootAndClampsAtCheckpoint(t *testing.T) {
-	p := NewProgress("s1_q1", 1, "select 1")
+	p := NewProgress("s1_q1", 1, "select 1", false)
 	p.SetEstimate(100)
 	cost := 0.0
 	p.SetCostFn(func() float64 { return cost })
@@ -66,7 +69,7 @@ func TestScoreRisesWithOvershootAndClampsAtCheckpoint(t *testing.T) {
 }
 
 func TestFractionMonotoneAndFinishes(t *testing.T) {
-	p := NewProgress("s1_q2", 1, "select 1")
+	p := NewProgress("s1_q2", 1, "select 1", false)
 	p.SetEstimate(100)
 	cost := 0.0
 	p.SetCostFn(func() float64 { return cost })
@@ -92,7 +95,7 @@ func TestFractionMonotoneAndFinishes(t *testing.T) {
 }
 
 func TestFinishFreezesCostAndElapsed(t *testing.T) {
-	p := NewProgress("s1_q3", 1, "select 1")
+	p := NewProgress("s1_q3", 1, "select 1", false)
 	p.SetEstimate(10)
 	cost := 5.0
 	p.SetCostFn(func() float64 { return cost })
@@ -112,7 +115,7 @@ func TestFinishFreezesCostAndElapsed(t *testing.T) {
 }
 
 func TestSetEstimateFirstPlanWins(t *testing.T) {
-	p := NewProgress("s1_q4", 1, "select 1")
+	p := NewProgress("s1_q4", 1, "select 1", false)
 	p.SetEstimate(100)
 	p.SetEstimate(999) // a post-switch re-estimate must not move the baseline
 	if s := p.Snapshot(false); s.EstCost != 100 {
@@ -141,7 +144,7 @@ func TestSpillBytesIsHighWaterMark(t *testing.T) {
 	o := &OpProgress{}
 	o.SetSpillBytes(100)
 	o.SetSpillBytes(40) // partitions dropped as consumed
-	p := NewProgress("s1_q5", 1, "select 1")
+	p := NewProgress("s1_q5", 1, "select 1", false)
 	p.mu.Lock()
 	p.list = append(p.list, o)
 	p.mu.Unlock()
@@ -150,9 +153,40 @@ func TestSpillBytesIsHighWaterMark(t *testing.T) {
 	}
 }
 
+// TestOnlyATimedProgressMeasuresCost: the always-on record carries no
+// EXPLAIN ANALYZE state; a timed one keeps its plans and derives self
+// cost as inclusive cost minus the children's.
+func TestOnlyATimedProgressMeasuresCost(t *testing.T) {
+	inner := &plan.Scan{Table: &catalog.Table{Name: "t"}}
+	outer := &plan.Filter{Input: inner}
+	record := func(p *Progress) {
+		p.StartPlan(outer)
+		p.Op(outer).AddCost(5)
+		p.Op(inner).AddCost(2)
+		p.Op(inner).RecordWorker(2, 10)
+	}
+	untimed := NewProgress("s1_q6", 1, "select 1", false)
+	record(untimed)
+	if untimed.Op(outer).act != nil || len(untimed.roots) != 0 || untimed.Render() != "" || untimed.TotalSelfCost() != 0 {
+		t.Fatal("an untimed progress record carries EXPLAIN ANALYZE state")
+	}
+	timed := NewProgress("s1_q7", 1, "select 1", true)
+	record(timed)
+	if got := timed.SelfCost(outer); got != 3 {
+		t.Errorf("outer self cost = %v, want 5 - 2", got)
+	}
+	if got := timed.TotalSelfCost(); got != 5 {
+		t.Errorf("total self cost = %v, want the root's inclusive 5", got)
+	}
+	if a := timed.Op(inner).act; a.workers != 1 || a.maxWorkerMem != 10 {
+		t.Errorf("worker rollup = %d workers, %v max memory", a.workers, a.maxWorkerMem)
+	}
+}
+
 func TestProgressRegistryLifecycle(t *testing.T) {
 	r := NewProgressRegistry()
-	p := r.Start("s1_q1", 1, "select 1")
+	p := NewProgress("s1_q1", 1, "select 1", false)
+	r.Start(p)
 	p.SetEstimate(10)
 	p.SetCostFn(func() float64 { return 5 })
 	if n := r.NumRunning(); n != 1 {
@@ -177,7 +211,8 @@ func TestProgressRegistryLifecycle(t *testing.T) {
 
 	// The recent ring is bounded: overflow evicts oldest-first.
 	for i := 0; i < RecentProgressCap+5; i++ {
-		q := r.Start(fmt.Sprintf("x%d", i), 1, "select 1")
+		q := NewProgress(fmt.Sprintf("x%d", i), 1, "select 1", false)
+		r.Start(q)
 		r.Finish(q)
 	}
 	if n := len(r.Recent()); n != RecentProgressCap {

@@ -41,10 +41,7 @@ func aggStateBytes(keyBytes float64, nAggs int) float64 {
 	return keyBytes + float64(4*8*nAggs) + 48
 }
 
-// costModel computes node estimates. grantFor lets the same formulas
-// serve two callers: at planning time grants are the optimistic
-// min(demand, budget); at re-costing time the Memory Manager's actual
-// grants are read back from the plan.
+// costModel computes node estimates.
 type costModel struct {
 	w      storage.CostWeights
 	budget float64
@@ -52,24 +49,17 @@ type costModel struct {
 	// estimates (index-join heap fetches re-touch pages); 0 means
 	// assume every fetch misses.
 	poolPages float64
-	grantFor  func(memMax, actualGrant float64) float64
 }
 
-// planningModel assumes every operator can get min(demand, budget) — the
+// grantFor is the grant planning assumes an operator demanding memMax
+// gets: min(demand, budget), the whole demand with no budget. It is the
 // optimistic assumption whose failure (when several operators compete)
 // produces the paper's Figure 3 sub-optimality.
-func planningModel(w storage.CostWeights, budget, poolPages float64) *costModel {
-	return &costModel{
-		w:         w,
-		budget:    budget,
-		poolPages: poolPages,
-		grantFor: func(memMax, _ float64) float64 {
-			if budget <= 0 {
-				return memMax
-			}
-			return math.Min(memMax, budget)
-		},
+func (c *costModel) grantFor(memMax float64) float64 {
+	if c.budget <= 0 {
+		return memMax
 	}
+	return math.Min(memMax, c.budget)
 }
 
 func pagesOf(bytes float64) float64 {

@@ -62,7 +62,7 @@ type dpEntry struct {
 // Optimize plans a parsed statement.
 func (o *Optimizer) Optimize(q *Query) (*Result, error) {
 	o.PlansConsidered = 0
-	cm := planningModel(o.Weights, o.MemBudget, o.PoolPages)
+	cm := &costModel{w: o.Weights, budget: o.MemBudget, poolPages: o.PoolPages}
 
 	leaves := make([]*dpEntry, len(q.Rels))
 	for i := range q.Rels {
@@ -333,7 +333,7 @@ func (o *Optimizer) tryHashJoin(q *Query, entry, leaf *dpEntry, j int, equi []*P
 	e := node.Est()
 	e.MemMin, e.MemMax = joinMemDemands(entry.bytes)
 	e.MemStep = true
-	grant := cm.grantFor(e.MemMax, e.Grant)
+	grant := cm.grantFor(e.MemMax)
 	self, _ := cm.hashJoinSelf(entry.rows, entry.bytes, leaf.rows, leaf.bytes, outRows, grant)
 	e.SelfCost = self
 	e.Cost = entry.cost + probeLeaf.cost + self

@@ -346,7 +346,7 @@ func TestDPNeverWorseThanGreedyOrder(t *testing.T) {
 		where orders.o_cust = cust.c_id and cust.c_nation = nation.n_id`)
 	q, _ := Analyze(f.cat, stmt)
 	o := &Optimizer{Weights: storage.DefaultCostWeights(), MemBudget: 64 << 20}
-	cm := planningModel(o.Weights, o.MemBudget, 0)
+	cm := &costModel{w: o.Weights, budget: o.MemBudget}
 	cur, err := o.buildLeaf(q, 0, cm)
 	if err != nil {
 		t.Fatal(err)

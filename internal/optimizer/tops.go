@@ -145,7 +145,7 @@ func (o *Optimizer) buildAgg(q *Query, joined *dpEntry, cm *costModel) (*plan.Ag
 	e.Rows = groups
 	e.Bytes = groups * (keyBytes + float64(9*len(aggs)))
 	e.MemMin, e.MemMax = stepMemDemands(groups * state)
-	grant := cm.grantFor(e.MemMax, e.Grant)
+	grant := cm.grantFor(e.MemMax)
 	e.SelfCost = cm.aggSelf(joined.rows, groups, state, grant)
 	e.Cost = in.Est().Cost + e.SelfCost
 	return node, nil
@@ -253,7 +253,7 @@ func (o *Optimizer) distinctOver(in plan.Node, cm *costModel) plan.Node {
 	e.Bytes = ie.Bytes * safeDiv(e.Rows, ie.Rows)
 	keyBytes := defaultWidth(s)
 	e.MemMin, e.MemMax = stepMemDemands(e.Rows * aggStateBytes(keyBytes, 0))
-	grant := cm.grantFor(e.MemMax, e.Grant)
+	grant := cm.grantFor(e.MemMax)
 	e.SelfCost = cm.aggSelf(ie.Rows, e.Rows, aggStateBytes(keyBytes, 0), grant)
 	e.Cost = ie.Cost + e.SelfCost
 	return node
@@ -279,7 +279,7 @@ func (o *Optimizer) buildSort(stmt *sql.SelectStmt, in plan.Node, outSchema *typ
 	e := node.Est()
 	e.Rows, e.Bytes = ie.Rows, ie.Bytes
 	e.MemMin, e.MemMax = stepMemDemands(ie.Bytes * 1.1)
-	grant := cm.grantFor(e.MemMax, e.Grant)
+	grant := cm.grantFor(e.MemMax)
 	e.SelfCost = cm.sortSelf(ie.Rows, ie.Bytes, grant)
 	e.Cost = ie.Cost + e.SelfCost
 	return node, nil

@@ -11,16 +11,16 @@ import (
 )
 
 // runInstrumented is runMode with the observability surfaces attached:
-// an EXPLAIN ANALYZE accumulator and a lifecycle trace.
-func runInstrumented(t *testing.T, e *env, mode Mode, src string, params plan.Params) (*Stats, *obs.Analyze, *obs.Trace, float64) {
+// a progress record timed for EXPLAIN ANALYZE and a lifecycle trace.
+func runInstrumented(t *testing.T, e *env, mode Mode, src string, params plan.Params) (*Stats, *obs.Progress, *obs.Trace, float64) {
 	t.Helper()
-	az := obs.NewAnalyze()
+	az := obs.NewProgress("q", 0, src, true)
 	tr := obs.NewTrace(obs.DefaultTraceCap)
 	cfg := DefaultConfig(mode)
 	cfg.Trace = tr
 	d := New(e.cat, cfg)
 	ctx := e.ctx(params)
-	ctx.Analyze = az
+	ctx.Prog = az
 	ctx.Trace = tr
 	before := e.m.Snapshot()
 	_, st, err := d.RunSQL(src, params, ctx)

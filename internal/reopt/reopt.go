@@ -451,15 +451,14 @@ func (d *Dispatcher) sciaConfig() scia.Config {
 }
 
 // registerPlan records a compiled plan everywhere observers care: the
-// stats' plan log, the EXPLAIN ANALYZE accumulator (first registration
-// is the initial plan, later ones are re-optimized remainders), the
-// initial estimated total cost, and the trace.
+// stats' plan log, the query's progress record (first registration is
+// the initial plan, later ones are re-optimized remainders), the initial
+// estimated total cost, and the trace.
 func (d *Dispatcher) registerPlan(res *optimizer.Result, st *Stats, ctx *exec.Ctx) {
 	st.Plans = append(st.Plans, plan.Format(res.Root))
 	if st.EstimatedCost == 0 {
 		st.EstimatedCost = res.Root.Est().Cost
 	}
-	ctx.Analyze.StartPlan(res.Root)
 	ctx.Prog.StartPlan(res.Root)
 	ctx.Prog.SetEstimate(res.Root.Est().Cost)
 	if d.Cfg.Trace.Enabled() {

@@ -432,8 +432,9 @@ type Options struct {
 	// Expiry surfaces as context.DeadlineExceeded.
 	Timeout time.Duration
 	// NoProgress disables live-progress tracking for this query: no
-	// ProgressRegistry entry, no per-operator counters, no mqr.queries
-	// row. The overhead benchmark uses it as its baseline.
+	// ProgressRegistry entry and no mqr.queries row, and — unless
+	// Explain needs them — no per-operator counters. The overhead
+	// benchmark uses it as its baseline.
 	NoProgress bool
 	// SlowQueryThreshold overrides the manager-wide slow-query threshold
 	// for this statement; 0 defers to the manager's setting.
@@ -630,12 +631,14 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 	tr := obs.NewTrace(obs.DefaultTraceCap)
 	tr.SetQuery(tag)
 	tr.SetForward(m.engTrace)
-	var az *obs.Analyze
-	if opts.Explain {
-		az = obs.NewAnalyze()
+	// EXPLAIN ANALYZE reads the query's progress record, timed; under
+	// NoProgress that record is built but not registered.
+	if opts.Explain || !opts.NoProgress {
+		qp = obs.NewProgress(tag, s.id, stmt.SQL(), opts.Explain)
+		qp.Tenant = ten
 	}
 	if !opts.NoProgress {
-		qp = m.prog.StartTenant(tag, s.id, stmt.SQL(), ten)
+		m.prog.Start(qp)
 		defer m.prog.Finish(qp)
 	}
 	params := plan.Params{}
@@ -705,7 +708,7 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 		cfg.Trace = tr
 		mu = cfg.Mu
 		d = reopt.New(m.cat, cfg)
-		ectx := &exec.Ctx{Context: ctx, Pool: m.pool, Meter: m.meter, Params: params, Trace: tr, Analyze: az, Snap: snap, Prog: qp}
+		ectx := &exec.Ctx{Context: ctx, Pool: m.pool, Meter: m.meter, Params: params, Trace: tr, Snap: snap, Prog: qp}
 		rows, st, err = d.RunPlan(res, params, ectx)
 		if err == nil {
 			break
@@ -760,9 +763,7 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 	if d := tr.Dropped(); d > 0 {
 		m.em.TraceDropped.Add(float64(d))
 	}
-	if az != nil {
-		out.Plan = az.Render()
-	}
+	out.Plan = qp.Render()
 	if opts.Trace {
 		out.Trace = tr.Events()
 	}

@@ -1,17 +1,53 @@
 package midquery
 
-// Observability must be free when off: tracing and EXPLAIN ANALYZE are
-// opt-in per query, and the disabled path adds only nil checks (the
-// executor wraps operators in timing shims only when an Analyze
-// accumulator is attached, and every trace emit is gated on a nil-safe
-// Enabled()). The test below pins the simulated-cost invariant — the
+// Observability must not move the simulated cost: EXPLAIN ANALYZE and
+// the returned trace are opt-in per query. EXPLAIN ANALYZE times the
+// query's progress record, so the executor takes meter snapshots around
+// operator calls only then. Every trace emit is gated on a nil-safe
+// Enabled(). The test below pins the simulated-cost invariant — the
 // meter never sees the instrumentation — and the benchmarks measure the
 // wall-clock side: BenchmarkQueryObservabilityDisabled is the default
 // path, BenchmarkQueryObservabilityEnabled carries a trace plus the
-// analyze shims, and the per-hook cost of the disabled path is the
+// timed record, and the per-hook cost of the disabled path is the
 // sub-nanosecond BenchmarkDisabledTraceEmit in internal/obs.
 
-import "testing"
+import (
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestExplainAnalyzeRollsUpParallelWorkers: at degree 2 every gather
+// renders its worker rollup — how many worker pipelines ran under it
+// (a multiple of the degree: a join region runs a join and a probe
+// pipeline per partition) and the slowest one's cost.
+func TestExplainAnalyzeRollsUpParallelWorkers(t *testing.T) {
+	db := openTPCD(t, 0.002, 0)
+	res, err := db.ExplainAnalyze(Q("Q5").SQL, ExecOptions{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rollup := regexp.MustCompile(` workers=(\d+) max-worker-time=\d`)
+	gathers := 0
+	for _, line := range strings.Split(res.Plan, "\n") {
+		if !strings.Contains(line, "exchange [gather x2]") {
+			continue
+		}
+		gathers++
+		m := rollup.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("gather without its worker rollup: %s", strings.TrimSpace(line))
+			continue
+		}
+		if n, _ := strconv.Atoi(m[1]); n < 2 || n%2 != 0 {
+			t.Errorf("gather at degree 2 rolled up %d workers: %s", n, strings.TrimSpace(line))
+		}
+	}
+	if gathers == 0 {
+		t.Fatalf("Q5 at degree 2 planned no gather:\n%s", res.Plan)
+	}
+}
 
 func TestObservabilityDoesNotChangeSimulatedCost(t *testing.T) {
 	db := openTPCD(t, 0.002, 0)
