@@ -10,20 +10,22 @@
 // run so run-order cache effects cannot masquerade as re-optimization
 // effects. Shapes — who wins, by roughly what factor — are the
 // reproduction target, not absolute numbers; EXPERIMENTS.md records the
-// comparison against the paper.
+// comparison against the paper. Every statement runs through a
+// session.Session on a private memory budget (Env.Exec), the engine's
+// one front door, and TestFiguresMatchGolden pins the figures' numbers.
 package bench
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/exec"
 	"repro/internal/histogram"
-	"repro/internal/parametric"
-	"repro/internal/plan"
 	"repro/internal/reopt"
+	"repro/internal/session"
 	"repro/internal/storage"
 	"repro/internal/tpcd"
 	"repro/internal/types"
@@ -72,6 +74,9 @@ type Env struct {
 	Cat   *catalog.Catalog
 	Pool  *storage.BufferPool
 	Meter *storage.CostMeter
+
+	// sess runs every figure's statements; see session.
+	sess *session.Session
 }
 
 // NewEnv generates and loads the TPC-D data for a config.
@@ -102,44 +107,47 @@ func NewEnv(cfg Config) (*Env, error) {
 	return &Env{Cfg: cfg, Cat: cat, Pool: pool, Meter: m}, nil
 }
 
-// Run executes one query cold (caches dropped) in the given mode and
-// returns its simulated cost and dispatcher stats.
-func (e *Env) Run(q tpcd.Query, mode reopt.Mode) (float64, *reopt.Stats, error) {
-	return e.RunWith(q, mode, func(c *reopt.Config) {})
+// session is the env's one session, opened on first use — the path the
+// library's DB takes: a manager that caches no plans, and statements
+// that run on a private operator-memory budget, with no broker. NewEnv
+// does not open it: every manager registers the catalog's mqr.* tables,
+// so one a caller builds over the env's catalog would rebind them.
+func (e *Env) session() *session.Session {
+	if e.sess == nil {
+		e.sess = session.NewManager(e.Cat, e.Pool, e.Meter, session.Config{PlanCacheSize: -1}).Session()
+	}
+	return e.sess
 }
 
-// RunWith executes one query with extra dispatcher configuration.
-func (e *Env) RunWith(q tpcd.Query, mode reopt.Mode, tweak func(*reopt.Config)) (float64, *reopt.Stats, error) {
-	cost, st, _, err := e.RunCounted(q, mode, tweak)
-	return cost, st, err
+// options fills what opts leaves unset from the env's configuration: the
+// private budget and histogram family always, μ, θ₁ and θ₂ when the
+// configuration overrides the paper's defaults.
+func (e *Env) options(opts session.Options) session.Options {
+	opts.MemBudget, opts.HistFamily = e.Cfg.MemBudget, e.Cfg.HistFamily
+	opts.Mu = cmp.Or(opts.Mu, e.Cfg.Mu)
+	opts.Theta1 = cmp.Or(opts.Theta1, e.Cfg.Theta1)
+	opts.Theta2 = cmp.Or(opts.Theta2, e.Cfg.Theta2)
+	return opts
 }
 
-// RunCounted is RunWith plus the result-row count, for harnesses that
-// cross-check result cardinality across configurations.
-func (e *Env) RunCounted(q tpcd.Query, mode reopt.Mode, tweak func(*reopt.Config)) (float64, *reopt.Stats, int, error) {
+// Exec runs one statement cold — the buffer pool is dropped first — through
+// the env's session.
+func (e *Env) Exec(src string, opts session.Options) (*session.Result, error) {
 	e.Pool.EvictAll()
-	cfg := reopt.DefaultConfig(mode)
-	cfg.MemBudget = e.Cfg.MemBudget
-	cfg.PoolPages = float64(e.Cfg.PoolPages)
-	cfg.HistFamily = e.Cfg.HistFamily
-	if e.Cfg.Mu > 0 {
-		cfg.Mu = e.Cfg.Mu
+	return e.session().Exec(context.Background(), src, e.options(opts))
+}
+
+// runModes runs q once in each mode.
+func (e *Env) runModes(q tpcd.Query, modes ...reopt.Mode) ([]*session.Result, error) {
+	out := make([]*session.Result, len(modes))
+	for i, mode := range modes {
+		res, err := e.Exec(q.SQL, session.Options{Mode: mode})
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", q.Name, mode, err)
+		}
+		out[i] = res
 	}
-	if e.Cfg.Theta1 > 0 {
-		cfg.Theta1 = e.Cfg.Theta1
-	}
-	if e.Cfg.Theta2 > 0 {
-		cfg.Theta2 = e.Cfg.Theta2
-	}
-	tweak(&cfg)
-	d := reopt.New(e.Cat, cfg)
-	ctx := &exec.Ctx{Pool: e.Pool, Meter: e.Meter, Params: plan.Params{}}
-	before := e.Meter.Snapshot()
-	rows, st, err := d.RunSQL(q.SQL, plan.Params{}, ctx)
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	return e.Meter.Snapshot().Sub(before).Cost(), st, len(rows), nil
+	return out, nil
 }
 
 // Row is one query's measurements across modes. Zero cells were not run.
@@ -234,16 +242,13 @@ func Figure10(cfg Config) ([]Row, error) {
 	}
 	var rows []Row
 	for _, q := range tpcd.Queries() {
-		off, _, err := env.Run(q, reopt.ModeOff)
+		r, err := env.runModes(q, reopt.ModeOff, reopt.ModeFull)
 		if err != nil {
-			return nil, fmt.Errorf("%s off: %w", q.Name, err)
+			return nil, err
 		}
-		full, st, err := env.Run(q, reopt.ModeFull)
-		if err != nil {
-			return nil, fmt.Errorf("%s full: %w", q.Name, err)
-		}
+		st := r[1].Stats
 		rows = append(rows, Row{
-			Query: q.Name, Class: q.Class, Off: off, Full: full,
+			Query: q.Name, Class: q.Class, Off: r[0].Cost, Full: r[1].Cost,
 			EstCost: st.EstimatedCost, Switches: st.PlanSwitches, Reallocs: st.MemReallocs,
 		})
 	}
@@ -263,21 +268,13 @@ func Figure11(cfg Config) ([]Row, error) {
 		if q.Class == tpcd.Simple {
 			continue
 		}
-		off, _, err := env.Run(q, reopt.ModeOff)
-		if err != nil {
-			return nil, err
-		}
-		mem, _, err := env.Run(q, reopt.ModeMemoryOnly)
-		if err != nil {
-			return nil, err
-		}
-		pl, st, err := env.Run(q, reopt.ModePlanOnly)
+		r, err := env.runModes(q, reopt.ModeOff, reopt.ModeMemoryOnly, reopt.ModePlanOnly)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Row{
-			Query: q.Name, Class: q.Class, Off: off, Mem: mem, Plan: pl,
-			EstCost: st.EstimatedCost, Switches: st.PlanSwitches,
+			Query: q.Name, Class: q.Class, Off: r[0].Cost, Mem: r[1].Cost, Plan: r[2].Cost,
+			EstCost: r[2].Stats.EstimatedCost, Switches: r[2].Stats.PlanSwitches,
 		})
 	}
 	return rows, nil
@@ -337,15 +334,11 @@ func MuGuarantee(cfg Config, mus []float64) ([]MuRow, error) {
 			if q.Class != tpcd.Simple {
 				continue
 			}
-			off, _, err := env.Run(q, reopt.ModeOff)
+			r, err := env.runModes(q, reopt.ModeOff, reopt.ModeFull)
 			if err != nil {
 				return nil, err
 			}
-			full, _, err := env.Run(q, reopt.ModeFull)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, MuRow{Query: q.Name, Mu: mu, Overhead: full/off - 1})
+			out = append(out, MuRow{Query: q.Name, Mu: mu, Overhead: r[1].Cost/r[0].Cost - 1})
 		}
 	}
 	return out, nil
@@ -375,18 +368,16 @@ func Sensitivity(cfg Config, theta2s []float64) ([]SensRow, error) {
 		if q.Class == tpcd.Simple {
 			continue
 		}
-		off, _, err := env.Run(q, reopt.ModeOff)
+		off, err := env.runModes(q, reopt.ModeOff)
 		if err != nil {
 			return nil, err
 		}
 		for _, th := range theta2s {
-			full, st, err := env.RunWith(q, reopt.ModePlanOnly, func(c *reopt.Config) {
-				c.Theta2 = th
-			})
+			full, err := env.Exec(q.SQL, session.Options{Mode: reopt.ModePlanOnly, Theta2: th})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s theta2 %g: %w", q.Name, th, err)
 			}
-			out = append(out, SensRow{Theta2: th, Query: q.Name, Full: full, Off: off, Switches: st.PlanSwitches})
+			out = append(out, SensRow{Theta2: th, Query: q.Name, Full: full.Cost, Off: off[0].Cost, Switches: full.Stats.PlanSwitches})
 		}
 	}
 	return out, nil
@@ -409,16 +400,15 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		return nil, err
 	}
 	variants := []struct {
-		name  string
-		mode  reopt.Mode
-		tweak func(*reopt.Config)
+		name string
+		opts session.Options
 	}{
-		{"normal", reopt.ModeOff, func(c *reopt.Config) {}},
-		{"full", reopt.ModeFull, func(c *reopt.Config) {}},
-		{"splice", reopt.ModeFull, func(c *reopt.Config) { c.Strategy = reopt.StrategySplice }},
-		{"restart", reopt.ModeRestart, func(c *reopt.Config) {}},
-		{"collect-all", reopt.ModeFull, func(c *reopt.Config) { c.Mu = 1.0 }},
-		{"hash-only", reopt.ModeFull, func(c *reopt.Config) { c.DisableIndexJoin = true }},
+		{"normal", session.Options{Mode: reopt.ModeOff}},
+		{"full", session.Options{Mode: reopt.ModeFull}},
+		{"splice", session.Options{Mode: reopt.ModeFull, SpliceSwitch: true}},
+		{"restart", session.Options{Mode: reopt.ModeRestart}},
+		{"collect-all", session.Options{Mode: reopt.ModeFull, Mu: 1}},
+		{"hash-only", session.Options{Mode: reopt.ModeFull, DisableIndexJoin: true}},
 	}
 	var out []AblationRow
 	for _, q := range tpcd.Queries() {
@@ -426,11 +416,11 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 			continue
 		}
 		for _, v := range variants {
-			cost, _, err := env.RunWith(q, v.mode, v.tweak)
+			res, err := env.Exec(q.SQL, v.opts)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", q.Name, v.name, err)
 			}
-			out = append(out, AblationRow{Query: q.Name, Variant: v.name, Cost: cost})
+			out = append(out, AblationRow{Query: q.Name, Variant: v.name, Cost: res.Cost})
 		}
 	}
 	return out, nil
@@ -468,33 +458,30 @@ func Hybrid(cfg Config) ([]HybridRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := plan.Params{
+	params := map[string]types.Value{
 		// o_totalprice starts at 1000: this keeps ~1% of orders, far
 		// below the 1/3 the static optimizer assumes for a host-var
 		// range predicate.
 		"cap": types.NewFloat(1040),
 	}
-	dispatcherCfg := func(mode reopt.Mode) reopt.Config {
-		c := reopt.DefaultConfig(mode)
-		c.MemBudget = env.Cfg.MemBudget
-		c.PoolPages = float64(env.Cfg.PoolPages)
-		return c
+	// The parametric variants run the candidate Choose picks for the
+	// bindings, as midquery's Prepared.Exec does.
+	prep, err := env.session().Prepare(hybridQuery, env.options(session.Options{}))
+	if err != nil {
+		return nil, err
 	}
-	measure := func(f func(ctx *exec.Ctx) (*reopt.Stats, error)) (float64, int, error) {
-		env.Pool.EvictAll()
-		ctx := &exec.Ctx{Pool: env.Pool, Meter: env.Meter, Params: params}
-		before := env.Meter.Snapshot()
-		st, err := f(ctx)
+	run := func(mode reopt.Mode, parametric bool) (*session.Result, error) {
+		opts := session.Options{Mode: mode, Params: params}
+		if !parametric {
+			return env.Exec(hybridQuery, opts)
+		}
+		pre, _, err := prep.Choose(params)
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
-		switches := 0
-		if st != nil {
-			switches = st.PlanSwitches
-		}
-		return env.Meter.Snapshot().Sub(before).Cost(), switches, nil
+		env.Pool.EvictAll()
+		return env.session().ExecPlan(context.Background(), pre, env.options(opts))
 	}
-
 	var out []HybridRow
 	for _, v := range []struct {
 		name       string
@@ -506,34 +493,11 @@ func Hybrid(cfg Config) ([]HybridRow, error) {
 		{"parametric", reopt.ModeOff, true},
 		{"hybrid", reopt.ModeFull, true},
 	} {
-		var prep *parametric.Prepared
-		if v.parametric {
-			prep, err = parametric.Prepare(env.Cat, hybridQuery, parametric.OptimizerConfig{
-				Weights:   storage.DefaultCostWeights(),
-				MemBudget: env.Cfg.MemBudget,
-				PoolPages: float64(env.Cfg.PoolPages),
-			}, nil)
-			if err != nil {
-				return nil, err
-			}
-		}
-		cost, switches, err := measure(func(ctx *exec.Ctx) (*reopt.Stats, error) {
-			d := reopt.New(env.Cat, dispatcherCfg(v.mode))
-			if prep == nil {
-				_, st, err := d.RunSQL(hybridQuery, params, ctx)
-				return st, err
-			}
-			res, _, err := prep.Choose(params)
-			if err != nil {
-				return nil, err
-			}
-			_, st, err := d.RunPlan(res, params, ctx)
-			return st, err
-		})
+		res, err := run(v.mode, v.parametric)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		out = append(out, HybridRow{Variant: v.name, Cost: cost, Switches: switches})
+		out = append(out, HybridRow{Variant: v.name, Cost: res.Cost, Switches: res.Stats.PlanSwitches})
 	}
 	return out, nil
 }
@@ -564,16 +528,12 @@ func HistFamilies(cfg Config) ([]HistFamilyRow, error) {
 			if q.Class != tpcd.Complex {
 				continue
 			}
-			off, _, err := env.Run(q, reopt.ModeOff)
-			if err != nil {
-				return nil, err
-			}
-			full, st, err := env.Run(q, reopt.ModeFull)
+			r, err := env.runModes(q, reopt.ModeOff, reopt.ModeFull)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, HistFamilyRow{
-				Family: fam.String(), Query: q.Name, Off: off, Full: full, Switches: st.PlanSwitches,
+				Family: fam.String(), Query: q.Name, Off: r[0].Cost, Full: r[1].Cost, Switches: r[1].Stats.PlanSwitches,
 			})
 		}
 	}

@@ -3,9 +3,8 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/exec"
-	"repro/internal/plan"
 	"repro/internal/reopt"
+	"repro/internal/session"
 	"repro/internal/tpcd"
 )
 
@@ -21,19 +20,14 @@ func TestCollectorOverheadUnderMu(t *testing.T) {
 		t.Fatal(err)
 	}
 	charged := false
+	mu := reopt.DefaultConfig(reopt.ModeFull).Mu
 	for _, q := range tpcd.Queries() {
-		env.Pool.EvictAll()
-		cfg := reopt.DefaultConfig(reopt.ModeFull)
-		cfg.MemBudget = env.Cfg.MemBudget
-		cfg.PoolPages = float64(env.Cfg.PoolPages)
-		d := reopt.New(env.Cat, cfg)
-		ctx := &exec.Ctx{Pool: env.Pool, Meter: env.Meter, Params: plan.Params{}}
 		before := env.Meter.Snapshot()
-		_, st, err := d.RunSQL(q.SQL, plan.Params{}, ctx)
+		res, err := env.Exec(q.SQL, session.Options{Mode: reopt.ModeFull})
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		delta := env.Meter.Snapshot().Sub(before)
+		st, delta := res.Stats, env.Meter.Snapshot().Sub(before)
 		statCost := float64(delta.StatCPU) * delta.Weights.StatCPU
 		if st.CollectorsInserted == 0 {
 			t.Errorf("%s: no collectors inserted in full mode", q.Name)
@@ -41,13 +35,13 @@ func TestCollectorOverheadUnderMu(t *testing.T) {
 		if statCost > 0 {
 			charged = true
 		}
-		if est := st.EstimatedCost; statCost > cfg.Mu*est {
+		if est := st.EstimatedCost; statCost > mu*est {
 			t.Errorf("%s: collection cost %.2f exceeds mu budget %.2f (mu=%.2f of estimate %.0f)",
-				q.Name, statCost, cfg.Mu*est, cfg.Mu, est)
+				q.Name, statCost, mu*est, mu, est)
 		}
-		if total := delta.Cost(); statCost > cfg.Mu*total {
+		if total := delta.Cost(); statCost > mu*total {
 			t.Errorf("%s: collection cost %.2f is %.2f%% of measured cost %.0f, over mu=%.2f",
-				q.Name, statCost, 100*statCost/total, total, cfg.Mu)
+				q.Name, statCost, 100*statCost/total, total, mu)
 		}
 	}
 	if !charged {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/reopt"
+	"repro/internal/session"
 	"repro/internal/tpcd"
 )
 
@@ -54,23 +55,18 @@ func Parallel(cfg Config, maxDegree int) ([]ParallelRow, error) {
 		var serialMs float64
 		var serialRows int
 		for deg := 1; deg <= maxDegree; deg *= 2 {
-			var (
-				cost float64
-				st   *reopt.Stats
-				n    int
-				ms   = math.Inf(1)
-			)
+			var res *session.Result
+			ms := math.Inf(1)
 			for rep := 0; rep < parallelReps; rep++ {
 				t0 := time.Now()
 				var err error
-				cost, st, n, err = env.RunCounted(q, reopt.ModeFull, func(c *reopt.Config) {
-					c.Degree = deg
-				})
+				res, err = env.Exec(q.SQL, session.Options{Mode: reopt.ModeFull, Parallel: deg})
 				if err != nil {
 					return nil, fmt.Errorf("%s degree %d: %w", q.Name, deg, err)
 				}
 				ms = math.Min(ms, float64(time.Since(t0))/float64(time.Millisecond))
 			}
+			n := len(res.Rows)
 			if deg == 1 {
 				serialMs, serialRows = ms, n
 			} else if n != serialRows {
@@ -79,8 +75,8 @@ func Parallel(cfg Config, maxDegree int) ([]ParallelRow, error) {
 			}
 			rows = append(rows, ParallelRow{
 				Query: q.Name, Class: q.Class, Degree: deg,
-				Cost: cost, ElapsedMs: ms, MeasuredSpeedup: serialMs / ms,
-				Workers: st.WorkersSpawned, Switches: st.PlanSwitches,
+				Cost: res.Cost, ElapsedMs: ms, MeasuredSpeedup: serialMs / ms,
+				Workers: res.Stats.WorkersSpawned, Switches: res.Stats.PlanSwitches,
 			})
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/reopt"
+	"repro/internal/session"
 	"repro/internal/sql"
 	"repro/internal/tpcd"
 	"repro/internal/types"
@@ -96,17 +97,11 @@ func TestPlanSwitchTempHoldsOnlyRequiredColumns(t *testing.T) {
 	}
 
 	run := func(mode reopt.Mode, hook func(int)) ([]types.Tuple, *reopt.Stats) {
-		env.Pool.EvictAll()
-		cfg := reopt.DefaultConfig(mode)
-		cfg.MemBudget = env.Cfg.MemBudget
-		cfg.PoolPages = float64(env.Cfg.PoolPages)
-		cfg.CheckpointHook = hook
-		ctx := &exec.Ctx{Pool: env.Pool, Meter: env.Meter, Params: plan.Params{}}
-		rows, st, err := reopt.New(env.Cat, cfg).RunSQL(q5.SQL, plan.Params{}, ctx)
+		res, err := env.Exec(q5.SQL, session.Options{Mode: mode, CheckpointHook: hook})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows, st
+		return res.Rows, res.Stats
 	}
 	want, _ := run(reopt.ModeOff, nil)
 

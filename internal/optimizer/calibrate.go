@@ -18,37 +18,25 @@ import (
 // a complex query.
 const OptCostPerPlan = 0.1
 
-// Calibrator estimates T_opt,estimated(n): the time to re-optimize a
-// query of n joins. Following §2.4, it is calibrated by optimizing
-// synthetic star-join queries — the worst case for a given join count —
-// and the resulting table is stable for a given optimizer.
-type Calibrator struct {
-	mu    sync.Mutex
-	cache map[int]float64
-}
+// maxCalibJoins is the largest join count OptTime calibrates; larger
+// queries are charged as this many.
+const maxCalibJoins = 8
 
-// NewCalibrator returns an empty calibration cache.
-func NewCalibrator() *Calibrator {
-	return &Calibrator{cache: make(map[int]float64)}
-}
+// optTimes[n] is T_opt,estimated(n), calibrated on first use. Following
+// §2.4 it is measured by optimizing a synthetic star join of n joins —
+// the worst case for a given join count — and is stable for a given
+// optimizer, so one process measures each n once.
+var optTimes = func() (t [maxCalibJoins + 1]func() float64) {
+	for n := range t {
+		t[n] = sync.OnceValue(func() float64 { return calibrateStar(n) })
+	}
+	return t
+}()
 
 // OptTime returns the estimated optimization cost for a query with n
 // joins (n+1 relations), in simulated units.
-func (c *Calibrator) OptTime(n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	if n > 8 {
-		n = 8
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v, ok := c.cache[n]; ok {
-		return v
-	}
-	v := calibrateStar(n)
-	c.cache[n] = v
-	return v
+func OptTime(n int) float64 {
+	return optTimes[min(max(n, 1), maxCalibJoins)]()
 }
 
 // calibrateStar optimizes a synthetic star join of n joins and returns

@@ -27,21 +27,12 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/sql"
-	"repro/internal/storage"
 )
 
 // DefaultScenarios are the anticipated host-variable selectivities: a
 // highly selective binding, the textbook default, and a binding that
 // keeps everything.
 var DefaultScenarios = []float64{0.01, 1.0 / 3.0, 1.0}
-
-// OptimizerConfig carries the knobs every candidate is planned with.
-type OptimizerConfig struct {
-	Weights          storage.CostWeights
-	MemBudget        float64
-	PoolPages        float64
-	DisableIndexJoin bool
-}
 
 // Candidate is one member of the parametric plan.
 type Candidate struct {
@@ -57,16 +48,17 @@ type Candidate struct {
 // Prepared is a compiled parametric plan.
 type Prepared struct {
 	cat        *catalog.Catalog
-	cfg        OptimizerConfig
+	opt        optimizer.Optimizer
 	stmt       *sql.SelectStmt
 	query      *optimizer.Query
 	Candidates []Candidate
 }
 
 // Prepare analyzes the statement and enumerates candidate plans across
-// the scenarios. Statements without host variables yield a single
-// candidate.
-func Prepare(cat *catalog.Catalog, src string, cfg OptimizerConfig, scenarios []float64) (*Prepared, error) {
+// the scenarios, each planned by a copy of opt with the scenario's
+// host-variable selectivity. Statements without host variables yield a
+// single candidate.
+func Prepare(cat *catalog.Catalog, src string, opt *optimizer.Optimizer, scenarios []float64) (*Prepared, error) {
 	stmt, err := sql.Parse(src)
 	if err != nil {
 		return nil, err
@@ -78,7 +70,7 @@ func Prepare(cat *catalog.Catalog, src string, cfg OptimizerConfig, scenarios []
 	if len(scenarios) == 0 {
 		scenarios = DefaultScenarios
 	}
-	p := &Prepared{cat: cat, cfg: cfg, stmt: stmt, query: q}
+	p := &Prepared{cat: cat, opt: *opt, stmt: stmt, query: q}
 
 	byShape := map[string]*Candidate{}
 	var order []string
@@ -108,13 +100,8 @@ func (p *Prepared) optimize(scenario float64) (*optimizer.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := &optimizer.Optimizer{
-		Weights:            p.cfg.Weights,
-		MemBudget:          p.cfg.MemBudget,
-		PoolPages:          p.cfg.PoolPages,
-		DisableIndexJoin:   p.cfg.DisableIndexJoin,
-		HostVarSelectivity: scenario,
-	}
+	opt := p.opt
+	opt.HostVarSelectivity = scenario
 	return opt.Optimize(q)
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/histogram"
+	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/reopt"
 	"repro/internal/storage"
@@ -58,13 +59,17 @@ const paramQuery = `select rel1_grp, count(*) as cnt from rel1, rel2, rel3
 	where rel1.rel1_fk = rel2.rel2_pk and rel2.rel2_fk = rel3.rel3_pk
 	and rel1_val < :v1 and rel1_grp < :v2 group by rel1_grp`
 
-func cfg() OptimizerConfig {
-	return OptimizerConfig{Weights: storage.DefaultCostWeights(), MemBudget: 32 << 20, PoolPages: 8192}
+// opt is the engine's optimizer over the fixture: the default budget
+// and the fixture's pool.
+func (e *env) opt() *optimizer.Optimizer {
+	c := reopt.DefaultConfig(reopt.ModeOff)
+	c.PoolPages = 8192
+	return reopt.New(e.cat, c).Optimizer()
 }
 
 func TestPrepareEnumeratesDistinctShapes(t *testing.T) {
 	e := newEnv(t)
-	p, err := Prepare(e.cat, paramQuery, cfg(), nil)
+	p, err := Prepare(e.cat, paramQuery, e.opt(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +97,7 @@ func TestPrepareEnumeratesDistinctShapes(t *testing.T) {
 
 func TestPrepareNoHostVarsSingleCandidate(t *testing.T) {
 	e := newEnv(t)
-	p, err := Prepare(e.cat, "select rel1_grp, count(*) as cnt from rel1 group by rel1_grp", cfg(), nil)
+	p, err := Prepare(e.cat, "select rel1_grp, count(*) as cnt from rel1 group by rel1_grp", e.opt(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +108,7 @@ func TestPrepareNoHostVarsSingleCandidate(t *testing.T) {
 
 func TestActualSelectivity(t *testing.T) {
 	e := newEnv(t)
-	p, err := Prepare(e.cat, paramQuery, cfg(), nil)
+	p, err := Prepare(e.cat, paramQuery, e.opt(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +126,7 @@ func TestActualSelectivity(t *testing.T) {
 
 func TestChoosePicksMatchingScenario(t *testing.T) {
 	e := newEnv(t)
-	p, err := Prepare(e.cat, paramQuery, cfg(), nil)
+	p, err := Prepare(e.cat, paramQuery, e.opt(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +179,7 @@ func TestHybridBeatsStaticMistake(t *testing.T) {
 		return rows, err
 	})
 
-	p, err := Prepare(e.cat, paramQuery, cfg(), nil)
+	p, err := Prepare(e.cat, paramQuery, e.opt(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +211,7 @@ func TestHybridBeatsStaticMistake(t *testing.T) {
 
 func TestShapeStability(t *testing.T) {
 	e := newEnv(t)
-	p, _ := Prepare(e.cat, paramQuery, cfg(), nil)
+	p, _ := Prepare(e.cat, paramQuery, e.opt(), nil)
 	res1, _, _ := p.Choose(plan.Params{"v1": types.NewFloat(1e9), "v2": types.NewFloat(1e9)})
 	res2, _, _ := p.Choose(plan.Params{"v1": types.NewFloat(1e9), "v2": types.NewFloat(1e9)})
 	if Shape(res1.Root) != Shape(res2.Root) {

@@ -478,7 +478,7 @@ func (r *dispatchRun) considerSwitch(i int, obs *plan.Observed) (bool, error) {
 	// Equation 1: re-optimization must be cheap relative to the
 	// remaining work.
 	remRels := len(r.res.Query.Rels) - (i + 2)
-	tOptEst := r.Calib.OptTime(maxInt(1, remRels))
+	tOptEst := optimizer.OptTime(remRels)
 	if tOptEst/tCurImproved > r.Cfg.Theta1 {
 		r.decide(st, fmt.Sprintf(
 			"checkpoint %d: keep (eq1: T_opt %.1f vs improved %.0f)", i, tOptEst, tCurImproved),
@@ -810,13 +810,6 @@ func indexClustering(j *plan.IndexJoin) float64 {
 		return idx.Clustering
 	}
 	return 0
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // consumedMask returns the relation bitmask materialized after step i

@@ -199,9 +199,8 @@ type Stats struct {
 // compilation (optimize → SCIA → memory allocation) and segmented
 // execution with mid-query decisions.
 type Dispatcher struct {
-	Cat   *catalog.Catalog
-	Cfg   Config
-	Calib *optimizer.Calibrator
+	Cat *catalog.Catalog
+	Cfg Config
 
 	tempSeq int
 	// temps tracks every temp table this dispatcher registered and has
@@ -295,27 +294,33 @@ func New(cat *catalog.Catalog, cfg Config) *Dispatcher {
 	if cfg.Mu <= 0 {
 		cfg.Mu = 0.05
 	}
-	return &Dispatcher{Cat: cat, Cfg: cfg, Calib: optimizer.NewCalibrator()}
+	return &Dispatcher{Cat: cat, Cfg: cfg}
 }
 
-// Optimize is the one place a statement becomes an optimizer plan:
-// semantic analysis, then the single optimizer.Optimizer built from the
-// dispatcher's Config and the budget it runs under right now. The
-// initial compile, every trial and splice re-optimization, EXPLAIN, and
-// the session's plan-cache misses all come through here, so a plan
-// switch re-plans through exactly the entry that planned the query.
-func (d *Dispatcher) Optimize(stmt *sql.SelectStmt) (*optimizer.Result, error) {
-	q, err := optimizer.Analyze(d.Cat, stmt)
-	if err != nil {
-		return nil, err
-	}
-	opt := &optimizer.Optimizer{
+// Optimizer is the one optimizer.Optimizer the engine plans with, built
+// from the dispatcher's Config and the budget it runs under right now.
+// Optimize uses it, and so do the parametric candidates a session
+// prepares.
+func (d *Dispatcher) Optimizer() *optimizer.Optimizer {
+	return &optimizer.Optimizer{
 		Weights:          d.Cfg.Weights,
 		MemBudget:        d.budget(),
 		DisableIndexJoin: d.Cfg.DisableIndexJoin,
 		PoolPages:        d.Cfg.PoolPages,
 	}
-	return opt.Optimize(q)
+}
+
+// Optimize is the one place a statement becomes an optimizer plan:
+// semantic analysis, then the dispatcher's Optimizer. The initial
+// compile, every trial and splice re-optimization, EXPLAIN, and the
+// session's plan-cache misses all come through here, so a plan switch
+// re-plans through exactly the entry that planned the query.
+func (d *Dispatcher) Optimize(stmt *sql.SelectStmt) (*optimizer.Result, error) {
+	q, err := optimizer.Analyze(d.Cat, stmt)
+	if err != nil {
+		return nil, err
+	}
+	return d.Optimizer().Optimize(q)
 }
 
 // arm turns an optimized plan into the one that executes: SCIA
@@ -334,16 +339,6 @@ func (d *Dispatcher) arm(res *optimizer.Result, st *Stats, ctx *exec.Ctx) error 
 	res.Root = exchange.Parallelize(res.Root, d.Cfg.Degree)
 	d.registerPlan(res, st, ctx)
 	return nil
-}
-
-// Run compiles and executes one query, applying Dynamic Re-Optimization
-// per the configured mode.
-func (d *Dispatcher) Run(stmt *sql.SelectStmt, params plan.Params, ctx *exec.Ctx) ([]types.Tuple, *Stats, error) {
-	res, err := d.Optimize(stmt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.RunPlan(res, params, ctx)
 }
 
 // armParallel prepares a context for parallel execution: a per-query
@@ -378,13 +373,18 @@ func (d *Dispatcher) finishParallel(pool *exchange.Pool, st *Stats, err error) e
 	return err
 }
 
-// RunSQL parses, compiles, and executes one query.
+// RunSQL parses, compiles, and executes one query, applying Dynamic
+// Re-Optimization per the configured mode.
 func (d *Dispatcher) RunSQL(src string, params plan.Params, ctx *exec.Ctx) ([]types.Tuple, *Stats, error) {
 	stmt, err := sql.Parse(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.Run(stmt, params, ctx)
+	res, err := d.Optimize(stmt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.RunPlan(res, params, ctx)
 }
 
 // execute arms an optimized plan and runs it: straight through in

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/memmgr"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
+	"repro/internal/parametric"
 	"repro/internal/plan"
 	"repro/internal/plancache"
 	"repro/internal/reopt"
@@ -591,6 +593,82 @@ func (s *Session) Explain(src string, opts Options) (string, error) {
 	return obs.FormatPlan(res.Root), nil
 }
 
+// Prepare compiles a parametric plan (the paper's §4 hybrid): one
+// candidate per anticipated host-variable selectivity, each planned by
+// the optimizer Exec would use under opts. ExecPlan runs the candidate
+// the plan's Choose picks for the actual bindings.
+func (s *Session) Prepare(src string, opts Options) (*parametric.Prepared, error) {
+	s.m.schemaMu.RLock()
+	defer s.m.schemaMu.RUnlock()
+	return parametric.Prepare(s.m.cat, src, reopt.New(s.m.cat, s.dispatcherConfig(opts, nil, "")).Optimizer(), nil)
+}
+
+// stmtRun is what every SELECT and DML statement sets up the same way:
+// its start time, its trace ring (always on, teeing into the engine-wide
+// ring behind mqr.trace), its bound parameters, and the session's open
+// explicit transaction, nil outside one.
+type stmtRun struct {
+	m        *Manager
+	tag, sql string
+	opts     Options
+	start    time.Time
+	tr       *obs.Trace
+	params   plan.Params
+	tx       *catalog.Txn
+	qp       *obs.Progress // a query's progress record; nil for DML
+}
+
+// begin opens one statement with a trace ring of traceCap events.
+func (s *Session) begin(stmt sql.Stmt, opts Options, tag string, traceCap int) *stmtRun {
+	r := &stmtRun{m: s.m, tag: tag, sql: stmt.SQL(), opts: opts, start: time.Now(),
+		tr: obs.NewTrace(traceCap), params: make(plan.Params, len(opts.Params))}
+	r.tr.SetQuery(tag)
+	r.tr.SetForward(s.m.engTrace)
+	maps.Copy(r.params, opts.Params)
+	s.txnMu.Lock()
+	r.tx = s.txn
+	s.txnMu.Unlock()
+	return r
+}
+
+// end records the statement's duration and emits the structured
+// slow-query warning when it exceeded the effective threshold
+// (per-query override, else the manager-wide setting; 0 disables).
+// Every exit path defers it.
+func (r *stmtRun) end() {
+	m, dur := r.m, time.Since(r.start)
+	m.em.QueryDuration.Observe(dur.Seconds())
+	thr := r.opts.SlowQueryThreshold
+	if thr <= 0 {
+		thr = time.Duration(m.slowQueryNanos.Load())
+	}
+	if thr <= 0 || dur < thr {
+		return
+	}
+	m.log.Warn("slow query",
+		"query", r.tag,
+		"sql", r.sql,
+		"duration", dur,
+		"switches", r.qp.Switches(),
+		"spill_bytes", r.qp.SpillBytes(),
+	)
+}
+
+// result completes a successful statement's Result: its tag, the events
+// its trace ring evicted (also counted engine-wide), and the trace
+// itself when asked for.
+func (r *stmtRun) result(out *Result) *Result {
+	out.Query = r.tag
+	out.TraceDropped = r.tr.Dropped()
+	if out.TraceDropped > 0 {
+		r.m.em.TraceDropped.Add(float64(out.TraceDropped))
+	}
+	if r.opts.Trace {
+		out.Trace = r.tr.Events()
+	}
+	return out
+}
+
 // execSelect runs one query under the broker's memory admission (or its
 // private Options.MemBudget) and the re-optimizing dispatcher; pre, when
 // non-nil, is stmt's plan, already optimized. Reads execute under a
@@ -605,12 +683,9 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 	if opts.Tenant == "" {
 		ten = s.Tenant()
 	}
-	start := time.Now()
-	var qp *obs.Progress
-	defer func() {
-		m.em.QueryDuration.Observe(time.Since(start).Seconds())
-		s.noteSlow(tag, stmt.SQL(), time.Since(start), opts, qp)
-	}()
+	r := s.begin(stmt, opts, tag, obs.DefaultTraceCap)
+	defer r.end()
+	tr := r.tr
 	res, hit := pre, false
 	if res == nil {
 		var err error
@@ -626,35 +701,24 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 		cols[i] = c.Name
 	}
 
-	// The per-query trace is always on and tees into the engine-wide
-	// ring behind mqr.trace; Result.Trace is attached only on request.
-	tr := obs.NewTrace(obs.DefaultTraceCap)
-	tr.SetQuery(tag)
-	tr.SetForward(m.engTrace)
 	// EXPLAIN ANALYZE reads the query's progress record, timed; under
 	// NoProgress that record is built but not registered.
 	if opts.Explain || !opts.NoProgress {
-		qp = obs.NewProgress(tag, s.id, stmt.SQL(), opts.Explain)
-		qp.Tenant = ten
+		r.qp = obs.NewProgress(tag, s.id, r.sql, opts.Explain)
+		r.qp.Tenant = ten
 	}
+	qp := r.qp
 	if !opts.NoProgress {
 		m.prog.Start(qp)
 		defer m.prog.Finish(qp)
-	}
-	params := plan.Params{}
-	for k, v := range opts.Params {
-		params[k] = v
 	}
 	// The snapshot is acquired once, before the first admission, and
 	// survives checkpoint preemption: a preempted-then-resumed query
 	// re-reads the same versions, so its answer is byte-identical to an
 	// uninterrupted run no matter what commits while it was parked.
-	s.txnMu.Lock()
-	tx := s.txn
-	s.txnMu.Unlock()
 	var snap *storage.TxnSnapshot
-	if tx != nil {
-		snap = tx.Snapshot()
+	if r.tx != nil {
+		snap = r.tx.Snapshot()
 	} else {
 		rd := m.cat.BeginRead()
 		defer rd.End()
@@ -708,8 +772,8 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 		cfg.Trace = tr
 		mu = cfg.Mu
 		d = reopt.New(m.cat, cfg)
-		ectx := &exec.Ctx{Context: ctx, Pool: m.pool, Meter: m.meter, Params: params, Trace: tr, Snap: snap, Prog: qp}
-		rows, st, err = d.RunPlan(res, params, ectx)
+		ectx := &exec.Ctx{Context: ctx, Pool: m.pool, Meter: m.meter, Params: r.params, Trace: tr, Snap: snap, Prog: qp}
+		rows, st, err = d.RunPlan(res, r.params, ectx)
 		if err == nil {
 			break
 		}
@@ -747,47 +811,19 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 		st.CollectorsInserted, st.Observations, st.MemReallocs,
 		st.ReoptConsidered, st.PlanSwitches)
 	out := &Result{
-		Columns:      cols,
-		Rows:         rows,
-		Stats:        st,
-		Cost:         cost,
-		Query:        tag,
-		Tenant:       ten,
-		Preempted:    preempted,
-		CacheHit:     hit,
-		TraceDropped: tr.Dropped(),
+		Columns:   cols,
+		Rows:      rows,
+		Stats:     st,
+		Cost:      cost,
+		Tenant:    ten,
+		Preempted: preempted,
+		CacheHit:  hit,
+		Plan:      qp.Render(),
 	}
 	if lease != nil {
 		out.Broker = lease.Stats()
 	}
-	if d := tr.Dropped(); d > 0 {
-		m.em.TraceDropped.Add(float64(d))
-	}
-	out.Plan = qp.Render()
-	if opts.Trace {
-		out.Trace = tr.Events()
-	}
-	return out, nil
-}
-
-// noteSlow emits the structured slow-query warning when the statement
-// exceeded the effective threshold (per-query override, else the
-// manager-wide setting; 0 disables).
-func (s *Session) noteSlow(tag, sqlText string, dur time.Duration, opts Options, qp *obs.Progress) {
-	thr := opts.SlowQueryThreshold
-	if thr <= 0 {
-		thr = time.Duration(s.m.slowQueryNanos.Load())
-	}
-	if thr <= 0 || dur < thr {
-		return
-	}
-	s.m.log.Warn("slow query",
-		"query", tag,
-		"sql", sqlText,
-		"duration", dur,
-		"switches", qp.Switches(),
-		"spill_bytes", qp.SpillBytes(),
-	)
+	return r.result(out), nil
 }
 
 // execDML plans and runs one write statement. Inside an explicit
@@ -798,32 +834,18 @@ func (s *Session) noteSlow(tag, sqlText string, dur time.Duration, opts Options,
 // first-writer-wins conflict) is rolled back and closed.
 func (s *Session) execDML(ctx context.Context, stmt sql.Stmt, opts Options, tag string) (*Result, error) {
 	m := s.m
-	start := time.Now()
-	defer func() {
-		m.em.QueryDuration.Observe(time.Since(start).Seconds())
-		s.noteSlow(tag, stmt.SQL(), time.Since(start), opts, nil)
-	}()
+	r := s.begin(stmt, opts, tag, dmlTraceCap)
+	defer r.end()
 	node, err := plan.PlanDML(m.cat, stmt)
 	if err != nil {
 		return nil, err
 	}
-	// DML traces are always on (small ring) and tee into the engine-wide
-	// ring, same as queries; Result.Trace is attached only on request.
-	tr := obs.NewTrace(dmlTraceCap)
-	tr.SetQuery(tag)
-	tr.SetForward(m.engTrace)
-	s.txnMu.Lock()
-	tx := s.txn
-	s.txnMu.Unlock()
+	tr, tx := r.tr, r.tx
 	own := tx == nil
 	if own {
 		tx = m.cat.BeginTxn()
 	}
-	params := plan.Params{}
-	for k, v := range opts.Params {
-		params[k] = v
-	}
-	ectx := &exec.Ctx{Context: ctx, Pool: m.pool, Meter: m.meter, Params: params, Trace: tr, Txn: tx, Snap: tx.Snapshot()}
+	ectx := &exec.Ctx{Context: ctx, Pool: m.pool, Meter: m.meter, Params: r.params, Trace: tr, Txn: tx, Snap: tx.Snapshot()}
 	before := m.meter.Snapshot()
 	n, err := exec.RunDML(node, ectx)
 	if err != nil {
@@ -848,20 +870,11 @@ func (s *Session) execDML(ctx context.Context, stmt sql.Stmt, opts Options, tag 
 		}
 	}
 	m.em.Queries.Inc()
-	out := &Result{
+	return r.result(&Result{
 		Stats:        &reopt.Stats{},
 		Cost:         m.meter.Snapshot().Sub(before).Cost(),
 		RowsAffected: n,
-		Query:        tag,
-		TraceDropped: tr.Dropped(),
-	}
-	if d := tr.Dropped(); d > 0 {
-		m.em.TraceDropped.Add(float64(d))
-	}
-	if opts.Trace {
-		out.Trace = tr.Events()
-	}
-	return out, nil
+	}), nil
 }
 
 // dmlTraceCap sizes the per-statement DML trace ring — writes emit a

@@ -21,10 +21,10 @@
 // substitution rationale.
 //
 // The package is a thin façade: a DB owns one session.Manager and a
-// default Session, and Exec, Explain, ExplainAnalyze and Prepared.Exec
-// are an options mapping plus one call into internal/session — the same
-// path cmd/mqr-server serves, minus the memory broker (library queries
-// run under a private fixed MemBudget).
+// default Session, and Exec, Explain, ExplainAnalyze, Prepare and
+// Prepared.Exec are an options mapping plus one call into
+// internal/session — the same path cmd/mqr-server serves, minus the
+// memory broker (library queries run under a private fixed MemBudget).
 package midquery
 
 import (
@@ -368,13 +368,7 @@ type Prepared struct {
 // variables. The options' Mode governs whether executions also run
 // under Dynamic Re-Optimization (the full hybrid) or as-is.
 func (db *DB) Prepare(src string, opts ExecOptions) (*Prepared, error) {
-	cfg := parametric.OptimizerConfig{
-		Weights:          db.meter.Weights(),
-		MemBudget:        opts.sessionOptions().MemBudget,
-		PoolPages:        float64(db.pool.Capacity()),
-		DisableIndexJoin: opts.DisableIndexJoin,
-	}
-	p, err := parametric.Prepare(db.cat, src, cfg, nil)
+	p, err := db.sess.Prepare(src, opts.sessionOptions())
 	if err != nil {
 		return nil, err
 	}
