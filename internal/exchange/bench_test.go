@@ -28,27 +28,34 @@ func lineitem(b *testing.B) (*testEnv, *catalog.Table, int) {
 }
 
 // BenchmarkGatherScan reports ns and allocations per lineitem tuple for a
-// scan behind a gather: one worker (the hop alone) and two.
+// scan behind a gather: one worker (the hop alone) and two, for a reader
+// that keeps what it is handed; and two lent, as under an aggregate or a
+// projection, whose B/op is degree2's beside it.
 func BenchmarkGatherScan(b *testing.B) {
 	e, li, n := lineitem(b)
-	for _, deg := range []int{1, 2} {
-		b.Run(fmt.Sprintf("degree%d", deg), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i += n {
-				op, err := exec.Build(topsPass(scanOf(li), deg), e.ctx(context.Background()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := op.Open(); err != nil {
-					b.Fatal(err)
-				}
-				if got, err := exec.Drain(op); err != nil || int(got) != n {
-					b.Fatalf("drained %d of %d tuples: %v", got, n, err)
-				}
-				op.Close()
+	run := func(b *testing.B, deg int, lend bool) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i += n {
+			op, err := exec.Build(topsPass(scanOf(li), deg), e.ctx(context.Background()))
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			if lend {
+				exec.Lend(op)
+			}
+			if err := op.Open(); err != nil {
+				b.Fatal(err)
+			}
+			if got, err := exec.Drain(op); err != nil || int(got) != n {
+				b.Fatalf("drained %d of %d tuples: %v", got, n, err)
+			}
+			op.Close()
+		}
 	}
+	for _, deg := range []int{1, 2} {
+		b.Run(fmt.Sprintf("degree%d", deg), func(b *testing.B) { run(b, deg, false) })
+	}
+	b.Run("lent", func(b *testing.B) { run(b, 2, true) })
 }
 
 // BenchmarkHashRoute reports ns per tuple for the join's routing hop on
@@ -83,9 +90,9 @@ func BenchmarkHashRoute(b *testing.B) {
 						return
 					}
 				}
-			}(newSource(r, q, li.Schema))
+			}(newSource(r, q, false, li.Schema))
 		}
-		box := newOutbox(r, nil, qs...)
+		box := newOutbox(r, nil, false, qs...)
 		for _, t := range rows {
 			box.put(int(exec.HashKeys(t, []int{0})%deg), t)
 		}

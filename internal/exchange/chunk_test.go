@@ -82,20 +82,7 @@ func aggOf(t *catalog.Table) *plan.Agg {
 // sorted.
 func multiset(t *testing.T, e *testEnv, n plan.Node) []string {
 	t.Helper()
-	op, err := exec.Build(n, e.ctx(context.Background()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := exec.Collect(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = fmt.Sprint(r)
-	}
-	sort.Strings(out)
-	return out
+	return rendered(t, mustBuild(t, n, e.ctx(context.Background())))
 }
 
 // leafStage is the stage over a parallelized leaf segment.
@@ -293,7 +280,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // anyFull reports whether one of the queues is at capacity.
-func anyFull(qs ...chan []types.Tuple) bool {
+func anyFull(qs ...chan *chunk) bool {
 	for _, q := range qs {
 		if len(q) == cap(q) {
 			return true
@@ -463,11 +450,27 @@ func (s *endless) Next() (types.Tuple, error) {
 	return s.row, nil
 }
 
+// emptyFreeList drops every chunk on the package free list, so that a
+// test sees only the chunks it recycled itself.
+func emptyFreeList() {
+	for {
+		select {
+		case <-free:
+		default:
+			return
+		}
+	}
+}
+
 // A consumer may keep every tuple it is handed: recycling the chunk that
-// carried them reuses the chunk's slots, never the tuples.
+// carried them reuses the chunk's slots, never the tuples. That holds for
+// a keeper handed values a producer copied into a chunk's block too: its
+// chunks go back without them, so the next producer to take one writes a
+// new block.
 func TestRetainedTuplesSurviveChunkRecycling(t *testing.T) {
 	e := newEnv()
 	tbl := e.table(t, "r", 8*chanCap*chunkCap)
+	emptyFreeList()
 	g := leafStage(topsPass(scanOf(tbl), 2), e.ctx(context.Background()))
 	if err := g.Open(); err != nil {
 		t.Fatal(err)
@@ -487,12 +490,58 @@ func TestRetainedTuplesSurviveChunkRecycling(t *testing.T) {
 	if len(kept) != 8*chanCap*chunkCap {
 		t.Fatalf("gathered %d tuples, want %d", len(kept), 8*chanCap*chunkCap)
 	}
-	if len(g.reg.free) == 0 {
+	if len(free) == 0 {
 		t.Fatal("no chunk was recycled: the test saw no reuse")
 	}
 	for i := range kept {
 		if !kept[i].Equal(copies[i]) {
 			t.Fatalf("tuple %d changed after its chunk was recycled: %v, was %v", i, kept[i], copies[i])
+		}
+	}
+
+	// Two rounds through one queue: a producer that copies, as one whose
+	// reader lends does, and a reader that keeps. The second round takes
+	// the chunks the first gave back and fills them with other values.
+	const rows = 3*chunkCap + 7
+	round := func(base int64) (kept []types.Tuple) {
+		r := newRegion(context.Background())
+		q := make(chan *chunk, rows/chunkCap+1)
+		box := newOutbox(r, nil, true, q)
+		for i := int64(0); i < rows; i++ {
+			box.put(0, intRow(base+i, base-i))
+		}
+		if err := box.finish(&sliceOp{}); err != nil {
+			t.Fatal(err)
+		}
+		close(q)
+		in := inbox{r: r, q: q}
+		for {
+			tup, err := in.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tup == nil {
+				return kept
+			}
+			kept = append(kept, tup)
+		}
+	}
+	emptyFreeList()
+	first := round(0)
+	if len(free) != rows/chunkCap+1 {
+		t.Fatalf("%d chunks on the free list after the keeper drained %d", len(free), rows/chunkCap+1)
+	}
+	for range len(free) {
+		c := <-free
+		if c.vals != nil {
+			t.Fatalf("a keeper's chunk came back holding %d values", len(c.vals))
+		}
+		free <- c
+	}
+	round(1 << 20)
+	for i, tup := range first {
+		if want := intRow(int64(i), int64(-i)); !tup.Equal(want) {
+			t.Fatalf("kept tuple %d reads %v after its chunk carried another round, was %v", i, tup, want)
 		}
 	}
 }

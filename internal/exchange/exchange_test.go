@@ -69,7 +69,7 @@ func TestRegionFirstErrorWins(t *testing.T) {
 		t.Error("region not cancelled after fail")
 	}
 	// A send into a full queue must unblock via cancellation.
-	box := newOutbox(r, nil, make(chan []types.Tuple)) // unbuffered, nobody reading
+	box := newOutbox(r, nil, false, make(chan *chunk)) // unbuffered, nobody reading
 	box.put(0, intRow(1))
 	if err := box.finish(&sliceOp{}); err != first {
 		t.Errorf("finish into a dead region = %v, want the region's error", err)

@@ -24,10 +24,65 @@ const chunkCap = 256
 // of tuples.
 const chanCap = 4
 
-// freeCap bounds a region's free list. A chunk waits there only from
-// its consumer's put to some producer's next get, so a few queues' worth
-// is ample; beyond it drained chunks are left to the collector.
-const freeCap = 2 * chanCap
+// chunk is what an exchange queue carries: up to chunkCap tuples and,
+// when the queue's reader lends and its producer's input recycles, the
+// Values block the producer copied those tuples into.
+type chunk struct {
+	tups []types.Tuple
+	vals []types.Value
+}
+
+// free is the process's chunk free list, shared by every region: a chunk
+// waits there only from its reader's put to some producer's next get, and
+// a query's regions come and go too fast for lists of their own to fill.
+// Its bound holds what a degree-4 join region has alive at once (a chunk
+// per probe producer and queue, chanCap queued per queue, one per
+// reader); beyond it drained chunks are left to the collector. A channel,
+// not a sync.Pool: under the race detector a Pool drops a share of its
+// Puts at random, and the hop would allocate per chunk sent.
+var free = make(chan *chunk, 16*chanCap)
+
+// getChunk returns an empty chunk, recycled if one is free.
+func getChunk() *chunk {
+	select {
+	case c := <-free:
+		return c
+	default:
+		return &chunk{tups: make([]types.Tuple, 0, chunkCap)}
+	}
+}
+
+// putChunk recycles a drained chunk. Its slots are cleared first so the
+// free list pins no tuple; tuples already handed out are untouched. A
+// lent reader is done with the values the chunk carried, so they are
+// cleared and their block goes back with it; a keeper holds them, so
+// they stay with the keeper and the chunk goes back without them.
+func putChunk(c *chunk, lent bool) {
+	clear(c.tups)
+	c.tups = c.tups[:0]
+	if lent {
+		clear(c.vals)
+		c.vals = c.vals[:0]
+	} else if len(c.vals) > 0 {
+		c.vals = nil
+	}
+	select {
+	case free <- c:
+	default:
+	}
+}
+
+// carve copies t's values into the chunk's block and returns the copy.
+// A block too small for chunkCap tuples of the first one's width is
+// replaced, so a stream of one width never outgrows it.
+func (c *chunk) carve(t types.Tuple) types.Tuple {
+	n := len(c.vals)
+	if n == 0 && cap(c.vals) < chunkCap*len(t) {
+		c.vals = make([]types.Value, 0, chunkCap*len(t))
+	}
+	c.vals = append(c.vals, t...)
+	return types.Tuple(c.vals[n:len(c.vals):len(c.vals)])
+}
 
 // region is one parallel segment's runtime: a cancellation scope derived
 // from the query context, the goroutines running inside it, and the
@@ -42,12 +97,6 @@ type region struct {
 	mu  sync.Mutex
 	err error
 
-	// free holds drained chunks for reuse, so a hop allocates for the
-	// chunks alive at once, not for every chunk sent. A chunk belongs
-	// to one goroutine at a time: its producer until the send, its
-	// consumer until put.
-	free chan []types.Tuple
-
 	// meters are the workers' tributary meters, in the order workerCtx
 	// made them (the consumer's goroutine makes them all). A worker
 	// flushes its own as it sends a chunk and from its spawn's first done
@@ -61,7 +110,7 @@ func newRegion(parent context.Context) *region {
 		parent = context.Background()
 	}
 	ctx, cancel := context.WithCancel(parent)
-	return &region{ctx: ctx, cancel: cancel, free: make(chan []types.Tuple, freeCap)}
+	return &region{ctx: ctx, cancel: cancel}
 }
 
 // fail records the region's first error and cancels it. Later calls
@@ -123,7 +172,7 @@ func (r *region) spawn(c *exec.Ctx, label string, fn func() error, done ...func(
 
 // lastOf returns a done hook shared by n producers of the same queues:
 // the last of them to finish closes the queues.
-func lastOf(n int, qs ...chan []types.Tuple) func() {
+func lastOf(n int, qs ...chan *chunk) func() {
 	var left atomic.Int32
 	left.Store(int32(n))
 	return func() {
@@ -135,52 +184,39 @@ func lastOf(n int, qs ...chan []types.Tuple) func() {
 	}
 }
 
-// getChunk returns an empty chunk, recycled if one is free.
-func (r *region) getChunk() []types.Tuple {
-	select {
-	case c := <-r.free:
-		return c
-	default:
-		return make([]types.Tuple, 0, chunkCap)
-	}
-}
-
-// putChunk recycles a drained chunk. Its slots are cleared first so the
-// free list pins no tuple; tuples already handed out are untouched.
-func (r *region) putChunk(c []types.Tuple) {
-	clear(c)
-	select {
-	case r.free <- c[:0]:
-	default:
-	}
-}
-
 // outbox is one producer's private chunks, one per destination queue. m
 // is the producer's tributary meter, flushed ahead of every chunk sent:
 // the charges behind a chunk reach the query meter no later than its
 // tuples reach their consumer. A router working on the consumer's own
-// context has no tributary and passes nil.
+// context has no tributary and passes nil. copies is set when the
+// queues' readers lend and the producer's input, lent in turn, recycles
+// its tuples: each tuple is then copied into its chunk's block, because
+// the input reuses its memory while the chunk waits in a queue.
 type outbox struct {
-	r    *region
-	m    *storage.CostMeter
-	qs   []chan []types.Tuple
-	bufs [][]types.Tuple
+	r      *region
+	m      *storage.CostMeter
+	copies bool
+	qs     []chan *chunk
+	bufs   []*chunk
 }
 
-func newOutbox(r *region, m *storage.CostMeter, qs ...chan []types.Tuple) *outbox {
-	return &outbox{r: r, m: m, qs: qs, bufs: make([][]types.Tuple, len(qs))}
+func newOutbox(r *region, m *storage.CostMeter, copies bool, qs ...chan *chunk) *outbox {
+	return &outbox{r: r, m: m, copies: copies, qs: qs, bufs: make([]*chunk, len(qs))}
 }
 
 // put appends t to the chunk for queue w and sends the chunk once it is
 // full; it reports false if the region ended first.
 func (o *outbox) put(w int, t types.Tuple) bool {
-	b := o.bufs[w]
-	if b == nil {
-		b = o.r.getChunk()
+	c := o.bufs[w]
+	if c == nil {
+		c = getChunk()
+		o.bufs[w] = c
 	}
-	b = append(b, t)
-	o.bufs[w] = b
-	return len(b) < chunkCap || o.send(w)
+	if o.copies {
+		t = c.carve(t)
+	}
+	c.tups = append(c.tups, t)
+	return len(c.tups) < chunkCap || o.send(w)
 }
 
 // finish ends the producer's stream: it sends every partly filled chunk
@@ -189,8 +225,8 @@ func (o *outbox) put(w int, t types.Tuple) bool {
 // can close); error paths skip it — a failed region's tuples are not
 // wanted.
 func (o *outbox) finish(op exec.Operator) error {
-	for w, b := range o.bufs {
-		if len(b) > 0 && !o.send(w) {
+	for w, c := range o.bufs {
+		if c != nil && !o.send(w) {
 			op.Close()
 			return o.r.cause()
 		}
@@ -212,21 +248,25 @@ func (o *outbox) send(w int) bool {
 }
 
 // inbox is the consumer end of a queue: a cursor over the current chunk
-// that touches the channel once per chunk.
+// that touches the channel once per chunk. lent says whether its reader
+// lends, which the stage fixes when it assembles: then moving past a
+// chunk clears the values it carried, and a reader that broke its promise
+// reads NULLs.
 type inbox struct {
-	r   *region
-	q   chan []types.Tuple
-	cur []types.Tuple
-	i   int
+	r    *region
+	q    chan *chunk
+	lent bool
+	cur  *chunk
+	i    int
 }
 
 // next returns the next tuple, nil once the queue is closed and drained,
 // or the region's cause if the region ends first — also when nobody is
 // left to close the queue (an Open that failed before spawning).
 func (in *inbox) next() (types.Tuple, error) {
-	for in.i == len(in.cur) {
+	for in.cur == nil || in.i == len(in.cur.tups) {
 		if in.cur != nil {
-			in.r.putChunk(in.cur)
+			putChunk(in.cur, in.lent)
 			in.cur, in.i = nil, 0
 		}
 		select {
@@ -239,7 +279,7 @@ func (in *inbox) next() (types.Tuple, error) {
 			return nil, in.r.cause()
 		}
 	}
-	t := in.cur[in.i]
+	t := in.cur.tups[in.i]
 	in.i++
 	return t, nil
 }
@@ -252,8 +292,8 @@ type source struct {
 	in  inbox
 }
 
-func newSource(r *region, q chan []types.Tuple, sch *types.Schema) *source {
-	return &source{sch: sch, in: inbox{r: r, q: q}}
+func newSource(r *region, q chan *chunk, lent bool, sch *types.Schema) *source {
+	return &source{sch: sch, in: inbox{r: r, q: q, lent: lent}}
 }
 
 func (s *source) Open() error { return nil }
@@ -264,11 +304,16 @@ func (s *source) Close() error { return nil }
 
 func (s *source) Schema() *types.Schema { return s.sch }
 
+// Lend reports whether the queue recycles what it carries. That was fixed
+// when the stage assembled, on the consumer's goroutine, because the
+// queue's producers may be sending before the reader gets to say so.
+func (s *source) Lend() bool { return s.in.lent }
+
 // makeQueues allocates n buffered partition queues.
-func makeQueues(n int) []chan []types.Tuple {
-	qs := make([]chan []types.Tuple, n)
+func makeQueues(n int) []chan *chunk {
+	qs := make([]chan *chunk, n)
 	for i := range qs {
-		qs[i] = make(chan []types.Tuple, chanCap)
+		qs[i] = make(chan *chunk, chanCap)
 	}
 	return qs
 }

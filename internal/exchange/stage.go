@@ -24,13 +24,15 @@ type pipeline struct {
 }
 
 // router deals the tuples of its producers to one queue per pipeline: by
-// hash of keys, or in rotation when there are none. The zero router has
-// no producers and starts nothing.
+// hash of keys, or in rotation when there are none. lent says whether the
+// queues' readers lend (a join's probe, a partial aggregate) or keep (a
+// join's build). The zero router has no producers and starts nothing.
 type router struct {
 	label string
 	from  []pipeline
-	to    []chan []types.Tuple
+	to    []chan *chunk
 	keys  []int
+	lent  bool
 }
 
 // stage executes one parallel region — the segment under a gather —
@@ -60,10 +62,17 @@ type router struct {
 // Collector states from the workers are buffered per worker and merged
 // into one report per collector when the stream ends, so the consumer
 // sees exactly one Observed per collector, as in serial execution.
+//
+// Which queues lend is fixed as the stage assembles: the probe router's
+// and the aggregation router's, whose readers keep nothing; the gather's
+// own, if the stage's consumer lent it before Open; never the build
+// router's. A producer to a lent queue lends its own input, and copies
+// what it sends into the chunks' blocks if that input recycles.
 type stage struct {
 	x    *plan.Exchange
 	ctx  *exec.Ctx
 	left exec.Operator // the already-built serial input, if any
+	lent bool          // the consumer keeps no tuple past its next Next
 
 	// What anchors the segment: join (with the wrappers applied over each
 	// worker's join, bottom-up), agg, or neither for a leaf.
@@ -98,6 +107,19 @@ func (s *stage) kind() string {
 // Schema implements Operator.
 func (s *stage) Schema() *types.Schema { return s.x.Schema() }
 
+// Lend is exec.Lend's hook: before Open it makes the gather's own queue a
+// lent one. It reports whether the stage honours that, which only a leaf
+// does — its pipelines are scans — and then its workers copy each tuple
+// into the chunk it travels in. A join's or an aggregation's pipelines
+// mint tuples nobody reuses.
+func (s *stage) Lend() bool {
+	if s.opened || s.join != nil || s.agg != nil {
+		return false
+	}
+	s.lent = true
+	return true
+}
+
 // Open assembles the region on the consumer's goroutine, starts the
 // pipelines and the early router, and waits until every pipeline's Open
 // has returned with its error recorded and its charges on the query
@@ -109,7 +131,7 @@ func (s *stage) Open() error {
 	s.opened = true
 	n := degree(s.x)
 	s.reg = newRegion(s.ctx.Context)
-	s.out = inbox{r: s.reg, q: make(chan []types.Tuple, chanCap)}
+	s.out = inbox{r: s.reg, q: make(chan *chunk, chanCap), lent: s.lent}
 	s.pipes = make([]pipeline, n)
 	if err := s.assemble(n); err != nil {
 		s.reg.fail(err)
@@ -160,17 +182,17 @@ func (s *stage) assemble(n int) error {
 }
 
 func (s *stage) assembleJoin(n int) error {
-	if err := s.serialInput("build-route", plan.StripPartition(s.join.Build), n, s.join.BuildKeys); err != nil {
+	if err := s.serialInput("build-route", plan.StripPartition(s.join.Build), n, s.join.BuildKeys, false); err != nil {
 		return err
 	}
-	s.late = router{label: "probe-route", from: make([]pipeline, n), to: makeQueues(n), keys: s.join.ProbeKeys}
+	s.late = router{label: "probe-route", from: make([]pipeline, n), to: makeQueues(n), keys: s.join.ProbeKeys, lent: true}
 	s.states = newStateSlots(2 * n)
 	share := memmgr.SplitGrant(n)
 	for w := range s.pipes {
 		wc := s.workerCtx(w, w, share)
 		join := exec.Instrument(exec.NewHashJoin(s.join,
-			newSource(s.reg, s.early.to[w], s.join.Build.Schema()),
-			newSource(s.reg, s.late.to[w], s.join.Probe.Schema()), wc), s.join, wc)
+			newSource(s.reg, s.early.to[w], s.early.lent, s.join.Build.Schema()),
+			newSource(s.reg, s.late.to[w], s.late.lent, s.join.Probe.Schema()), wc), s.join, wc)
 		s.pipes[w] = pipeline{op: join, mem: join, m: wc.Meter}
 		for _, wr := range s.wrappers {
 			op, err := exec.BuildStep(wr, s.pipes[w].op, wc)
@@ -198,7 +220,7 @@ func (s *stage) assembleJoin(n int) error {
 // region's per-worker rollup instead.
 func (s *stage) assembleAgg(n int) error {
 	// buildExchange saw the round-robin annotation under the agg.
-	if err := s.serialInput("agg-route", s.agg.Input.(*plan.Exchange).Input, n, nil); err != nil {
+	if err := s.serialInput("agg-route", s.agg.Input.(*plan.Exchange).Input, n, nil, true); err != nil {
 		return err
 	}
 	s.states = newStateSlots(n)
@@ -206,7 +228,7 @@ func (s *stage) assembleAgg(n int) error {
 	share := memmgr.SplitGrant(2 * n)
 	for w := range s.pipes {
 		wc := s.workerCtx(w, w, share)
-		op := exec.NewPartialAgg(s.agg, newSource(s.reg, s.early.to[w], in), wc)
+		op := exec.NewPartialAgg(s.agg, newSource(s.reg, s.early.to[w], s.early.lent, in), wc)
 		s.pipes[w] = pipeline{op: op, mem: op, m: wc.Meter}
 	}
 	return nil
@@ -216,7 +238,7 @@ func (s *stage) assembleAgg(n int) error {
 // the stream the dispatcher built, else the plan below built against
 // the consumer's context. The router's goroutine is then the only user
 // of that context until Open returns.
-func (s *stage) serialInput(label string, below plan.Node, n int, keys []int) error {
+func (s *stage) serialInput(label string, below plan.Node, n int, keys []int, lent bool) error {
 	left := s.left
 	if left == nil {
 		var err error
@@ -224,7 +246,7 @@ func (s *stage) serialInput(label string, below plan.Node, n int, keys []int) er
 			return err
 		}
 	}
-	s.early = router{label: label, from: []pipeline{{op: left}}, to: makeQueues(n), keys: keys}
+	s.early = router{label: label, from: []pipeline{{op: left}}, to: makeQueues(n), keys: keys, lent: lent}
 	return nil
 }
 
@@ -238,10 +260,11 @@ func (s *stage) workerCtx(part, slot int, share float64) *exec.Ctx {
 
 // work runs one pipeline: open it and stream it into the gather queue.
 func (s *stage) work(label string, p pipeline) error {
+	copies := s.lent && exec.Lend(p.op)
 	if err := s.open(label, p); err != nil {
 		return closing(p.op, err)
 	}
-	return forward(s.reg, p, s.out.q)
+	return forward(s.reg, p, newOutbox(s.reg, p.m, copies, s.out.q))
 }
 
 // open opens one pipeline and reports that to Open on every path, a
@@ -261,10 +284,9 @@ func (s *stage) open(label string, p pipeline) (err error) {
 	return p.op.Open()
 }
 
-// forward streams an opened pipeline into out, a chunk at a time, and
-// closes the pipeline on every path.
-func forward(r *region, p pipeline, out chan []types.Tuple) error {
-	box := newOutbox(r, p.m, out)
+// forward streams an opened pipeline into box's one queue, a chunk at a
+// time, and closes the pipeline on every path.
+func forward(r *region, p pipeline, box *outbox) error {
 	for {
 		t, err := p.op.Next()
 		if err != nil {
@@ -299,10 +321,11 @@ func (s *stage) route(rt *router, p pipeline) error {
 	if err := faultinject.Hit("exchange.worker"); err != nil {
 		return closing(p.op, err)
 	}
+	copies := rt.lent && exec.Lend(p.op)
 	if err := p.op.Open(); err != nil {
 		return closing(p.op, err)
 	}
-	box := newOutbox(s.reg, p.m, rt.to...)
+	box := newOutbox(s.reg, p.m, copies, rt.to...)
 	n := uint64(len(rt.to))
 	for i := uint64(0); ; i++ {
 		t, err := p.op.Next()

@@ -148,7 +148,7 @@ func (a *Agg) Open() error {
 	}
 	// absorb copies the key and argument values it keeps: the input is
 	// lent.
-	lend(a.in)
+	Lend(a.in)
 	if err := a.in.Open(); err != nil {
 		return err
 	}

@@ -174,14 +174,14 @@ func TestOperatorsReturnTuplesTheCallerMayKeep(t *testing.T) {
 	retain(t, "aggregate, final", NewFinalAgg(a, partial, e.ctx))
 }
 
-// opaque passes its input's tuples on but is no operator lend looks
+// opaque passes its input's tuples on but is no operator Lend looks
 // into: a lender over it reads an input that keeps the default rule.
 type opaque struct{ Operator }
 
 // TestLendingContract runs every operator that lends its input over
-// multi-page scans, under every stack of operators lend walks through,
+// multi-page scans, under every stack of operators Lend walks through,
 // with and without EXPLAIN ANALYZE's wrappers. Each result must equal the
-// same operator's over an input lend cannot see into (and a spilling
+// same operator's over an input Lend cannot see into (and a spilling
 // one's, the in-memory result); the lent scan must really recycle — a few
 // value blocks for the whole scan, where the unlent one allocates one a
 // page; and a keeper beside a lender, a join's build side, must be lent

@@ -145,12 +145,16 @@ func (c *Ctx) Err() error {
 //
 // The exception is lending, and the consumer decides it: an operator
 // that keeps no input tuple past its next call to its input's Next — Agg,
-// a HashJoin's probe, Project, IndexJoin's outer side — calls lend on the
-// input before opening it. A scan under it then clears a page's tuples
-// when it loads the next and carves the new ones from the same Values
-// block, so a broken promise reads NULLs or other rows, never quietly
-// stale values. Strings are never recycled. Everything else keeps the
-// default.
+// a HashJoin's probe, Project, IndexJoin's outer side, an exchange
+// producer whose queue's reader is one of those — calls Lend on the input
+// before opening it. Two kinds of operator honour the promise. A scan
+// clears a page's tuples when it loads the next and carves the new ones
+// from the same Values block. An exchange (internal/exchange's gather and
+// the queue reader of its worker pipelines) carries the values in a
+// chunk's block, which is cleared and reused once the reader has moved
+// past the chunk. Either way a broken promise reads NULLs or other rows,
+// never quietly stale values. Strings are never recycled. Everything else
+// keeps the default.
 type Operator interface {
 	Open() error
 	Next() (types.Tuple, error)
@@ -158,11 +162,17 @@ type Operator interface {
 	Schema() *types.Schema
 }
 
-// lend records that op's consumer keeps no tuple past its next call to
-// op.Next. It walks down through the operators that pass their input's
-// tuples on as they are to the one that mints them; only a heap scan
-// makes use of the promise, and only if it has not opened yet.
-func lend(op Operator) {
+// Lend records that op's consumer keeps no tuple past its next call to
+// op.Next, and reports whether an operator that honours the promise — one
+// that will reuse the memory of the tuples it hands out — was reached, so
+// that a consumer which must hold tuples a while (an exchange producer,
+// whose chunks wait in a queue) copies them only when that frees
+// something. It walks down through the operators that pass their input's
+// tuples on as they are to the one that mints them: a heap scan, which
+// makes use of the promise only if it has not opened yet, or an operator
+// of another package that implements Lend — the exchange's gather and
+// queue reader. It leaves anything else alone.
+func Lend(op Operator) bool {
 	for {
 		switch o := op.(type) {
 		case *observedOp:
@@ -175,9 +185,11 @@ func lend(op Operator) {
 			op = o.in
 		case *SeqScan:
 			o.lent = true
-			return
+			return o.node.Table.Virtual == nil
+		case interface{ Lend() bool }:
+			return o.Lend()
 		default:
-			return
+			return false
 		}
 	}
 }

@@ -266,7 +266,7 @@ func (j *HashJoin) openProbe() error {
 	j.probeOpened = true
 	// A probe tuple is done with once its matches are concatenated or it
 	// is written to its partition: the probe side is lent.
-	lend(j.probe)
+	Lend(j.probe)
 	if err := j.probe.Open(); err != nil {
 		return err
 	}

@@ -58,7 +58,7 @@ func (j *IndexJoin) Open() error {
 		return nil
 	}
 	j.opened = true
-	lend(j.outer)
+	Lend(j.outer)
 	return j.outer.Open()
 }
 

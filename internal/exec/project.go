@@ -26,7 +26,7 @@ func (p *Project) Schema() *types.Schema { return p.node.Out }
 // Open implements Operator. The input is lent: an output row is built
 // before the next input tuple is asked for.
 func (p *Project) Open() error {
-	lend(p.in)
+	Lend(p.in)
 	return p.in.Open()
 }
 

@@ -18,7 +18,7 @@ type SeqScan struct {
 	node *plan.Scan
 	ctx  *Ctx
 	scan *storage.HeapScanner
-	lent bool // the consumer keeps no tuple past its next Next (see lend)
+	lent bool // the consumer keeps no tuple past its next Next (see Lend)
 
 	// rows/idx drive virtual tables (catalog.Table.Virtual): the
 	// provider materializes its rows once at Open and the scan iterates
