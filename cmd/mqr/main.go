@@ -162,7 +162,7 @@ func main() {
 			fmt.Printf("degree=%d workers=%d\n", res.Stats.Degree, res.Stats.WorkersSpawned)
 		}
 		for _, d := range res.Stats.Decisions {
-			fmt.Println("  " + d)
+			fmt.Println("  " + d.String())
 		}
 		printBody(res.Plan, res.Trace, res.Columns, len(res.Rows), *maxRows,
 			func(i int) string { return res.Rows[i].String() })

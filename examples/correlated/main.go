@@ -70,7 +70,8 @@ func main() {
 		log.Fatal(err)
 	}
 	db.DropCaches()
-	switched, err := db.Exec(query, midquery.ExecOptions{Mode: midquery.ReoptPlanOnly, Params: params})
+	// EXPLAIN ANALYZE instruments the run without charging the meter.
+	switched, err := db.ExplainAnalyze(query, midquery.ExecOptions{Mode: midquery.ReoptPlanOnly, Params: params})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,11 +80,11 @@ func main() {
 	fmt.Printf("plan modification:  %8.0f units (%d switch)\n", switched.Cost, switched.Stats.PlanSwitches)
 	fmt.Printf("improvement:        %+.1f%%\n", (1-switched.Cost/normal.Cost)*100)
 	for _, d := range switched.Stats.Decisions {
-		fmt.Println("  " + d)
+		fmt.Println("  " + d.String())
 	}
 	if switched.Stats.PlanSwitches > 0 {
-		fmt.Println("\nplan after the switch (remainder re-submitted over the temp table):")
-		fmt.Println(switched.Stats.Plans[len(switched.Stats.Plans)-1])
+		fmt.Println("\nplans run (the remainder re-submitted over the temp table last):")
+		fmt.Print(switched.Plan)
 	}
 	if len(normal.Rows) != len(switched.Rows) {
 		log.Fatalf("result mismatch: %d vs %d rows", len(normal.Rows), len(switched.Rows))

@@ -62,7 +62,7 @@ func main() {
 	fmt.Printf("parametric hybrid:  %8.0f units (%+.1f%%)\n",
 		hybrid.Cost, (hybrid.Cost/static.Cost-1)*100)
 	for _, d := range hybrid.Stats.Decisions {
-		fmt.Println("  " + d)
+		fmt.Println("  " + d.String())
 	}
 	if len(static.Rows) != len(hybrid.Rows) {
 		log.Fatalf("result mismatch: %d vs %d rows", len(static.Rows), len(hybrid.Rows))

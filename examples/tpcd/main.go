@@ -39,7 +39,7 @@ func main() {
 			fmt.Printf("    collectors=%d reallocs=%d switches=%d\n",
 				res.Stats.CollectorsInserted, res.Stats.MemReallocs, res.Stats.PlanSwitches)
 			for _, d := range res.Stats.Decisions {
-				fmt.Println("    " + d)
+				fmt.Println("    " + d.String())
 			}
 		}
 		for _, row := range res.Rows {

@@ -152,18 +152,21 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 	sess := mgr.Session()
 	meterBefore := env.Meter.Snapshot()
 
+	// cfg holds the thresholds the run's decisions are checked against.
+	cfg := reopt.DefaultConfig(rc.Mode)
+	if rc.Forced {
+		// θ₁ enormous widens Eq1's inaccuracy band trigger; θ₂ near
+		// zero accepts any cheaper plan at Eq2.
+		cfg.Theta1, cfg.Theta2 = 100, 0.001
+	}
 	opts := session.Options{
 		Mode:         rc.Mode,
 		Params:       env.Params,
 		SpliceSwitch: rc.Splice,
 		Parallel:     rc.Degree,
 		Seed:         env.Case.Seed,
-	}
-	if rc.Forced {
-		// θ₁ enormous widens Eq1's inaccuracy band trigger; θ₂ near
-		// zero accepts any cheaper plan at Eq2.
-		opts.Theta1 = 100
-		opts.Theta2 = 0.001
+		Theta1:       cfg.Theta1,
+		Theta2:       cfg.Theta2,
 	}
 	if rc.Preempt {
 		// Multi-tenant preemption schedule: the query runs as the
@@ -240,6 +243,9 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 			if s.mustHit && !res.CacheHit {
 				return fail("second run missed the plan cache")
 			}
+			if msg := checkDecisions(res, cfg, mgr); msg != "" {
+				return fail("%s", msg)
+			}
 			if rc.Preempt && res.Preempted > 0 {
 				outcome = "preempted"
 			}
@@ -267,6 +273,57 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 		return fail("%s", msg)
 	}
 	return fmt.Sprintf("%s: %s", rc.Name, outcome), nil
+}
+
+// checkDecisions holds a successful query's checkpoint records to what
+// is derived from them: (a) each re-optimization counter in its Stats
+// equals its tally over the records; (b) each record's cause follows
+// from its own numbers under the run's θ₁, θ₂ and switch margin; (c) the
+// finished progress snapshot counts the same checkpoints and switches,
+// unless the query was preempted (a preempted attempt's records go with
+// its Stats; the progress record carries on).
+func checkDecisions(res *session.Result, cfg reopt.Config, mgr *session.Manager) string {
+	st := res.Stats
+	var tally [7]float64
+	for _, d := range st.Decisions {
+		for k, v := range [7]float64{one(d.Realloc), one(d.Cause <= reopt.CauseRestart), one(d.Switched()),
+			one(d.Returned > 0), one(d.Grown > 0), d.Returned, d.Grown} {
+			tally[k] += v
+		}
+		suspect := d.Estimate > 0 && (d.Improved-d.Estimate)/d.Estimate > cfg.Theta2
+		dear := d.TOpt/d.Improved > cfg.Theta1
+		wins := d.Trial > 0 && d.Trial < d.Improved*(1-cfg.SwitchMargin)
+		follows := map[reopt.Cause]bool{ // causes taken without a plan decision are not judged
+			reopt.CauseEq2:       !suspect,
+			reopt.CauseEq1:       suspect && dear,
+			reopt.CauseRestart:   suspect && !dear && cfg.Mode == reopt.ModeRestart,
+			reopt.CauseTrialWon:  suspect && !dear && wins,
+			reopt.CauseTrialLost: suspect && !dear && !wins,
+		}
+		if ok, judged := follows[d.Cause]; judged && !ok {
+			return fmt.Sprintf("decision %q does not follow from its numbers under θ₁=%g θ₂=%g margin=%g",
+				d, cfg.Theta1, cfg.Theta2, cfg.SwitchMargin)
+		}
+	}
+	if got := [7]float64{float64(st.MemReallocs), float64(st.ReoptConsidered), float64(st.PlanSwitches),
+		float64(st.BrokerReturns), float64(st.BrokerGrowths), st.BrokerReturnedBytes, st.BrokerGrownBytes}; got != tally {
+		return fmt.Sprintf("stats counters %v, their tally over the decisions %v", got, tally)
+	}
+	for _, p := range mgr.ProgressSnapshots(false, true) {
+		if p.Query == res.Query && res.Preempted == 0 &&
+			(p.Checkpoints != int64(len(st.Decisions)) || p.Switches != int64(st.PlanSwitches)) {
+			return fmt.Sprintf("progress shows %d checkpoints and %d switches, the decisions %d and %d",
+				p.Checkpoints, p.Switches, len(st.Decisions), st.PlanSwitches)
+		}
+	}
+	return ""
+}
+
+func one(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // checkRegionCharges is the meter's flush invariant: at query end the

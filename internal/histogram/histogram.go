@@ -34,20 +34,14 @@ const (
 	EquiDepth
 )
 
+var familyNames = [...]string{"maxdiff", "end-biased", "equi-width", "equi-depth"}
+
 // String returns the family name.
 func (f Family) String() string {
-	switch f {
-	case EquiWidth:
-		return "equi-width"
-	case EquiDepth:
-		return "equi-depth"
-	case MaxDiff:
-		return "maxdiff"
-	case EndBiased:
-		return "end-biased"
-	default:
-		return fmt.Sprintf("Family(%d)", uint8(f))
+	if int(f) < len(familyNames) {
+		return familyNames[f]
 	}
+	return fmt.Sprintf("Family(%d)", uint8(f))
 }
 
 // AccuracyClass buckets families into the paper's three estimate-quality

@@ -59,9 +59,9 @@ type Progress struct {
 	// signal that moves between checkpoints.
 	maxRatio atomicFloat
 
-	// scoreFloor is the last checkpoint's Eq.2 position
-	// (tCurImproved/origTotal): once a checkpoint has measured the
-	// query this far off its original estimate, the reported score
+	// scoreFloor is the highest Eq.2 position a checkpoint recorded
+	// (Improved/Estimate of its decision): once a checkpoint has
+	// measured the query this far off its estimate, the reported score
 	// never falls below it.
 	scoreFloor atomicFloat
 
@@ -154,14 +154,7 @@ func (o *OpProgress) MarkDone() {
 }
 
 func (o *OpProgress) stateName() string {
-	switch o.state.Load() {
-	case opOpen:
-		return "open"
-	case opDone:
-		return "done"
-	default:
-		return "pending"
-	}
+	return [...]string{"pending", "open", "done"}[o.state.Load()]
 }
 
 // NewProgress returns live progress state for one query; timed also
@@ -272,22 +265,27 @@ func (p *Progress) NoteRatio(o *OpProgress) {
 	casMax(&p.maxRatio, float64(o.Rows())/o.EstRows)
 }
 
-// RecordCheckpoint notes a checkpoint fired and where Eq.2 measured the
-// query relative to its original estimate. Safe on nil.
-func (p *Progress) RecordCheckpoint(score float64) {
+// RecordDecision notes one checkpoint's decision: where Eq.2 measured
+// the query relative to its plan's estimate (pos) and whether it
+// switched plans. Safe on nil.
+func (p *Progress) RecordDecision(pos float64, switched bool) {
 	if p == nil {
 		return
 	}
 	p.checkpoints.Add(1)
-	casMax(&p.scoreFloor, score)
+	casMax(&p.scoreFloor, pos)
+	if switched {
+		p.switches.Add(1)
+	}
 }
 
-// RecordSwitch notes a plan switch. Safe on nil.
-func (p *Progress) RecordSwitch() {
+// ScoreFloor returns the highest Eq.2 position a checkpoint has
+// recorded. Safe on nil.
+func (p *Progress) ScoreFloor() float64 {
 	if p == nil {
-		return
+		return 0
 	}
-	p.switches.Add(1)
+	return p.scoreFloor.Load()
 }
 
 // RecordPreempt notes one checkpoint preemption. Safe on nil.

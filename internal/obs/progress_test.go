@@ -17,8 +17,7 @@ func TestNilProgressIsDisabledNoOp(t *testing.T) {
 	p.SetEstimate(10)
 	p.SetCostFn(func() float64 { return 1 })
 	p.NoteRatio(nil)
-	p.RecordCheckpoint(2)
-	p.RecordSwitch()
+	p.RecordDecision(2, true)
 	p.Finish()
 	if p.Score() != 0 || p.Fraction() != 0 || p.Cost() != 0 || p.SpillBytes() != 0 || p.Switches() != 0 {
 		t.Fatal("nil progress returned nonzero state")
@@ -59,7 +58,7 @@ func TestScoreRisesWithOvershootAndClampsAtCheckpoint(t *testing.T) {
 	}
 
 	// A checkpoint that measured the query 2.5x off clamps from below.
-	p.RecordCheckpoint(2.5)
+	p.RecordDecision(2.5, false)
 	if s := p.Score(); s != 2.5 {
 		t.Fatalf("clamped score = %v, want 2.5", s)
 	}

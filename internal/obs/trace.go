@@ -14,8 +14,9 @@ type Event struct {
 	// trace carries a query tag — engine-wide rings interleave many
 	// queries' events.
 	Query string `json:"query,omitempty"`
-	// Kind classifies the event: "plan", "collector", "checkpoint",
-	// "decision", "realloc", "switch", "scia", "commit".
+	// Kind classifies the event: "plan", "scia", "collector",
+	// "decision" (one per checkpoint, its text the reopt.Decision),
+	// "exchange", "preempt", "cancel", "commit".
 	Kind string `json:"kind"`
 	// Msg is the human-readable summary.
 	Msg string `json:"msg,omitempty"`

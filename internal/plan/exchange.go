@@ -25,15 +25,12 @@ const (
 	ExRoundRobin
 )
 
+var exchangeModeNames = [...]string{"gather", "hash", "round-robin"}
+
 // String implements fmt.Stringer.
 func (m ExchangeMode) String() string {
-	switch m {
-	case ExGather:
-		return "gather"
-	case ExHash:
-		return "hash"
-	case ExRoundRobin:
-		return "round-robin"
+	if int(m) < len(exchangeModeNames) {
+		return exchangeModeNames[m]
 	}
 	return fmt.Sprintf("exchange-mode(%d)", int(m))
 }

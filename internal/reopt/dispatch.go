@@ -97,20 +97,27 @@ func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *ex
 		}
 		return nil, err
 	}
+	// Checkpoint preemption: a higher-priority waiter claimed this
+	// query's lease, and a segment boundary is the one place the
+	// remainder is cleanly restartable — the session releases the lease
+	// and re-admits the query.
+	preempted := func(step int) bool {
+		l := d.Cfg.Lease
+		if l == nil || !l.PreemptRequested() {
+			return false
+		}
+		if d.Cfg.Trace.Enabled() {
+			d.Cfg.Trace.Emit("preempt", "lease preempted at checkpoint", "step", step)
+		}
+		return true
+	}
 	for i := range dec.steps {
 		// The paper's checkpoints double as the dispatcher's abort
 		// points: between segments the query is at a well-defined state.
 		if err := ctx.Err(); err != nil {
 			return abort(err)
 		}
-		// Checkpoint preemption lands here too: a higher-priority
-		// waiter claimed this query's lease, and the segment boundary
-		// is the one place the remainder is cleanly restartable — the
-		// session releases the lease and re-admits the query.
-		if l := d.Cfg.Lease; l != nil && l.PreemptRequested() {
-			if d.Cfg.Trace.Enabled() {
-				d.Cfg.Trace.Emit("preempt", "lease preempted at checkpoint", "step", i)
-			}
+		if preempted(i) {
 			return abort(memmgr.ErrPreempted)
 		}
 		if err := faultinject.Hit("reopt.step"); err != nil {
@@ -150,12 +157,12 @@ func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *ex
 		if len(pending) > 0 {
 			obs := pending[len(pending)-1] // latest = closest to this join
 			pending = nil
-			doSwitch, err := r.checkpoint(i, obs)
+			rec, err := r.checkpoint(i, obs)
 			if err != nil {
 				return abort(err)
 			}
-			if doSwitch {
-				rows, serr := r.switchPlan(i, obs, topOp)
+			if rec.Switched() {
+				rows, serr := r.switchPlan(i, obs, topOp, rec)
 				if serr != nil {
 					// A failed switch may bail out before anything has
 					// consumed (and closed) the running join; Close is
@@ -172,10 +179,7 @@ func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *ex
 	// The boundary between the join chain and the top operators is the
 	// final checkpoint-shaped abort point (for a zero- or one-join plan
 	// it is the only one); past here the query runs to completion.
-	if l := d.Cfg.Lease; l != nil && l.PreemptRequested() {
-		if d.Cfg.Trace.Enabled() {
-			d.Cfg.Trace.Emit("preempt", "lease preempted at checkpoint", "step", len(dec.steps))
-		}
+	if preempted(len(dec.steps)) {
 		return abort(memmgr.ErrPreempted)
 	}
 	top := cur
@@ -187,12 +191,13 @@ func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *ex
 		top = wrapped
 		live = top
 	}
-	// Collect closes the chain itself, error or not.
+	// Collect closes the chain itself, error or not; abort's second
+	// Close is a no-op.
 	rows, err := exec.Collect(top)
-	if err != nil && d.Cfg.Trace.Enabled() && ctx.Err() != nil {
-		d.Cfg.Trace.Emit("cancel", "query aborted mid-dispatch", "err", err.Error())
+	if err != nil {
+		return abort(err)
 	}
-	return rows, err
+	return rows, nil
 }
 
 // buildLeafOp builds the operator for the leftmost pipeline. With an
@@ -240,13 +245,35 @@ func (d *Dispatcher) buildLeafOp(dec *decomposed, ctx *exec.Ctx, override exec.O
 	}
 }
 
-// decide records one checkpoint decision in the stats log and, when
-// tracing is on, as a structured trace event.
-func (d *Dispatcher) decide(st *Stats, msg string, kv ...any) {
-	st.Decisions = append(st.Decisions, msg)
-	if d.Cfg.Trace.Enabled() {
-		d.Cfg.Trace.Emit("decision", msg, kv...)
+// record is the one writer of a checkpoint's decision: it appends the
+// record to the stats and derives from it the stats counters, the
+// progress record's checkpoint and switch counts and score floor, and
+// the query's one trace event for the checkpoint.
+func (r *dispatchRun) record(rec Decision) {
+	st := r.st
+	st.Decisions = append(st.Decisions, rec)
+	st.MemReallocs += b2i(rec.Realloc)
+	st.ReoptConsidered += b2i(rec.Cause <= CauseRestart)
+	st.PlanSwitches += b2i(rec.Switched())
+	st.BrokerGrowths += b2i(rec.Grown > 0)
+	st.BrokerReturns += b2i(rec.Returned > 0)
+	st.BrokerGrownBytes += rec.Grown
+	st.BrokerReturnedBytes += rec.Returned
+	pos := 0.0
+	if rec.Estimate > 0 {
+		pos = rec.Improved / rec.Estimate
 	}
+	r.ctx.Prog.RecordDecision(pos, rec.Switched())
+	if r.Cfg.Trace.Enabled() {
+		r.Cfg.Trace.Emit("decision", rec.String())
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // staleBase snapshots the catalog's statistics version and the
@@ -283,10 +310,11 @@ func (d *Dispatcher) captureStale(res *optimizer.Result) staleBase {
 // Equation 2 and can trigger a re-optimization that the collectors
 // alone would not have. The baseline is then re-anchored so each
 // checkpoint applies only the growth that arrived since the last one.
-func (d *Dispatcher) refreshStale(dec *decomposed, i int, stale *staleBase) {
+// It returns the growth compounded up the join chain (1 when none).
+func (d *Dispatcher) refreshStale(dec *decomposed, i int, stale *staleBase) float64 {
 	ver := d.Cat.StatsVersion()
 	if ver == stale.statsVer {
-		return
+		return 1
 	}
 	ratios := map[*catalog.Table]float64{}
 	for t, c0 := range stale.cards {
@@ -305,12 +333,7 @@ func (d *Dispatcher) refreshStale(dec *decomposed, i int, stale *staleBase) {
 	}
 	stale.statsVer = ver
 	if len(ratios) == 0 {
-		return
-	}
-	scale := func(n plan.Node, r float64) {
-		e := n.Est()
-		e.Rows *= r
-		e.Bytes *= r
+		return 1
 	}
 	// scalePipeline walks a base-relation pipeline (scan plus unary
 	// wrappers) down to its scan and, if that table shifted, scales the
@@ -323,7 +346,7 @@ func (d *Dispatcher) refreshStale(dec *decomposed, i int, stale *staleBase) {
 			if !ok {
 				return 1
 			}
-			scale(x, r)
+			scaleEst(x, r)
 			return r
 		case *plan.Exchange:
 			// Delegates Est to its input; scale below only.
@@ -331,7 +354,7 @@ func (d *Dispatcher) refreshStale(dec *decomposed, i int, stale *staleBase) {
 		case *plan.Filter, *plan.Collector:
 			r := scalePipeline(x.Children()[0])
 			if r != 1 {
-				scale(x, r)
+				scaleEst(x, r)
 			}
 			return r
 		}
@@ -354,84 +377,46 @@ func (d *Dispatcher) refreshStale(dec *decomposed, i int, stale *staleBase) {
 				r = g
 			}
 		}
-		total := acc * r
-		if total != 1 {
-			scale(step.join, total)
-			for _, w := range step.wrappers {
-				if _, ok := w.(*plan.Exchange); ok {
-					continue
-				}
-				scale(w, total)
-			}
+		if acc *= r; acc != 1 {
+			scaleStep(step, acc, nil)
 		}
-		acc = total
 	}
-	if d.Cfg.Trace.Enabled() {
-		d.Cfg.Trace.Emit("checkpoint", "stats went stale mid-query, suffix re-scaled",
-			"step", i, "stats_version", ver, "tables_shifted", len(ratios), "growth", acc)
-	}
+	return acc
 }
 
 // checkpoint processes one statistics report at the decision point after
 // step i's build phase. It updates estimates for the unexecuted plan
 // suffix, re-invokes the Memory Manager (memory modes), and evaluates
-// Equations 1 and 2 plus the trial re-optimization (plan modes),
-// returning whether to switch plans.
-func (r *dispatchRun) checkpoint(i int, obs *plan.Observed) (bool, error) {
-	ctx := r.ctx
+// Equations 1 and 2 plus the trial re-optimization (plan modes). A
+// decision to keep the plan is recorded here; a switching one is
+// returned unrecorded, for switchPlan to record once its strategy is
+// settled.
+func (r *dispatchRun) checkpoint(i int, obs *plan.Observed) (Decision, error) {
 	// A cancelled query must not start a trial re-optimization or commit
 	// to a plan switch; check once at the decision point.
-	if err := ctx.Err(); err != nil {
-		return false, err
+	if err := r.ctx.Err(); err != nil {
+		return Decision{}, err
 	}
 	if err := faultinject.Hit("reopt.checkpoint"); err != nil {
-		return false, err
+		return Decision{}, err
 	}
 	if r.Cfg.CheckpointHook != nil {
 		r.Cfg.CheckpointHook(i)
 	}
 	cnode := r.collectors[obs.CollectorID]
 	if cnode == nil {
-		return false, nil
+		return Decision{}, nil
 	}
-	estRows := cnode.Est().Rows
+	rec := Decision{Step: i, ObsRows: obs.Rows, EstRows: cnode.Est().Rows}
 	ratio := 1.0
 	switch {
-	case estRows > 0:
-		ratio = obs.Rows / estRows
+	case rec.EstRows > 0:
+		ratio = obs.Rows / rec.EstRows
 	case obs.Rows > 0:
 		ratio = obs.Rows // estimate said empty; scale from 1
 	}
-
 	r.applyImproved(r.dec, i, cnode, obs, ratio)
-	if r.Cfg.Trace.Enabled() {
-		r.Cfg.Trace.Emit("checkpoint", "build phase complete, estimates refreshed",
-			"step", i,
-			"collector_id", obs.CollectorID,
-			"est_rows", estRows,
-			"obs_rows", obs.Rows,
-			"ratio", ratio,
-		)
-	}
-	r.refreshStale(r.dec, i, &r.stale)
-
-	// Publish the checkpoint's Eq.2 position (elapsed + improved
-	// remainder over the original promise) into the live progress
-	// state: between checkpoints the continuous score is derived from
-	// operator counters alone, and each checkpoint pins it from below
-	// with this measured value.
-	if ctx.Prog.Enabled() {
-		if r.origTotal > 0 {
-			pos := (r.elapsed() + r.recostRemainder(r.dec, i)) / r.origTotal
-			ctx.Prog.RecordCheckpoint(pos)
-			if r.Cfg.Trace.Enabled() {
-				r.Cfg.Trace.Emit("score", "suboptimality at checkpoint",
-					"step", i, "eq2_position", pos, "live_score", ctx.Prog.Score())
-			}
-		} else {
-			ctx.Prog.RecordCheckpoint(0)
-		}
-	}
+	rec.Growth = r.refreshStale(r.dec, i, &r.stale)
 
 	// In the combined mode the Memory Manager is re-invoked before the
 	// plan-modification decision: re-allocation is free (grants only
@@ -439,72 +424,64 @@ func (r *dispatchRun) checkpoint(i int, obs *plan.Observed) (bool, error) {
 	// estimate must reflect the memory the remainder will actually
 	// have — otherwise a plan switch can preempt a superior memory fix.
 	planMode := r.Cfg.Mode == ModePlanOnly || r.Cfg.Mode == ModeFull || r.Cfg.Mode == ModeRestart
-	memMode := r.Cfg.Mode == ModeMemoryOnly || r.Cfg.Mode == ModeFull
-	if memMode {
-		r.reallocate(r.dec, i, r.st)
+	if r.Cfg.Mode == ModeMemoryOnly || r.Cfg.Mode == ModeFull {
+		r.reallocate(r.dec, i, &rec)
 	}
-	if planMode && r.switchesLeft > 0 {
-		return r.considerSwitch(i, obs)
+	// T_cur,improved, priced once under the final grants: Equation 2
+	// reads it, and so does the live score's floor.
+	rec.Elapsed = r.ctx.Meter.Snapshot().Sub(r.startSnap).Cost()
+	rec.Improved = rec.Elapsed + r.recostRemainder(r.dec, i)
+	rec.Estimate = r.origTotal
+	switch {
+	case !planMode:
+		rec.Cause = CauseMemoryOnly
+	case r.switchesLeft <= 0:
+		rec.Cause = CauseExhausted
+	default:
+		if err := r.considerSwitch(i, obs, &rec); err != nil {
+			return Decision{}, err
+		}
 	}
-	return false, nil
-}
-
-// elapsed is the simulated time this dispatch has consumed so far — the
-// paper's already-spent term in T_cur-plan,improved.
-func (r *dispatchRun) elapsed() float64 {
-	return r.ctx.Meter.Snapshot().Sub(r.startSnap).Cost()
+	if !rec.Switched() {
+		r.record(rec)
+	}
+	return rec, nil
 }
 
 // considerSwitch evaluates Equations 1 and 2 and the trial
-// re-optimization at one checkpoint.
-func (r *dispatchRun) considerSwitch(i int, obs *plan.Observed) (bool, error) {
-	st, origTotal := r.st, r.origTotal
-	st.ReoptConsidered++
-	elapsed := r.elapsed()
-	remainderImproved := r.recostRemainder(r.dec, i)
-	tCurImproved := elapsed + remainderImproved
-	if origTotal <= 0 {
-		return false, nil
-	}
+// re-optimization at one checkpoint, setting the record's cause.
+func (r *dispatchRun) considerSwitch(i int, obs *plan.Observed, rec *Decision) error {
 	// Equation 2: the plan is only suspect if the improved estimate is
-	// significantly worse than what the optimizer promised.
-	if (tCurImproved-origTotal)/origTotal <= r.Cfg.Theta2 {
-		r.decide(st, fmt.Sprintf(
-			"checkpoint %d: keep (eq2: improved %.0f vs estimate %.0f)", i, tCurImproved, origTotal),
-			"step", i, "eq", 2, "keep", true,
-			"improved", tCurImproved, "estimate", origTotal, "theta2", r.Cfg.Theta2)
-		return false, nil
+	// significantly worse than what the optimizer promised (a plan that
+	// promised nothing never is).
+	if rec.Estimate <= 0 || (rec.Improved-rec.Estimate)/rec.Estimate <= r.Cfg.Theta2 {
+		rec.Cause = CauseEq2
+		return nil
 	}
 	// Equation 1: re-optimization must be cheap relative to the
 	// remaining work.
-	remRels := len(r.res.Query.Rels) - (i + 2)
-	tOptEst := optimizer.OptTime(remRels)
-	if tOptEst/tCurImproved > r.Cfg.Theta1 {
-		r.decide(st, fmt.Sprintf(
-			"checkpoint %d: keep (eq1: T_opt %.1f vs improved %.0f)", i, tOptEst, tCurImproved),
-			"step", i, "eq", 1, "keep", true,
-			"t_opt", tOptEst, "improved", tCurImproved, "theta1", r.Cfg.Theta1)
-		return false, nil
+	rec.TOpt = optimizer.OptTime(len(r.res.Query.Rels) - (i + 2))
+	if rec.TOpt/rec.Improved > r.Cfg.Theta1 {
+		rec.Cause = CauseEq1
+		return nil
 	}
 	if r.Cfg.Mode == ModeRestart {
 		// The discard-everything ablation skips the trial: it always
 		// believes a fresh start will win.
-		r.decide(st, fmt.Sprintf("checkpoint %d: restart", i), "step", i, "restart", true)
-		return true, nil
+		rec.Cause = CauseRestart
+		return nil
 	}
 	// Trial re-optimization: T_opt,actual is charged whether or not the
 	// new plan is adopted (§2.4).
-	tNewTotal, ok, err := r.trialOptimize(i, obs, elapsed)
-	if err != nil {
-		return false, err
+	if err := r.trialOptimize(i, obs, rec); err != nil {
+		return err
 	}
-	doSwitch := ok && tNewTotal < tCurImproved*(1-r.Cfg.SwitchMargin)
-	r.decide(st, fmt.Sprintf(
-		"checkpoint %d: trial new %.0f vs improved %.0f (elapsed %.0f) -> switch=%v",
-		i, tNewTotal, tCurImproved, elapsed, doSwitch),
-		"step", i, "trial_new", tNewTotal, "improved", tCurImproved,
-		"elapsed", elapsed, "switch", doSwitch)
-	return doSwitch, nil
+	rec.Cause = CauseTrialLost
+	if rec.Trial > 0 && rec.Trial < rec.Improved*(1-r.Cfg.SwitchMargin) {
+		rec.Cause = CauseTrialWon
+		rec.Via = r.Cfg.Strategy
+	}
+	return nil
 }
 
 // applyImproved scales the optimizer's annotations for every node at or
@@ -516,25 +493,10 @@ func (d *Dispatcher) applyImproved(dec *decomposed, i int, cnode *plan.Collector
 	ce.Rows = obs.Rows
 	ce.Bytes = obs.Bytes
 
-	scale := func(n plan.Node) {
-		e := n.Est()
-		e.Rows *= ratio
-		e.Bytes *= ratio
-	}
 	// Current step's join output scales (its build input was observed).
 	for k := i; k < len(dec.steps); k++ {
 		step := dec.steps[k]
-		scale(step.join)
-		for _, w := range step.wrappers {
-			if _, ok := w.(*plan.Exchange); ok {
-				// Exchanges delegate Est to their input; scaling one
-				// would double-scale the node below it.
-				continue
-			}
-			if w != plan.Node(cnode) {
-				scale(w)
-			}
-		}
+		scaleStep(step, ratio, cnode)
 		if hj, ok := step.join.(*plan.HashJoin); ok && k > i {
 			// Build side of a future join is the previous step's top.
 			build := dec.stepTopNode(k - 1).Est()
@@ -564,7 +526,26 @@ func (d *Dispatcher) applyImproved(dec *decomposed, i int, cnode *plan.Collector
 			e.Rows, e.Bytes = in.Rows, in.Bytes
 			e.MemMin, e.MemMax = optimizer.StepMemDemands(in.Bytes * 1.1)
 		case *plan.Project, *plan.Limit:
-			scale(x)
+			scaleEst(x, ratio)
+		}
+	}
+}
+
+// scaleEst multiplies a node's row and byte estimates by r.
+func scaleEst(n plan.Node, r float64) {
+	e := n.Est()
+	e.Rows *= r
+	e.Bytes *= r
+}
+
+// scaleStep scales a step's join and its wrappers but skip by r.
+// Exchanges delegate Est to their input; scaling one would scale the
+// node below it twice.
+func scaleStep(step chainStep, r float64, skip plan.Node) {
+	scaleEst(step.join, r)
+	for _, w := range step.wrappers {
+		if _, ok := w.(*plan.Exchange); !ok && w != skip {
+			scaleEst(w, r)
 		}
 	}
 }
@@ -605,8 +586,8 @@ func findUniqueObs(obs *plan.Observed, cnode *plan.Collector, agg *plan.Agg) (fl
 
 // reallocate re-invokes the Memory Manager over the operators that have
 // not started executing, under the budget minus what the running join
-// still holds (§2.3).
-func (d *Dispatcher) reallocate(dec *decomposed, i int, st *Stats) {
+// still holds (§2.3), noting in rec what it did.
+func (d *Dispatcher) reallocate(dec *decomposed, i int, rec *Decision) {
 	var notStarted []plan.Node
 	for k := i + 1; k < len(dec.steps); k++ {
 		if dec.steps[k].join.Est().MemMax > 0 {
@@ -622,7 +603,7 @@ func (d *Dispatcher) reallocate(dec *decomposed, i int, st *Stats) {
 		return
 	}
 	held := dec.steps[i].join.Est().Grant // the running join's hash table
-	oldBudget := d.budget()
+	rec.Realloc = true
 	if lease := d.Cfg.Lease; lease != nil {
 		// Brokered pool: grants follow the improved demands both ways.
 		// If the remainder needs more than the lease holds, try to grow
@@ -639,10 +620,7 @@ func (d *Dispatcher) reallocate(dec *decomposed, i int, st *Stats) {
 			need += math.Min(e.MemMin, e.MemMax)
 		}
 		if need > lease.Held() {
-			if got := lease.Grow(need - lease.Held()); got > 0 {
-				st.BrokerGrowths++
-				st.BrokerGrownBytes += got
-			}
+			rec.Grown = lease.Grow(need - lease.Held())
 		}
 		budget := math.Max(0, lease.Held()-held)
 		memmgr.New(budget).AllocateOps(notStarted, budget)
@@ -651,23 +629,7 @@ func (d *Dispatcher) reallocate(dec *decomposed, i int, st *Stats) {
 			committed += op.Est().Grant
 		}
 		if surplus := lease.Held() - committed; surplus > 0 {
-			if returned := lease.Return(surplus); returned > 0 {
-				st.BrokerReturns++
-				st.BrokerReturnedBytes += returned
-				d.decide(st, fmt.Sprintf(
-					"checkpoint %d: returned %.0f surplus bytes to the memory broker", i, returned),
-					"step", i, "returned_bytes", returned)
-			}
-		}
-		st.MemReallocs++
-		if d.Cfg.Trace.Enabled() {
-			d.Cfg.Trace.Emit("realloc", "memory re-allocated from brokered lease",
-				"step", i,
-				"old_lease_bytes", oldBudget,
-				"new_lease_bytes", lease.Held(),
-				"running_join_bytes", held,
-				"operators", len(notStarted),
-			)
+			rec.Returned = lease.Return(surplus)
 		}
 		return
 	}
@@ -695,16 +657,6 @@ func (d *Dispatcher) reallocate(dec *decomposed, i int, st *Stats) {
 	memmgr.New(budget).AllocateOps(notStarted, budget)
 	for k, op := range notStarted {
 		op.Est().MemMin = savedMins[k]
-	}
-	st.MemReallocs++
-	if d.Cfg.Trace.Enabled() {
-		d.Cfg.Trace.Emit("realloc", "memory re-allocated within fixed budget",
-			"step", i,
-			"budget_bytes", oldBudget,
-			"remainder_budget_bytes", budget,
-			"running_join_bytes", held,
-			"operators", len(notStarted),
-		)
 	}
 }
 
@@ -824,18 +776,19 @@ func consumedMask(res *optimizer.Result, i int) uint32 {
 }
 
 // trialOptimize registers a virtual temp table with improved statistics,
-// optimizes the remainder query against it, and returns the estimated
-// total time of the switch path: elapsed + finishing the running join +
-// materialization write + the new plan (which itself includes re-reading
-// the temp). T_opt,actual is charged to the meter here, adopted or not.
-func (r *dispatchRun) trialOptimize(i int, obs *plan.Observed, elapsed float64) (float64, bool, error) {
+// optimizes the remainder query against it, and sets rec.Trial to the
+// estimated total time of the switch path: elapsed + finishing the
+// running join + materialization write + the new plan (which itself
+// includes re-reading the temp). With nothing to re-plan it stays 0.
+// T_opt,actual is charged to the meter here, adopted or not.
+func (r *dispatchRun) trialOptimize(i int, obs *plan.Observed, rec *Decision) error {
 	matEst := r.dec.stepTopNode(i).Est()
 	if matEst.Rows <= 0 {
-		return 0, false, nil
+		return nil
 	}
 	tempName, newRes, err := r.optimizeRemainder(i, obs, "trial")
 	if err != nil {
-		return 0, false, err
+		return err
 	}
 	defer r.dropTemp(tempName)
 	r.ctx.Meter.ChargeRaw(float64(newRes.PlansConsidered) * optimizer.OptCostPerPlan)
@@ -847,9 +800,8 @@ func (r *dispatchRun) trialOptimize(i int, obs *plan.Observed, elapsed float64) 
 	if r.Cfg.Strategy == StrategyMaterialize {
 		tMat = pagesOf(matEst.Bytes) * r.Cfg.Weights.PageWrite
 	}
-	tFinish := r.finishStepCost(r.dec, i)
-	tNew := elapsed + tFinish + tMat + newRes.Root.Est().Cost
-	return tNew, true, nil
+	rec.Trial = rec.Elapsed + r.finishStepCost(r.dec, i) + tMat + newRes.Root.Est().Cost
+	return nil
 }
 
 // optimizeRemainder re-optimizes what is left of the query after step i

@@ -67,13 +67,57 @@ func TestExplainAnalyzeMarksSplicePoint(t *testing.T) {
 	for _, ev := range tr.Events() {
 		kinds[ev.Kind]++
 	}
-	for _, want := range []string{"plan", "scia", "collector", "checkpoint", "decision", "switch"} {
+	for _, want := range []string{"plan", "scia", "collector", "decision"} {
 		if kinds[want] == 0 {
 			t.Errorf("trace has no %q event (kinds: %v)", want, kinds)
 		}
 	}
 	if kinds["plan"] < 2 {
 		t.Errorf("trace recorded %d plan events, want one per compiled plan (2)", kinds["plan"])
+	}
+	if kinds["decision"] != len(st.Decisions) {
+		t.Errorf("trace recorded %d decision events for %d checkpoints", kinds["decision"], len(st.Decisions))
+	}
+}
+
+// TestProgressReadsTheDecisionRecords runs a query that re-allocates
+// memory at its checkpoints under ModeFull with progress on: the
+// progress record's checkpoint and switch counts and its score floor are
+// exactly what the decision records say, the floor being Equation 2's
+// own position under the re-allocated grants.
+func TestProgressReadsTheDecisionRecords(t *testing.T) {
+	e := newEnv(8192)
+	e.addTable(t, "rel1", 60000, 30000, 25)
+	e.addTable(t, "rel2", 30000, 40000, 5)
+	e.addTable(t, "rel3", 40000, 5, 5)
+	e.analyzeAll(t)
+	src := `select rel1_grp, count(*) as cnt from rel1, rel2, rel3
+		where rel1.rel1_fk = rel2.rel2_pk and rel2.rel2_fk = rel3.rel3_pk
+		and rel1_val < :cut group by rel1_grp`
+	prog := obs.NewProgress("q", 0, src, false)
+	cfg := DefaultConfig(ModeFull)
+	cfg.MemBudget = 1 << 20
+	params := plan.Params{"cut": types.NewFloat(150)}
+	ctx := e.ctx(params)
+	ctx.Prog = prog
+	_, st, err := New(e.cat, cfg).RunSQL(src, params, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.MemReallocs == 0 {
+		t.Fatal("no re-allocation; the floor would not depend on when Eq. 2 is priced")
+	}
+	floor := 0.0
+	for _, d := range st.Decisions {
+		floor = math.Max(floor, d.Improved/d.Estimate)
+	}
+	snap := prog.Snapshot(false)
+	if snap.Checkpoints != int64(len(st.Decisions)) || snap.Switches != int64(st.PlanSwitches) {
+		t.Errorf("progress shows %d checkpoints and %d switches, the records %d and %d",
+			snap.Checkpoints, snap.Switches, len(st.Decisions), st.PlanSwitches)
+	}
+	if got := prog.ScoreFloor(); got != floor {
+		t.Errorf("score floor %v, Eq. 2 positions in the records peak at %v; decisions: %v", got, floor, st.Decisions)
 	}
 }
 

@@ -2,6 +2,7 @@ package reopt
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -43,22 +44,14 @@ const (
 	ModeRestart
 )
 
+var modeNames = [...]string{"off", "memory-only", "plan-only", "full", "restart"}
+
 // String names the mode.
 func (m Mode) String() string {
-	switch m {
-	case ModeOff:
-		return "off"
-	case ModeMemoryOnly:
-		return "memory-only"
-	case ModePlanOnly:
-		return "plan-only"
-	case ModeFull:
-		return "full"
-	case ModeRestart:
-		return "restart"
-	default:
-		return fmt.Sprintf("Mode(%d)", uint8(m))
+	if int(m) < len(modeNames) {
+		return modeNames[m]
 	}
+	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
 
 // Strategy selects how a plan switch transfers the running operator's
@@ -82,12 +75,7 @@ const (
 )
 
 // String names the strategy.
-func (s Strategy) String() string {
-	if s == StrategySplice {
-		return "splice"
-	}
-	return "materialize"
-}
+func (s Strategy) String() string { return [...]string{"materialize", "splice"}[s] }
 
 // Config carries the algorithm's tuning knobs, defaulting to the paper's
 // settings: μ=0.05, θ₁=0.05, θ₂=0.2.
@@ -143,9 +131,8 @@ type Config struct {
 	// resulting statistics staleness.
 	CheckpointHook func(step int)
 	// Trace, when non-nil, receives the dispatcher's lifecycle events:
-	// plan registrations, SCIA placements, checkpoint evaluations,
-	// memory re-allocations, and plan switches. Nil (the default)
-	// disables tracing.
+	// plan registrations, SCIA placements, and one decision event per
+	// checkpoint. Nil (the default) disables tracing.
 	Trace *obs.Trace
 }
 
@@ -164,7 +151,81 @@ func DefaultConfig(mode Mode) Config {
 	}
 }
 
-// Stats reports what the dispatcher did during one query.
+// Cause is why a checkpoint kept or left its plan. The causes up to
+// CauseRestart are the checkpoints where Equations 1 and 2 ran.
+type Cause uint8
+
+// The causes, in the order §2.4 tests them.
+const (
+	CauseEq2        Cause = iota // Eq. 2: improved within θ₂ of the promise
+	CauseEq1                     // Eq. 1: re-planning dearer than θ₁ of the rest
+	CauseTrialLost               // the trial missed the switch margin, or had nothing to plan
+	CauseTrialWon                // the trial won: switch
+	CauseRestart                 // restart ablation: restart with no trial
+	CauseMemoryOnly              // memory-only mode: no plan decision
+	CauseExhausted               // no switches left
+	CauseParametric              // a prepared statement's bind-time choice (step −1)
+)
+
+var causeNames = [...]string{"eq2", "eq1", "trial lost", "trial won", "restart ablation",
+	"memory-only mode", "switches exhausted", "parametric"}
+
+// String names the cause.
+func (c Cause) String() string { return causeNames[c] }
+
+// Decision is one checkpoint's verdict, written once by
+// dispatchRun.record; the Stats counters, the progress record, the trace
+// and String all read it.
+type Decision struct {
+	Step             int     // join whose build just finished; −1 for a parametric choice
+	ObsRows, EstRows float64 // the collector's rows (parametric: actual, scenario selectivity)
+	Growth           float64 // stats growth folded into the suffix; 1 if none
+	Realloc          bool    // grants re-allocated, Returned/Grown bytes to/from the broker
+	Returned, Grown  float64
+	// Elapsed is the cost spent so far, Improved is T_cur,improved
+	// (Elapsed plus the remainder re-costed under its final grants) and
+	// Estimate the plan's promise; TOpt and Trial stay 0 unless Eq. 1 or
+	// a trial ran.
+	Elapsed, Improved, Estimate, TOpt, Trial float64
+	Cause                                    Cause
+	Via                                      Strategy // how a switch reached its new plan
+}
+
+// Switched reports whether the checkpoint left its plan.
+func (d Decision) Switched() bool { return d.Cause == CauseTrialWon || d.Cause == CauseRestart }
+
+// String renders the decision for logs and the trace.
+func (d Decision) String() string {
+	if d.Cause == CauseParametric {
+		return fmt.Sprintf("parametric: chose scenario %.3g for actual selectivity %.3g", d.EstRows, d.ObsRows)
+	}
+	action := "keep"
+	if d.Switched() {
+		action = "switch via " + d.Via.String()
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "checkpoint %d: %s (%s: improved %.0f vs estimate %.0f, elapsed %.0f",
+		d.Step, action, d.Cause, d.Improved, d.Estimate, d.Elapsed)
+	if d.TOpt > 0 {
+		fmt.Fprintf(&b, ", T_opt %.1f", d.TOpt)
+	}
+	if d.Trial > 0 {
+		fmt.Fprintf(&b, ", trial %.0f", d.Trial)
+	}
+	if d.Growth != 1 {
+		fmt.Fprintf(&b, ", stats growth %.3gx", d.Growth)
+	}
+	if d.Realloc {
+		b.WriteString("; memory re-allocated")
+	}
+	if d.Grown+d.Returned > 0 {
+		fmt.Fprintf(&b, ", broker +%.0f/-%.0f bytes", d.Grown, d.Returned)
+	}
+	return b.String() + ")"
+}
+
+// Stats reports what the dispatcher did during one query. The fields
+// from MemReallocs to BrokerGrownBytes tally Decisions (dispatchRun.record).
 type Stats struct {
 	CollectorsInserted int
 	Observations       int
@@ -179,9 +240,8 @@ type Stats struct {
 	BrokerReturnedBytes float64
 	BrokerGrowths       int
 	BrokerGrownBytes    float64
-	Plans               []string // plan text, initial plus one per switch
-	// Decisions logs every checkpoint's reasoning, for diagnostics.
-	Decisions []string
+	// Decisions holds one record per checkpoint, in checkpoint order.
+	Decisions []Decision
 	// EstimatedCost is the optimizer's total-cost estimate for the
 	// initial plan, in simulated cost units. Comparing it against the
 	// metered actual cost gives the estimate error the benchmark
@@ -451,11 +511,11 @@ func (d *Dispatcher) sciaConfig() scia.Config {
 }
 
 // registerPlan records a compiled plan everywhere observers care: the
-// stats' plan log, the query's progress record (first registration is
-// the initial plan, later ones are re-optimized remainders), the initial
-// estimated total cost, and the trace.
+// query's progress record (first registration is the initial plan,
+// later ones are re-optimized remainders), the initial estimated total
+// cost, and the trace. A switch is recorded before its remainder plan
+// registers, so the plan's index is one past the switches so far.
 func (d *Dispatcher) registerPlan(res *optimizer.Result, st *Stats, ctx *exec.Ctx) {
-	st.Plans = append(st.Plans, plan.Format(res.Root))
 	if st.EstimatedCost == 0 {
 		st.EstimatedCost = res.Root.Est().Cost
 	}
@@ -463,7 +523,7 @@ func (d *Dispatcher) registerPlan(res *optimizer.Result, st *Stats, ctx *exec.Ct
 	ctx.Prog.SetEstimate(res.Root.Est().Cost)
 	if d.Cfg.Trace.Enabled() {
 		d.Cfg.Trace.Emit("plan", "plan compiled",
-			"plan_index", len(st.Plans),
+			"plan_index", st.PlanSwitches+1,
 			"est_cost", res.Root.Est().Cost,
 			"est_rows", res.Root.Est().Rows,
 			"collectors", st.CollectorsInserted,

@@ -236,11 +236,7 @@ func TestFigure6PlanSwitch(t *testing.T) {
 		t.Fatal("equations never evaluated despite a 9x cardinality error")
 	}
 	if st.PlanSwitches == 0 {
-		t.Logf("plans: %v", st.Plans)
-		t.Fatal("no plan switch despite severe under-estimate")
-	}
-	if len(st.Plans) < 2 {
-		t.Error("switched plan not recorded")
+		t.Fatalf("no plan switch despite severe under-estimate: %v", st.Decisions)
 	}
 	// The switch must beat sticking with the indexed join.
 	e2 := newEnv(8192)

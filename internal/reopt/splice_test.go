@@ -54,9 +54,7 @@ func TestSpliceSwitchesWithoutMaterializing(t *testing.T) {
 
 	spliced := false
 	for _, d := range spSt.Decisions {
-		if strings.Contains(d, "spliced onto live stream") {
-			spliced = true
-		}
+		spliced = spliced || d.Switched() && d.Via == StrategySplice
 	}
 	if !spliced {
 		t.Fatalf("splice fell back to materialization: %v", spSt.Decisions)

@@ -1,8 +1,6 @@
 package reopt
 
 import (
-	"fmt"
-
 	"repro/internal/exec"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
@@ -20,17 +18,24 @@ const matCollectorID = -1
 // to a temporary table (observed by an ad-hoc statistics collector),
 // register the temp table with its real statistics, generate SQL for the
 // remainder of the query in terms of the temp table, and re-submit it
-// through the regular compile-and-dispatch path.
-func (r *dispatchRun) switchPlan(i int, obs *plan.Observed, topOp exec.Operator) ([]types.Tuple, error) {
-	if r.Cfg.Mode == ModeRestart {
-		// The restart ablation discards the completed work entirely, so
-		// the running join is never drained — close it now or its
-		// spilled build/probe partitions outlive the query.
+// through the regular compile-and-dispatch path. The checkpoint's
+// decision is recorded once the strategy is settled, before the
+// remainder runs.
+func (r *dispatchRun) switchPlan(i int, obs *plan.Observed, topOp exec.Operator, rec Decision) ([]types.Tuple, error) {
+	if rec.Cause == CauseRestart {
+		// The restart ablation (the paper's rejected option 1) discards
+		// the completed work: the running join is closed undrained, or
+		// its spilled partitions outlive the query, and the leftmost
+		// relation is re-scanned — the discarded work, made visible.
 		topOp.Close()
-		return r.restartPlan()
+		leafOp, err := exec.Build(r.dec.leafTop, r.ctx)
+		if err != nil {
+			return nil, err
+		}
+		return r.materializeAndResubmit(r.dec.leafTop, leafOp, uint32(1)<<uint(r.res.Order[0]), rec)
 	}
-	if r.Cfg.Strategy == StrategySplice {
-		rows, ok, err := r.splicePlan(i, obs, topOp)
+	if rec.Via == StrategySplice {
+		rows, ok, err := r.splicePlan(i, obs, topOp, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -39,10 +44,9 @@ func (r *dispatchRun) switchPlan(i int, obs *plan.Observed, topOp exec.Operator)
 		}
 		// The re-optimized remainder did not keep the intermediate
 		// leftmost; fall back to Figure 6.
-		r.decide(r.st, "splice: remainder reordered the intermediate; falling back to materialization",
-			"strategy", "splice", "fallback", "materialize")
+		rec.Via = StrategyMaterialize
 	}
-	return r.materializeAndResubmit(r.dec.stepTopNode(i), topOp, consumedMask(r.res, i))
+	return r.materializeAndResubmit(r.dec.stepTopNode(i), topOp, consumedMask(r.res, i), rec)
 }
 
 // splicePlan implements Figure 5: the remainder of the query is
@@ -51,7 +55,7 @@ func (r *dispatchRun) switchPlan(i int, obs *plan.Observed, topOp exec.Operator)
 // leftmost input — the running join's output stream is spliced directly
 // into the new plan, preserving all completed execution state and
 // paying no materialization.
-func (r *dispatchRun) splicePlan(i int, obs *plan.Observed, liveOp exec.Operator) ([]types.Tuple, bool, error) {
+func (r *dispatchRun) splicePlan(i int, obs *plan.Observed, liveOp exec.Operator, rec Decision) ([]types.Tuple, bool, error) {
 	tempName, newRes, err := r.optimizeRemainder(i, obs, "splice")
 	if err != nil {
 		return nil, false, err
@@ -64,42 +68,19 @@ func (r *dispatchRun) splicePlan(i int, obs *plan.Observed, liveOp exec.Operator
 	if newRes.Query.Rels[newRes.Order[0]].Binding != tempName {
 		return nil, false, nil
 	}
+	r.record(rec)
 	if err := r.arm(newRes, r.st, r.ctx); err != nil {
 		return nil, false, err
-	}
-	r.st.PlanSwitches++
-	r.ctx.Prog.RecordSwitch()
-	r.decide(r.st, fmt.Sprintf("splice: remainder spliced onto live stream as %s", tempName),
-		"strategy", "splice", "temp", tempName)
-	if r.Cfg.Trace.Enabled() {
-		r.Cfg.Trace.Emit("switch", "plan switch via splice (Figure 5)",
-			"strategy", "splice",
-			"temp", tempName,
-			"est_rows", r.dec.stepTopNode(i).Est().Rows,
-			"new_plan_est_cost", newRes.Root.Est().Cost,
-		)
 	}
 	rows, err := r.dispatch(newRes, r.params, r.ctx, r.st, r.switchesLeft-1, liveOp)
 	return rows, true, err
 }
 
-// restartPlan is the paper's rejected option 1 (ablation): discard the
-// completed build work, re-scan the leftmost relation into a temp table,
-// and re-plan everything else. The re-scan is the "discarded work" made
-// visible in the cost meter.
-func (r *dispatchRun) restartPlan() ([]types.Tuple, error) {
-	leafOp, err := exec.Build(r.dec.leafTop, r.ctx)
-	if err != nil {
-		return nil, err
-	}
-	return r.materializeAndResubmit(r.dec.leafTop, leafOp, uint32(1)<<uint(r.res.Order[0]))
-}
-
 // materializeAndResubmit drains op — the operator tree rooted at plan
 // node matNode, covering the relations in consumed — into a temp table
-// under an ad-hoc statistics collector, then re-optimizes and runs the
-// remainder query over it.
-func (r *dispatchRun) materializeAndResubmit(matNode plan.Node, op exec.Operator, consumed uint32) ([]types.Tuple, error) {
+// under an ad-hoc statistics collector, records the switch, then
+// re-optimizes and runs the remainder query over it.
+func (r *dispatchRun) materializeAndResubmit(matNode plan.Node, op exec.Operator, consumed uint32, rec Decision) ([]types.Tuple, error) {
 	ctx := r.ctx
 	matSchema := matNode.Schema()
 	spec := r.matSpec(r.res, matSchema, consumed)
@@ -148,15 +129,7 @@ func (r *dispatchRun) materializeAndResubmit(matNode plan.Node, op exec.Operator
 		r.dropTemp(tempName)
 		return nil, err
 	}
-	r.st.PlanSwitches++
-	ctx.Prog.RecordSwitch()
-	if r.Cfg.Trace.Enabled() {
-		r.Cfg.Trace.Emit("switch", "plan switch via materialize-and-resubmit (Figure 6)",
-			"strategy", "materialize",
-			"temp", tempName,
-			"rows", heap.NumTuples(),
-		)
-	}
+	r.record(rec)
 	// Re-submission: the remainder goes through the same Optimize and
 	// execute steps that compiled the query in the first place.
 	var rows []types.Tuple

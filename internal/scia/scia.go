@@ -35,16 +35,7 @@ const (
 )
 
 // String renders the grade.
-func (l Level) String() string {
-	switch l {
-	case Low:
-		return "low"
-	case Medium:
-		return "medium"
-	default:
-		return "high"
-	}
-}
+func (l Level) String() string { return [...]string{"low", "medium", "high"}[min(l, High)] }
 
 // bump raises a level by one, saturating at High.
 func (l Level) bump() Level {

@@ -97,22 +97,14 @@ const (
 	AggMax
 )
 
+var aggSQLNames = [...]string{"SUM", "AVG", "COUNT", "MIN", "MAX"}
+
 // String returns the SQL name of the aggregate.
 func (f AggFunc) String() string {
-	switch f {
-	case AggSum:
-		return "SUM"
-	case AggAvg:
-		return "AVG"
-	case AggCount:
-		return "COUNT"
-	case AggMin:
-		return "MIN"
-	case AggMax:
-		return "MAX"
-	default:
-		return fmt.Sprintf("AggFunc(%d)", uint8(f))
+	if int(f) < len(aggSQLNames) {
+		return aggSQLNames[f]
 	}
+	return fmt.Sprintf("AggFunc(%d)", uint8(f))
 }
 
 // AggExpr is an aggregate invocation. A nil Arg means COUNT(*).
@@ -142,24 +134,14 @@ const (
 	OpGe
 )
 
+var opSpellings = [...]string{"=", "<>", "<", "<=", ">", ">="}
+
 // String returns the SQL spelling of the operator.
 func (o CompareOp) String() string {
-	switch o {
-	case OpEq:
-		return "="
-	case OpNe:
-		return "<>"
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	default:
-		return fmt.Sprintf("CompareOp(%d)", uint8(o))
+	if int(o) < len(opSpellings) {
+		return opSpellings[o]
 	}
+	return fmt.Sprintf("CompareOp(%d)", uint8(o))
 }
 
 // Negate returns the complementary operator.

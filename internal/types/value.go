@@ -29,22 +29,14 @@ const (
 	KindDate
 )
 
+var kindNames = [...]string{"NULL", "INTEGER", "FLOAT", "VARCHAR", "DATE"}
+
 // String returns the SQL-facing name of the kind.
 func (k Kind) String() string {
-	switch k {
-	case KindNull:
-		return "NULL"
-	case KindInt:
-		return "INTEGER"
-	case KindFloat:
-		return "FLOAT"
-	case KindString:
-		return "VARCHAR"
-	case KindDate:
-		return "DATE"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
 // Numeric reports whether values of this kind participate in arithmetic.

@@ -399,9 +399,8 @@ func (pq *Prepared) Exec(params map[string]Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.Decisions = append([]string{
-		fmt.Sprintf("parametric: chose scenario %.3g for actual selectivity %.3g",
-			scenario, pq.p.ActualSelectivity(plan.Params(params))),
-	}, res.Stats.Decisions...)
+	res.Stats.Decisions = append([]reopt.Decision{{Step: -1, Cause: reopt.CauseParametric,
+		EstRows: scenario, ObsRows: pq.p.ActualSelectivity(plan.Params(params))}},
+		res.Stats.Decisions...)
 	return res, nil
 }

@@ -1,8 +1,9 @@
 package midquery
 
 import (
-	"strings"
 	"testing"
+
+	"repro/internal/reopt"
 )
 
 const hybridTestQuery = `
@@ -39,9 +40,8 @@ func TestPrepareCandidatesAndExec(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareRows(t, "prepared", hybrid.Rows, static.Rows)
-	if len(hybrid.Stats.Decisions) == 0 ||
-		!strings.Contains(hybrid.Stats.Decisions[0], "parametric: chose scenario") {
-		t.Errorf("decision log missing parametric choice: %v", hybrid.Stats.Decisions)
+	if ds := hybrid.Stats.Decisions; len(ds) == 0 || ds[0].Cause != reopt.CauseParametric || ds[0].Step != -1 {
+		t.Errorf("decision log missing parametric choice: %v", ds)
 	}
 	if hybrid.Cost >= static.Cost {
 		t.Errorf("hybrid %.0f did not beat static %.0f on an anticipated selective binding",
