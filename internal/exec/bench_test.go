@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/types"
 )
 
@@ -107,5 +108,22 @@ func BenchmarkAggAbsorb(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+var sinkObserved *plan.Observed
+
+// BenchmarkCollectorSmallStream runs one statement-sized collector per
+// op — a one-histogram state over 25 rows, from NewCollectorState to the
+// report — for its time, bytes and allocations.
+func BenchmarkCollectorSmallStream(b *testing.B) {
+	node, rows := smallStream()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		st := NewCollectorState(node, 0)
+		for _, r := range rows {
+			st.Observe(r)
+		}
+		sinkObserved = st.Observed()
 	}
 }

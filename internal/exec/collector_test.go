@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/histogram"
@@ -206,5 +207,45 @@ func TestCollectorStateReportShape(t *testing.T) {
 	}
 	if len(o.Uniques) != 2 || o.Uniques[plan.UniqueKey([]int{1})] != 7 || o.Uniques[plan.UniqueKey([]int{0, 1})] != 350 {
 		t.Errorf("distinct counts %v, want 7 and 350", o.Uniques)
+	}
+}
+
+// smallStream is a statement-sized collector: one histogram column on a
+// node that expects its 25 rows, and the 25 rows.
+func smallStream() (*plan.Collector, []types.Tuple) {
+	node := &plan.Collector{ID: 1, Spec: plan.CollectorSpec{HistCols: []int{1}, Seed: 3}}
+	node.Est().Rows = 25
+	rows := make([]types.Tuple, 25)
+	for i := range rows {
+		rows[i] = types.Tuple{types.NewInt(int64(i)), types.NewInt(int64(i % 7))}
+	}
+	return node, rows
+}
+
+var sinkState *CollectorState
+
+// A collector allocates for the rows its node expects: no page-sized
+// reservoir and no random source before a tuple needs one.
+func TestSmallStreamCollectorAllocatesForItsRows(t *testing.T) {
+	node, rows := smallStream()
+	run := func() {
+		st := NewCollectorState(node, 0)
+		for _, r := range rows {
+			st.Observe(r)
+		}
+		sinkState = st
+	}
+	if allocs := testing.AllocsPerRun(20, run); allocs > 8 {
+		t.Errorf("a one-histogram state over 25 rows allocated %.0f times", allocs)
+	}
+	const n = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per >= 2048 {
+		t.Errorf("a one-histogram state over 25 rows allocated %.0f bytes, want under 2 KiB", per)
 	}
 }

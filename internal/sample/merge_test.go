@@ -8,8 +8,8 @@ import (
 )
 
 func TestMergeSumsSeen(t *testing.T) {
-	a := NewReservoir(64, 1)
-	b := NewReservoir(64, 2)
+	a := NewReservoir(64, 64, 1)
+	b := NewReservoir(64, 64, 2)
 	for i := 0; i < 1000; i++ {
 		a.Add(types.NewInt(int64(i)))
 	}
@@ -31,8 +31,8 @@ func TestMergeSumsSeen(t *testing.T) {
 }
 
 func TestMergeIntoEmpty(t *testing.T) {
-	a := NewReservoir(64, 1)
-	b := NewReservoir(64, 2)
+	a := NewReservoir(64, 64, 1)
+	b := NewReservoir(64, 64, 2)
 	for i := 0; i < 100; i++ {
 		b.Add(types.NewInt(int64(i)))
 	}
@@ -42,7 +42,7 @@ func TestMergeIntoEmpty(t *testing.T) {
 	}
 	// And the other direction: merging an empty reservoir is a no-op.
 	before := len(a.Sample())
-	a.Merge(NewReservoir(64, 3))
+	a.Merge(NewReservoir(64, 64, 3))
 	if a.Seen() != 100 || len(a.Sample()) != before {
 		t.Error("merging an empty reservoir changed state")
 	}
@@ -56,8 +56,8 @@ func TestMergeProportionalRepresentation(t *testing.T) {
 	const trials = 200
 	var fromA float64
 	for s := int64(0); s < trials; s++ {
-		a := NewReservoir(64, s*2+1)
-		b := NewReservoir(64, s*2+2)
+		a := NewReservoir(64, 64, s*2+1)
+		b := NewReservoir(64, 64, s*2+2)
 		for i := 0; i < 3000; i++ { // side A: values < 10000
 			a.Add(types.NewInt(int64(i)))
 		}
@@ -93,8 +93,8 @@ func TestMergeUniformWithinSide(t *testing.T) {
 	)
 	var idxSum, nTaken float64
 	for s := int64(0); s < trials; s++ {
-		a := NewReservoir(64, s*2+1)
-		b := NewReservoir(256, s*2+2)
+		a := NewReservoir(64, 64, s*2+1)
+		b := NewReservoir(256, 256, s*2+2)
 		for i := 0; i < 1000; i++ {
 			a.Add(types.NewInt(int64(i)))
 		}
@@ -125,8 +125,8 @@ func TestMergeIntoEmptyUniform(t *testing.T) {
 	const trials = 300
 	var idxSum float64
 	for s := int64(0); s < trials; s++ {
-		a := NewReservoir(64, s*2+1)
-		b := NewReservoir(256, s*2+2)
+		a := NewReservoir(64, 64, s*2+1)
+		b := NewReservoir(256, 256, s*2+2)
 		for i := 0; i < 256; i++ {
 			b.Add(types.NewInt(int64(i)))
 		}
@@ -148,8 +148,8 @@ func TestMergeIntoEmptyUniform(t *testing.T) {
 
 func TestMergeDeterministic(t *testing.T) {
 	run := func() []types.Value {
-		a := NewReservoir(32, 7)
-		b := NewReservoir(32, 8)
+		a := NewReservoir(32, 32, 7)
+		b := NewReservoir(32, 32, 8)
 		for i := 0; i < 500; i++ {
 			a.Add(types.NewInt(int64(i)))
 			b.Add(types.NewInt(int64(i + 500)))
