@@ -13,7 +13,10 @@ import (
 // charged stays within the SCIA's μ budget — both against the
 // optimizer's cost estimate (the quantity the budget is defined on) and
 // against the measured query cost. Measured fractions sit around 0.1-
-// 0.3% of query cost, well under the default μ = 5%.
+// 0.3% of query cost, well under the default μ = 5%. A collector goes
+// only where a checkpoint reads it, so the zero-join plans (Q1, Q6)
+// carry none, every other query at least one, and each report that
+// arrives is read by exactly one checkpoint.
 func TestCollectorOverheadUnderMu(t *testing.T) {
 	env, err := NewEnv(Default())
 	if err != nil {
@@ -29,8 +32,14 @@ func TestCollectorOverheadUnderMu(t *testing.T) {
 		}
 		st, delta := res.Stats, env.Meter.Snapshot().Sub(before)
 		statCost := float64(delta.StatCPU) * delta.Weights.StatCPU
-		if st.CollectorsInserted == 0 {
+		if q.Joins == 0 && st.CollectorsInserted != 0 {
+			t.Errorf("%s: %d collectors on a zero-join plan, which has no checkpoint", q.Name, st.CollectorsInserted)
+		}
+		if q.Joins > 0 && st.CollectorsInserted == 0 {
 			t.Errorf("%s: no collectors inserted in full mode", q.Name)
+		}
+		if st.Observations != len(st.Decisions) {
+			t.Errorf("%s: %d collector reports, %d checkpoint records", q.Name, st.Observations, len(st.Decisions))
 		}
 		if statCost > 0 {
 			charged = true

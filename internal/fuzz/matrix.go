@@ -281,11 +281,16 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 // from its own numbers under the run's θ₁, θ₂ and switch margin; (c) the
 // finished progress snapshot counts the same checkpoints and switches,
 // unless the query was preempted (a preempted attempt's records go with
-// its Stats; the progress record carries on).
+// its Stats; the progress record carries on); (d) every collector report
+// reached a checkpoint: the reports number the checkpoint records (a
+// prepared statement's parametric record aside), so no collector runs
+// whose report nothing reads.
 func checkDecisions(res *session.Result, cfg reopt.Config, mgr *session.Manager) string {
 	st := res.Stats
 	var tally [7]float64
+	checkpoints := 0
 	for _, d := range st.Decisions {
+		checkpoints += int(one(d.Cause != reopt.CauseParametric))
 		for k, v := range [7]float64{one(d.Realloc), one(d.Cause <= reopt.CauseRestart), one(d.Switched()),
 			one(d.Returned > 0), one(d.Grown > 0), d.Returned, d.Grown} {
 			tally[k] += v
@@ -308,6 +313,10 @@ func checkDecisions(res *session.Result, cfg reopt.Config, mgr *session.Manager)
 	if got := [7]float64{float64(st.MemReallocs), float64(st.ReoptConsidered), float64(st.PlanSwitches),
 		float64(st.BrokerReturns), float64(st.BrokerGrowths), st.BrokerReturnedBytes, st.BrokerGrownBytes}; got != tally {
 		return fmt.Sprintf("stats counters %v, their tally over the decisions %v", got, tally)
+	}
+	if st.Observations != checkpoints {
+		return fmt.Sprintf("%d collector reports reached the dispatcher, %d checkpoints read one",
+			st.Observations, checkpoints)
 	}
 	for _, p := range mgr.ProgressSnapshots(false, true) {
 		if p.Query == res.Query && res.Preempted == 0 &&

@@ -72,10 +72,16 @@ func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *ex
 		}
 	})
 
-	// Intercept collector reports for the duration of this dispatch.
+	// Intercept this plan's collector reports for the duration of this
+	// dispatch. A spliced leaf stream still holds the collector the
+	// previous plan put on the running join's output; its report reaches
+	// no checkpoint of this plan and is dropped.
 	var pending []*plan.Observed
 	oldSink := ctx.StatsSink
 	ctx.StatsSink = func(o *plan.Observed) {
+		if r.collectors[o.CollectorID] == nil {
+			return
+		}
 		pending = append(pending, o)
 		st.Observations++
 	}
@@ -404,9 +410,6 @@ func (r *dispatchRun) checkpoint(i int, obs *plan.Observed) (Decision, error) {
 		r.Cfg.CheckpointHook(i)
 	}
 	cnode := r.collectors[obs.CollectorID]
-	if cnode == nil {
-		return Decision{}, nil
-	}
 	rec := Decision{Step: i, ObsRows: obs.Rows, EstRows: cnode.Est().Rows}
 	ratio := 1.0
 	switch {

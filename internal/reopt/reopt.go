@@ -393,7 +393,13 @@ func (d *Dispatcher) arm(res *optimizer.Result, st *Stats, ctx *exec.Ctx) error 
 		if err != nil {
 			return err
 		}
-		st.CollectorsInserted += len(ins)
+		// Collector IDs run on across the query's plans: a spliced stream
+		// still carries a collector of the plan it came from, whose report
+		// the new plan's dispatch must not take for one of its own.
+		for _, in := range ins {
+			st.CollectorsInserted++
+			in.Collector.ID = st.CollectorsInserted
+		}
 	}
 	memmgr.New(d.budget()).Allocate(res.Root)
 	res.Root = exchange.Parallelize(res.Root, d.Cfg.Degree)

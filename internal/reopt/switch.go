@@ -86,15 +86,14 @@ func (r *dispatchRun) materializeAndResubmit(matNode plan.Node, op exec.Operator
 	spec := r.matSpec(r.res, matSchema, consumed)
 	cnode := &plan.Collector{Input: matNode, Spec: spec, ID: matCollectorID}
 
+	// Only the ad-hoc collector's report is read: one from a collector
+	// inside the drained stream belongs to the plan being left, whose
+	// checkpoints are over.
 	var matObs *plan.Observed
 	oldSink := ctx.StatsSink
 	ctx.StatsSink = func(o *plan.Observed) {
 		if o.CollectorID == matCollectorID {
 			matObs = o
-			return
-		}
-		if oldSink != nil {
-			oldSink(o)
 		}
 	}
 	colOp := exec.NewCollector(cnode, op, ctx)

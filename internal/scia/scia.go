@@ -8,8 +8,17 @@
 // (low/medium/high, propagated through the plan by the paper's rules),
 // then by the fraction of the not-yet-executed plan they affect — and
 // accepted greedily until their total collection cost reaches the budget
-// μ × T_cur-plan,optimizer. Cardinality/size collectors are free and are
-// inserted at every pipeline boundary regardless.
+// μ × T_cur-plan,optimizer.
+//
+// A collector goes only where a checkpoint reads its report: on a hash
+// join's build input, looking through filters and exchanges. The
+// dispatcher decides once a build phase has drained its input (§2.4), and
+// that input is the one intermediate result whose statistics are then
+// complete; a report from anywhere else arrives after the last decision,
+// or is overwritten by a later one before a decision reads it ("too late
+// to do anything about it", §2.5). At such a point the cardinality and
+// size collector is free and always placed, priced statistics ride on it
+// within the budget, and a plan without a hash join carries none.
 package scia
 
 import (
@@ -97,7 +106,7 @@ type candidate struct {
 
 // Insert runs the algorithm over an optimized plan, mutating it in
 // place. It returns the collectors added (free cardinality collectors
-// included).
+// included), none when no hash join reads a spine point's output.
 func Insert(res *optimizer.Result, cfg Config) ([]Inserted, error) {
 	if cfg.Mu <= 0 {
 		cfg.Mu = 0.05
@@ -147,9 +156,8 @@ func Insert(res *optimizer.Result, cfg Config) ([]Inserted, error) {
 	}
 
 	var out []Inserted
-	nextID := 1
 	for pi, pt := range points {
-		spec := plan.CollectorSpec{HistFamily: cfg.HistFamily, Seed: cfg.Seed + int64(pi)}
+		spec := plan.CollectorSpec{HistFamily: cfg.HistFamily, Seed: cfg.Seed + int64(pt.seq)}
 		var stats []string
 		for _, c := range chosen[pi] {
 			if c.isUnique {
@@ -159,8 +167,7 @@ func Insert(res *optimizer.Result, cfg Config) ([]Inserted, error) {
 			}
 			stats = append(stats, c.desc)
 		}
-		col := &plan.Collector{Input: pt.node, Spec: spec, ID: nextID}
-		nextID++
+		col := &plan.Collector{Input: pt.node, Spec: spec, ID: pi + 1}
 		e := col.Est()
 		in := pt.node.Est()
 		e.Rows, e.Bytes = in.Rows, in.Bytes
@@ -168,9 +175,7 @@ func Insert(res *optimizer.Result, cfg Config) ([]Inserted, error) {
 			e.SelfCost = in.Rows * cfg.Weights.StatCPU
 		}
 		e.Cost = in.Cost + e.SelfCost
-		if pt.parent == nil {
-			res.Root = col
-		} else if err := replaceChild(pt.parent, pt.node, col); err != nil {
+		if err := replaceChild(pt.parent, pt.node, col); err != nil {
 			return nil, err
 		}
 		out = append(out, Inserted{Collector: col, Point: pt.desc, Stats: stats})
@@ -179,81 +184,73 @@ func Insert(res *optimizer.Result, cfg Config) ([]Inserted, error) {
 }
 
 // point is one pipeline boundary where a collector can observe an
-// intermediate result.
+// intermediate result a checkpoint reads.
 type point struct {
 	node   plan.Node // the node whose output is observed
 	parent plan.Node // consumer to re-point at the collector
 	desc   string
+	// seq numbers the point among every intermediate result of the
+	// spine, read or not; it seeds the point's reservoirs, so a sample
+	// does not depend on which other points qualify.
+	seq int
 }
 
-// spinePoints returns the observable intermediate results in execution
-// order: the leftmost leaf pipeline's output and each join's output,
-// excluding the final top-of-plan result (statistics there arrive too
-// late to act on).
+// spinePoints returns, in execution order, the intermediate results of
+// the left spine (the leftmost leaf pipeline's output and each join's
+// output) that are a hash join's build input, looking through filters
+// and exchanges. The dispatcher reads the latest report once a build
+// phase completes, so these are the only results whose statistics reach
+// a decision: an index join's outer is overwritten by the report of the
+// build that later drains it, and the spine's top result arrives after
+// the last checkpoint.
 func spinePoints(root plan.Node) []point {
-	// Walk down the left spine to the bottom, recording join nodes.
-	var tops []plan.Node
+	// Walk down past the top operators to the spine. Exchanges among
+	// them are transparent: normally SCIA runs before parallelization,
+	// but a caller handing in an already-parallel plan still gets
+	// collectors, which run once per worker and merge at the gather.
 	cur := root
 	for {
 		switch n := cur.(type) {
-		case *plan.Project, *plan.Agg, *plan.Sort, *plan.Limit:
-			tops = append(tops, n)
+		case *plan.Project, *plan.Agg, *plan.Sort, *plan.Limit, *plan.Exchange:
 			cur = n.Children()[0]
-		case *plan.Exchange:
-			// Normally SCIA runs before parallelization, but a caller
-			// handing in an already-parallel plan still gets collectors:
-			// exchanges are transparent, so a collector inserted below a
-			// gather simply runs once per worker and merges at the gather.
-			tops = append(tops, n)
-			cur = n.Input
-		default:
-			goto spine
+			continue
 		}
+		break
 	}
-spine:
 	var pts []point
-	var walk func(n plan.Node, parent plan.Node)
-	walk = func(n plan.Node, parent plan.Node) {
+	seq := 0
+	observe := func(n, parent plan.Node, build bool, desc string) {
+		if build {
+			pts = append(pts, point{node: n, parent: parent, desc: desc, seq: seq})
+		}
+		seq++
+	}
+	// build reports whether n's output is, through filters and
+	// exchanges, its hash join's build input.
+	var walk func(n, parent plan.Node, build bool)
+	walk = func(n, parent plan.Node, build bool) {
 		switch x := n.(type) {
 		case *plan.HashJoin:
-			walk(x.Build, x)
-			// The join's own output, observed by its consumer.
-			pts = append(pts, point{node: x, parent: parent, desc: "output of " + x.Label() + " [" + x.Describe() + "]"})
+			walk(x.Build, x, true)
+			observe(x, parent, build, "output of "+x.Label()+" ["+x.Describe()+"]")
 		case *plan.IndexJoin:
-			walk(x.Outer, x)
-			pts = append(pts, point{node: x, parent: parent, desc: "output of " + x.Label() + " [" + x.Describe() + "]"})
+			walk(x.Outer, x, false)
+			observe(x, parent, build, "output of "+x.Label()+" ["+x.Describe()+"]")
 		case *plan.Filter:
-			walk(x.Input, x)
+			walk(x.Input, x, build)
 		case *plan.Exchange:
-			walk(x.Input, x)
+			walk(x.Input, x, build)
 		case *plan.Scan:
-			pts = append(pts, point{node: x, parent: parent, desc: "output of scan " + x.Binding})
+			observe(x, parent, build, "output of scan "+x.Binding)
 		}
 	}
-	walk(cur, parentOf(tops, cur, root))
-	// The point list currently ends with the last join's output (or the
-	// single scan), whose consumer is the first top operator — those
-	// statistics finish only when the query is nearly done, except the
-	// aggregate input, which an agg's memory grant can still use.
-	// Re-point parents: pts recorded parents inside the spine; for the
-	// topmost point the parent is the deepest top operator.
-	if len(pts) > 0 && pts[len(pts)-1].parent == nil && len(tops) > 0 {
-		pts[len(pts)-1].parent = tops[len(tops)-1]
-	}
+	walk(cur, nil, false)
 	return pts
 }
 
-func parentOf(tops []plan.Node, spineTop, root plan.Node) plan.Node {
-	if len(tops) > 0 {
-		return tops[len(tops)-1]
-	}
-	if spineTop == root {
-		return nil
-	}
-	return nil
-}
-
-// replaceChild re-points parent's link from old to new.
+// replaceChild re-points parent's link from old to new. A point's
+// consumer is the hash join it builds, or a filter or exchange between
+// the two.
 func replaceChild(parent, old, new plan.Node) error {
 	switch p := parent.(type) {
 	case *plan.HashJoin:
@@ -261,41 +258,7 @@ func replaceChild(parent, old, new plan.Node) error {
 			p.Build = new
 			return nil
 		}
-		if p.Probe == old {
-			p.Probe = new
-			return nil
-		}
-	case *plan.IndexJoin:
-		if p.Outer == old {
-			p.Outer = new
-			return nil
-		}
 	case *plan.Filter:
-		if p.Input == old {
-			p.Input = new
-			return nil
-		}
-	case *plan.Collector:
-		if p.Input == old {
-			p.Input = new
-			return nil
-		}
-	case *plan.Agg:
-		if p.Input == old {
-			p.Input = new
-			return nil
-		}
-	case *plan.Project:
-		if p.Input == old {
-			p.Input = new
-			return nil
-		}
-	case *plan.Sort:
-		if p.Input == old {
-			p.Input = new
-			return nil
-		}
-	case *plan.Limit:
 		if p.Input == old {
 			p.Input = new
 			return nil
@@ -312,7 +275,8 @@ func replaceChild(parent, old, new plan.Node) error {
 // enumerate lists the potentially useful statistics at every point: a
 // histogram on a column used by a join or selection predicate applied
 // later in the plan, and a distinct count on column sets grouped on
-// later (§2.5).
+// later (§2.5). Every point is one a checkpoint reads, so placement and
+// pricing follow one rule.
 func enumerate(res *optimizer.Result, points []point, totalCost float64, cfg Config) []candidate {
 	var cands []candidate
 	levels := newLevelTracer(res)
@@ -320,26 +284,7 @@ func enumerate(res *optimizer.Result, points []point, totalCost float64, cfg Con
 	seenHist := map[string]bool{}
 	seenUnique := map[string]bool{}
 
-	// A statistic is actionable only if its collection point sits below
-	// a later hash-join build — the dispatcher's only decision points.
-	// Statistics that complete when the query is already in its final
-	// pipeline cannot trigger re-optimization ("it is too late to do
-	// anything about it", §2.5), which is also why simple queries must
-	// carry no priced collectors at all.
-	actionable := make([]bool, len(points))
-	for pi := range points {
-		for pj := pi + 1; pj < len(points); pj++ {
-			if _, ok := points[pj].node.(*plan.HashJoin); ok {
-				actionable[pi] = true
-				break
-			}
-		}
-	}
-
 	for pi, pt := range points {
-		if !actionable[pi] {
-			continue
-		}
 		schema := pt.node.Schema()
 		rows := pt.node.Est().Rows
 		ptLevel := levels.pointLevel(pt.node)

@@ -328,16 +328,75 @@ func TestLevelsOrdering(t *testing.T) {
 
 func TestSingleTableNoUsefulStats(t *testing.T) {
 	f := newFixture(t, histogram.MaxDiff, false)
-	// No joins, no group by: nothing priced to collect; the free
-	// cardinality collector on the scan remains.
+	// No join: no checkpoint ever reads a report, so not even the free
+	// cardinality collector is placed.
 	res := f.optimize(t, "select f_id from fact where f_val < 10")
 	ins, err := Insert(res, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range ins {
-		if !i.Collector.Spec.Empty() {
-			t.Errorf("unexpected priced stats on single-table query: %v", i.Stats)
+	if len(ins) != 0 {
+		t.Errorf("a zero-join plan got %d collectors: %v", len(ins), ins)
+	}
+}
+
+// TestCollectorsOnlyOnBuildInputs holds every placement to the rule: a
+// collector's consumer, looking through filters and exchanges, is a hash
+// join reading it as its build input. The spine's top result, an index
+// join's outer and a single-table scan get none.
+func TestCollectorsOnlyOnBuildInputs(t *testing.T) {
+	f := newFixture(t, histogram.MaxDiff, false)
+	indexed := newFixture(t, histogram.MaxDiff, false)
+	if err := indexed.cat.CreateIndex("dim2", "e_id"); err != nil {
+		t.Fatal(err)
+	}
+	indexed.cat.Analyze("dim2", catalog.AnalyzeOptions{Family: histogram.MaxDiff})
+	// Ten dim rows probe dim2's index; that join's output builds the hash
+	// join with fact.
+	const indexedQuery = `select f_grp, count(*) as n from fact, dim, dim2
+		where fact.f_dim = dim.d_id and dim.d_x = dim2.e_id and d_id < 10 group by f_grp`
+	for _, c := range []struct {
+		f         *fixture
+		src       string
+		want      int
+		indexJoin bool // the plan must hold an index join
+	}{
+		{f, joinGroupQuery, 2, false}, // the leaf scan and the first join's output
+		{f, "select f_id from fact, dim where fact.f_dim = dim.d_id", 1, false},
+		{f, "select f_grp, count(*) as n from fact where f_val < 10 group by f_grp", 0, false},
+		{indexed, indexedQuery, 1, true}, // the fact scan is the index join's outer
+	} {
+		res := c.f.optimizeWith(t, c.src, !c.indexJoin)
+		ins, err := Insert(res, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ins) != c.want {
+			t.Errorf("%q: %d collectors, want %d\n%s", c.src, len(ins), c.want, plan.Format(res.Root))
+		}
+		parents := parentLinks(res.Root)
+		sawIndexJoin := false
+		plan.Walk(res.Root, func(n plan.Node) {
+			_, ok := n.(*plan.IndexJoin)
+			sawIndexJoin = sawIndexJoin || ok
+		})
+		if sawIndexJoin != c.indexJoin {
+			t.Fatalf("%q: index join in plan %v, want %v\n%s", c.src, sawIndexJoin, c.indexJoin, plan.Format(res.Root))
+		}
+		for _, in := range ins {
+			var below plan.Node = in.Collector
+			p := parents[below]
+			for {
+				if _, through := p.(*plan.Filter); !through {
+					if _, through := p.(*plan.Exchange); !through {
+						break
+					}
+				}
+				below, p = p, parents[p]
+			}
+			if hj, ok := p.(*plan.HashJoin); !ok || hj.Build != below {
+				t.Errorf("%q: collector at %s feeds %T, not a hash join's build", c.src, in.Point, p)
+			}
 		}
 	}
 }
