@@ -49,7 +49,9 @@ type RunConfig struct {
 	// Warm executes the query twice on one manager, with the case's
 	// alternate query (star for narrow, narrow for star) in between:
 	// the second run must come from the plan cache, and all three must
-	// agree with their references.
+	// agree with their references. When the first run fed its observed
+	// rows back into the cache entry, the second must start from the
+	// re-planned entry.
 	Warm bool `json:"warm,omitempty"`
 	// CancelTick > 0 cancels the query's context from inside the
 	// engine at the Nth scanned tuple (serial runs only).
@@ -99,6 +101,7 @@ func Matrix(c Case) []RunConfig {
 		RunConfig{Name: "forced-d4-tiny", Mode: reopt.ModeFull, Degree: 4, Budget: tinyBudget, Forced: true},
 		RunConfig{Name: "forced-restart-d1-tiny", Mode: reopt.ModeRestart, Degree: 1, Budget: tinyBudget, Forced: true},
 		RunConfig{Name: "warm-d1-big", Mode: reopt.ModeFull, Degree: 1, Budget: bigBudget, Warm: true},
+		RunConfig{Name: "warm-forced-d1-tiny", Mode: reopt.ModeFull, Degree: 1, Budget: tinyBudget, Forced: true, Warm: true},
 		RunConfig{Name: "preempt-d1-tiny", Mode: reopt.ModeFull, Degree: 1, Budget: tinyBudget, Forced: true, Preempt: true},
 		RunConfig{Name: "preempt-d4-tiny", Mode: reopt.ModeFull, Degree: 4, Budget: tinyBudget, Forced: true, Preempt: true},
 	)
@@ -215,9 +218,14 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 			step{sql: env.SQL, want: env.Want, mustHit: true})
 	}
 	outcome := "ok"
-	for _, s := range steps {
+	learned := false // the first run re-planned its cache entry
+	for i, s := range steps {
 		before := counterSnapshot(mgr)
+		feedbacks := mgr.CacheStats().Feedbacks
 		res, err := sess.Exec(ctx, s.sql, opts)
+		if i == 0 {
+			learned = mgr.CacheStats().Feedbacks > feedbacks
+		}
 
 		after := counterSnapshot(mgr)
 		for _, name := range engineCounters {
@@ -242,6 +250,9 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 			}
 			if s.mustHit && !res.CacheHit {
 				return fail("second run missed the plan cache")
+			}
+			if s.mustHit && learned && !res.FedBack {
+				return fail("the first run re-planned its cache entry, the second did not start from it")
 			}
 			if msg := checkDecisions(res, cfg, mgr); msg != "" {
 				return fail("%s", msg)

@@ -34,6 +34,9 @@ type Progress struct {
 	Tenant  string
 	SQL     string
 	Started time.Time
+	// FedBack marks a query that started from a plan re-planned on an
+	// earlier run's observed rows. Immutable after Start.
+	FedBack bool
 
 	// timed turns on EXPLAIN ANALYZE accounting. Immutable.
 	timed bool
@@ -441,6 +444,7 @@ type ProgressSnapshot struct {
 	Checkpoints int64        `json:"checkpoints"`
 	Switches    int64        `json:"switches"`
 	Preempts    int64        `json:"preempts,omitempty"`
+	FedBack     bool         `json:"fed_back,omitempty"`
 	SpillBytes  float64      `json:"spill_bytes"`
 	Operators   []OpSnapshot `json:"operators,omitempty"`
 }
@@ -472,6 +476,7 @@ func (p *Progress) Snapshot(withOps bool) ProgressSnapshot {
 		Checkpoints: p.checkpoints.Load(),
 		Switches:    p.switches.Load(),
 		Preempts:    p.preempts.Load(),
+		FedBack:     p.FedBack,
 		SpillBytes:  p.SpillBytes(),
 	}
 	if !withOps {

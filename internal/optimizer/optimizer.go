@@ -30,6 +30,10 @@ type Optimizer struct {
 	// DisableIndexJoin restricts plans to hash joins (ablation hook).
 	DisableIndexJoin bool
 
+	// Overlay, when set, holds rows an earlier run of the same statement
+	// observed; they replace the estimate of each relation set it covers.
+	Overlay Overlay
+
 	// PlansConsidered counts DP transitions of the last Optimize call;
 	// the re-optimizer converts it to T_opt (§2.4).
 	PlansConsidered int
@@ -46,6 +50,40 @@ type Result struct {
 	Order []int
 	// PlansConsidered is the enumeration effort for this plan.
 	PlansConsidered int
+	// Overlay is the optimizer's Overlay the plan was chosen under; nil
+	// for a plan of estimates alone. Shared, never modified.
+	Overlay Overlay
+}
+
+// Overlay maps a relation set of one statement — a bitmask over its
+// Query.Rels — to the rows a run observed for it: the set's join with
+// every predicate among its relations applied. Within one statement a
+// relation set fixes those predicates, so the set alone is the key.
+type Overlay map[uint32]float64
+
+// Merge returns ov with obs laid over it, and whether obs holds a
+// relation set ov lacks. Neither map is modified.
+func (ov Overlay) Merge(obs Overlay) (Overlay, bool) {
+	out := make(Overlay, len(ov)+len(obs))
+	for set, rows := range ov {
+		out[set] = rows
+	}
+	added := false
+	for set, rows := range obs {
+		_, had := out[set]
+		added = added || !had
+		out[set] = rows
+	}
+	return out, added
+}
+
+// rows returns the overlay's rows for a relation set, or est when the
+// overlay has none.
+func (o *Optimizer) rows(set uint32, est float64) float64 {
+	if r, ok := o.Overlay[set]; ok {
+		return r
+	}
+	return est
 }
 
 // dpEntry is one DP state: the best left-deep plan joining the masked
@@ -138,7 +176,7 @@ func (o *Optimizer) Optimize(q *Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Root: root, Query: q, Order: final.order, PlansConsidered: o.PlansConsidered}, nil
+	return &Result{Root: root, Query: q, Order: final.order, PlansConsidered: o.PlansConsidered, Overlay: o.Overlay}, nil
 }
 
 func popcount(m uint32) int {
@@ -169,7 +207,7 @@ func (o *Optimizer) buildLeaf(q *Query, i int, cm *costModel) (*dpEntry, error) 
 	if card <= 0 {
 		card = float64(t.Heap.NumTuples()) // unanalyzed: physical count
 	}
-	rows := math.Max(0, card*sel)
+	rows := o.rows(1<<uint(i), math.Max(0, card*sel))
 	// Sized by what the scan emits, not by what the table stores: every
 	// memory demand, spill volume and temp-table size above follows.
 	avg := t.AvgBytes(rel.Cols)
@@ -231,7 +269,7 @@ func (o *Optimizer) extend(q *Query, entry *dpEntry, leaf *dpEntry, j int, cm *c
 	for range other {
 		sel *= histogram_DefaultRangeSelectivity
 	}
-	outRows := entry.rows * leaf.rows * sel
+	outRows := o.rows(entry.mask|1<<uint(j), entry.rows*leaf.rows*sel)
 	leafAvg := avgBytes(leaf)
 	outBytes := outRows * (avgBytes(entry) + leafAvg)
 
@@ -433,7 +471,7 @@ func (o *Optimizer) tryIndexJoin(q *Query, entry *dpEntry, j int, equi []*PredRe
 
 // extendCartesian joins with no predicate (disconnected graphs only).
 func (o *Optimizer) extendCartesian(q *Query, entry, leaf *dpEntry, j int, cm *costModel) (*dpEntry, error) {
-	outRows := entry.rows * leaf.rows
+	outRows := o.rows(entry.mask|1<<uint(j), entry.rows*leaf.rows)
 	outBytes := outRows * (avgBytes(entry) + avgBytes(leaf))
 	node, cost, err := o.tryHashJoin(q, entry, leaf, j, nil, outRows, outBytes, cm)
 	if err != nil {

@@ -409,3 +409,93 @@ func TestCartesianFallback(t *testing.T) {
 		t.Errorf("cartesian rows = %d, want 75", len(rows))
 	}
 }
+
+// setRows maps each relation set the plan produces — a scan's, or a
+// join's with everything under it — to the node's row estimate.
+func setRows(res *Result) map[uint32]float64 {
+	bit := map[string]uint32{}
+	for i, rel := range res.Query.Rels {
+		bit[rel.Binding] = 1 << uint(i)
+	}
+	out := map[uint32]float64{}
+	var set func(n plan.Node) uint32
+	set = func(n plan.Node) uint32 {
+		var s uint32
+		switch x := n.(type) {
+		case *plan.Scan:
+			s = bit[x.Binding]
+		case *plan.IndexJoin:
+			s = bit[x.Binding]
+		}
+		for _, c := range n.Children() {
+			s |= set(c)
+		}
+		switch n.(type) {
+		case *plan.Scan, *plan.HashJoin, *plan.IndexJoin:
+			out[s] = n.Est().Rows
+		}
+		return s
+	}
+	set(res.Root)
+	return out
+}
+
+// An overlay entry is the rows of its relation set, exactly; a set that
+// does not contain an overlaid one keeps its estimate.
+func TestOverlaySetsItsRelationSetsRows(t *testing.T) {
+	f := newFixture(t)
+	stmt, err := sql.Parse(`select o_id, n_name from orders, cust, nation
+		where orders.o_cust = cust.c_id and cust.c_nation = nation.n_id and o_status = 7`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optimize := func(ov Overlay) *Result {
+		t.Helper()
+		q, err := Analyze(f.cat, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &Optimizer{Weights: storage.DefaultCostWeights(), MemBudget: 32 << 20, DisableIndexJoin: true, Overlay: ov}
+		res, err := o.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	base := setRows(optimize(nil))
+	const orders, cust, nation, all = 0b001, 0b010, 0b100, 0b111
+	ov := Overlay{nation: 3, all: 1234}
+	res := optimize(ov)
+	if res.Overlay == nil || res.Overlay[all] != 1234 {
+		t.Errorf("Result.Overlay = %v, want the optimizer's", res.Overlay)
+	}
+	got := setRows(res)
+	for set, want := range ov {
+		if got[set] != want {
+			t.Errorf("set %03b: rows %v, overlay says %v", set, got[set], want)
+		}
+	}
+	for _, set := range []uint32{orders, cust, orders | cust} {
+		if r, ok := got[set]; ok && r != base[set] {
+			t.Errorf("set %03b: rows %v under the overlay, %v without", set, r, base[set])
+		}
+	}
+	if got[orders] == 0 || got[cust] == 0 {
+		t.Fatalf("plan does not scan every relation: %v", got)
+	}
+}
+
+func TestOverlayMerge(t *testing.T) {
+	ov := Overlay{1: 10}
+	m, added := ov.Merge(Overlay{1: 12})
+	if added || m[1] != 12 {
+		t.Errorf("merging a known set: %v added=%v, want map[1:12] false", m, added)
+	}
+	m, added = ov.Merge(Overlay{2: 5})
+	if !added || m[1] != 10 || m[2] != 5 {
+		t.Errorf("merging a new set: %v added=%v, want map[1:10 2:5] true", m, added)
+	}
+	if len(ov) != 1 || ov[1] != 10 {
+		t.Errorf("Merge modified its receiver: %v", ov)
+	}
+}

@@ -22,7 +22,14 @@
 // schema version and flush everything (cheap, rare, and renaming can
 // change what any statement resolves to). Temp tables materialized by
 // mid-query re-optimization bump neither — they are private to one
-// query and would otherwise flush the cache on every plan switch.
+// query and would otherwise flush the cache on every plan switch. A
+// planner reads the versions before it plans (Versions, then PutAt), so
+// a commit that lands meanwhile leaves the entry stale.
+//
+// An entry can learn: a run that found its plan suspect re-plans the
+// entry on the rows it observed (optimizer.Overlay, carried on the
+// plan) and swaps it in with Replace, which keeps the replaced entry's
+// versions — the overlay lives and dies with its entry.
 package plancache
 
 import (
@@ -45,16 +52,30 @@ type Cache struct {
 	schemaVer func() int64
 	tableVer  func(name string) int64
 
-	hits, misses, invalidations, evictions int64
+	hits, misses, invalidations, evictions, feedbacks int64
 }
 
+// entry is one cached plan. Storing or replacing a plan makes a new
+// entry, so a Ticket names exactly one plan.
 type entry struct {
-	res       *optimizer.Result
-	schemaVer int64
-	// tables records the statistics version of every referenced table
-	// at insertion time.
+	res  *optimizer.Result
+	vers Versions
+	elem *list.Element
+}
+
+// Versions is the catalog state an entry is valid for: the schema
+// version and the statistics version of every table the statement
+// reads.
+type Versions struct {
+	schema int64
 	tables map[string]int64
-	elem   *list.Element
+}
+
+// Ticket names the entry a plan was served from or stored as. The zero
+// Ticket names none.
+type Ticket struct {
+	key string
+	e   *entry
 }
 
 // New returns a cache of at most capacity plans. schemaVer reports the
@@ -85,36 +106,69 @@ func New(capacity int, schemaVer func() int64, tableVer func(name string) int64)
 // A stale entry (catalog statistics changed since it was stored) counts
 // as a miss and is dropped.
 func (c *Cache) Get(key string) *optimizer.Result {
+	res, _ := c.Lookup(key)
+	return res
+}
+
+// Lookup is Get that also returns the Ticket of the entry it served.
+func (c *Cache) Lookup(key string) (*optimizer.Result, Ticket) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil
+		return nil, Ticket{}
 	}
 	if !c.validLocked(e) {
 		c.removeLocked(key, e)
 		c.invalidations++
 		c.misses++
-		return nil
+		return nil, Ticket{}
 	}
 	c.hits++
 	c.lru.MoveToFront(e.elem)
-	return cloneResult(e.res)
+	return cloneResult(e.res), Ticket{key: key, e: e}
 }
 
-// Put stores a pristine plan under key. The cache keeps its own clone,
-// so the caller may execute (and thereby mutate) res afterwards.
+// Versions reads the catalog versions a plan of stmt is valid for. A
+// caller that plans reads them first: a commit that lands while the
+// optimizer runs then leaves the stored entry stale, instead of a plan
+// of the old statistics labelled with the new versions.
+func (c *Cache) Versions(stmt *sql.SelectStmt) Versions {
+	v := Versions{schema: c.schemaVer()}
+	if stmt == nil {
+		return v
+	}
+	v.tables = make(map[string]int64, len(stmt.From))
+	for _, ref := range stmt.From {
+		name := strings.ToLower(ref.Name)
+		v.tables[name] = c.tableVer(name)
+	}
+	return v
+}
+
+// Put stores a pristine plan under key, valid for the catalog versions
+// read now: for callers with no writer running beside the optimizer.
 func (c *Cache) Put(key string, res *optimizer.Result) {
-	clone := cloneResult(res)
+	var stmt *sql.SelectStmt
+	if res.Query != nil {
+		stmt = res.Query.Stmt
+	}
+	c.PutAt(key, res, c.Versions(stmt))
+}
+
+// PutAt stores a pristine plan under key, valid for vers, and returns
+// its Ticket. The cache keeps its own clone, so the caller may execute
+// (and thereby mutate) res afterwards.
+func (c *Cache) PutAt(key string, res *optimizer.Result, vers Versions) Ticket {
+	e := &entry{res: cloneResult(res), vers: vers}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		e.res = clone
-		e.schemaVer = c.schemaVer()
-		e.tables = c.tableVersions(res)
+	if old, ok := c.entries[key]; ok {
+		e.elem = old.elem
+		c.entries[key] = e
 		c.lru.MoveToFront(e.elem)
-		return
+		return Ticket{key: key, e: e}
 	}
 	for len(c.entries) >= c.cap {
 		back := c.lru.Back()
@@ -125,38 +179,49 @@ func (c *Cache) Put(key string, res *optimizer.Result) {
 		c.removeLocked(k, c.entries[k])
 		c.evictions++
 	}
-	e := &entry{res: clone, schemaVer: c.schemaVer(), tables: c.tableVersions(res)}
 	e.elem = c.lru.PushFront(key)
 	c.entries[key] = e
+	return Ticket{key: key, e: e}
+}
+
+// Current reports whether t still names the cached entry for its key
+// and that entry's versions still match the catalog.
+func (c *Cache) Current(t Ticket) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[t.key]
+	return ok && e == t.e && c.validLocked(e)
+}
+
+// Replace swaps the plan of the entry t names for res, keeping that
+// entry's versions, and reports whether it did. It does nothing once
+// the entry has been replaced, re-stored, evicted or dropped: the plan
+// res was derived from is no longer the one cached.
+func (c *Cache) Replace(t Ticket, res *optimizer.Result) bool {
+	clone := cloneResult(res)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old, ok := c.entries[t.key]
+	if !ok || old != t.e {
+		return false
+	}
+	c.entries[t.key] = &entry{res: clone, vers: old.vers, elem: old.elem}
+	c.feedbacks++
+	return true
 }
 
 // validLocked reports whether an entry's recorded versions still match
 // the catalog: the schema version, and each referenced table's version.
 func (c *Cache) validLocked(e *entry) bool {
-	if e.schemaVer != c.schemaVer() {
+	if e.vers.schema != c.schemaVer() {
 		return false
 	}
-	for name, ver := range e.tables {
+	for name, ver := range e.vers.tables {
 		if c.tableVer(name) != ver {
 			return false
 		}
 	}
 	return true
-}
-
-// tableVersions snapshots the statistics version of every table the
-// plan references.
-func (c *Cache) tableVersions(res *optimizer.Result) map[string]int64 {
-	if res.Query == nil {
-		return nil
-	}
-	tables := make(map[string]int64, len(res.Query.Rels))
-	for i := range res.Query.Rels {
-		if t := res.Query.Rels[i].Table; t != nil {
-			tables[t.Name] = c.tableVer(t.Name)
-		}
-	}
-	return tables
 }
 
 func (c *Cache) removeLocked(key string, e *entry) {
@@ -171,6 +236,8 @@ type Stats struct {
 	Misses        int64
 	Invalidations int64 // misses caused by a statistics-version change
 	Evictions     int64
+	// Feedbacks counts entries re-planned from the rows a run observed.
+	Feedbacks int64
 }
 
 // Stats snapshots the counters.
@@ -183,6 +250,7 @@ func (c *Cache) Stats() Stats {
 		Misses:        c.misses,
 		Invalidations: c.invalidations,
 		Evictions:     c.evictions,
+		Feedbacks:     c.feedbacks,
 	}
 }
 
@@ -197,6 +265,7 @@ func cloneResult(res *optimizer.Result) *optimizer.Result {
 		Query:           res.Query,
 		Order:           append([]int(nil), res.Order...),
 		PlansConsidered: res.PlansConsidered,
+		Overlay:         res.Overlay,
 	}
 }
 

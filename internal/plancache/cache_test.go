@@ -273,3 +273,97 @@ func TestScopedInvalidation(t *testing.T) {
 		t.Errorf("Invalidations = %d, want 1", st.Invalidations)
 	}
 }
+
+// A plan stored under the versions read before it was planned misses
+// once a commit lands while the optimizer runs, however the catalog
+// looks when PutAt is called.
+func TestEntryStoredUnderOlderVersionsMisses(t *testing.T) {
+	e := newEnv(t)
+	c := New(16, e.cat.SchemaVersion, e.cat.TableVersion)
+	stmt, _ := e.optimize(t, paramQuery)
+	vers := c.Versions(stmt)
+
+	// The commit lands between reading the versions and storing the plan.
+	t1, err := e.cat.Table("t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := e.cat.BeginTxn()
+	if err := tx.Insert(t1, types.Tuple{types.NewInt(10_000), types.NewInt(0), types.NewFloat(1)}); err != nil {
+		t.Fatal(err)
+	}
+	tx.Commit()
+	_, res := e.optimize(t, paramQuery)
+	key := Key(stmt, "fp")
+	c.PutAt(key, res, vers)
+	if c.Get(key) != nil {
+		t.Fatal("a plan stored under versions older than the catalog's was served")
+	}
+	if st := c.Stats(); st.Invalidations != 1 {
+		t.Errorf("Invalidations = %d, want 1", st.Invalidations)
+	}
+}
+
+// Replace swaps only the entry its Ticket names, keeps that entry's
+// versions, and carries the overlay to every clone.
+func TestReplaceIsCompareAndSwap(t *testing.T) {
+	e := newEnv(t)
+	c := New(16, e.cat.SchemaVersion, e.cat.TableVersion)
+	stmt, res := e.optimize(t, paramQuery)
+	key := Key(stmt, "fp")
+	stored := c.PutAt(key, res, c.Versions(stmt))
+	_, served := c.Lookup(key)
+	if served != stored {
+		t.Fatal("Lookup's Ticket does not name the entry PutAt stored")
+	}
+
+	if !c.Current(served) {
+		t.Fatal("a fresh entry's Ticket is not current")
+	}
+	learned := *res
+	learned.Overlay = optimizer.Overlay{1: 7}
+	if !c.Replace(served, &learned) {
+		t.Fatal("Replace on the entry the plan was served from did nothing")
+	}
+	got, now := c.Lookup(key)
+	if got == nil || got.Overlay[1] != 7 {
+		t.Fatalf("the replaced entry serves overlay %v, want map[1:7]", got.Overlay)
+	}
+	// The ticket the first run held names an entry that is gone.
+	if c.Current(served) {
+		t.Error("the Ticket of a replaced entry is current")
+	}
+	if c.Replace(served, res) {
+		t.Error("Replace through a stale Ticket swapped the entry")
+	}
+	if got := c.Get(key); got.Overlay[1] != 7 {
+		t.Error("a no-op Replace changed the cached plan")
+	}
+	if c.Replace(Ticket{}, res) {
+		t.Error("Replace through the zero Ticket swapped an entry")
+	}
+	if st := c.Stats(); st.Feedbacks != 1 {
+		t.Errorf("Feedbacks = %d, want 1", st.Feedbacks)
+	}
+
+	// The replacement kept the versions of the entry it replaced: a
+	// commit on t2 drops plan and overlay together.
+	t2, err := e.cat.Table("t2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := e.cat.BeginTxn()
+	if err := tx.Insert(t2, types.Tuple{types.NewInt(10_000), types.NewInt(0), types.NewFloat(1)}); err != nil {
+		t.Fatal(err)
+	}
+	tx.Commit()
+	if c.Current(now) {
+		t.Error("an entry is current after a commit on a table it reads")
+	}
+	if c.Get(key) != nil {
+		t.Error("a replaced entry outlived a commit on a table it reads")
+	}
+	if c.Replace(now, &learned) {
+		t.Error("Replace revived a dropped entry")
+	}
+}

@@ -3,6 +3,7 @@ package reopt
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
@@ -26,6 +27,9 @@ type dispatchRun struct {
 	// collectors indexes the plan's statistics collectors by ID, to
 	// match a report to the node that produced it.
 	collectors map[int]*plan.Collector
+	// filtered lists the collectors right under a residual filter: each
+	// counts its join's rows before the filter, no relation set's rows.
+	filtered []*plan.Collector
 	// origTotal is the optimizer's promise for this plan; startSnap the
 	// meter when the dispatch began (elapsed = meter − startSnap); stale
 	// the statistics baseline the plan was optimized against.
@@ -67,8 +71,13 @@ func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *ex
 		switchesLeft: switchesLeft,
 	}
 	plan.Walk(res.Root, func(n plan.Node) {
-		if c, ok := n.(*plan.Collector); ok {
-			r.collectors[c.ID] = c
+		switch x := n.(type) {
+		case *plan.Collector:
+			r.collectors[x.ID] = x
+		case *plan.Filter:
+			if c, ok := x.Input.(*plan.Collector); ok {
+				r.filtered = append(r.filtered, c)
+			}
 		}
 	})
 
@@ -410,7 +419,7 @@ func (r *dispatchRun) checkpoint(i int, obs *plan.Observed) (Decision, error) {
 		r.Cfg.CheckpointHook(i)
 	}
 	cnode := r.collectors[obs.CollectorID]
-	rec := Decision{Step: i, ObsRows: obs.Rows, EstRows: cnode.Est().Rows}
+	rec := Decision{Step: i, ObsRows: obs.Rows, EstRows: cnode.Est().Rows, Rels: r.observedSet(cnode)}
 	ratio := 1.0
 	switch {
 	case rec.EstRows > 0:
@@ -767,6 +776,59 @@ func indexClustering(j *plan.IndexJoin) float64 {
 	return 0
 }
 
+// observedSet returns the relation set of the first plan's query whose
+// rows collector c counts, from the bindings scanned under it; 0 for a
+// collector under a residual filter.
+func (r *dispatchRun) observedSet(c *plan.Collector) uint32 {
+	for _, f := range r.filtered {
+		if f == c {
+			return 0
+		}
+	}
+	return r.scanSet(c.Input)
+}
+
+// scanSet ORs the relation sets of the bindings scanned under n. A
+// collector's input holds only scans, joins and the unary nodes of the
+// join chain; those are followed field by field, since Children builds
+// a slice per call.
+func (d *Dispatcher) scanSet(n plan.Node) uint32 {
+	switch x := n.(type) {
+	case *plan.Scan:
+		return d.relSet(x.Binding)
+	case *plan.IndexJoin:
+		return d.relSet(x.Binding) | d.scanSet(x.Outer)
+	case *plan.HashJoin:
+		return d.scanSet(x.Build) | d.scanSet(x.Probe)
+	case *plan.Filter:
+		return d.scanSet(x.Input)
+	case *plan.Collector:
+		return d.scanSet(x.Input)
+	case *plan.Exchange:
+		return d.scanSet(x.Input)
+	}
+	var set uint32
+	for _, c := range n.Children() {
+		set |= d.scanSet(c)
+	}
+	return set
+}
+
+// stand registers a temp as the binding for this plan's consumed
+// relations and returns the relation set of the first plan's query it
+// covers: its relations map by binding, and a temp among them maps to
+// the set it stands for.
+func (r *dispatchRun) stand(tempName string, consumed uint32) uint32 {
+	var set uint32
+	for k, rel := range r.res.Query.Rels {
+		if consumed&(1<<uint(k)) != 0 {
+			set |= r.relSet(rel.Binding)
+		}
+	}
+	r.prefixes = append(r.prefixes, prefix{binding: strings.ToLower(tempName), set: set})
+	return set
+}
+
 // consumedMask returns the relation bitmask materialized after step i
 // completes: the leftmost relation plus every relation joined by steps
 // 0..i.
@@ -819,6 +881,8 @@ func (r *dispatchRun) optimizeRemainder(i int, obs *plan.Observed, kind string) 
 	matEst := matNode.Est()
 	r.tempSeq++
 	tempName := r.tempName(kind)
+	consumed := consumedMask(r.res, i)
+	r.stand(tempName, consumed)
 	heap := storage.NewHeapFile(r.ctx.Pool) // placeholder; never populated
 	tbl, err := r.Cat.RegisterTemp(tempName, tempSchema(matNode.Schema()), heap)
 	if err != nil {
@@ -832,7 +896,7 @@ func (r *dispatchRun) optimizeRemainder(i int, obs *plan.Observed, kind string) 
 	fillTempStats(tbl, matNode.Schema(), obs, r.collectors[obs.CollectorID], r.res.Query, matEst.Rows)
 
 	var newRes *optimizer.Result
-	remStmt, err := remainderStmt(r.res.Query, consumedMask(r.res, i), tempName)
+	remStmt, err := remainderStmt(r.res.Query, consumed, tempName)
 	if err == nil {
 		newRes, err = r.Optimize(remStmt)
 	}

@@ -209,3 +209,32 @@ func TestTempTablesCleanedUp(t *testing.T) {
 		t.Errorf("temp tables leaked: %d -> %d (%v)", tablesBefore, got, e.cat.Tables())
 	}
 }
+
+// A join whose output passes a residual filter before it builds the
+// next join is observed under the filter: the collector counts the rows
+// the filter has yet to drop, which are no relation set's rows, so the
+// record names no set.
+func TestResidualFilterObservationNamesNoSet(t *testing.T) {
+	e := newEnv(2048)
+	e.addTable(t, "a", 3000, 200, 10)
+	e.addTable(t, "b", 200, 20, 5)
+	e.addTable(t, "c", 20, 5, 5)
+	e.analyzeAll(t)
+	src := `select a_grp, count(*) as cnt from a, b, c
+		where a.a_fk = b.b_pk and b.b_fk = c.c_pk and c_val <= b_val group by a_grp`
+	cfg := DefaultConfig(ModeFull)
+	cfg.DisableIndexJoin = true
+	_, st, err := New(e.cat, cfg).RunSQL(src, plan.Params{}, e.ctx(plan.Params{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unnamed := 0
+	for _, d := range st.Decisions {
+		if d.Rels == 0 {
+			unnamed++
+		}
+	}
+	if unnamed != 1 {
+		t.Fatalf("%d records name no relation set, want the one under the filter: %v", unnamed, st.Decisions)
+	}
+}

@@ -179,9 +179,16 @@ func (c Cause) String() string { return causeNames[c] }
 type Decision struct {
 	Step             int     // join whose build just finished; −1 for a parametric choice
 	ObsRows, EstRows float64 // the collector's rows (parametric: actual, scenario selectivity)
-	Growth           float64 // stats growth folded into the suffix; 1 if none
-	Realloc          bool    // grants re-allocated, Returned/Grown bytes to/from the broker
-	Returned, Grown  float64
+	// Rels is the relation set whose rows ObsRows counts, a bitmask over
+	// the Query.Rels of the plan the query started from; 0 when ObsRows
+	// is no set's rows (a parametric choice, a join's output under its
+	// residual filter). MatRows is the exact row count of the temp a
+	// materializing switch filled, for the set MatRels; 0 otherwise.
+	Rels, MatRels   uint32
+	MatRows         float64
+	Growth          float64 // stats growth folded into the suffix; 1 if none
+	Realloc         bool    // grants re-allocated, Returned/Grown bytes to/from the broker
+	Returned, Grown float64
 	// Elapsed is the cost spent so far, Improved is T_cur,improved
 	// (Elapsed plus the remainder re-costed under its final grants) and
 	// Estimate the plan's promise; TOpt and Trial stay 0 unless Eq. 1 or
@@ -189,6 +196,12 @@ type Decision struct {
 	Elapsed, Improved, Estimate, TOpt, Trial float64
 	Cause                                    Cause
 	Via                                      Strategy // how a switch reached its new plan
+}
+
+// Suspect reports whether the checkpoint found its plan suspect under
+// Eq. 2: every cause but eq2, memory-only mode and parametric.
+func (d Decision) Suspect() bool {
+	return d.Cause != CauseEq2 && d.Cause != CauseMemoryOnly && d.Cause != CauseParametric
 }
 
 // Switched reports whether the checkpoint left its plan.
@@ -255,6 +268,21 @@ type Stats struct {
 	WorkersSpawned int
 }
 
+// Observed returns the rows the query's checkpoints and materialized
+// switches counted, per relation set of the plan it started from.
+func (st *Stats) Observed() optimizer.Overlay {
+	ov := optimizer.Overlay{}
+	for _, d := range st.Decisions {
+		if d.Rels != 0 {
+			ov[d.Rels] = d.ObsRows
+		}
+		if d.MatRels != 0 {
+			ov[d.MatRels] = d.MatRows
+		}
+	}
+	return ov
+}
+
 // Dispatcher is the modified scheduler/dispatcher of §3.1: it owns query
 // compilation (optimize → SCIA → memory allocation) and segmented
 // execution with mid-query decisions.
@@ -269,6 +297,35 @@ type Dispatcher struct {
 	// abort skipped a drop, or a drop itself failed — is released by
 	// Cleanup, which the session calls unconditionally.
 	temps map[string]struct{}
+	// query is the analyzed statement of the plan the query started
+	// from; relation sets (Decision.Rels) are bitmasks over its Rels.
+	query *optimizer.Query
+	// prefixes lists every temp standing for a consumed prefix, with the
+	// relation set of query it covers.
+	prefixes []prefix
+}
+
+// prefix is one temp's binding and the relation set it stands for.
+type prefix struct {
+	binding string
+	set     uint32
+}
+
+// relSet returns the relation set of query that a binding one of the
+// query's plans scans covers: a relation of query by its position, a
+// temp by the prefix it stands for.
+func (d *Dispatcher) relSet(binding string) uint32 {
+	for i := range d.query.Rels {
+		if d.query.Rels[i].Binding == binding {
+			return 1 << uint(i)
+		}
+	}
+	for _, p := range d.prefixes {
+		if p.binding == binding {
+			return p.set
+		}
+	}
+	return 0
 }
 
 // trackTemp records a temp table as live until dropTemp succeeds on it.
@@ -376,11 +433,19 @@ func (d *Dispatcher) Optimizer() *optimizer.Optimizer {
 // session's plan-cache misses all come through here, so a plan switch
 // re-plans through exactly the entry that planned the query.
 func (d *Dispatcher) Optimize(stmt *sql.SelectStmt) (*optimizer.Result, error) {
+	return d.OptimizeWith(stmt, nil)
+}
+
+// OptimizeWith is Optimize under an overlay of the rows an earlier run
+// of stmt observed (Stats.Observed): the plan-cache entry's re-plan.
+func (d *Dispatcher) OptimizeWith(stmt *sql.SelectStmt, ov optimizer.Overlay) (*optimizer.Result, error) {
 	q, err := optimizer.Analyze(d.Cat, stmt)
 	if err != nil {
 		return nil, err
 	}
-	return d.Optimizer().Optimize(q)
+	o := d.Optimizer()
+	o.Overlay = ov
+	return o.Optimize(q)
 }
 
 // arm turns an optimized plan into the one that executes: SCIA
@@ -480,6 +545,7 @@ func (d *Dispatcher) execute(res *optimizer.Result, params plan.Params, ctx *exe
 // annotations are mutated during execution.
 func (d *Dispatcher) RunPlan(res *optimizer.Result, params plan.Params, ctx *exec.Ctx) ([]types.Tuple, *Stats, error) {
 	st := &Stats{}
+	d.query = res.Query
 	pool := d.armParallel(ctx)
 	rows, err := d.execute(res, params, ctx, st, d.Cfg.MaxSwitches)
 	err = d.finishParallel(pool, st, err)

@@ -84,3 +84,45 @@ func TestStrategyString(t *testing.T) {
 		t.Error("strategy names")
 	}
 }
+
+// Every relation set a run records counts exactly that set's rows: the
+// checkpoints of the plan the query started from, the switch's
+// materialized temp, and the checkpoints of the remainder plan, whose
+// temp maps back to the relations it holds. Each set's rows are checked
+// against a count over the same relations and predicates.
+func TestObservedRowsArePerRelationSet(t *testing.T) {
+	where := map[uint32]string{
+		0b001: "from rel1 where rel1_val < :v1 and rel1_grp < :v2",
+		0b010: "from rel2",
+		0b100: "from rel3",
+		0b011: "from rel1, rel2 where rel1.rel1_fk = rel2.rel2_pk and rel1_val < :v1 and rel1_grp < :v2",
+		0b110: "from rel2, rel3 where rel2.rel2_fk = rel3.rel3_pk",
+		0b111: `from rel1, rel2, rel3 where rel1.rel1_fk = rel2.rel2_pk and rel2.rel2_fk = rel3.rel3_pk
+			and rel1_val < :v1 and rel1_grp < :v2`,
+	}
+	for _, s := range []Strategy{StrategyMaterialize, StrategySplice} {
+		e, src, params := spliceEnv(t)
+		_, st, _ := runStrategy(t, e, src, params, s)
+		obs := st.Observed()
+		mat := false
+		for _, d := range st.Decisions {
+			mat = mat || d.MatRels != 0
+		}
+		if len(obs) < 2 || mat != (s == StrategyMaterialize) {
+			t.Fatalf("%v: observed %v, materialized %v; decisions %v", s, obs, mat, st.Decisions)
+		}
+		for set, rows := range obs {
+			q, ok := where[set]
+			if !ok {
+				t.Fatalf("%v: observed set %03b is not one of the query's relation sets", s, set)
+			}
+			got, _, err := New(e.cat, DefaultConfig(ModeOff)).RunSQL("select count(*) as n "+q, params, e.ctx(params))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := float64(got[0][0].Int()); rows != want {
+				t.Errorf("%v: set %03b observed %v rows, it has %v", s, set, rows, want)
+			}
+		}
+	}
+}

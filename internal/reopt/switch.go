@@ -119,8 +119,9 @@ func (r *dispatchRun) materializeAndResubmit(matNode plan.Node, op exec.Operator
 		return nil, err
 	}
 	r.trackTemp(tempName)
+	rec.MatRels, rec.MatRows = r.stand(tempName, consumed), float64(heap.NumTuples())
 	if matObs != nil {
-		fillTempStats(tbl, matSchema, matObs, cnode, r.res.Query, float64(heap.NumTuples()))
+		fillTempStats(tbl, matSchema, matObs, cnode, r.res.Query, rec.MatRows)
 	}
 
 	remStmt, err := remainderStmt(r.res.Query, consumed, tempName)

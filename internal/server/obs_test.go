@@ -39,6 +39,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		"broker_queue_depth",
 		"mqr_queries_total",
 		"plancache_misses_total",
+		"plancache_feedbacks_total",
 		"collector_overhead_fraction",
 		"mqr_query_cost_units_bucket",
 	} {

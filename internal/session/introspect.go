@@ -29,7 +29,7 @@ func (m *Manager) registerIntrospection() {
 			str("query"), cnt("session"), str("tenant"), str("sql"), str("state"),
 			cnt("elapsed_ms"), num("est_cost"), num("cost"), num("fraction"),
 			num("score"), cnt("checkpoints"), cnt("switches"), num("spill_bytes"),
-			cnt("preempts")),
+			cnt("preempts"), cnt("fed_back")),
 		func() []types.Tuple {
 			var out []types.Tuple
 			for _, p := range append(m.prog.Running(), m.prog.Recent()...) {
@@ -42,7 +42,7 @@ func (m *Manager) registerIntrospection() {
 					types.NewFloat(s.Cost), types.NewFloat(s.Fraction),
 					types.NewFloat(s.Score), types.NewInt(s.Checkpoints),
 					types.NewInt(s.Switches), types.NewFloat(s.SpillBytes),
-					types.NewInt(s.Preempts),
+					types.NewInt(s.Preempts), types.NewInt(b2i(s.FedBack)),
 				})
 			}
 			return out
@@ -115,6 +115,13 @@ func (m *Manager) registerIntrospection() {
 			}
 			return out
 		})
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // mustVirtual registers one system table; the names are engine-owned,

@@ -187,6 +187,40 @@ func TestSystemTablesQueryable(t *testing.T) {
 	}
 }
 
+// A run that starts from a fed-back plan says so in mqr.queries, and the
+// re-plan that produced it counts in plancache_feedbacks_total.
+func TestFedBackIntrospection(t *testing.T) {
+	db := newStaleDB(t)
+	m := db.manager(Config{})
+	var tags []string
+	for i := 0; i < 2; i++ {
+		res, err := m.Session().Exec(context.Background(), staleJoin, Options{Mode: reopt.ModeFull})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tags = append(tags, res.Query)
+	}
+	qs := poll(t, m.Session(), "select query, fed_back from mqr.queries")
+	fed := map[string]int64{}
+	for _, row := range qs.Rows {
+		fed[row[0].Str()] = row[1].Int()
+	}
+	if fed[tags[0]] != 0 || fed[tags[1]] != 1 {
+		t.Errorf("fed_back: %s=%d, %s=%d; want 0 for the run of estimates, 1 for the fed-back one",
+			tags[0], fed[tags[0]], tags[1], fed[tags[1]])
+	}
+	mets := poll(t, m.Session(), "select name, value from mqr.metrics")
+	var feedbacks float64 = -1
+	for _, row := range mets.Rows {
+		if row[0].Str() == "plancache_feedbacks_total" {
+			feedbacks = row[1].Float()
+		}
+	}
+	if feedbacks != 1 {
+		t.Errorf("plancache_feedbacks_total = %v, want 1", feedbacks)
+	}
+}
+
 // TestLiveProgressVisibleFromSecondSession is the acceptance test for
 // the live path: while session A is paused at its checkpoints, session
 // B's SELECT over mqr.queries sees A's in-flight query with a nonzero,

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"log/slog"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -229,6 +230,9 @@ func (m *Manager) registerResourceMetrics() {
 	m.reg.NewCounterFunc("plancache_evictions_total",
 		"Cached plans evicted by capacity.",
 		func() float64 { return float64(m.CacheStats().Evictions) })
+	m.reg.NewCounterFunc("plancache_feedbacks_total",
+		"Cached plans re-planned from the rows a run of the statement observed.",
+		func() float64 { return float64(m.CacheStats().Feedbacks) })
 	m.reg.NewGaugeFunc("plancache_entries",
 		"Plans resident in the cache right now.",
 		func() float64 { return float64(m.CacheStats().Entries) })
@@ -479,6 +483,9 @@ type Result struct {
 	RowsAffected int64
 	// CacheHit reports whether the plan came from the plan cache.
 	CacheHit bool
+	// FedBack reports whether the query started from a plan re-planned
+	// on the rows an earlier run of the statement observed.
+	FedBack bool
 	// Broker is the query's traffic against the shared memory pool.
 	Broker memmgr.LeaseStats
 	// Plan is the EXPLAIN ANALYZE rendering (Options.Explain only).
@@ -687,12 +694,14 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 	defer r.end()
 	tr := r.tr
 	res, hit := pre, false
+	var tk plancache.Ticket
 	if res == nil {
 		var err error
-		if res, hit, err = s.plan(stmt, opts); err != nil {
+		if res, hit, tk, err = s.plan(stmt, opts); err != nil {
 			return nil, err
 		}
 	}
+	fedBack := res.Overlay != nil
 	// Column names come from the pristine root: dispatch may wrap or
 	// replace it (collector insertion, plan switches).
 	sch := res.Root.Schema()
@@ -706,6 +715,7 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 	if opts.Explain || !opts.NoProgress {
 		r.qp = obs.NewProgress(tag, s.id, r.sql, opts.Explain)
 		r.qp.Tenant = ten
+		r.qp.FedBack = fedBack
 	}
 	qp := r.qp
 	if !opts.NoProgress {
@@ -799,10 +809,15 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 			tr.Emit("preempt", "suspended at checkpoint, re-queueing for admission",
 				"tenant", ten, "resume", preempted)
 		}
-		res, _, err = s.plan(stmt, opts)
+		res, _, tk, err = s.plan(stmt, opts)
 		if err != nil {
 			return nil, err
 		}
+	}
+	// Inside an explicit transaction the snapshot sees the transaction's
+	// own uncommitted writes, rows no other run would see.
+	if r.tx == nil {
+		s.learn(stmt, opts, tk, res.Overlay, st)
 	}
 	delta := m.meter.Snapshot().Sub(before)
 	cost := delta.Cost()
@@ -818,6 +833,7 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 		Tenant:    ten,
 		Preempted: preempted,
 		CacheHit:  hit,
+		FedBack:   fedBack,
 		Plan:      qp.Render(),
 	}
 	if lease != nil {
@@ -948,28 +964,59 @@ func (m *Manager) QueriesRun() int64 { return m.queries.Load() }
 func (m *Manager) Uptime() time.Duration { return time.Since(m.start) }
 
 // plan resolves the statement to an executable optimizer result,
-// consulting the plan cache. The optimizer runs through the dispatcher's
-// own entry (reopt.Dispatcher.Optimize) with no lease attached, so under
-// the fixed budget — the manager's, or the query's private one — and the
+// consulting the plan cache, and returns the Ticket of the cache entry
+// it came from or was stored as (zero when the cache is bypassed). The
+// optimizer runs through the dispatcher's own entry
+// (reopt.Dispatcher.Optimize) with no lease attached, so under the
+// fixed budget — the manager's, or the query's private one — and the
 // cache key is stable across admissions; the broker's actual grant
 // reshapes memory at allocation time, not plan shape.
-func (s *Session) plan(stmt *sql.SelectStmt, opts Options) (*optimizer.Result, bool, error) {
+func (s *Session) plan(stmt *sql.SelectStmt, opts Options) (*optimizer.Result, bool, plancache.Ticket, error) {
 	m := s.m
 	var key string
+	var vers plancache.Versions
 	if m.cache != nil && !opts.NoCache {
 		key = plancache.Key(stmt, s.fingerprint(opts))
-		if res := m.cache.Get(key); res != nil {
-			return res, true, nil
+		if res, tk := m.cache.Lookup(key); res != nil {
+			return res, true, tk, nil
 		}
+		vers = m.cache.Versions(stmt)
 	}
 	res, err := reopt.New(m.cat, s.dispatcherConfig(opts, nil, "")).Optimize(stmt)
 	if err != nil {
-		return nil, false, err
+		return nil, false, plancache.Ticket{}, err
 	}
+	var tk plancache.Ticket
 	if key != "" {
-		m.cache.Put(key, res)
+		tk = m.cache.PutAt(key, res, vers)
 	}
-	return res, false, nil
+	return res, false, tk, nil
+}
+
+// learn feeds the rows a successful run observed back into the
+// plan-cache entry tk names, whose plan ran under overlay ran. It acts
+// only when a checkpoint found the plan suspect under Eq. 2, the
+// statement binds no host variables (one binding's rows say nothing of
+// another's), and the entry is still cached and current: after a commit
+// on a table it reads, the run observed rows the catalog has moved past
+// and the entry is about to be dropped. When the observations add a
+// relation set to the entry's overlay, the entry is re-planned once
+// under the merged overlay and replaced, unless another run replaced it
+// first.
+func (s *Session) learn(stmt *sql.SelectStmt, opts Options, tk plancache.Ticket, ran optimizer.Overlay, st *reopt.Stats) {
+	if tk == (plancache.Ticket{}) || !slices.ContainsFunc(st.Decisions, reopt.Decision.Suspect) ||
+		len(plancache.HostVars(stmt)) > 0 || !s.m.cache.Current(tk) {
+		return
+	}
+	ov, added := ran.Merge(st.Observed())
+	if !added {
+		return
+	}
+	res, err := reopt.New(s.m.cat, s.dispatcherConfig(opts, nil, "")).OptimizeWith(stmt, ov)
+	if err != nil {
+		return // the entry keeps its plan; the query has its answer
+	}
+	s.m.cache.Replace(tk, res)
 }
 
 // fingerprint names every option that changes what the optimizer would
