@@ -44,7 +44,10 @@
 // -parallel, default 4) over the medium and complex queries, fails if any
 // degree returns a different row count than serial, and reports, per row
 // and per degree, the metered cost, the speedup a stopwatch measured
-// (elapsed_ms), and the switch rate. The speedup is reported, not gated.
+// (elapsed_ms), and the switch rate. With -speedup-gate X the process
+// exits non-zero if the degree-2 geometric-mean measured speedup is below
+// X, and refuses to run on fewer than two CPUs, where no speedup can be
+// measured — the CI gate on the stopwatch.
 //
 // With -json FILE ("-" for stdout) the run also emits a
 // machine-readable report: the configuration, every figure's rows, and
@@ -59,6 +62,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/bench"
@@ -93,6 +97,7 @@ func main() {
 		wtxns   = flag.Int("write-txns", 30, "transactions each mixed-workload writer commits")
 		reps    = flag.Int("reps", 3, "measured on/off pairs per query for the overhead figure")
 		ovGate  = flag.Float64("progress-gate", 0, "exit non-zero if the overhead geomean CPU-time ratio exceeds this (0 = no gate)")
+		spGate  = flag.Float64("speedup-gate", 0, "exit non-zero if the parallel figure's degree-2 geomean measured speedup is below this (0 = no gate)")
 		qosWrk  = flag.Int("qos-workers", 64, "closed-loop sessions per tenant for the qos figure")
 		qosWarm = flag.Duration("qos-warmup", 500*time.Millisecond, "unmeasured warmup per qos phase")
 		qosDur  = flag.Duration("qos-duration", 3*time.Second, "measured window per qos phase")
@@ -175,6 +180,14 @@ func main() {
 			fmt.Println()
 			record("hybrid", rows, nil)
 		case "parallel":
+			if *spGate > 0 && runtime.NumCPU() < 2 {
+				fmt.Fprintf(os.Stderr, "mqr-bench: speedup gate: %d CPU cannot measure a degree-2 speedup\n", runtime.NumCPU())
+				os.Exit(1)
+			}
+			if *spGate > 0 && *par < 2 {
+				fmt.Fprintf(os.Stderr, "mqr-bench: speedup gate: -parallel %d runs no degree 2\n", *par)
+				os.Exit(2)
+			}
 			rows, err := bench.Parallel(cfg, *par)
 			check(err)
 			fmt.Println(bench.FormatParallel(
@@ -184,6 +197,18 @@ func main() {
 			for d := 2; d <= *par; d *= 2 {
 				key := fmt.Sprintf("d%d", d)
 				fmt.Printf("degree %d geomean measured speedup: %.2fx\n", d, s.MeasuredSpeedup[key])
+			}
+			if *spGate > 0 {
+				d2, ok := s.MeasuredSpeedup["d2"]
+				if !ok {
+					fmt.Fprintln(os.Stderr, "mqr-bench: speedup gate failed: no valid degree-2 measurements")
+					os.Exit(1)
+				}
+				if d2 < *spGate {
+					fmt.Fprintf(os.Stderr, "mqr-bench: speedup gate failed: degree-2 geomean measured speedup %.2fx < %.2fx\n", d2, *spGate)
+					os.Exit(1)
+				}
+				fmt.Printf("speedup gate passed: degree-2 geomean measured speedup %.2fx >= %.2fx\n", d2, *spGate)
 			}
 			fmt.Println()
 		case "mixed":

@@ -1,28 +1,30 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 
 	"repro/internal/sql"
 	"repro/internal/types"
 )
 
 // RecordFilter is a scan's conjunctive filters compiled, for one Open,
-// into a test over a stored record and the column offsets
-// types.LocateColumns found in it (a storage.RecordFilter). It agrees
-// with Pred.Test on the decoded tuple in every result and every error.
+// into a test over a stored record and its types.Shape (a
+// storage.RecordFilter): each column it tests is read straight from its
+// slot. It agrees with Pred.Test on the decoded tuple in every result and
+// every error.
 //
 // A predicate with a bare column on one side and constants or bound host
 // variables everywhere else — col <cmp> c in either order, BETWEEN, IN —
-// compares the column's bytes where they lie (types.CompareAt). Any other
-// shape — LIKE, arithmetic, two columns, an unbound host variable, whose
-// error every examined record must still raise — has its own Test called
-// on views of the columns it reads. The views alias the page: the filter
+// compares the column's bytes where they lie: an INTEGER or DATE against
+// a constant of its own kind in line, from its slot, anything else
+// through types.CompareAt. Any other shape — LIKE, arithmetic, two
+// columns, an unbound host variable, whose error every examined record
+// must still raise — has its own Test called on views of the columns it
+// reads. The views alias the page: the filter
 // runs under the scanner's pin and keeps nothing it saw (DESIGN.md §16).
 type RecordFilter struct {
 	terms   []recTerm
-	upto    int
 	params  Params
 	scratch types.Tuple
 }
@@ -33,6 +35,7 @@ type recTerm struct {
 	col  int
 	op   sql.CompareOp // against c, when list is nil
 	c    types.Value
+	ci   int64         // c's payload, if c is an INTEGER or a DATE
 	list []types.Value // IN: non-nil, equal to any
 
 	pred Pred  // a predicate of no compiled shape, tested on views
@@ -49,14 +52,11 @@ func CompileFilter(preds []Pred, params Params) *RecordFilter {
 	for _, p := range preds {
 		n := len(f.terms)
 		if f.compile(p) {
-			f.upto = max(f.upto, f.terms[n].col+1)
 			continue
 		}
 		t := recTerm{pred: p}
-		if cols, ok := PredColumns(p); !ok {
-			f.upto = math.MaxInt
-		} else if t.cols = cols; len(cols) > 0 {
-			f.upto = max(f.upto, cols[len(cols)-1]+1)
+		if cols, ok := PredColumns(p); ok {
+			t.cols = cols
 		}
 		f.terms = append(f.terms[:n], t)
 	}
@@ -100,6 +100,12 @@ func (f *RecordFilter) compare(col Expr, op sql.CompareOp, c Expr) bool {
 	idx, ok := bareColumn(col)
 	t := recTerm{col: idx, op: op}
 	if ok = ok && constant(c, f.params, &t.c); ok {
+		switch t.c.Kind() {
+		case types.KindInt:
+			t.ci = t.c.Int()
+		case types.KindDate:
+			t.ci = t.c.Days()
+		}
 		f.terms = append(f.terms, t)
 	}
 	return ok
@@ -126,48 +132,50 @@ func constant(e Expr, params Params, v *types.Value) (ok bool) {
 	return ok
 }
 
-// Upto implements storage.RecordFilter.
-func (f *RecordFilter) Upto() int { return f.upto }
-
 // Test implements storage.RecordFilter.
-func (f *RecordFilter) Test(rec []byte, offs []int) (bool, error) {
+func (f *RecordFilter) Test(rec []byte, shape *types.Shape) (bool, error) {
 	for i := range f.terms {
 		t := &f.terms[i]
 		if t.pred != nil {
-			if ok, err := f.testPred(t, rec, offs); !ok || err != nil {
+			if ok, err := f.testPred(t, rec, shape); !ok || err != nil {
 				return false, err
 			}
 			continue
 		}
-		if t.col >= len(offs)-1 {
+		if t.col >= shape.Width() {
 			// What ColExpr.Eval says of a tuple this narrow.
 			return false, fmt.Errorf("plan: column ordinal %d out of range", t.col)
 		}
-		off := offs[t.col]
-		if types.Kind(rec[off]) == types.KindNull {
+		kind, w, inline := shape.Word(rec, t.col)
+		if kind == types.KindNull {
 			return false, nil
+		}
+		if inline && t.list == nil && kind == t.c.Kind() && kind != types.KindFloat {
+			// An INTEGER or a DATE against its own kind: the slot as it lies.
+			if !holds(t.op, cmp.Compare(int64(w), t.ci)) {
+				return false, nil
+			}
+			continue
 		}
 		ok := false
 		for _, v := range t.list {
-			if ok = !v.IsNull() && types.CompareAt(rec, off, v) == 0; ok {
+			if v.IsNull() {
+				continue
+			}
+			c, err := types.CompareAt(rec, shape, t.col, v)
+			if err != nil {
+				return false, err
+			}
+			if ok = c == 0; ok {
 				break
 			}
 		}
 		if t.list == nil && !t.c.IsNull() {
-			switch c := types.CompareAt(rec, off, t.c); t.op {
-			case sql.OpEq:
-				ok = c == 0
-			case sql.OpNe:
-				ok = c != 0
-			case sql.OpLt:
-				ok = c < 0
-			case sql.OpLe:
-				ok = c <= 0
-			case sql.OpGt:
-				ok = c > 0
-			case sql.OpGe:
-				ok = c >= 0
+			c, err := types.CompareAt(rec, shape, t.col, t.c)
+			if err != nil {
+				return false, err
 			}
+			ok = holds(t.op, c)
 		}
 		if !ok {
 			return false, nil
@@ -176,23 +184,46 @@ func (f *RecordFilter) Test(rec []byte, offs []int) (bool, error) {
 	return true, nil
 }
 
+// holds reports whether a comparison that came out c satisfies op.
+func holds(op sql.CompareOp, c int) bool {
+	switch op {
+	case sql.OpEq:
+		return c == 0
+	case sql.OpNe:
+		return c != 0
+	case sql.OpLt:
+		return c < 0
+	case sql.OpLe:
+		return c <= 0
+	case sql.OpGt:
+		return c > 0
+	case sql.OpGe:
+		return c >= 0
+	}
+	return false
+}
+
 // testPred tests a predicate of no compiled shape on views of the
-// columns it reads, each at its own ordinal in the scratch tuple. The
-// tuple is as wide as the walk went: a column the predicate reads and the
-// record lacks is out of its range, as it is of the decoded tuple's.
-func (f *RecordFilter) testPred(t *recTerm, rec []byte, offs []int) (bool, error) {
-	n := len(offs) - 1
+// columns it reads, each at its own ordinal in the scratch tuple as wide
+// as the record: a column the predicate reads and the record lacks is
+// out of its range, as it is of the decoded tuple's.
+func (f *RecordFilter) testPred(t *recTerm, rec []byte, shape *types.Shape) (bool, error) {
+	n := shape.Width()
 	if cap(f.scratch) < n {
 		f.scratch = make(types.Tuple, n)
 	}
 	probe := f.scratch[:n]
-	for i := 0; t.cols == nil && i < n; i++ {
-		probe[i] = types.View(rec, offs[i])
+	var err error
+	for i := 0; t.cols == nil && i < n && err == nil; i++ {
+		probe[i], err = types.View(rec, shape, i)
 	}
 	for _, c := range t.cols {
-		if c < n {
-			probe[c] = types.View(rec, offs[c])
+		if c < n && err == nil {
+			probe[c], err = types.View(rec, shape, c)
 		}
+	}
+	if err != nil {
+		return false, err
 	}
 	return t.pred.Test(probe, f.params)
 }

@@ -47,17 +47,6 @@ func TestCompileFilterShapes(t *testing.T) {
 	if CompileFilter(nil, params) != nil {
 		t.Error("no predicates compiled to a filter")
 	}
-	f := CompileFilter([]Pred{
-		&CmpPred{Op: sql.OpEq, Left: &ColExpr{Idx: 2}, Right: &ConstExpr{Val: types.NewInt(1)}},
-		&LikePred{Expr: &ColExpr{Idx: 5}, Pattern: "%"},
-	}, nil)
-	if f.Upto() != 6 {
-		t.Errorf("a filter on columns 2 and 5 reads up to %d, want 6", f.Upto())
-	}
-	type futurePred struct{ Pred }
-	if f := CompileFilter([]Pred{futurePred{&LikePred{Expr: &ColExpr{Idx: 0}}}}, nil); f.Upto() != math.MaxInt {
-		t.Errorf("a predicate of unknown shape reads up to %d, want every column", f.Upto())
-	}
 }
 
 // filterGen draws values, records and predicates from a small domain in
@@ -146,6 +135,7 @@ func TestRecordFilterMatchesPredTest(t *testing.T) {
 				compiled++
 			}
 		}
+		var shape types.Shape // refitted record by record, as a scan's is
 		for n := 0; n < 40; n++ {
 			tup := make(types.Tuple, g.r.Intn(7))
 			for i := range tup {
@@ -159,12 +149,11 @@ func TestRecordFilterMatchesPredTest(t *testing.T) {
 					break
 				}
 			}
-			offs, err := types.LocateColumns(rec, nil, f.Upto())
-			if err != nil {
+			if err := shape.Fit(rec); err != nil {
 				t.Errorf("seed %d: %v does not parse: %v", seed, tup, err)
 				return false
 			}
-			got, gotErr := f.Test(rec, offs)
+			got, gotErr := f.Test(rec, &shape)
 			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				t.Errorf("seed %d: %v on %v with %v: compiled says %v, %v; Pred.Test says %v, %v", seed, preds, tup, params, got, gotErr, want, wantErr)
 				return false
@@ -200,12 +189,14 @@ func BenchmarkRecordFilter(b *testing.B) {
 	params := Params{"d": types.NewDate(9600)}
 	run := func(b *testing.B, preds []Pred) {
 		f := CompileFilter(preds, params)
-		var offs []int
+		var shape types.Shape
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			offs, _ = types.LocateColumns(rec, offs[:0], f.Upto())
-			if ok, err := f.Test(rec, offs); !ok || err != nil {
+			if err := shape.Fit(rec); err != nil {
+				b.Fatal(err)
+			}
+			if ok, err := f.Test(rec, &shape); !ok || err != nil {
 				b.Fatal(ok, err)
 			}
 		}

@@ -42,11 +42,15 @@ type lessThan struct {
 	c   types.Value
 }
 
-func (f lessThan) Upto() int { return f.col + 1 }
-
-func (f lessThan) Test(rec []byte, offs []int) (bool, error) {
-	off := offs[f.col]
-	return types.Kind(rec[off]) != types.KindNull && types.CompareAt(rec, off, f.c) < 0, nil
+func (f lessThan) Test(rec []byte, shape *types.Shape) (bool, error) {
+	if f.col >= shape.Width() {
+		return false, nil
+	}
+	if kind, _, _ := shape.Word(rec, f.col); kind == types.KindNull {
+		return false, nil
+	}
+	c, err := types.CompareAt(rec, shape, f.col, f.c)
+	return c < 0 && err == nil, err
 }
 
 // BenchmarkHeapScan reports ns and allocations per tuple examined, for a

@@ -3,7 +3,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/types"
@@ -219,7 +218,7 @@ func (h *HeapFile) Fetcher(meter *CostMeter) *HeapFetcher {
 }
 
 // HeapFetcher fetches records of one heap file by RID. Not safe for
-// concurrent use: it reuses its column offsets from fetch to fetch.
+// concurrent use: it reuses its record shape from fetch to fetch.
 type HeapFetcher struct {
 	file  *HeapFile
 	meter *CostMeter // charge target for pool misses; nil = shared
@@ -229,7 +228,7 @@ type HeapFetcher struct {
 // WithFilter is HeapScanner.WithFilter for fetches: a visible record the
 // filter rejects is reported as ok=false.
 func (f *HeapFetcher) WithFilter(filter RecordFilter) *HeapFetcher {
-	f.filter, f.filterUpto = filter, filter.Upto()
+	f.filter = filter
 	return f
 }
 
@@ -261,11 +260,18 @@ func (f *HeapFetcher) FetchVisible(rid RID, snap *TxnSnapshot) (types.Tuple, boo
 		}
 		rec = rec[stampSize:]
 	}
-	tup, pass, filterErr, err := f.read(rec, 0) // how many more fetches: unknown
-	if err == nil {
-		err = filterErr
+	if !f.shape.Fits(rec) {
+		if err := f.shape.Fit(rec); err != nil {
+			return nil, false, err
+		}
 	}
-	return tup, pass && err == nil, err
+	if f.filter != nil {
+		if pass, err := f.filter.Test(rec, &f.shape); !pass || err != nil {
+			return nil, false, err
+		}
+	}
+	tup, err := f.mem.Materialize(rec, &f.shape, f.cols, 0) // how many more fetches: unknown
+	return tup, err == nil, err
 }
 
 // SetXmax stamps the version at rid as deleted by transaction id.
@@ -529,29 +535,28 @@ type HeapScanner struct {
 // RecordFilter is a predicate pushed into a scan or a fetcher, tested
 // against the stored bytes of a record. plan.CompileFilter builds them.
 type RecordFilter interface {
-	// Upto is how much of a record Test reads: the columns below it.
-	Upto() int
-	// Test reports whether the record passes. offs is what
-	// types.LocateColumns returned for rec and Upto: the columns below
-	// Upto, or all the record has. It runs under the page's pin and the
-	// heap's read lock, so it must not call into the heap, and what it
-	// reads of rec is not to be kept.
-	Test(rec []byte, offs []int) (bool, error)
+	// Test reports whether the record passes. shape is rec's, fitted:
+	// the filter reads the columns it tests straight from their slots
+	// (Shape.Word, types.View, types.CompareAt), each read checking its
+	// own bytes. It runs under the page's pin and the heap's read lock, so
+	// it must not call into the heap, and what it reads of rec is not to
+	// be kept.
+	Test(rec []byte, shape *types.Shape) (bool, error)
 }
 
-// recordReader turns stored records into tuples for one reader — a
-// scanner or a fetcher — under its pushed filter and its projection.
+// recordReader is the state a reader — a scanner or a fetcher — turns
+// stored records into tuples with: its projection, its pushed filter,
+// its arena and the shape of the last record. Each reader runs fit,
+// filter and materialise in its own loop, with no call per record of its
+// own: a DML match scan is little more than that loop.
 type recordReader struct {
-	cols       []int // ascending ordinals to materialise; nil = every column
-	filter     RecordFilter
-	filterUpto int // filter.Upto()
+	cols   []int // ascending ordinals to materialise; nil = every column
+	filter RecordFilter
 
 	mem types.Arena // what the tuples handed out are carved from
-
-	// The current record's column offsets, reused from record to record:
-	// offsBuf until a record is wider than it.
-	offs    []int
-	offsBuf [24]int
+	// The shape of the last record read: records of one file mostly share
+	// one, so fitting the next costs a comparison of its kind bytes.
+	shape types.Shape
 }
 
 // scanEntry is one record of the loaded page that passed the filter.
@@ -570,20 +575,18 @@ func (s *HeapScanner) WithSnapshot(snap *TxnSnapshot) *HeapScanner {
 }
 
 // WithFilter pushes a predicate into the scan: Next returns only the
-// visible tuples that pass it. The scanner walks a record as far as the
-// filter reads, tests it where it lies on the page, and only for a record
-// that passed walks on and builds a tuple.
+// visible tuples that pass it. The scanner tests a record where it lies
+// on the page, and builds a tuple only for a record that passed.
 func (s *HeapScanner) WithFilter(filter RecordFilter) *HeapScanner {
-	s.filter, s.filterUpto = filter, filter.Upto()
+	s.filter = filter
 	return s
 }
 
 // WithColumns projects the scan: Next returns tuples holding only the
 // columns at the given ordinals (ascending), in that order — len(cols)
 // values each, carved at that width — and the bytes of every other
-// column are walked past without being decoded; nothing beyond the last
-// column the filter or the projection wants is touched at all. A column
-// only the filter reads is tested on the page and never leaves the scan.
+// column are not touched at all. A column only the filter reads is
+// tested on the page and never leaves the scan.
 // Nil, the default, is every column.
 func (s *HeapScanner) WithColumns(cols []int) *HeapScanner {
 	s.cols = cols
@@ -697,61 +700,35 @@ func (s *HeapScanner) loadPage() bool {
 			}
 			rec = rec[stampSize:]
 		}
-		tup, pass, filterErr, err := s.read(rec, n-slot)
-		if err != nil {
-			s.loadErr = err // undecodable: fails before being examined
-			break
-		}
-		if !pass {
-			skipped++
-			if s.loadErr = filterErr; filterErr != nil {
-				break // the filter failed on this record, the last one examined
+		// A record whose header does not parse, or that lacks or has
+		// damaged a projected column, fails before it is examined; one
+		// the filter fails on — too narrow for a column it reads, or
+		// damaged there — is examined, and fails after what preceded it.
+		if !s.shape.Fits(rec) {
+			if s.loadErr = s.shape.Fit(rec); s.loadErr != nil {
+				break
 			}
-			continue
+		}
+		if s.filter != nil {
+			if pass, err := s.filter.Test(rec, &s.shape); !pass || err != nil {
+				skipped++
+				if s.loadErr = err; err != nil {
+					break
+				}
+				continue
+			}
+		}
+		// left bounds the tuples still to come: the page's slots from
+		// this record on.
+		tup, err := s.mem.Materialize(rec, &s.shape, s.cols, n-slot)
+		if s.loadErr = err; err != nil {
+			break
 		}
 		s.batch = append(s.batch, scanEntry{slot: int32(slot), skipped: int32(skipped), tup: tup})
 		skipped = 0
 	}
 	s.tail = skipped
 	return true
-}
-
-// read walks one record once: as far as the filter reads, to test it
-// where it lies, and — only if it passed — on to the last projected
-// column, to build the tuple from the offsets the walk found; every
-// column is the nil projection of the same walk. A filter failure is
-// returned apart, in filterErr, with the record reported as rejected: it
-// was examined, and the caller serves what preceded it first. A record
-// narrower than a column the filter reads is such a failure; err is for
-// records that do not parse, or are narrower than the projection. left is types.Arena.New's: a bound on how many
-// more tuples the caller may ask for (the page's slots from this record
-// on), or 0.
-func (r *recordReader) read(rec []byte, left int) (tup types.Tuple, pass bool, filterErr, err error) {
-	if r.offs == nil {
-		r.offs = r.offsBuf[:0]
-	}
-	offs := r.offs[:0]
-	if r.filter != nil {
-		if offs, err = types.LocateColumns(rec, offs, r.filterUpto); err != nil {
-			return nil, false, nil, err
-		}
-		if pass, filterErr = r.filter.Test(rec, offs); !pass || filterErr != nil {
-			r.offs = offs
-			return nil, false, filterErr, nil
-		}
-	}
-	upto := math.MaxInt
-	if n := len(r.cols); n > 0 {
-		upto = r.cols[n-1] + 1
-	} else if r.cols != nil {
-		upto = 0
-	}
-	offs, err = types.LocateColumns(rec, offs, upto)
-	r.offs = offs
-	if err == nil {
-		tup, err = r.mem.Materialize(rec, offs, r.cols, left)
-	}
-	return tup, err == nil, nil, err
 }
 
 // Tuple returns the current tuple after a successful Next.

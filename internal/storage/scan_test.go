@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -33,26 +32,23 @@ func filterOn(cols []int, pass func(types.Tuple) (bool, error)) *tupleFilter {
 	return &tupleFilter{cols: cols, pass: pass}
 }
 
-func (f *tupleFilter) Upto() int {
-	if f.cols == nil {
-		return math.MaxInt
-	}
-	return slices.Max(append([]int{-1}, f.cols...)) + 1
-}
-
-func (f *tupleFilter) Test(rec []byte, offs []int) (bool, error) {
-	width := len(offs) - 1
+func (f *tupleFilter) Test(rec []byte, shape *types.Shape) (bool, error) {
+	width := shape.Width()
 	if cap(f.scratch) < width {
 		f.scratch = make(types.Tuple, width)
 	}
 	probe := f.scratch[:width]
-	for i := 0; f.cols == nil && i < width; i++ {
-		probe[i] = types.View(rec, offs[i])
+	var err error
+	for i := 0; f.cols == nil && i < width && err == nil; i++ {
+		probe[i], err = types.View(rec, shape, i)
 	}
 	for _, c := range f.cols {
-		if c < width {
-			probe[c] = types.View(rec, offs[c])
+		if c < width && err == nil {
+			probe[c], err = types.View(rec, shape, c)
 		}
+	}
+	if err != nil {
+		return false, err
 	}
 	return f.pass(probe)
 }
@@ -417,7 +413,7 @@ func TestScanFilterAndExamineErrors(t *testing.T) {
 	}
 
 	// A record narrower than a column the filter reads is not a record
-	// that does not parse: the walk stops quietly at its width and the
+	// that does not parse: its shape fits, is that narrow, and the
 	// failure is the filter's, so the record is examined, what preceded
 	// it is served, and then the scan fails — where a projection the
 	// record is too narrow for (TestProjectedScanSurfacesDecodeErrors)

@@ -95,45 +95,47 @@ func (a *Arena) Concat(l, r Tuple) Tuple {
 	return t
 }
 
-// Materialize builds a new tuple from the columns LocateColumns found in
-// b: one value per entry of cols — column cols[k] at position k — so a
-// scan that emits four columns of sixteen carves four values, not
-// sixteen; a nil cols is every located column. Strings are copied into
-// the arena's block. A cols entry that was not located — the record is
-// narrower than the projection — is an error. left is New's.
-func (a *Arena) Materialize(b []byte, offs, cols []int, left int) (Tuple, error) {
-	n := len(offs) - 1
+// Materialize builds a new tuple from record b, whose shape s is: one
+// value per entry of cols — column cols[k] at position k — so a scan that
+// emits four columns of sixteen reads and carves four values, not
+// sixteen; a nil cols is every column. Strings are copied into the
+// arena's block. A cols entry the record does not have — it is narrower
+// than the projection — is an error, and so is a column whose bytes do
+// not lie inside b. left is New's.
+func (a *Arena) Materialize(b []byte, s *Shape, cols []int, left int) (Tuple, error) {
+	all := s.columns()
+	n := len(cols)
 	if cols == nil {
-		t := a.New(n, left)
-		for i := range t {
-			t[i] = a.value(b, offs[i])
-		}
-		return t, nil
+		n = len(all)
 	}
-	t := a.New(len(cols), left)
-	for k, c := range cols {
-		if c >= n {
-			return nil, fmt.Errorf("types: tuple has %d columns, projection wants column %d", n, c)
+	t := a.New(n, left)
+	for k := range t {
+		i := k
+		if cols != nil {
+			if i = cols[k]; i >= len(all) {
+				return nil, fmt.Errorf("types: tuple has %d columns, projection wants column %d", len(all), i)
+			}
 		}
-		t[k] = a.value(b, offs[c])
+		// View's switch, with a VARCHAR's bytes copied into the string
+		// block and a fixed-width slot read in line: a full-width decode
+		// is this loop.
+		switch c := all[i]; c.kind {
+		case KindNull:
+			t[k] = Value{}
+		case KindString:
+			lo, hi, err := s.span(b, c, i)
+			if err != nil {
+				return nil, err
+			}
+			t[k] = a.str(b[lo:hi])
+		default:
+			if int(c.slot)+8 > len(b) {
+				return nil, truncated(c, i)
+			}
+			t[k] = Value{kind: c.kind, w: binary.LittleEndian.Uint64(b[c.slot:])}
+		}
 	}
 	return t, nil
-}
-
-// value is View with a VARCHAR's bytes copied into the string block —
-// its own switch, not View and then a copy: a full-width decode is this
-// function per column, and the detour through View's Value measured 8 %
-// on BenchmarkHeapScan/all.
-func (a *Arena) value(b []byte, off int) Value {
-	switch kind := Kind(b[off]); kind {
-	case KindNull:
-		return Value{}
-	case KindString:
-		n := int(binary.LittleEndian.Uint32(b[off+1:]))
-		return a.str(b[off+5 : off+5+n])
-	default:
-		return Value{kind: kind, w: binary.LittleEndian.Uint64(b[off+1:])}
-	}
 }
 
 // str returns a VARCHAR holding a copy of src in the string block.

@@ -104,7 +104,7 @@ func agree(got, want Value) string {
 }
 
 // Encode, then decode through each of the three entry points — DecodeTuple,
-// View at the located offsets, Arena.Materialize — and the values agree
+// View through the record's Shape, Arena.Materialize — and the values agree
 // with the ones the constructors built, for every kind and the edge
 // payloads of each.
 func TestDecodeAgreesWithConstructors(t *testing.T) {
@@ -126,16 +126,19 @@ func TestDecodeAgreesWithConstructors(t *testing.T) {
 			t.Errorf("DecodeTuple(%v): %d of %d bytes, %v", in, n, len(buf), err)
 			return false
 		}
-		offs, err := LocateColumns(buf, nil, math.MaxInt)
-		if err != nil || offs[len(offs)-1] != len(buf) {
-			t.Errorf("LocateColumns(%v): %v, %v", in, offs, err)
+		var shape Shape
+		if err := shape.Fit(buf); err != nil || shape.Width() != len(in) {
+			t.Errorf("Shape.Fit(%v): %d columns, %v", in, shape.Width(), err)
 			return false
 		}
 		views := make(Tuple, len(in))
 		for i := range views {
-			views[i] = View(buf, offs[i])
+			if views[i], err = View(buf, &shape, i); err != nil {
+				t.Errorf("View(%v, %d): %v", in, i, err)
+				return false
+			}
 		}
-		carved, err := arena.Materialize(buf, offs, nil, 0)
+		carved, err := arena.Materialize(buf, &shape, nil, 0)
 		if err != nil {
 			t.Errorf("Materialize(%v): %v", in, err)
 			return false
@@ -325,10 +328,13 @@ func TestArenaAllocatesPerBlock(t *testing.T) {
 	rec := EncodeTuple(nil, Tuple{NewInt(1), NewString("DELIVER IN PERSON"), NewDate(9000), NewString("TRUCK")})
 	var a Arena
 	const n = 10000
-	offs, _ := LocateColumns(rec, nil, math.MaxInt)
+	var shape Shape
+	if err := shape.Fit(rec); err != nil {
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(3, func() {
 		for i := 0; i < n; i++ {
-			if _, err := a.Materialize(rec, offs, nil, 0); err != nil {
+			if _, err := a.Materialize(rec, &shape, nil, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,8 +1,13 @@
 package types
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -86,63 +91,97 @@ func TestEncodeAppendsToExisting(t *testing.T) {
 	}
 }
 
-// decode is what a scan without a filter does to a record: locate the
-// columns up to the last one wanted, then materialise the wanted ones.
+// decode is what a scan without a filter does to a record: fit the
+// shape, then materialise the wanted columns.
 func decode(a *Arena, b []byte, cols []int, left int) (Tuple, error) {
-	upto := math.MaxInt
-	if cols != nil {
-		upto = 0
-		for _, c := range cols {
-			upto = max(upto, c+1)
-		}
-	}
-	offs, err := LocateColumns(b, nil, upto)
-	if err != nil {
+	var s Shape
+	if err := s.Fit(b); err != nil {
 		return nil, err
 	}
-	return a.Materialize(b, offs, cols, left)
+	return a.Materialize(b, &s, cols, left)
 }
 
-// LocateColumns finds exactly the columns below upto (or all the record
-// has), each where View reads the value encoded there, stops walking
-// after the last one asked for, and resumes from what it returned.
+// A Shape reads each column where the format puts it, and a read finds
+// damage to the bytes that column is read from — the header, its slot,
+// the end of the string before it, its own string — and no other: a
+// record cut short anywhere fails exactly for the columns whose bytes the
+// cut removed.
 func TestDecodeColumnsPartial(t *testing.T) {
-	in := Tuple{NewInt(-1), NewFloat(math.Pi), NewString("hello"), Null(), NewDate(9500), NewString("tail")}
+	in := Tuple{NewInt(-1), NewFloat(math.Pi), NewString("hello"), Null(), NewDate(9500), NewString(""), NewString("tail")}
 	buf := EncodeTuple(nil, in)
-	for upto := 0; upto <= len(in)+3; upto++ {
-		offs, err := LocateColumns(buf, nil, upto)
-		if want := min(upto, len(in)); err != nil || len(offs)-1 != want {
-			t.Fatalf("upto %d: located %d columns, %v", upto, len(offs)-1, err)
-		}
-		for i := 0; i < len(offs)-1; i++ {
-			if got := View(buf, offs[i]); !same(got, in[i]) {
-				t.Errorf("upto %d: column %d = %v, want %v", upto, i, got, in[i])
-			}
-		}
-		for first := 0; first <= upto; first++ {
-			part, err := LocateColumns(buf, nil, first)
-			if err == nil {
-				part, err = LocateColumns(buf, part, upto)
-			}
-			if err != nil || !slices.Equal(part, offs) {
-				t.Errorf("upto %d resumed from %d: %v (%v), want %v", upto, first, part, err, offs)
-			}
+	// needs[k] is one past the last byte column k is read from, as the
+	// format lays it out: the kind bytes, then the slots, then the strings.
+	head := TupleHeaderSize + len(in)
+	fixed := head
+	for _, v := range in {
+		fixed += v.EncodedSize() - 1
+		if v.Kind() == KindString {
+			fixed -= len(v.Str())
 		}
 	}
-	if offs, _ := LocateColumns(buf, nil, math.MaxInt); offs[len(offs)-1] != len(buf) {
-		t.Errorf("the walk of a whole record ends at byte %d of %d", offs[len(offs)-1], len(buf))
+	needs, slots := make([]int, len(in)), make([]int, len(in))
+	slot, str := head, fixed
+	for k, v := range in {
+		slots[k] = slot
+		switch v.Kind() {
+		case KindNull:
+			needs[k] = head
+		case KindString:
+			slot += 4
+			str += len(v.Str())
+			needs[k] = max(slot, str)
+		default:
+			slot += 8
+			needs[k] = slot
+		}
 	}
-	// Damage past the last wanted column is not this call's to find;
-	// damage before it is.
-	cut := buf[:len(buf)-3]
-	if _, err := LocateColumns(cut, nil, 5); err != nil {
-		t.Errorf("truncated tail reported while locating columns before it: %v", err)
+	if str != len(buf) {
+		t.Fatalf("the layout ends at byte %d of %d", str, len(buf))
 	}
-	if offs, err := LocateColumns(cut, nil, 6); err == nil || len(offs)-1 != 5 {
-		t.Errorf("truncated wanted column located: %v, %v", offs, err)
+	var s Shape // one for every record, as a reader keeps it
+	if err := s.Fit(buf); err != nil || s.Width() != len(in) {
+		t.Fatalf("Fit: %d columns, %v", s.Width(), err)
 	}
-	if _, err := LocateColumns(cut, nil, math.MaxInt); err == nil {
-		t.Error("truncated tuple located in full")
+	for k := range in {
+		if got, err := View(buf, &s, k); err != nil || !same(got, in[k]) {
+			t.Errorf("column %d = %v (%v), want %v", k, got, err, in[k])
+		}
+	}
+	if s.end(buf) != len(buf) {
+		t.Errorf("the record ends at byte %d of %d", s.end(buf), len(buf))
+	}
+	for cut := 0; cut < len(buf); cut++ {
+		b := buf[:cut]
+		if err := s.Fit(b); (err != nil) != (cut < head) {
+			t.Fatalf("cut at %d of %d: Fit says %v", cut, len(buf), err)
+		} else if err != nil {
+			continue
+		}
+		for k := range in {
+			got, err := View(b, &s, k)
+			if (err != nil) != (cut < needs[k]) || err == nil && !same(got, in[k]) {
+				t.Errorf("cut at %d: column %d (bytes to %d) = %v, %v", cut, k, needs[k], got, err)
+			}
+		}
+	}
+	// A string starts where the one before it ends: an end offset past
+	// the record, or back inside the slots, fails its own string and the
+	// next, and no other column.
+	bad := slices.Clone(buf)
+	for _, end := range []int{len(bad) + 1, head} {
+		binary.LittleEndian.PutUint32(bad[slots[2]:], uint32(end))
+		if err := s.Fit(bad); err != nil {
+			t.Fatal(err)
+		}
+		for k := range in {
+			if _, err := View(bad, &s, k); (err != nil) != (k == 2 || k == 5) {
+				t.Errorf("column 2 ends at byte %d of %d: column %d reads %v", end, len(bad), k, err)
+			}
+		}
+	}
+	bad[TupleHeaderSize+3] = 0xEE
+	if err := s.Fit(bad); err == nil {
+		t.Error("a kind byte nothing knows fitted a shape")
 	}
 }
 
@@ -173,7 +212,7 @@ func TestDecodeProjected(t *testing.T) {
 	if _, err := decode(&a, buf[:1], nil, 1); err == nil {
 		t.Error("a record without a header decoded")
 	}
-	// The walk stops after the last wanted column.
+	// Damage to bytes no wanted column is read from is not found.
 	cut := buf[:len(buf)-3]
 	if _, err := decode(&a, cut, []int{0, 4}, 1); err != nil {
 		t.Errorf("truncated tail reported while projecting columns before it: %v", err)
@@ -183,16 +222,114 @@ func TestDecodeProjected(t *testing.T) {
 	}
 }
 
-// A tuple's encoded size is the header plus its values' encoded sizes.
+// sizedTuple is a random tuple for testing/quick: every kind, NULLs,
+// empty strings and strings long enough to fill most of a page.
+type sizedTuple Tuple
+
+func (sizedTuple) Generate(r *rand.Rand, size int) reflect.Value {
+	t := make(sizedTuple, r.Intn(size+1))
+	for i := range t {
+		switch r.Intn(7) {
+		case 0:
+			t[i] = Null()
+		case 1:
+			t[i] = NewInt(r.Int63() - r.Int63())
+		case 2:
+			t[i] = NewFloat(r.NormFloat64())
+		case 3:
+			t[i] = NewDate(int64(r.Int31()))
+		case 4:
+			t[i] = NewString("")
+		case 5:
+			t[i] = NewString(strings.Repeat("x", r.Intn(20)))
+		default:
+			t[i] = NewString(strings.Repeat("y", r.Intn(6000)))
+		}
+	}
+	return reflect.ValueOf(t)
+}
+
+// A tuple encodes to EncodedSize bytes, which is the count plus, per
+// column, a kind byte and its payload: page counts, charged sizes and
+// width statistics are those of a kind-then-payload layout.
 func TestEncodedSizeAddsUp(t *testing.T) {
-	in := Tuple{NewInt(7), NewString("abc"), Null(), NewFloat(1.5), NewDate(3)}
-	sum := TupleHeaderSize
-	for _, v := range in {
-		sum += v.EncodedSize()
+	f := func(st sizedTuple) bool {
+		in := Tuple(st)
+		want := TupleHeaderSize
+		for _, v := range in {
+			switch want++; v.Kind() {
+			case KindNull:
+			case KindString:
+				want += 4 + len(v.Str())
+			default:
+				want += 8
+			}
+		}
+		return len(EncodeTuple(nil, in)) == want && EncodedSize(in) == want
 	}
-	if got := len(EncodeTuple(nil, in)); got != sum || EncodedSize(in) != sum {
-		t.Errorf("encoded %d bytes, EncodedSize %d, header + values %d", got, EncodedSize(in), sum)
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
+}
+
+// One Shape refitted record by record — narrow and wide, NULLs moving
+// from column to column, as a reader meets them — reads every record back
+// as it was encoded.
+func TestShapeRefitsRecordByRecord(t *testing.T) {
+	var (
+		s Shape
+		a Arena
+	)
+	f := func(tuples []sizedTuple) bool {
+		for _, st := range tuples {
+			in := Tuple(st)
+			rec := EncodeTuple(nil, in)
+			if err := s.Fit(rec); err != nil || s.Width() != len(in) {
+				t.Errorf("Fit(%v): %d columns, %v", in, s.Width(), err)
+				return false
+			}
+			out, err := a.Materialize(rec, &s, nil, 0)
+			if err != nil || !out.Equal(in) || s.end(rec) != len(rec) {
+				t.Errorf("%v read back as %v (%v), ending at %d of %d", in, out, err, s.end(rec), len(rec))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Whatever the bytes, a decode fails or yields a tuple that encodes back
+// to exactly the bytes it consumed, and a Shape fitted to them views the
+// same values; nothing panics. The seeds are TestDecodeTruncated's cuts
+// and TestDecodeUnknownKind's record.
+func FuzzRecord(f *testing.F) {
+	full := EncodeTuple(nil, Tuple{NewInt(7), NewString("abcdef")})
+	for cut := 0; cut <= len(full); cut++ {
+		f.Add(full[:cut])
+	}
+	f.Add([]byte{1, 0, 0xEE})
+	f.Add(EncodeTuple(nil, Tuple{NewInt(-1), NewFloat(math.Pi), NewString(""), NewString("hello"), Null(), NewDate(9500)}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tup, n, err := DecodeTuple(b)
+		if err != nil {
+			return
+		}
+		if re := EncodeTuple(nil, tup); n > len(b) || !bytes.Equal(re, b[:n]) {
+			t.Fatalf("%x decoded to %v, %d bytes, which encodes to %x", b, tup, n, re)
+		}
+		var s Shape
+		if err := s.Fit(b); err != nil || s.Width() != len(tup) {
+			t.Fatalf("%x decoded, but Fit says %d columns, %v", b, s.Width(), err)
+		}
+		for k := range tup {
+			if v, err := View(b, &s, k); err != nil || !same(v, tup[k]) {
+				t.Fatalf("%x: column %d views as %v (%v), decodes as %v", b, k, v, err, tup[k])
+			}
+		}
+	})
 }
 
 // An encode into a slice with room is done in place.
