@@ -1,5 +1,6 @@
 // Command mqr-bench regenerates the paper's evaluation figures from the
-// command line (the same harness backs the go-test benchmarks).
+// command line (the same harness backs the go-test benchmarks) and runs
+// the timed figures CI gates on.
 //
 // Usage:
 //
@@ -11,49 +12,15 @@
 //	mqr-bench -fig abl       # design-choice ablations
 //	mqr-bench -fig hist      # catalog histogram families
 //	mqr-bench -fig hybrid    # parametric/dynamic hybrid (paper §4)
-//	mqr-bench -fig parallel  # intra-query parallelism sweep
-//	mqr-bench -fig mixed     # concurrent write/read workload
-//	mqr-bench -fig overhead  # live-progress monitoring overhead
+//	mqr-bench -fig parallel  # degrees 1..N: row counts, cost, measured speedup
+//	mqr-bench -fig mixed     # concurrent MVCC writers beside the read sweep
+//	mqr-bench -fig overhead  # live-progress monitoring overhead in CPU time
 //	mqr-bench -fig qos       # multi-tenant fairness and preemption
 //	mqr-bench -fig all       # everything
 //
-// The mixed figure runs -writers concurrent writer sessions (each
-// committing -write-txns MVCC transactions against orders: batch
-// inserts plus a contended hot-row update) while the medium and complex
-// queries sweep under full re-optimization, and reports write
-// throughput, conflict counts, and the read-side estimate-error and
-// switch-rate summary.
-//
-// The overhead figure measures the process's CPU time over the medium
-// and complex queries with live-progress monitoring on vs off (the median
-// ratio over -reps back-to-back pairs). With -progress-gate X the process
-// exits non-zero if the geometric-mean slowdown exceeds X — the CI
-// regression gate on monitoring cost.
-//
-// The qos figure drives closed-loop multi-tenant load (-qos-workers
-// sessions per tenant, -qos-duration measured after -qos-warmup)
-// against a deliberately small memory pool and reports per-tenant
-// throughput, latency percentiles, preemption counts, and Jain's
-// fairness index in three phases: equal weights, 3:1 weights, and
-// priority preemption. With -qos-jain-gate J the process exits non-zero
-// if the equal-weights Jain index falls below J; with -qos-ratio-tol T
-// it exits non-zero if the weighted phase's measured throughput ratio
-// is outside (1±T)x the configured 3:1 — the CI fairness gates.
-//
-// The parallel figure sweeps exchange-operator degrees 1..N (set N with
-// -parallel, default 4) over the medium and complex queries, fails if any
-// degree returns a different row count than serial, and reports, per row
-// and per degree, the metered cost, the speedup a stopwatch measured
-// (elapsed_ms), and the switch rate. With -speedup-gate X the process
-// exits non-zero if the degree-2 geometric-mean measured speedup is below
-// X, and refuses to run on fewer than two CPUs, where no speedup can be
-// measured — the CI gate on the stopwatch.
-//
-// With -json FILE ("-" for stdout) the run also emits a
-// machine-readable report: the configuration, every figure's rows, and
-// a per-figure metrics summary with estimate-error (geometric mean of
-// actual/estimated cost) and switch-rate columns, for tracking the
-// engine's behavior across commits.
+// mqr-bench -h lists the flags. A gate flag (-speedup-gate,
+// -progress-gate, -qos-jain-gate, -qos-ratio-tol) makes the process exit
+// non-zero when its figure misses it; README.md says what each checks.
 package main
 
 import (
@@ -86,7 +53,7 @@ type report struct {
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "which figure to regenerate: 10|11|12|mu|sens|abl|hist|hybrid|parallel|mixed|overhead|all")
+		fig     = flag.String("fig", "all", "which figure to regenerate: 10|11|12|mu|sens|abl|hist|hybrid|parallel|mixed|overhead|qos|all")
 		sf      = flag.Float64("sf", 0.01, "TPC-D scale factor")
 		pool    = flag.Int("pool", 256, "buffer pool pages")
 		mem     = flag.Float64("mem", 2<<20, "per-query memory budget in bytes")

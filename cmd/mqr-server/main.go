@@ -8,35 +8,9 @@
 //
 //	mqr-server [flags]
 //
-// Flags:
-//
-//	-addr     listen address (default :7744)
-//	-sf       TPC-D scale factor (default 0.01)
-//	-stale    fraction of data present at ANALYZE time (default 0.5)
-//	-zipf     Zipfian skew for non-key attributes (default 0)
-//	-pool     buffer pool pages (default 1024)
-//	-mempool  shared operator-memory pool in bytes (default 16 MiB)
-//	-mem      per-query optimize-time budget in bytes (default 4 MiB)
-//	-cache    plan cache capacity in plans; -1 disables (default 256)
-//	-query-timeout  default per-query deadline (e.g. 1m; 0 = none);
-//	          individual requests override it with "timeout_ms"
-//	-parallel default intra-query degree of parallelism (0 = serial);
-//	          individual requests override it with "parallel"
-//	-tenants  comma-separated tenant service classes, each
-//	          name:weight[:priority[:quota_bytes[:max_queued]]] —
-//	          e.g. "gold:3:1,batch:1:0:4194304:32". Tenants can also be
-//	          (re)configured at runtime via POST /tenants; unknown
-//	          tenants get weight 1, priority 0, no quota, unbounded
-//	          queue
-//	-seed     data generator seed
-//	-v        verbose (debug-level) logging
-//
-// Running queries can be aborted: POST /cancel {"query": "s3_q17"}
-// (tags come from query responses or GET /status "running").
-//
-// Logs are structured (log/slog text format) on stderr; every query
-// request is logged with its session, engine tag, duration, and plan
-// switch count. Prometheus metrics are at GET /metrics.
+// mqr-server -h lists the flags. Logs are structured (log/slog text
+// format) on stderr, one line per query request; Prometheus metrics are
+// at GET /metrics.
 //
 // Try it:
 //
@@ -52,6 +26,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	midquery "repro"
 	"repro/internal/server"
@@ -70,6 +45,7 @@ func main() {
 		mem     = flag.Float64("mem", 4<<20, "per-query optimize-time memory budget in bytes")
 		cache   = flag.Int("cache", 256, "plan cache capacity in plans (-1 disables)")
 		qto     = flag.Duration("query-timeout", 0, "default per-query deadline (0 = none)")
+		slowMS  = flag.Int64("slow-query-ms", 0, "warn about statements slower than this many milliseconds (0 = off)")
 		par     = flag.Int("parallel", 0, "default intra-query degree of parallelism (0 = serial)")
 		tenants = flag.String("tenants", "", "tenant classes: name:weight[:priority[:quota_bytes[:max_queued]]],...")
 		seed    = flag.Int64("seed", 1, "data generator seed")
@@ -106,6 +82,7 @@ func main() {
 	}
 	srv := server.New(m)
 	srv.SetLogger(log)
+	srv.SetSlowQueryThreshold(time.Duration(*slowMS) * time.Millisecond)
 	srv.SetQueryTimeout(*qto)
 	srv.SetParallel(*par)
 	log.Info("serving",
@@ -114,6 +91,7 @@ func main() {
 		"mem_budget_bytes", *mem,
 		"plan_cache", *cache,
 		"query_timeout", *qto,
+		"slow_query_ms", *slowMS,
 		"parallel", *par)
 	if err := srv.ListenAndServe(*addr); err != nil {
 		log.Error("server failed", "err", err)

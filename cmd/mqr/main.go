@@ -2,7 +2,8 @@
 // re-optimization engine: it loads the TPC-D-style dataset into an
 // in-process database and runs SQL against it, printing annotated plans,
 // result rows, simulated costs, and the dispatcher's re-optimization
-// decisions.
+// decisions. With -connect it loads nothing and is a thin client of a
+// running mqr-server instead.
 //
 // Usage:
 //
@@ -10,48 +11,13 @@
 //
 // With no query argument it runs the paper's whole query set. A query of
 // the form @Q5 names one of the paper's TPC-D queries. mqr exits
-// non-zero if any query fails (remaining queries still run).
-//
-// Flags:
-//
-//	-sf       scale factor (default 0.01)
-//	-mode     off | memory | plan | full | restart (default full)
-//	-stale    fraction of data present at ANALYZE time (default 0.5)
-//	-zipf     Zipfian skew for non-key attributes (default 0)
-//	-pool     buffer pool pages (default 256)
-//	-mem      per-query memory budget in bytes (default 2 MiB)
-//	-explain  print the annotated plan instead of executing
-//	-analyze  EXPLAIN ANALYZE: execute, then print the plan annotated
-//	          with per-operator actual rows, time, and memory
-//	-trace    print the query's lifecycle event log
-//	-timeout  per-query deadline (e.g. 30s; 0 = none); expired queries
-//	          abort mid-execution with their temp state cleaned up
-//	-parallel intra-query degree of parallelism: plan segments run on
-//	          this many worker goroutines behind exchange operators
-//	          (default 1 = serial)
-//	-rows     print at most this many result rows (default 10)
-//	-server   serve the loaded database over HTTP on this address
-//	          instead of running queries locally
-//	-slow-query-ms  with -server: log a structured warning for any
-//	          statement slower than this many milliseconds (0 = off)
-//	-connect  run as a thin client against a running mqr-server at this
-//	          address (no local data is loaded)
-//	-tenant   with -connect: bill the session's queries to this tenant's
-//	          service class (weighted fair-share admission, memory
-//	          quota, priority; empty = the default class)
-//	-weight   with -connect and -tenant: install this fair-share weight
-//	          for the tenant server-side before querying (0 keeps the
-//	          server's current setting)
-//	-watch    with -connect: instead of running queries, poll the
-//	          server's /status and /progress at this interval and render
-//	          the live queries (fraction, suboptimality score, per-op
-//	          rows) until interrupted
+// non-zero if any query fails (remaining queries still run). mqr -h
+// lists the flags.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -76,18 +42,12 @@ func main() {
 		par     = flag.Int("parallel", 1, "intra-query degree of parallelism (1 = serial)")
 		maxRows = flag.Int("rows", 10, "result rows to print")
 		seed    = flag.Int64("seed", 1, "data generator seed")
-		serveOn = flag.String("server", "", "serve the database over HTTP on this address instead of querying")
-		slowMS  = flag.Int64("slow-query-ms", 0, "with -server: warn about statements slower than this (0 = off)")
 		connect = flag.String("connect", "", "run queries against a running mqr-server at this address")
 		watch   = flag.Duration("watch", 0, "with -connect: poll live progress at this interval instead of querying")
 		ten     = flag.String("tenant", "", "with -connect: bill queries to this tenant's service class")
 		weight  = flag.Float64("weight", 0, "with -connect and -tenant: set the tenant's fair-share weight (0 = leave as is)")
 	)
 	flag.Parse()
-
-	if *serveOn != "" && *connect != "" {
-		fatal(fmt.Errorf("-server and -connect are mutually exclusive"))
-	}
 
 	if *connect != "" && *watch > 0 {
 		os.Exit(runWatch(*connect, *watch))
@@ -107,20 +67,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("loaded (%.0f simulated cost units)\n\n", db.Cost())
-
-	if *serveOn != "" {
-		m := db.NewSessionManager(midquery.SessionConfig{})
-		srv := server.New(m)
-		if *slowMS > 0 {
-			srv.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, nil)))
-			srv.SetSlowQueryThreshold(time.Duration(*slowMS) * time.Millisecond)
-		}
-		fmt.Printf("serving on %s\n", *serveOn)
-		if err := srv.ListenAndServe(*serveOn); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	md, err := parseMode(*mode)
 	if err != nil {

@@ -100,8 +100,7 @@ type Manager struct {
 	engTrace *obs.Trace
 
 	// log receives the slow-query warnings; slowQueryNanos is the
-	// manager-wide threshold (0 disables; Options.SlowQueryThreshold
-	// overrides per query).
+	// threshold (0 disables).
 	log            *slog.Logger
 	slowQueryNanos atomic.Int64
 }
@@ -442,9 +441,6 @@ type Options struct {
 	// Explain needs them — no per-operator counters. The overhead
 	// benchmark uses it as its baseline.
 	NoProgress bool
-	// SlowQueryThreshold overrides the manager-wide slow-query threshold
-	// for this statement; 0 defers to the manager's setting.
-	SlowQueryThreshold time.Duration
 	// Parallel is the intra-query degree of parallelism: plan segments
 	// between checkpoint boundaries run on this many worker goroutines
 	// behind exchange operators. Values below 2 run serially.
@@ -639,16 +635,12 @@ func (s *Session) begin(stmt sql.Stmt, opts Options, tag string, traceCap int) *
 }
 
 // end records the statement's duration and emits the structured
-// slow-query warning when it exceeded the effective threshold
-// (per-query override, else the manager-wide setting; 0 disables).
-// Every exit path defers it.
+// slow-query warning when it exceeded the manager's threshold (0
+// disables). Every exit path defers it.
 func (r *stmtRun) end() {
 	m, dur := r.m, time.Since(r.start)
 	m.em.QueryDuration.Observe(dur.Seconds())
-	thr := r.opts.SlowQueryThreshold
-	if thr <= 0 {
-		thr = time.Duration(m.slowQueryNanos.Load())
-	}
+	thr := time.Duration(m.slowQueryNanos.Load())
 	if thr <= 0 || dur < thr {
 		return
 	}

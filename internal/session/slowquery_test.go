@@ -48,18 +48,6 @@ func TestSlowQueryWarning(t *testing.T) {
 		}
 	}
 
-	// The per-query override wins over the manager setting.
-	m.SetSlowQueryThreshold(0)
-	buf.Reset()
-	perQuery := opts
-	perQuery.SlowQueryThreshold = time.Nanosecond
-	if _, err := s.Exec(context.Background(), joinQuery, perQuery); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "slow query") {
-		t.Errorf("per-query threshold did not warn: %s", buf.String())
-	}
-
 	// DML takes the same path.
 	buf.Reset()
 	m.SetSlowQueryThreshold(time.Nanosecond)
