@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/faultinject"
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -13,10 +16,12 @@ import (
 const aggStateWidth = 4
 
 // aggMode selects what an Agg consumes and produces. The encoded group
-// state (key values then per-aggregate sum/count/min/max — the same
-// representation the spill path already uses) doubles as the wire format
+// state (key values, then per aggregate the slots sum, count, min, max —
+// the representation the spill path writes) doubles as the wire format
 // between a parallel region's partial aggregates and the serial final
-// merge at the gather point.
+// merge at the gather point. An aggregate keeps only what its function
+// returns, so it writes and reads only some of its slots; encodeState
+// says what the others hold.
 type aggMode uint8
 
 const (
@@ -28,11 +33,11 @@ const (
 	aggFinal
 )
 
-// Agg is a blocking hash aggregation operator. Group states (sum, count,
-// min, max per aggregate) are mergeable, so when the group table exceeds
-// the node's memory grant the operator spills encoded partial states to
-// hash partitions and merges them partition by partition — one extra
-// write+read pass, mirroring the hash join's degradation.
+// Agg is a blocking hash aggregation operator. Group states are
+// mergeable, so when the group table exceeds the node's memory grant the
+// operator spills encoded partial states to hash partitions and merges
+// them partition by partition — one extra write+read pass, mirroring the
+// hash join's degradation.
 type Agg struct {
 	node *plan.Agg
 	in   Operator
@@ -43,15 +48,21 @@ type Agg struct {
 	// keyCols are the input ordinals of the group key: the node's
 	// GroupCols, or in final mode the state tuples' leading columns.
 	keyCols []int
+	// argCols is, per aggregate, the input column of a bare column
+	// argument, read straight from the tuple; -1 for an argument to
+	// evaluate or none.
+	argCols []int
 	// The group table. Group g — entry g of index, so numbered in
-	// first-seen order — owns keys[g*nk:][:nk], accs[g*3*na:][:3*na]
-	// (sums, then mins, then maxs) and counts[g*na:][:na], for nk key
-	// columns and na aggregates: three slabs that grow by doubling, so a
-	// new group allocates nothing of its own.
+	// first-seen order — owns keys[g*nk:][:nk], counts[g*na:][:na] and
+	// vals[g*na:][:na], for nk key columns and na aggregates: slabs that
+	// grow by doubling, so a new group allocates nothing of its own.
+	// Every aggregate counts — the non-NULL arguments it has folded, or
+	// for COUNT(*) the rows — and a SUM or AVG keeps its sum in vals, a
+	// MIN or MAX its extreme; a COUNT's stays NULL.
 	index   hashIndex
 	keys    []types.Value
-	accs    []types.Value
 	counts  []int64
+	vals    []types.Value
 	size    float64
 	peakMem float64 // high-water group-table memory, for EXPLAIN ANALYZE
 
@@ -66,23 +77,19 @@ type Agg struct {
 	closed  bool
 }
 
-// group is a view of one group's pieces of the slabs.
-type group struct {
-	key              types.Tuple
-	sums, mins, maxs []types.Value
-	counts           []int64
-}
-
-// group returns the view of group g.
-func (a *Agg) group(g int) group {
-	nk, na := len(a.keyCols), len(a.node.Aggs)
-	acc := a.accs[g*3*na : (g+1)*3*na]
-	return group{
-		key:    types.Tuple(a.keys[g*nk : (g+1)*nk]),
-		sums:   acc[:na],
-		mins:   acc[na : 2*na],
-		maxs:   acc[2*na:],
-		counts: a.counts[g*na : (g+1)*na],
+// compile fixes the group key's input columns and the aggregates'
+// argument columns.
+func (a *Agg) compile() {
+	a.keyCols = a.node.GroupCols
+	if a.mode == aggFinal {
+		a.keyCols = leadingCols(len(a.node.GroupCols))
+	}
+	a.argCols = make([]int, len(a.node.Aggs))
+	for i, spec := range a.node.Aggs {
+		a.argCols[i] = -1
+		if c, ok := spec.Arg.(*plan.ColExpr); ok {
+			a.argCols[i] = c.Idx
+		}
 	}
 }
 
@@ -102,9 +109,8 @@ func (a *Agg) lookup(t types.Tuple, cols []int) (g int, added bool) {
 	for _, c := range cols {
 		a.keys = append(a.keys, t[c])
 	}
-	na := len(a.node.Aggs)
-	a.accs = extend(a.accs, 3*na)
-	a.counts = extend(a.counts, na)
+	a.counts = extend(a.counts, len(a.node.Aggs))
+	a.vals = extend(a.vals, len(a.node.Aggs))
 	return g, true
 }
 
@@ -113,8 +119,8 @@ func (a *Agg) lookup(t types.Tuple, cols []int) (g int, added bool) {
 func (a *Agg) resetGroups() {
 	a.index.reset()
 	clear(a.keys)
-	clear(a.accs)
-	a.keys, a.accs, a.counts = a.keys[:0], a.accs[:0], a.counts[:0]
+	clear(a.vals)
+	a.keys, a.counts, a.vals = a.keys[:0], a.counts[:0], a.vals[:0]
 }
 
 // NewAgg builds a hash aggregation operator.
@@ -142,10 +148,7 @@ func (a *Agg) Schema() *types.Schema { return a.node.Out }
 // consumed here.
 func (a *Agg) Open() error {
 	a.grant = a.node.Est().Grant * a.ctx.grantShare()
-	a.keyCols = a.node.GroupCols
-	if a.mode == aggFinal {
-		a.keyCols = leadingCols(len(a.node.GroupCols))
-	}
+	a.compile()
 	// absorb copies the key and argument values it keeps: the input is
 	// lent.
 	Lend(a.in)
@@ -186,7 +189,7 @@ func (a *Agg) Open() error {
 		a.emitGroups()
 	}
 	// The table is spent: what is left of the operator is a.out.
-	a.index, a.keys, a.accs, a.counts = hashIndex{}, nil, nil, nil
+	a.index, a.keys, a.counts, a.vals = hashIndex{}, nil, nil, nil
 	return err
 }
 
@@ -195,7 +198,8 @@ func (a *Agg) Open() error {
 func (a *Agg) absorb(t types.Tuple) error {
 	g, added := a.lookup(t, a.keyCols)
 	if added {
-		stateSize := float64(types.EncodedSize(a.group(g).key)) + float64(aggStateWidth*8*len(a.node.Aggs)) + 48
+		nk := len(a.keyCols)
+		stateSize := float64(types.EncodedSize(a.keys[g*nk:][:nk])) + float64(aggStateWidth*8*len(a.node.Aggs)) + 48
 		a.size += stateSize
 		if a.size > a.peakMem {
 			a.peakMem = a.size
@@ -210,10 +214,9 @@ func (a *Agg) absorb(t types.Tuple) error {
 		}
 	}
 	if a.mode == aggFinal {
-		mergeState(a.group(g), t, len(a.node.GroupCols))
-		return nil
+		return a.merge(g, t)
 	}
-	return a.update(a.group(g), t)
+	return a.fold(g, t)
 }
 
 // leadingCols returns the ordinals 0..n-1: where an encoded group state
@@ -226,53 +229,101 @@ func leadingCols(n int) []int {
 	return cols
 }
 
-// keyEqual reports whether key equals t's values at cols: same kind (or
-// both numeric) and equal, column by column.
+// keyEqual reports whether key equals t's values at cols, column by
+// column.
 func keyEqual(key, t types.Tuple, cols []int) bool {
 	for i, c := range cols {
-		x, y := key[i], t[c]
-		if x.Kind() != y.Kind() && !(x.Kind().Numeric() && y.Kind().Numeric()) {
-			return false
-		}
-		if !x.Equal(y) {
+		if !key[i].Equal(t[c]) {
 			return false
 		}
 	}
 	return true
 }
 
-// update applies one tuple to a group's accumulators.
-func (a *Agg) update(g group, t types.Tuple) error {
-	for i, spec := range a.node.Aggs {
+// fold applies one input row to group g's aggregates.
+func (a *Agg) fold(g int, t types.Tuple) error {
+	na := len(a.node.Aggs)
+	counts, vals := a.counts[g*na:][:na], a.vals[g*na:][:na]
+	for i := range a.node.Aggs {
+		spec := &a.node.Aggs[i]
 		if spec.Arg == nil { // COUNT(*)
-			g.counts[i]++
+			counts[i]++
 			continue
 		}
-		v, err := spec.Arg.Eval(t, a.ctx.Params)
-		if err != nil {
-			return err
+		var v types.Value
+		if c := a.argCols[i]; uint(c) < uint(len(t)) {
+			v = t[c]
+		} else {
+			// An expression, or a column out of range: Eval's error.
+			var err error
+			if v, err = spec.Arg.Eval(t, a.ctx.Params); err != nil {
+				return err
+			}
 		}
 		if v.IsNull() {
 			continue
 		}
-		g.counts[i]++
-		if g.sums[i].IsNull() {
-			g.sums[i] = v
-		} else {
-			s, err := g.sums[i].Add(v)
-			if err != nil {
-				return err
-			}
-			g.sums[i] = s
-		}
-		if g.mins[i].IsNull() || v.Compare(g.mins[i]) < 0 {
-			g.mins[i] = v
-		}
-		if g.maxs[i].IsNull() || v.Compare(g.maxs[i]) > 0 {
-			g.maxs[i] = v
+		counts[i]++
+		if err := add(spec.Func, &vals[i], v); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// merge folds an encoded state into group g: each aggregate's count, and
+// the one value slot its function reads.
+func (a *Agg) merge(g int, st types.Tuple) error {
+	na := len(a.node.Aggs)
+	counts, vals := a.counts[g*na:][:na], a.vals[g*na:][:na]
+	st = st[len(a.keyCols):]
+	for i, spec := range a.node.Aggs {
+		slots := st[i*aggStateWidth:][:aggStateWidth]
+		counts[i] += slots[1].Int()
+		var v types.Value
+		switch spec.Func {
+		case sql.AggSum, sql.AggAvg:
+			v = slots[0]
+		case sql.AggMin:
+			v = slots[2]
+		case sql.AggMax:
+			v = slots[3]
+		}
+		if v.IsNull() {
+			continue
+		}
+		if err := add(spec.Func, &vals[i], v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// add folds v — one row's argument, or the sum, min or max of a merged
+// state's rows — into x, the value an aggregate of function f keeps. v
+// is not NULL. A sum adds as Value.Add does, an INTEGER sum wrapping and
+// the first FLOAT promoting it, but where both are FLOATs or both
+// INTEGERs without its checks; a value that is not a number is an error,
+// the first too.
+func add(f sql.AggFunc, x *types.Value, v types.Value) (err error) {
+	switch k := v.Kind(); {
+	case f == sql.AggMin || f == sql.AggMax:
+		if c := v.Compare(*x); x.IsNull() || f == sql.AggMin && c < 0 || f == sql.AggMax && c > 0 {
+			*x = v
+		}
+	case f != sql.AggSum && f != sql.AggAvg: // COUNT keeps no value
+	case k == types.KindFloat && x.Kind() == k:
+		*x = types.NewFloat(math.Float64frombits(x.Bits()) + math.Float64frombits(v.Bits()))
+	case k == types.KindInt && x.Kind() == k:
+		*x = types.NewInt(int64(x.Bits() + v.Bits()))
+	case !k.Numeric():
+		err = fmt.Errorf("exec: cannot add %s to a sum", k)
+	case x.IsNull():
+		*x = v
+	default:
+		*x, err = x.Add(v)
+	}
+	return err
 }
 
 // spill switches to partitioned mode and flushes current groups.
@@ -295,7 +346,7 @@ func (a *Agg) flushGroups() error {
 	for g, h := range a.index.hashes {
 		// Append encodes the state into the page: one scratch serves
 		// every group.
-		encodeState(a.scratch, a.group(g))
+		a.encodeState(a.scratch, g)
 		idx := int((h >> 32) % uint64(len(a.parts)))
 		if _, err := a.parts[idx].Append(a.scratch); err != nil {
 			return err
@@ -311,12 +362,22 @@ func (a *Agg) stateWidth() int {
 	return len(a.node.GroupCols) + aggStateWidth*len(a.node.Aggs)
 }
 
-// encodeState flattens a group into dst: key values, then per aggregate
-// sum, count, min, max.
-func encodeState(dst types.Tuple, g group) {
-	st := dst[copy(dst, g.key):]
-	for i := range g.sums {
-		st[0], st[1], st[2], st[3] = g.sums[i], types.NewInt(g.counts[i]), g.mins[i], g.maxs[i]
+// encodeState flattens group g into dst: key values, then per aggregate
+// four slots, sum, count, min, max. The count slot holds the count; each
+// value slot holds the aggregate's one value — its sum or extreme, a
+// COUNT(arg)'s count once that is > 0, else NULL — though merge reads
+// only the slot its function names. So for a numeric argument a value
+// slot is NULL exactly when the count is 0, as when every aggregate kept
+// all four values, and a state is just as wide.
+func (a *Agg) encodeState(dst types.Tuple, g int) {
+	nk, na := len(a.keyCols), len(a.node.Aggs)
+	st := dst[copy(dst, a.keys[g*nk:][:nk]):]
+	for i, spec := range a.node.Aggs {
+		n, v := a.counts[g*na+i], a.vals[g*na+i]
+		if spec.Func == sql.AggCount && spec.Arg != nil && n > 0 {
+			v = types.NewInt(n)
+		}
+		st[0], st[1], st[2], st[3] = v, types.NewInt(n), v, v
 		st = st[aggStateWidth:]
 	}
 }
@@ -330,7 +391,7 @@ func (a *Agg) mergePartitions() error {
 			return err
 		}
 		a.resetGroups()
-		s := part.Scan().Lend() // mergeState copies what it keeps
+		s := part.Scan().Lend() // merge copies what it keeps
 		for s.Next() {
 			if err := a.ctx.Tick(); err != nil {
 				return err
@@ -338,7 +399,9 @@ func (a *Agg) mergePartitions() error {
 			a.ctx.Meter.ChargeTuples(1)
 			st := s.Tuple()
 			g, _ := a.lookup(st, keyCols)
-			mergeState(a.group(g), st, nk)
+			if err := a.merge(g, st); err != nil {
+				return err
+			}
 		}
 		if err := s.Err(); err != nil {
 			return err
@@ -349,28 +412,6 @@ func (a *Agg) mergePartitions() error {
 	return nil
 }
 
-// mergeState folds an encoded state tuple into a group.
-func mergeState(g group, st types.Tuple, nk int) {
-	for i := range g.sums {
-		base := nk + i*aggStateWidth
-		sum, cnt, mn, mx := st[base], st[base+1], st[base+2], st[base+3]
-		g.counts[i] += cnt.Int()
-		if !sum.IsNull() {
-			if g.sums[i].IsNull() {
-				g.sums[i] = sum
-			} else {
-				g.sums[i], _ = g.sums[i].Add(sum)
-			}
-		}
-		if !mn.IsNull() && (g.mins[i].IsNull() || mn.Compare(g.mins[i]) < 0) {
-			g.mins[i] = mn
-		}
-		if !mx.IsNull() && (g.maxs[i].IsNull() || mx.Compare(g.maxs[i]) > 0) {
-			g.maxs[i] = mx
-		}
-	}
-}
-
 // emitStates renders the partial aggregate's output: every group's
 // encoded state, in first-seen order. A spilled partial aggregate streams
 // its partition files back out unchanged — a group flushed twice yields
@@ -379,7 +420,7 @@ func (a *Agg) emitStates() error {
 	n, width := a.index.len(), a.stateWidth()
 	for g := 0; g < n; g++ {
 		state := a.mem.New(width, n-g)
-		encodeState(state, a.group(g))
+		a.encodeState(state, g)
 		a.out = append(a.out, state)
 	}
 	for i, part := range a.parts {
@@ -404,36 +445,21 @@ func (a *Agg) emitStates() error {
 // order: group columns then aggregate results, matching the node's
 // output schema.
 func (a *Agg) emitGroups() {
-	n := a.index.len()
-	nk := len(a.node.GroupCols)
-	for i := 0; i < n; i++ {
-		g := a.group(i)
-		row := a.mem.New(nk+len(a.node.Aggs), n-i)
-		copy(row, g.key)
-		for j, spec := range a.node.Aggs {
-			row[nk+j] = finalizeAgg(spec.Func, g, j)
+	n, nk, na := a.index.len(), len(a.keyCols), len(a.node.Aggs)
+	for g := 0; g < n; g++ {
+		row := a.mem.New(nk+na, n-g)
+		copy(row, a.keys[g*nk:][:nk])
+		for i, spec := range a.node.Aggs {
+			cnt, v := a.counts[g*na+i], a.vals[g*na+i]
+			switch {
+			case spec.Func == sql.AggCount:
+				v = types.NewInt(cnt)
+			case spec.Func == sql.AggAvg && !v.IsNull():
+				v = types.NewFloat(v.AsFloat() / float64(cnt))
+			}
+			row[nk+i] = v
 		}
 		a.out = append(a.out, row)
-	}
-}
-
-func finalizeAgg(f sql.AggFunc, g group, i int) types.Value {
-	switch f {
-	case sql.AggCount:
-		return types.NewInt(g.counts[i])
-	case sql.AggSum:
-		return g.sums[i]
-	case sql.AggAvg:
-		if g.counts[i] == 0 || g.sums[i].IsNull() {
-			return types.Null()
-		}
-		return types.NewFloat(g.sums[i].AsFloat() / float64(g.counts[i]))
-	case sql.AggMin:
-		return g.mins[i]
-	case sql.AggMax:
-		return g.maxs[i]
-	default:
-		return types.Null()
 	}
 }
 

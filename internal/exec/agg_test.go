@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/plan"
@@ -238,5 +240,98 @@ func TestMaterialize(t *testing.T) {
 	op.Close()
 	if tf.NumTuples() != 300 {
 		t.Errorf("materialized %d tuples", tf.NumTuples())
+	}
+}
+
+// TestAggOverNonNumericArguments: COUNT, MIN and MAX of VARCHAR and DATE
+// arguments — with NULLs among them, with and without GROUP BY, at
+// degree 1 and 2, in memory and spilled — match a naive evaluation.
+func TestAggOverNonNumericArguments(t *testing.T) {
+	e := newEnv(256)
+	in := types.NewSchema(
+		types.Column{Name: "g", Kind: types.KindInt},
+		types.Column{Name: "s", Kind: types.KindString},
+		types.Column{Name: "d", Kind: types.KindDate},
+	)
+	const n, groups = 600, 40
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		s, d := types.NewString(fmt.Sprintf("v%03d", i*37%n)), types.NewDate(int64(9000+i*53%n))
+		if i%11 == 0 {
+			s = types.Null()
+		}
+		if i%13 == 0 {
+			d = types.Null()
+		}
+		rows[i] = types.Tuple{types.NewInt(int64(i % groups)), s, d}
+	}
+	sArg := &plan.ColExpr{Idx: 1, Col: in.Columns[1]}
+	dArg := &plan.ColExpr{Idx: 2, Col: in.Columns[2]}
+	specs := []plan.AggSpec{
+		{Func: sql.AggCount, Arg: sArg}, {Func: sql.AggMin, Arg: sArg}, {Func: sql.AggMax, Arg: sArg},
+		{Func: sql.AggCount, Arg: dArg}, {Func: sql.AggMin, Arg: dArg}, {Func: sql.AggMax, Arg: dArg},
+		{Func: sql.AggCount},
+	}
+	for _, grouped := range []bool{false, true} {
+		// The naive answer: per group COUNT, MIN, MAX of s, then of d,
+		// then COUNT(*).
+		want := map[int64]types.Tuple{}
+		for _, r := range rows {
+			g := int64(0)
+			if grouped {
+				g = r[0].Int()
+			}
+			w := want[g]
+			if w == nil {
+				w = types.Tuple{types.NewInt(0), types.Null(), types.Null(), types.NewInt(0), types.Null(), types.Null(), types.NewInt(0)}
+				want[g] = w
+			}
+			for j, v := range []types.Value{r[1], r[2]} {
+				if v.IsNull() {
+					continue
+				}
+				cnt, mn, mx := &w[3*j], &w[3*j+1], &w[3*j+2]
+				*cnt = types.NewInt(cnt.Int() + 1)
+				if mn.IsNull() || v.Compare(*mn) < 0 {
+					*mn = v
+				}
+				if mx.IsNull() || v.Compare(*mx) > 0 {
+					*mx = v
+				}
+			}
+			w[6] = types.NewInt(w[6].Int() + 1)
+		}
+		var wantRows []types.Tuple
+		for g, w := range want {
+			if grouped {
+				w = append(types.Tuple{types.NewInt(g)}, w...)
+			}
+			wantRows = append(wantRows, w)
+		}
+		for _, grant := range []float64{0, 1024} {
+			node := &plan.Agg{Aggs: specs}
+			if grouped {
+				node.GroupCols = []int{0}
+			}
+			node.Est().Grant = grant
+			for _, degree := range []int{1, 2} {
+				got := runAgg(t, e.ctx, node, in, rows, degree)
+				for _, r := range got {
+					for j, v := range r {
+						if w := wantRows[0][j]; !v.IsNull() && v.Kind() != w.Kind() {
+							t.Fatalf("grouped %v, grant %.0f, degree %d: column %d is %s, want %s", grouped, grant, degree, j, v.Kind(), w.Kind())
+						}
+					}
+				}
+				tuplesetEqual(t, got, slices.Clone(wantRows))
+			}
+			if grant > 0 && grouped {
+				op := NewAgg(node, &tupleSource{sch: in, rows: rows}, e.ctx)
+				collectAll(t, op)
+				if !op.Spilled() {
+					t.Fatalf("grant %.0f: the aggregate did not spill", grant)
+				}
+			}
+		}
 	}
 }

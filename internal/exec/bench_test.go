@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/plan"
+	"repro/internal/sql"
 	"repro/internal/types"
 )
 
@@ -92,23 +93,81 @@ func BenchmarkHashIndex(b *testing.B) {
 	})
 }
 
-// BenchmarkAggAbsorb folds in-memory rows into 1 000 groups under five
-// aggregates: time, bytes and allocations per input row.
+// BenchmarkAggAbsorb folds in-memory rows into their groups: time, bytes
+// and allocations per input row. kv is 1 000 INTEGER groups under five
+// aggregates, MIN and MAX among them; q1 is TPC-D Q1's shape, four groups
+// of two one-character VARCHAR keys under SUM and AVG of INTEGER and
+// FLOAT columns and COUNT(*).
 func BenchmarkAggAbsorb(b *testing.B) {
 	e := newEnv(64)
 	e.makeTable(b, "r", 1, 1)
-	node := aggNode(b, e, "r", 0)
-	rows := kvRows(1<<16, 1000)
+	b.Run("kv", func(b *testing.B) {
+		benchAbsorb(b, e.ctx, aggNode(b, e, "r", 0), kvRows(1<<16, 1000))
+	})
+	b.Run("q1", func(b *testing.B) {
+		node, rows := q1Shape(1 << 16)
+		benchAbsorb(b, e.ctx, node, rows)
+	})
+}
+
+func benchAbsorb(b *testing.B, ctx *Ctx, node *plan.Agg, rows []types.Tuple) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; done += len(rows) {
-		a := &Agg{node: node, ctx: e.ctx, keyCols: node.GroupCols}
+		a := NewAgg(node, nil, ctx)
+		a.compile()
 		for _, r := range rows {
 			if err := a.absorb(r); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
+}
+
+// q1Shape is n rows (flag, status VARCHAR, qty INTEGER, price, disc FLOAT)
+// in four groups of (flag, status), and an aggregate over them like TPC-D
+// Q1's: sum(qty), sum(price), avg(qty), avg(price), avg(disc), count(*).
+func q1Shape(n int) (*plan.Agg, []types.Tuple) {
+	cols := []types.Column{
+		{Name: "flag", Kind: types.KindString},
+		{Name: "status", Kind: types.KindString},
+		{Name: "qty", Kind: types.KindInt},
+		{Name: "price", Kind: types.KindFloat},
+		{Name: "disc", Kind: types.KindFloat},
+	}
+	arg := func(i int) plan.Expr { return &plan.ColExpr{Idx: i, Col: cols[i]} }
+	node := &plan.Agg{
+		GroupCols: []int{0, 1},
+		Aggs: []plan.AggSpec{
+			{Func: sql.AggSum, Arg: arg(2), Name: "sum_qty"},
+			{Func: sql.AggSum, Arg: arg(3), Name: "sum_price"},
+			{Func: sql.AggAvg, Arg: arg(2), Name: "avg_qty"},
+			{Func: sql.AggAvg, Arg: arg(3), Name: "avg_price"},
+			{Func: sql.AggAvg, Arg: arg(4), Name: "avg_disc"},
+			{Func: sql.AggCount, Name: "count_order"},
+		},
+		Out: types.NewSchema(cols[0], cols[1],
+			types.Column{Name: "sum_qty", Kind: types.KindInt},
+			types.Column{Name: "sum_price", Kind: types.KindFloat},
+			types.Column{Name: "avg_qty", Kind: types.KindFloat},
+			types.Column{Name: "avg_price", Kind: types.KindFloat},
+			types.Column{Name: "avg_disc", Kind: types.KindFloat},
+			types.Column{Name: "count_order", Kind: types.KindInt},
+		),
+	}
+	keys := [4][2]string{{"A", "F"}, {"N", "F"}, {"N", "O"}, {"R", "F"}}
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		k := keys[i%4]
+		rows[i] = types.Tuple{
+			types.NewString(k[0]), types.NewString(k[1]),
+			types.NewInt(int64(1 + rng.Intn(50))),
+			types.NewFloat(float64(rng.Intn(1e6)) / 100),
+			types.NewFloat(float64(rng.Intn(11)) / 100),
+		}
+	}
+	return node, rows
 }
 
 var sinkObserved *plan.Observed

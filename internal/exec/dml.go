@@ -61,7 +61,7 @@ func (e *InsertExec) Open() error {
 			if err != nil {
 				return err
 			}
-			cv, err := coerceValue(v, schema.Columns[i].Kind)
+			cv, err := types.Coerce(v, schema.Columns[i].Kind)
 			if err != nil {
 				return fmt.Errorf("exec: column %s: %w", schema.Columns[i].Name, err)
 			}
@@ -134,7 +134,7 @@ func (e *UpdateExec) Open() error {
 			if err != nil {
 				return err
 			}
-			cv, err := coerceValue(v, schema.Columns[set.Col].Kind)
+			cv, err := types.Coerce(v, schema.Columns[set.Col].Kind)
 			if err != nil {
 				return fmt.Errorf("exec: column %s: %w", schema.Columns[set.Col].Name, err)
 			}
@@ -198,24 +198,6 @@ func testAll(preds []plan.Pred, t types.Tuple, params plan.Params) (bool, error)
 		}
 	}
 	return true, nil
-}
-
-// coerceValue converts v to the column kind where the conversion is
-// lossless-enough for the engine's numeric model (int ↔ float); other
-// mismatches are errors.
-func coerceValue(v types.Value, k types.Kind) (types.Value, error) {
-	if v.IsNull() || v.Kind() == k {
-		return v, nil
-	}
-	switch {
-	case k == types.KindFloat && v.Kind() == types.KindInt:
-		return types.NewFloat(float64(v.Int())), nil
-	case k == types.KindInt && v.Kind() == types.KindFloat:
-		return types.NewInt(int64(v.Float())), nil
-	case k == types.KindDate && v.Kind() == types.KindInt:
-		return types.NewDate(v.Int()), nil
-	}
-	return types.Value{}, fmt.Errorf("cannot store %s value as %s", v.Kind(), k)
 }
 
 // RunDML builds and runs the operator for a DML plan node, returning the

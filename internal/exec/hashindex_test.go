@@ -191,7 +191,8 @@ func TestHashTablesAllocateLogarithmically(t *testing.T) {
 	rows := kvRows(n, n)
 	node := aggNode(t, e, "r", 0)
 	allocs := testing.AllocsPerRun(3, func() {
-		a := &Agg{node: node, ctx: e.ctx, keyCols: node.GroupCols}
+		a := NewAgg(node, nil, e.ctx)
+		a.compile()
 		for _, r := range rows {
 			if err := a.absorb(r); err != nil {
 				t.Fatal(err)

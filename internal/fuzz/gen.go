@@ -263,7 +263,7 @@ const (
 	// projStar selects every column of every table.
 	projStar
 	// projGrouped groups by a column of the first table and aggregates
-	// the last table's value column.
+	// the last table's value column under every function.
 	projGrouped
 )
 
@@ -341,7 +341,9 @@ func (e *Env) querySQL(p projection) string {
 		if c.GroupPK {
 			gcol = "pk"
 		}
-		sel = fmt.Sprintf("%s, count(*) as cnt, sum(%s) as sv", col(0, gcol), col(k-1, "val"))
+		val := col(k-1, "val")
+		sel = fmt.Sprintf("%s, count(*) as cnt, sum(%s) as sv, min(%[2]s) as mn, max(%[2]s) as mx, avg(%[2]s) as av, count(%[2]s) as cv",
+			col(0, gcol), val)
 		tail = " group by " + col(0, gcol)
 	case projStar:
 		sel = "*"

@@ -63,8 +63,8 @@ func (e *Env) reference(p projection) []types.Tuple {
 		want = joined
 	case projGrouped:
 		type aggState struct {
-			cnt int64
-			sum float64
+			cnt         int64
+			sum, mn, mx float64
 		}
 		gcol := 2 // first table's grp column
 		if c.GroupPK {
@@ -72,15 +72,19 @@ func (e *Env) reference(p projection) []types.Tuple {
 		}
 		groups := map[int64]*aggState{}
 		for _, row := range joined {
-			g := row[gcol].Int()
-			if groups[g] == nil {
-				groups[g] = &aggState{}
+			g, v := row[gcol].Int(), row[(k-1)*4+3].Float()
+			st := groups[g]
+			if st == nil {
+				st = &aggState{mn: v, mx: v}
+				groups[g] = st
 			}
-			groups[g].cnt++
-			groups[g].sum += row[(k-1)*4+3].Float()
+			st.cnt++
+			st.sum += v
+			st.mn, st.mx = min(st.mn, v), max(st.mx, v)
 		}
 		for g, st := range groups {
-			want = append(want, types.Tuple{types.NewInt(g), types.NewInt(st.cnt), types.NewFloat(st.sum)})
+			want = append(want, types.Tuple{types.NewInt(g), types.NewInt(st.cnt), types.NewFloat(st.sum),
+				types.NewFloat(st.mn), types.NewFloat(st.mx), types.NewFloat(st.sum / float64(st.cnt)), types.NewInt(st.cnt)})
 		}
 	default:
 		for _, row := range joined {

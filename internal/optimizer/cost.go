@@ -35,8 +35,10 @@ const minGrantBytes = 256 * 1024
 // one-byte grant whose first real tuple triggers a pathological spill.
 const minDemandBytes = 64 * 1024
 
-// aggStateBytes estimates per-group state: key plus sum/count/min/max
-// per aggregate plus bookkeeping, matching the executor's accounting.
+// aggStateBytes estimates per-group state as the executor charges it:
+// the key, each aggregate's four encoded slots (sum, count, min, max) and
+// bookkeeping — a spilled state's width, though a group in memory keeps
+// only what its functions return.
 func aggStateBytes(keyBytes float64, nAggs int) float64 {
 	return keyBytes + float64(4*8*nAggs) + 48
 }

@@ -119,6 +119,9 @@ func (o *Optimizer) buildAgg(q *Query, joined *dpEntry, cm *costModel) (*plan.Ag
 			arg = bound
 			argKind = bound.Kind()
 		}
+		if (ax.Func == sql.AggSum || ax.Func == sql.AggAvg) && (argKind == types.KindString || argKind == types.KindDate) {
+			return nil, fmt.Errorf("optimizer: %s: %s of %s is not defined", ax.SQL(), ax.Func, argKind)
+		}
 		name := item.Alias
 		if name == "" {
 			name = fmt.Sprintf("%s_%d", strings.ToLower(ax.Func.String()), i+1)

@@ -52,7 +52,7 @@ func (k Kind) Numeric() bool { return k == KindInt || k == KindFloat }
 // for "". A string is therefore carried as (pointer, length) without the
 // string header's second copy of either, and viewed through
 // unsafe.String: this package is the only one that imports unsafe, and
-// nothing outside int, float and str reads p or w.
+// nothing outside int, float, str and Bits reads p or w.
 //
 // Two Values holding the same string need not hold the same pointer, so
 // == would be identity where every caller wants Equal; the zero-size
@@ -123,6 +123,12 @@ func (v Value) Float() float64 {
 	}
 	return v.float()
 }
+
+// Bits returns the payload word as it is held: an INTEGER's or DATE's
+// int64, a FLOAT's IEEE-754 bits; for a VARCHAR or NULL it means nothing.
+// It does not check the kind: a caller that has checked it reads the
+// number for the price of a load.
+func (v Value) Bits() uint64 { return v.w }
 
 // Str returns the string payload. It panics unless the value is a VARCHAR.
 func (v Value) Str() string {
@@ -210,8 +216,37 @@ func (v Value) Compare(o Value) int {
 	return 0
 }
 
-// Equal reports value equality under Compare semantics.
-func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
+// Equal reports value equality under Compare semantics, without
+// Compare where the kinds say enough: two INTEGERs, two DATEs or two
+// NULLs (whose words are 0) are equal when their words are, two VARCHARs
+// when their strings are. Values of two kinds, and FLOATs — a NaN
+// compares equal to everything — go through Compare.
+func (v Value) Equal(o Value) bool {
+	if v.kind != o.kind || v.kind == KindFloat {
+		return v.Compare(o) == 0
+	}
+	return v.w == o.w && (v.kind != KindString || v.str() == o.str())
+}
+
+// Coerce converts v to kind k as a column of kind k stores it, where the
+// conversion is lossless enough for the engine's numeric model: an
+// INTEGER to a FLOAT or a DATE, a FLOAT to an INTEGER (truncated). NULL
+// and a value of kind k are stored as they are; any other mismatch is an
+// error.
+func Coerce(v Value, k Kind) (Value, error) {
+	if v.IsNull() || v.kind == k {
+		return v, nil
+	}
+	switch {
+	case k == KindFloat && v.kind == KindInt:
+		return NewFloat(float64(v.int())), nil
+	case k == KindInt && v.kind == KindFloat:
+		return NewInt(int64(v.float())), nil
+	case k == KindDate && v.kind == KindInt:
+		return NewDate(v.int()), nil
+	}
+	return Value{}, fmt.Errorf("cannot store %s value as %s", v.kind, k)
+}
 
 // Hash returns a stable 64-bit hash of the value, suitable for hash joins
 // and hash aggregation. Equal values (including cross-kind numeric equals

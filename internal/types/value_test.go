@@ -210,3 +210,56 @@ func TestByteSize(t *testing.T) {
 		t.Errorf("tuple ByteSize = %d", tp.ByteSize())
 	}
 }
+
+// TestEqualIsCompareZero: the kind-specialized Equal answers as
+// Compare(o) == 0 for every pair — across kinds, INTEGER against FLOAT,
+// NaN (equal to everything) and signed zeros — and Bits is the payload a
+// number is built from.
+func TestEqualIsCompareZero(t *testing.T) {
+	vals := []Value{
+		Null(), NewInt(0), NewInt(2), NewInt(-2), NewInt(math.MaxInt64),
+		NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(2), NewFloat(math.NaN()), NewFloat(math.Inf(1)),
+		NewString(""), NewString("a"), NewString("ab"), NewString(string([]byte{'a'})),
+		NewDate(0), NewDate(2), NewDate(9000),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := a.Equal(b), a.Compare(b) == 0; got != want {
+				t.Errorf("%s %v Equal %s %v = %v, Compare says %v", a.Kind(), a, b.Kind(), b, got, want)
+			}
+		}
+	}
+	if NewInt(-3).Bits() != uint64(1<<64-3) || NewFloat(1.5).Bits() != math.Float64bits(1.5) || NewDate(7).Bits() != 7 {
+		t.Error("Bits is not the payload word")
+	}
+}
+
+// TestCoerce: a value is stored in a column of another kind as SQL
+// INSERT stores it — INTEGER into FLOAT and DATE, FLOAT into INTEGER
+// truncated — or refused.
+func TestCoerce(t *testing.T) {
+	for _, c := range []struct {
+		v    Value
+		k    Kind
+		want Value
+	}{
+		{NewInt(3), KindFloat, NewFloat(3)},
+		{NewFloat(4.9), KindInt, NewInt(4)},
+		{NewInt(9000), KindDate, NewDate(9000)},
+		{Null(), KindDate, Null()},
+		{NewString("x"), KindString, NewString("x")},
+	} {
+		got, err := Coerce(c.v, c.k)
+		if err != nil || got.Kind() != c.want.Kind() || !got.Equal(c.want) {
+			t.Errorf("Coerce(%v, %s) = %v, %v; want %v", c.v, c.k, got, err, c.want)
+		}
+	}
+	for _, c := range []struct {
+		v Value
+		k Kind
+	}{{NewString("1995-01-02"), KindDate}, {NewDate(1), KindInt}, {NewInt(1), KindString}, {NewFloat(1), KindDate}} {
+		if got, err := Coerce(c.v, c.k); err == nil {
+			t.Errorf("Coerce(%s %v, %s) = %v, want an error", c.v.Kind(), c.v, c.k, got)
+		}
+	}
+}

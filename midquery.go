@@ -171,12 +171,14 @@ func (db *DB) CreateTable(name string, cols ...Column) error {
 }
 
 // Insert appends one row of Go values (int/int64, float64, string,
-// Value) to a table.
+// Value) to a table. A value of another kind than its column's is
+// converted or refused as SQL INSERT converts or refuses it.
 func (db *DB) Insert(table string, values ...any) error {
 	t, err := db.cat.Table(table)
 	if err != nil {
 		return err
 	}
+	cols := t.Schema.Columns
 	tup := make(Tuple, len(values))
 	for i, v := range values {
 		switch x := v.(type) {
@@ -194,6 +196,11 @@ func (db *DB) Insert(table string, values ...any) error {
 			tup[i] = types.Null()
 		default:
 			return fmt.Errorf("midquery: cannot convert %T to a SQL value", v)
+		}
+		if i < len(cols) { // a wrong arity is the catalog's error
+			if tup[i], err = types.Coerce(tup[i], cols[i].Kind); err != nil {
+				return fmt.Errorf("midquery: column %s: %w", cols[i].Name, err)
+			}
 		}
 	}
 	return t.Insert(tup)
