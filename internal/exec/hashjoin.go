@@ -7,11 +7,6 @@ import (
 	"repro/internal/types"
 )
 
-// buildFudge is the hash-table overhead factor: a build side of S bytes
-// needs about buildFudge*S bytes of memory to join in one pass. The
-// optimizer's memory-demand estimates use the same constant.
-const buildFudge = 1.2
-
 // HashJoin is a Grace-style hash join. Open runs the build phase: the
 // left input is drained into an in-memory hash table; if the table
 // exceeds the node's memory grant the join degrades to partitioned mode,
@@ -126,13 +121,13 @@ func (j *HashJoin) Open() error {
 		if !j.spilled {
 			j.addBuild(t, h)
 			// Memory is accounted in encoded bytes, the same unit the
-			// optimizer's size estimates use; the buildFudge factor
+			// optimizer's size estimates use; the plan.BuildFudge factor
 			// covers hash-table overhead in both places.
 			j.tableSize += float64(types.EncodedSize(t))
-			if m := j.tableSize * buildFudge; m > j.peakMem {
+			if m := j.tableSize * plan.BuildFudge; m > j.peakMem {
 				j.peakMem = m
 			}
-			if j.grant > 0 && j.tableSize*buildFudge > j.grant {
+			if j.grant > 0 && j.tableSize*plan.BuildFudge > j.grant {
 				if err := j.spillBuild(); err != nil {
 					return err
 				}
@@ -173,7 +168,7 @@ func (j *HashJoin) spillBuild() error {
 	// unknowable here, so size partitions for 4x the overflow point;
 	// partitions that still overflow simply overcommit slightly, which
 	// the simulator tolerates.
-	p := 4 * int(j.tableSize*buildFudge/j.grant+1)
+	p := 4 * int(j.tableSize*plan.BuildFudge/j.grant+1)
 	if p < 2 {
 		p = 2
 	}
@@ -366,7 +361,7 @@ func (j *HashJoin) nextSpilled() error {
 			j.addBuild(t, HashKeys(t, j.node.BuildKeys))
 			partSize += float64(types.EncodedSize(t))
 		}
-		if m := partSize * buildFudge; m > j.peakMem {
+		if m := partSize * plan.BuildFudge; m > j.peakMem {
 			j.peakMem = m
 		}
 		if err := s.Err(); err != nil {

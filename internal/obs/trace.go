@@ -57,12 +57,14 @@ type Trace struct {
 const DefaultTraceCap = 256
 
 // NewTrace returns an enabled trace keeping the last capacity events
-// (DefaultTraceCap if capacity <= 0).
+// (DefaultTraceCap if capacity <= 0). The ring starts at
+// min(capacity, 32) slots and grows as events arrive: a query emits a
+// few dozen at most.
 func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Trace{cap: capacity, buf: make([]Event, 0, capacity)}
+	return &Trace{cap: capacity, buf: make([]Event, 0, min(capacity, 32))}
 }
 
 // Enabled reports whether events are being recorded. Safe on nil.

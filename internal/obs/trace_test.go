@@ -54,3 +54,22 @@ func TestDefaultCapacity(t *testing.T) {
 		t.Fatalf("len = %d, want %d", tr.Len(), DefaultTraceCap)
 	}
 }
+
+// TestTraceRingGrowsToItsCapacity: a ring that starts small and grows as
+// events arrive keeps the same window and drop count as one allocated
+// at full capacity.
+func TestTraceRingGrowsToItsCapacity(t *testing.T) {
+	tr := NewTrace(100)
+	for i := 0; i < 130; i++ {
+		tr.Emit("k", "m")
+	}
+	if tr.Len() != 100 || tr.Dropped() != 30 {
+		t.Fatalf("len = %d, dropped = %d, want 100 and 30", tr.Len(), tr.Dropped())
+	}
+	ev := tr.Events()
+	for i, e := range ev {
+		if e.Seq != 30+i {
+			t.Fatalf("event %d has seq %d, want %d", i, e.Seq, 30+i)
+		}
+	}
+}

@@ -10,13 +10,19 @@ import (
 	"repro/internal/types"
 )
 
-// OptCostPerPlan converts "plans considered" by the DP enumerator into
+// optCostPerPlan converts "plans considered" by the DP enumerator into
 // simulated cost units. At 0.1 units (≈ one tenth of a page I/O) per
 // transition, optimizing a 6-join query costs a few tens of units —
 // matching the paper's observation that optimization time is dominated
 // by join-order enumeration and is non-trivial but far below the cost of
 // a complex query.
-const OptCostPerPlan = 0.1
+const optCostPerPlan = 0.1
+
+// OptCost is T_opt,actual: the cost of an optimization that considered
+// plansConsidered DP transitions (§2.4).
+func OptCost(plansConsidered int) float64 {
+	return float64(plansConsidered) * optCostPerPlan
+}
 
 // maxCalibJoins is the largest join count OptTime calibrates; larger
 // queries are charged as this many.
@@ -87,5 +93,5 @@ func calibrateStar(n int) float64 {
 	if _, err := o.Optimize(q); err != nil {
 		panic("optimizer: calibration optimize: " + err.Error())
 	}
-	return float64(o.PlansConsidered) * OptCostPerPlan
+	return OptCost(o.PlansConsidered)
 }

@@ -17,8 +17,9 @@ func TestIndexJoinCostClusteringAware(t *testing.T) {
 		rows    = 50000.0
 		pool    = 256.0
 	)
-	random := IndexJoinSelfCost(w, outer, matches, out, pages, rows, 0, pool)
-	clustered := IndexJoinSelfCost(w, outer, matches, out, pages, rows, 1, pool)
+	o := &Optimizer{Weights: w, PoolPages: pool}
+	random := o.indexJoinSelf(outer, matches, out, pages, rows, 0)
+	clustered := o.indexJoinSelf(outer, matches, out, pages, rows, 1)
 	if clustered >= random {
 		t.Errorf("clustered cost %g not below random %g", clustered, random)
 	}
@@ -29,7 +30,7 @@ func TestIndexJoinCostClusteringAware(t *testing.T) {
 		t.Errorf("clustered fetch I/O = %g, want ~%g", clusteredIO, outer*matches*pages/rows)
 	}
 	// A half-clustered index lands between.
-	mid := IndexJoinSelfCost(w, outer, matches, out, pages, rows, 0.5, pool)
+	mid := o.indexJoinSelf(outer, matches, out, pages, rows, 0.5)
 	if !(clustered < mid && mid < random) {
 		t.Errorf("blend not monotone: %g / %g / %g", clustered, mid, random)
 	}
@@ -39,8 +40,8 @@ func TestIndexJoinCostCacheAware(t *testing.T) {
 	w := storage.DefaultCostWeights()
 	// Random access with many more fetches than table pages: a big pool
 	// absorbs re-touches, a tiny pool does not.
-	bigPool := IndexJoinSelfCost(w, 10000, 4, 40000, 500, 50000, 0, 500)
-	tinyPool := IndexJoinSelfCost(w, 10000, 4, 40000, 500, 50000, 0, 10)
+	bigPool := (&Optimizer{Weights: w, PoolPages: 500}).indexJoinSelf(10000, 4, 40000, 500, 50000, 0)
+	tinyPool := (&Optimizer{Weights: w, PoolPages: 10}).indexJoinSelf(10000, 4, 40000, 500, 50000, 0)
 	if bigPool >= tinyPool {
 		t.Errorf("pool-resident cost %g not below thrashing cost %g", bigPool, tinyPool)
 	}
@@ -53,8 +54,9 @@ func TestIndexJoinCostCacheAware(t *testing.T) {
 
 func TestHashJoinSpillCostSymmetry(t *testing.T) {
 	w := storage.DefaultCostWeights()
-	inMem := HashJoinSelfCost(w, 1000, 1<<20, 5000, 4<<20, 5000, 8<<20)
-	spill := HashJoinSelfCost(w, 1000, 1<<20, 5000, 4<<20, 5000, 64<<10)
+	o := &Optimizer{Weights: w}
+	inMem := o.hashJoinSelf(1000, 1<<20, 5000, 4<<20, 5000, 8<<20)
+	spill := o.hashJoinSelf(1000, 1<<20, 5000, 4<<20, 5000, 64<<10)
 	if spill <= inMem {
 		t.Errorf("spilling grant not more expensive: %g vs %g", spill, inMem)
 	}
@@ -64,23 +66,23 @@ func TestHashJoinSpillCostSymmetry(t *testing.T) {
 	if d := spill - inMem; d < wantDelta*0.9 || d > wantDelta*1.3 {
 		t.Errorf("spill delta = %g, want ~%g", d, wantDelta)
 	}
-	if !HashJoinSpills(1<<20, 64<<10) {
-		t.Error("HashJoinSpills(1MB build, 64KB grant) = false")
+	if !spills(1<<20, 64<<10) {
+		t.Error("spills(1MB build, 64KB grant) = false")
 	}
-	if HashJoinSpills(1<<20, 8<<20) {
-		t.Error("HashJoinSpills(1MB build, 8MB grant) = true")
+	if spills(1<<20, 8<<20) {
+		t.Error("spills(1MB build, 8MB grant) = true")
 	}
 }
 
 func TestMemDemandFloors(t *testing.T) {
-	mn, mx := JoinMemDemands(0) // zero-row estimate
+	mn, mx := joinMemDemands(0) // zero-row estimate
 	if mx < 64<<10 {
 		t.Errorf("MemMax = %g, want floored at 64KB", mx)
 	}
 	if mn > mx {
 		t.Error("MemMin > MemMax")
 	}
-	mn, mx = StepMemDemands(10)
+	mn, mx = stepMemDemands(10)
 	if mx < 64<<10 || mn > mx {
 		t.Errorf("step demands = %g/%g", mn, mx)
 	}

@@ -100,11 +100,10 @@ type dpEntry struct {
 // Optimize plans a parsed statement.
 func (o *Optimizer) Optimize(q *Query) (*Result, error) {
 	o.PlansConsidered = 0
-	cm := &costModel{w: o.Weights, budget: o.MemBudget, poolPages: o.PoolPages}
 
 	leaves := make([]*dpEntry, len(q.Rels))
 	for i := range q.Rels {
-		leaf, err := o.buildLeaf(q, i, cm)
+		leaf, err := o.buildLeaf(q, i)
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +129,7 @@ func (o *Optimizer) Optimize(q *Query) (*Result, error) {
 				if mask&jbit != 0 {
 					continue
 				}
-				cand, err := o.extend(q, entry, leaves[j], j, cm)
+				cand, err := o.extend(q, entry, leaves[j], j)
 				if err != nil {
 					return nil, err
 				}
@@ -156,7 +155,7 @@ func (o *Optimizer) Optimize(q *Query) (*Result, error) {
 					if mask&jbit != 0 {
 						continue
 					}
-					cand, err := o.extendCartesian(q, entry, leaves[j], j, cm)
+					cand, err := o.extendCartesian(q, entry, leaves[j], j)
 					if err != nil {
 						return nil, err
 					}
@@ -172,7 +171,7 @@ func (o *Optimizer) Optimize(q *Query) (*Result, error) {
 	if final == nil {
 		return nil, fmt.Errorf("optimizer: no plan found")
 	}
-	root, err := o.buildTops(q, final, cm)
+	root, err := o.buildTops(q, final)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +188,7 @@ func popcount(m uint32) int {
 
 // buildLeaf plans a single relation: a scan with pushed-down local
 // predicates.
-func (o *Optimizer) buildLeaf(q *Query, i int, cm *costModel) (*dpEntry, error) {
+func (o *Optimizer) buildLeaf(q *Query, i int) (*dpEntry, error) {
 	rel := &q.Rels[i]
 	t := rel.Table
 	var preds []plan.Pred
@@ -203,11 +202,7 @@ func (o *Optimizer) buildLeaf(q *Query, i int, cm *costModel) (*dpEntry, error) 
 		predSQL = append(predSQL, pr.AST)
 	}
 	sel := relSelectivity(rel, o.HostVarSelectivity)
-	card, _ := t.Stats()
-	if card <= 0 {
-		card = float64(t.Heap.NumTuples()) // unanalyzed: physical count
-	}
-	rows := o.rows(1<<uint(i), math.Max(0, card*sel))
+	rows := o.rows(1<<uint(i), math.Max(0, tableCard(t)*sel))
 	// Sized by what the scan emits, not by what the table stores: every
 	// memory demand, spill volume and temp-table size above follows.
 	avg := t.AvgBytes(rel.Cols)
@@ -218,8 +213,7 @@ func (o *Optimizer) buildLeaf(q *Query, i int, cm *costModel) (*dpEntry, error) 
 	e := node.Est()
 	e.Rows = rows
 	e.Bytes = rows * avg
-	e.SelfCost = cm.scanCost(t.NumPages(), card)
-	e.Cost = e.SelfCost
+	o.price(node, 0)
 	return &dpEntry{mask: 1 << uint(i), node: node, rows: rows, bytes: e.Bytes, cost: e.Cost, order: []int{i}}, nil
 }
 
@@ -255,7 +249,7 @@ func (q *Query) connecting(mask uint32, j int) (equi, other []*PredRef) {
 // extend joins entry with relation j, choosing the cheaper of hash join
 // and indexed nested-loops join. Returns nil if no predicate connects j
 // to the set.
-func (o *Optimizer) extend(q *Query, entry *dpEntry, leaf *dpEntry, j int, cm *costModel) (*dpEntry, error) {
+func (o *Optimizer) extend(q *Query, entry *dpEntry, leaf *dpEntry, j int) (*dpEntry, error) {
 	equi, other := q.connecting(entry.mask, j)
 	if len(equi) == 0 && len(other) == 0 {
 		return nil, nil
@@ -277,14 +271,14 @@ func (o *Optimizer) extend(q *Query, entry *dpEntry, leaf *dpEntry, j int, cm *c
 	bestCost := math.Inf(1)
 
 	if len(equi) > 0 {
-		node, cost, err := o.tryHashJoin(q, entry, leaf, j, equi, outRows, outBytes, cm)
+		node, cost, err := o.tryHashJoin(q, entry, j, equi, outRows, outBytes)
 		if err != nil {
 			return nil, err
 		}
 		if cost < bestCost {
 			bestNode, bestCost = node, cost
 		}
-		node, cost, err = o.tryIndexJoin(q, entry, j, equi, outRows, outBytes, cm)
+		node, cost, err = o.tryIndexJoin(q, entry, j, equi, outRows, outBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +291,7 @@ func (o *Optimizer) extend(q *Query, entry *dpEntry, leaf *dpEntry, j int, cm *c
 		// keys via filter over cartesian is not supported; fall back
 		// to index-less nested evaluation through a hash join on a
 		// constant key is equivalent to cartesian + filter.
-		node, cost, err := o.tryHashJoin(q, entry, leaf, j, nil, outRows, outBytes, cm)
+		node, cost, err := o.tryHashJoin(q, entry, j, nil, outRows, outBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -321,8 +315,7 @@ func (o *Optimizer) extend(q *Query, entry *dpEntry, leaf *dpEntry, j int, cm *c
 		fe := f.Est()
 		fe.Rows = outRows
 		fe.Bytes = outBytes
-		fe.SelfCost = 0
-		fe.Cost = bestCost
+		o.price(f, bestCost)
 		out = f
 	}
 
@@ -350,8 +343,8 @@ func avgBytes(e *dpEntry) float64 {
 // tryHashJoin builds the hash-join candidate: build side is the current
 // intermediate (matching the paper's plan shapes), probe side is the new
 // relation's scan.
-func (o *Optimizer) tryHashJoin(q *Query, entry, leaf *dpEntry, j int, equi []*PredRef, outRows, outBytes float64, cm *costModel) (plan.Node, float64, error) {
-	probeLeaf, err := o.buildLeaf(q, j, cm) // fresh node: plans are trees, not DAGs
+func (o *Optimizer) tryHashJoin(q *Query, entry *dpEntry, j int, equi []*PredRef, outRows, outBytes float64) (plan.Node, float64, error) {
+	probeLeaf, err := o.buildLeaf(q, j) // fresh node: plans are trees, not DAGs
 	if err != nil {
 		return nil, 0, err
 	}
@@ -369,14 +362,9 @@ func (o *Optimizer) tryHashJoin(q *Query, entry, leaf *dpEntry, j int, equi []*P
 		Out:       buildSchema.Concat(probeSchema),
 	}
 	e := node.Est()
-	e.MemMin, e.MemMax = joinMemDemands(entry.bytes)
-	e.MemStep = true
-	grant := cm.grantFor(e.MemMax)
-	self, _ := cm.hashJoinSelf(entry.rows, entry.bytes, leaf.rows, leaf.bytes, outRows, grant)
-	e.SelfCost = self
-	e.Cost = entry.cost + probeLeaf.cost + self
 	e.Rows = outRows
 	e.Bytes = outBytes
+	o.price(node, entry.cost+probeLeaf.cost)
 	return node, e.Cost, nil
 }
 
@@ -413,7 +401,7 @@ func joinKeyOrdinals(q *Query, buildSchema, probeSchema *types.Schema, j int, eq
 // tryIndexJoin builds the indexed nested-loops candidate, if exactly one
 // equi predicate connects and the inner relation has an index on its
 // side of it. Returns a nil node when not applicable.
-func (o *Optimizer) tryIndexJoin(q *Query, entry *dpEntry, j int, equi []*PredRef, outRows, outBytes float64, cm *costModel) (plan.Node, float64, error) {
+func (o *Optimizer) tryIndexJoin(q *Query, entry *dpEntry, j int, equi []*PredRef, outRows, outBytes float64) (plan.Node, float64, error) {
 	if o.DisableIndexJoin || len(equi) != 1 {
 		return nil, 0, nil
 	}
@@ -423,8 +411,7 @@ func (o *Optimizer) tryIndexJoin(q *Query, entry *dpEntry, j int, equi []*PredRe
 		lRel, lCol, rCol = pr.RightRel, pr.RightCol, pr.LeftCol
 	}
 	rel := &q.Rels[j]
-	idx, ok := rel.Table.Indexes[rCol]
-	if !ok {
+	if _, ok := rel.Table.Indexes[rCol]; !ok {
 		return nil, 0, nil
 	}
 	lBinding := q.Rels[lRel].Binding
@@ -457,23 +444,19 @@ func (o *Optimizer) tryIndexJoin(q *Query, entry *dpEntry, j int, equi []*PredRe
 		Out:          entry.node.Schema().Concat(rel.Out),
 	}
 	innerCard, _ := rel.Table.Stats()
-	matches := innerCard / colNDV(rel.Table, rCol)
-	node.EstMatches = matches
-	self := cm.indexJoinSelf(entry.rows, matches, outRows,
-		rel.Table.NumPages(), float64(rel.Table.Heap.NumTuples()), idx.Clustering)
+	node.EstMatches = innerCard / colNDV(rel.Table, rCol)
 	e := node.Est()
 	e.Rows = outRows
 	e.Bytes = outBytes
-	e.SelfCost = self
-	e.Cost = entry.cost + self
+	o.price(node, entry.cost)
 	return node, e.Cost, nil
 }
 
 // extendCartesian joins with no predicate (disconnected graphs only).
-func (o *Optimizer) extendCartesian(q *Query, entry, leaf *dpEntry, j int, cm *costModel) (*dpEntry, error) {
+func (o *Optimizer) extendCartesian(q *Query, entry, leaf *dpEntry, j int) (*dpEntry, error) {
 	outRows := o.rows(entry.mask|1<<uint(j), entry.rows*leaf.rows)
 	outBytes := outRows * (avgBytes(entry) + avgBytes(leaf))
-	node, cost, err := o.tryHashJoin(q, entry, leaf, j, nil, outRows, outBytes, cm)
+	node, cost, err := o.tryHashJoin(q, entry, j, nil, outRows, outBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -346,14 +346,13 @@ func TestDPNeverWorseThanGreedyOrder(t *testing.T) {
 		where orders.o_cust = cust.c_id and cust.c_nation = nation.n_id`)
 	q, _ := Analyze(f.cat, stmt)
 	o := &Optimizer{Weights: storage.DefaultCostWeights(), MemBudget: 64 << 20}
-	cm := &costModel{w: o.Weights, budget: o.MemBudget}
-	cur, err := o.buildLeaf(q, 0, cm)
+	cur, err := o.buildLeaf(q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 1; j < 3; j++ {
-		leaf, _ := o.buildLeaf(q, j, cm)
-		next, err := o.extend(q, cur, leaf, j, cm)
+		leaf, _ := o.buildLeaf(q, j)
+		next, err := o.extend(q, cur, leaf, j)
 		if err != nil || next == nil {
 			t.Fatalf("extend %d: %v", j, err)
 		}

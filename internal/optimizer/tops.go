@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/catalog"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/types"
@@ -13,13 +12,13 @@ import (
 
 // buildTops places the aggregate / project / sort / limit operators above
 // the completed join tree.
-func (o *Optimizer) buildTops(q *Query, joined *dpEntry, cm *costModel) (plan.Node, error) {
+func (o *Optimizer) buildTops(q *Query, joined *dpEntry) (plan.Node, error) {
 	node := joined.node
 	stmt := q.Stmt
 
 	var outSchema *types.Schema
 	if q.HasAggregate && (len(stmt.GroupBy) > 0 || hasAggItems(stmt)) {
-		agg, err := o.buildAgg(q, joined, cm)
+		agg, err := o.buildAgg(q, joined)
 		if err != nil {
 			return nil, err
 		}
@@ -41,12 +40,12 @@ func (o *Optimizer) buildTops(q *Query, joined *dpEntry, cm *costModel) (plan.No
 	}
 
 	if stmt.Distinct {
-		node = o.distinctOver(node, cm)
+		node = o.distinctOver(node)
 		outSchema = node.Schema()
 	}
 
 	if len(stmt.OrderBy) > 0 {
-		sorted, err := o.buildSort(stmt, node, outSchema, cm)
+		sorted, err := o.buildSort(stmt, node, outSchema)
 		if err != nil {
 			return nil, err
 		}
@@ -55,11 +54,7 @@ func (o *Optimizer) buildTops(q *Query, joined *dpEntry, cm *costModel) (plan.No
 
 	if stmt.Limit >= 0 {
 		lim := &plan.Limit{Input: node, N: stmt.Limit}
-		e := lim.Est()
-		in := node.Est()
-		e.Rows = math.Min(float64(stmt.Limit), in.Rows)
-		e.Bytes = in.Bytes * safeDiv(e.Rows, in.Rows)
-		e.Cost = in.Cost
+		o.price(lim, node.Est().Cost)
 		node = lim
 	}
 	return node, nil
@@ -83,7 +78,7 @@ func hasAggItems(stmt *sql.SelectStmt) bool {
 
 // buildAgg constructs the aggregate node: group columns from GROUP BY,
 // aggregate specs from the select list.
-func (o *Optimizer) buildAgg(q *Query, joined *dpEntry, cm *costModel) (*plan.Agg, error) {
+func (o *Optimizer) buildAgg(q *Query, joined *dpEntry) (*plan.Agg, error) {
 	in := joined.node
 	inSchema := in.Schema()
 	var groupCols []int
@@ -138,19 +133,10 @@ func (o *Optimizer) buildAgg(q *Query, joined *dpEntry, cm *costModel) (*plan.Ag
 	}
 
 	node := &plan.Agg{Input: in, GroupCols: groupCols, Aggs: aggs, Out: types.NewSchema(outCols...)}
-	groups := o.estimateGroups(q, inSchema, groupCols, joined.rows)
-	keyBytes := 0.0
-	for _, c := range groupCols {
-		keyBytes += catalog.KindWidth(inSchema.Columns[c].Kind)
-	}
-	state := aggStateBytes(keyBytes, len(aggs))
 	e := node.Est()
-	e.Rows = groups
-	e.Bytes = groups * (keyBytes + float64(9*len(aggs)))
-	e.MemMin, e.MemMax = stepMemDemands(groups * state)
-	grant := cm.grantFor(e.MemMax)
-	e.SelfCost = cm.aggSelf(joined.rows, groups, state, grant)
-	e.Cost = in.Est().Cost + e.SelfCost
+	e.Rows = o.estimateGroups(q, inSchema, groupCols, joined.rows)
+	e.Bytes = e.Rows * (aggKeyBytes(node) + float64(9*len(aggs)))
+	o.price(node, in.Est().Cost)
 	return node, nil
 }
 
@@ -201,9 +187,7 @@ func (o *Optimizer) projectFromAgg(q *Query, agg *plan.Agg) (*plan.Project, erro
 		outCols = append(outCols, col)
 	}
 	node := &plan.Project{Input: agg, Exprs: exprs, Out: types.NewSchema(outCols...)}
-	in := agg.Est()
-	e := node.Est()
-	e.Rows, e.Bytes, e.Cost = in.Rows, in.Bytes, in.Cost
+	o.price(node, agg.Est().Cost)
 	return node, nil
 }
 
@@ -236,14 +220,12 @@ func (o *Optimizer) projectDirect(q *Query, in plan.Node) (*plan.Project, error)
 		outCols = append(outCols, types.Column{Table: table, Name: name, Kind: bound.Kind()})
 	}
 	node := &plan.Project{Input: in, Exprs: exprs, Out: types.NewSchema(outCols...)}
-	ie := in.Est()
-	e := node.Est()
-	e.Rows, e.Bytes, e.Cost = ie.Rows, ie.Bytes, ie.Cost
+	o.price(node, in.Est().Cost)
 	return node, nil
 }
 
 // distinctOver wraps a node in an aggregate grouping on every column.
-func (o *Optimizer) distinctOver(in plan.Node, cm *costModel) plan.Node {
+func (o *Optimizer) distinctOver(in plan.Node) plan.Node {
 	s := in.Schema()
 	cols := make([]int, s.Len())
 	for i := range cols {
@@ -254,17 +236,13 @@ func (o *Optimizer) distinctOver(in plan.Node, cm *costModel) plan.Node {
 	e := node.Est()
 	e.Rows = math.Max(1, ie.Rows/2) // textbook guess: duplicates halve
 	e.Bytes = ie.Bytes * safeDiv(e.Rows, ie.Rows)
-	keyBytes := defaultWidth(s)
-	e.MemMin, e.MemMax = stepMemDemands(e.Rows * aggStateBytes(keyBytes, 0))
-	grant := cm.grantFor(e.MemMax)
-	e.SelfCost = cm.aggSelf(ie.Rows, e.Rows, aggStateBytes(keyBytes, 0), grant)
-	e.Cost = ie.Cost + e.SelfCost
+	o.price(node, ie.Cost)
 	return node
 }
 
 // buildSort resolves ORDER BY keys against the output schema (aliases or
 // column names) and wraps the plan in a sort.
-func (o *Optimizer) buildSort(stmt *sql.SelectStmt, in plan.Node, outSchema *types.Schema, cm *costModel) (plan.Node, error) {
+func (o *Optimizer) buildSort(stmt *sql.SelectStmt, in plan.Node, outSchema *types.Schema) (plan.Node, error) {
 	var keys []plan.SortKey
 	for _, item := range stmt.OrderBy {
 		ref, ok := item.Expr.(*sql.ColumnRef)
@@ -278,12 +256,6 @@ func (o *Optimizer) buildSort(stmt *sql.SelectStmt, in plan.Node, outSchema *typ
 		keys = append(keys, plan.SortKey{Col: idx, Desc: item.Desc})
 	}
 	node := &plan.Sort{Input: in, Keys: keys}
-	ie := in.Est()
-	e := node.Est()
-	e.Rows, e.Bytes = ie.Rows, ie.Bytes
-	e.MemMin, e.MemMax = stepMemDemands(ie.Bytes * 1.1)
-	grant := cm.grantFor(e.MemMax)
-	e.SelfCost = cm.sortSelf(ie.Rows, ie.Bytes, grant)
-	e.Cost = ie.Cost + e.SelfCost
+	o.price(node, in.Est().Cost)
 	return node, nil
 }

@@ -138,6 +138,11 @@ type HashJoin struct {
 	Out *types.Schema
 }
 
+// BuildFudge is a hash table's overhead over its build side: a build of
+// S bytes needs BuildFudge×S bytes of memory to join in one pass. The
+// executor charges it; the optimizer sizes demands and spills with it.
+const BuildFudge = 1.2
+
 // Schema implements Node.
 func (j *HashJoin) Schema() *types.Schema {
 	if j.Out != nil {

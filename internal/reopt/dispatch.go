@@ -427,8 +427,9 @@ func (r *dispatchRun) checkpoint(i int, obs *plan.Observed) (Decision, error) {
 	case obs.Rows > 0:
 		ratio = obs.Rows // estimate said empty; scale from 1
 	}
-	r.applyImproved(r.dec, i, cnode, obs, ratio)
+	applyImproved(r.dec, i, cnode, obs, ratio)
 	rec.Growth = r.refreshStale(r.dec, i, &r.stale)
+	resizeSuffix(r.dec, i, cnode, obs)
 
 	// In the combined mode the Memory Manager is re-invoked before the
 	// plan-modification decision: re-allocation is free (grants only
@@ -442,7 +443,7 @@ func (r *dispatchRun) checkpoint(i int, obs *plan.Observed) (Decision, error) {
 	// T_cur,improved, priced once under the final grants: Equation 2
 	// reads it, and so does the live score's floor.
 	rec.Elapsed = r.ctx.Meter.Snapshot().Sub(r.startSnap).Cost()
-	rec.Improved = rec.Elapsed + r.recostRemainder(r.dec, i)
+	rec.Improved = rec.Elapsed + r.remainderCost(i)
 	rec.Estimate = r.origTotal
 	switch {
 	case !planMode:
@@ -496,50 +497,41 @@ func (r *dispatchRun) considerSwitch(i int, obs *plan.Observed, rec *Decision) e
 	return nil
 }
 
-// applyImproved scales the optimizer's annotations for every node at or
-// above the observation point by the observed/estimated cardinality
-// ratio, refreshes memory demands, and overrides group-count estimates
-// with observed distinct counts where available.
-func (d *Dispatcher) applyImproved(dec *decomposed, i int, cnode *plan.Collector, obs *plan.Observed, ratio float64) {
+// applyImproved scales the row and byte estimates of step i and every
+// later step by the observed/estimated cardinality ratio; the observing
+// collector takes the observed rows and bytes. resizeSuffix re-derives
+// the rest.
+func applyImproved(dec *decomposed, i int, cnode *plan.Collector, obs *plan.Observed, ratio float64) {
 	ce := cnode.Est()
 	ce.Rows = obs.Rows
 	ce.Bytes = obs.Bytes
-
-	// Current step's join output scales (its build input was observed).
 	for k := i; k < len(dec.steps); k++ {
-		step := dec.steps[k]
-		scaleStep(step, ratio, cnode)
-		if hj, ok := step.join.(*plan.HashJoin); ok && k > i {
-			// Build side of a future join is the previous step's top.
-			build := dec.stepTopNode(k - 1).Est()
-			e := hj.Est()
-			e.MemMin, e.MemMax = optimizer.JoinMemDemands(build.Bytes)
-		}
+		scaleStep(dec.steps[k], ratio, cnode)
 	}
-	for _, t := range dec.tops {
-		switch x := unwrapTop(t).(type) {
-		case *plan.Agg:
-			e := x.Est()
-			oldGroups := e.Rows
-			state := 64.0
-			if oldGroups > 0 && e.MemMax > 0 {
-				state = e.MemMax / oldGroups
-			}
-			inRows := x.Input.Est().Rows
-			groups := math.Min(oldGroups, inRows)
-			if u, ok := findUniqueObs(obs, cnode, x); ok {
+}
+
+// resizeSuffix re-derives, once the cardinalities are scaled, the
+// unexecuted suffix bottom-up through the optimizer's sizing rules:
+// every later join's demand from its build, then the top operators,
+// inputs before consumers. An aggregate keeps its groups — or takes the
+// distinct count observed for its grouping columns — capped by its
+// input's rows.
+func resizeSuffix(dec *decomposed, i int, cnode *plan.Collector, obs *plan.Observed) {
+	for k := i + 1; k < len(dec.steps); k++ {
+		optimizer.Resize(dec.steps[k].join)
+	}
+	for k := len(dec.tops) - 1; k >= 0; k-- {
+		t := unwrapTop(dec.tops[k])
+		if agg, ok := t.(*plan.Agg); ok {
+			e := agg.Est()
+			inRows := agg.Input.Est().Rows
+			groups := math.Min(e.Rows, inRows)
+			if u, ok := findUniqueObs(obs, cnode, agg); ok {
 				groups = math.Min(u, inRows)
 			}
 			e.Rows = math.Max(1, groups)
-			e.MemMin, e.MemMax = optimizer.StepMemDemands(e.Rows * state)
-		case *plan.Sort:
-			e := x.Est()
-			in := x.Input.Est()
-			e.Rows, e.Bytes = in.Rows, in.Bytes
-			e.MemMin, e.MemMax = optimizer.StepMemDemands(in.Bytes * 1.1)
-		case *plan.Project, *plan.Limit:
-			scaleEst(x, ratio)
 		}
+		optimizer.Resize(t)
 	}
 }
 
@@ -672,108 +664,44 @@ func (d *Dispatcher) reallocate(dec *decomposed, i int, rec *Decision) {
 	}
 }
 
-// recostRemainder prices the unexecuted plan suffix under the improved
-// estimates and current grants: the probe phase of step i's join, every
-// later step, and the top operators — the paper's T_cur-plan,improved
-// minus already-elapsed time.
-func (d *Dispatcher) recostRemainder(dec *decomposed, i int) float64 {
-	w := d.Cfg.Weights
-	cost := d.finishStepCost(dec, i)
-	for k := i + 1; k < len(dec.steps); k++ {
-		cost += d.stepCost(dec, k)
+// remainderCost is T_cur-plan,improved less the elapsed time: the
+// optimizer's price of the unexecuted suffix under the improved
+// estimates and current grants — the rest of step i's join, every later
+// step, and the top operators.
+func (r *dispatchRun) remainderCost(i int) float64 {
+	o := r.Optimizer()
+	cost := priceStep(o, r.dec.steps[i], true)
+	for k := i + 1; k < len(r.dec.steps); k++ {
+		cost += priceStep(o, r.dec.steps[k], false)
 	}
-	prev := dec.stepTopNode(len(dec.steps) - 1).Est()
-	inRows, inBytes := prev.Rows, prev.Bytes
-	for k := len(dec.tops) - 1; k >= 0; k-- {
-		switch x := unwrapTop(dec.tops[k]).(type) {
-		case *plan.Agg:
-			e := x.Est()
-			state := 64.0
-			if e.Rows > 0 && e.MemMax > 0 {
-				state = e.MemMax / e.Rows
-			}
-			cost += optimizer.AggSelfCost(w, inRows, e.Rows, state, e.Grant)
-			inRows, inBytes = e.Rows, e.Bytes
-		case *plan.Sort:
-			e := x.Est()
-			cost += optimizer.SortSelfCost(w, inRows, inBytes, e.Grant)
-		case *plan.Limit:
-			e := x.Est()
-			if e.Rows < inRows {
-				inRows = e.Rows
-			}
-		}
+	for k := len(r.dec.tops) - 1; k >= 0; k-- {
+		t := unwrapTop(r.dec.tops[k])
+		cost += o.SelfCost(t, t.Est().Grant)
 	}
 	return cost
 }
 
-// finishStepCost prices completing step i's join whose build phase has
-// already run: the probe input scan, the probe CPU, and (for a spilled
-// join) the remaining partition I/O.
-func (d *Dispatcher) finishStepCost(dec *decomposed, i int) float64 {
-	w := d.Cfg.Weights
-	step := dec.steps[i]
-	out := step.join.Est()
+// priceStep prices a step of the chain under its grant: its join — only
+// what remains of it when its build phase has run — and the wrappers on
+// its output. A probe leaf keeps its planned price: the scan was priced
+// on its table, not on its rows.
+func priceStep(o *optimizer.Optimizer, step chainStep, built bool) float64 {
 	var cost float64
 	switch j := step.join.(type) {
 	case *plan.HashJoin:
-		probe := j.Probe.Est()
-		cost = probe.Cost + optimizer.HashJoinProbeCost(w, probe.Rows, out.Rows)
-		build := dec.stepTopNode(i - 1).Est()
-		if optimizer.HashJoinSpills(build.Bytes, j.Est().Grant) {
-			// Build partitions are already written; still owed: read
-			// them back, write and read the probe partitions.
-			cost += pagesOf(build.Bytes)*w.PageRead +
-				pagesOf(probe.Bytes)*(w.PageRead+w.PageWrite)
+		if built {
+			cost = o.ProbeCost(j, j.Est().Grant)
+		} else {
+			cost = j.Probe.Est().Cost + o.SelfCost(j, j.Est().Grant)
 		}
-	case *plan.IndexJoin:
-		outer := dec.stepTopNode(i - 1).Est()
-		cost = optimizer.IndexJoinSelfCost(w, outer.Rows, j.EstMatches, out.Rows,
-			j.Table.NumPages(), float64(j.Table.Heap.NumTuples()), indexClustering(j), d.Cfg.PoolPages)
+	default:
+		cost = o.SelfCost(j, j.Est().Grant)
 	}
-	return cost + d.wrapperCost(step)
-}
-
-// stepCost prices a not-yet-started step in full.
-func (d *Dispatcher) stepCost(dec *decomposed, k int) float64 {
-	w := d.Cfg.Weights
-	step := dec.steps[k]
-	out := step.join.Est()
-	build := dec.stepTopNode(k - 1).Est()
-	var cost float64
-	switch j := step.join.(type) {
-	case *plan.HashJoin:
-		probe := j.Probe.Est()
-		cost = probe.Cost + optimizer.HashJoinSelfCost(w,
-			build.Rows, build.Bytes, probe.Rows, probe.Bytes, out.Rows, j.Est().Grant)
-	case *plan.IndexJoin:
-		cost = optimizer.IndexJoinSelfCost(w, build.Rows, j.EstMatches, out.Rows,
-			j.Table.NumPages(), float64(j.Table.Heap.NumTuples()), indexClustering(j), d.Cfg.PoolPages)
+	wrappers := 0.0
+	for _, w := range step.wrappers {
+		wrappers += o.SelfCost(w, 0)
 	}
-	return cost + d.wrapperCost(step)
-}
-
-func (d *Dispatcher) wrapperCost(step chainStep) float64 {
-	cost := 0.0
-	for _, wn := range step.wrappers {
-		if c, ok := wn.(*plan.Collector); ok && !c.Spec.Empty() {
-			cost += c.Input.Est().Rows * d.Cfg.Weights.StatCPU
-		}
-	}
-	return cost
-}
-
-func pagesOf(bytes float64) float64 {
-	return math.Max(1, math.Ceil(bytes/float64(storage.PageSize)))
-}
-
-// indexClustering fetches the clustering factor of an index join's inner
-// index, defaulting to 0 (random access) if the index is missing.
-func indexClustering(j *plan.IndexJoin) float64 {
-	if idx, ok := j.Table.Indexes[j.InnerCol]; ok {
-		return idx.Clustering
-	}
-	return 0
+	return cost + wrappers
 }
 
 // observedSet returns the relation set of the first plan's query whose
@@ -856,16 +784,17 @@ func (r *dispatchRun) trialOptimize(i int, obs *plan.Observed, rec *Decision) er
 		return err
 	}
 	defer r.dropTemp(tempName)
-	r.ctx.Meter.ChargeRaw(float64(newRes.PlansConsidered) * optimizer.OptCostPerPlan)
+	r.ctx.Meter.ChargeRaw(optimizer.OptCost(newRes.PlansConsidered))
 
 	// The splice strategy (Figure 5) avoids the materialization
 	// write; the new plan's temp-scan cost is already ~zero because
 	// the virtual temp has no pages, matching the live-stream reality.
+	o := r.Optimizer()
 	tMat := 0.0
 	if r.Cfg.Strategy == StrategyMaterialize {
-		tMat = pagesOf(matEst.Bytes) * r.Cfg.Weights.PageWrite
+		tMat = o.TempWriteCost(matEst.Bytes)
 	}
-	rec.Trial = rec.Elapsed + r.finishStepCost(r.dec, i) + tMat + newRes.Root.Est().Cost
+	rec.Trial = rec.Elapsed + priceStep(o, r.dec.steps[i], true) + tMat + newRes.Root.Est().Cost
 	return nil
 }
 

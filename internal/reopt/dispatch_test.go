@@ -3,6 +3,7 @@ package reopt
 import (
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -144,7 +145,8 @@ func TestMonotoneReallocationNeverShrinksGrants(t *testing.T) {
 		t.Fatal("no collector")
 	}
 	obs := &plan.Observed{CollectorID: cnode.ID, Rows: 1, Bytes: 10}
-	d.applyImproved(dec, 0, cnode, obs, 0.001)
+	applyImproved(dec, 0, cnode, obs, 0.001)
+	resizeSuffix(dec, 0, cnode, obs)
 	d.reallocate(dec, 0, &Decision{})
 	for n, before := range grantsBefore {
 		if after := n.Est().Grant; after < before {
@@ -236,5 +238,53 @@ func TestResidualFilterObservationNamesNoSet(t *testing.T) {
 	}
 	if unnamed != 1 {
 		t.Fatalf("%d records name no relation set, want the one under the filter: %v", unnamed, st.Decisions)
+	}
+}
+
+// TestFlooredAggregateDemandFollowsObservedGroups: an aggregate planned
+// on the demand floor (4 groups) that a collector observes at 1 000
+// groups demands 1 000 × its per-group state, not 1 000 × the floor's
+// share per planned group.
+func TestFlooredAggregateDemandFollowsObservedGroups(t *testing.T) {
+	e := newEnv(256)
+	e.addTable(t, "a", 200, 200, 4) // a_grp: 4 values
+	e.addTable(t, "b", 5000, 200, 7)
+	e.analyzeAll(t)
+	d := New(e.cat, DefaultConfig(ModeMemoryOnly))
+	res, err := d.EstimateOnly(`select a_grp, sum(b_val) as s from a, b where a.a_pk = b.b_fk group by a_grp`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := decompose(res.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var agg *plan.Agg
+	for _, top := range dec.tops {
+		if x, ok := unwrapTop(top).(*plan.Agg); ok {
+			agg = x
+		}
+	}
+	cnode, ok := dec.leafTop.(*plan.Collector)
+	if agg == nil || !ok {
+		t.Fatalf("want an aggregate over a join whose build input is observed: %s", plan.Format(res.Root))
+	}
+	if got := agg.Est().MemMax; got != 64<<10 {
+		t.Fatalf("planned aggregate demand = %g, want the 64 KiB floor", got)
+	}
+	ci, _ := cnode.Input.Schema().Find("a", "a_grp")
+	if ci < 0 {
+		t.Fatalf("a.a_grp is not under the collector: %s", cnode.Input.Schema())
+	}
+	cnode.Spec.UniqueCols = [][]int{{ci}}
+	ce := cnode.Est()
+	obs := &plan.Observed{CollectorID: cnode.ID, Rows: ce.Rows, Bytes: ce.Bytes,
+		Uniques: map[string]float64{plan.UniqueKey([]int{ci}): 1000}}
+	applyImproved(dec, 0, cnode, obs, 1)
+	resizeSuffix(dec, 0, cnode, obs)
+	// One INTEGER key and one SUM: aggStateBytes is 9 + 4×8 + 48 bytes.
+	state := catalog.KindWidth(types.KindInt) + 32 + 48
+	if got := agg.Est(); got.Rows != 1000 || got.MemMax != 1000*state {
+		t.Errorf("observed 1000 groups: rows %g, demand %g; want 1000 and %g", got.Rows, got.MemMax, 1000*state)
 	}
 }

@@ -156,6 +156,7 @@ func Insert(res *optimizer.Result, cfg Config) ([]Inserted, error) {
 	}
 
 	var out []Inserted
+	model := optimizer.Optimizer{Weights: cfg.Weights}
 	for pi, pt := range points {
 		spec := plan.CollectorSpec{HistFamily: cfg.HistFamily, Seed: cfg.Seed + int64(pt.seq)}
 		var stats []string
@@ -171,9 +172,7 @@ func Insert(res *optimizer.Result, cfg Config) ([]Inserted, error) {
 		e := col.Est()
 		in := pt.node.Est()
 		e.Rows, e.Bytes = in.Rows, in.Bytes
-		if !spec.Empty() {
-			e.SelfCost = in.Rows * cfg.Weights.StatCPU
-		}
+		e.SelfCost = model.SelfCost(col, 0)
 		e.Cost = in.Cost + e.SelfCost
 		if err := replaceChild(pt.parent, pt.node, col); err != nil {
 			return nil, err
