@@ -9,6 +9,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -613,9 +614,10 @@ const (
 )
 
 // Vacuum physically removes dead tuple versions — deleted by committed
-// transactions below the GC horizon — from every non-temp table. It
-// returns the number of versions removed. Index entries pointing at
-// removed versions remain and are skipped at fetch time.
+// transactions below the GC horizon — from every non-temp table, and
+// the index entries that point at them, so a key updated many times
+// keeps one entry per version still on the heap. It returns the number
+// of versions removed.
 func (c *Catalog) Vacuum() (int64, error) {
 	c.mu.RLock()
 	tables := make([]*Table, 0, len(c.tables))
@@ -628,13 +630,42 @@ func (c *Catalog) Vacuum() (int64, error) {
 	horizon := c.txns.Horizon()
 	var removed int64
 	for _, t := range tables {
-		n, err := t.Heap.Sweep(horizon, c.txns.IsActive)
+		n, err := t.vacuum(horizon, c.txns.IsActive)
 		removed += n
 		if err != nil {
 			return removed, err
 		}
 	}
 	return removed, nil
+}
+
+// vacuum sweeps t's heap, then deletes the swept versions' index
+// entries. The entries go after the sweep has released the heap, so no
+// lock of the tree is taken under the heap's: an index probe between
+// the two finds the slots deleted and skips them.
+func (t *Table) vacuum(horizon storage.TxnID, isActive func(storage.TxnID) bool) (int64, error) {
+	cols := make([]int, 0, len(t.Indexes))
+	for col := range t.Indexes {
+		cols = append(cols, col)
+	}
+	if len(cols) == 0 {
+		return t.Heap.Sweep(horizon, isActive, nil, nil)
+	}
+	slices.Sort(cols)
+	type entry struct {
+		rid  storage.RID
+		keys types.Tuple
+	}
+	var swept []entry
+	n, err := t.Heap.Sweep(horizon, isActive, cols, func(rid storage.RID, keys types.Tuple) {
+		swept = append(swept, entry{rid, keys})
+	})
+	for _, e := range swept {
+		for k, col := range cols {
+			t.Indexes[col].Tree.Delete(e.keys[k], e.rid)
+		}
+	}
+	return n, err
 }
 
 // DeadVersions counts tuple versions stamped deleted across all non-temp

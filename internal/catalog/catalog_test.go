@@ -75,13 +75,13 @@ func TestInsertAndIndexes(t *testing.T) {
 	}
 	col, _ := tbl.Schema.Resolve("", "grp")
 	idx := tbl.Indexes[col]
-	rids := idx.Tree.Lookup(types.NewInt(3))
+	rids := idx.Tree.Lookup(types.NewInt(3), nil, nil)
 	if len(rids) != 10 {
 		t.Errorf("index lookup returned %d rids, want 10", len(rids))
 	}
 	// Inserts after index creation maintain the index.
 	tbl.Insert(types.Tuple{types.NewInt(200), types.NewInt(3), types.NewString("y")})
-	if got := len(idx.Tree.Lookup(types.NewInt(3))); got != 11 {
+	if got := len(idx.Tree.Lookup(types.NewInt(3), nil, nil)); got != 11 {
 		t.Errorf("index after insert has %d rids, want 11", got)
 	}
 }

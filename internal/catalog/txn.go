@@ -29,6 +29,7 @@ type Txn struct {
 // tableDelta accumulates one transaction's net effect on one table.
 type tableDelta struct {
 	inserted []types.Tuple
+	rids     []storage.RID // where each inserted version lives
 	deleted  []types.Tuple
 	bytes    int64 // encoded bytes of inserted minus deleted tuples
 }
@@ -61,9 +62,9 @@ func (tx *Txn) delta(t *Table) *tableDelta {
 }
 
 // Insert adds a tuple version to the table, visible to this transaction
-// and, after Commit, to later snapshots. Indexes are maintained eagerly;
-// an aborted insert leaves index entries pointing at a deleted slot,
-// which visibility-checked fetches skip.
+// and, after Commit, to later snapshots. Indexes are maintained eagerly:
+// other snapshots' fetches skip the entry until the version is visible
+// to them, and Abort removes it.
 func (tx *Txn) Insert(t *Table, tup types.Tuple) error {
 	if t.Temp || !t.Heap.Stamped() {
 		return fmt.Errorf("catalog: table %q does not accept transactional writes", t.Name)
@@ -81,6 +82,7 @@ func (tx *Txn) Insert(t *Table, tup types.Tuple) error {
 	tx.mu.Lock()
 	d := tx.delta(t)
 	d.inserted = append(d.inserted, tup)
+	d.rids = append(d.rids, rid)
 	d.bytes += int64(types.EncodedSize(tup))
 	tx.mu.Unlock()
 	return nil
@@ -149,15 +151,24 @@ func (tx *Txn) Commit() {
 	tx.inner.Commit()
 }
 
-// Abort physically undoes the transaction's writes and deactivates it.
-// Statistics are untouched — they were never updated for in-flight
-// writes.
+// Abort physically undoes the transaction's writes, drops the index
+// entries of the versions it inserted, and deactivates it. Statistics
+// are untouched — they were never updated for in-flight writes.
 func (tx *Txn) Abort() error {
 	tx.mu.Lock()
+	deltas := tx.deltas
 	tx.deltas = nil
 	tx.done = true
 	tx.mu.Unlock()
-	return tx.inner.Abort()
+	err := tx.inner.Abort()
+	for t, d := range deltas {
+		for i, tup := range d.inserted {
+			for col, idx := range t.Indexes {
+				idx.Tree.Delete(tup[col], d.rids[i])
+			}
+		}
+	}
+	return err
 }
 
 // applyDelta folds a committed transaction's per-table delta into the

@@ -253,3 +253,70 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 		t.Errorf("DeadVersions = %d after vacuum, want 0", dead)
 	}
 }
+
+// Index vacuum: after K committed updates of one key, the index holds an
+// entry for every version, K+1 of them; a vacuum with no older snapshot
+// open leaves exactly the versions the heap still holds — the one live
+// version — and the index of a column no update touched keeps its one
+// entry per row. An aborted insert's entries go with it.
+func TestVacuumPrunesIndexEntries(t *testing.T) {
+	c := newTestCatalog()
+	tbl := loadedTable(t, c, "r", 100)
+	for _, col := range []string{"id", "grp"} {
+		if err := c.CreateIndex("r", col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids, grps := tbl.Indexes[0].Tree, tbl.Indexes[1].Tree
+	key := types.NewInt(42)
+	const K = 30
+	for i := 0; i < K; i++ {
+		tx := c.BeginTxn()
+		rids := ids.Lookup(key, nil, nil)
+		updated := 0
+		for _, rid := range rids {
+			tup, ok, err := tbl.Heap.FetchVisible(rid, tx.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				continue
+			}
+			next := tup.Clone()
+			next[2] = types.NewString(fmt.Sprint("v", i))
+			if err := tx.Delete(tbl, rid, tup); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Insert(tbl, next); err != nil {
+				t.Fatal(err)
+			}
+			updated++
+		}
+		if updated != 1 {
+			t.Fatalf("update %d touched %d versions of the key", i, updated)
+		}
+		tx.Commit()
+	}
+	if n := len(ids.Lookup(key, nil, nil)); n != K+1 {
+		t.Fatalf("%d entries for the key before vacuum, want %d", n, K+1)
+	}
+	tx := c.BeginTxn()
+	if err := tx.Insert(tbl, types.Tuple{key, types.NewInt(2), types.NewString("aborted")}); err != nil {
+		t.Fatal(err)
+	}
+	tx.Abort()
+	if n, err := c.Vacuum(); err != nil || n != K {
+		t.Fatalf("Vacuum removed %d (err %v), want %d", n, err, K)
+	}
+	rids := ids.Lookup(key, nil, nil)
+	if len(rids) != 1 {
+		t.Fatalf("%d entries for the key after vacuum, want 1", len(rids))
+	}
+	if tup, ok, err := tbl.Heap.FetchVisible(rids[0], c.Txns().LatestSnapshot()); err != nil || !ok || tup[2].Str() != fmt.Sprint("v", K-1) {
+		t.Errorf("the key's entry resolves to %v (visible %v, err %v), want the last version", tup, ok, err)
+	}
+	live := tbl.Heap.NumTuples()
+	if ids.Len() != live || grps.Len() != live {
+		t.Errorf("index entries %d and %d, want one per live record: %d", ids.Len(), grps.Len(), live)
+	}
+}

@@ -364,7 +364,7 @@ func TestDMLMatchTestsFiltersBeforeDecoding(t *testing.T) {
 	tbl := e.makeTable(t, "r", 2000, 10)
 	filters := []plan.Pred{mustPred(t, tbl.Schema, "k = 7")}
 	before := e.ctx.Meter.Snapshot()
-	got, err := matchVisible(e.ctx, tbl.Heap, filters)
+	got, err := matchVisible(e.ctx, tbl, filters, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestDMLMatchTestsFiltersBeforeDecoding(t *testing.T) {
 	// Every row carries a string: decoding them all would allocate at
 	// least once a row.
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := matchVisible(e.ctx, tbl.Heap, filters); err != nil {
+		if _, err := matchVisible(e.ctx, tbl, filters, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 
+	"repro/internal/catalog"
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -11,9 +12,10 @@ import (
 // DML operators. Each runs its whole statement in Open under the
 // context's transaction (ctx.Txn) and streams no tuples; Affected
 // reports the row count. UPDATE and DELETE materialize the RIDs of
-// visible matching tuples before touching any of them, so an update
-// whose new version matches its own predicate is never revisited (the
-// Halloween problem).
+// visible matching tuples before touching any of them — read by a table
+// scan, or through the node's key range — so an update whose new
+// version matches its own predicate is never revisited (the Halloween
+// problem).
 
 // dmlBase carries the shared state of the DML operators.
 type dmlBase struct {
@@ -92,7 +94,7 @@ func (e *DeleteExec) Open() error {
 	if e.ctx.Txn == nil {
 		return fmt.Errorf("exec: DELETE outside a transaction")
 	}
-	matches, err := matchVisible(e.ctx, e.node.Table.Heap, e.node.Filters)
+	matches, err := matchVisible(e.ctx, e.node.Table, e.node.Filters, e.node.Key)
 	if err != nil {
 		return err
 	}
@@ -122,7 +124,7 @@ func (e *UpdateExec) Open() error {
 	if e.ctx.Txn == nil {
 		return fmt.Errorf("exec: UPDATE outside a transaction")
 	}
-	matches, err := matchVisible(e.ctx, e.node.Table.Heap, e.node.Filters)
+	matches, err := matchVisible(e.ctx, e.node.Table, e.node.Filters, e.node.Key)
 	if err != nil {
 		return err
 	}
@@ -157,33 +159,52 @@ type match struct {
 	tup types.Tuple
 }
 
-// matchVisible scans the heap under the transaction's snapshot and
+// matchVisible reads the table under the transaction's snapshot and
 // materializes the RID and tuple of every row passing the filters. Like
-// a SeqScan it pushes the compiled filters into the storage scanner,
-// which tests each record where it lies and decodes in full — DML reads
-// and writes whole tuples — only the rows that matched.
-func matchVisible(ctx *Ctx, heap *storage.HeapFile, filters []plan.Pred) ([]match, error) {
+// a SeqScan it pushes the compiled filters into the storage scanner or,
+// given a key range, into the RID-fetch loop, which test each record
+// where it lies and decode in full — DML reads and writes whole tuples —
+// only the rows that matched.
+func matchVisible(ctx *Ctx, t *catalog.Table, filters []plan.Pred, key *plan.KeyRange) ([]match, error) {
 	snap := ctx.Snap
 	if snap == nil && ctx.Txn != nil {
 		snap = ctx.Txn.Snapshot()
 	}
-	// Nothing reads the meter between two records of a match scan (there
-	// is no fault site here, and no operator above), so the examined
-	// tuples are counted here and charged once, on every way out: one
-	// atomic add a statement, not one a record.
+	// Nothing reads the meter between two records of a match (there is
+	// no fault site here, and no operator above), so the examined tuples
+	// are counted here and charged once, on every way out: one atomic add
+	// a statement, not one a record.
 	var examined int64
 	defer func() { ctx.Meter.ChargeTuples(examined) }()
-	s := heap.ScanPartition(0, 1, ctx.Meter).WithSnapshot(snap).OnExamine(func() error {
+	examine := func() error {
 		if err := ctx.Tick(); err != nil {
 			return err
 		}
 		examined++
 		return nil
-	})
+	}
+	var out []match
+	if key != nil {
+		r, err := newKeyReader(t, key.Col, filters, nil, ctx, examine)
+		if err != nil {
+			return nil, err
+		}
+		r.snap = snap
+		if err := r.scan(key); err != nil {
+			return nil, err
+		}
+		for {
+			tup, err := r.next()
+			if tup == nil || err != nil {
+				return out, err
+			}
+			out = append(out, match{rid: r.rid, tup: tup})
+		}
+	}
+	s := t.Heap.ScanPartition(0, 1, ctx.Meter).WithSnapshot(snap).OnExamine(examine)
 	if f := plan.CompileFilter(filters, ctx.Params); f != nil {
 		s.WithFilter(f)
 	}
-	var out []match
 	for s.Next() {
 		out = append(out, match{rid: s.RID(), tup: s.Tuple()})
 	}

@@ -1,50 +1,41 @@
 package exec
 
 import (
-	"fmt"
-
 	"repro/internal/faultinject"
 	"repro/internal/plan"
-	"repro/internal/storage"
 	"repro/internal/types"
 )
 
 // IndexJoin is an indexed nested-loops join: for every outer tuple it
-// probes the inner table's B+tree and fetches matching tuples by RID,
-// testing the inner filters on the columns they read and decoding only
-// the node's InnerCols, as a scan does. Each probe charges one
-// index-leaf read plus the heap-page reads the fetches incur (cached
-// pages are free), which is why the optimizer prefers it only when the
-// outer side is small.
+// probes the inner table's B+tree and fetches matching tuples by RID
+// through the engine's one RID-fetch loop (keyReader), testing the inner
+// filters on the columns they read and decoding only the node's
+// InnerCols, as a scan does. Each probe charges one index-leaf read plus
+// the heap-page reads the fetches incur (cached pages are free), which
+// is why the optimizer prefers it only when the outer side is small.
 type IndexJoin struct {
 	node  *plan.IndexJoin
 	outer Operator
 	ctx   *Ctx
-	idx   *storage.BTree
-	inner *storage.HeapFetcher
+	inner keyReader
 	mem   types.Arena // what joined outputs are carved from
 
 	opened bool
 	closed bool
-	cur    types.Tuple // current outer tuple
-	rids   []storage.RID
-	ridPos int
+	cur    types.Tuple // current outer tuple; nil between probes
 	done   bool
 }
 
 // NewIndexJoin builds an index join. The inner table must have an index
 // on the join column.
 func NewIndexJoin(n *plan.IndexJoin, outer Operator, ctx *Ctx) (*IndexJoin, error) {
-	idx, ok := n.Table.Indexes[n.InnerCol]
-	if !ok {
-		return nil, fmt.Errorf("exec: no index on %s column %d", n.Table.Name, n.InnerCol)
+	// A join charges the tuples it joins, as its price counts them, not
+	// the versions it fetched: its fetches only poll cancellation.
+	inner, err := newKeyReader(n.Table, n.InnerCol, n.InnerFilters, n.InnerCols, ctx, nil)
+	if err != nil {
+		return nil, err
 	}
-	j := &IndexJoin{node: n, outer: outer, ctx: ctx, idx: idx.Tree}
-	j.inner = n.Table.Heap.Fetcher(ctx.Meter).WithColumns(n.InnerCols)
-	if f := plan.CompileFilter(n.InnerFilters, ctx.Params); f != nil {
-		j.inner.WithFilter(f)
-	}
-	return j, nil
+	return &IndexJoin{node: n, outer: outer, ctx: ctx, inner: inner}, nil
 }
 
 // Schema implements Operator.
@@ -65,27 +56,20 @@ func (j *IndexJoin) Open() error {
 // Next implements Operator.
 func (j *IndexJoin) Next() (types.Tuple, error) {
 	for {
-		for j.ridPos < len(j.rids) {
-			rid := j.rids[j.ridPos]
-			j.ridPos++
-			// Visibility-checked fetch: index entries may point at
-			// versions outside the snapshot, deleted slots from aborted
-			// inserts, or swept versions — all skipped here, like the
-			// versions the inner filters reject.
-			inner, ok, err := j.inner.FetchVisible(rid, j.ctx.Snap)
+		if j.cur != nil {
+			inner, err := j.inner.next()
 			if err != nil {
 				return nil, err
 			}
-			if !ok {
-				continue
+			if inner != nil {
+				j.ctx.Meter.ChargeTuples(1)
+				return j.mem.Concat(j.cur, inner), nil
 			}
-			j.ctx.Meter.ChargeTuples(1)
-			return j.mem.Concat(j.cur, inner), nil
+			j.cur = nil
 		}
 		if j.done {
 			return nil, nil
 		}
-		j.cur = nil
 		if err := j.ctx.Tick(); err != nil {
 			return nil, err
 		}
@@ -106,8 +90,7 @@ func (j *IndexJoin) Next() (types.Tuple, error) {
 			continue
 		}
 		j.cur = t
-		j.rids = j.idx.Lookup(key)
-		j.ridPos = 0
+		j.inner.probe(key)
 	}
 }
 
@@ -118,6 +101,6 @@ func (j *IndexJoin) Close() error {
 		return nil
 	}
 	j.closed = true
-	j.rids = nil
+	j.inner.rids = nil
 	return j.outer.Close()
 }

@@ -13,12 +13,15 @@ import (
 // compiled against the stored record, and the node's column list to the
 // storage scanner, which tests a record where it lies and builds a tuple
 // of only the columns the plan kept: a column that only a filter reads
-// never leaves the page.
+// never leaves the page. A node with a Key is an index scan: the same
+// filters and columns, applied to the versions the key range's index
+// entries point at, fetched by the engine's one RID-fetch loop.
 type SeqScan struct {
 	node *plan.Scan
 	ctx  *Ctx
 	scan *storage.HeapScanner
-	lent bool // the consumer keeps no tuple past its next Next (see Lend)
+	key  *keyReader // an index scan's; nil on the partitions that read nothing
+	lent bool       // the consumer keeps no tuple past its next Next (see Lend)
 
 	// rows/idx drive virtual tables (catalog.Table.Virtual): the
 	// provider materializes its rows once at Open and the scan iterates
@@ -41,15 +44,27 @@ func (s *SeqScan) Schema() *types.Schema { return s.node.Out }
 // misses are charged to the context's meter either way: the query's, or
 // the worker's tributary of it.
 func (s *SeqScan) Open() error {
+	// Virtual tables and key ranges have no pages to partition: in a
+	// parallel region only partition 0 produces their rows, so the
+	// gather sees each row exactly once.
+	first := s.ctx.PartOf <= 1 || s.ctx.Part == 0
 	if s.node.Table.Virtual != nil {
-		// Virtual tables have no pages to partition; in a parallel
-		// region only partition 0 produces rows so the gather sees each
-		// row exactly once.
 		s.idx = 0
-		if s.ctx.PartOf <= 1 || s.ctx.Part == 0 {
+		if first {
 			s.rows = s.node.Table.Virtual()
 		}
 		return nil
+	}
+	if k := s.node.Key; k != nil {
+		if !first {
+			return nil
+		}
+		r, err := newKeyReader(s.node.Table, k.Col, s.node.Filters, s.node.Cols, s.ctx, s.examine)
+		if err != nil {
+			return err
+		}
+		s.key = &r
+		return r.scan(k)
 	}
 	s.scan = s.node.Table.Heap.ScanPartition(s.ctx.Part, s.ctx.PartOf, s.ctx.Meter).
 		WithSnapshot(s.ctx.Snap).WithColumns(s.node.Cols).OnExamine(s.examine)
@@ -93,6 +108,12 @@ func (s *SeqScan) Next() (types.Tuple, error) {
 		}
 		return nil, nil
 	}
+	if s.node.Key != nil {
+		if s.key == nil {
+			return nil, nil
+		}
+		return s.key.next()
+	}
 	if s.scan.Next() {
 		return s.scan.Tuple(), nil
 	}
@@ -102,6 +123,7 @@ func (s *SeqScan) Next() (types.Tuple, error) {
 // Close implements Operator.
 func (s *SeqScan) Close() error {
 	s.scan = nil
+	s.key = nil
 	s.rows = nil
 	return nil
 }

@@ -64,6 +64,10 @@ type Case struct {
 	// pruning must leave alone. Seed files written before these two
 	// fields existed decode them as false and replay unchanged.
 	Star bool `json:"star,omitempty"`
+	// KeyPred adds a predicate on t0's primary key, which the optimizer
+	// may read through t0's index: an equality with a literal or a host
+	// variable, or a two-sided range (keyPred draws which).
+	KeyPred bool `json:"key_pred,omitempty"`
 }
 
 // NewCase derives a case from a seed.
@@ -88,7 +92,60 @@ func NewCase(seed int64) Case {
 	// Drawn last, so the fields above keep the values older seeds gave.
 	c.Alias = r.Intn(2) == 0
 	c.Star = !c.Grouped && r.Intn(3) == 0
+	c.KeyPred = r.Intn(2) == 0
 	return c
+}
+
+// keyPred is the case's predicate on t0's primary key: pk = lo when eq
+// (through the :pk host variable when hostVar, drawn only in a HostVar
+// case), else lo < pk < hi with each side inclusive as loIncl and hiIncl
+// say. It draws from a stream of its own, so the rest of a case does not
+// depend on it.
+type keyPred struct {
+	eq, hostVar    bool
+	lo, hi         int64
+	loIncl, hiIncl bool
+}
+
+func (c Case) keyPred() keyPred {
+	r := rand.New(rand.NewSource(c.Seed*29 + 11))
+	k := keyPred{lo: int64(r.Intn(c.MaxRows))}
+	switch r.Intn(3) {
+	case 0:
+		k.eq = true
+	case 1: // a host variable when the case binds them
+		k.eq, k.hostVar = true, c.HostVar
+	default:
+		k.hi = k.lo + 1 + int64(r.Intn(c.MaxRows/4+1))
+		k.loIncl, k.hiIncl = r.Intn(2) == 0, r.Intn(2) == 0
+	}
+	return k
+}
+
+// holds reports whether a t0 primary key satisfies the predicate.
+func (k keyPred) holds(pk int64) bool {
+	if k.eq {
+		return pk == k.lo
+	}
+	return (pk > k.lo || k.loIncl && pk == k.lo) && (pk < k.hi || k.hiIncl && pk == k.hi)
+}
+
+// sql renders the predicate's conjuncts over the column named col.
+func (k keyPred) sql(col string) []string {
+	switch {
+	case k.hostVar:
+		return []string{col + " = :pk"}
+	case k.eq:
+		return []string{fmt.Sprintf("%s = %d", col, k.lo)}
+	}
+	lo, hi := ">", "<"
+	if k.loIncl {
+		lo = ">="
+	}
+	if k.hiIncl {
+		hi = "<="
+	}
+	return []string{fmt.Sprintf("%s %s %d", col, lo, k.lo), fmt.Sprintf("%s %s %d", col, hi, k.hi)}
 }
 
 // String is the case's one-line identity, stable across runs.
@@ -107,6 +164,9 @@ func (c Case) String() string {
 	}
 	if c.Star {
 		s += " star"
+	}
+	if c.KeyPred {
+		s += " key"
 	}
 	return s
 }
@@ -331,6 +391,13 @@ func (e *Env) querySQL(p projection) string {
 			continue
 		}
 		where = append(where, fmt.Sprintf("%s < %d", col(i, "val"), cut))
+	}
+	if c.KeyPred {
+		k := c.keyPred()
+		where = append(where, k.sql(col(0, "pk"))...)
+		if k.hostVar {
+			e.Params["pk"] = types.NewInt(k.lo)
+		}
 	}
 
 	k := c.JoinK

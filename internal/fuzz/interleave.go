@@ -29,7 +29,7 @@ type writeOp struct {
 
 // writeOps derives the case's write schedule: a few multi-row inserts
 // with fresh keys, predicate deletes, and predicate updates against the
-// joined tables. The same seed always yields the same schedule, and
+// joined tables, then keyWriteOps. The same seed always yields the same schedule, and
 // apply replays it serially against the in-memory reference rows — the
 // serializable oracle the committed engine state must match.
 func (e *Env) writeOps() []writeOp {
@@ -100,7 +100,70 @@ func (e *Env) writeOps() []writeOp {
 			}})
 		}
 	}
-	return ops
+	return append(ops, e.keyWriteOps(nextPK)...)
+}
+
+// keyWriteOps derives, from a stream of its own, a primary-key equality
+// UPDATE and a primary-key range DELETE on the first indexed table of
+// the join, the statements that read their target through its index;
+// none when no joined table is indexed. nextPK bounds the keys the
+// schedule before them can have made.
+func (e *Env) keyWriteOps(nextPK []int64) []writeOp {
+	r := rand.New(rand.NewSource(e.Case.Seed ^ 0x6b65797772))
+	for ti := range nextPK {
+		td := &e.Tables[ti]
+		if !td.Indexed {
+			continue
+		}
+		name := td.Name
+		pk := int64(r.Int63n(nextPK[ti]))
+		v := float64(r.Intn(1000))
+		lo := int64(r.Int63n(nextPK[ti]))
+		hi := lo + 1 + int64(r.Intn(len(td.Rows)/4+1))
+		return []writeOp{
+			{fmt.Sprintf("update %s set %s_val = %.1f where %s_pk = %d", name, name, v, name, pk), func() int64 {
+				var touched int64
+				for _, row := range td.Rows {
+					if row[0].Int() == pk {
+						row[3] = types.NewFloat(v)
+						touched++
+					}
+				}
+				return touched
+			}},
+			{fmt.Sprintf("delete from %s where %s_pk >= %d and %s_pk < %d", name, name, lo, name, hi), func() int64 {
+				kept := td.Rows[:0:0]
+				for _, row := range td.Rows {
+					if pk := row[0].Int(); pk < lo || pk >= hi {
+						kept = append(kept, row)
+					}
+				}
+				removed := int64(len(td.Rows) - len(kept))
+				td.Rows = kept
+				return removed
+			}},
+		}
+	}
+	return nil
+}
+
+// indexResidue checks that every index holds exactly one entry per
+// record its heap holds: once vacuum has swept every dead version, the
+// entries of swept versions and of rolled-back inserts must be gone.
+func (e *Env) indexResidue() string {
+	for _, td := range e.Tables {
+		t, err := e.Cat.Table(td.Name)
+		if err != nil {
+			return err.Error()
+		}
+		for col, idx := range t.Indexes {
+			if n, live := idx.Tree.Len(), t.Heap.NumTuples(); n != live {
+				return fmt.Sprintf("index on %s.%s holds %d entries for %d records",
+					td.Name, t.Schema.Columns[col].Name, n, live)
+			}
+		}
+	}
+	return ""
 }
 
 // heapSlackPages is how far a base table in steady state may outgrow
@@ -137,6 +200,9 @@ func (e *Env) tablePages() []int {
 //  5. Vacuum must also have made the dead versions' space reusable: the
 //     schedule run once more (and rolled back) must fit into it, leaving
 //     every base table within heapSlackPages of its size after phase 4.
+//
+// After phases 4 and 5 every index must hold one entry per record its
+// heap holds (indexResidue).
 //
 // It must run LAST for its case: the committed writes move the data
 // away from the reference answer every other configuration checks.
@@ -254,6 +320,9 @@ func runInterleaved(env *Env) (string, *Failure) {
 	if dead, err := env.Cat.DeadVersions(); err != nil || dead != 0 {
 		return fail("%d dead versions after vacuum (err %v)", dead, err)
 	}
+	if msg := env.indexResidue(); msg != "" {
+		return fail("after vacuum: %s", msg)
+	}
 	if temps := env.Cat.TempTables(); len(temps) != 0 {
 		return fail("temp tables leaked: %v", temps)
 	}
@@ -291,6 +360,9 @@ func runInterleaved(env *Env) (string, *Failure) {
 			return fail("table %s grew from %d to %d pages rerunning a schedule vacuum had made room for",
 				env.Tables[i].Name, pages[i], now)
 		}
+	}
+	if msg := env.indexResidue(); msg != "" {
+		return fail("after the rolled-back rerun: %s", msg)
 	}
 	outcome := "ok"
 	if hookFired {

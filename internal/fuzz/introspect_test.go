@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,5 +105,36 @@ func TestIntrospectionDoesNotPerturb(t *testing.T) {
 	// The usual cleanup invariants still hold with observers attached.
 	if msg := checkResidue(env, mgr); msg != "" {
 		t.Fatal(msg)
+	}
+}
+
+// TestKeyPredicatesReachTheIndexScan: the generator's primary-key
+// predicates are not only filtered by a seq scan — on an indexed t0 the
+// optimizer reads some of them through the index, so the differential
+// checks cover the index scan's answers too.
+func TestKeyPredicatesReachTheIndexScan(t *testing.T) {
+	hits := 0
+	for seed := int64(1); seed <= 200 && hits < 3; seed++ {
+		c := NewCase(seed)
+		if !c.KeyPred {
+			continue
+		}
+		env, err := Build(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !env.Tables[0].Indexed {
+			continue
+		}
+		plan, err := newManager(env, bigBudget).Session().Explain(env.SQL, session.Options{Mode: reopt.ModeFull})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(plan, "index-scan") {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Error("no generated key predicate was read through an index")
 	}
 }

@@ -24,7 +24,11 @@ func (e *Env) reference(p projection) []types.Tuple {
 		cutVals[0] = e.Params["cut"].Float()
 	}
 
+	key := c.keyPred()
 	pass := func(row types.Tuple) bool {
+		if c.KeyPred && !key.holds(row[0].Int()) {
+			return false
+		}
 		for i, cut := range cuts {
 			if cut < 0 {
 				continue

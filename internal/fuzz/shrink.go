@@ -122,6 +122,11 @@ func shrinkCandidates(c Case) []Case {
 		n.Star = false
 		out = append(out, n)
 	}
+	if c.KeyPred {
+		n := c
+		n.KeyPred = false
+		out = append(out, n)
+	}
 	return out
 }
 

@@ -17,6 +17,8 @@ import (
 // per kind of work:
 //
 //	seq scan      pages × PageRead + rows × TupleCPU
+//	index scan    the indexed join's formula for one outer row whose
+//	              matches are the entries in the key range
 //	hash join     (2 × build + probe + out) × TupleCPU,
 //	              plus (buildPages+probePages) × (PageRead+PageWrite)
 //	              when the build exceeds its memory grant (the Grace
@@ -80,6 +82,9 @@ func tableCard(t *catalog.Table) float64 {
 func (o *Optimizer) SelfCost(n plan.Node, grant float64) float64 {
 	switch x := n.(type) {
 	case *plan.Scan:
+		if x.Key != nil {
+			return o.indexScanSelf(x)
+		}
 		return o.scanCost(x.Table.NumPages(), tableCard(x.Table))
 	case *plan.HashJoin:
 		b, p := x.Build.Est(), x.Probe.Est()

@@ -187,7 +187,7 @@ func popcount(m uint32) int {
 }
 
 // buildLeaf plans a single relation: a scan with pushed-down local
-// predicates.
+// predicates, through the key range they bound when that is cheaper.
 func (o *Optimizer) buildLeaf(q *Query, i int) (*dpEntry, error) {
 	rel := &q.Rels[i]
 	t := rel.Table
@@ -214,6 +214,13 @@ func (o *Optimizer) buildLeaf(q *Query, i int) (*dpEntry, error) {
 	e.Rows = rows
 	e.Bytes = rows * avg
 	o.price(node, 0)
+	if node.Key = o.keyRange(rel, preds); node.Key != nil {
+		seq := e.Cost
+		if o.price(node, 0); e.Cost >= seq {
+			node.Key = nil
+			o.price(node, 0)
+		}
+	}
 	return &dpEntry{mask: 1 << uint(i), node: node, rows: rows, bytes: e.Bytes, cost: e.Cost, order: []int{i}}, nil
 }
 

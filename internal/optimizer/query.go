@@ -298,34 +298,15 @@ func (q *Query) exprCols(e sql.Expr, out *[][2]int) error {
 // (relation, column) pairs it reads.
 func (q *Query) classify(p sql.Predicate) (*PredRef, [][2]int, error) {
 	var cols [][2]int
-	collect := func(exprs ...sql.Expr) error {
-		for _, e := range exprs {
-			if err := q.exprCols(e, &cols); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	pr := &PredRef{AST: p}
-	switch x := p.(type) {
-	case *sql.ComparePred:
-		if err := collect(x.Left, x.Right); err != nil {
-			return nil, nil, err
-		}
-	case *sql.BetweenPred:
-		if err := collect(x.Expr, x.Lo, x.Hi); err != nil {
-			return nil, nil, err
-		}
-	case *sql.InPred:
-		if err := collect(append([]sql.Expr{x.Expr}, x.List...)...); err != nil {
-			return nil, nil, err
-		}
-	case *sql.LikePred:
-		if err := collect(x.Expr); err != nil {
-			return nil, nil, err
-		}
-	default:
+	operands := sql.Operands(p)
+	if operands == nil {
 		return nil, nil, fmt.Errorf("optimizer: unsupported predicate %T", p)
+	}
+	for _, e := range operands {
+		if err := q.exprCols(e, &cols); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	relSet := map[int]bool{}

@@ -86,44 +86,37 @@ func litShift(e sql.Expr) float64 {
 // for predicates whose operands involve host variables (the parametric
 // plan scenarios); 0 keeps the textbook defaults.
 func localSelectivity(rel *Rel, pr *PredRef, hostVarSel float64) float64 {
-	if hostVarSel > 0 && predHasHostVar(pr.AST) {
+	if hostVarSel > 0 && sql.HasHostVar(pr.AST) && !KeyEquality(rel.Table, pr.AST) {
 		return clamp01(hostVarSel)
 	}
 	return localSelectivityLiteral(rel, pr)
 }
 
-// predHasHostVar reports whether any operand of the predicate contains a
-// host-variable reference.
-func predHasHostVar(p sql.Predicate) bool {
-	var exprs []sql.Expr
-	switch x := p.(type) {
-	case *sql.ComparePred:
-		exprs = []sql.Expr{x.Left, x.Right}
-	case *sql.BetweenPred:
-		exprs = []sql.Expr{x.Expr, x.Lo, x.Hi}
-	case *sql.InPred:
-		exprs = append([]sql.Expr{x.Expr}, x.List...)
-	case *sql.LikePred:
-		exprs = []sql.Expr{x.Expr}
-	}
-	var has func(e sql.Expr) bool
-	has = func(e sql.Expr) bool {
-		switch x := e.(type) {
-		case *sql.HostVar:
-			return true
-		case *sql.BinaryExpr:
-			return has(x.Left) || has(x.Right)
-		case *sql.AggExpr:
-			return x.Arg != nil && has(x.Arg)
-		}
+// KeyEquality reports whether p, a predicate local to a relation over
+// t, equates a declared key column of t with a literal or a host
+// variable: whatever the value, it keeps at most one row, so its
+// estimate is exact.
+func KeyEquality(t *catalog.Table, p sql.Predicate) bool {
+	cmp, ok := p.(*sql.ComparePred)
+	if !ok || cmp.Op != sql.OpEq {
 		return false
 	}
-	for _, e := range exprs {
-		if has(e) {
-			return true
-		}
+	ref, ok := cmp.Left.(*sql.ColumnRef)
+	other := cmp.Right
+	if !ok {
+		ref, ok = cmp.Right.(*sql.ColumnRef)
+		other = cmp.Left
 	}
-	return false
+	if !ok {
+		return false
+	}
+	switch other.(type) {
+	case *sql.Literal, *sql.HostVar:
+	default:
+		return false
+	}
+	col, err := t.Schema.Resolve("", ref.Name)
+	return err == nil && t.Schema.Columns[col].Key
 }
 
 // localSelectivityLiteral estimates selectivity from literals and
@@ -140,17 +133,7 @@ func localSelectivityLiteral(rel *Rel, pr *PredRef) float64 {
 			if cr, ok := p.Right.(*sql.ColumnRef); ok {
 				colRef, colOK = cr, true
 				val = litShift(p.Left)
-				// Flip the operator: "5 < col" is "col > 5".
-				switch p.Op {
-				case sql.OpLt:
-					op = sql.OpGt
-				case sql.OpLe:
-					op = sql.OpGe
-				case sql.OpGt:
-					op = sql.OpLt
-				case sql.OpGe:
-					op = sql.OpLe
-				}
+				op = p.Op.Flip()
 			}
 		}
 		if !colOK {
@@ -162,7 +145,11 @@ func localSelectivityLiteral(rel *Rel, pr *PredRef) float64 {
 		}
 		h := colHist(t, col)
 		if math.IsNaN(val) {
-			// Host variable or complex operand: defaults.
+			// Host variable or complex operand: defaults, except that an
+			// equality on a declared key keeps one row, whatever its value.
+			if KeyEquality(t, p) {
+				return 1 / colNDV(t, col)
+			}
 			if op == sql.OpEq {
 				return histogram.DefaultEqSelectivity
 			}

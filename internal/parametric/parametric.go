@@ -196,8 +196,8 @@ func substituteParams(p sql.Predicate, params plan.Params) (sql.Predicate, bool)
 	return out, changed
 }
 
-// Shape renders a plan's structural signature: operator kinds, join
-// order, and join methods — everything that distinguishes parametric
+// Shape renders a plan's structural signature: operator kinds, access
+// paths, join order, and join methods — everything that distinguishes parametric
 // candidates, nothing that doesn't (estimates, grants).
 func Shape(n plan.Node) string {
 	var b strings.Builder
@@ -205,7 +205,11 @@ func Shape(n plan.Node) string {
 	walk = func(n plan.Node) {
 		switch x := n.(type) {
 		case *plan.Scan:
-			fmt.Fprintf(&b, "scan(%s)", x.Binding)
+			kind := "scan"
+			if x.Key != nil {
+				kind = "iscan"
+			}
+			fmt.Fprintf(&b, "%s(%s)", kind, x.Binding)
 			return
 		case *plan.HashJoin:
 			b.WriteString("hj(")

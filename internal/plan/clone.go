@@ -16,6 +16,7 @@ func Clone(n Node) Node {
 	switch x := n.(type) {
 	case *Scan:
 		cp := *x
+		cp.Key = x.Key.clone()
 		return &cp
 	case *HashJoin:
 		cp := *x
@@ -63,12 +64,23 @@ func Clone(n Node) Node {
 		cp := *x
 		cp.Filters = append([]Pred(nil), x.Filters...)
 		cp.Set = append([]SetCol(nil), x.Set...)
+		cp.Key = x.Key.clone()
 		return &cp
 	case *Delete:
 		cp := *x
 		cp.Filters = append([]Pred(nil), x.Filters...)
+		cp.Key = x.Key.clone()
 		return &cp
 	default:
 		panic(fmt.Sprintf("plan: Clone of unknown node %T", n))
 	}
+}
+
+// clone copies a key range; nil stays nil.
+func (k *KeyRange) clone() *KeyRange {
+	if k == nil {
+		return nil
+	}
+	cp := *k
+	return &cp
 }

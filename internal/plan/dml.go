@@ -10,12 +10,14 @@ import (
 )
 
 // DML plan nodes. They are self-contained — no child operator subtree;
-// the executor scans the target table itself under the transaction's
+// the executor reads the target table itself under the transaction's
 // snapshot, materializing matching RIDs before modifying anything so an
-// UPDATE never revisits its own output (the Halloween problem). DML
-// plans bypass the optimizer, the plan cache, and the re-optimizing
-// dispatcher: a write's cost is dominated by the writes themselves, and
-// its "plan space" is a single table scan.
+// UPDATE never revisits its own output (the Halloween problem). An
+// UPDATE's or DELETE's plan space is its target's access path: a table
+// scan, or the key range the optimizer chooses for a leaf with the same
+// predicates (optimizer.Optimizer.Target), which the session sets as
+// Key. DML plans bypass the plan cache and the re-optimizing
+// dispatcher: a write's cost is dominated by the writes themselves.
 
 // SetCol is one UPDATE assignment: target column ordinal and the bound
 // value expression evaluated over the old tuple.
@@ -54,6 +56,7 @@ type Update struct {
 	Table   *catalog.Table
 	Filters []Pred
 	Set     []SetCol
+	Key     *KeyRange // the target's key range; nil scans the table
 }
 
 // Schema implements Node.
@@ -72,7 +75,7 @@ func (u *Update) Describe() string {
 		parts[i] = fmt.Sprintf("%s = %s", u.Table.Schema.Columns[s.Col].Name, s.Val)
 	}
 	d := u.Table.Name + " set " + strings.Join(parts, ", ")
-	return d + describeFilters(u.Filters)
+	return d + describeKey(u.Table, u.Key) + describeFilters(u.Filters)
 }
 
 // Delete removes every visible tuple matching Filters.
@@ -80,6 +83,7 @@ type Delete struct {
 	base
 	Table   *catalog.Table
 	Filters []Pred
+	Key     *KeyRange // as Update.Key
 }
 
 // Schema implements Node.
@@ -92,7 +96,16 @@ func (d *Delete) Children() []Node { return nil }
 func (d *Delete) Label() string { return "delete" }
 
 // Describe implements Node.
-func (d *Delete) Describe() string { return d.Table.Name + describeFilters(d.Filters) }
+func (d *Delete) Describe() string {
+	return d.Table.Name + describeKey(d.Table, d.Key) + describeFilters(d.Filters)
+}
+
+func describeKey(t *catalog.Table, k *KeyRange) string {
+	if k == nil {
+		return ""
+	}
+	return " key " + k.String(t.Schema.Columns[k.Col].Name)
+}
 
 func describeFilters(preds []Pred) string {
 	if len(preds) == 0 {

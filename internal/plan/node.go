@@ -58,8 +58,10 @@ type base struct {
 
 func (b *base) Est() *Est { return &b.est }
 
-// Scan reads a base table sequentially, applying pushed-down filters and
-// emitting only the columns the query uses above the scan.
+// Scan reads a base table, applying pushed-down filters and emitting only
+// the columns the query uses above the scan. With a Key it is an index
+// scan: it reads only the versions whose entries in the B+tree on one
+// column fall in the key range, and the filters still test every one.
 type Scan struct {
 	base
 	Table   *catalog.Table
@@ -79,6 +81,51 @@ type Scan struct {
 	// re-qualified by Binding. Everything above the scan resolves its
 	// ordinals against it by name.
 	Out *types.Schema
+	// Key, when set, makes the scan read through the index on Key.Col.
+	Key *KeyRange
+}
+
+// KeyRange is the part of an indexed column's domain a scan reads: the
+// B+tree entries with Lo ≤ key ≤ Hi, or < and > where a bound is not
+// inclusive. The range is derived from filters the scan also applies,
+// so it only narrows what the scan reads: a bound that is NULL, of
+// another kind than the column, or exclusive leaves the filters to
+// decide.
+type KeyRange struct {
+	Col int // table ordinal of the indexed column
+	// Lo and Hi are a ConstExpr or ParamExpr each, nil when the range is
+	// open on that side; an equality sets both to the same Expr.
+	Lo, Hi         Expr
+	LoIncl, HiIncl bool
+	// EstMatches is the optimizer's estimate of the entries in range:
+	// the heap fetches the scan makes, which SelfCost prices.
+	EstMatches float64
+}
+
+// Eq reports whether the range is a single key.
+func (k *KeyRange) Eq() bool { return k.Lo != nil && k.Lo == k.Hi }
+
+// String renders the range over the column named col.
+func (k *KeyRange) String(col string) string {
+	if k.Eq() {
+		return col + " = " + k.Lo.String()
+	}
+	var parts []string
+	if k.Lo != nil {
+		op := " > "
+		if k.LoIncl {
+			op = " >= "
+		}
+		parts = append(parts, col+op+k.Lo.String())
+	}
+	if k.Hi != nil {
+		op := " < "
+		if k.HiIncl {
+			op = " <= "
+		}
+		parts = append(parts, col+op+k.Hi.String())
+	}
+	return strings.Join(parts, " and ")
 }
 
 // Schema implements Node.
@@ -88,7 +135,12 @@ func (s *Scan) Schema() *types.Schema { return s.Out }
 func (s *Scan) Children() []Node { return nil }
 
 // Label implements Node.
-func (s *Scan) Label() string { return "seq-scan" }
+func (s *Scan) Label() string {
+	if s.Key != nil {
+		return "index-scan"
+	}
+	return "seq-scan"
+}
 
 // Describe implements Node.
 func (s *Scan) Describe() string {
@@ -96,6 +148,7 @@ func (s *Scan) Describe() string {
 	if s.Binding != "" && s.Binding != s.Table.Name {
 		d += " as " + s.Binding
 	}
+	d += describeKey(s.Table, s.Key)
 	if len(s.Filters) > 0 {
 		parts := make([]string, len(s.Filters))
 		for i, f := range s.Filters {

@@ -296,29 +296,13 @@ func HostVars(stmt *sql.SelectStmt) []string {
 			}
 		}
 	}
-	walkPred := func(p sql.Predicate) {
-		switch x := p.(type) {
-		case *sql.ComparePred:
-			walkExpr(x.Left)
-			walkExpr(x.Right)
-		case *sql.BetweenPred:
-			walkExpr(x.Expr)
-			walkExpr(x.Lo)
-			walkExpr(x.Hi)
-		case *sql.InPred:
-			walkExpr(x.Expr)
-			for _, e := range x.List {
-				walkExpr(e)
-			}
-		case *sql.LikePred:
-			walkExpr(x.Expr)
-		}
-	}
 	for _, item := range stmt.Select {
 		walkExpr(item.Expr)
 	}
 	for _, p := range stmt.Where {
-		walkPred(p)
+		for _, e := range sql.Operands(p) {
+			walkExpr(e)
+		}
 	}
 	for _, g := range stmt.GroupBy {
 		walkExpr(g)

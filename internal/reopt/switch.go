@@ -200,17 +200,6 @@ func (d *Dispatcher) matSpec(res *optimizer.Result, matSchema *types.Schema, con
 
 // predRefs lists every column reference in a predicate.
 func predRefs(p sql.Predicate) []*sql.ColumnRef {
-	var exprs []sql.Expr
-	switch x := p.(type) {
-	case *sql.ComparePred:
-		exprs = []sql.Expr{x.Left, x.Right}
-	case *sql.BetweenPred:
-		exprs = []sql.Expr{x.Expr, x.Lo, x.Hi}
-	case *sql.InPred:
-		exprs = append([]sql.Expr{x.Expr}, x.List...)
-	case *sql.LikePred:
-		exprs = []sql.Expr{x.Expr}
-	}
 	var out []*sql.ColumnRef
 	var walk func(e sql.Expr)
 	walk = func(e sql.Expr) {
@@ -226,7 +215,7 @@ func predRefs(p sql.Predicate) []*sql.ColumnRef {
 			}
 		}
 	}
-	for _, e := range exprs {
+	for _, e := range sql.Operands(p) {
 		walk(e)
 	}
 	return out

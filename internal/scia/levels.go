@@ -22,7 +22,8 @@ import (
 //     over two or more columns of the relation bumps it (possible
 //     correlations); predicates with host variables are graded high
 //     (their selectivity is unknowable at plan time, like the paper's
-//     user-defined functions);
+//     user-defined functions), except that an equality on a declared
+//     key keeps at most one row whatever its value, and is low;
 //   - an equi-join on key attributes keeps the max of its inputs; on
 //     non-key attributes it bumps; non-equi joins are high;
 //   - distinct-value counts are low only on raw base-table columns and
@@ -137,7 +138,10 @@ func (lt *levelTracer) joinOnKeys(j *plan.HashJoin) bool {
 
 // filterLevel grades a selection predicate applied to one relation.
 func (lt *levelTracer) filterLevel(binding string, p sql.Predicate) Level {
-	if predHasHostVar(p) {
+	if t, ok := lt.rels[strings.ToLower(binding)]; ok && optimizer.KeyEquality(t, p) {
+		return Low // at most one row, whatever the value
+	}
+	if sql.HasHostVar(p) {
 		return High
 	}
 	cols := predColumns(p)
@@ -155,17 +159,6 @@ func (lt *levelTracer) filterLevel(binding string, p sql.Predicate) Level {
 
 // predColumns lists the distinct column names a predicate references.
 func predColumns(p sql.Predicate) []string {
-	var exprs []sql.Expr
-	switch x := p.(type) {
-	case *sql.ComparePred:
-		exprs = []sql.Expr{x.Left, x.Right}
-	case *sql.BetweenPred:
-		exprs = []sql.Expr{x.Expr, x.Lo, x.Hi}
-	case *sql.InPred:
-		exprs = append([]sql.Expr{x.Expr}, x.List...)
-	case *sql.LikePred:
-		exprs = []sql.Expr{x.Expr}
-	}
 	seen := map[string]bool{}
 	var out []string
 	var walk func(e sql.Expr)
@@ -185,40 +178,8 @@ func predColumns(p sql.Predicate) []string {
 			}
 		}
 	}
-	for _, e := range exprs {
+	for _, e := range sql.Operands(p) {
 		walk(e)
 	}
 	return out
-}
-
-func predHasHostVar(p sql.Predicate) bool {
-	var exprs []sql.Expr
-	switch x := p.(type) {
-	case *sql.ComparePred:
-		exprs = []sql.Expr{x.Left, x.Right}
-	case *sql.BetweenPred:
-		exprs = []sql.Expr{x.Expr, x.Lo, x.Hi}
-	case *sql.InPred:
-		exprs = append([]sql.Expr{x.Expr}, x.List...)
-	case *sql.LikePred:
-		exprs = []sql.Expr{x.Expr}
-	}
-	var has func(e sql.Expr) bool
-	has = func(e sql.Expr) bool {
-		switch x := e.(type) {
-		case *sql.HostVar:
-			return true
-		case *sql.BinaryExpr:
-			return has(x.Left) || has(x.Right)
-		case *sql.AggExpr:
-			return x.Arg != nil && has(x.Arg)
-		}
-		return false
-	}
-	for _, e := range exprs {
-		if has(e) {
-			return true
-		}
-	}
-	return false
 }

@@ -24,6 +24,7 @@ package scia
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/histogram"
 	"repro/internal/obs"
@@ -111,7 +112,7 @@ func Insert(res *optimizer.Result, cfg Config) ([]Inserted, error) {
 	if cfg.Mu <= 0 {
 		cfg.Mu = 0.05
 	}
-	points := spinePoints(res.Root)
+	points := slices.DeleteFunc(spinePoints(res.Root), func(pt point) bool { return exact(res, pt.node) })
 	if len(points) == 0 {
 		return nil, nil
 	}
@@ -245,6 +246,35 @@ func spinePoints(root plan.Node) []point {
 	}
 	walk(cur, nil, false)
 	return pts
+}
+
+// exact reports whether a point's estimate is exact: a subtree graded
+// low throughout that reads an index scan's key range. Its rows are known
+// before it runs, and a report that repeats the estimate gives a
+// checkpoint nothing to repair, so the point gets no collector.
+func exact(res *optimizer.Result, n plan.Node) bool {
+	return readsKeyRange(n) && newLevelTracer(res).pointLevel(n) == Low
+}
+
+// readsKeyRange reports whether an index scan is among the leaves of a
+// spine point, whose subtree holds only scans, joins and the unary nodes
+// of the join chain (followed field by field: Children allocates).
+func readsKeyRange(n plan.Node) bool {
+	switch x := n.(type) {
+	case *plan.Scan:
+		return x.Key != nil
+	case *plan.HashJoin:
+		return readsKeyRange(x.Build) || readsKeyRange(x.Probe)
+	case *plan.IndexJoin:
+		return readsKeyRange(x.Outer)
+	case *plan.Filter:
+		return readsKeyRange(x.Input)
+	case *plan.Collector:
+		return readsKeyRange(x.Input)
+	case *plan.Exchange:
+		return readsKeyRange(x.Input)
+	}
+	return false
 }
 
 // replaceChild re-points parent's link from old to new. A point's
@@ -416,18 +446,7 @@ func usesColumn(n plan.Node, table, name string) bool {
 func equalCol(t1, n1, t2, n2 string) bool { return t1 == t2 && n1 == n2 }
 
 func predUsesColumn(p sql.Predicate, table, name string) bool {
-	var exprs []sql.Expr
-	switch x := p.(type) {
-	case *sql.ComparePred:
-		exprs = []sql.Expr{x.Left, x.Right}
-	case *sql.BetweenPred:
-		exprs = []sql.Expr{x.Expr, x.Lo, x.Hi}
-	case *sql.InPred:
-		exprs = append([]sql.Expr{x.Expr}, x.List...)
-	case *sql.LikePred:
-		exprs = []sql.Expr{x.Expr}
-	}
-	for _, e := range exprs {
+	for _, e := range sql.Operands(p) {
 		if exprUsesColumn(e, table, name) {
 			return true
 		}

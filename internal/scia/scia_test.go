@@ -400,3 +400,37 @@ func TestCollectorsOnlyOnBuildInputs(t *testing.T) {
 		}
 	}
 }
+
+// A build input whose estimate is exact carries no collector: an index
+// scan of one declared key, host variable or not, graded low, reports
+// the row the optimizer already knew of. The same join built from a
+// scan whose filter is not a key equality keeps its collector.
+func TestNoCollectorOverAnExactKeyLookup(t *testing.T) {
+	f := newFixture(t, histogram.MaxDiff, false)
+	if err := f.cat.CreateIndex("dim2", "e_id"); err != nil {
+		t.Fatal(err)
+	}
+	for src, want := range map[string]int{
+		"select f_val, e_y from fact, dim2 where fact.f_dim = dim2.e_id and e_id = :e": 0,
+		"select f_val, e_y from fact, dim2 where fact.f_dim = dim2.e_id and e_id = 12": 0,
+		"select f_val, e_y from fact, dim2 where fact.f_dim = dim2.e_id and e_y = :y":  1,
+	} {
+		res := f.optimizeWith(t, src, true)
+		keyed := false
+		plan.Walk(res.Root, func(n plan.Node) {
+			if s, ok := n.(*plan.Scan); ok && s.Key != nil {
+				keyed = true
+			}
+		})
+		if keyed != (want == 0) {
+			t.Fatalf("%s: index scan in the plan: %v\n%s", src, keyed, plan.Format(res.Root))
+		}
+		ins, err := Insert(res, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ins) != want {
+			t.Errorf("%s: %d collectors, want %d\n%s", src, len(ins), want, plan.Format(res.Root))
+		}
+	}
+}

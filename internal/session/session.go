@@ -834,6 +834,20 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 	return r.result(out), nil
 }
 
+// chooseTarget gives an UPDATE or DELETE the access path the optimizer
+// chooses for its target table: the one a SELECT with its WHERE clause
+// would read the table by.
+func (s *Session) chooseTarget(node plan.Node, stmt sql.Stmt, opts Options) (err error) {
+	o := func() *optimizer.Optimizer { return reopt.New(s.m.cat, s.dispatcherConfig(opts, nil, "")).Optimizer() }
+	switch x := node.(type) {
+	case *plan.Update:
+		x.Key, err = o().Target(x.Table, stmt.(*sql.UpdateStmt).Where)
+	case *plan.Delete:
+		x.Key, err = o().Target(x.Table, stmt.(*sql.DeleteStmt).Where)
+	}
+	return err
+}
+
 // execDML plans and runs one write statement. Inside an explicit
 // transaction the writes join it; otherwise the statement autocommits.
 // Any error aborts the governing transaction — MVCC undo is physical
@@ -846,6 +860,9 @@ func (s *Session) execDML(ctx context.Context, stmt sql.Stmt, opts Options, tag 
 	defer r.end()
 	node, err := plan.PlanDML(m.cat, stmt)
 	if err != nil {
+		return nil, err
+	}
+	if err := s.chooseTarget(node, stmt, opts); err != nil {
 		return nil, err
 	}
 	tr, tx := r.tr, r.tx

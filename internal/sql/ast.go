@@ -162,11 +162,65 @@ func (o CompareOp) Negate() CompareOp {
 	}
 }
 
+// Flip returns the operator with its operands swapped: "5 < col" is
+// "col > 5".
+func (o CompareOp) Flip() CompareOp {
+	switch o {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	}
+	return o
+}
+
 // Predicate is a boolean condition. The WHERE clause is a conjunction of
 // predicates (the subset has AND but not OR, which covers the paper's
 // workload).
 type Predicate interface {
 	SQL() string
+}
+
+// Operands returns the expressions a predicate tests.
+func Operands(p Predicate) []Expr {
+	switch x := p.(type) {
+	case *ComparePred:
+		return []Expr{x.Left, x.Right}
+	case *BetweenPred:
+		return []Expr{x.Expr, x.Lo, x.Hi}
+	case *InPred:
+		return append([]Expr{x.Expr}, x.List...)
+	case *LikePred:
+		return []Expr{x.Expr}
+	}
+	return nil
+}
+
+// HasHostVar reports whether any operand of the predicate contains a
+// host-variable reference, whose value planning does not know.
+func HasHostVar(p Predicate) bool {
+	var has func(e Expr) bool
+	has = func(e Expr) bool {
+		switch x := e.(type) {
+		case *HostVar:
+			return true
+		case *BinaryExpr:
+			return has(x.Left) || has(x.Right)
+		case *AggExpr:
+			return x.Arg != nil && has(x.Arg)
+		}
+		return false
+	}
+	for _, e := range Operands(p) {
+		if has(e) {
+			return true
+		}
+	}
+	return false
 }
 
 // ComparePred is "left op right".

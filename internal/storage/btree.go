@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/types"
@@ -11,16 +12,19 @@ const btreeOrder = 64
 
 // BTree is a B+tree index from key values to RIDs, with duplicates. The
 // tree structure lives in memory, but probes charge simulated I/O to the
-// meter under the standard assumption that internal nodes stay cached
-// while each distinct leaf visit costs one page read. A Lookup therefore
-// charges one read plus the heap fetches the caller performs — the same
-// cost model the optimizer uses for indexed nested-loops joins.
+// caller's meter under the standard assumption that internal nodes stay
+// cached while each distinct leaf visit costs one page read. A Lookup
+// therefore charges one read plus the heap fetches the caller performs —
+// the same cost model the optimizer uses for index scans and indexed
+// nested-loops joins.
 //
-// The tree is safe for concurrent use: DML inserts take the write
-// lock, probes and range scans the read lock. Entries are never
-// removed — a dead version's index entry is skipped at fetch time by
-// the heap's visibility check, the classic "index points at garbage"
-// tolerance of MVCC heaps without index vacuuming.
+// The tree is safe for concurrent use: DML inserts and vacuum's deletes
+// take the write lock, probes and range scans the read lock. Every
+// version a transaction writes gets an entry; vacuum deletes the entry
+// of each version it sweeps, and an aborted transaction those of the
+// versions it inserted. Leaves are never merged. An entry that outlives
+// its version is harmless: the heap never reuses a slot number, so the
+// fetch finds the slot deleted and skips it.
 type BTree struct {
 	meter  *CostMeter
 	mu     sync.RWMutex
@@ -44,7 +48,8 @@ type innerNode struct {
 	children []node
 }
 
-// NewBTree returns an empty index charging probe I/O to meter.
+// NewBTree returns an empty index charging its build I/O, and the probes
+// of callers that pass no meter, to meter.
 func NewBTree(meter *CostMeter) *BTree {
 	return &BTree{meter: meter, root: &leafNode{}, height: 1}
 }
@@ -166,25 +171,28 @@ func (t *BTree) findLeaf(k types.Value) *leafNode {
 	}
 }
 
-// Lookup returns the RIDs for an exact key, charging one leaf read.
-// The returned slice is a copy, safe to hold across concurrent
-// inserts.
-func (t *BTree) Lookup(k types.Value) []RID {
-	t.meter.ChargeRead(1)
+// Lookup appends the RIDs for an exact key to dst and returns it,
+// charging one leaf read to meter (the tree's own when nil). Nothing of
+// the tree is retained, so the caller may hold the RIDs across
+// concurrent inserts and reuse dst from probe to probe.
+func (t *BTree) Lookup(k types.Value, meter *CostMeter, dst []RID) []RID {
+	t.charge(meter)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	l := t.findLeaf(k)
 	i := l.search(k)
 	if i < len(l.keys) && l.keys[i].Equal(k) {
-		return append([]RID(nil), l.vals[i]...)
+		return append(dst, l.vals[i]...)
 	}
-	return nil
+	return dst
 }
 
 // Range calls fn for each entry with lo <= key <= hi in key order,
-// charging one read per leaf visited. A nil lo or hi bound (Kind NULL)
-// means unbounded on that side. fn returning false stops the scan.
-func (t *BTree) Range(lo, hi types.Value, fn func(k types.Value, rids []RID) bool) {
+// charging one read per leaf visited to meter (the tree's own when nil).
+// A NULL lo or hi bound means unbounded on that side. fn runs under the
+// tree's read lock and must not call back into the tree; returning false
+// stops the scan.
+func (t *BTree) Range(lo, hi types.Value, meter *CostMeter, fn func(k types.Value, rids []RID) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var l *leafNode
@@ -194,7 +202,7 @@ func (t *BTree) Range(lo, hi types.Value, fn func(k types.Value, rids []RID) boo
 		l = t.findLeaf(lo)
 	}
 	for l != nil {
-		t.meter.ChargeRead(1)
+		t.charge(meter)
 		for i := range l.keys {
 			if !lo.IsNull() && l.keys[i].Compare(lo) < 0 {
 				continue
@@ -208,6 +216,37 @@ func (t *BTree) Range(lo, hi types.Value, fn func(k types.Value, rids []RID) boo
 		}
 		l = l.next
 	}
+}
+
+func (t *BTree) charge(meter *CostMeter) {
+	if meter == nil {
+		meter = t.meter
+	}
+	meter.ChargeRead(1)
+}
+
+// Delete removes the entry (k, rid) and reports whether it was present.
+// A key left with no RIDs leaves its leaf; the leaf stays in the tree
+// even when empty, and the separators above it still route correctly.
+func (t *BTree) Delete(k types.Value, rid RID) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	l := t.findLeaf(k)
+	i := l.search(k)
+	if i == len(l.keys) || !l.keys[i].Equal(k) {
+		return false
+	}
+	j := slices.Index(l.vals[i], rid)
+	if j < 0 {
+		return false
+	}
+	l.vals[i] = slices.Delete(l.vals[i], j, j+1)
+	if len(l.vals[i]) == 0 {
+		l.keys = slices.Delete(l.keys, i, i+1)
+		l.vals = slices.Delete(l.vals, i, i+1)
+	}
+	t.keys--
+	return true
 }
 
 func (t *BTree) leftmostLeaf() *leafNode {

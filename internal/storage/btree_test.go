@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -22,12 +23,12 @@ func TestBTreeInsertLookup(t *testing.T) {
 		t.Errorf("Height = %d, want a split tree", bt.Height())
 	}
 	for _, k := range []int64{0, 1, 4999, 9999} {
-		rids := bt.Lookup(types.NewInt(k))
+		rids := bt.Lookup(types.NewInt(k), nil, nil)
 		if len(rids) != 1 || rids[0].Page != PageID(k+1) {
 			t.Errorf("Lookup(%d) = %v", k, rids)
 		}
 	}
-	if rids := bt.Lookup(types.NewInt(10001)); rids != nil {
+	if rids := bt.Lookup(types.NewInt(10001), nil, nil); rids != nil {
 		t.Errorf("Lookup(absent) = %v", rids)
 	}
 }
@@ -38,7 +39,7 @@ func TestBTreeDuplicates(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		bt.Insert(types.NewInt(7), RID{Page: PageID(i + 1)})
 	}
-	rids := bt.Lookup(types.NewInt(7))
+	rids := bt.Lookup(types.NewInt(7), nil, nil)
 	if len(rids) != 50 {
 		t.Errorf("duplicate Lookup returned %d rids", len(rids))
 	}
@@ -53,7 +54,7 @@ func TestBTreeRandomOrderSortedIteration(t *testing.T) {
 		bt.Insert(types.NewInt(int64(k)), RID{Page: PageID(k + 1)})
 	}
 	var got []int64
-	bt.Range(types.Null(), types.Null(), func(k types.Value, rids []RID) bool {
+	bt.Range(types.Null(), types.Null(), nil, func(k types.Value, rids []RID) bool {
 		got = append(got, k.Int())
 		return true
 	})
@@ -72,7 +73,7 @@ func TestBTreeRangeBounds(t *testing.T) {
 		bt.Insert(types.NewInt(int64(i)), RID{Page: PageID(i + 1)})
 	}
 	var got []int64
-	bt.Range(types.NewInt(10), types.NewInt(20), func(k types.Value, rids []RID) bool {
+	bt.Range(types.NewInt(10), types.NewInt(20), nil, func(k types.Value, rids []RID) bool {
 		got = append(got, k.Int())
 		return true
 	})
@@ -81,7 +82,7 @@ func TestBTreeRangeBounds(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	bt.Range(types.Null(), types.Null(), func(k types.Value, rids []RID) bool {
+	bt.Range(types.Null(), types.Null(), nil, func(k types.Value, rids []RID) bool {
 		n++
 		return n < 5
 	})
@@ -90,7 +91,7 @@ func TestBTreeRangeBounds(t *testing.T) {
 	}
 	// Lower bound only.
 	got = got[:0]
-	bt.Range(types.NewInt(95), types.Null(), func(k types.Value, rids []RID) bool {
+	bt.Range(types.NewInt(95), types.Null(), nil, func(k types.Value, rids []RID) bool {
 		got = append(got, k.Int())
 		return true
 	})
@@ -104,9 +105,84 @@ func TestBTreeLookupChargesIO(t *testing.T) {
 	bt := NewBTree(m)
 	bt.Insert(types.NewInt(1), RID{Page: 1})
 	before := m.Snapshot()
-	bt.Lookup(types.NewInt(1))
+	bt.Lookup(types.NewInt(1), nil, nil)
 	if d := m.Snapshot().Sub(before); d.PageReads != 1 {
 		t.Errorf("Lookup charged %d reads, want 1", d.PageReads)
+	}
+}
+
+func TestBTreeProbesChargeTheCallersMeter(t *testing.T) {
+	shared := NewCostMeter(DefaultCostWeights())
+	bt := NewBTree(shared)
+	for i := 0; i < 200; i++ {
+		bt.Insert(types.NewInt(int64(i%10)), RID{Page: PageID(i + 1)})
+	}
+	own := NewCostMeter(DefaultCostWeights())
+	before := shared.Snapshot()
+	buf := make([]RID, 0, 64)
+	rids := bt.Lookup(types.NewInt(3), own, buf)
+	if len(rids) != 20 || &rids[0] != &buf[:1][0] {
+		t.Errorf("Lookup returned %d rids, appended into dst: %v", len(rids), &rids[0] == &buf[:1][0])
+	}
+	bt.Range(types.NewInt(2), types.NewInt(4), own, func(types.Value, []RID) bool { return true })
+	if d := shared.Snapshot().Sub(before); d.PageReads != 0 {
+		t.Errorf("probes charged %d reads to the tree's meter", d.PageReads)
+	}
+	if got := own.Snapshot().PageReads; got < 2 {
+		t.Errorf("caller's meter charged %d reads, want a leaf per probe", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rids = bt.Lookup(types.NewInt(3), own, rids[:0]) }); allocs != 0 {
+		t.Errorf("Lookup into a reused slice allocates %v times", allocs)
+	}
+}
+
+func TestBTreeDelete(t *testing.T) {
+	bt := NewBTree(NewCostMeter(DefaultCostWeights()))
+	rng := rand.New(rand.NewSource(7))
+	type entry struct {
+		k   int64
+		rid RID
+	}
+	var all []entry
+	for i := 0; i < 3000; i++ {
+		e := entry{int64(rng.Intn(300)), RID{Page: PageID(i + 1)}}
+		bt.Insert(types.NewInt(e.k), e.rid)
+		all = append(all, e)
+	}
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	gone, kept := all[:2000], all[2000:]
+	for _, e := range gone {
+		if !bt.Delete(types.NewInt(e.k), e.rid) {
+			t.Fatalf("Delete(%d, %v) found nothing", e.k, e.rid)
+		}
+	}
+	if bt.Delete(types.NewInt(gone[0].k), gone[0].rid) {
+		t.Error("second Delete of one entry reported it present")
+	}
+	if bt.Len() != int64(len(kept)) {
+		t.Errorf("Len = %d after deletes, want %d", bt.Len(), len(kept))
+	}
+	want := map[int64]int{}
+	for _, e := range kept {
+		want[e.k]++
+	}
+	total := 0
+	prev := int64(-1)
+	bt.Range(types.Null(), types.Null(), nil, func(k types.Value, rids []RID) bool {
+		if k.Int() <= prev || len(rids) == 0 || len(rids) != want[k.Int()] {
+			t.Errorf("key %d after %d: %d rids, want %d", k.Int(), prev, len(rids), want[k.Int()])
+		}
+		prev = k.Int()
+		total += len(rids)
+		return true
+	})
+	if total != len(kept) {
+		t.Errorf("Range visits %d entries, want %d", total, len(kept))
+	}
+	// Deleted keys can come back.
+	bt.Insert(types.NewInt(gone[0].k), gone[0].rid)
+	if rids := bt.Lookup(types.NewInt(gone[0].k), nil, nil); !slices.Contains(rids, gone[0].rid) {
+		t.Errorf("re-inserted entry missing: %v", rids)
 	}
 }
 
@@ -118,7 +194,7 @@ func TestBTreeStringKeys(t *testing.T) {
 		bt.Insert(types.NewString(w), RID{Page: PageID(i + 1)})
 	}
 	var got []string
-	bt.Range(types.Null(), types.Null(), func(k types.Value, rids []RID) bool {
+	bt.Range(types.Null(), types.Null(), nil, func(k types.Value, rids []RID) bool {
 		got = append(got, k.Str())
 		return true
 	})
@@ -145,7 +221,7 @@ func TestBTreeProperty(t *testing.T) {
 		total := 0
 		prev := int64(-40000)
 		ok := true
-		bt.Range(types.Null(), types.Null(), func(k types.Value, rids []RID) bool {
+		bt.Range(types.Null(), types.Null(), nil, func(k types.Value, rids []RID) bool {
 			if k.Int() <= prev {
 				ok = false
 			}

@@ -44,6 +44,12 @@ type HeapFile struct {
 	// Appends fill them, last first, before the tail page, so a heap
 	// under update traffic stops growing once vacuum keeps up.
 	roomy []roomyPage
+	// unswept holds the pages Sweep must visit: each took a delete
+	// stamp, or lost a record to an undone insert, since Sweep last
+	// found nothing left to do there. Every other page has no version
+	// to remove and no hole to close, so a sweep's cost follows the
+	// writes since the last one, not the size of the table.
+	unswept map[PageID]struct{}
 }
 
 // roomyPage is a page with reusable space: its index in HeapFile.pages
@@ -249,8 +255,12 @@ func (f *HeapFetcher) FetchVisible(rid RID, snap *TxnSnapshot) (types.Tuple, boo
 		return nil, false, err
 	}
 	defer h.pool.Unpin(rid.Page)
-	rec, err := LoadSlottedPage(buf).Record(rid.Slot)
-	if err != nil {
+	page := LoadSlottedPage(buf)
+	if rid.Slot < 0 || rid.Slot >= page.NumSlots() {
+		return nil, false, nil
+	}
+	rec := page.live(rid.Slot)
+	if rec == nil {
 		return nil, false, nil // deleted slot: not an error for probes
 	}
 	if h.stamped {
@@ -260,10 +270,8 @@ func (f *HeapFetcher) FetchVisible(rid RID, snap *TxnSnapshot) (types.Tuple, boo
 		}
 		rec = rec[stampSize:]
 	}
-	if !f.shape.Fits(rec) {
-		if err := f.shape.Fit(rec); err != nil {
-			return nil, false, err
-		}
+	if err := f.fit(rec); err != nil {
+		return nil, false, err
 	}
 	if f.filter != nil {
 		if pass, err := f.filter.Test(rec, &f.shape); !pass || err != nil {
@@ -300,7 +308,16 @@ func (h *HeapFile) SetXmax(rid RID, id TxnID) error {
 	}
 	binary.LittleEndian.PutUint32(rec[4:8], uint32(id))
 	h.pool.MarkDirty(rid.Page)
+	h.markUnsweptLocked(rid.Page)
 	return nil
+}
+
+// markUnsweptLocked adds page id to the pages the next Sweep visits.
+func (h *HeapFile) markUnsweptLocked(id PageID) {
+	if h.unswept == nil {
+		h.unswept = make(map[PageID]struct{})
+	}
+	h.unswept[id] = struct{}{}
 }
 
 // ClearXmax undoes a delete stamp during abort. Only the stamping
@@ -354,6 +371,7 @@ func (h *HeapFile) deleteSlotLocked(rid RID) error {
 		return err
 	}
 	h.pool.MarkDirty(rid.Page)
+	h.markUnsweptLocked(rid.Page) // the record's bytes are a hole until Sweep compacts
 	h.tuples--
 	h.bytes -= int64(payload)
 	return nil
@@ -366,29 +384,53 @@ func (h *HeapFile) deleteSlotLocked(rid RID) error {
 // removed. Every page left with holes — by these deletes, or by the
 // undo of an aborted insert — is compacted and remembered as having
 // room, so later appends reuse the space: the record bytes, not the
-// slot numbers. Index entries of swept versions are left in place and
-// must keep resolving to "deleted", never to a newer record.
-func (h *HeapFile) Sweep(horizon TxnID, isActive func(TxnID) bool) (int64, error) {
+// slot numbers, so an index entry that outlives its version resolves
+// to "deleted", never to a newer record. Only the pages a delete stamp
+// or an undone insert touched since they were last swept clean are
+// visited; a page keeps its place on that list while it still holds a
+// stamped version the horizon protects.
+//
+// When swept is non-nil it is called, under the heap's write lock, with
+// the RID of every removed version and that version's columns at keys
+// (ascending ordinals): the caller drops the version's index entries
+// with them once Sweep has returned.
+func (h *HeapFile) Sweep(horizon TxnID, isActive func(TxnID) bool, keys []int, swept func(RID, types.Tuple)) (int64, error) {
 	if !h.stamped {
 		return 0, nil
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if len(h.unswept) == 0 {
+		return 0, nil
+	}
 	var removed int64
-	known := h.roomy // pages already listed stay listed, with a fresh count
+	var sweepErr error
+	var rd recordReader // decodes the swept versions' keys
+	known := h.roomy    // pages already listed stay listed, with a fresh count
 	roomy := make([]roomyPage, 0, len(known))
 	for idx, id := range h.pages {
+		var entry roomyPage
 		listed := len(known) > 0 && known[0].idx == idx
 		if listed {
-			known = known[1:]
+			entry, known = known[0], known[1:]
+		}
+		if _, ok := h.unswept[id]; !ok {
+			if listed {
+				roomy = append(roomy, entry) // only appends touched it: its count is exact
+			}
+			continue
 		}
 		buf, err := h.pool.Pin(id)
 		if err != nil {
+			if listed {
+				roomy = append(roomy, entry)
+			}
 			h.roomy = append(roomy, known...)
 			return removed, err
 		}
 		page := LoadSlottedPage(buf)
-		kept := 0 // data bytes of the records that stay
+		kept := 0        // data bytes of the records that stay
+		stamped := false // a stamped version stays: visit the page again
 		for slot, n := 0, page.NumSlots(); slot < n; slot++ {
 			rec := page.live(slot)
 			if rec == nil {
@@ -397,7 +439,20 @@ func (h *HeapFile) Sweep(horizon TxnID, isActive func(TxnID) bool) (int64, error
 			_, xmax := decodeStamp(rec)
 			if xmax == 0 || xmax >= horizon || (isActive != nil && isActive(xmax)) {
 				kept += 2 + len(rec)
+				stamped = stamped || xmax != 0
 				continue
+			}
+			if swept != nil {
+				// A version whose keys do not decode stays, with its
+				// entries: the heap and its indexes keep agreeing.
+				if err := rd.fit(rec[stampSize:]); err != nil {
+					sweepErr = err
+					kept += 2 + len(rec)
+					stamped = true
+					continue
+				}
+				tup, _ := rd.mem.Materialize(rec[stampSize:], &rd.shape, keys, 0) // fitted: cannot fail
+				swept(RID{Page: id, Slot: slot}, tup)
 			}
 			page.Delete(slot) // in range: cannot fail
 			h.tuples--
@@ -416,9 +471,12 @@ func (h *HeapFile) Sweep(horizon TxnID, isActive func(TxnID) bool) (int64, error
 		} else {
 			h.pool.Unpin(id)
 		}
+		if !stamped {
+			delete(h.unswept, id)
+		}
 	}
 	h.roomy = roomy
-	return removed, nil
+	return removed, sweepErr
 }
 
 // DeadVersions counts versions carrying a delete stamp (committed or
@@ -483,6 +541,7 @@ func (h *HeapFile) Drop() error {
 	}
 	h.pages = nil
 	h.roomy = nil
+	h.unswept = nil
 	h.tuples = 0
 	h.bytes = 0
 	return nil
@@ -557,6 +616,14 @@ type recordReader struct {
 	// The shape of the last record read: records of one file mostly share
 	// one, so fitting the next costs a comparison of its kind bytes.
 	shape types.Shape
+}
+
+// fit makes the reader's shape rec's.
+func (r *recordReader) fit(rec []byte) error {
+	if r.shape.Fits(rec) {
+		return nil
+	}
+	return r.shape.Fit(rec)
 }
 
 // scanEntry is one record of the loaded page that passed the filter.
@@ -704,10 +771,8 @@ func (s *HeapScanner) loadPage() bool {
 		// damaged a projected column, fails before it is examined; one
 		// the filter fails on — too narrow for a column it reads, or
 		// damaged there — is examined, and fails after what preceded it.
-		if !s.shape.Fits(rec) {
-			if s.loadErr = s.shape.Fit(rec); s.loadErr != nil {
-				break
-			}
+		if s.loadErr = s.fit(rec); s.loadErr != nil {
+			break
 		}
 		if s.filter != nil {
 			if pass, err := s.filter.Test(rec, &s.shape); !pass || err != nil {

@@ -158,7 +158,7 @@ func churnedHeap(t *testing.T, r *rand.Rand, bp *BufferPool) (*HeapFile, []*TxnS
 				rd.End()
 			}
 			readers = nil
-			if _, err := h.Sweep(m.Horizon(), m.IsActive); err != nil {
+			if _, err := h.Sweep(m.Horizon(), m.IsActive, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -776,12 +776,12 @@ func TestSweepReclaimsSpaceWithoutReusingSlots(t *testing.T) {
 		}
 		tx.Commit()
 		if txn%16 == 15 {
-			if _, err := h.Sweep(m.Horizon(), m.IsActive); err != nil {
+			if _, err := h.Sweep(m.Horizon(), m.IsActive, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if _, err := h.Sweep(m.Horizon(), m.IsActive); err != nil {
+	if _, err := h.Sweep(m.Horizon(), m.IsActive, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.NumPages(); got > start+8 {
@@ -835,7 +835,7 @@ func TestSweepReclaimsAbortedInserts(t *testing.T) {
 		if err := tx.Abort(); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := h.Sweep(m.Horizon(), m.IsActive); err != nil || n != 0 {
+		if n, err := h.Sweep(m.Horizon(), m.IsActive, nil, nil); err != nil || n != 0 {
 			t.Fatalf("Sweep removed %d versions (%v), want none: nothing died", n, err)
 		}
 	}

@@ -165,7 +165,7 @@ func TestSweepRespectsHorizon(t *testing.T) {
 	}
 	w.Commit()
 
-	if n, err := h.Sweep(m.Horizon(), m.IsActive); err != nil || n != 0 {
+	if n, err := h.Sweep(m.Horizon(), m.IsActive, nil, nil); err != nil || n != 0 {
 		t.Errorf("sweep under pinned horizon removed %d (err %v), want 0", n, err)
 	}
 	if got := countVisible(t, h, pin.Snapshot()); got != 4 {
@@ -174,7 +174,7 @@ func TestSweepRespectsHorizon(t *testing.T) {
 	pin.End()
 
 	// Horizon advances once the reader ends; dead versions reclaim.
-	if n, err := h.Sweep(m.Horizon(), m.IsActive); err != nil || n != 2 {
+	if n, err := h.Sweep(m.Horizon(), m.IsActive, nil, nil); err != nil || n != 2 {
 		t.Errorf("sweep removed %d (err %v), want 2", n, err)
 	}
 	if dead, err := h.DeadVersions(); err != nil || dead != 0 {
@@ -185,6 +185,62 @@ func TestSweepRespectsHorizon(t *testing.T) {
 		t.Errorf("post-sweep snapshot sees %d rows, want 2", got)
 	}
 	after.End()
+}
+
+// Sweep reads only the pages a delete stamp or an undone insert touched
+// since they were last swept clean: with nothing to remove it reads no
+// page, and a page whose dead version the horizon protects is read again
+// until the version goes.
+func TestSweepVisitsOnlyTouchedPages(t *testing.T) {
+	bp, meter := newTestPool(4)
+	h := NewStampedHeapFile(bp)
+	m := NewTxnManager()
+	var rids []RID
+	for i := 0; h.NumPages() < 12; i++ {
+		rid, err := h.Append(types.Tuple{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("%0400d", i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	sweep := func(wantRemoved, wantReads int64) {
+		t.Helper()
+		bp.EvictAll()
+		before := meter.Snapshot().PageReads
+		if n, err := h.Sweep(m.Horizon(), m.IsActive, nil, nil); err != nil || n != wantRemoved {
+			t.Fatalf("sweep removed %d (err %v), want %d", n, err, wantRemoved)
+		}
+		if reads := meter.Snapshot().PageReads - before; reads != wantReads {
+			t.Errorf("sweep read %d pages, want %d", reads, wantReads)
+		}
+	}
+	sweep(0, 0)
+
+	pin := m.BeginRead()
+	w := m.Begin()
+	if err := w.DeleteTuple(h, rids[0]); err != nil {
+		t.Fatal(err)
+	}
+	w.Commit()
+	sweep(0, 1) // the horizon protects the version
+	sweep(0, 1)
+	pin.End()
+	sweep(1, 1)
+	sweep(0, 0)
+
+	// An aborted insert's hole is closed once, then the page is clean.
+	w = m.Begin()
+	if _, err := w.InsertTuple(h, row(-1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	sweep(0, 1)
+	sweep(0, 0)
+	if got := countVisible(t, h, m.LatestSnapshot()); got != len(rids)-1 {
+		t.Errorf("%d rows visible, want %d", got, len(rids)-1)
+	}
 }
 
 func TestFetchVisibleSkipsInvisible(t *testing.T) {
@@ -211,5 +267,42 @@ func TestFetchVisibleSkipsInvisible(t *testing.T) {
 	// rather than erroring (index entries may still point here).
 	if _, ok, err := h.FetchVisible(rid, m.LatestSnapshot()); err != nil || ok {
 		t.Errorf("aborted version: visible=%t err=%v, want invisible", ok, err)
+	}
+}
+
+// A stale index entry costs a probe nothing but the page pin: fetching a
+// swept slot, or one past the page's last, reports "not visible" without
+// formatting an error.
+func TestFetchVisibleOfASweptSlotDoesNotAllocate(t *testing.T) {
+	bp, _ := newTestPool(8)
+	h := NewStampedHeapFile(bp)
+	m := NewTxnManager()
+	rid, err := h.Append(row(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := m.Begin()
+	if err := w.DeleteTuple(h, rid); err != nil {
+		t.Fatal(err)
+	}
+	w.Commit()
+	var swept []RID
+	if n, err := h.Sweep(m.Horizon(), m.IsActive, []int{0}, func(r RID, keys types.Tuple) {
+		if keys[0].Int() != 1 {
+			t.Errorf("swept version reports key %v, want 1", keys[0])
+		}
+		swept = append(swept, r)
+	}); err != nil || n != 1 || len(swept) != 1 || swept[0] != rid {
+		t.Fatalf("sweep removed %d, reported %v (err %v)", n, swept, err)
+	}
+	f := h.Fetcher(nil)
+	snap := m.LatestSnapshot()
+	for _, r := range []RID{rid, {Page: rid.Page, Slot: rid.Slot + 5}} {
+		if _, ok, err := f.FetchVisible(r, snap); ok || err != nil {
+			t.Fatalf("FetchVisible(%v) = %v, %v; want not visible", r, ok, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { f.FetchVisible(r, snap) }); allocs != 0 {
+			t.Errorf("FetchVisible(%v) of a slot with no record allocates %v times", r, allocs)
+		}
 	}
 }
