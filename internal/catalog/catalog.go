@@ -272,25 +272,34 @@ func (c *Catalog) Txns() *storage.TxnManager { return c.txns }
 func (c *Catalog) CreateTable(name string, schema *types.Schema) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	t, err := c.addLocked(name, schema, storage.NewStampedHeapFile(c.pool))
+	if err == nil {
+		c.version.Add(1)
+		c.schemaVersion.Add(1)
+	}
+	return t, err
+}
+
+// addLocked registers a table of the given schema over heap, its column
+// qualifiers forced to the table's name, unless the name is taken.
+func (c *Catalog) addLocked(name string, schema *types.Schema, heap *storage.HeapFile) (*Table, error) {
 	key := strings.ToLower(name)
 	if _, ok := c.tables[key]; ok {
 		return nil, fmt.Errorf("catalog: table %q already exists", name)
 	}
 	cols := make([]types.Column, schema.Len())
 	for i, col := range schema.Columns {
-		col.Table = strings.ToLower(name)
+		col.Table = key
 		cols[i] = col
 	}
 	t := &Table{
-		Name:     strings.ToLower(name),
+		Name:     key,
 		Schema:   types.NewSchema(cols...),
-		Heap:     storage.NewStampedHeapFile(c.pool),
+		Heap:     heap,
 		Indexes:  make(map[int]*Index),
 		ColStats: make(map[int]*ColumnStats),
 	}
 	c.tables[key] = t
-	c.version.Add(1)
-	c.schemaVersion.Add(1)
 	return t, nil
 }
 
@@ -318,28 +327,15 @@ func (c *Catalog) DropTable(name string) error {
 func (c *Catalog) RegisterTemp(name string, schema *types.Schema, heap *storage.HeapFile) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := strings.ToLower(name)
-	if _, ok := c.tables[key]; ok {
-		return nil, fmt.Errorf("catalog: table %q already exists", name)
+	t, err := c.addLocked(name, schema, heap)
+	if err != nil {
+		return nil, err
 	}
-	cols := make([]types.Column, schema.Len())
-	for i, col := range schema.Columns {
-		col.Table = key
-		cols[i] = col
-	}
-	t := &Table{
-		Name:     key,
-		Schema:   types.NewSchema(cols...),
-		Heap:     heap,
-		Indexes:  make(map[int]*Index),
-		ColStats: make(map[int]*ColumnStats),
-		Temp:     true,
-	}
+	t.Temp = true
 	t.Cardinality = float64(heap.NumTuples())
 	if heap.NumTuples() > 0 {
 		t.AvgTupleBytes = float64(heap.ByteSize()) / float64(heap.NumTuples())
 	}
-	c.tables[key] = t
 	return t, nil
 }
 
@@ -364,22 +360,13 @@ func (c *Catalog) RegisterVirtual(name string, schema *types.Schema, provider fu
 		old.Virtual = provider
 		return old, nil
 	}
-	cols := make([]types.Column, schema.Len())
-	for i, col := range schema.Columns {
-		col.Table = key
-		cols[i] = col
+	t, err := c.addLocked(name, schema, storage.NewHeapFile(c.pool))
+	if err != nil {
+		return nil, err
 	}
-	t := &Table{
-		Name:     key,
-		Schema:   types.NewSchema(cols...),
-		Heap:     storage.NewHeapFile(c.pool),
-		Indexes:  make(map[int]*Index),
-		ColStats: make(map[int]*ColumnStats),
-		Virtual:  provider,
-	}
+	t.Virtual = provider
 	t.Cardinality = 16
 	t.AvgTupleBytes = 64
-	c.tables[key] = t
 	return t, nil
 }
 

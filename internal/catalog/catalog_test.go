@@ -255,7 +255,7 @@ func TestDropTable(t *testing.T) {
 
 func TestRegisterTemp(t *testing.T) {
 	c := newTestCatalog()
-	tf := storage.NewTempFile(c.Pool())
+	tf := storage.NewTempFile(c.Pool(), c.Pool().Disk().Meter())
 	tf.Append(types.Tuple{types.NewInt(1), types.NewString("a")})
 	tf.Append(types.Tuple{types.NewInt(2), types.NewString("b")})
 	schema := types.NewSchema(

@@ -275,7 +275,7 @@ func TestVacuumPrunesIndexEntries(t *testing.T) {
 		rids := ids.Lookup(key, nil, nil)
 		updated := 0
 		for _, rid := range rids {
-			tup, ok, err := tbl.Heap.FetchVisible(rid, tx.Snapshot())
+			tup, ok, err := tbl.Heap.Fetcher(nil).FetchVisible(rid, tx.Snapshot())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,7 +312,7 @@ func TestVacuumPrunesIndexEntries(t *testing.T) {
 	if len(rids) != 1 {
 		t.Fatalf("%d entries for the key after vacuum, want 1", len(rids))
 	}
-	if tup, ok, err := tbl.Heap.FetchVisible(rids[0], c.Txns().LatestSnapshot()); err != nil || !ok || tup[2].Str() != fmt.Sprint("v", K-1) {
+	if tup, ok, err := tbl.Heap.Fetcher(nil).FetchVisible(rids[0], c.Txns().LatestSnapshot()); err != nil || !ok || tup[2].Str() != fmt.Sprint("v", K-1) {
 		t.Errorf("the key's entry resolves to %v (visible %v, err %v), want the last version", tup, ok, err)
 	}
 	live := tbl.Heap.NumTuples()

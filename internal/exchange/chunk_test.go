@@ -234,6 +234,39 @@ func TestWorkerFailingMidChunkStillForwards(t *testing.T) {
 	}
 }
 
+// A worker's spill files are its own: a degree-2 join that spills
+// charges its partitions' re-reads and the writes back of their pages to
+// the workers' tributaries, so the gather's per-worker totals hold that
+// I/O, and the query meter moves by what the workers forwarded.
+func TestSpillChargesReachTheWorkers(t *testing.T) {
+	e := newEnv()
+	build, probe := e.table(t, "b", 3000), e.table(t, "p", 3000)
+	join := joinOf(build, probe)
+	join.Est().Grant = 4096 // far below the build side at either worker
+	e.pool.EvictAll()
+	before := e.m.Snapshot()
+	op, err := exec.Build(topsPass(join, 2), e.ctx(context.Background()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exec.Collect(op); err != nil {
+		t.Fatal(err)
+	}
+	j := op.(*stage)
+	sameCharges(t, "spilling join, degree 2", e, before, j.reg, feeder(j).reg)
+	var writes, reads int64
+	for _, m := range j.reg.meters {
+		s := m.Snapshot()
+		writes, reads = writes+s.PageWrites, reads+s.PageReads
+	}
+	if writes == 0 || reads == 0 {
+		t.Errorf("the join workers charged %d writes and %d reads: their spill I/O went elsewhere", writes, reads)
+	}
+	if d := e.m.Snapshot().Sub(before); d.PageWrites != writes {
+		t.Errorf("the query meter took %d writes, the workers %d", d.PageWrites, writes)
+	}
+}
+
 // Joins on a column with duplicates — every probe tuple meets a chain of
 // build tuples — produce the nested-loop multiset in memory, spilled, and
 // across 1, 2 and 4 workers.

@@ -331,7 +331,7 @@ func (a *Agg) spill() error {
 	p := 8
 	a.parts = make([]*storage.HeapFile, p)
 	for i := range a.parts {
-		a.parts[i] = storage.NewTempFile(a.ctx.Pool)
+		a.parts[i] = storage.NewTempFile(a.ctx.Pool, a.ctx.Meter)
 	}
 	a.spilled = true
 	return a.flushGroups()

@@ -233,7 +233,7 @@ func TestMaterialize(t *testing.T) {
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
-	tf, err := Materialize(op, e.pool)
+	tf, err := Materialize(op, e.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,7 +248,7 @@ func TestMaterializeDropsTempOnError(t *testing.T) {
 	base := e.pool.Disk().NumPages()
 	boom := errors.New("boom")
 	inj.Arm("exec.materialize.append", faultinject.Fault{Err: boom, After: 100})
-	if _, err := Materialize(op, e.pool); !errors.Is(err, boom) {
+	if _, err := Materialize(op, e.ctx); !errors.Is(err, boom) {
 		t.Fatalf("Materialize = %v, want injected error", err)
 	}
 	if got := e.pool.Disk().NumPages(); got != base {

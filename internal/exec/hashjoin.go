@@ -181,8 +181,8 @@ func (j *HashJoin) spillBuild() error {
 	j.buildParts = make([]*storage.HeapFile, p)
 	j.probeParts = make([]*storage.HeapFile, p)
 	for i := range j.buildParts {
-		j.buildParts[i] = storage.NewTempFile(j.ctx.Pool)
-		j.probeParts[i] = storage.NewTempFile(j.ctx.Pool)
+		j.buildParts[i] = storage.NewTempFile(j.ctx.Pool, j.ctx.Meter)
+		j.probeParts[i] = storage.NewTempFile(j.ctx.Pool, j.ctx.Meter)
 	}
 	for i, t := range j.rows {
 		if err := writePart(j.buildParts, t, j.index.hashes[i]); err != nil {

@@ -87,11 +87,12 @@ func (l *Limit) Next() (types.Tuple, error) {
 // Close implements Operator.
 func (l *Limit) Close() error { return l.in.Close() }
 
-// Materialize drains an opened operator into a fresh temporary heap file.
-// The re-optimizer uses it to redirect a running plan's output to Temp1
-// before resubmitting the remainder of the query (§2.4, Figure 6).
-func Materialize(op Operator, pool *storage.BufferPool) (*storage.HeapFile, error) {
-	tf := storage.NewTempFile(pool)
+// Materialize drains an opened operator into a fresh temporary heap file
+// owned by ctx's meter. The re-optimizer uses it to redirect a running
+// plan's output to Temp1 before resubmitting the remainder of the query
+// (§2.4, Figure 6).
+func Materialize(op Operator, ctx *Ctx) (*storage.HeapFile, error) {
+	tf := storage.NewTempFile(ctx.Pool, ctx.Meter)
 	for {
 		t, err := op.Next()
 		if err == nil && t != nil {

@@ -158,11 +158,14 @@ func TestSeqScanFilterErrorPropagates(t *testing.T) {
 }
 
 // Every page a scan path misses is charged to the context's meter, not
-// to the disk's by default: with a tributary as the context's meter — a
-// query's own meter, one day — a serial scan, a DML match scan and an
-// index join's probes and fetches leave the engine's meter untouched
-// until the tributary is flushed, and then it holds every read. The
-// B+tree charges its leaf reads, one a probe, to the caller's meter too.
+// to the disk's: with a tributary as the context's meter — a statement's
+// own meter — a serial scan, a DML match scan, an index join's probes
+// and fetches, and a hash join and a sort that spill leave the engine's
+// meter untouched until the tributary is flushed, and then it holds
+// every charge. The B+tree charges its leaf reads, one a probe, to the
+// caller's meter too; a spill file is the query's, so its re-reads and
+// the writes back of its pages, which a pool of four frames forces, are
+// the query's as well.
 func TestScanPathsChargeReadsToTheContextMeter(t *testing.T) {
 	e := newEnv(4)
 	big := e.makeTable(t, "big", 3000, 37)
@@ -171,39 +174,61 @@ func TestScanPathsChargeReadsToTheContextMeter(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := e.ctx.Meter
-	for name, run := range map[string]func(ctx *Ctx) (probes int64){
-		"serial scan": func(ctx *Ctx) int64 {
+	for name, run := range map[string]func(ctx *Ctx) (reads int64, spills bool){
+		"serial scan": func(ctx *Ctx) (int64, bool) {
 			collectAll(t, NewSeqScan(scanNode(big, mustPred(t, big.Schema, "v = 3")), ctx))
-			return 0
+			return int64(big.Heap.NumPages()), false
 		},
-		"dml match": func(ctx *Ctx) int64 {
+		"dml match": func(ctx *Ctx) (int64, bool) {
 			if _, err := matchVisible(ctx, big, []plan.Pred{mustPred(t, big.Schema, "k = 7")}, nil); err != nil {
 				t.Fatal(err)
 			}
-			return 0
+			return int64(big.Heap.NumPages()), false
 		},
-		"index join": func(ctx *Ctx) int64 {
+		"index join": func(ctx *Ctx) (int64, bool) {
 			j, err := NewIndexJoin(&plan.IndexJoin{Outer: scanNode(big, mustPred(t, big.Schema, "k < 200")), Table: small,
 				Binding: "small", OuterKey: 1, InnerCol: 1, InnerOut: small.Schema}, NewSeqScan(scanNode(big, mustPred(t, big.Schema, "k < 200")), ctx), ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			collectAll(t, j)
-			return 200
+			return int64(big.Heap.NumPages()) + 200, false
+		},
+		"spilling hash join": func(ctx *Ctx) (int64, bool) {
+			j := hashJoinNode(e, t, big, small, 4096)
+			op := NewHashJoin(j, NewSeqScan(scanNode(big), ctx), NewSeqScan(scanNode(small), ctx), ctx)
+			collectAll(t, op)
+			if !op.Spilled() {
+				t.Fatal("the hash join did not spill")
+			}
+			return int64(big.Heap.NumPages() + small.Heap.NumPages()), true
+		},
+		"external sort": func(ctx *Ctx) (int64, bool) {
+			s := &plan.Sort{Input: scanNode(big), Keys: []plan.SortKey{{Col: 1}, {Col: 0}}}
+			s.Est().Grant = 4096
+			op := NewSort(s, NewSeqScan(scanNode(big), ctx), ctx)
+			collectAll(t, op)
+			if !op.Spilled() {
+				t.Fatal("the sort did not spill")
+			}
+			return int64(big.Heap.NumPages()), true
 		},
 	} {
 		e.pool.EvictAll()
 		ctx := *e.ctx
 		ctx.Meter = engine.Tributary()
 		before := engine.Snapshot()
-		probes := run(&ctx)
+		reads, spills := run(&ctx)
 		own := ctx.Meter.Snapshot()
-		if d := engine.Snapshot().Sub(before); d.PageReads != 0 || own.PageReads < int64(big.Heap.NumPages())+probes {
-			t.Errorf("%s: the engine's meter took %d reads before the flush, want 0; the context's holds %d of at least %d",
-				name, d.PageReads, own.PageReads, int64(big.Heap.NumPages())+probes)
+		if d := engine.Snapshot().Sub(before); d != (storage.Snapshot{Weights: d.Weights}) || own.PageReads < reads {
+			t.Errorf("%s: the engine's meter moved by %v before the flush, want nothing; the context's holds %d reads of at least %d",
+				name, d, own.PageReads, reads)
+		}
+		if spills && (own.PageReads == reads || own.PageWrites == 0) {
+			t.Errorf("%s: spilled, yet the context's meter holds %v: no re-read or write-back", name, own)
 		}
 		ctx.Meter.Flush()
-		if d := engine.Snapshot().Sub(before); d.PageReads != own.PageReads || d.TupleCPU != own.TupleCPU {
+		if d := engine.Snapshot().Sub(before); d != own {
 			t.Errorf("%s: after the flush the engine's meter moved by %v, the context's holds %v", name, d, own)
 		}
 	}

@@ -106,7 +106,7 @@ func (s *Sort) Open() error {
 // flushRun sorts the buffer and writes it out as one run.
 func (s *Sort) flushRun() error {
 	sort.SliceStable(s.buf, func(i, j int) bool { return s.less(s.buf[i], s.buf[j]) })
-	run := storage.NewTempFile(s.ctx.Pool)
+	run := storage.NewTempFile(s.ctx.Pool, s.ctx.Meter)
 	for _, t := range s.buf {
 		if _, err := run.Append(t); err != nil {
 			return err

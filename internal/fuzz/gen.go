@@ -191,13 +191,16 @@ type TableData struct {
 // Env is a fully built fuzz case: catalog + data + query + reference
 // answer, ready for the runner.
 type Env struct {
-	Case   Case
-	Cat    *catalog.Catalog
-	Pool   *storage.BufferPool
-	Meter  *storage.CostMeter
-	Tables []TableData
-	SQL    string
-	Params map[string]types.Value
+	Case  Case
+	Cat   *catalog.Catalog
+	Pool  *storage.BufferPool
+	Meter *storage.CostMeter
+	// Background is the disk's meter, the background account: a
+	// tributary of Meter, so that what it takes can be told apart.
+	Background *storage.CostMeter
+	Tables     []TableData
+	SQL        string
+	Params     map[string]types.Value
 	// Want is the canonicalized reference answer.
 	Want []string
 	// AltSQL is the same FROM and WHERE under the other kind of select
@@ -207,9 +210,6 @@ type Env struct {
 	// cache serves a pruned and an unpruned plan over the same tables.
 	AltSQL  string
 	AltWant []string
-	// BasePages is the disk-page count right after load: the residue
-	// invariant holds every query to this baseline.
-	BasePages int
 }
 
 // Build materializes the case: creates tables t<i>(pk, fk, grp, val)
@@ -233,8 +233,9 @@ func Build(c Case) (*Env, error) {
 	}
 
 	meter := storage.NewCostMeter(storage.DefaultCostWeights())
-	pool := storage.NewBufferPool(storage.NewDisk(meter), 256)
-	env := &Env{Case: c, Cat: catalog.New(pool), Pool: pool, Meter: meter}
+	background := meter.Tributary()
+	pool := storage.NewBufferPool(storage.NewDisk(background), 256)
+	env := &Env{Case: c, Cat: catalog.New(pool), Pool: pool, Meter: meter, Background: background}
 
 	fams := []histogram.Family{histogram.MaxDiff, histogram.EquiDepth, histogram.EquiWidth}
 	for ti := 0; ti < c.NTables; ti++ {
@@ -290,7 +291,6 @@ func Build(c Case) (*Env, error) {
 	}
 
 	env.buildQuery()
-	env.BasePages = pool.Disk().NumPages()
 	return env, nil
 }
 

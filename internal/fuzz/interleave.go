@@ -3,7 +3,6 @@ package fuzz
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 
@@ -214,43 +213,55 @@ func runInterleaved(env *Env) (string, *Failure) {
 			&Failure{Case: env.Case, Config: rc, Err: msg}
 	}
 
+	books := openLedger(env)
 	mgr := newManager(env, bigBudget)
 	ctx := context.Background()
+	exec := func(s *session.Session, q string, opts session.Options) (*session.Result, error) {
+		res, err := s.Exec(ctx, q, opts)
+		books.note(res, err)
+		return res, err
+	}
 	ops := env.writeOps()
 	readOpts := session.Options{Mode: reopt.ModeFull, Params: env.Params, Seed: env.Case.Seed}
 
 	check := func(s *session.Session, opts session.Options, want []string, label string) string {
-		res, err := s.Exec(ctx, env.SQL, opts)
+		res, err := exec(s, env.SQL, opts)
 		if err != nil {
 			return fmt.Sprintf("%s: %v", label, err)
 		}
-		got := Canonical(res.Rows)
-		if len(got) != len(want) {
-			return fmt.Sprintf("%s: %d rows, reference has %d", label, len(got), len(want))
+		return diffRows(label, res.Rows, want)
+	}
+	// schedule runs the write schedule in a transaction on s, ended by end
+	// if given, and returns each statement's RowsAffected.
+	schedule := func(s *session.Session, end ...string) ([]int64, error) {
+		if _, err := exec(s, "begin", session.Options{}); err != nil {
+			return nil, err
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				return fmt.Sprintf("%s: row %d: got %s, want %s", label, i, got[i], want[i])
+		var affected []int64
+		for _, op := range ops {
+			res, err := exec(s, op.sql, session.Options{})
+			if err != nil {
+				return nil, fmt.Errorf("%q: %w", op.sql, err)
+			}
+			affected = append(affected, res.RowsAffected)
+		}
+		for _, q := range end {
+			if _, err := exec(s, q, session.Options{}); err != nil {
+				return nil, fmt.Errorf("%s: %w", q, err)
 			}
 		}
-		return ""
+		return affected, nil
 	}
 
 	// Phase 1: uncommitted writes are invisible; rollback undoes them.
-	writer := mgr.Session()
-	if _, err := writer.Exec(ctx, "begin", session.Options{}); err != nil {
-		return fail("begin: %v", err)
+	writer, reader := mgr.Session(), mgr.Session()
+	if _, err := schedule(writer); err != nil {
+		return fail("uncommitted writer: %v", err)
 	}
-	for _, op := range ops {
-		if _, err := writer.Exec(ctx, op.sql, session.Options{}); err != nil {
-			return fail("uncommitted writer %q: %v", op.sql, err)
-		}
-	}
-	reader := mgr.Session()
 	if msg := check(reader, readOpts, env.Want, "reader during open write txn"); msg != "" {
 		return fail("%s", msg)
 	}
-	if _, err := writer.Exec(ctx, "rollback", session.Options{}); err != nil {
+	if _, err := exec(writer, "rollback", session.Options{}); err != nil {
 		return fail("rollback: %v", err)
 	}
 	if msg := check(reader, readOpts, env.Want, "reader after rollback"); msg != "" {
@@ -269,22 +280,7 @@ func runInterleaved(env *Env) (string, *Failure) {
 			return
 		}
 		committed = true
-		w := mgr.Session()
-		if _, err := w.Exec(ctx, "begin", session.Options{}); err != nil {
-			commitErr = err
-			return
-		}
-		for _, op := range ops {
-			res, err := w.Exec(ctx, op.sql, session.Options{})
-			if err != nil {
-				commitErr = fmt.Errorf("%q: %w", op.sql, err)
-				return
-			}
-			affected = append(affected, res.RowsAffected)
-		}
-		if _, err := w.Exec(ctx, "commit", session.Options{}); err != nil {
-			commitErr = err
-		}
+		affected, commitErr = schedule(mgr.Session(), "commit")
 	}
 	hooked := readOpts
 	hooked.NoCache = true // force a fresh plan so checkpoints are live
@@ -323,17 +319,8 @@ func runInterleaved(env *Env) (string, *Failure) {
 	if msg := env.indexResidue(); msg != "" {
 		return fail("after vacuum: %s", msg)
 	}
-	if temps := env.Cat.TempTables(); len(temps) != 0 {
-		return fail("temp tables leaked: %v", temps)
-	}
-	// Same rounding tolerance as checkResidue: grants are fractional
-	// float shares, so the pool balances to within noise, not exactly.
-	if bs := mgr.Broker().Stats(); math.Abs(bs.AvailBytes-bs.PoolBytes) > 1e-3 {
-		return fail("broker imbalance: %.6f of %.0f bytes available (delta %g)",
-			bs.AvailBytes, bs.PoolBytes, bs.PoolBytes-bs.AvailBytes)
-	}
-	if running := mgr.Running(); len(running) != 0 {
-		return fail("queries still registered as running: %v", running)
+	if msg := checkResidue(env, mgr); msg != "" {
+		return fail("%s", msg)
 	}
 
 	// Phase 5: heap pages are residue too. One transaction's updates need
@@ -341,16 +328,8 @@ func runInterleaved(env *Env) (string, *Failure) {
 	// ones, so the tables may have grown by the schedule's own size; from
 	// here on they are in steady state and must not grow again.
 	pages := env.tablePages()
-	if _, err := writer.Exec(ctx, "begin", session.Options{}); err != nil {
-		return fail("begin: %v", err)
-	}
-	for _, op := range ops {
-		if _, err := writer.Exec(ctx, op.sql, session.Options{}); err != nil {
-			return fail("repeated writer %q: %v", op.sql, err)
-		}
-	}
-	if _, err := writer.Exec(ctx, "rollback", session.Options{}); err != nil {
-		return fail("rollback: %v", err)
+	if _, err := schedule(writer, "rollback"); err != nil {
+		return fail("repeated writer: %v", err)
 	}
 	if _, err := env.Cat.Vacuum(); err != nil {
 		return fail("vacuum: %v", err)
@@ -363,6 +342,9 @@ func runInterleaved(env *Env) (string, *Failure) {
 	}
 	if msg := env.indexResidue(); msg != "" {
 		return fail("after the rolled-back rerun: %s", msg)
+	}
+	if msg := books.checkCharges(env, mgr); msg != "" {
+		return fail("%s", msg)
 	}
 	outcome := "ok"
 	if hookFired {

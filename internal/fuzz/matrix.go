@@ -14,6 +14,7 @@ import (
 	"repro/internal/session"
 	"repro/internal/storage"
 	"repro/internal/tenant"
+	"repro/internal/types"
 )
 
 // Memory budgets for the matrix: tiny forces aggregate and hash-join
@@ -141,6 +142,55 @@ func newManager(env *Env, budget float64) *session.Manager {
 	})
 }
 
+// ledger holds what checkCharges reads of one run: the engine's meter
+// and the background account when the run began, and what every
+// statement the run executed returned.
+type ledger struct {
+	engine, background float64
+	results            []*session.Result
+	failed             bool // a statement returned an error, and no Cost
+}
+
+func openLedger(env *Env) *ledger {
+	env.Background.Flush()
+	return &ledger{engine: env.Meter.Cost(), background: env.Background.Cost()}
+}
+
+func (l *ledger) note(res *session.Result, err error) {
+	if err != nil {
+		l.failed = true
+	} else {
+		l.results = append(l.results, res)
+	}
+}
+
+// checkCharges is the one-meter-per-statement invariant: over a run
+// whose statements all succeed, their Result.Cost and the background
+// account's delta add up to what the engine's meter moved by, and no
+// query's meter (its progress record's) holds a charge it has not
+// forwarded — one made after the query ended, or an exit path that
+// skips the flush. A statement charged for another's work, as one whose
+// cost is a window over the engine's meter is when another overlaps it,
+// counts that work twice.
+func (l *ledger) checkCharges(env *Env, mgr *session.Manager) string {
+	env.Background.Flush()
+	sum := env.Background.Cost() - l.background
+	for _, res := range l.results {
+		if p := mgr.Progress().Get(res.Query); p != nil {
+			if u := p.Meter.Unflushed(); u != (storage.Snapshot{Weights: u.Weights}) {
+				return fmt.Sprintf("%s's meter kept %v from the engine's meter", res.Query, u)
+			}
+		}
+		sum += res.Cost
+	}
+	// A stat tuple is the smallest charge, 0.001; summed in another
+	// order the costs differ by rounding alone.
+	if moved := env.Meter.Cost() - l.engine; !l.failed && math.Abs(moved-sum) > 1e-6 {
+		return fmt.Sprintf("the statements and the background account cost %g, the engine's meter moved by %g", sum, moved)
+	}
+	return ""
+}
+
 // runOne executes the case once (twice when Warm) under one
 // configuration and checks every invariant. It returns a deterministic
 // verdict line and, on any violation, a replayable Failure.
@@ -151,6 +201,7 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 			&Failure{Case: env.Case, Config: rc, Err: msg}
 	}
 
+	books := openLedger(env)
 	mgr := newManager(env, rc.Budget)
 	sess := mgr.Session()
 	meterBefore := env.Meter.Snapshot()
@@ -223,6 +274,7 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 		before := counterSnapshot(mgr)
 		feedbacks := mgr.CacheStats().Feedbacks
 		res, err := sess.Exec(ctx, s.sql, opts)
+		books.note(res, err)
 		if i == 0 {
 			learned = mgr.CacheStats().Feedbacks > feedbacks
 		}
@@ -239,14 +291,8 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 
 		switch {
 		case err == nil:
-			got := Canonical(res.Rows)
-			if len(got) != len(s.want) {
-				return fail("%q: %d rows, reference has %d", s.sql, len(got), len(s.want))
-			}
-			for j := range got {
-				if got[j] != s.want[j] {
-					return fail("%q: row %d: got %s, want %s", s.sql, j, got[j], s.want[j])
-				}
+			if msg := diffRows(fmt.Sprintf("%q", s.sql), res.Rows, s.want); msg != "" {
+				return fail("%s", msg)
 			}
 			if s.mustHit && !res.CacheHit {
 				return fail("second run missed the plan cache")
@@ -283,7 +329,24 @@ func runOne(env *Env, rc RunConfig) (string, *Failure) {
 	if msg := checkRegionCharges(mgr.EngineTrace(), env.Meter.Snapshot().Sub(meterBefore), rc.Degree); msg != "" {
 		return fail("%s", msg)
 	}
+	if msg := books.checkCharges(env, mgr); msg != "" {
+		return fail("%s", msg)
+	}
 	return fmt.Sprintf("%s: %s", rc.Name, outcome), nil
+}
+
+// diffRows compares an answer with its canonical reference.
+func diffRows(label string, rows []types.Tuple, want []string) string {
+	got := Canonical(rows)
+	if len(got) != len(want) {
+		return fmt.Sprintf("%s: %d rows, reference has %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Sprintf("%s: row %d: got %s, want %s", label, i, got[i], want[i])
+		}
+	}
+	return ""
 }
 
 // checkDecisions holds a successful query's checkpoint records to what
@@ -388,8 +451,12 @@ func checkResidue(env *Env, mgr *session.Manager) string {
 	if temps := env.Cat.TempTables(); len(temps) != 0 {
 		return fmt.Sprintf("temp tables leaked: %v", temps)
 	}
-	if got := env.Pool.Disk().NumPages(); got != env.BasePages {
-		return fmt.Sprintf("disk pages %d, want post-load baseline %d (leaked heap files)", got, env.BasePages)
+	want := 0
+	for _, n := range env.tablePages() {
+		want += n
+	}
+	if got := env.Pool.Disk().NumPages(); got != want {
+		return fmt.Sprintf("disk pages %d, the tables hold %d (leaked heap files)", got, want)
 	}
 	// Grants are float64s reallocated mid-query in fractional shares, so
 	// the pool balances back to within rounding noise, not exactly.

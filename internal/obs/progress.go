@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/plan"
+	"repro/internal/storage"
 )
 
 // Progress is one query's live execution state: per-operator atomic
@@ -37,6 +38,9 @@ type Progress struct {
 	// FedBack marks a query that started from a plan re-planned on an
 	// earlier run's observed rows. Immutable after Start.
 	FedBack bool
+	// Meter is the query's own meter: its cost is the cost consumed,
+	// read only when someone snapshots. Immutable after Start.
+	Meter *storage.CostMeter
 
 	// timed turns on EXPLAIN ANALYZE accounting. Immutable.
 	timed bool
@@ -49,13 +53,6 @@ type Progress struct {
 	// (Stats.EstimatedCost); the denominator of both the progress
 	// fraction and the suboptimality score.
 	estCost atomicFloat
-
-	// costFn reads the simulated cost this query has consumed so far.
-	// Pull-model: the closure is evaluated only when someone snapshots,
-	// so the executor's hot path never touches it. Stored atomically
-	// because the dispatcher installs it after observers can already
-	// see the Progress.
-	costFn atomic.Value // func() float64
 
 	// maxRatio is the largest rowsOut/estRows overshoot observed across
 	// operators with a meaningful estimate — the live estimate-error
@@ -72,11 +69,7 @@ type Progress struct {
 	switches    atomic.Int64
 	done        atomic.Bool
 
-	// finalCost and finishedNS freeze the query's cost and wall time at
-	// Finish: the cost closure reads a shared meter that keeps advancing
-	// under other queries, so a finished query in the recent ring must
-	// not keep evaluating it.
-	finalCost  atomicFloat
+	// finishedNS freezes the query's wall time at Finish.
 	finishedNS atomic.Int64
 
 	// mu guards the operator registry. StartPlan appends under the
@@ -249,15 +242,6 @@ func (p *Progress) SetEstimate(cost float64) {
 	}
 }
 
-// SetCostFn installs the closure that reads the query's consumed cost
-// (typically a meter-delta against the shared CostMeter). Safe on nil.
-func (p *Progress) SetCostFn(fn func() float64) {
-	if p == nil || fn == nil {
-		return
-	}
-	p.costFn.Store(fn)
-}
-
 // NoteRatio folds one operator's estimate error into the query-level
 // overshoot. Called from the executor's flush path; cheap (two atomic
 // loads and a CAS in the rare growing case).
@@ -308,34 +292,22 @@ func (p *Progress) Preempts() int64 {
 	return p.preempts.Load()
 }
 
-// Finish marks the query complete, freezing its cost and elapsed time.
-// Safe on nil.
+// Finish marks the query complete, freezing its elapsed time. Safe on
+// nil.
 func (p *Progress) Finish() {
 	if p == nil || p.done.Load() {
 		return
 	}
-	p.finalCost.Set(p.liveCost())
 	p.finishedNS.Store(time.Since(p.Started).Nanoseconds())
 	p.done.Store(true)
 }
 
-// Cost returns the simulated cost the query has consumed so far (the
-// frozen total once finished).
+// Cost returns the simulated cost the query has consumed so far.
 func (p *Progress) Cost() float64 {
-	if p == nil {
+	if p == nil || p.Meter == nil {
 		return 0
 	}
-	if p.done.Load() {
-		return p.finalCost.Load()
-	}
-	return p.liveCost()
-}
-
-func (p *Progress) liveCost() float64 {
-	if fn, _ := p.costFn.Load().(func() float64); fn != nil {
-		return fn()
-	}
-	return 0
+	return p.Meter.Cost()
 }
 
 // SpillBytes sums the operators' current spill footprints. Safe on nil.

@@ -6,7 +6,15 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/plan"
+	"repro/internal/storage"
 )
+
+// metered gives p a meter of its own and returns a function that brings
+// the meter's cost to c.
+func metered(p *Progress) func(c float64) {
+	p.Meter = storage.NewCostMeter(storage.DefaultCostWeights())
+	return func(c float64) { p.Meter.ChargeRaw(c - p.Meter.Cost()) }
+}
 
 func TestNilProgressIsDisabledNoOp(t *testing.T) {
 	var p *Progress
@@ -15,7 +23,6 @@ func TestNilProgressIsDisabledNoOp(t *testing.T) {
 	}
 	p.StartPlan(nil)
 	p.SetEstimate(10)
-	p.SetCostFn(func() float64 { return 1 })
 	p.NoteRatio(nil)
 	p.RecordDecision(2, true)
 	p.Finish()
@@ -30,11 +37,10 @@ func TestNilProgressIsDisabledNoOp(t *testing.T) {
 func TestScoreRisesWithOvershootAndClampsAtCheckpoint(t *testing.T) {
 	p := NewProgress("s1_q1", 1, "select 1", false)
 	p.SetEstimate(100)
-	cost := 0.0
-	p.SetCostFn(func() float64 { return cost })
+	setCost := metered(p)
 
 	// On estimate: consumed plus remainder equals the estimate.
-	cost = 50
+	setCost(50)
 	if s := p.Score(); s != 1 {
 		t.Fatalf("on-estimate score = %v, want 1", s)
 	}
@@ -70,14 +76,13 @@ func TestScoreRisesWithOvershootAndClampsAtCheckpoint(t *testing.T) {
 func TestFractionMonotoneAndFinishes(t *testing.T) {
 	p := NewProgress("s1_q2", 1, "select 1", false)
 	p.SetEstimate(100)
-	cost := 0.0
-	p.SetCostFn(func() float64 { return cost })
+	setCost := metered(p)
 	if f := p.Fraction(); f != 0 {
 		t.Fatalf("initial fraction = %v", f)
 	}
 	prev := 0.0
 	for _, c := range []float64{10, 50, 90, 100, 150} {
-		cost = c
+		setCost(c)
 		f := p.Fraction()
 		if f < prev {
 			t.Fatalf("fraction went backwards: %v after %v", f, prev)
@@ -93,16 +98,11 @@ func TestFractionMonotoneAndFinishes(t *testing.T) {
 	}
 }
 
-func TestFinishFreezesCostAndElapsed(t *testing.T) {
+func TestFinishFreezesElapsed(t *testing.T) {
 	p := NewProgress("s1_q3", 1, "select 1", false)
 	p.SetEstimate(10)
-	cost := 5.0
-	p.SetCostFn(func() float64 { return cost })
+	metered(p)(5)
 	p.Finish()
-	cost = 500 // the shared meter keeps advancing under other queries
-	if c := p.Cost(); c != 5 {
-		t.Fatalf("finished cost = %v, want frozen 5", c)
-	}
 	s1 := p.Snapshot(false)
 	s2 := p.Snapshot(false)
 	if s1.ElapsedMS != s2.ElapsedMS {
@@ -187,7 +187,7 @@ func TestProgressRegistryLifecycle(t *testing.T) {
 	p := NewProgress("s1_q1", 1, "select 1", false)
 	r.Start(p)
 	p.SetEstimate(10)
-	p.SetCostFn(func() float64 { return 5 })
+	metered(p)(5)
 	if n := r.NumRunning(); n != 1 {
 		t.Fatalf("running = %d", n)
 	}

@@ -279,7 +279,7 @@ func TestScanBytesFollowKeptColumns(t *testing.T) {
 		t.Errorf("full bytes per row = %g, want %g", got, want)
 	}
 	// A registered temp has a tuple size but no per-column widths.
-	heap := storage.NewTempFile(f.ctx.Pool)
+	heap := storage.NewTempFile(f.ctx.Pool, f.ctx.Meter)
 	for i := 0; i < 10; i++ {
 		heap.Append(types.Tuple{types.NewInt(int64(i)), types.NewString("abcdefghij")})
 	}

@@ -104,7 +104,7 @@ func (r *dispatchRun) materializeAndResubmit(matNode plan.Node, op exec.Operator
 		ctx.StatsSink = oldSink
 		return nil, err
 	}
-	heap, err := exec.Materialize(colOp, ctx.Pool)
+	heap, err := exec.Materialize(colOp, ctx)
 	colOp.Close()
 	ctx.StatsSink = oldSink
 	if err != nil {

@@ -2,8 +2,10 @@ package session
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/reopt"
 	"repro/internal/storage"
 	"repro/internal/tpcd"
@@ -11,13 +13,13 @@ import (
 
 // Scans charge the pages they miss through the meter their context
 // carries — serial scans, DML match scans and index-join fetches, as
-// partition scans always did — and today that meter is the engine's, or
-// a tributary flushed into it. So the attribution moves nothing that can
-// be read: from a cold pool Q3's Result.Cost is the engine meter's delta,
-// and serially that delta is, counter for counter, what the engine
-// charged when serial misses went to the disk's meter by default (the
-// numbers below were taken at the commit before the change: same load,
-// same plan).
+// partition scans always did — and that meter is the statement's own, a
+// tributary of the engine's flushed when the statement ends. So the
+// attribution moves nothing that can be read: from a cold pool Q3's
+// Result.Cost is the engine meter's delta, and serially that delta is,
+// counter for counter, what the engine charged when serial misses went
+// to the disk's meter by default (the numbers below were taken before
+// scans charged the context's meter: same load, same plan).
 func TestScanReadsChargedThroughContextMeter(t *testing.T) {
 	db, m := newTPCDManager(t, Config{})
 	q3, err := tpcd.ByName("Q3")
@@ -42,4 +44,85 @@ func TestScanReadsChargedThroughContextMeter(t *testing.T) {
 		t.Errorf("cold serial Q3 charged %v; want reads=509 writes=0 cpu=60901 stat=0", d)
 	}
 	run(2) // page reads vary with the workers' interleaving; the identity above must not
+}
+
+// A query's decisions read its own meter: with the whole database in
+// the pool, query A's Cost and the Elapsed and Improved of every one of
+// its checkpoint decisions are what they are when A runs alone, although
+// another session's query runs to its end inside each of A's
+// checkpoints.
+func TestOverlappingQueryLeavesDecisionsAlone(t *testing.T) {
+	_, m := newTPCDManager(t, Config{})
+	q5, err := tpcd.ByName("Q5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q10, err := tpcd.ByName("Q10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := m.Session(), m.Session()
+	opts := Options{Mode: reopt.ModeFull, NoCache: true}
+	run := func(s *Session, src string, opts Options) *Result {
+		t.Helper()
+		res, err := s.Exec(context.Background(), src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run(a, q5.SQL, opts) // warm the pool: from here on nothing misses
+	other := run(b, q10.SQL, opts)
+	solo := run(a, q5.SQL, opts)
+	overlapped := opts
+	overlapped.CheckpointHook = func(int) { run(b, q10.SQL, opts) }
+	got := run(a, q5.SQL, overlapped)
+	if len(solo.Stats.Decisions) == 0 || other.Cost == 0 {
+		t.Fatalf("Q5 reached %d checkpoints and Q10 cost %.2f: nothing overlapped", len(solo.Stats.Decisions), other.Cost)
+	}
+	if got.Cost != solo.Cost {
+		t.Errorf("Q5 cost %.2f beside Q10, %.2f alone", got.Cost, solo.Cost)
+	}
+	if len(got.Stats.Decisions) != len(solo.Stats.Decisions) {
+		t.Fatalf("Q5 made %d decisions beside Q10, %d alone", len(got.Stats.Decisions), len(solo.Stats.Decisions))
+	}
+	for i, d := range got.Stats.Decisions {
+		if s := solo.Stats.Decisions[i]; d.Elapsed != s.Elapsed || d.Improved != s.Improved {
+			t.Errorf("decision %d: elapsed %.2f improved %.2f beside Q10, %.2f and %.2f alone",
+				i, d.Elapsed, d.Improved, s.Elapsed, s.Improved)
+		}
+	}
+}
+
+// A statement cancelled in the middle of a spilled hash join's probe
+// still forwards every charge: its partitions' pages, written back as
+// the join's Close drops them, are charged to the statement's meter,
+// which reaches the engine's meter on the way out.
+func TestCancelMidSpillForwardsEveryCharge(t *testing.T) {
+	db, m := newTPCDManager(t, Config{MemPoolBytes: 96 << 10, MemBudget: 96 << 10})
+	inj := faultinject.Enable()
+	defer faultinject.Disable()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var tag string
+	inj.Arm("exec.hashjoin.probe", faultinject.Fault{After: 100, Do: func() { tag = m.Running()[0]; cancel() }})
+	db.pool.EvictAll()
+	before := db.meter.Snapshot()
+	_, err := m.Session().Exec(ctx, `select orders.*, l_shipmode
+		from orders, lineitem where o_orderkey = l_orderkey`, Options{Mode: reopt.ModeOff})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	own := m.Progress().Get(tag).Meter // the statement's own meter
+	got := own.Snapshot()
+	if u := own.Unflushed(); u != (storage.Snapshot{Weights: u.Weights}) {
+		t.Errorf("the cancelled statement kept %v from the engine's meter", u)
+	}
+	if got.PageWrites == 0 {
+		t.Errorf("the cancelled statement's meter holds %v: no spill page written back", got)
+	}
+	if d := db.meter.Snapshot().Sub(before); d != got {
+		t.Errorf("the engine's meter moved by %v, the cancelled statement's holds %v", d, got)
+	}
+	checkNoResidue(t, "cancel mid-spill", db, m)
 }

@@ -461,9 +461,9 @@ type Result struct {
 	// and empty for statements that never reach the dispatcher (DML,
 	// BEGIN/COMMIT/ROLLBACK).
 	Stats *reopt.Stats
-	// Cost is the simulated time charged to the shared meter during
-	// this statement's window. Under concurrency it includes overlapping
-	// queries' charges; single-stream it is the statement's own.
+	// Cost is the simulated time charged to the statement's own meter:
+	// its reads, the writes back of pages it dirtied and its CPU, and no
+	// other statement's, however many run beside it.
 	Cost float64
 	// Query is the engine-unique tag ("s3_q17") the query ran under —
 	// the same tag appears in broker traces and temp-table names.
@@ -608,14 +608,16 @@ func (s *Session) Prepare(src string, opts Options) (*parametric.Prepared, error
 
 // stmtRun is what every SELECT and DML statement sets up the same way:
 // its start time, its trace ring (always on, teeing into the engine-wide
-// ring behind mqr.trace), its bound parameters, and the session's open
-// explicit transaction, nil outside one.
+// ring behind mqr.trace), its meter (a tributary of the engine's, flushed
+// at end), its bound parameters, and the session's open explicit
+// transaction, nil outside one.
 type stmtRun struct {
 	m        *Manager
 	tag, sql string
 	opts     Options
 	start    time.Time
 	tr       *obs.Trace
+	meter    *storage.CostMeter
 	params   plan.Params
 	tx       *catalog.Txn
 	qp       *obs.Progress // a query's progress record; nil for DML
@@ -624,7 +626,7 @@ type stmtRun struct {
 // begin opens one statement with a trace ring of traceCap events.
 func (s *Session) begin(stmt sql.Stmt, opts Options, tag string, traceCap int) *stmtRun {
 	r := &stmtRun{m: s.m, tag: tag, sql: stmt.SQL(), opts: opts, start: time.Now(),
-		tr: obs.NewTrace(traceCap), params: make(plan.Params, len(opts.Params))}
+		tr: obs.NewTrace(traceCap), meter: s.m.meter.Tributary(), params: make(plan.Params, len(opts.Params))}
 	r.tr.SetQuery(tag)
 	r.tr.SetForward(s.m.engTrace)
 	maps.Copy(r.params, opts.Params)
@@ -634,10 +636,11 @@ func (s *Session) begin(stmt sql.Stmt, opts Options, tag string, traceCap int) *
 	return r
 }
 
-// end records the statement's duration and emits the structured
-// slow-query warning when it exceeded the manager's threshold (0
-// disables). Every exit path defers it.
+// end flushes the statement's meter, records its duration and emits the
+// structured slow-query warning when it exceeded the manager's threshold
+// (0 disables). Every exit path defers it first, so it runs last.
 func (r *stmtRun) end() {
+	r.meter.Flush()
 	m, dur := r.m, time.Since(r.start)
 	m.em.QueryDuration.Observe(dur.Seconds())
 	thr := time.Duration(m.slowQueryNanos.Load())
@@ -708,6 +711,7 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 		r.qp = obs.NewProgress(tag, s.id, r.sql, opts.Explain)
 		r.qp.Tenant = ten
 		r.qp.FedBack = fedBack
+		r.qp.Meter = r.meter
 	}
 	qp := r.qp
 	if !opts.NoProgress {
@@ -726,11 +730,6 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 		defer rd.End()
 		snap = rd.Snapshot()
 	}
-	before := m.meter.Snapshot()
-	// The progress cost closure reads the shared meter, so under
-	// concurrency it includes overlapping queries' charges — same caveat
-	// as Result.Cost, and harmless for the fraction/score signals.
-	qp.SetCostFn(func() float64 { return m.meter.Snapshot().Sub(before).Cost() })
 
 	// Backstop for every exit path (error, cancel, panic unwinding to
 	// Exec's recover): the current attempt's temp tables are dropped
@@ -774,7 +773,7 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 		cfg.Trace = tr
 		mu = cfg.Mu
 		d = reopt.New(m.cat, cfg)
-		ectx := &exec.Ctx{Context: ctx, Pool: m.pool, Meter: m.meter, Params: r.params, Trace: tr, Snap: snap, Prog: qp}
+		ectx := &exec.Ctx{Context: ctx, Pool: m.pool, Meter: r.meter, Params: r.params, Trace: tr, Snap: snap, Prog: qp}
 		rows, st, err = d.RunPlan(res, r.params, ectx)
 		if err == nil {
 			break
@@ -811,9 +810,9 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 	if r.tx == nil {
 		s.learn(stmt, opts, tk, res.Overlay, st)
 	}
-	delta := m.meter.Snapshot().Sub(before)
-	cost := delta.Cost()
-	statCost := float64(delta.StatCPU) * delta.Weights.StatCPU
+	spent := r.meter.Snapshot()
+	cost := spent.Cost()
+	statCost := float64(spent.StatCPU) * spent.Weights.StatCPU
 	m.em.RecordQuery(cost, statCost, mu,
 		st.CollectorsInserted, st.Observations, st.MemReallocs,
 		st.ReoptConsidered, st.PlanSwitches)
@@ -870,8 +869,7 @@ func (s *Session) execDML(ctx context.Context, stmt sql.Stmt, opts Options, tag 
 	if own {
 		tx = m.cat.BeginTxn()
 	}
-	ectx := &exec.Ctx{Context: ctx, Pool: m.pool, Meter: m.meter, Params: r.params, Trace: tr, Txn: tx, Snap: tx.Snapshot()}
-	before := m.meter.Snapshot()
+	ectx := &exec.Ctx{Context: ctx, Pool: m.pool, Meter: r.meter, Params: r.params, Trace: tr, Txn: tx, Snap: tx.Snapshot()}
 	n, err := exec.RunDML(node, ectx)
 	if err != nil {
 		tx.Abort()
@@ -897,7 +895,7 @@ func (s *Session) execDML(ctx context.Context, stmt sql.Stmt, opts Options, tag 
 	m.em.Queries.Inc()
 	return r.result(&Result{
 		Stats:        &reopt.Stats{},
-		Cost:         m.meter.Snapshot().Sub(before).Cost(),
+		Cost:         r.meter.Cost(),
 		RowsAffected: n,
 	}), nil
 }

@@ -121,7 +121,7 @@ func BenchmarkHeapAppend(b *testing.B) {
 			if h != nil {
 				h.Drop()
 			}
-			h = NewTempFile(bp)
+			h = NewTempFile(bp, bp.Disk().Meter())
 		}
 		if _, err := h.Append(rows[i%len(rows)]); err != nil {
 			b.Fatal(err)

@@ -8,7 +8,8 @@ import (
 
 // BufferPool caches disk pages in a fixed number of frames with LRU
 // replacement. A page found in the pool costs nothing; a miss charges a
-// disk read, and evicting a dirty frame charges a disk write. This models
+// disk read to the meter the pin names, and writing back a dirty frame
+// charges a disk write to the meter that dirtied it. This models
 // the paper's per-node 32 MB buffer pool, which they deliberately kept
 // small "to study the effect of memory management techniques".
 //
@@ -31,11 +32,11 @@ type BufferPool struct {
 }
 
 type frame struct {
-	id    PageID // the page held; InvalidPageID until one is installed
-	data  []byte // the disk's page
-	dirty bool
-	pins  int
-	elem  *list.Element // holds this frame, for as long as the frame lives
+	id      PageID     // the page held; InvalidPageID until one is installed
+	data    []byte     // the disk's page
+	dirtier *CostMeter // charged the write-back; nil while the frame is clean
+	pins    int
+	elem    *list.Element // holds this frame, for as long as the frame lives
 }
 
 // NewBufferPool returns a pool of capacity frames over disk. Capacity
@@ -58,17 +59,15 @@ func (bp *BufferPool) Capacity() int { return bp.capacity }
 // Disk returns the underlying disk.
 func (bp *BufferPool) Disk() *Disk { return bp.disk }
 
-// Pin fetches a page into the pool and pins it, returning its buffer.
-// Callers may mutate it but must call MarkDirty before Unpin for the
-// write-back to be charged.
+// Pin is PinMetered charging a miss to the disk's meter, the background
+// account.
 func (bp *BufferPool) Pin(id PageID) ([]byte, error) {
-	return bp.PinMetered(id, nil)
+	return bp.PinMetered(id, bp.disk.meter)
 }
 
-// PinMetered is Pin with any miss's disk read charged to m (the disk's
-// own meter when m is nil). Hits stay free; eviction writes triggered by
-// the miss remain on the shared meter — write-back belongs to whoever
-// dirtied the page, which the pool does not track per worker.
+// PinMetered fetches a page into the pool and pins it, returning its
+// buffer; a miss charges one disk read to m, a hit nothing. A caller
+// that mutates the buffer releases it with UnpinDirty.
 func (bp *BufferPool) PinMetered(id PageID, m *CostMeter) ([]byte, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -86,16 +85,14 @@ func (bp *BufferPool) PinMetered(id PageID, m *CostMeter) ([]byte, error) {
 		bp.lru.Remove(f.elem)
 		return nil, err
 	}
-	if m == nil {
-		m = bp.disk.meter
-	}
 	m.ChargeRead(1)
-	bp.installLocked(id, f, data, false)
+	bp.installLocked(id, f, data, nil)
 	return data, nil
 }
 
 // PinNew allocates a fresh, zeroed page on disk, installs a frame for it
-// without a disk read, and pins it. Use for appends.
+// without a disk read, and pins it, dirty by the disk's meter until its
+// writer unpins it. Use for appends.
 func (bp *BufferPool) PinNew() (PageID, []byte, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -104,7 +101,7 @@ func (bp *BufferPool) PinNew() (PageID, []byte, error) {
 		return InvalidPageID, nil, err
 	}
 	id, data := bp.disk.Allocate()
-	bp.installLocked(id, f, data, true)
+	bp.installLocked(id, f, data, bp.disk.meter)
 	return id, data, nil
 }
 
@@ -135,29 +132,20 @@ func (bp *BufferPool) freeFrameLocked() (*frame, error) {
 	return nil, fmt.Errorf("storage: buffer pool exhausted (%d frames all pinned)", bp.capacity)
 }
 
-// writeBackLocked charges the write of a dirty frame and marks it clean.
-// The frame is the disk's page, so there is nothing to copy.
+// writeBackLocked charges a dirty frame's write to its dirtier and marks
+// it clean. The frame is the disk's page, so there is nothing to copy.
 func (bp *BufferPool) writeBackLocked(f *frame) {
-	if f.dirty {
-		bp.disk.meter.ChargeWrite(1)
-		f.dirty = false
+	if f.dirtier != nil {
+		f.dirtier.ChargeWrite(1)
+		f.dirtier = nil
 	}
 }
 
 // installLocked makes f, fresh from freeFrameLocked, the pinned frame of
-// page id.
-func (bp *BufferPool) installLocked(id PageID, f *frame, data []byte, dirty bool) {
-	f.id, f.data, f.pins, f.dirty = id, data, 1, dirty
+// page id, dirtied by dirtier (nil: clean).
+func (bp *BufferPool) installLocked(id PageID, f *frame, data []byte, dirtier *CostMeter) {
+	f.id, f.data, f.pins, f.dirtier = id, data, 1, dirtier
 	bp.frames[id] = f
-}
-
-// MarkDirty flags a pinned page as modified.
-func (bp *BufferPool) MarkDirty(id PageID) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if f, ok := bp.frames[id]; ok {
-		f.dirty = true
-	}
 }
 
 // Unpin releases one pin on the page.
@@ -169,13 +157,13 @@ func (bp *BufferPool) Unpin(id PageID) {
 	}
 }
 
-// UnpinDirty is MarkDirty then Unpin under one acquisition of the pool's
-// lock, for writers that are done with the page they modified.
-func (bp *BufferPool) UnpinDirty(id PageID) {
+// UnpinDirty releases one pin on a page the caller modified, marking it
+// dirty by m, the meter its write-back is charged to.
+func (bp *BufferPool) UnpinDirty(id PageID, m *CostMeter) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if f, ok := bp.frames[id]; ok {
-		f.dirty = true
+		f.dirtier = m
 		if f.pins > 0 {
 			f.pins--
 		}

@@ -34,8 +34,7 @@ func TestBufferPoolMissChargesRead(t *testing.T) {
 	// Fill the pool past capacity so page1 is evicted.
 	id1, buf, _ := bp.PinNew()
 	buf[0] = 0xAB
-	bp.MarkDirty(id1)
-	bp.Unpin(id1)
+	bp.UnpinDirty(id1, bp.Disk().Meter())
 	id2, _, _ := bp.PinNew()
 	bp.Unpin(id2)
 	id3, _, _ := bp.PinNew()
@@ -61,8 +60,7 @@ func TestBufferPoolMissChargesRead(t *testing.T) {
 func TestBufferPoolDirtyEvictionChargesWrite(t *testing.T) {
 	bp, m := newTestPool(1)
 	id1, _, _ := bp.PinNew()
-	bp.MarkDirty(id1)
-	bp.Unpin(id1)
+	bp.UnpinDirty(id1, bp.Disk().Meter())
 	before := m.Snapshot()
 	id2, _, _ := bp.PinNew() // forces eviction of dirty id1
 	bp.Unpin(id2)
@@ -106,8 +104,7 @@ func TestBufferPoolFlushAll(t *testing.T) {
 	bp, m := newTestPool(4)
 	id, buf, _ := bp.PinNew()
 	buf[0] = 7
-	bp.MarkDirty(id)
-	bp.Unpin(id)
+	bp.UnpinDirty(id, bp.Disk().Meter())
 	before := m.Snapshot()
 	bp.FlushAll()
 	if d := m.Snapshot().Sub(before); d.PageWrites != 1 {
@@ -181,7 +178,7 @@ func TestFreedPageMemoryComesBackZeroed(t *testing.T) {
 		for i := range buf {
 			buf[i] = 0xEE
 		}
-		bp.UnpinDirty(id)
+		bp.UnpinDirty(id, bp.Disk().Meter())
 		if err := bp.Evict(id); err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +235,7 @@ func TestBufferPoolRecyclesFramesSafely(t *testing.T) {
 		for j := range buf {
 			buf[j] = byte(i + 1)
 		}
-		bp.UnpinDirty(id)
+		bp.UnpinDirty(id, bp.Disk().Meter())
 		ids = append(ids, id)
 	}
 	if len(bp.frames) != 3 || bp.lru.Len() != 3 {
@@ -273,7 +270,7 @@ func TestBufferPoolRecyclesFramesSafely(t *testing.T) {
 	}
 	buf, _ := bp.Pin(ids[9])
 	buf[0] = 0xFF
-	bp.UnpinDirty(ids[9])
+	bp.UnpinDirty(ids[9], bp.Disk().Meter())
 	before := m.Snapshot()
 	bp.FlushAll()
 	for _, id := range ids {
@@ -312,7 +309,7 @@ func TestBufferPoolUnpinDirty(t *testing.T) {
 	bp.FlushAll()
 	buf, _ = bp.Pin(id)
 	buf[0] = 9
-	bp.UnpinDirty(id)
+	bp.UnpinDirty(id, bp.Disk().Meter())
 	before := m.Snapshot()
 	if err := bp.Evict(id); err != nil {
 		t.Fatalf("page still pinned after UnpinDirty: %v", err)
@@ -338,8 +335,8 @@ func TestDiskWriteDoesNotAliasReads(t *testing.T) {
 		t.Fatalf("a second pin of page %d returned another buffer (%v)", a, err)
 	}
 	bp.Unpin(a)
-	bp.UnpinDirty(a)
-	bp.UnpinDirty(b)
+	bp.UnpinDirty(a, bp.Disk().Meter())
+	bp.UnpinDirty(b, bp.Disk().Meter())
 	if bufA[0] != 1 || bufB[0] != 2 {
 		t.Fatalf("pages %d and %d share memory: read %d, %d", a, b, bufA[0], bufB[0])
 	}

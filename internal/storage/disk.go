@@ -31,12 +31,13 @@ type Disk struct {
 	free sync.Pool
 }
 
-// NewDisk returns an empty disk charging I/O to meter.
+// NewDisk returns an empty disk whose background account is meter.
 func NewDisk(meter *CostMeter) *Disk {
 	return &Disk{pages: make([][]byte, 1), meter: meter}
 }
 
-// Meter returns the disk's cost meter.
+// Meter returns the disk's meter, the background account: the owner of
+// base tables and indexes.
 func (d *Disk) Meter() *CostMeter { return d.meter }
 
 // Allocate reserves a new zeroed page and returns its ID and memory: a

@@ -13,8 +13,7 @@ func TestEvictAllEmptiesPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf[0] = byte(i + 1)
-		bp.MarkDirty(id)
-		bp.Unpin(id)
+		bp.UnpinDirty(id, bp.Disk().Meter())
 		ids = append(ids, id)
 	}
 	before := m.Snapshot()

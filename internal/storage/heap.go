@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -25,6 +26,9 @@ const stampSize = 8
 // pages. Base tables, temporary spill partitions, and materialized
 // intermediate results are all heap files.
 //
+// A heap file's own page accesses, and the misses of a reader that names
+// no meter, are charged to its owner meter (see NewTempFile).
+//
 // A stamped heap (NewStampedHeapFile) prefixes every record with MVCC
 // transaction stamps and supports versioned inserts, deletes, and
 // snapshot-visible scans; temp and spill files stay unstamped and pay
@@ -33,6 +37,7 @@ const stampSize = 8
 // deletes) exclude readers via an RW mutex.
 type HeapFile struct {
 	pool    *BufferPool
+	meter   *CostMeter // the owner
 	stamped bool
 	temp    bool
 
@@ -60,21 +65,22 @@ type roomyPage struct {
 
 // NewHeapFile creates an empty unstamped heap file backed by pool.
 func NewHeapFile(pool *BufferPool) *HeapFile {
-	return &HeapFile{pool: pool}
+	return &HeapFile{pool: pool, meter: pool.disk.meter}
 }
 
 // NewStampedHeapFile creates an empty heap file whose records carry
 // MVCC transaction stamps. Base tables that accept DML use stamped
 // heaps.
 func NewStampedHeapFile(pool *BufferPool) *HeapFile {
-	return &HeapFile{pool: pool, stamped: true}
+	return &HeapFile{pool: pool, meter: pool.disk.meter, stamped: true}
 }
 
-// NewTempFile creates a heap file whose pages are released by Drop. The
-// re-optimizer materializes intermediate results into temp files
-// (paper §2.4, Figure 6).
-func NewTempFile(pool *BufferPool) *HeapFile {
-	return &HeapFile{pool: pool, temp: true}
+// NewTempFile creates a heap file owned by m, the query's meter, whose
+// pages are released by Drop: spill partitions, sort runs, materialized
+// intermediate results (paper §2.4, Figure 6). Other heap files are owned
+// by the disk's meter, the background account.
+func NewTempFile(pool *BufferPool, m *CostMeter) *HeapFile {
+	return &HeapFile{pool: pool, meter: m, temp: true}
 }
 
 // NumPages returns the number of pages in the file.
@@ -147,7 +153,7 @@ func (h *HeapFile) appendStamped(t types.Tuple, xmin TxnID) (RID, error) {
 		rec = binary.LittleEndian.AppendUint32(rec, 0)
 	}
 	types.EncodeTuple(rec, t)
-	h.pool.UnpinDirty(id)
+	h.pool.UnpinDirty(id, h.meter)
 	h.tuples++
 	h.bytes += int64(payload)
 	return RID{Page: id, Slot: slot}, nil
@@ -167,12 +173,12 @@ func (h *HeapFile) pageWithRoomLocked(size int) (PageID, []byte, error) {
 		}
 		r.free -= size + 4
 		id := h.pages[r.idx]
-		buf, err := h.pool.Pin(id)
+		buf, err := h.pool.PinMetered(id, h.meter)
 		return id, buf, err
 	}
 	if n := len(h.pages); n > 0 {
 		id := h.pages[n-1]
-		buf, err := h.pool.Pin(id)
+		buf, err := h.pool.PinMetered(id, h.meter)
 		if err != nil {
 			return InvalidPageID, nil, err
 		}
@@ -206,28 +212,20 @@ func versionVisible(snap *TxnSnapshot, xmin, xmax TxnID) bool {
 	return snap.Sees(xmin, xmax)
 }
 
-// FetchVisible reads the tuple at rid if its version is visible to
-// snap. It returns ok=false — without error — when the slot was
-// physically deleted (aborted insert, swept version) or the version is
-// outside the snapshot, so index probes can skip stale entries.
-func (h *HeapFile) FetchVisible(rid RID, snap *TxnSnapshot) (types.Tuple, bool, error) {
-	return h.Fetcher(nil).FetchVisible(rid, snap)
-}
-
 // Fetcher returns a reader of single records by RID that can carry the
 // filter and projection a scanner can: an index join fetches inner
 // tuples through one, so that it too tests its inner filters before
 // decoding and materialises only the columns the query uses. Like
-// ScanPartition it charges the pages it misses to meter.
+// ScanPartition it charges the pages it misses to meter (nil: the owner).
 func (h *HeapFile) Fetcher(meter *CostMeter) *HeapFetcher {
-	return &HeapFetcher{file: h, meter: meter}
+	return &HeapFetcher{file: h, meter: cmp.Or(meter, h.meter)}
 }
 
 // HeapFetcher fetches records of one heap file by RID. Not safe for
 // concurrent use: it reuses its record shape from fetch to fetch.
 type HeapFetcher struct {
 	file  *HeapFile
-	meter *CostMeter // charge target for pool misses; nil = shared
+	meter *CostMeter // charged the pages it misses
 	recordReader
 }
 
@@ -244,8 +242,11 @@ func (f *HeapFetcher) WithColumns(cols []int) *HeapFetcher {
 	return f
 }
 
-// FetchVisible is HeapFile.FetchVisible under the fetcher's filter and
-// projection.
+// FetchVisible reads the tuple at rid if its version is visible to snap
+// and passes the fetcher's filter, projected to its columns. It returns
+// ok=false — without error — when the slot was physically deleted
+// (aborted insert, swept version), the version is outside the snapshot
+// or the filter rejects it, so index probes can skip stale entries.
 func (f *HeapFetcher) FetchVisible(rid RID, snap *TxnSnapshot) (types.Tuple, bool, error) {
 	h := f.file
 	h.mu.RLock()
@@ -294,22 +295,31 @@ func (h *HeapFile) SetXmax(rid RID, id TxnID) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	buf, err := h.pool.Pin(rid.Page)
-	if err != nil {
+	switch set, err := h.swapXmaxLocked(rid, 0, id); {
+	case err != nil:
 		return err
-	}
-	defer h.pool.Unpin(rid.Page)
-	rec, err := LoadSlottedPage(buf).Record(rid.Slot)
-	if err != nil {
-		return err
-	}
-	if binary.LittleEndian.Uint32(rec[4:8]) != 0 {
+	case !set:
 		return ErrWriteConflict
 	}
-	binary.LittleEndian.PutUint32(rec[4:8], uint32(id))
-	h.pool.MarkDirty(rid.Page)
 	h.markUnsweptLocked(rid.Page)
 	return nil
+}
+
+// swapXmaxLocked stamps the version at rid deleted by to if its delete
+// stamp reads from, and reports whether it did.
+func (h *HeapFile) swapXmaxLocked(rid RID, from, to TxnID) (bool, error) {
+	buf, err := h.pool.PinMetered(rid.Page, h.meter)
+	if err != nil {
+		return false, err
+	}
+	rec, err := LoadSlottedPage(buf).Record(rid.Slot)
+	if err != nil || binary.LittleEndian.Uint32(rec[4:8]) != uint32(from) {
+		h.pool.Unpin(rid.Page)
+		return false, err
+	}
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(to))
+	h.pool.UnpinDirty(rid.Page, h.meter)
+	return true, nil
 }
 
 // markUnsweptLocked adds page id to the pages the next Sweep visits.
@@ -328,20 +338,8 @@ func (h *HeapFile) ClearXmax(rid RID, id TxnID) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	buf, err := h.pool.Pin(rid.Page)
-	if err != nil {
-		return err
-	}
-	defer h.pool.Unpin(rid.Page)
-	rec, err := LoadSlottedPage(buf).Record(rid.Slot)
-	if err != nil {
-		return err
-	}
-	if binary.LittleEndian.Uint32(rec[4:8]) == uint32(id) {
-		binary.LittleEndian.PutUint32(rec[4:8], 0)
-		h.pool.MarkDirty(rid.Page)
-	}
-	return nil
+	_, err := h.swapXmaxLocked(rid, id, 0)
+	return err
 }
 
 // DeleteSlot physically removes the record at rid (abort undo of an
@@ -353,24 +351,24 @@ func (h *HeapFile) DeleteSlot(rid RID) error {
 }
 
 func (h *HeapFile) deleteSlotLocked(rid RID) error {
-	buf, err := h.pool.Pin(rid.Page)
+	buf, err := h.pool.PinMetered(rid.Page, h.meter)
 	if err != nil {
 		return err
 	}
-	defer h.pool.Unpin(rid.Page)
 	page := LoadSlottedPage(buf)
 	rec, err := page.Record(rid.Slot)
+	if err == nil {
+		err = page.Delete(rid.Slot)
+	}
 	if err != nil {
+		h.pool.Unpin(rid.Page)
 		return err
 	}
+	h.pool.UnpinDirty(rid.Page, h.meter)
 	payload := len(rec)
 	if h.stamped {
 		payload -= stampSize
 	}
-	if err := page.Delete(rid.Slot); err != nil {
-		return err
-	}
-	h.pool.MarkDirty(rid.Page)
 	h.markUnsweptLocked(rid.Page) // the record's bytes are a hole until Sweep compacts
 	h.tuples--
 	h.bytes -= int64(payload)
@@ -420,7 +418,7 @@ func (h *HeapFile) Sweep(horizon TxnID, isActive func(TxnID) bool, keys []int, s
 			}
 			continue
 		}
-		buf, err := h.pool.Pin(id)
+		buf, err := h.pool.PinMetered(id, h.meter)
 		if err != nil {
 			if listed {
 				roomy = append(roomy, entry)
@@ -467,7 +465,7 @@ func (h *HeapFile) Sweep(horizon TxnID, isActive func(TxnID) bool, keys []int, s
 			roomy = append(roomy, roomyPage{idx: idx, free: page.FreeSpace()})
 		}
 		if holes {
-			h.pool.UnpinDirty(id)
+			h.pool.UnpinDirty(id, h.meter)
 		} else {
 			h.pool.Unpin(id)
 		}
@@ -489,7 +487,7 @@ func (h *HeapFile) DeadVersions() (int64, error) {
 	defer h.mu.RUnlock()
 	var dead int64
 	for _, id := range h.pages {
-		buf, err := h.pool.Pin(id)
+		buf, err := h.pool.PinMetered(id, h.meter)
 		if err != nil {
 			return dead, err
 		}
@@ -510,19 +508,19 @@ func (h *HeapFile) DeadVersions() (int64, error) {
 // order. On a stamped heap the iterator skips deleted versions; give
 // it a snapshot with WithSnapshot for transactional visibility.
 func (h *HeapFile) Scan() *HeapScanner {
-	return &HeapScanner{file: h, stride: 1}
+	return h.ScanPartition(0, 1, nil)
 }
 
 // ScanPartition returns an iterator over the part-th of `of` page-wise
 // partitions of the file (pages whose index ≡ part mod of), charging any
-// buffer-pool misses to meter (nil = the shared disk meter). This models
+// buffer-pool misses to meter (nil: the file's owner). This models
 // Paradise's declustered storage: each parallel scan worker reads its own
 // disjoint set of pages, so partition I/O is disjoint and attributable.
 func (h *HeapFile) ScanPartition(part, of int, meter *CostMeter) *HeapScanner {
 	if of < 1 {
 		of = 1
 	}
-	return &HeapScanner{file: h, pageIdx: part % of, stride: of, meter: meter}
+	return &HeapScanner{file: h, pageIdx: part % of, stride: of, meter: cmp.Or(meter, h.meter)}
 }
 
 // Drop releases a temp file's pages from the pool and disk. Dropping a
@@ -568,7 +566,7 @@ type HeapScanner struct {
 	file    *HeapFile
 	pageIdx int          // next page to load
 	stride  int          // page-index step; 1 for a full scan
-	meter   *CostMeter   // charge target for pool misses; nil = shared
+	meter   *CostMeter   // charged the pages it misses
 	snap    *TxnSnapshot // visibility filter for stamped heaps; nil = undeleted
 
 	recordReader

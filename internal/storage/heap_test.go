@@ -51,7 +51,7 @@ func TestHeapFileFetchByRID(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	for i, rid := range rids {
-		tup, ok, err := h.FetchVisible(rid, nil)
+		tup, ok, err := h.Fetcher(nil).FetchVisible(rid, nil)
 		if err != nil || !ok {
 			t.Fatalf("FetchVisible(%v) = %v, %v", rid, ok, err)
 		}
@@ -84,7 +84,7 @@ func TestHeapScanChargesOneReadPerPage(t *testing.T) {
 
 func TestTempFileDrop(t *testing.T) {
 	bp, _ := newTestPool(8)
-	tf := NewTempFile(bp)
+	tf := NewTempFile(bp, bp.Disk().Meter())
 	for i := 0; i < 1000; i++ {
 		tf.Append(types.Tuple{types.NewInt(int64(i))})
 	}
@@ -117,7 +117,7 @@ func TestTempFileDrop(t *testing.T) {
 // their memory.
 func TestTempFileDropStopsAtAPinnedPage(t *testing.T) {
 	bp, _ := newTestPool(8)
-	tf := NewTempFile(bp)
+	tf := NewTempFile(bp, bp.Disk().Meter())
 	for i := 0; tf.NumPages() < 3; i++ {
 		if _, err := tf.Append(row(i)); err != nil {
 			t.Fatal(err)

@@ -92,7 +92,7 @@ func fetchAll(t *testing.T, h *HeapFile, snap *TxnSnapshot, part, of int) []scan
 		h.pool.Unpin(id)
 		for slot := 0; slot < slots; slot++ {
 			rid := RID{Page: id, Slot: slot}
-			tup, ok, err := h.FetchVisible(rid, snap)
+			tup, ok, err := h.Fetcher(nil).FetchVisible(rid, snap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -800,7 +800,7 @@ func TestSweepReclaimsSpaceWithoutReusingSlots(t *testing.T) {
 	}
 	snap := m.LatestSnapshot()
 	for _, rid := range stale {
-		if tup, ok, err := h.FetchVisible(rid, snap); err != nil || ok {
+		if tup, ok, err := h.Fetcher(nil).FetchVisible(rid, snap); err != nil || ok {
 			t.Fatalf("swept %v resolves to %v (ok=%v, err=%v)", rid, tup, ok, err)
 		}
 	}
@@ -1081,6 +1081,6 @@ func appendRaw(h *HeapFile, rec []byte) error {
 	if _, err = LoadSlottedPage(buf).Insert(rec); err == nil {
 		h.tuples++
 	}
-	h.pool.UnpinDirty(id)
+	h.pool.UnpinDirty(id, h.meter)
 	return err
 }

@@ -254,18 +254,18 @@ func TestFetchVisibleSkipsInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := m.BeginRead()
-	if _, ok, err := h.FetchVisible(rid, rd.Snapshot()); err != nil || ok {
+	if _, ok, err := h.Fetcher(nil).FetchVisible(rid, rd.Snapshot()); err != nil || ok {
 		t.Errorf("uncommitted version: visible=%t err=%v, want invisible", ok, err)
 	}
 	rd.End()
-	if tup, ok, err := h.FetchVisible(rid, w.Snapshot()); err != nil || !ok || tup[0].Int() != 7 {
+	if tup, ok, err := h.Fetcher(nil).FetchVisible(rid, w.Snapshot()); err != nil || !ok || tup[0].Int() != 7 {
 		t.Errorf("own version: visible=%t err=%v", ok, err)
 	}
 	w.Abort()
 
 	// After abort-undo the slot is deleted; fetch reports invisible
 	// rather than erroring (index entries may still point here).
-	if _, ok, err := h.FetchVisible(rid, m.LatestSnapshot()); err != nil || ok {
+	if _, ok, err := h.Fetcher(nil).FetchVisible(rid, m.LatestSnapshot()); err != nil || ok {
 		t.Errorf("aborted version: visible=%t err=%v, want invisible", ok, err)
 	}
 }
