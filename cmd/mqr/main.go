@@ -23,6 +23,7 @@ import (
 	"time"
 
 	midquery "repro"
+	"repro/internal/reopt"
 	"repro/internal/server"
 	"repro/internal/tenant"
 )
@@ -68,7 +69,7 @@ func main() {
 	}
 	fmt.Printf("loaded (%.0f simulated cost units)\n\n", db.Cost())
 
-	md, err := parseMode(*mode)
+	md, err := reopt.ParseMode(*mode)
 	if err != nil {
 		fatal(err)
 	}
@@ -249,23 +250,6 @@ func selectQueries() []namedQuery {
 type namedQuery struct {
 	name string
 	sql  string
-}
-
-func parseMode(s string) (midquery.Mode, error) {
-	switch strings.ToLower(s) {
-	case "off", "normal":
-		return midquery.ReoptOff, nil
-	case "memory", "mem":
-		return midquery.ReoptMemoryOnly, nil
-	case "plan":
-		return midquery.ReoptPlanOnly, nil
-	case "full":
-		return midquery.ReoptFull, nil
-	case "restart":
-		return midquery.ReoptRestart, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", s)
-	}
 }
 
 // queryError reports one failed query and keeps going; the process

@@ -222,9 +222,6 @@ func (cs *ColumnStats) withDelta(col int, d *tableDelta, oldCard, newCard float6
 	if n.Hist != nil {
 		n.Hist = n.Hist.Clone()
 	}
-	if n.Sketch != nil && hasNonNull(d.inserted, col) {
-		n.Sketch = n.Sketch.Clone()
-	}
 	// The column's total width moves as the table's total bytes do.
 	width := cs.AvgWidth * oldCard
 	for _, tup := range d.inserted {
@@ -243,8 +240,12 @@ func (cs *ColumnStats) withDelta(col int, d *tableDelta, oldCard, newCard float6
 		if n.Hist != nil {
 			n.Hist.AddValue(v)
 		}
-		if n.Sketch != nil {
-			n.Sketch.Add(v)
+		if h := v.Hash(); n.Sketch != nil && !n.Sketch.Holds(h) {
+			// Copied on the first value new to it: a reader may hold cs.
+			if n.Sketch == cs.Sketch {
+				n.Sketch = n.Sketch.Clone()
+			}
+			n.Sketch.AddHash(h)
 		}
 	}
 	for _, tup := range d.deleted {
@@ -279,13 +280,4 @@ func (cs *ColumnStats) withDelta(col int, d *tableDelta, oldCard, newCard float6
 		n.NullFrac = 0
 	}
 	return n
-}
-
-func hasNonNull(tups []types.Tuple, col int) bool {
-	for _, t := range tups {
-		if !t[col].IsNull() {
-			return true
-		}
-	}
-	return false
 }

@@ -196,6 +196,41 @@ func TestIncrementalStatsTrackAnalyze(t *testing.T) {
 	}
 }
 
+// TestCommitSharesAHeldSketch: a commit whose inserted values a
+// column's distinct-count sketch already holds publishes the same
+// sketch, and one that adds a new value publishes a copy, leaving the
+// sketch a reader holds as it was.
+func TestCommitSharesAHeldSketch(t *testing.T) {
+	c := newTestCatalog()
+	tbl := loadedTable(t, c, "r", 100)
+	commit := func(id, grp int64, name string) {
+		tx := c.BeginTxn()
+		if err := tx.Insert(tbl, types.Tuple{types.NewInt(id), types.NewInt(grp), types.NewString(name)}); err != nil {
+			t.Fatal(err)
+		}
+		tx.Commit()
+	}
+	grp, name := tbl.ColStat(1), tbl.ColStat(2)
+	if grp.Sketch == nil || name.Sketch == nil {
+		t.Fatal("ANALYZE left no distinct-count sketch")
+	}
+	commit(100, 3, "name-7")
+	if tbl.ColStat(1).Sketch != grp.Sketch || tbl.ColStat(2).Sketch != name.Sketch {
+		t.Error("a commit of values the sketch holds copied it")
+	}
+	held := tbl.ColStat(1)
+	before := held.Sketch.Estimate()
+	commit(101, 42, "name-7")
+	got := tbl.ColStat(1)
+	if got.Sketch == held.Sketch {
+		t.Fatal("a commit of a new value did not copy the sketch")
+	}
+	if held.Sketch.Estimate() != before || got.Sketch.Estimate() != before+1 {
+		t.Errorf("estimates: held sketch %v (was %v), published %v, want %v",
+			held.Sketch.Estimate(), before, got.Sketch.Estimate(), before+1)
+	}
+}
+
 func TestTxnDeleteConflictSurfacesAndAborts(t *testing.T) {
 	c := newTestCatalog()
 	tbl := loadedTable(t, c, "r", 10)

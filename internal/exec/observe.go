@@ -50,6 +50,17 @@ func Instrument(op Operator, n plan.Node, ctx *Ctx) Operator {
 	return instrument(op, n, ctx)
 }
 
+// CreditOpen adds cost to a timed operator's inclusive cost at its next
+// Open: the cost of opening its input, paid earlier by a caller that
+// opened the input first (the dispatcher, at each join). Opened from
+// the root, the operator would have paid it, and self costs telescope
+// only if it counts there.
+func CreditOpen(op Operator, cost float64) {
+	if o, ok := op.(*observedOp); ok && o.timed {
+		o.credit = cost
+	}
+}
+
 // observedOp publishes one operator's run into its progress record:
 // rows, spill footprint and lifecycle state, and — when the query is
 // timed for EXPLAIN ANALYZE — inclusive simulated cost and peak memory.
@@ -65,8 +76,9 @@ type observedOp struct {
 	prog  *obs.OpProgress
 	timed bool // measure cost: the record is timed
 
-	rows int64   // output rows not yet flushed
-	cost float64 // inclusive cost not yet flushed (timed only)
+	rows   int64   // output rows not yet flushed
+	cost   float64 // inclusive cost not yet flushed (timed only)
+	credit float64 // added to cost by the next Open (CreditOpen)
 
 	// width is the tuple width the plan promises for a leaf that reads a
 	// table (scan, index join): every ordinal above it was resolved
@@ -86,7 +98,8 @@ func (o *observedOp) Open() error {
 	} else {
 		before := o.ctx.Meter.Snapshot()
 		err = o.op.Open()
-		o.cost += o.ctx.Meter.Snapshot().Sub(before).Cost()
+		o.cost += o.ctx.Meter.Snapshot().Sub(before).Cost() + o.credit
+		o.credit = 0
 	}
 	// Blocking operators do their heavy lifting (builds, spills) in
 	// Open; publish what they produced before the first Next.

@@ -77,17 +77,14 @@ type RunConfig struct {
 func Matrix(c Case) []RunConfig {
 	var m []RunConfig
 	for _, deg := range []int{1, 2, 4} {
-		for _, mode := range []struct {
-			name string
-			m    reopt.Mode
-		}{{"off", reopt.ModeOff}, {"full", reopt.ModeFull}} {
+		for _, mode := range []reopt.Mode{reopt.ModeOff, reopt.ModeFull} {
 			for _, b := range []struct {
 				name string
 				v    float64
 			}{{"tiny", tinyBudget}, {"big", bigBudget}} {
 				m = append(m, RunConfig{
-					Name:   fmt.Sprintf("%s-d%d-%s", mode.name, deg, b.name),
-					Mode:   mode.m,
+					Name:   fmt.Sprintf("%s-d%d-%s", mode, deg, b.name),
+					Mode:   mode,
 					Degree: deg,
 					Budget: b.v,
 				})
@@ -95,6 +92,8 @@ func Matrix(c Case) []RunConfig {
 		}
 	}
 	return append(m,
+		RunConfig{Name: "memory-d1-tiny", Mode: reopt.ModeMemoryOnly, Degree: 1, Budget: tinyBudget},
+		RunConfig{Name: "plan-d1-tiny", Mode: reopt.ModePlanOnly, Degree: 1, Budget: tinyBudget, Forced: true},
 		RunConfig{Name: "restart-d1-tiny", Mode: reopt.ModeRestart, Degree: 1, Budget: tinyBudget},
 		RunConfig{Name: "restart-d1-big", Mode: reopt.ModeRestart, Degree: 1, Budget: bigBudget},
 		RunConfig{Name: "forced-d1-tiny", Mode: reopt.ModeFull, Degree: 1, Budget: tinyBudget, Forced: true},
@@ -358,7 +357,8 @@ func diffRows(label string, rows []types.Tuple, want []string) string {
 // its Stats; the progress record carries on); (d) every collector report
 // reached a checkpoint: the reports number the checkpoint records (a
 // prepared statement's parametric record aside), so no collector runs
-// whose report nothing reads.
+// whose report nothing reads; (e) the run's mode allows every record
+// (modeAllows).
 func checkDecisions(res *session.Result, cfg reopt.Config, mgr *session.Manager) string {
 	st := res.Stats
 	var tally [7]float64
@@ -384,6 +384,9 @@ func checkDecisions(res *session.Result, cfg reopt.Config, mgr *session.Manager)
 				d, cfg.Theta1, cfg.Theta2, cfg.SwitchMargin)
 		}
 	}
+	if msg := modeAllows(cfg.Mode, st); msg != "" {
+		return fmt.Sprintf("%v mode: %s", cfg.Mode, msg)
+	}
 	if got := [7]float64{float64(st.MemReallocs), float64(st.ReoptConsidered), float64(st.PlanSwitches),
 		float64(st.BrokerReturns), float64(st.BrokerGrowths), st.BrokerReturnedBytes, st.BrokerGrownBytes}; got != tally {
 		return fmt.Sprintf("stats counters %v, their tally over the decisions %v", got, tally)
@@ -397,6 +400,26 @@ func checkDecisions(res *session.Result, cfg reopt.Config, mgr *session.Manager)
 			(p.Checkpoints != int64(len(st.Decisions)) || p.Switches != int64(st.PlanSwitches)) {
 			return fmt.Sprintf("progress shows %d checkpoints and %d switches, the decisions %d and %d",
 				p.Checkpoints, p.Switches, len(st.Decisions), st.PlanSwitches)
+		}
+	}
+	return ""
+}
+
+// modeAllows is what each mode may record, written out here rather than
+// read from the dispatcher's own table: off reaches no checkpoint; only
+// memory-only records its cause, and it never plans; plan-only and
+// restart never re-allocate; restart never runs a trial.
+func modeAllows(mode reopt.Mode, st *reopt.Stats) string {
+	if mode == reopt.ModeOff && (len(st.Decisions) > 0 || st.CollectorsInserted != 0) {
+		return fmt.Sprintf("%d collectors, %d decisions", st.CollectorsInserted, len(st.Decisions))
+	}
+	memOnly := mode == reopt.ModeMemoryOnly
+	for _, d := range st.Decisions {
+		trial := d.Trial != 0 || d.Cause == reopt.CauseTrialWon || d.Cause == reopt.CauseTrialLost
+		if (d.Cause == reopt.CauseMemoryOnly) != memOnly || memOnly && (d.TOpt != 0 || trial) ||
+			(mode == reopt.ModePlanOnly || mode == reopt.ModeRestart) && d.Realloc ||
+			mode == reopt.ModeRestart && trial {
+			return fmt.Sprintf("decision %q", d)
 		}
 	}
 	return ""

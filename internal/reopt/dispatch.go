@@ -18,8 +18,8 @@ import (
 // dispatchRun is the state one dispatch of one plan carries from
 // checkpoint to checkpoint: the plan and its decomposition, the
 // baselines Equations 1 and 2 measure against, and the query-wide
-// bindings, context, stats and switch budget. A plan switch starts a
-// fresh dispatchRun for the remainder plan.
+// bindings, context and stats. A plan switch starts a fresh dispatchRun
+// for the remainder plan.
 type dispatchRun struct {
 	*Dispatcher
 	res *optimizer.Result
@@ -37,38 +37,41 @@ type dispatchRun struct {
 	startSnap storage.Snapshot
 	stale     staleBase
 
-	params       plan.Params
-	ctx          *exec.Ctx
-	st           *Stats
-	switchesLeft int
+	params plan.Params
+	ctx    *exec.Ctx
+	st     *Stats
 }
 
-// dispatch executes a decomposed plan segment by segment. After each
-// hash-join build phase completes — the paper's decision point, where
-// "the build phase of the hash-join is complete but the probe phase has
-// not yet started" (§2.4) — freshly-delivered collector reports drive
-// memory re-allocation and, if Equations 1 and 2 warrant it, a plan
-// switch via materialization. A non-nil leafOverride is a live operator
-// stream standing in for the plan's leftmost scan — the splice of
-// Figure 5, where the new remainder plan consumes the running join's
-// output directly.
-func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *exec.Ctx, st *Stats, switchesLeft int, leafOverride exec.Operator) ([]types.Tuple, error) {
+// dispatch arms an optimized plan and executes it segment by segment,
+// in every mode: a segment boundary is where a query can be cancelled,
+// preempted or fault-injected, whether or not a checkpoint fires there.
+// After each hash-join build phase completes — the paper's decision
+// point, where "the build phase of the hash-join is complete but the
+// probe phase has not yet started" (§2.4) — freshly-delivered collector
+// reports drive memory re-allocation and, if Equations 1 and 2 warrant
+// it, a plan switch via materialization. A non-nil leafOverride is a
+// live operator stream standing in for the plan's leftmost scan — the
+// splice of Figure 5, where the new remainder plan consumes the running
+// join's output directly.
+func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *exec.Ctx, st *Stats, leafOverride exec.Operator) ([]types.Tuple, error) {
+	if err := d.arm(res, st, ctx); err != nil {
+		return nil, err
+	}
 	dec, err := decompose(res.Root)
 	if err != nil {
 		return nil, err
 	}
 	r := &dispatchRun{
-		Dispatcher:   d,
-		res:          res,
-		dec:          dec,
-		collectors:   map[int]*plan.Collector{},
-		origTotal:    res.Root.Est().Cost,
-		startSnap:    ctx.Meter.Snapshot(),
-		stale:        d.captureStale(res),
-		params:       params,
-		ctx:          ctx,
-		st:           st,
-		switchesLeft: switchesLeft,
+		Dispatcher: d,
+		res:        res,
+		dec:        dec,
+		collectors: map[int]*plan.Collector{},
+		origTotal:  res.Root.Est().Cost,
+		startSnap:  ctx.Meter.Snapshot(),
+		stale:      d.captureStale(res),
+		params:     params,
+		ctx:        ctx,
+		st:         st,
 	}
 	plan.Walk(res.Root, func(n plan.Node) {
 		switch x := n.(type) {
@@ -105,6 +108,9 @@ func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *ex
 	// descendant's side state (spill partitions, sort runs, the spliced
 	// stream from an enclosing dispatch).
 	live := cur
+	// opened is what the joins' Opens below have cost so far: every
+	// operator stacked over them takes it, as if opened from the root.
+	var opened float64
 	abort := func(err error) ([]types.Tuple, error) {
 		live.Close()
 		if d.Cfg.Trace.Enabled() && ctx.Err() != nil {
@@ -154,20 +160,24 @@ func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *ex
 		if err != nil {
 			return abort(err)
 		}
+		exec.CreditOpen(joinOp, opened)
+		live = joinOp
+		// Run this join's build phase (for index joins this is free and
+		// no statistics can have completed).
+		before := ctx.Meter.Snapshot()
+		if err := joinOp.Open(); err != nil {
+			return abort(err)
+		}
+		opened += ctx.Meter.Snapshot().Sub(before).Cost()
 		topOp := joinOp
-		live = topOp
 		for _, w := range wrappers {
 			wrapped, err := exec.BuildStep(w, topOp, ctx)
 			if err != nil {
 				return abort(err)
 			}
+			exec.CreditOpen(wrapped, opened)
 			topOp = wrapped
 			live = topOp
-		}
-		// Run this join's build phase (for index joins this is free and
-		// no statistics can have completed).
-		if err := joinOp.Open(); err != nil {
-			return abort(err)
 		}
 		if len(pending) > 0 {
 			obs := pending[len(pending)-1] // latest = closest to this join
@@ -203,6 +213,7 @@ func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *ex
 		if err != nil {
 			return abort(err)
 		}
+		exec.CreditOpen(wrapped, opened)
 		top = wrapped
 		live = top
 	}
@@ -436,8 +447,8 @@ func (r *dispatchRun) checkpoint(i int, obs *plan.Observed) (Decision, error) {
 	// matter once an operator starts), and Equation 2's improved
 	// estimate must reflect the memory the remainder will actually
 	// have — otherwise a plan switch can preempt a superior memory fix.
-	planMode := r.Cfg.Mode == ModePlanOnly || r.Cfg.Mode == ModeFull || r.Cfg.Mode == ModeRestart
-	if r.Cfg.Mode == ModeMemoryOnly || r.Cfg.Mode == ModeFull {
+	pol := policies[r.Cfg.Mode]
+	if pol.realloc {
 		r.reallocate(r.dec, i, &rec)
 	}
 	// T_cur,improved, priced once under the final grants: Equation 2
@@ -446,9 +457,9 @@ func (r *dispatchRun) checkpoint(i int, obs *plan.Observed) (Decision, error) {
 	rec.Improved = rec.Elapsed + r.remainderCost(i)
 	rec.Estimate = r.origTotal
 	switch {
-	case !planMode:
+	case !pol.replan:
 		rec.Cause = CauseMemoryOnly
-	case r.switchesLeft <= 0:
+	case r.st.PlanSwitches >= r.Cfg.MaxSwitches:
 		rec.Cause = CauseExhausted
 	default:
 		if err := r.considerSwitch(i, obs, &rec); err != nil {
@@ -478,7 +489,7 @@ func (r *dispatchRun) considerSwitch(i int, obs *plan.Observed, rec *Decision) e
 		rec.Cause = CauseEq1
 		return nil
 	}
-	if r.Cfg.Mode == ModeRestart {
+	if policies[r.Cfg.Mode].restart {
 		// The discard-everything ablation skips the trial: it always
 		// believes a fresh start will win.
 		rec.Cause = CauseRestart

@@ -124,19 +124,23 @@ func TestProgressReadsTheDecisionRecords(t *testing.T) {
 // TestAnalyzeSelfCostsSumToQueryCost checks the EXPLAIN ANALYZE timing
 // invariant: per-operator self costs are inclusive cost minus children,
 // so their sum must telescope back to the metered cost of the whole
-// query. Anything the meter charges outside operator Open/Next/Close
-// (parse, optimize) is the residue; it stays small.
+// query, whether the plan opens from its root or the dispatcher opens
+// each join at its checkpoint first. Anything the meter charges outside
+// operator Open/Next/Close (parse, optimize) is the residue; it stays
+// small.
 func TestAnalyzeSelfCostsSumToQueryCost(t *testing.T) {
 	e := buildThreeJoinEnv(t)
 	params := plan.Params{"cut": types.NewFloat(999999)}
-	_, az, _, metered := runInstrumented(t, e, ModeOff, threeJoinQuery, params)
-	sum := az.TotalSelfCost()
-	if sum <= 0 || metered <= 0 {
-		t.Fatalf("degenerate costs: sum=%g metered=%g", sum, metered)
-	}
-	if rel := math.Abs(sum-metered) / metered; rel > 0.05 {
-		t.Errorf("self-cost sum %.1f vs metered query cost %.1f (%.1f%% off)",
-			sum, metered, rel*100)
+	for _, mode := range []Mode{ModeOff, ModeFull} {
+		_, az, _, metered := runInstrumented(t, e, mode, threeJoinQuery, params)
+		sum := az.TotalSelfCost()
+		if sum <= 0 || metered <= 0 {
+			t.Fatalf("%v: degenerate costs: sum=%g metered=%g", mode, sum, metered)
+		}
+		if rel := math.Abs(sum-metered) / metered; rel > 0.05 {
+			t.Errorf("%v: self-cost sum %.1f vs metered query cost %.1f (%.1f%% off)",
+				mode, sum, metered, rel*100)
+		}
 	}
 }
 

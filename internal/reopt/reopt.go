@@ -2,6 +2,7 @@ package reopt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -20,38 +21,59 @@ import (
 	"repro/internal/types"
 )
 
-// Mode selects which parts of Dynamic Re-Optimization are active. The
-// paper's Figure 11 isolates memory-only and plan-only modes; Figure 10
-// compares Off ("Normal") against Full ("Re-Optimized").
+// Mode selects which parts of Dynamic Re-Optimization are active; its
+// row in policies says which. The paper's Figure 11 isolates
+// memory-only and plan-only modes; Figure 10 compares Off ("Normal")
+// against Full ("Re-Optimized").
 type Mode uint8
 
 // Available modes.
 const (
-	// ModeOff executes the optimizer's plan as-is, with no statistics
-	// collectors — the paper's "Normal" baseline.
-	ModeOff Mode = iota
-	// ModeMemoryOnly uses improved estimates solely for re-invoking the
-	// Memory Manager; plan modification is disabled.
-	ModeMemoryOnly
-	// ModePlanOnly modifies sub-optimal plans but never re-allocates
-	// memory.
-	ModePlanOnly
-	// ModeFull is the complete algorithm.
-	ModeFull
-	// ModeRestart is the paper's rejected first option (§2.4): discard
-	// the work done so far and restart with a fresh plan. Implemented
-	// as an ablation to show why the paper calls it "too risky".
-	ModeRestart
+	ModeOff        Mode = iota // the optimizer's plan as-is, with no collectors
+	ModeMemoryOnly             // improved estimates only re-invoke the Memory Manager
+	ModePlanOnly               // plan modification, never re-allocation
+	ModeFull                   // the complete algorithm
+	ModeRestart                // §2.4's rejected discard-and-restart, as an ablation
 )
 
-var modeNames = [...]string{"off", "memory-only", "plan-only", "full", "restart"}
+// policy is what a mode does; the modes differ in nothing else. arm
+// reads collect, checkpoint reads realloc and replan, and
+// considerSwitch reads restart.
+type policy struct {
+	name    string
+	aliases []string // also accepted by ParseMode
+	collect bool     // SCIA places collectors, so checkpoints happen
+	realloc bool     // re-invoke the Memory Manager (§2.3)
+	replan  bool     // test Equations 1 and 2 for a plan switch
+	restart bool     // a suspect plan restarts instead of trialling (§2.4)
+}
+
+var policies = [...]policy{
+	ModeOff:        {name: "off", aliases: []string{"", "normal"}},
+	ModeMemoryOnly: {name: "memory-only", aliases: []string{"memory", "mem"}, collect: true, realloc: true},
+	ModePlanOnly:   {name: "plan-only", aliases: []string{"plan"}, collect: true, replan: true},
+	ModeFull:       {name: "full", collect: true, realloc: true, replan: true},
+	ModeRestart:    {name: "restart", collect: true, replan: true, restart: true},
+}
 
 // String names the mode.
 func (m Mode) String() string {
-	if int(m) < len(modeNames) {
-		return modeNames[m]
+	if int(m) < len(policies) {
+		return policies[m].name
 	}
 	return fmt.Sprintf("Mode(%d)", uint8(m))
+}
+
+// ParseMode maps a mode's name or one of its aliases, in any case, to
+// the mode.
+func ParseMode(s string) (Mode, error) {
+	name := strings.ToLower(s)
+	for m, p := range policies {
+		if name == p.name || slices.Contains(p.aliases, name) {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", s)
 }
 
 // Strategy selects how a plan switch transfers the running operator's
@@ -449,11 +471,14 @@ func (d *Dispatcher) OptimizeWith(stmt *sql.SelectStmt, ov optimizer.Overlay) (*
 }
 
 // arm turns an optimized plan into the one that executes: SCIA
-// collectors (every mode but Off), the Memory Manager's grants under the
-// current budget, exchange operators for the configured degree, and the
-// registration observers read.
+// collectors (if the mode collects), the Memory Manager's grants under
+// the current budget, exchange operators for the configured degree, and
+// the registration observers read.
 func (d *Dispatcher) arm(res *optimizer.Result, st *Stats, ctx *exec.Ctx) error {
-	if d.Cfg.Mode != ModeOff {
+	if int(d.Cfg.Mode) >= len(policies) {
+		return fmt.Errorf("reopt: unknown mode %v", d.Cfg.Mode)
+	}
+	if policies[d.Cfg.Mode].collect {
 		ins, err := scia.Insert(res, d.sciaConfig())
 		if err != nil {
 			return err
@@ -518,23 +543,6 @@ func (d *Dispatcher) RunSQL(src string, params plan.Params, ctx *exec.Ctx) ([]ty
 	return d.RunPlan(res, params, ctx)
 }
 
-// execute arms an optimized plan and runs it: straight through in
-// ModeOff, segment by segment with checkpoints otherwise. Plan switches
-// by materialization re-enter here with the re-optimized remainder.
-func (d *Dispatcher) execute(res *optimizer.Result, params plan.Params, ctx *exec.Ctx, st *Stats, switchesLeft int) ([]types.Tuple, error) {
-	if err := d.arm(res, st, ctx); err != nil {
-		return nil, err
-	}
-	if d.Cfg.Mode == ModeOff {
-		op, err := exec.Build(res.Root, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return exec.Collect(op)
-	}
-	return d.dispatch(res, params, ctx, st, switchesLeft, nil)
-}
-
 // RunPlan executes an already-optimized plan through the full dispatch
 // path (SCIA insertion, memory allocation, segmented execution with
 // checkpoints). The session runs every query through it (the plan comes
@@ -547,7 +555,7 @@ func (d *Dispatcher) RunPlan(res *optimizer.Result, params plan.Params, ctx *exe
 	st := &Stats{}
 	d.query = res.Query
 	pool := d.armParallel(ctx)
-	rows, err := d.execute(res, params, ctx, st, d.Cfg.MaxSwitches)
+	rows, err := d.dispatch(res, params, ctx, st, nil)
 	err = d.finishParallel(pool, st, err)
 	return rows, st, err
 }

@@ -3,6 +3,7 @@ package reopt
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -345,5 +346,44 @@ func TestModeStrings(t *testing.T) {
 		if m.String() != want {
 			t.Errorf("%d.String() = %q", m, m.String())
 		}
+	}
+}
+
+// TestParseMode: the one mode parser reads every mode's name back, and
+// every alias the server and the CLI have accepted, in any case.
+func TestParseMode(t *testing.T) {
+	for m := ModeOff; m <= ModeRestart; m++ {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		want Mode
+	}{
+		{"", ModeOff}, {"normal", ModeOff}, {"off", ModeOff},
+		{"memory", ModeMemoryOnly}, {"mem", ModeMemoryOnly}, {"memory-only", ModeMemoryOnly},
+		{"plan", ModePlanOnly}, {"plan-only", ModePlanOnly},
+		{"full", ModeFull}, {"restart", ModeRestart},
+	} {
+		mixed := c.name
+		if mixed != "" {
+			mixed = strings.ToUpper(mixed[:1]) + mixed[1:]
+		}
+		for _, name := range []string{c.name, strings.ToUpper(c.name), mixed} {
+			if got, err := ParseMode(name); err != nil || got != c.want {
+				t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, c.want)
+			}
+		}
+	}
+	for _, name := range []string{"bogus", "fulll", "memory only", "Mode(3)"} {
+		if m, err := ParseMode(name); err == nil {
+			t.Errorf("ParseMode(%q) = %v, want an error", name, m)
+		}
+	}
+	e := buildThreeJoinEnv(t)
+	params := plan.Params{"cut": types.NewFloat(50)}
+	if _, _, err := New(e.cat, DefaultConfig(ModeRestart+1)).RunSQL(threeJoinQuery, params, e.ctx(params)); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+		t.Errorf("a mode with no row: err = %v, want unknown mode", err)
 	}
 }

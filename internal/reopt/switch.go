@@ -69,10 +69,7 @@ func (r *dispatchRun) splicePlan(i int, obs *plan.Observed, liveOp exec.Operator
 		return nil, false, nil
 	}
 	r.record(rec)
-	if err := r.arm(newRes, r.st, r.ctx); err != nil {
-		return nil, false, err
-	}
-	rows, err := r.dispatch(newRes, r.params, r.ctx, r.st, r.switchesLeft-1, liveOp)
+	rows, err := r.dispatch(newRes, r.params, r.ctx, r.st, liveOp)
 	return rows, true, err
 }
 
@@ -131,11 +128,11 @@ func (r *dispatchRun) materializeAndResubmit(matNode plan.Node, op exec.Operator
 	}
 	r.record(rec)
 	// Re-submission: the remainder goes through the same Optimize and
-	// execute steps that compiled the query in the first place.
+	// dispatch steps that compiled and ran the query in the first place.
 	var rows []types.Tuple
 	newRes, err := r.Optimize(remStmt)
 	if err == nil {
-		rows, err = r.execute(newRes, r.params, ctx, r.st, r.switchesLeft-1)
+		rows, err = r.dispatch(newRes, r.params, ctx, r.st, nil)
 	}
 	if derr := r.dropTemp(tempName); derr != nil && err == nil {
 		err = derr

@@ -11,14 +11,14 @@
 // μ × T_cur-plan,optimizer.
 //
 // A collector goes only where a checkpoint reads its report: on a hash
-// join's build input, looking through filters and exchanges. The
-// dispatcher decides once a build phase has drained its input (§2.4), and
-// that input is the one intermediate result whose statistics are then
-// complete; a report from anywhere else arrives after the last decision,
-// or is overwritten by a later one before a decision reads it ("too late
-// to do anything about it", §2.5). At such a point the cardinality and
-// size collector is free and always placed, priced statistics ride on it
-// within the budget, and a plan without a hash join carries none.
+// join's build input, looking through filters. The dispatcher decides
+// once a build phase has drained its input (§2.4), and that input is
+// the one intermediate result whose statistics are then complete; a
+// report from anywhere else arrives after the last decision, or is
+// overwritten by a later one before a decision reads it ("too late to
+// do anything about it", §2.5). At such a point the cardinality and
+// size collector is free and always placed, priced statistics ride on
+// it within the budget, and a plan without a hash join carries none.
 package scia
 
 import (
@@ -197,21 +197,19 @@ type point struct {
 
 // spinePoints returns, in execution order, the intermediate results of
 // the left spine (the leftmost leaf pipeline's output and each join's
-// output) that are a hash join's build input, looking through filters
-// and exchanges. The dispatcher reads the latest report once a build
-// phase completes, so these are the only results whose statistics reach
-// a decision: an index join's outer is overwritten by the report of the
-// build that later drains it, and the spine's top result arrives after
-// the last checkpoint.
+// output) that are a hash join's build input, looking through filters.
+// The dispatcher reads the latest report once a build phase completes,
+// so these are the only results whose statistics reach a decision: an
+// index join's outer is overwritten by the report of the build that
+// later drains it, and the spine's top result arrives after the last
+// checkpoint.
 func spinePoints(root plan.Node) []point {
-	// Walk down past the top operators to the spine. Exchanges among
-	// them are transparent: normally SCIA runs before parallelization,
-	// but a caller handing in an already-parallel plan still gets
-	// collectors, which run once per worker and merge at the gather.
+	// Walk down past the top operators to the spine. SCIA runs on the
+	// serial plan, before exchange.Parallelize.
 	cur := root
 	for {
 		switch n := cur.(type) {
-		case *plan.Project, *plan.Agg, *plan.Sort, *plan.Limit, *plan.Exchange:
+		case *plan.Project, *plan.Agg, *plan.Sort, *plan.Limit:
 			cur = n.Children()[0]
 			continue
 		}
@@ -225,8 +223,8 @@ func spinePoints(root plan.Node) []point {
 		}
 		seq++
 	}
-	// build reports whether n's output is, through filters and
-	// exchanges, its hash join's build input.
+	// build reports whether n's output is, through filters, its hash
+	// join's build input.
 	var walk func(n, parent plan.Node, build bool)
 	walk = func(n, parent plan.Node, build bool) {
 		switch x := n.(type) {
@@ -237,8 +235,6 @@ func spinePoints(root plan.Node) []point {
 			walk(x.Outer, x, false)
 			observe(x, parent, build, "output of "+x.Label()+" ["+x.Describe()+"]")
 		case *plan.Filter:
-			walk(x.Input, x, build)
-		case *plan.Exchange:
 			walk(x.Input, x, build)
 		case *plan.Scan:
 			observe(x, parent, build, "output of scan "+x.Binding)
@@ -271,15 +267,12 @@ func readsKeyRange(n plan.Node) bool {
 		return readsKeyRange(x.Input)
 	case *plan.Collector:
 		return readsKeyRange(x.Input)
-	case *plan.Exchange:
-		return readsKeyRange(x.Input)
 	}
 	return false
 }
 
 // replaceChild re-points parent's link from old to new. A point's
-// consumer is the hash join it builds, or a filter or exchange between
-// the two.
+// consumer is the hash join it builds, or a filter between the two.
 func replaceChild(parent, old, new plan.Node) error {
 	switch p := parent.(type) {
 	case *plan.HashJoin:
@@ -288,11 +281,6 @@ func replaceChild(parent, old, new plan.Node) error {
 			return nil
 		}
 	case *plan.Filter:
-		if p.Input == old {
-			p.Input = new
-			return nil
-		}
-	case *plan.Exchange:
 		if p.Input == old {
 			p.Input = new
 			return nil

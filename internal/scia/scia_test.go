@@ -341,7 +341,7 @@ func TestSingleTableNoUsefulStats(t *testing.T) {
 }
 
 // TestCollectorsOnlyOnBuildInputs holds every placement to the rule: a
-// collector's consumer, looking through filters and exchanges, is a hash
+// collector's consumer, looking through filters, is a hash
 // join reading it as its build input. The spine's top result, an index
 // join's outer and a single-table scan get none.
 func TestCollectorsOnlyOnBuildInputs(t *testing.T) {
@@ -388,9 +388,7 @@ func TestCollectorsOnlyOnBuildInputs(t *testing.T) {
 			p := parents[below]
 			for {
 				if _, through := p.(*plan.Filter); !through {
-					if _, through := p.(*plan.Exchange); !through {
-						break
-					}
+					break
 				}
 				below, p = p, parents[p]
 			}

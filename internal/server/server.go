@@ -494,22 +494,7 @@ func execOptions(req QueryRequest) (session.Options, error) {
 }
 
 // ParseMode maps a wire mode name to the dispatcher mode.
-func ParseMode(s string) (reopt.Mode, error) {
-	switch strings.ToLower(s) {
-	case "", "off", "normal":
-		return reopt.ModeOff, nil
-	case "memory", "memory-only":
-		return reopt.ModeMemoryOnly, nil
-	case "plan", "plan-only":
-		return reopt.ModePlanOnly, nil
-	case "full":
-		return reopt.ModeFull, nil
-	case "restart":
-		return reopt.ModeRestart, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", s)
-	}
-}
+func ParseMode(s string) (reopt.Mode, error) { return reopt.ParseMode(s) }
 
 func parseFamily(s string) (histogram.Family, error) {
 	switch strings.ToLower(s) {

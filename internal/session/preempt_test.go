@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/memmgr"
 	"repro/internal/reopt"
 	"repro/internal/tenant"
@@ -177,6 +178,38 @@ func TestPreemptByHigherPriorityAdmission(t *testing.T) {
 	}
 	rowsEqual(t, "priority-preempt", res.Rows, ref.Rows)
 	checkNoResidue(t, "priority-preempt", db, m)
+}
+
+// TestPreemptEveryModeAtSegmentBoundary: a query in any mode, off
+// included, that is asked to preempt mid-scan stops at its next segment
+// boundary, resumes once, and returns the rows of an undisturbed run.
+func TestPreemptEveryModeAtSegmentBoundary(t *testing.T) {
+	db, m := preemptDB(t)
+	params := map[string]types.Value{"cut": types.NewFloat(500)}
+	for mode := reopt.ModeOff; mode <= reopt.ModeRestart; mode++ {
+		opts := Options{Mode: mode, NoCache: true, Params: params}
+		ref, err := m.Session().Exec(context.Background(), preemptQuery, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj := faultinject.Enable()
+		asked := false
+		inj.Arm("exec.scan.next", faultinject.Fault{After: 1, Do: func() {
+			for _, tag := range m.Running() {
+				asked = m.Preempt(tag) || asked
+			}
+		}})
+		res, err := m.Session().Exec(context.Background(), preemptQuery, opts)
+		faultinject.Disable()
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !asked || res.Preempted != 1 {
+			t.Fatalf("%v: asked to preempt %v, Preempted = %d, want 1", mode, asked, res.Preempted)
+		}
+		rowsEqual(t, mode.String(), res.Rows, ref.Rows)
+		checkNoResidue(t, mode.String(), db, m)
+	}
 }
 
 // TestPreemptUnknownTag: preempting a tag that is not running is a

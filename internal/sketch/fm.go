@@ -45,13 +45,16 @@ func (c *DistinctCounter) Add(v types.Value) {
 
 // AddHash offers a pre-computed 64-bit hash to the counter.
 func (c *DistinctCounter) AddHash(h uint64) {
+	i, b := c.bit(h)
+	c.maps[i] |= b
+}
+
+// bit returns the bitmap a hash goes to and the bit it sets there: bit
+// rho, the position of the least significant 1 bit of the remaining
+// hash bits (0-based; an all-zero rest maps to the top position).
+func (c *DistinctCounter) bit(h uint64) (int, uint64) {
 	m := uint64(len(c.maps))
-	idx := h & (m - 1)
-	rest := h / m
-	// rho = position of the least significant 1 bit of the remaining
-	// hash bits (0-based); all-zero rest maps to the top position.
-	rho := bits.TrailingZeros64(rest | (1 << 63))
-	c.maps[idx] |= 1 << uint(rho)
+	return int(h & (m - 1)), 1 << uint(bits.TrailingZeros64(h/m|(1<<63)))
 }
 
 // Estimate returns the estimated number of distinct values added.
@@ -83,27 +86,6 @@ func (c *DistinctCounter) Merge(o *DistinctCounter) {
 		c.maps[i] |= o.maps[i]
 	}
 }
-
-// ExactDistinct is the exact fallback used when the collector knows the
-// stream is small: a hash set over value hashes. The SCIA decides which
-// variant a collector uses based on the optimizer's cardinality estimate.
-type ExactDistinct struct {
-	seen map[uint64]struct{}
-}
-
-// NewExactDistinct returns an empty exact counter.
-func NewExactDistinct() *ExactDistinct {
-	return &ExactDistinct{seen: make(map[uint64]struct{})}
-}
-
-// Add offers one value.
-func (e *ExactDistinct) Add(v types.Value) {
-	e.seen[v.Hash()] = struct{}{}
-}
-
-// Estimate returns the number of distinct values seen (exact up to hash
-// collisions, which are negligible at 64 bits).
-func (e *ExactDistinct) Estimate() float64 { return float64(len(e.seen)) }
 
 // HybridDistinct counts exactly until the set reaches a size threshold,
 // then degrades to the FM sketch. PCSA is badly biased when the true
@@ -142,6 +124,16 @@ func (h *HybridDistinct) AddHash(hash uint64) {
 	if len(h.exact) > h.threshold {
 		h.exact = nil // degrade to the sketch
 	}
+}
+
+// Holds reports whether adding hash would leave the counter unchanged:
+// its FM bit is set and, while the count is exact, the set has it.
+func (h *HybridDistinct) Holds(hash uint64) bool {
+	if _, ok := h.exact[hash]; !ok && h.exact != nil {
+		return false
+	}
+	i, b := h.fm.bit(hash)
+	return h.fm.maps[i]&b != 0
 }
 
 // Estimate returns the exact count while below the threshold, otherwise

@@ -63,16 +63,16 @@ func TestDistinctCounterRoundsUpToPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestExactDistinct(t *testing.T) {
-	e := NewExactDistinct()
+func TestHybridDistinctCountsExactly(t *testing.T) {
+	e := NewHybridDistinct(4096, 64)
 	for i := 0; i < 100; i++ {
 		e.Add(types.NewInt(int64(i % 10)))
 	}
 	if got := e.Estimate(); got != 10 {
-		t.Errorf("ExactDistinct = %g, want 10", got)
+		t.Errorf("exact count = %g, want 10", got)
 	}
 	// Mixed kinds that compare equal count once (2 and 2.0 share a hash).
-	e2 := NewExactDistinct()
+	e2 := NewHybridDistinct(4096, 64)
 	e2.Add(types.NewInt(2))
 	e2.Add(types.NewFloat(2.0))
 	if got := e2.Estimate(); got != 1 {

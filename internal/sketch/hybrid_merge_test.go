@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -84,4 +85,28 @@ func hash64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
+}
+
+// TestHybridHolds: Holds says whether AddHash would change the counter,
+// while exact and once degraded to the sketch.
+func TestHybridHolds(t *testing.T) {
+	h := NewHybridDistinct(10, 64)
+	check := func(regime string, from, to uint64) {
+		for i := from; i < to; i++ {
+			c := h.Clone()
+			c.AddHash(hash64(i))
+			changed := len(c.exact) != len(h.exact) || !slices.Equal(c.fm.maps, h.fm.maps)
+			if held := h.Holds(hash64(i)); held == changed {
+				t.Errorf("%s: Holds(%d) = %v, adding it changed the counter: %v", regime, i, held, changed)
+			}
+		}
+	}
+	for i := uint64(0); i < 5; i++ {
+		h.AddHash(hash64(i))
+	}
+	check("exact", 0, 10)
+	for i := uint64(5); i < 200; i++ {
+		h.AddHash(hash64(i))
+	}
+	check("sketched", 150, 400)
 }
