@@ -193,8 +193,8 @@ func (f failAt) Test(t types.Tuple, _ plan.Params) (bool, error) {
 }
 
 // A worker that fails in the middle of a chunk — tuples charged since its
-// last send, nothing more to send — forwards them from its exit hook, and
-// so do the workers its failure cancels.
+// last send, nothing more to send — has them forwarded when its region
+// closes, and so do the workers its failure cancels.
 func TestWorkerFailingMidChunkStillForwards(t *testing.T) {
 	e := newEnv()
 	r := e.table(t, "r", 8*chunkCap)
@@ -396,7 +396,7 @@ func TestCancelWithFullQueuesReleasesProducers(t *testing.T) {
 		g.Close()
 		waitFor(t, "the gather's goroutines to exit", settled)
 		// Workers parked on a send, with a chunk in hand and more charged
-		// behind it, still forwarded it all on their way out.
+		// behind it, still had it all forwarded when the region closed.
 		sameCharges(t, "cancelled gather", e, before, g.reg)
 	})
 
@@ -620,7 +620,7 @@ type unbuildable struct{ *plan.Scan }
 func TestNextAfterFailedStartReturnsTheError(t *testing.T) {
 	e := newEnv()
 	tbl := e.table(t, "r", 100)
-	g := leafStage(&plan.Exchange{Input: unbuildable{scanOf(tbl)}, Degree: 2, Mode: plan.ExGather}, e.ctx(context.Background()))
+	g := leafStage(&plan.Exchange{Input: unbuildable{scanOf(tbl)}, Degree: 2}, e.ctx(context.Background()))
 	openErr := g.Open()
 	if openErr == nil || !strings.Contains(openErr.Error(), "no operator") {
 		t.Fatalf("gather Open = %v, want the build error", openErr)
@@ -632,7 +632,7 @@ func TestNextAfterFailedStartReturnsTheError(t *testing.T) {
 
 	join := joinOf(tbl, tbl)
 	x := topsPass(join, 2).(*plan.Exchange)
-	join.Probe.(*plan.Exchange).Input = unbuildable{scanOf(tbl)}
+	join.Probe = unbuildable{scanOf(tbl)}
 	op, err := exec.Build(x, e.ctx(context.Background()))
 	if err != nil {
 		t.Fatal(err)

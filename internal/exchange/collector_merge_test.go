@@ -64,7 +64,7 @@ func TestMergedCollectorsMatchSingleStream(t *testing.T) {
 					states[w] = exec.NewCollectorState(node, w)
 				}
 				for _, tp := range tuples {
-					// Hash-partition on the key column, as ExHash routing does.
+					// Hash-partition on the key column, as a join stage routes.
 					states[exec.HashKeys(tp, []int{0})%uint64(parts)].Observe(tp)
 				}
 				merged := states[0]

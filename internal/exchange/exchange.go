@@ -14,28 +14,14 @@ func init() {
 	exec.ExchangeBuilder = buildExchange
 }
 
-// buildExchange instantiates the operator for an exchange plan node.
-// left, when non-nil, is the already-built serial input stream (the
-// dispatcher's step-wise build path); nil means build the whole subtree
-// from the plan.
+// buildExchange instantiates the stage for a gather. left, when
+// non-nil, is the already-built serial input stream (the dispatcher's
+// step-wise build path); nil means build the whole subtree from the plan.
 func buildExchange(x *plan.Exchange, left exec.Operator, ctx *exec.Ctx) (exec.Operator, error) {
-	switch x.Mode {
-	case plan.ExHash, plan.ExRoundRobin:
-		// Partitioning annotations are consumed by the enclosing gather's
-		// builder (which routes tuples itself); reached directly they are
-		// transparent.
-		if left != nil {
-			return left, nil
-		}
-		return exec.Build(x.Input, ctx)
-	}
-	// Gather: one stage, assembled for the segment under it.
 	s := &stage{x: x, ctx: ctx, left: left}
 	if agg, ok := x.Input.(*plan.Agg); ok {
-		if _, rr := agg.Input.(*plan.Exchange); rr {
-			s.agg = agg
-			return finalMerge(s), nil
-		}
+		s.agg = agg
+		return finalMerge(s), nil
 	}
 	if s.wrappers, s.join = splitSegment(x.Input); s.join == nil && left != nil {
 		// A gather over an already-built serial stream has nothing to
@@ -106,13 +92,7 @@ func finalizeRegion(x *plan.Exchange, ctx *exec.Ctx, r *region, states stateSlot
 		}
 	}
 	for _, id := range order {
-		st := merged[id]
-		if ctx.StateSink != nil {
-			// Nested region: forward the still-mergeable state upward.
-			ctx.StateSink(st)
-			continue
-		}
-		o := st.Observed()
+		o := merged[id].Observed()
 		if ctx.Trace.Enabled() {
 			ctx.Trace.Emit("collector", "merged parallel collector report",
 				"collector_id", id, "partitions", len(states),

@@ -43,9 +43,9 @@ func mustBuild(t *testing.T, n plan.Node, ctx *exec.Ctx) exec.Operator {
 }
 
 // leafUnder is the leaf gather under a parallelized aggregation:
-// gather{agg{round-robin{gather{scan}}}}.
+// gather{agg{gather{scan}}}.
 func leafUnder(x plan.Node) plan.Node {
-	return x.(*plan.Exchange).Input.(*plan.Agg).Input.(*plan.Exchange).Input
+	return x.(*plan.Exchange).Input.(*plan.Agg).Input
 }
 
 // TestLendingContractAcrossExchanges runs every reader that lends an

@@ -4,16 +4,17 @@ import (
 	"repro/internal/plan"
 )
 
-// Parallelize rewrites a physical plan for degree-N intra-query
-// parallelism by inserting exchange operators at segment boundaries:
+// Parallelize rewrites a serial physical plan for degree-N intra-query
+// parallelism by inserting gathers at segment boundaries:
 //
 //   - each leaf pipeline (scan + filters + collectors) gets a gather on
 //     top, executed by N page-partitioned scan workers;
-//   - each hash-join step gets a gather above its wrapper nodes, with
-//     hash-partition exchanges on both join inputs (build tuples routed
-//     by build-key hash, probe tuples by probe-key hash);
-//   - an aggregation becomes gather{agg{round-robin{input}}} — partial
-//     aggregation per worker, final merge at the gather;
+//   - each hash-join step gets a gather above its wrapper nodes; its
+//     inputs keep their serial children, and a parallel build input
+//     gets a gather of its own (the stage routes both inputs by the
+//     join's keys);
+//   - an aggregation becomes gather{agg{input}} — partial aggregation
+//     per worker, final merge at the gather;
 //   - index-join steps and sorts stay serial (the index and the ordered
 //     merge are single streams), with the segments below them still
 //     parallel.
@@ -23,21 +24,11 @@ import (
 // switches operate on serial streams between parallel regions.
 //
 // The pass runs after SCIA collector insertion and after memory
-// allocation (exchanges are estimate-transparent, so grants attach to
-// the same nodes either way), mutates the plan in place, and is
-// idempotent: a plan that already contains exchange nodes is returned
-// unchanged. Degree < 2 is a no-op.
+// allocation (gathers are estimate-transparent, so grants attach to the
+// same nodes either way) and mutates the plan in place. Degree < 2 is a
+// no-op.
 func Parallelize(root plan.Node, deg int) plan.Node {
 	if root == nil || deg < 2 {
-		return root
-	}
-	par := false
-	plan.Walk(root, func(n plan.Node) {
-		if _, ok := n.(*plan.Exchange); ok {
-			par = true
-		}
-	})
-	if par {
 		return root
 	}
 	return topsPass(root, deg)
@@ -58,16 +49,12 @@ func topsPass(n plan.Node, deg int) plan.Node {
 		x.Input = topsPass(x.Input, deg)
 		return x
 	case *plan.Agg:
-		x.Input = &plan.Exchange{
-			Input:  topsPass(x.Input, deg),
-			Degree: deg,
-			Mode:   plan.ExRoundRobin,
-		}
-		return &plan.Exchange{Input: x, Degree: deg, Mode: plan.ExGather}
+		x.Input = topsPass(x.Input, deg)
+		return &plan.Exchange{Input: x, Degree: deg}
 	default:
 		nn, ok := spinePass(n, deg)
 		if ok {
-			return &plan.Exchange{Input: nn, Degree: deg, Mode: plan.ExGather}
+			return &plan.Exchange{Input: nn, Degree: deg}
 		}
 		return nn
 	}
@@ -87,32 +74,16 @@ func spinePass(n plan.Node, deg int) (plan.Node, bool) {
 		x.Input = in
 		return x, ok
 	case *plan.HashJoin:
-		b, ok := spinePass(x.Build, deg)
-		if ok {
+		if b, ok := spinePass(x.Build, deg); ok {
 			// The segment below ends here: gather it back to a serial
-			// stream (the checkpoint boundary), then re-partition by the
-			// join's build keys.
-			b = &plan.Exchange{Input: b, Degree: deg, Mode: plan.ExGather}
-		}
-		x.Build = &plan.Exchange{
-			Input:  b,
-			Degree: deg,
-			Mode:   plan.ExHash,
-			Keys:   append([]int(nil), x.BuildKeys...),
-		}
-		x.Probe = &plan.Exchange{
-			Input:  x.Probe,
-			Degree: deg,
-			Mode:   plan.ExHash,
-			Keys:   append([]int(nil), x.ProbeKeys...),
+			// stream, the checkpoint boundary.
+			x.Build = &plan.Exchange{Input: b, Degree: deg}
 		}
 		return x, true
 	case *plan.IndexJoin:
-		o, ok := spinePass(x.Outer, deg)
-		if ok {
-			o = &plan.Exchange{Input: o, Degree: deg, Mode: plan.ExGather}
+		if o, ok := spinePass(x.Outer, deg); ok {
+			x.Outer = &plan.Exchange{Input: o, Degree: deg}
 		}
-		x.Outer = o
 		return x, false // the index probe itself stays serial
 	case *plan.Scan:
 		return x, true // leaf segment: page-partitioned parallel scan

@@ -1,8 +1,8 @@
-// Package exchange implements intra-query parallelism: Volcano-style
-// exchange operators (gather, hash partition, round robin) that split a
-// plan segment across N worker goroutines and merge the partition
-// streams — and their statistics-collector states — back into one serial
-// stream at the segment boundary.
+// Package exchange implements intra-query parallelism: a Volcano-style
+// gather splits a plan segment across N worker goroutines, routing
+// tuples to them by a hash join's keys or in rotation, and merges the
+// partition streams — and their statistics-collector states — back into
+// one serial stream at the segment boundary.
 //
 // Gather points coincide with the re-optimizer's checkpoint boundaries,
 // so everything the paper's machinery consumes — collector reports for

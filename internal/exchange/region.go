@@ -24,12 +24,14 @@ const chunkCap = 256
 // of tuples.
 const chanCap = 4
 
-// chunk is what an exchange queue carries: up to chunkCap tuples and,
+// chunk is what an exchange queue carries: up to chunkCap tuples;
 // when the queue's reader lends and its producer's input recycles, the
-// Values block the producer copied those tuples into.
+// Values block the producer copied those tuples into; and the producer's
+// tributary meter, which the reader flushes as it takes the chunk.
 type chunk struct {
 	tups []types.Tuple
 	vals []types.Value
+	m    *storage.CostMeter
 }
 
 // free is the process's chunk free list, shared by every region: a chunk
@@ -60,6 +62,7 @@ func getChunk() *chunk {
 func putChunk(c *chunk, lent bool) {
 	clear(c.tups)
 	c.tups = c.tups[:0]
+	c.m = nil
 	if lent {
 		clear(c.vals)
 		c.vals = c.vals[:0]
@@ -98,10 +101,10 @@ type region struct {
 	err error
 
 	// meters are the workers' tributary meters, in the order workerCtx
-	// made them (the consumer's goroutine makes them all). A worker
-	// flushes its own as it sends a chunk and from its spawn's first done
-	// hook, so once a worker has been waited for the query meter holds
-	// everything it charged.
+	// made them (the consumer's goroutine makes them all). Each chunk's
+	// reader flushes its producer's meter, and close flushes them all, so
+	// once the region is closed the query meter holds everything its
+	// workers charged.
 	meters []*storage.CostMeter
 }
 
@@ -148,10 +151,7 @@ func (r *region) cause() error {
 // a non-nil return value fails the region. The done hooks run, in order,
 // after the error is recorded and before the WaitGroup is released, so
 // whoever a hook wakes — a waiter on a group, the consumer of a queue it
-// closes — also observes the error. A worker with a tributary meter
-// passes its Flush first: the hooks run on every exit path (end of
-// stream, error, cancel, panic), and whoever a later hook wakes then
-// also finds the worker's charges on the query meter.
+// closes — also observes the error.
 func (r *region) spawn(c *exec.Ctx, label string, fn func() error, done ...func()) {
 	r.wg.Add(1)
 	c.Go("exchange:"+label, func() {
@@ -185,13 +185,15 @@ func lastOf(n int, qs ...chan *chunk) func() {
 }
 
 // outbox is one producer's private chunks, one per destination queue. m
-// is the producer's tributary meter, flushed ahead of every chunk sent:
-// the charges behind a chunk reach the query meter no later than its
-// tuples reach their consumer. A router working on the consumer's own
-// context has no tributary and passes nil. copies is set when the
-// queues' readers lend and the producer's input, lent in turn, recycles
-// its tuples: each tuple is then copied into its chunk's block, because
-// the input reuses its memory while the chunk waits in a queue.
+// is the producer's tributary meter, which every chunk carries and its
+// reader flushes as it takes the chunk: the charges behind a chunk reach
+// the query meter no later than its tuples reach their consumer, and
+// inside the consumer's own call, where EXPLAIN ANALYZE measures them. A
+// router working on the consumer's own context has no tributary and
+// passes nil. copies is set when the queues' readers lend and the
+// producer's input, lent in turn, recycles its tuples: each tuple is then
+// copied into its chunk's block, because the input reuses its memory
+// while the chunk waits in a queue.
 type outbox struct {
 	r      *region
 	m      *storage.CostMeter
@@ -219,25 +221,29 @@ func (o *outbox) put(w int, t types.Tuple) bool {
 	return len(c.tups) < chunkCap || o.send(w)
 }
 
-// finish ends the producer's stream: it sends every partly filled chunk
-// and closes op, the pipeline that fed the outbox. Producers call it
-// once, at end of stream and before they return (so before their queue
-// can close); error paths skip it — a failed region's tuples are not
-// wanted.
+// finish ends the producer's stream: it closes op, the pipeline that fed
+// the outbox, and sends every partly filled chunk, and on the first queue
+// a last one even if empty, so the reader flushes all the stream charged.
+// Producers call it once, at end of stream and before they return (so
+// before their queue can close); error paths skip it — a failed region's
+// tuples are not wanted.
 func (o *outbox) finish(op exec.Operator) error {
+	err := op.Close()
+	if o.bufs[0] == nil {
+		o.bufs[0] = getChunk()
+	}
 	for w, c := range o.bufs {
 		if c != nil && !o.send(w) {
-			op.Close()
 			return o.r.cause()
 		}
 	}
-	return op.Close()
+	return err
 }
 
 // send hands the chunk for queue w to its consumer unless the region is
 // done; it reports whether the send happened.
 func (o *outbox) send(w int) bool {
-	o.m.Flush()
+	o.bufs[w].m = o.m
 	select {
 	case o.qs[w] <- o.bufs[w]:
 		o.bufs[w] = nil
@@ -274,6 +280,7 @@ func (in *inbox) next() (types.Tuple, error) {
 			if !ok {
 				return nil, nil
 			}
+			c.m.Flush()
 			in.cur = c
 		case <-in.r.ctx.Done():
 			return nil, in.r.cause()
@@ -343,15 +350,19 @@ func workerCtx(parent *exec.Ctx, r *region, part, of int, share float64) *exec.C
 	}
 }
 
-// close ends the region: it cancels whatever still runs and waits for
-// every goroutine, and so for every worker's last flush. A nil region —
-// an operator closed before it was opened — has nothing to end.
+// close ends the region: it cancels whatever still runs, waits for
+// every goroutine, and flushes what their readers did not take with a
+// chunk — all a worker charged, if it stopped early. A nil region — an
+// operator closed before it was opened — has nothing to end.
 func (r *region) close() {
 	if r == nil {
 		return
 	}
 	r.cancel()
 	r.wg.Wait()
+	for _, m := range r.meters {
+		m.Flush()
+	}
 }
 
 // traceClosed reports a closed region to the query's trace: what its

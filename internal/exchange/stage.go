@@ -143,7 +143,7 @@ func (s *stage) Open() error {
 		label := fmt.Sprintf("%s-worker-%d", kind, w)
 		s.reg.spawn(s.ctx, label, func() error {
 			return s.work(label, p)
-		}, p.m.Flush, done)
+		}, done)
 	}
 	s.start(&s.early)
 	s.ready.Wait()
@@ -182,7 +182,7 @@ func (s *stage) assemble(n int) error {
 }
 
 func (s *stage) assembleJoin(n int) error {
-	if err := s.serialInput("build-route", plan.StripPartition(s.join.Build), n, s.join.BuildKeys, false); err != nil {
+	if err := s.serialInput("build-route", s.join.Build, n, s.join.BuildKeys, false); err != nil {
 		return err
 	}
 	s.late = router{label: "probe-route", from: make([]pipeline, n), to: makeQueues(n), keys: s.join.ProbeKeys, lent: true}
@@ -202,10 +202,9 @@ func (s *stage) assembleJoin(n int) error {
 			s.pipes[w].op = op
 		}
 	}
-	probe := plan.StripPartition(s.join.Probe)
 	for p := range s.late.from {
 		pc := s.workerCtx(p, n+p, 0)
-		op, err := exec.Build(probe, pc)
+		op, err := exec.Build(s.join.Probe, pc)
 		if err != nil {
 			return err
 		}
@@ -219,8 +218,7 @@ func (s *stage) assembleJoin(n int) error {
 // node's actual row count. Worker costs reach ANALYZE through the
 // region's per-worker rollup instead.
 func (s *stage) assembleAgg(n int) error {
-	// buildExchange saw the round-robin annotation under the agg.
-	if err := s.serialInput("agg-route", s.agg.Input.(*plan.Exchange).Input, n, nil, true); err != nil {
+	if err := s.serialInput("agg-route", s.agg.Input, n, nil, true); err != nil {
 		return err
 	}
 	s.states = newStateSlots(n)
@@ -311,7 +309,7 @@ func (s *stage) start(rt *router) {
 	for i, p := range rt.from {
 		s.reg.spawn(s.ctx, fmt.Sprintf("%s-%d", rt.label, i), func() error {
 			return s.route(rt, p)
-		}, p.m.Flush, done)
+		}, done)
 	}
 }
 
@@ -416,6 +414,5 @@ func (s *stage) Close() error {
 func finalMerge(s *stage) exec.Operator {
 	fc := *s.ctx
 	fc.GrantShare = 0.5
-	fc.StateSink = nil
 	return exec.Instrument(exec.NewFinalAgg(s.agg, s, &fc), s.agg, &fc)
 }

@@ -273,12 +273,7 @@ func buildStep(n plan.Node, left Operator, ctx *Ctx) (Operator, error) {
 	case *plan.Limit:
 		return NewLimit(x, left), nil
 	case *plan.Exchange:
-		if ExchangeBuilder != nil {
-			return ExchangeBuilder(x, left, ctx)
-		}
-		// No exchange runtime linked in: the node is transparent, so
-		// pass the serial stream through unchanged.
-		return left, nil
+		return ExchangeBuilder(x, left, ctx)
 	default:
 		return nil, fmt.Errorf("exec: BuildStep cannot wrap %T", n)
 	}
@@ -306,11 +301,7 @@ func build(n plan.Node, ctx *Ctx) (Operator, error) {
 	case *plan.Scan:
 		return NewSeqScan(x, ctx), nil
 	case *plan.Exchange:
-		if ExchangeBuilder != nil {
-			return ExchangeBuilder(x, nil, ctx)
-		}
-		// No exchange runtime linked in: the node is transparent.
-		return build(x.Input, ctx)
+		return ExchangeBuilder(x, nil, ctx)
 	}
 	// Every other node is a step over its first child: build that from
 	// the plan, then the step over it.

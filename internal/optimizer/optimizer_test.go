@@ -498,3 +498,46 @@ func TestOverlayMerge(t *testing.T) {
 		t.Errorf("Merge modified its receiver: %v", ov)
 	}
 }
+
+// TestColNDVCappedByCardinality runs a commit stream that deletes the
+// oldest keys of a table and inserts as many new ones: the table's size
+// holds while the key column's sketch, which cannot forget a deleted
+// value, counts every key it ever saw. The distinct count the optimizer
+// reads must stay within the cardinality.
+func TestColNDVCappedByCardinality(t *testing.T) {
+	f := newFixture(t)
+	cust, err := f.cat.Table("cust")
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := int64(1000)
+	for round := 0; round < 10; round++ {
+		tx := f.cat.BeginTxn()
+		scan := cust.Heap.Scan().WithSnapshot(tx.Snapshot())
+		for deleted := 0; deleted < 200 && scan.Next(); deleted++ {
+			if err := tx.Delete(cust, scan.RID(), scan.Tuple().Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := scan.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			if err := tx.Insert(cust, types.Tuple{types.NewInt(next), types.NewInt(next % 25)}); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		tx.Commit()
+	}
+	card, _ := cust.Stats()
+	if card != 1000 {
+		t.Fatalf("cardinality %v after the churn, want 1000", card)
+	}
+	if sketch := cust.ColStat(0).Distinct; sketch <= card {
+		t.Fatalf("the key's sketch reads %v distinct values: the churn did not outgrow the table", sketch)
+	}
+	if ndv := colNDV(cust, 0); ndv > card {
+		t.Errorf("colNDV %v exceeds the table's %v rows", ndv, card)
+	}
+}

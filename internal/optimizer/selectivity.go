@@ -29,12 +29,17 @@ func colHist(t *catalog.Table, col int) *histogram.Histogram {
 }
 
 // colNDV returns the column's distinct-value estimate, defaulting to a
-// tenth of the cardinality when unknown.
+// tenth of the cardinality when unknown. A known count is capped by the
+// cardinality: the commit-time sketch cannot forget a deleted value.
 func colNDV(t *catalog.Table, col int) float64 {
+	card, _ := t.Stats()
 	if cs := colStats(t, col); cs != nil && cs.Distinct > 0 {
+		if card > 0 {
+			return math.Min(cs.Distinct, card)
+		}
 		return cs.Distinct
 	}
-	if card, _ := t.Stats(); card > 0 {
+	if card > 0 {
 		return math.Max(1, card/10)
 	}
 	return 10

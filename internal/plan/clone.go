@@ -54,7 +54,6 @@ func Clone(n Node) Node {
 	case *Exchange:
 		cp := *x
 		cp.Input = Clone(x.Input)
-		cp.Keys = append([]int(nil), x.Keys...)
 		return &cp
 	case *Insert:
 		cp := *x

@@ -42,18 +42,14 @@ func decompose(root plan.Node) (*decomposed, error) {
 			cur = cur.Children()[0]
 			continue
 		case *plan.Exchange:
-			// A parallel aggregation cluster —
-			// gather{agg{round-robin{input}}} — is one top operator: the
-			// gather builds the whole partial/final split, so the walk
-			// records the cluster and resumes below the round-robin.
-			if x.Mode == plan.ExGather {
-				if agg, ok := x.Input.(*plan.Agg); ok {
-					if rr, ok := agg.Input.(*plan.Exchange); ok {
-						d.tops = append(d.tops, x)
-						cur = rr.Input
-						continue
-					}
-				}
+			// A parallel aggregation cluster — gather{agg{input}} — is
+			// one top operator: the gather builds the whole partial/final
+			// split, so the walk records the cluster and resumes below
+			// the agg.
+			if agg, ok := x.Input.(*plan.Agg); ok {
+				d.tops = append(d.tops, x)
+				cur = agg.Input
+				continue
 			}
 		}
 		break
@@ -79,9 +75,7 @@ func decompose(root plan.Node) (*decomposed, error) {
 		case *plan.HashJoin:
 			stepsTopDown = append(stepsTopDown, chainStep{join: x, wrappers: reverseNodes(pending)})
 			pending = nil
-			// The build input may carry a hash-partition annotation; the
-			// segment below it starts at the gather (or scan) underneath.
-			cur = plan.StripPartition(x.Build)
+			cur = x.Build
 		case *plan.IndexJoin:
 			stepsTopDown = append(stepsTopDown, chainStep{join: x, wrappers: reverseNodes(pending)})
 			pending = nil
@@ -112,8 +106,8 @@ func reverseNodes(ns []plan.Node) []plan.Node {
 }
 
 // unwrapTop resolves a tops entry to its logical operator: a parallel
-// aggregation cluster (gather{agg{round-robin{input}}}) stands in for
-// its Agg; every other entry is itself.
+// aggregation cluster (gather{agg{input}}) stands in for its Agg; every
+// other entry is itself.
 func unwrapTop(n plan.Node) plan.Node {
 	if x, ok := n.(*plan.Exchange); ok {
 		if agg, ok := x.Input.(*plan.Agg); ok {

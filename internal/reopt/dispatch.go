@@ -148,7 +148,7 @@ func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *ex
 		first, wrappers := step.join, step.wrappers
 		px, isGather := step.top().(*plan.Exchange)
 		_, isHash := step.join.(*plan.HashJoin)
-		if isGather && isHash && px.Mode == plan.ExGather {
+		if isGather && isHash {
 			// Parallel step: the gather builds the whole segment — N
 			// partitioned hash joins plus per-worker wrapper pipelines —
 			// as one operator consuming the serial stream below. Open runs
@@ -245,8 +245,8 @@ func (d *Dispatcher) buildLeafOp(dec *decomposed, ctx *exec.Ctx, override exec.O
 			cur = x.Children()[0]
 		case *plan.Exchange:
 			// The live stream replacing the scan is already serial; a
-			// gather (or partition annotation) over it is meaningless, so
-			// exchanges are skipped rather than applied.
+			// gather over it is meaningless, so it is skipped rather
+			// than applied.
 			cur = x.Input
 		case *plan.Scan:
 			op := override
@@ -374,9 +374,6 @@ func (d *Dispatcher) refreshStale(dec *decomposed, i int, stale *staleBase) floa
 			}
 			scaleEst(x, r)
 			return r
-		case *plan.Exchange:
-			// Delegates Est to its input; scale below only.
-			return scalePipeline(x.Input)
 		case *plan.Filter, *plan.Collector:
 			r := scalePipeline(x.Children()[0])
 			if r != 1 {

@@ -10,14 +10,16 @@ import (
 	"repro/internal/types"
 )
 
-// runInstrumented is runMode with the observability surfaces attached:
-// a progress record timed for EXPLAIN ANALYZE and a lifecycle trace.
-func runInstrumented(t *testing.T, e *env, mode Mode, src string, params plan.Params) (*Stats, *obs.Progress, *obs.Trace, float64) {
+// runInstrumented is runMode at the given degree with the observability
+// surfaces attached: a progress record timed for EXPLAIN ANALYZE and a
+// lifecycle trace.
+func runInstrumented(t *testing.T, e *env, mode Mode, degree int, src string, params plan.Params) (*Stats, *obs.Progress, *obs.Trace, float64) {
 	t.Helper()
 	az := obs.NewProgress("q", 0, src, true)
 	tr := obs.NewTrace(obs.DefaultTraceCap)
 	cfg := DefaultConfig(mode)
 	cfg.Trace = tr
+	cfg.Degree = degree
 	d := New(e.cat, cfg)
 	ctx := e.ctx(params)
 	ctx.Prog = az
@@ -46,7 +48,7 @@ func TestExplainAnalyzeMarksSplicePoint(t *testing.T) {
 		and rel1_val < :v1 and rel1_grp < :v2 group by rel1_grp`
 	params := plan.Params{"v1": types.NewFloat(1e9), "v2": types.NewFloat(1e9)}
 
-	st, az, tr, _ := runInstrumented(t, e, ModePlanOnly, src, params)
+	st, az, tr, _ := runInstrumented(t, e, ModePlanOnly, 1, src, params)
 	if st.PlanSwitches == 0 {
 		t.Fatal("no plan switch; the EXPLAIN ANALYZE assertions below need one")
 	}
@@ -127,19 +129,29 @@ func TestProgressReadsTheDecisionRecords(t *testing.T) {
 // query, whether the plan opens from its root or the dispatcher opens
 // each join at its checkpoint first. Anything the meter charges outside
 // operator Open/Next/Close (parse, optimize) is the residue; it stays
-// small.
+// small. The parallel case is Q6's shape at degree 2, where the gathers
+// nest like the operators: the scans run in the workers of the gather
+// under the aggregate, the partial aggregates in those of the one above.
 func TestAnalyzeSelfCostsSumToQueryCost(t *testing.T) {
 	e := buildThreeJoinEnv(t)
 	params := plan.Params{"cut": types.NewFloat(999999)}
-	for _, mode := range []Mode{ModeOff, ModeFull} {
-		_, az, _, metered := runInstrumented(t, e, mode, threeJoinQuery, params)
-		sum := az.TotalSelfCost()
-		if sum <= 0 || metered <= 0 {
-			t.Fatalf("%v: degenerate costs: sum=%g metered=%g", mode, sum, metered)
-		}
-		if rel := math.Abs(sum-metered) / metered; rel > 0.05 {
-			t.Errorf("%v: self-cost sum %.1f vs metered query cost %.1f (%.1f%% off)",
-				mode, sum, metered, rel*100)
+	for _, c := range []struct {
+		src    string
+		degree int
+	}{
+		{threeJoinQuery, 1},
+		{`select sum(a_val) as s, count(*) as n from a where a_val < :cut`, 2},
+	} {
+		for _, mode := range []Mode{ModeOff, ModeFull} {
+			_, az, _, metered := runInstrumented(t, e, mode, c.degree, c.src, params)
+			sum := az.TotalSelfCost()
+			if sum <= 0 || metered <= 0 {
+				t.Fatalf("%v at degree %d: degenerate costs: sum=%g metered=%g", mode, c.degree, sum, metered)
+			}
+			if rel := math.Abs(sum-metered) / metered; rel > 0.05 {
+				t.Errorf("%v at degree %d: self-cost sum %.1f vs metered query cost %.1f (%.1f%% off):\n%s",
+					mode, c.degree, sum, metered, rel*100, az.Render())
+			}
 		}
 	}
 }

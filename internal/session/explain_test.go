@@ -73,6 +73,35 @@ func TestExplainAnalyzeRowsMatchProgress(t *testing.T) {
 	}
 }
 
+// TestParallelOperatorsAllRun: every operator of a parallel plan runs.
+// After each TPC-D query at degrees 2 and 4, every operator in the
+// query's progress record reads done — none is a node the executor
+// never reaches.
+func TestParallelOperatorsAllRun(t *testing.T) {
+	_, m := newTPCDManager(t, Config{})
+	for _, q := range tpcd.Queries() {
+		for _, degree := range []int{2, 4} {
+			res, err := m.Session().Exec(context.Background(), q.SQL, Options{Mode: reopt.ModeOff, Parallel: degree})
+			if err != nil {
+				t.Fatalf("%s at degree %d: %v", q.Name, degree, err)
+			}
+			p := m.Progress().Get(res.Query)
+			if p == nil {
+				t.Fatalf("%s at degree %d: no progress record", q.Name, degree)
+			}
+			ops := p.Snapshot(true).Operators
+			if len(ops) == 0 {
+				t.Fatalf("%s at degree %d: the progress record holds no operator", q.Name, degree)
+			}
+			for _, op := range ops {
+				if op.State != "done" {
+					t.Errorf("%s at degree %d: %s [%s] is %s", q.Name, degree, op.Label, op.Detail, op.State)
+				}
+			}
+		}
+	}
+}
+
 // TestExplainAnalyzeWithoutProgress: NoProgress keeps a query out of the
 // progress registry, and EXPLAIN ANALYZE still renders its actuals.
 func TestExplainAnalyzeWithoutProgress(t *testing.T) {
