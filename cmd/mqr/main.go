@@ -7,10 +7,10 @@
 //
 // Usage:
 //
-//	mqr [flags] [SQL | @Q5]
+//	mqr [flags] [SQL | @Q5 ...]
 //
-// With no query argument it runs the paper's whole query set. A query of
-// the form @Q5 names one of the paper's TPC-D queries. mqr exits
+// With no query argument it runs the paper's whole query set. Each
+// argument of the form @Q5 names one of the paper's TPC-D queries. mqr exits
 // non-zero if any query fails (remaining queries still run). mqr -h
 // lists the flags.
 package main
@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,7 +55,10 @@ func main() {
 		os.Exit(runWatch(*connect, *watch))
 	}
 
-	queries := selectQueries()
+	queries, err := selectQueries(flag.Args())
+	if err != nil {
+		fatal(err)
+	}
 
 	if *connect != "" {
 		os.Exit(runThinClient(*connect, *mode, *ten, *weight, queries, *maxRows, *analyze, *trace, *timeout))
@@ -231,20 +235,27 @@ func truncate(s string, n int) string {
 	return s[:n-3] + "..."
 }
 
-func selectQueries() []namedQuery {
-	var queries []namedQuery
-	if flag.NArg() == 0 {
-		for _, q := range midquery.TPCDQueries() {
-			queries = append(queries, namedQuery{q.Name + " (" + string(q.Class) + ")", q.SQL})
+func selectQueries(args []string) ([]namedQuery, error) {
+	all := midquery.TPCDQueries()
+	if len(args) == 0 {
+		queries := make([]namedQuery, len(all))
+		for i, q := range all {
+			queries[i] = namedQuery{q.Name + " (" + string(q.Class) + ")", q.SQL}
 		}
-		return queries
+		return queries, nil
 	}
-	arg := strings.Join(flag.Args(), " ")
-	if strings.HasPrefix(arg, "@") {
-		q := midquery.Q(strings.TrimPrefix(arg, "@"))
-		return []namedQuery{{q.Name, q.SQL}}
+	if !strings.HasPrefix(args[0], "@") {
+		return []namedQuery{{"query", strings.Join(args, " ")}}, nil
 	}
-	return []namedQuery{{"query", arg}}
+	queries := make([]namedQuery, len(args))
+	for k, arg := range args {
+		i := slices.IndexFunc(all, func(q midquery.TPCDQuery) bool { return "@"+q.Name == arg })
+		if i < 0 {
+			return nil, fmt.Errorf("tpcd: no query %q", strings.TrimPrefix(arg, "@"))
+		}
+		queries[k] = namedQuery{all[i].Name, all[i].SQL}
+	}
+	return queries, nil
 }
 
 type namedQuery struct {

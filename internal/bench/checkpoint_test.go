@@ -6,6 +6,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/reopt"
+	"repro/internal/session"
 	"repro/internal/sql"
 	"repro/internal/tpcd"
 )
@@ -76,5 +77,41 @@ func TestTopEstimatesFollowTheirInputs(t *testing.T) {
 	}
 	if !checked {
 		t.Fatal("Q3 reached no second checkpoint")
+	}
+}
+
+// TestReallocationsCountMovedGrants: every checkpoint with a memory
+// operator left re-runs the Memory Manager, but only one that moved a
+// grant counts as a re-allocation. Q3's improved estimates leave every
+// grant where it was; Q5's move at least one.
+func TestReallocationsCountMovedGrants(t *testing.T) {
+	env, err := NewEnv(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"Q3", "Q5"} {
+		q, err := tpcd.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := env.Exec(q.SQL, session.Options{Mode: reopt.ModeFull})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, moved := res.Stats, 0
+		for _, d := range st.Decisions {
+			if d.Moved > 0 {
+				moved++
+			}
+			if name == "Q3" && (!d.Realloc || d.Moved != 0) {
+				t.Errorf("Q3: %+v: want the Memory Manager re-run and no grant moved", d)
+			}
+		}
+		if st.MemReallocs != moved {
+			t.Errorf("%s: MemReallocs %d, %d records moved a grant", name, st.MemReallocs, moved)
+		}
+		if name == "Q3" && (len(st.Decisions) == 0 || moved != 0) || name == "Q5" && moved < 1 {
+			t.Errorf("%s: %d of %d records moved a grant: %v", name, moved, len(st.Decisions), st.Decisions)
+		}
 	}
 }

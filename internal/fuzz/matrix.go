@@ -348,25 +348,26 @@ func diffRows(label string, rows []types.Tuple, want []string) string {
 	return ""
 }
 
-// checkDecisions holds a successful query's checkpoint records to what
-// is derived from them: (a) each re-optimization counter in its Stats
-// equals its tally over the records; (b) each record's cause follows
-// from its own numbers under the run's θ₁, θ₂ and switch margin; (c) the
-// finished progress snapshot counts the same checkpoints and switches,
-// unless the query was preempted (a preempted attempt's records go with
-// its Stats; the progress record carries on); (d) every collector report
-// reached a checkpoint: the reports number the checkpoint records (a
-// prepared statement's parametric record aside), so no collector runs
-// whose report nothing reads; (e) the run's mode allows every record
-// (modeAllows).
+// checkDecisions holds a successful query's checkpoint records to
+// accounts kept apart from them: (a) MemReallocs and PlanSwitches count
+// the records that moved a grant and switched plans, and the records'
+// broker traffic is the lease's own account (Result.Broker); (b) each
+// record's cause follows from its own numbers under the run's θ₁, θ₂ and
+// switch margin; (c) the finished progress snapshot counts the same
+// checkpoints and switches, unless the query was preempted (a preempted
+// attempt's records go with its Stats and lease; the progress record
+// carries on); (d) every collector report reached a checkpoint: the
+// reports number the checkpoint records (a prepared statement's
+// parametric record aside), so no collector runs whose report nothing
+// reads; (e) the run's mode allows every record (modeAllows).
 func checkDecisions(res *session.Result, cfg reopt.Config, mgr *session.Manager) string {
 	st := res.Stats
-	var tally [7]float64
+	var tally [6]float64
 	checkpoints := 0
 	for _, d := range st.Decisions {
 		checkpoints += int(one(d.Cause != reopt.CauseParametric))
-		for k, v := range [7]float64{one(d.Realloc), one(d.Cause <= reopt.CauseRestart), one(d.Switched()),
-			one(d.Returned > 0), one(d.Grown > 0), d.Returned, d.Grown} {
+		for k, v := range [6]float64{one(d.Moved > 0), one(d.Switched()),
+			one(d.Returned > 0), d.Returned, one(d.Grown > 0), d.Grown} {
 			tally[k] += v
 		}
 		suspect := d.Estimate > 0 && (d.Improved-d.Estimate)/d.Estimate > cfg.Theta2
@@ -387,9 +388,10 @@ func checkDecisions(res *session.Result, cfg reopt.Config, mgr *session.Manager)
 	if msg := modeAllows(cfg.Mode, st); msg != "" {
 		return fmt.Sprintf("%v mode: %s", cfg.Mode, msg)
 	}
-	if got := [7]float64{float64(st.MemReallocs), float64(st.ReoptConsidered), float64(st.PlanSwitches),
-		float64(st.BrokerReturns), float64(st.BrokerGrowths), st.BrokerReturnedBytes, st.BrokerGrownBytes}; got != tally {
-		return fmt.Sprintf("stats counters %v, their tally over the decisions %v", got, tally)
+	if b := res.Broker; [6]float64{float64(st.MemReallocs), float64(st.PlanSwitches), float64(b.Returns),
+		b.ReturnedBytes, float64(b.Growths), b.GrownBytes} != tally {
+		return fmt.Sprintf("re-allocations %d, switches %d and the lease's account %+v; the decisions count %v",
+			st.MemReallocs, st.PlanSwitches, b, tally)
 	}
 	if st.Observations != checkpoints {
 		return fmt.Sprintf("%d collector reports reached the dispatcher, %d checkpoints read one",

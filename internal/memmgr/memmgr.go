@@ -13,6 +13,8 @@
 package memmgr
 
 import (
+	"math"
+
 	"repro/internal/plan"
 )
 
@@ -54,43 +56,30 @@ func (m *Manager) Allocate(root plan.Node) {
 }
 
 // AllocateOps runs the allocation policy over an explicit operator list
-// (already in execution order) under the given budget. The re-optimizer
-// calls this directly for the not-yet-started suffix of a plan.
-func (m *Manager) AllocateOps(ops []plan.Node, budget float64) {
+// (already in execution order) under the given budget, and returns the
+// bytes it moved: Σ|new grant − old grant|. The re-optimizer calls this
+// directly for the not-yet-started suffix of a plan.
+func (m *Manager) AllocateOps(ops []plan.Node, budget float64) (moved float64) {
 	remaining := budget
 	for _, op := range ops {
 		e := op.Est()
-		grant := e.MemMin
-		if grant > e.MemMax {
-			grant = e.MemMax
-		}
-		e.Grant = grant
-		remaining -= grant
-	}
-	if remaining <= 0 {
-		return
+		remaining -= math.Min(e.MemMin, e.MemMax)
 	}
 	for _, op := range ops {
 		e := op.Est()
-		want := e.MemMax - e.Grant
-		if want <= 0 {
-			continue
+		grant := math.Min(e.MemMin, e.MemMax)
+		// Top up in execution order while budget remains. All-or-nothing
+		// (MemStep): partial memory does not save the operator's extra
+		// pass, so don't waste budget on it.
+		if want := e.MemMax - grant; want > 0 && remaining > 0 && (!e.MemStep || want <= remaining) {
+			want = math.Min(want, remaining)
+			grant += want
+			remaining -= want
 		}
-		if e.MemStep {
-			// All-or-nothing: partial memory does not save the
-			// operator's extra pass, so don't waste budget on it.
-			if want > remaining {
-				continue
-			}
-		} else if want > remaining {
-			want = remaining
-		}
-		e.Grant += want
-		remaining -= want
-		if remaining <= 0 {
-			return
-		}
+		moved += math.Abs(grant - e.Grant)
+		e.Grant = grant
 	}
+	return moved
 }
 
 // SplitGrant divides one operator's broker-backed memory grant across

@@ -65,7 +65,7 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 
 		CollectorsInserted: r.NewCounter("reopt_collectors_inserted_total", "Statistics collectors inserted by the SCIA (sec 2.2/2.5)"),
 		Observations:       r.NewCounter("reopt_observations_total", "Collector reports delivered to the dispatcher (sec 2.2)"),
-		MemReallocs:        r.NewCounter("reopt_memory_reallocs_total", "Mid-query memory re-allocations (sec 2.3)"),
+		MemReallocs:        r.NewCounter("reopt_memory_reallocs_total", "Checkpoints whose memory re-allocation moved a grant (sec 2.3)"),
 		ReoptConsidered:    r.NewCounter("reopt_considered_total", "Checkpoints where Equations 1 and 2 were evaluated (sec 2.4)"),
 		PlanSwitches:       r.NewCounter("reopt_plan_switches_total", "Mid-query plan switches taken (sec 2.4)"),
 

@@ -77,14 +77,15 @@ func TestBrokeredReallocAdmitsWaiter(t *testing.T) {
 	cfg.QueryTag = "A"
 	cfg.PoolPages = float64(e.pool.Capacity())
 	d := New(e.cat, cfg)
-	rows, st, err := d.RunSQL(src, params, e.ctx(params))
+	rows, _, err := d.RunSQL(src, params, e.ctx(params))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) == 0 {
 		t.Fatal("A returned no rows")
 	}
-	if st.BrokerReturns == 0 {
+	returned := leaseA.Stats()
+	if returned.Returns == 0 {
 		t.Fatal("A's re-allocation returned nothing to the broker")
 	}
 	leaseA.Release()
@@ -118,8 +119,8 @@ func TestBrokeredReallocAdmitsWaiter(t *testing.T) {
 		t.Errorf("B admitted outside A's return window: return A@%d, admit B@%d, release A@%d\ntrace: %v",
 			retA, admB, relA, events)
 	}
-	if st.BrokerReturnedBytes < bMin {
+	if returned.ReturnedBytes < bMin {
 		t.Errorf("returned %.0f bytes, less than B's minimum %d — admission ordering was luck",
-			st.BrokerReturnedBytes, bMin)
+			returned.ReturnedBytes, bMin)
 	}
 }

@@ -278,13 +278,8 @@ func (d *Dispatcher) buildLeafOp(dec *decomposed, ctx *exec.Ctx, override exec.O
 func (r *dispatchRun) record(rec Decision) {
 	st := r.st
 	st.Decisions = append(st.Decisions, rec)
-	st.MemReallocs += b2i(rec.Realloc)
-	st.ReoptConsidered += b2i(rec.Cause <= CauseRestart)
+	st.MemReallocs += b2i(rec.Moved > 0)
 	st.PlanSwitches += b2i(rec.Switched())
-	st.BrokerGrowths += b2i(rec.Grown > 0)
-	st.BrokerReturns += b2i(rec.Returned > 0)
-	st.BrokerGrownBytes += rec.Grown
-	st.BrokerReturnedBytes += rec.Returned
 	pos := 0.0
 	if rec.Estimate > 0 {
 		pos = rec.Improved / rec.Estimate
@@ -635,7 +630,7 @@ func (d *Dispatcher) reallocate(dec *decomposed, i int, rec *Decision) {
 			rec.Grown = lease.Grow(need - lease.Held())
 		}
 		budget := math.Max(0, lease.Held()-held)
-		memmgr.New(budget).AllocateOps(notStarted, budget)
+		rec.Moved = memmgr.New(budget).AllocateOps(notStarted, budget)
 		committed := held
 		for _, op := range notStarted {
 			committed += op.Est().Grant
@@ -666,7 +661,7 @@ func (d *Dispatcher) reallocate(dec *decomposed, i int, rec *Decision) {
 			e.MemMin = e.Grant
 		}
 	}
-	memmgr.New(budget).AllocateOps(notStarted, budget)
+	rec.Moved = memmgr.New(budget).AllocateOps(notStarted, budget)
 	for k, op := range notStarted {
 		op.Est().MemMin = savedMins[k]
 	}

@@ -105,7 +105,7 @@ func TestSwitchMarginBlocksMarginalSwitches(t *testing.T) {
 	if st.PlanSwitches != 0 {
 		t.Errorf("switched %d times despite 99%% margin", st.PlanSwitches)
 	}
-	if st.ReoptConsidered == 0 {
+	if st.Considered() == 0 {
 		t.Error("equations never evaluated")
 	}
 	if len(rows) == 0 {

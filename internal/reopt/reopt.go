@@ -206,11 +206,11 @@ type Decision struct {
 	// is no set's rows (a parametric choice, a join's output under its
 	// residual filter). MatRows is the exact row count of the temp a
 	// materializing switch filled, for the set MatRels; 0 otherwise.
-	Rels, MatRels   uint32
-	MatRows         float64
-	Growth          float64 // stats growth folded into the suffix; 1 if none
-	Realloc         bool    // grants re-allocated, Returned/Grown bytes to/from the broker
-	Returned, Grown float64
+	Rels, MatRels          uint32
+	MatRows                float64
+	Growth                 float64 // stats growth folded into the suffix; 1 if none
+	Realloc                bool    // the Memory Manager re-ran over the operators not yet started
+	Moved, Returned, Grown float64 // Σ|grant after − before| over them; bytes to/from the broker
 	// Elapsed is the cost spent so far, Improved is T_cur,improved
 	// (Elapsed plus the remainder re-costed under its final grants) and
 	// Estimate the plan's promise; TOpt and Trial stay 0 unless Eq. 1 or
@@ -250,8 +250,8 @@ func (d Decision) String() string {
 	if d.Growth != 1 {
 		fmt.Fprintf(&b, ", stats growth %.3gx", d.Growth)
 	}
-	if d.Realloc {
-		b.WriteString("; memory re-allocated")
+	if d.Moved > 0 {
+		fmt.Fprintf(&b, "; memory re-allocated, %.0f bytes moved", d.Moved)
 	}
 	if d.Grown+d.Returned > 0 {
 		fmt.Fprintf(&b, ", broker +%.0f/-%.0f bytes", d.Grown, d.Returned)
@@ -259,22 +259,15 @@ func (d Decision) String() string {
 	return b.String() + ")"
 }
 
-// Stats reports what the dispatcher did during one query. The fields
-// from MemReallocs to BrokerGrownBytes tally Decisions (dispatchRun.record).
+// Stats reports what the dispatcher did during one query. MemReallocs
+// (records that moved a grant) and PlanSwitches count Decisions as fields
+// (dispatchRun.record): the benchmark module reads them, and PlanSwitches
+// bounds MaxSwitches. Broker traffic is the lease's (memmgr.LeaseStats).
 type Stats struct {
 	CollectorsInserted int
 	Observations       int
 	MemReallocs        int
-	ReoptConsidered    int // checkpoints where Equations 1 & 2 were evaluated
 	PlanSwitches       int
-	// Broker traffic (zero unless the query runs under a Lease):
-	// re-allocations that returned surplus operator memory to the
-	// shared pool, and ones that grew the lease to cover demands the
-	// initial admission under-estimated.
-	BrokerReturns       int
-	BrokerReturnedBytes float64
-	BrokerGrowths       int
-	BrokerGrownBytes    float64
 	// Decisions holds one record per checkpoint, in checkpoint order.
 	Decisions []Decision
 	// EstimatedCost is the optimizer's total-cost estimate for the
@@ -303,6 +296,14 @@ func (st *Stats) Observed() optimizer.Overlay {
 		}
 	}
 	return ov
+}
+
+// Considered counts the checkpoints that evaluated Equations 1 and 2.
+func (st *Stats) Considered() (n int) {
+	for _, d := range st.Decisions {
+		n += b2i(d.Cause <= CauseRestart)
+	}
+	return n
 }
 
 // Dispatcher is the modified scheduler/dispatcher of §3.1: it owns query

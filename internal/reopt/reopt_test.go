@@ -9,7 +9,9 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/histogram"
+	"repro/internal/memmgr"
 	"repro/internal/plan"
+	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -197,10 +199,40 @@ func TestFigure3MemoryReallocation(t *testing.T) {
 	const budget = 1 << 20
 
 	wantRows, _, offCost := runMode(t, e, ModeOff, src, params, budget)
-	gotRows, st, memCost := runMode(t, e, ModeMemoryOnly, src, params, budget)
+	// The first checkpoint re-allocates: the second join's grant rises
+	// by exactly the bytes its record says moved.
+	cfg := DefaultConfig(ModeMemoryOnly)
+	cfg.MemBudget = budget
+	var join2 *plan.Est
+	before := -1.0
+	cfg.CheckpointHook = func(step int) {
+		if step == 0 {
+			before = join2.Grant
+		}
+	}
+	d := New(e.cat, cfg)
+	stmt, err := sql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Optimize(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	join2 = memmgr.Consumers(res.Root)[1].Est()
+	start := e.m.Snapshot()
+	gotRows, st, err := d.RunPlan(res, params, e.ctx(params))
+	if err != nil {
+		t.Fatal(err)
+	}
+	memCost := e.m.Snapshot().Sub(start).Cost()
 	rowsEqual(t, "figure3", gotRows, wantRows)
 	if st.MemReallocs == 0 {
 		t.Fatal("no memory re-allocation happened")
+	}
+	if rose := join2.Grant - before; st.Decisions[0].Step != 0 || rose <= 0 || rose != st.Decisions[0].Moved {
+		t.Errorf("second join's grant rose %.0f bytes (from %.0f), the first record moved %.0f: %v",
+			rose, before, st.Decisions[0].Moved, st.Decisions)
 	}
 	if memCost >= offCost {
 		t.Errorf("memory re-allocation did not help: %.0f (realloc) vs %.0f (normal)", memCost, offCost)
@@ -233,7 +265,7 @@ func TestFigure6PlanSwitch(t *testing.T) {
 	wantRows, _, _ := runMode(t, e, ModeOff, src, params, 0)
 	gotRows, st, planCost := runMode(t, e, ModePlanOnly, src, params, 0)
 	rowsEqual(t, "figure6", gotRows, wantRows)
-	if st.ReoptConsidered == 0 {
+	if st.Considered() == 0 {
 		t.Fatal("equations never evaluated despite a 9x cardinality error")
 	}
 	if st.PlanSwitches == 0 {

@@ -815,7 +815,7 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 	statCost := float64(spent.StatCPU) * spent.Weights.StatCPU
 	m.em.RecordQuery(cost, statCost, mu,
 		st.CollectorsInserted, st.Observations, st.MemReallocs,
-		st.ReoptConsidered, st.PlanSwitches)
+		st.Considered(), st.PlanSwitches)
 	out := &Result{
 		Columns:   cols,
 		Rows:      rows,

@@ -269,7 +269,7 @@ func TestBrokeredHandoffBetweenSessions(t *testing.T) {
 	if resA == nil || resB == nil {
 		t.Fatal("a query failed")
 	}
-	if resA.Stats.BrokerReturns == 0 {
+	if resA.Broker.Returns == 0 {
 		t.Fatal("A never returned surplus to the broker")
 	}
 	if !resB.Broker.Waited {

@@ -55,7 +55,8 @@ type (
 	Column = types.Column
 	// Kind is a SQL type tag.
 	Kind = types.Kind
-	// Stats reports what the re-optimizing dispatcher did for a query.
+	// Stats reports what the re-optimizing dispatcher did for a query, one
+	// Decision per checkpoint; its broker traffic is Result.Broker.
 	Stats = reopt.Stats
 	// HistFamily selects a histogram construction algorithm.
 	HistFamily = histogram.Family

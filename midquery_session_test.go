@@ -210,7 +210,7 @@ func TestExecMatchesSessionManagerPath(t *testing.T) {
 		}
 		a, b := lib.Stats, srv.Stats
 		if a.CollectorsInserted != b.CollectorsInserted || a.Observations != b.Observations ||
-			a.MemReallocs != b.MemReallocs || a.ReoptConsidered != b.ReoptConsidered ||
+			a.MemReallocs != b.MemReallocs || a.Considered() != b.Considered() ||
 			a.PlanSwitches != b.PlanSwitches || a.EstimatedCost != b.EstimatedCost {
 			t.Errorf("%s: stats differ:\n library %+v\n session %+v", name, *a, *b)
 		}
