@@ -52,10 +52,10 @@ type MixedResult struct {
 // insert into a private key range plus one contended hot-row update)
 // while a reader sweeps the medium and complex queries under full
 // re-optimization. Committed writes bump the statistics version
-// mid-sweep, so later reads plan against shifted cardinalities and
-// in-flight checkpoints see real write-driven staleness — the
-// production scenario the MVCC subsystem exists to create. Dead
-// versions are vacuumed at the end and reported.
+// mid-sweep, so later reads plan against shifted cardinalities, while
+// an in-flight read keeps its snapshot and decides its checkpoints as
+// if alone — the production scenario the MVCC subsystem exists to
+// create. Dead versions are vacuumed at the end and reported.
 func Mixed(cfg Config, writers, txnsPerWriter int) (*MixedResult, error) {
 	if writers < 1 {
 		writers = 1

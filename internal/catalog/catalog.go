@@ -220,8 +220,8 @@ type Catalog struct {
 
 	// version counts persistent-statistics changes: CREATE TABLE, DROP
 	// of a non-temp table, CREATE INDEX, ANALYZE, and every committed
-	// write transaction. In-flight queries compare it against the value
-	// they planned under to detect write-driven staleness.
+	// write transaction. It is an observability counter; a running
+	// query reads its own snapshot and never consults it.
 	version atomic.Int64
 
 	// schemaVersion counts structural changes only — CREATE/DROP TABLE

@@ -31,11 +31,9 @@ type dispatchRun struct {
 	// counts its join's rows before the filter, no relation set's rows.
 	filtered []*plan.Collector
 	// origTotal is the optimizer's promise for this plan; startSnap the
-	// meter when the dispatch began (elapsed = meter − startSnap); stale
-	// the statistics baseline the plan was optimized against.
+	// meter when the dispatch began (elapsed = meter − startSnap).
 	origTotal float64
 	startSnap storage.Snapshot
-	stale     staleBase
 
 	params plan.Params
 	ctx    *exec.Ctx
@@ -68,7 +66,6 @@ func (d *Dispatcher) dispatch(res *optimizer.Result, params plan.Params, ctx *ex
 		collectors: map[int]*plan.Collector{},
 		origTotal:  res.Root.Est().Cost,
 		startSnap:  ctx.Meter.Snapshot(),
-		stale:      d.captureStale(res),
 		params:     params,
 		ctx:        ctx,
 		st:         st,
@@ -297,111 +294,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// staleBase snapshots the catalog's statistics version and the
-// base-relation cardinalities the optimizer planned against, taken when
-// a dispatch begins. Checkpoints compare against it to detect
-// statistics that went stale mid-query — concurrent committed write
-// transactions bump the stats version and shift cardinalities while
-// the plan is running on the old numbers.
-type staleBase struct {
-	statsVer int64
-	cards    map[*catalog.Table]float64
-}
-
-// captureStale records the dispatch-start statistics baseline for every
-// base relation in the query.
-func (d *Dispatcher) captureStale(res *optimizer.Result) staleBase {
-	sb := staleBase{
-		statsVer: d.Cat.StatsVersion(),
-		cards:    make(map[*catalog.Table]float64, len(res.Query.Rels)),
-	}
-	for _, rel := range res.Query.Rels {
-		card, _ := rel.Table.Stats()
-		sb.cards[rel.Table] = card
-	}
-	return sb
-}
-
-// refreshStale folds concurrent committed writes into the unexecuted
-// plan suffix. If the catalog's stats version moved since the baseline
-// was taken, every not-yet-scanned base relation whose cardinality
-// shifted scales its pipeline and the joins above it by the growth
-// ratio, exactly as applyImproved scales by a collector's
-// observed/estimated ratio — so write-driven staleness participates in
-// Equation 2 and can trigger a re-optimization that the collectors
-// alone would not have. The baseline is then re-anchored so each
-// checkpoint applies only the growth that arrived since the last one.
-// It returns the growth compounded up the join chain (1 when none).
-func (d *Dispatcher) refreshStale(dec *decomposed, i int, stale *staleBase) float64 {
-	ver := d.Cat.StatsVersion()
-	if ver == stale.statsVer {
-		return 1
-	}
-	ratios := map[*catalog.Table]float64{}
-	for t, c0 := range stale.cards {
-		card, _ := t.Stats()
-		r := 1.0
-		switch {
-		case c0 > 0:
-			r = card / c0
-		case card > 0:
-			r = card // planned as empty; scale from 1
-		}
-		if math.Abs(r-1) > 1e-9 {
-			ratios[t] = r
-			stale.cards[t] = card
-		}
-	}
-	stale.statsVer = ver
-	if len(ratios) == 0 {
-		return 1
-	}
-	// scalePipeline walks a base-relation pipeline (scan plus unary
-	// wrappers) down to its scan and, if that table shifted, scales the
-	// pipeline's estimates, returning the ratio for the join above.
-	var scalePipeline func(n plan.Node) float64
-	scalePipeline = func(n plan.Node) float64 {
-		switch x := n.(type) {
-		case *plan.Scan:
-			r, ok := ratios[x.Table]
-			if !ok {
-				return 1
-			}
-			scaleEst(x, r)
-			return r
-		case *plan.Filter, *plan.Collector:
-			r := scalePipeline(x.Children()[0])
-			if r != 1 {
-				scaleEst(x, r)
-			}
-			return r
-		}
-		return 1
-	}
-	// Growth compounds up the join chain: if step k's probe side grew,
-	// its output — the next step's build input — grew with it.
-	acc := 1.0
-	for k := i; k < len(dec.steps); k++ {
-		step := dec.steps[k]
-		r := 1.0
-		switch j := step.join.(type) {
-		case *plan.HashJoin:
-			r = scalePipeline(j.Probe)
-		case *plan.IndexJoin:
-			// Index-join probe cost reads the heap's live page and
-			// tuple counts, which already reflect the writes; the
-			// output estimate still needs the inner growth.
-			if g, ok := ratios[j.Table]; ok {
-				r = g
-			}
-		}
-		if acc *= r; acc != 1 {
-			scaleStep(step, acc, nil)
-		}
-	}
-	return acc
-}
-
 // checkpoint processes one statistics report at the decision point after
 // step i's build phase. It updates estimates for the unexecuted plan
 // suffix, re-invokes the Memory Manager (memory modes), and evaluates
@@ -431,7 +323,6 @@ func (r *dispatchRun) checkpoint(i int, obs *plan.Observed) (Decision, error) {
 		ratio = obs.Rows // estimate said empty; scale from 1
 	}
 	applyImproved(r.dec, i, cnode, obs, ratio)
-	rec.Growth = r.refreshStale(r.dec, i, &r.stale)
 	resizeSuffix(r.dec, i, cnode, obs)
 
 	// In the combined mode the Memory Manager is re-invoked before the

@@ -149,8 +149,8 @@ type Config struct {
 	// CheckpointHook, when non-nil, runs at the start of every
 	// checkpoint decision with the step index. It is a deterministic
 	// interleaving seam: concurrency tests use it to commit writes at
-	// an exact decision point and assert the dispatcher notices the
-	// resulting statistics staleness.
+	// an exact decision point and assert the query's rows and decisions
+	// do not move, since its snapshot never reads them.
 	CheckpointHook func(step int)
 	// Trace, when non-nil, receives the dispatcher's lifecycle events:
 	// plan registrations, SCIA placements, and one decision event per
@@ -208,7 +208,6 @@ type Decision struct {
 	// materializing switch filled, for the set MatRels; 0 otherwise.
 	Rels, MatRels          uint32
 	MatRows                float64
-	Growth                 float64 // stats growth folded into the suffix; 1 if none
 	Realloc                bool    // the Memory Manager re-ran over the operators not yet started
 	Moved, Returned, Grown float64 // Σ|grant after − before| over them; bytes to/from the broker
 	// Elapsed is the cost spent so far, Improved is T_cur,improved
@@ -246,9 +245,6 @@ func (d Decision) String() string {
 	}
 	if d.Trial > 0 {
 		fmt.Fprintf(&b, ", trial %.0f", d.Trial)
-	}
-	if d.Growth != 1 {
-		fmt.Fprintf(&b, ", stats growth %.3gx", d.Growth)
 	}
 	if d.Moved > 0 {
 		fmt.Fprintf(&b, "; memory re-allocated, %.0f bytes moved", d.Moved)

@@ -3,6 +3,9 @@ package session
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -90,6 +93,97 @@ func TestOverlappingQueryLeavesDecisionsAlone(t *testing.T) {
 		if s := solo.Stats.Decisions[i]; d.Elapsed != s.Elapsed || d.Improved != s.Improved {
 			t.Errorf("decision %d: elapsed %.2f improved %.2f beside Q10, %.2f and %.2f alone",
 				i, d.Elapsed, d.Improved, s.Elapsed, s.Improved)
+		}
+	}
+}
+
+// A query's decisions read what its snapshot can see: another session
+// commits a write inside the query's first checkpoint, and the query's
+// rows, Cost and every checkpoint record are what they are when it runs
+// alone. Each cell loads a fresh database, so every write meets the
+// same data. Q8 sits out the insert and update cells: its index joins
+// price their inner table by the heap's live page and tuple counts,
+// which count versions the snapshot cannot see.
+func TestOverlappingCommitLeavesDecisionsAlone(t *testing.T) {
+	var orders strings.Builder
+	for i := 0; i < 400; i++ {
+		if i > 0 {
+			orders.WriteString(", ")
+		}
+		fmt.Fprintf(&orders, "(%d, 1, 'O', 1000.0, date '1994-06-01', '1-URGENT', 0)", 100001+i)
+	}
+	type write struct{ name, sql string }
+	deletes := []write{
+		{"delete lineitem", "delete from lineitem where l_orderkey <= 3750"},
+		{"delete orders", "delete from orders where o_orderkey <= 3750"},
+		{"delete customer", "delete from customer where c_custkey <= 375"},
+		{"delete supplier", "delete from supplier where s_suppkey <= 25"},
+	}
+	rewrites := []write{
+		{"insert orders", "insert into orders (o_orderkey, o_custkey, o_orderstatus, o_totalprice, " +
+			"o_orderdate, o_orderpriority, o_shippriority) values " + orders.String()},
+		{"update orders", "update orders set o_totalprice = 1.0 where o_orderkey <= 3750"},
+		{"update customer", "update customer set c_acctbal = 1.0 where c_custkey <= 375"},
+	}
+	check := func(name string, w write) {
+		t.Helper()
+		_, m := newTPCDManager(t, Config{})
+		q, err := tpcd.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := m.Session(), m.Session()
+		opts := Options{Mode: reopt.ModeFull, NoCache: true}
+		run := func(opts Options) *Result {
+			t.Helper()
+			res, err := a.Exec(context.Background(), q.SQL, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		run(opts) // warm the pool
+		solo := run(opts)
+		var once sync.Once
+		written := opts
+		written.CheckpointHook = func(int) {
+			once.Do(func() {
+				res, err := b.Exec(context.Background(), w.sql, Options{})
+				if err != nil {
+					t.Errorf("%s: %v", w.name, err)
+				} else if res.RowsAffected == 0 {
+					t.Errorf("%s touched no row", w.name)
+				}
+			})
+		}
+		got := run(written)
+		label := name + " beside " + w.name
+		if len(solo.Stats.Decisions) == 0 {
+			t.Fatalf("%s reached no checkpoint: nothing overlapped", name)
+		}
+		rowsEqual(t, label, got.Rows, solo.Rows)
+		if got.Cost != solo.Cost {
+			t.Errorf("%s: cost %.2f, %.2f alone", label, got.Cost, solo.Cost)
+		}
+		if len(got.Stats.Decisions) != len(solo.Stats.Decisions) {
+			t.Errorf("%s: %d decisions, %d alone", label, len(got.Stats.Decisions), len(solo.Stats.Decisions))
+			return
+		}
+		for i, d := range got.Stats.Decisions {
+			s := solo.Stats.Decisions[i]
+			if d.Step != s.Step || d.Cause != s.Cause || d.Elapsed != s.Elapsed || d.Improved != s.Improved || d.Trial != s.Trial {
+				t.Errorf("%s: decision %d is %v, alone %v", label, i, d, s)
+			}
+		}
+	}
+	for _, q := range []string{"Q3", "Q10", "Q5", "Q7", "Q8"} {
+		for _, w := range deletes {
+			check(q, w)
+		}
+		if q != "Q8" {
+			for _, w := range rewrites {
+				check(q, w)
+			}
 		}
 	}
 }
