@@ -386,12 +386,14 @@ func (a *Agg) encodeState(dst types.Tuple, g int) {
 func (a *Agg) mergePartitions() error {
 	nk := len(a.node.GroupCols)
 	keyCols := leadingCols(nk)
+	var s storage.HeapScanner
+	s.Lend() // merge copies what it keeps
 	for _, part := range a.parts {
 		if err := faultinject.Hit("exec.agg.merge"); err != nil {
 			return err
 		}
 		a.resetGroups()
-		s := part.Scan().Lend() // merge copies what it keeps
+		s.Reset(part)
 		for s.Next() {
 			if err := a.ctx.Tick(); err != nil {
 				return err

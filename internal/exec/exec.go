@@ -155,6 +155,13 @@ func (c *Ctx) Err() error {
 // past the chunk. Either way a broken promise reads NULLs or other rows,
 // never quietly stale values. Strings are never recycled. Everything else
 // keeps the default.
+//
+// The partitions an operator spills are its own, read back through
+// scanners it re-aims file after file (storage.HeapScanner.Reset), and
+// the same rule holds there with a file for a call: a HashJoin's probe
+// partitions and an Agg's merged ones are lent, and a HashJoin clears a
+// build partition's tuples, which its table held, before the next
+// partition's are carved from their block. Its outputs are copies.
 type Operator interface {
 	Open() error
 	Next() (types.Tuple, error)

@@ -200,7 +200,7 @@ func TestHashJoinInMemoryMatchesNestedLoop(t *testing.T) {
 	}
 }
 
-func mustBuild(t *testing.T, e *testEnv, n plan.Node) Operator {
+func mustBuild(t testing.TB, e *testEnv, n plan.Node) Operator {
 	t.Helper()
 	op, err := Build(n, e.ctx)
 	if err != nil {
@@ -228,6 +228,55 @@ func TestHashJoinSpilledMatchesInMemory(t *testing.T) {
 		t.Fatal("tiny-grant join did not spill")
 	}
 	tuplesetEqual(t, got, want)
+}
+
+// A spilled join reads its partitions back through one scanner a side,
+// so the allocations of that phase do not grow with the partition count:
+// the same 1:1 join at a grant that makes 8 partitions and at one that
+// makes 128 may differ by one allocation in four extra partitions, where
+// a scanner a partition cost two or more each. Each run drains a join
+// that has partitioned both sides already; both grants overflow on the
+// first build tuple, so the hash table grows from empty under each.
+func TestSpilledJoinReadBackAllocsDoNotGrowWithPartitions(t *testing.T) {
+	e := newEnv(1024)
+	const n, runs = 4000, 5
+	l := e.makeTable(t, "l", n, n)
+	r := e.makeTable(t, "r", n, n)
+	readBack := func(grant float64) (parts int, allocs float64) {
+		joins := make([]*HashJoin, runs+1) // AllocsPerRun warms up with one more
+		for i := range joins {
+			j := NewHashJoin(hashJoinNode(e, t, l, r, grant), mustBuild(t, e, scanNode(l)), mustBuild(t, e, scanNode(r)), e.ctx)
+			if err := j.Open(); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.openProbe(); err != nil {
+				t.Fatal(err)
+			}
+			joins[i] = j
+		}
+		allocs = testing.AllocsPerRun(runs, func() {
+			j := joins[0]
+			joins = joins[1:]
+			if got, err := Drain(j); err != nil || got != n {
+				t.Fatalf("grant %.0f: the join returned %d rows, want %d (%v)", grant, got, n, err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			parts = len(j.buildParts)
+		})
+		return parts, allocs
+	}
+	tuple := float64(types.EncodedSize(types.Tuple{types.NewInt(0), types.NewInt(0), types.NewString("row")})) * plan.BuildFudge
+	few, fewAllocs := readBack(0.99 * tuple)
+	many, manyAllocs := readBack(tuple / 40)
+	if few != 8 || many < 64 {
+		t.Fatalf("the grants made %d and %d partitions, want 8 and >= 64", few, many)
+	}
+	if bound := fewAllocs + float64(many-few)/4; manyAllocs > bound {
+		t.Errorf("reading back %d partitions made %.0f allocations, %d made %.0f: more than %.0f, they grow with the partitions",
+			many, manyAllocs, few, fewAllocs, bound)
+	}
 }
 
 func TestHashJoinSpillCostsMoreIO(t *testing.T) {

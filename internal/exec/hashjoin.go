@@ -29,16 +29,21 @@ type HashJoin struct {
 	// The hash table: build tuples as the build side handed them over
 	// (they live in its scan's arena blocks; nothing is copied), indexed
 	// by key hash. In-memory mode fills it once in Open; partitioned mode
-	// refills the same slices for each build partition.
+	// refills the same slices for each build partition, from buildScan.
 	rows      []types.Tuple
 	index     hashIndex
 	tableSize float64
 	peakMem   float64 // high-water hash-table memory, for EXPLAIN ANALYZE
 
-	// Partitioned (spilled) mode.
+	// Partitioned (spilled) mode. Each side's partitions are read through
+	// one scanner, re-aimed partition by partition (HeapScanner.Reset):
+	// the probe side's is lent, and the build side's carves each
+	// partition's tuples from the block of the partition before.
 	spilled    bool
 	buildParts []*storage.HeapFile
 	probeParts []*storage.HeapFile
+	buildScan  *storage.HeapScanner
+	probeScan  *storage.HeapScanner
 
 	// Probe state.
 	opened      bool
@@ -48,8 +53,7 @@ type HashJoin struct {
 	mem         types.Arena   // what joined outputs are carved from
 	pending     []types.Tuple // joined outputs of the last probe tuple matched
 	head        int           // next of pending to emit
-	curPart     int
-	partScan    *storage.HeapScanner
+	curPart     int           // the partition loaded; -1 before the first
 }
 
 // NewHashJoin builds a hash join operator. The memory grant is read from
@@ -180,6 +184,8 @@ func (j *HashJoin) spillBuild() error {
 	}
 	j.buildParts = make([]*storage.HeapFile, p)
 	j.probeParts = make([]*storage.HeapFile, p)
+	j.buildScan, j.probeScan = new(storage.HeapScanner), new(storage.HeapScanner).Lend()
+	j.curPart = -1
 	for i := range j.buildParts {
 		j.buildParts[i] = storage.NewTempFile(j.ctx.Pool, j.ctx.Meter)
 		j.probeParts[i] = storage.NewTempFile(j.ctx.Pool, j.ctx.Meter)
@@ -290,11 +296,7 @@ func (j *HashJoin) openProbe() error {
 			return err
 		}
 	}
-	if err := j.probe.Close(); err != nil {
-		return err
-	}
-	j.curPart = -1
-	return nil
+	return j.probe.Close()
 }
 
 // match appends all join results for probe tuple t to pending, in the
@@ -326,9 +328,9 @@ func (j *HashJoin) nextSpilled() error {
 		if err := faultinject.Hit("exec.hashjoin.spill"); err != nil {
 			return err
 		}
-		if j.partScan != nil {
-			if j.partScan.Next() {
-				t := j.partScan.Tuple()
+		if j.curPart >= 0 {
+			if j.probeScan.Next() {
+				t := j.probeScan.Tuple()
 				j.ctx.Meter.ChargeTuples(1)
 				j.match(t)
 				if len(j.pending) > 0 {
@@ -336,10 +338,9 @@ func (j *HashJoin) nextSpilled() error {
 				}
 				continue
 			}
-			if err := j.partScan.Err(); err != nil {
+			if err := j.probeScan.Err(); err != nil {
 				return err
 			}
-			j.partScan = nil
 			j.buildParts[j.curPart].Drop()
 			j.probeParts[j.curPart].Drop()
 		}
@@ -348,28 +349,41 @@ func (j *HashJoin) nextSpilled() error {
 			j.probeDone = true
 			return nil
 		}
-		// Load this build partition into memory.
-		j.resetTable()
-		s := j.buildParts[j.curPart].Scan()
-		partSize := 0.0
-		for s.Next() {
-			if err := j.ctx.Tick(); err != nil {
-				return err
-			}
-			t := s.Tuple()
-			j.ctx.Meter.ChargeTuples(1)
-			j.addBuild(t, HashKeys(t, j.node.BuildKeys))
-			partSize += float64(types.EncodedSize(t))
-		}
-		if m := partSize * plan.BuildFudge; m > j.peakMem {
-			j.peakMem = m
-		}
-		if err := s.Err(); err != nil {
+		if err := j.loadPartition(); err != nil {
 			return err
 		}
-		j.index.seal()
-		j.partScan = j.probeParts[j.curPart].Scan().Lend()
 	}
+}
+
+// loadPartition loads build partition curPart into the table and aims
+// the probe scanner at its probe partition. The partition before's build
+// tuples are dead by now — the join's outputs are copies — so they are
+// cleared and the build scanner carves this partition's from their block.
+func (j *HashJoin) loadPartition() error {
+	for _, t := range j.rows {
+		clear(t)
+	}
+	j.resetTable()
+	s := j.buildScan.Reset(j.buildParts[j.curPart])
+	partSize := 0.0
+	for s.Next() {
+		if err := j.ctx.Tick(); err != nil {
+			return err
+		}
+		t := s.Tuple()
+		j.ctx.Meter.ChargeTuples(1)
+		j.addBuild(t, HashKeys(t, j.node.BuildKeys))
+		partSize += float64(types.EncodedSize(t))
+	}
+	if m := partSize * plan.BuildFudge; m > j.peakMem {
+		j.peakMem = m
+	}
+	if err := s.Err(); err != nil {
+		return err
+	}
+	j.index.seal()
+	j.probeScan.Reset(j.probeParts[j.curPart])
+	return nil
 }
 
 // Spilled reports whether the join degraded to partitioned mode — the
@@ -419,6 +433,7 @@ func (j *HashJoin) Close() error {
 		}
 	}
 	j.rows, j.index = nil, hashIndex{}
+	j.buildScan, j.probeScan = nil, nil
 	err := j.build.Close()
 	if err2 := j.probe.Close(); err == nil {
 		err = err2

@@ -27,6 +27,9 @@ type BufferPool struct {
 	disk     *Disk
 	capacity int
 
+	// Every frame is on lru; frames maps the pages resident in them. A
+	// frame whose page was dropped holds InvalidPageID at the list's back,
+	// the first a miss takes.
 	frames map[PageID]*frame
 	lru    *list.List // front = most recent; elements hold their *frame
 }
@@ -82,7 +85,7 @@ func (bp *BufferPool) PinMetered(id PageID, m *CostMeter) ([]byte, error) {
 	}
 	data, err := bp.disk.page(id)
 	if err != nil {
-		bp.lru.Remove(f.elem)
+		bp.parkLocked(f)
 		return nil, err
 	}
 	m.ChargeRead(1)
@@ -106,13 +109,17 @@ func (bp *BufferPool) PinNew() (PageID, []byte, error) {
 }
 
 // freeFrameLocked returns a frame that holds no page, at the front of
-// the LRU list: a new one while the pool has room, otherwise the least
-// recently used unpinned frame, its write-back charged if dirty.
-// Recycling the victim's frame and list element keeps a miss on a full
-// pool free of allocation. The caller installs a page in the frame or
-// removes its list element.
+// the LRU list: a dropped page's if there is one, else a new one while
+// the pool has room, otherwise the least recently used unpinned frame,
+// its write-back charged if dirty. Reusing frames and list elements keeps
+// a miss on a full pool, or after a temp file was dropped, free of
+// allocation. The caller installs a page in the frame or parks it.
 func (bp *BufferPool) freeFrameLocked() (*frame, error) {
-	if len(bp.frames) < bp.capacity {
+	if e := bp.lru.Back(); e != nil && e.Value.(*frame).id == InvalidPageID {
+		bp.lru.MoveToFront(e)
+		return e.Value.(*frame), nil
+	}
+	if bp.lru.Len() < bp.capacity {
 		f := &frame{id: InvalidPageID}
 		// A pointer in the element's interface value is stored as it is:
 		// a page id would be boxed, one allocation a miss.
@@ -208,11 +215,19 @@ func (bp *BufferPool) EvictAll() {
 	}
 }
 
-// dropLocked writes back an unpinned frame if dirty and removes it.
+// dropLocked writes back an unpinned frame if dirty and parks it.
 func (bp *BufferPool) dropLocked(f *frame) {
 	bp.writeBackLocked(f)
-	bp.lru.Remove(f.elem)
 	delete(bp.frames, f.id)
+	bp.parkLocked(f)
+}
+
+// parkLocked empties an unpinned frame that no page maps to and moves it
+// to the LRU's back, where the next miss takes it instead of a new frame
+// or a resident page's.
+func (bp *BufferPool) parkLocked(f *frame) {
+	f.id, f.data, f.dirtier, f.pins = InvalidPageID, nil, nil, 0
+	bp.lru.MoveToBack(f.elem)
 }
 
 // Cached reports whether the page currently occupies a frame (for tests).

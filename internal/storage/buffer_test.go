@@ -281,8 +281,8 @@ func TestBufferPoolRecyclesFramesSafely(t *testing.T) {
 	if d := m.Snapshot().Sub(before); d.PageWrites != 1 || d.PageReads != 0 {
 		t.Errorf("FlushAll of one dirty page, then evicting it clean, charged %v", d)
 	}
-	if len(bp.frames) != 0 || bp.lru.Len() != 0 {
-		t.Fatalf("after evicting everything: %d frames, %d LRU entries", len(bp.frames), bp.lru.Len())
+	if n := residentFrames(t, bp); n != 0 {
+		t.Fatalf("after evicting everything: %d frames hold a page", n)
 	}
 	if buf, _ = bp.Pin(ids[9]); buf[0] != 0xFF || buf[1] != 10 {
 		t.Errorf("page %d reads %d %d after its eviction, want 255 10", ids[9], buf[0], buf[1])
@@ -297,8 +297,81 @@ func TestBufferPoolFailedReadLeavesNoFrame(t *testing.T) {
 	if _, err := bp.Pin(999); err == nil {
 		t.Fatal("pin of unallocated page succeeded")
 	}
-	if len(bp.frames) != 0 || bp.lru.Len() != 0 {
-		t.Errorf("failed pin left %d frames, %d LRU entries", len(bp.frames), bp.lru.Len())
+	if n := residentFrames(t, bp); n != 0 {
+		t.Errorf("failed pin left %d frames holding a page", n)
+	}
+}
+
+// residentFrames returns how many frames hold a page, failing t unless
+// the map holds exactly those and every other frame on the LRU list is
+// parked: empty, unpinned, clean.
+func residentFrames(t *testing.T, bp *BufferPool) int {
+	t.Helper()
+	if bp.lru.Len() > bp.capacity {
+		t.Fatalf("%d LRU entries in a pool of %d", bp.lru.Len(), bp.capacity)
+	}
+	n := 0
+	for e := bp.lru.Front(); e != nil; e = e.Next() {
+		f := e.Value.(*frame)
+		if f.id != InvalidPageID {
+			if bp.frames[f.id] != f {
+				t.Fatalf("the frame of page %d is not the one the map holds", f.id)
+			}
+			n++
+		} else if f.data != nil || f.pins != 0 || f.dirtier != nil {
+			t.Fatalf("a parked frame holds data %t, %d pins, dirtier %v", f.data != nil, f.pins, f.dirtier)
+		}
+	}
+	if n != len(bp.frames) {
+		t.Fatalf("%d frames hold a page, the map has %d", n, len(bp.frames))
+	}
+	return n
+}
+
+// A page dropped from a full pool leaves its frame behind for the next
+// miss: a pin-miss / unpin / Evict cycle allocates nothing, takes the
+// dropped frame before any resident page's, and charges one read.
+func TestBufferPoolReusesDroppedFrame(t *testing.T) {
+	bp, m := newTestPool(3)
+	var ids []PageID
+	for i := 0; i < 4; i++ {
+		id, _, err := bp.PinNew()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(id)
+		ids = append(ids, id)
+	}
+	bp.FlushAll()
+	// The pool held ids[1..3], ids[0] pushed out; dropping ids[3] leaves
+	// its frame behind.
+	if err := bp.Evict(ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	resident, cycled := ids[1:3], ids[0]
+	before := m.Snapshot()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := bp.Pin(cycled); err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(cycled)
+		if err := bp.Evict(cycled); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a pin-miss / unpin / Evict cycle on a full pool allocates %.1f times", allocs)
+	}
+	for _, id := range resident {
+		if !bp.Cached(id) {
+			t.Fatalf("page %d was evicted: the miss took a resident page's frame, not the dropped one", id)
+		}
+	}
+	if d := m.Snapshot().Sub(before); d.PageReads != 101 || d.PageWrites != 0 {
+		t.Errorf("101 cycles charged %v, want 101 reads and no writes", d)
+	}
+	if n := residentFrames(t, bp); n != 2 || bp.lru.Len() != 3 {
+		t.Errorf("%d frames hold a page, %d LRU entries, want 2 and 3", n, bp.lru.Len())
 	}
 }
 

@@ -561,7 +561,9 @@ func (h *HeapFile) Drop() error {
 // Every tuple returned is the caller's to keep — tuples and their strings
 // are carved from a types.Arena — unless the caller lent the scan (Lend):
 // then a tuple is the caller's until its next call to Next, and only its
-// strings are kept for good.
+// strings are kept for good. Either promise ends at Reset, which re-aims
+// the scanner at another file and carves that file's tuples from the old
+// one's Values block; the zero HeapScanner is ready for Reset.
 type HeapScanner struct {
 	file    *HeapFile
 	pageIdx int          // next page to load
@@ -571,10 +573,14 @@ type HeapScanner struct {
 
 	recordReader
 	examine func() error
-	// lent is set by Lend; block is then the Values block every page's
-	// batch is carved from.
-	lent  bool
-	block []types.Value
+	// lent is set by Lend. block is the Values block the tuples are
+	// carved from after a recycle: every page's batch when lent, every
+	// file's tuples after a Reset otherwise. sizeFor is set by a Reset of
+	// a scanner that is not lent to the tuples its file holds: the first
+	// of them sizes block for all.
+	lent    bool
+	block   []types.Value
+	sizeFor int
 
 	// The loaded page: one entry per record that passed, in slot order,
 	// and the count of rejected records after the last of them.
@@ -676,13 +682,51 @@ func (s *HeapScanner) OnExamine(fn func() error) *HeapScanner {
 // page it then clears the tuples of the page before and carves the new
 // ones from one Values block it reuses page after page
 // (types.Arena.Recycle), so a scan of any length allocates a few blocks
-// instead of one or more a page. The clearing is there so that a caller
+// instead of one or more a page — and, re-aimed by Reset, a scan of any
+// number of files does too. The clearing is there so that a caller
 // that breaks the promise reads NULLs or another row, a wrong answer a
 // differential test catches. The strings of a lent tuple are still the
 // caller's to keep.
 func (s *HeapScanner) Lend() *HeapScanner {
 	s.lent = true
 	return s
+}
+
+// Reset re-aims the scanner at the first page of h, as h.Scan() would
+// start, and returns it for chaining: it takes h's pages, a stride of 1
+// and h's meter, so it pins and charges what a fresh scan does. It keeps
+// its filter, projection, snapshot, hook, lending and the memory a scan
+// grows into: the batch, the record shape and the arena.
+//
+// Reset is also the caller's promise that it keeps no tuple the scanner
+// returned before, and has cleared those it held, value by value: the
+// scanner carves h's tuples from the Values block of the file before
+// (types.Arena.Recycle). A lent scanner clears its last page's tuples
+// itself, so its caller, holding none, has nothing to clear. A scanner
+// that is not lent leaves every tuple it returned to its caller, and
+// carves all of h's from one block, sized for them at the first: so a
+// build side read a partition at a time allocates a block or two per
+// join, not blocks per partition. Strings are never recycled.
+func (s *HeapScanner) Reset(h *HeapFile) *HeapScanner {
+	if s.lent {
+		s.recycle()
+	} else {
+		s.sizeFor = int(h.NumTuples())
+	}
+	s.file, s.pageIdx, s.stride, s.meter = h, 0, 1, h.meter
+	s.batch, s.pos, s.tail, s.loadErr, s.err, s.cur = s.batch[:0], 0, 0, nil, nil, nil
+	return s
+}
+
+// recycle clears the loaded page's tuples and makes their block the one
+// the next are carved from. Only a lent scanner calls it.
+func (s *HeapScanner) recycle() {
+	used := 0
+	for _, e := range s.batch {
+		used += len(e.tup)
+		clear(e.tup)
+	}
+	s.block = s.mem.Recycle(s.block, used)
 }
 
 // Next advances to the next visible tuple that passes the filter,
@@ -743,12 +787,7 @@ func (s *HeapScanner) loadPage() bool {
 	defer h.pool.Unpin(id)
 	s.pageIdx += s.stride
 	if s.lent {
-		used := 0
-		for _, e := range s.batch {
-			used += len(e.tup)
-			clear(e.tup)
-		}
-		s.block = s.mem.Recycle(s.block, used)
+		s.recycle()
 	}
 	s.page, s.batch, s.pos = id, s.batch[:0], 0
 	page := LoadSlottedPage(buf)
@@ -780,6 +819,15 @@ func (s *HeapScanner) loadPage() bool {
 				}
 				continue
 			}
+		}
+		if s.sizeFor > 0 {
+			// The first tuple since a Reset: the file's tuples are as wide.
+			width := len(s.cols)
+			if s.cols == nil {
+				width = s.shape.Width()
+			}
+			s.block = s.mem.Recycle(s.block, s.sizeFor*width)
+			s.sizeFor = 0
 		}
 		// left bounds the tuples still to come: the page's slots from
 		// this record on.

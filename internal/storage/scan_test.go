@@ -369,6 +369,139 @@ func TestLentScanRecyclesOneBlock(t *testing.T) {
 	}
 }
 
+// One scanner re-aimed across k files (Reset) returns what k fresh scans
+// return, lent or not, filtered or not, charges each file's meter what
+// Scan would, and allocates no more for k files than for two. A tuple
+// kept past the re-aim of a lent scanner no longer reads as it did; its
+// string does.
+func TestResetScannerMatchesFreshScans(t *testing.T) {
+	bp, _ := newTestPool(256)
+	const k, n = 8, 1500
+	files := make([]*HeapFile, k)
+	meters := make([]*CostMeter, k)
+	for f := range files {
+		meters[f] = NewCostMeter(DefaultCostWeights())
+		files[f] = NewTempFile(bp, meters[f])
+		for i := f * n; i < (f+1)*n-f*100; i++ { // files of unequal sizes
+			if _, err := files[f].Append(row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if files[k-1].NumPages() < 3 {
+		t.Fatalf("%d pages a file: too few to span pages", files[k-1].NumPages())
+	}
+	even := func(tup types.Tuple) (bool, error) { return tup[0].Int()%2 == 0, nil }
+	// read drains s into copies of its tuples, clearing what it returned
+	// when the scan is not lent, as Reset's caller does, and returns the
+	// copies and the page reads charged to meter.
+	read := func(s *HeapScanner, meter *CostMeter) ([]scanned, int64) {
+		bp.EvictAll()
+		before := meter.Snapshot().PageReads
+		var got []scanned
+		var held []types.Tuple
+		for s.Next() {
+			got = append(got, scanned{s.RID(), slices.Clone(s.Tuple())})
+			held = append(held, s.Tuple())
+		}
+		if s.Err() != nil {
+			t.Fatal(s.Err())
+		}
+		if !s.lent {
+			for _, tup := range held {
+				clear(tup)
+			}
+		}
+		return got, meter.Snapshot().PageReads - before
+	}
+	for _, lend := range []bool{false, true} {
+		for _, filtered := range []bool{false, true} {
+			var s HeapScanner
+			if lend {
+				s.Lend()
+			}
+			if filtered {
+				s.WithFilter(filterOn([]int{0}, even))
+			}
+			for f, h := range files {
+				fresh := h.Scan()
+				if lend {
+					fresh.Lend()
+				}
+				if filtered {
+					fresh.WithFilter(filterOn([]int{0}, even))
+				}
+				want, wantReads := read(fresh, meters[f])
+				got, reads := read(s.Reset(h), meters[f])
+				if err := sameScan(got, want); err != nil {
+					t.Fatalf("lent %t, filtered %t, file %d: re-aimed scan: %v", lend, filtered, f, err)
+				}
+				if reads != wantReads || reads != int64(h.NumPages()) {
+					t.Errorf("lent %t, filtered %t, file %d: re-aimed scan charged %d reads, a fresh one %d, of %d pages",
+						lend, filtered, f, reads, wantReads, h.NumPages())
+				}
+			}
+		}
+	}
+
+	var s HeapScanner
+	s.Lend()
+	s.Reset(files[0]).Next()
+	kept, name := s.Tuple(), s.Tuple()[1]
+	if !kept.Equal(row(0)) {
+		t.Fatalf("the first tuple reads %v", kept)
+	}
+	s.Reset(files[1])
+	for s.Next() {
+	}
+	if kept.Equal(row(0)) {
+		t.Errorf("a lent tuple kept past a Reset still reads %v: its block was not recycled", kept)
+	}
+	if name.Str() != "row-0" {
+		t.Errorf("a lent tuple's string reads %q after a Reset: string blocks are not recycled", name.Str())
+	}
+
+	// The key column alone, so that only value blocks are allocated, of
+	// files of one size.
+	same := make([]*HeapFile, k)
+	for f := range same {
+		same[f] = NewTempFile(bp, meters[f])
+		for i := 0; i < n; i++ {
+			if _, err := same[f].Append(row(f*n + i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	held := make([]types.Tuple, 0, n)
+	allocs := func(files []*HeapFile, lend bool) float64 {
+		return testing.AllocsPerRun(5, func() {
+			s := new(HeapScanner).WithColumns([]int{0})
+			if lend {
+				s.Lend()
+			}
+			for _, h := range files {
+				s.Reset(h)
+				for s.Next() {
+					held = append(held, s.Tuple())
+				}
+				if s.Err() != nil {
+					t.Fatal(s.Err())
+				}
+				for _, tup := range held {
+					clear(tup)
+				}
+				held = held[:0]
+			}
+		})
+	}
+	for _, lend := range []bool{false, true} {
+		if two, all := allocs(same[:2], lend), allocs(same, lend); all > two {
+			t.Errorf("lent %t: a scanner re-aimed across 2 and %d files made %.0f and %.0f allocations: they grow with the files",
+				lend, k, two, all)
+		}
+	}
+}
+
 func TestScanFilterAndExamineErrors(t *testing.T) {
 	bp, _ := newTestPool(8)
 	h := NewHeapFile(bp)

@@ -68,17 +68,20 @@ func (a *Arena) New(width, left int) Tuple {
 // Recycle makes block — Values carved from this arena, whose tuples the
 // caller has cleared and nobody holds any more — the block the next
 // tuples are carved from, from its start, and returns it. used is how many
-// Values were carved since the last Recycle; when that is more than block
-// holds, the tuples outgrew it and a new block takes its place, twice as
-// large or of used Values, whichever is more. A nil block starts the
-// first.
+// Values the caller expects them to take: a lent scan passes how many
+// were carved since the last Recycle, a scanner re-aimed at a file how
+// many that file's tuples hold. When that is more than block holds, a new
+// block takes its place, twice as large or of used Values, whichever is
+// more. A nil block starts the first.
 //
 // The clearing is the caller's, tuple by tuple, because it knows every
 // tuple it handed out, including those carved before the first Recycle or
 // past the end of block: one kept against the promise then reads NULLs or
 // another row's values, a wrong answer a differential test catches,
 // never its own values gone quietly stale. It also leaves the strings
-// they pointed at to the garbage collector.
+// they pointed at to the garbage collector. The promise spans a page of
+// a lent scan, or a file of a scanner re-aimed at the next, as a spilled
+// join reads its build partitions.
 func (a *Arena) Recycle(block []Value, used int) []Value {
 	if used > len(block) {
 		block = make([]Value, max(used, 2*len(block)))
