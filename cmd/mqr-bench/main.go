@@ -24,7 +24,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -34,22 +33,6 @@ import (
 
 	"repro/internal/bench"
 )
-
-// figure is one figure's entry in the JSON report.
-type figure struct {
-	Rows     any                    `json:"rows"`
-	Summary  *bench.Summary         `json:"summary,omitempty"`
-	Parallel *bench.ParallelSummary `json:"parallel_summary,omitempty"`
-	Writes   *bench.WriteStats      `json:"writes,omitempty"`
-	Overhead *bench.OverheadSummary `json:"overhead_summary,omitempty"`
-	QoS      *bench.QoSSummary      `json:"qos_summary,omitempty"`
-}
-
-// report is the -json output document.
-type report struct {
-	Config  bench.Config      `json:"config"`
-	Figures map[string]figure `json:"figures"`
-}
 
 func main() {
 	var (
@@ -70,7 +53,6 @@ func main() {
 		qosDur  = flag.Duration("qos-duration", 3*time.Second, "measured window per qos phase")
 		qosJain = flag.Float64("qos-jain-gate", 0, "exit non-zero if the equal-weights Jain index is below this (0 = no gate)")
 		qosTol  = flag.Float64("qos-ratio-tol", 0, "exit non-zero if the weighted throughput ratio is outside (1±tol)x the configured 3:1 (0 = no gate)")
-		jsonOut = flag.String("json", "", `write a JSON report to this file ("-" for stdout)`)
 	)
 	flag.Parse()
 
@@ -81,33 +63,21 @@ func main() {
 	cfg.StaleFrac = *stale
 	cfg.Seed = *seed
 
-	rep := report{Config: cfg, Figures: map[string]figure{}}
-	record := func(name string, rows any, sum *bench.Summary) {
-		rep.Figures[name] = figure{Rows: rows, Summary: sum}
-	}
-	summarized := func(name string, rows []bench.Row) {
-		s := bench.Summarize(rows)
-		record(name, rows, &s)
-	}
-
 	run := func(name string) {
 		switch name {
 		case "10":
 			rows, err := bench.Figure10(cfg)
 			check(err)
 			fmt.Println(bench.FormatRows("Figure 10: Normal vs Re-Optimized", rows))
-			summarized("figure10", rows)
 		case "11":
 			rows, err := bench.Figure11(cfg)
 			check(err)
 			fmt.Println(bench.FormatRows("Figure 11: memory-only vs plan-only", rows))
-			summarized("figure11", rows)
 		case "12":
 			for _, z := range []float64{0.3, 0.6} {
 				rows, err := bench.Figure12(cfg, z)
 				check(err)
 				fmt.Println(bench.FormatRows(fmt.Sprintf("Figure 12: Zipf z=%.1f", z), rows))
-				summarized(fmt.Sprintf("figure12_z%.1f", z), rows)
 			}
 		case "mu":
 			rows, err := bench.MuGuarantee(cfg, []float64{0.01, 0.05, 0.2})
@@ -117,7 +87,6 @@ func main() {
 				fmt.Printf("  mu=%.2f %-4s overhead=%+.2f%%\n", r.Mu, r.Query, r.Overhead*100)
 			}
 			fmt.Println()
-			record("mu_guarantee", rows, nil)
 		case "sens":
 			rows, err := bench.Sensitivity(cfg, []float64{0.05, 0.2, 0.5, 1.0})
 			check(err)
@@ -127,7 +96,6 @@ func main() {
 					r.Theta2, r.Query, r.Full, r.Off, r.Switches)
 			}
 			fmt.Println()
-			record("sensitivity", rows, nil)
 		case "abl":
 			rows, err := bench.Ablations(cfg)
 			check(err)
@@ -136,7 +104,6 @@ func main() {
 				fmt.Printf("  %-4s %-12s %8.0f\n", r.Query, r.Variant, r.Cost)
 			}
 			fmt.Println()
-			record("ablations", rows, nil)
 		case "hybrid":
 			rows, err := bench.Hybrid(cfg)
 			check(err)
@@ -145,7 +112,6 @@ func main() {
 				fmt.Printf("  %-12s %8.0f (switches=%d)\n", r.Variant, r.Cost, r.Switches)
 			}
 			fmt.Println()
-			record("hybrid", rows, nil)
 		case "parallel":
 			if *spGate > 0 && runtime.NumCPU() < 2 {
 				fmt.Fprintf(os.Stderr, "mqr-bench: speedup gate: %d CPU cannot measure a degree-2 speedup\n", runtime.NumCPU())
@@ -160,7 +126,6 @@ func main() {
 			fmt.Println(bench.FormatParallel(
 				fmt.Sprintf("Intra-query parallelism (degrees 1..%d, full re-optimization):", *par), rows))
 			s := bench.SummarizeParallel(rows)
-			rep.Figures["parallel"] = figure{Rows: rows, Parallel: &s}
 			for d := 2; d <= *par; d *= 2 {
 				key := fmt.Sprintf("d%d", d)
 				fmt.Printf("degree %d geomean measured speedup: %.2fx\n", d, s.MeasuredSpeedup[key])
@@ -182,16 +147,12 @@ func main() {
 			res, err := bench.Mixed(cfg, *writers, *wtxns)
 			check(err)
 			fmt.Println(bench.FormatMixed(res))
-			s := bench.Summarize(res.Reads)
-			w := res.Writes
-			rep.Figures["mixed"] = figure{Rows: res.Reads, Summary: &s, Writes: &w}
 		case "overhead":
 			rows, err := bench.ProgressOverhead(cfg, *reps)
 			check(err)
 			fmt.Println(bench.FormatOverhead(
 				"Live-progress monitoring overhead (process CPU time, median of reps):", rows))
 			s := bench.SummarizeOverhead(rows)
-			rep.Figures["overhead"] = figure{Rows: rows, Overhead: &s}
 			if *ovGate > 0 {
 				if s.Skipped {
 					fmt.Fprintln(os.Stderr,
@@ -212,7 +173,6 @@ func main() {
 			check(err)
 			fmt.Println(bench.FormatQoS(res))
 			s := res.Summary
-			rep.Figures["qos"] = figure{Rows: res, QoS: &s}
 			if *qosJain > 0 && s.EqualJain < *qosJain {
 				fmt.Fprintf(os.Stderr,
 					"mqr-bench: qos fairness gate failed: equal-weights Jain %.3f < %.3f\n",
@@ -241,7 +201,6 @@ func main() {
 					r.Family, r.Query, r.Off, r.Full, r.Switches)
 			}
 			fmt.Println()
-			record("hist_families", rows, nil)
 		default:
 			fmt.Fprintf(os.Stderr, "mqr-bench: unknown figure %q\n", name)
 			os.Exit(2)
@@ -255,23 +214,6 @@ func main() {
 	} else {
 		run(*fig)
 	}
-
-	if *jsonOut != "" {
-		check(writeReport(*jsonOut, rep))
-	}
-}
-
-func writeReport(path string, rep report) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 func check(err error) {

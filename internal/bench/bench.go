@@ -19,7 +19,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/catalog"
@@ -160,70 +159,10 @@ type Row struct {
 	Full  float64    `json:"full,omitempty"`
 	// EstCost is the optimizer's estimated cost of the initial plan in
 	// the re-optimized run; comparing it against the measured cost gives
-	// the estimate error the JSON report summarizes.
+	// the estimate's error.
 	EstCost  float64 `json:"est_cost,omitempty"`
 	Switches int     `json:"switches"`
 	Reallocs int     `json:"reallocs"`
-}
-
-// Summary condenses a figure's rows into the two columns the JSON
-// report tracks across runs: how wrong the optimizer's cost estimates
-// were, and how often the engine decided to switch plans.
-type Summary struct {
-	// EstimateError is the geometric mean of actual/estimated cost over
-	// the re-optimized runs (1.0 = perfect estimates; the geometric mean
-	// keeps 10x-under and 10x-over errors from cancelling only when they
-	// genuinely offset).
-	EstimateError float64 `json:"estimate_error"`
-	// SwitchRate is the fraction of queries that switched plans at
-	// least once.
-	SwitchRate float64 `json:"switch_rate"`
-	// Skipped marks a summary with zero qualifying rows: the aggregate
-	// columns above are meaningless (and would otherwise read as a
-	// perfectly healthy 0), so consumers — including CI gates — must
-	// treat the figure as not measured rather than as passing.
-	Skipped bool `json:"skipped,omitempty"`
-}
-
-// finite guards an aggregate against NaN/Inf (empty inputs, zero
-// denominators): encoding/json refuses non-finite floats, so a single
-// degenerate figure would otherwise break the whole -json report.
-func finite(v float64) (float64, bool) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, false
-	}
-	return v, true
-}
-
-// Summarize computes the estimate-error and switch-rate columns over a
-// figure's rows.
-func Summarize(rows []Row) Summary {
-	var s Summary
-	var logSum float64
-	n, switched := 0, 0
-	for _, r := range rows {
-		actual := r.Full
-		if actual == 0 {
-			actual = r.Plan
-		}
-		if r.EstCost > 0 && actual > 0 {
-			if l := math.Log(actual / r.EstCost); !math.IsNaN(l) && !math.IsInf(l, 0) {
-				logSum += l
-				n++
-			}
-		}
-		if r.Switches > 0 {
-			switched++
-		}
-	}
-	if n > 0 {
-		s.EstimateError, _ = finite(math.Exp(logSum / float64(n)))
-	}
-	if len(rows) > 0 {
-		s.SwitchRate, _ = finite(float64(switched) / float64(len(rows)))
-	}
-	s.Skipped = n == 0
-	return s
 }
 
 // pct formats a relative change against Off.

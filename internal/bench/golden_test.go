@@ -18,7 +18,7 @@ const goldenPath = "testdata/figures.json"
 
 // goldenFigures runs the figures mqr-bench prints in simulated cost units
 // (the timed ones, parallel included, are not deterministic), keyed by
-// the names of mqr-bench's -json report.
+// figure name.
 func goldenFigures(cfg Config) (map[string]any, error) {
 	out := map[string]any{}
 	var err error

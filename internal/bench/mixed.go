@@ -40,8 +40,7 @@ type WriteStats struct {
 }
 
 // MixedResult is the mixed write/read workload's full report: one Row
-// per read query execution (summarizable with Summarize, like every
-// other figure) alongside the write-side statistics.
+// per read query execution alongside the write-side statistics.
 type MixedResult struct {
 	Reads  []Row      `json:"reads"`
 	Writes WriteStats `json:"writes"`

@@ -83,15 +83,12 @@ func Parallel(cfg Config, maxDegree int) ([]ParallelRow, error) {
 	return rows, nil
 }
 
-// ParallelSummary condenses the sweep into the columns tracked across
-// commits: per-degree geometric-mean measured speedup and switch rate.
+// ParallelSummary condenses the sweep into the per-degree geometric-mean
+// measured speedup the speedup gate reads.
 type ParallelSummary struct {
 	// MeasuredSpeedup maps "d<degree>" to the geometric mean of the
 	// stopwatch speedups at that degree across queries.
 	MeasuredSpeedup map[string]float64 `json:"measured_speedup"`
-	// SwitchRate maps "d<degree>" to the fraction of queries that
-	// switched plans at least once at that degree.
-	SwitchRate map[string]float64 `json:"switch_rate"`
 	// Skipped lists "d<degree>" keys with zero qualifying measurements:
 	// their MeasuredSpeedup entry is absent (not 1.0, not 0), so a reader
 	// of that degree sees "nothing was measured" rather than a zero.
@@ -115,42 +112,35 @@ func (g *geomean) add(v float64) bool {
 	return true
 }
 
-// value reports the mean, and false when nothing qualified.
+// value reports the mean, and false when nothing qualified or the mean
+// overflows.
 func (g geomean) value() (float64, bool) {
 	if g.n == 0 {
 		return 0, false
 	}
-	return finite(math.Exp(g.logSum / float64(g.n)))
+	v := math.Exp(g.logSum / float64(g.n))
+	return v, !math.IsInf(v, 0)
 }
 
-// SummarizeParallel computes per-degree speedup and switch-rate columns.
+// SummarizeParallel computes the per-degree speedup column.
 func SummarizeParallel(rows []ParallelRow) ParallelSummary {
-	type acc struct {
-		measured        geomean
-		switched, total int
-	}
-	byDeg := map[int]*acc{}
+	byDeg := map[int]*geomean{}
 	for _, r := range rows {
-		a := byDeg[r.Degree]
-		if a == nil {
-			a = &acc{}
-			byDeg[r.Degree] = a
+		g := byDeg[r.Degree]
+		if g == nil {
+			g = &geomean{}
+			byDeg[r.Degree] = g
 		}
-		a.measured.add(r.MeasuredSpeedup)
-		a.total++
-		if r.Switches > 0 {
-			a.switched++
-		}
+		g.add(r.MeasuredSpeedup)
 	}
-	s := ParallelSummary{MeasuredSpeedup: map[string]float64{}, SwitchRate: map[string]float64{}}
-	for deg, a := range byDeg {
+	s := ParallelSummary{MeasuredSpeedup: map[string]float64{}}
+	for deg, g := range byDeg {
 		key := fmt.Sprintf("d%d", deg)
-		if v, ok := a.measured.value(); ok {
+		if v, ok := g.value(); ok {
 			s.MeasuredSpeedup[key] = v
 		} else {
 			s.Skipped = append(s.Skipped, key)
 		}
-		s.SwitchRate[key] = float64(a.switched) / float64(a.total)
 	}
 	sort.Strings(s.Skipped)
 	return s

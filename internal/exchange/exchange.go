@@ -1,3 +1,15 @@
+// Package exchange implements intra-query parallelism: a Volcano-style
+// gather splits a plan segment across N worker goroutines, routing
+// tuples to them by a hash join's keys or in rotation, and merges the
+// partition streams — and their statistics-collector states — back into
+// one serial stream at the segment boundary.
+//
+// Gather points coincide with the re-optimizer's checkpoint boundaries,
+// so everything the paper's machinery consumes — collector reports for
+// the Eq. 1/2 checkpoint inequalities, SCIA-placed collectors, memory
+// grants, plan switches — works unchanged on parallel plans: between
+// segments the tuple stream is serial, and each gather emits exactly the
+// merged report a serial collector would have produced.
 package exchange
 
 import (

@@ -146,15 +146,18 @@ func (r *region) cause() error {
 	return r.ctx.Err()
 }
 
-// spawn runs fn on the query pool under the region: the goroutine is
-// counted in the region's WaitGroup, panics are recovered into fail, and
-// a non-nil return value fails the region. The done hooks run, in order,
-// after the error is recorded and before the WaitGroup is released, so
-// whoever a hook wakes — a waiter on a group, the consumer of a queue it
-// closes — also observes the error.
+// spawn runs fn on a goroutine the region owns: it is counted in the
+// region's WaitGroup and in the query's Workers, panics are recovered
+// into fail, and a non-nil return value fails the region. The done hooks
+// run, in order, after the error is recorded and before the WaitGroup is
+// released, so whoever a hook wakes — a waiter on a group, the consumer
+// of a queue it closes — also observes the error.
 func (r *region) spawn(c *exec.Ctx, label string, fn func() error, done ...func()) {
 	r.wg.Add(1)
-	c.Go("exchange:"+label, func() {
+	if c.Workers != nil {
+		c.Workers.Add(1)
+	}
+	go func() {
 		defer func() {
 			if p := recover(); p != nil {
 				r.fail(panicErr(label, p))
@@ -167,7 +170,7 @@ func (r *region) spawn(c *exec.Ctx, label string, fn func() error, done ...func(
 		if err := fn(); err != nil {
 			r.fail(err)
 		}
-	})
+	}()
 }
 
 // lastOf returns a done hook shared by n producers of the same queues:
@@ -344,7 +347,7 @@ func workerCtx(parent *exec.Ctx, r *region, part, of int, share float64) *exec.C
 		PartOf:     of,
 		GrantShare: share,
 		Snap:       parent.Snap,
-		Spawn:      parent.Spawn,
+		Workers:    parent.Workers,
 		Trace:      parent.Trace,
 		Prog:       parent.Prog,
 	}

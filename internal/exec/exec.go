@@ -12,6 +12,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
@@ -68,9 +69,10 @@ type Ctx struct {
 	// full grant): a parallel region splits its operator's broker-backed
 	// grant across workers, each building 1/N of the tuples.
 	GrantShare float64
-	// Spawn runs fn on the query's worker pool (panic recovery, pool
-	// accounting). Nil falls back to a plain goroutine.
-	Spawn func(label string, fn func())
+	// Workers counts the goroutines the query's exchange regions start.
+	// The dispatcher installs it at degree 2 and above and reports it as
+	// Stats.WorkersSpawned; nil counts nothing.
+	Workers *atomic.Int64
 	// Trace, when non-nil, receives lifecycle events (collector
 	// reports, dispatcher decisions). Nil disables tracing at the cost
 	// of a nil check.
@@ -91,16 +93,6 @@ func (c *Ctx) grantShare() float64 {
 		return c.GrantShare
 	}
 	return 1
-}
-
-// Go runs fn via the context's worker pool, or a plain goroutine when no
-// pool is installed.
-func (c *Ctx) Go(label string, fn func()) {
-	if c.Spawn != nil {
-		c.Spawn(label, fn)
-		return
-	}
-	go fn()
 }
 
 // Tick is the operators' amortized cancellation check: every tuple loop

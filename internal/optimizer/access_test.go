@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/types"
@@ -19,7 +20,7 @@ func leafOf(t *testing.T, res *Result) *plan.Scan {
 		}
 	})
 	if leaf == nil {
-		t.Fatalf("no scan in\n%s", plan.Format(res.Root))
+		t.Fatalf("no scan in\n%s", obs.FormatPlan(res.Root))
 	}
 	return leaf
 }
@@ -53,7 +54,7 @@ func TestLeafTakesTheCheaperAccessPath(t *testing.T) {
 			got = leaf.Key.String(leaf.Table.Schema.Columns[leaf.Key.Col].Name)
 		}
 		if got != tc.key {
-			t.Errorf("%s: leaf reads %q, want %q\n%s", tc.src, got, tc.key, plan.Format(res.Root))
+			t.Errorf("%s: leaf reads %q, want %q\n%s", tc.src, got, tc.key, obs.FormatPlan(res.Root))
 		}
 		if e := leaf.Est(); o.SelfCost(leaf, 0) != e.SelfCost {
 			t.Errorf("%s: SelfCost = %v, planned %v", tc.src, o.SelfCost(leaf, 0), e.SelfCost)

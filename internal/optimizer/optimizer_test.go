@@ -7,6 +7,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/histogram"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -160,7 +161,7 @@ func TestJoinOrderPutsSmallSideFirst(t *testing.T) {
 	// than orders (20000 rows).
 	first := res.Query.Rels[res.Order[0]].Binding
 	if first != "cust" {
-		t.Errorf("leftmost relation = %s, want cust (plan:\n%s)", first, plan.Format(res.Root))
+		t.Errorf("leftmost relation = %s, want cust (plan:\n%s)", first, obs.FormatPlan(res.Root))
 	}
 }
 
@@ -180,7 +181,7 @@ func TestThreeWayJoinExecutesCorrectly(t *testing.T) {
 	// o_id in [0,100) with o_id % 10 == 7: exactly 10 orders; each has
 	// one customer and one nation.
 	if len(rows) != 10 {
-		t.Fatalf("join returned %d rows, want 10:\n%s", len(rows), plan.Format(res.Root))
+		t.Fatalf("join returned %d rows, want 10:\n%s", len(rows), obs.FormatPlan(res.Root))
 	}
 	for _, r := range rows {
 		if r[0].Int()%10 != 7 {
@@ -254,7 +255,7 @@ func TestIndexJoinChosenForSelectiveOuter(t *testing.T) {
 		}
 	})
 	if !hasIndexJoin {
-		t.Errorf("expected indexed join for 1-row outer:\n%s", plan.Format(res.Root))
+		t.Errorf("expected indexed join for 1-row outer:\n%s", obs.FormatPlan(res.Root))
 	}
 	op, _ := exec.Build(res.Root, f.ctx)
 	rows, err := exec.Collect(op)
@@ -293,7 +294,7 @@ func TestNonEquiJoinViaResidualFilter(t *testing.T) {
 		}
 	})
 	if !hasFilter {
-		t.Fatalf("no residual filter in plan:\n%s", plan.Format(res.Root))
+		t.Fatalf("no residual filter in plan:\n%s", obs.FormatPlan(res.Root))
 	}
 	op, _ := exec.Build(res.Root, f.ctx)
 	rows, err := exec.Collect(op)

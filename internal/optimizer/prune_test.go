@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -310,8 +311,8 @@ func TestExplainShowsKeptColumns(t *testing.T) {
 	}, "\n") + "\n"
 	strip := func(n plan.Node) string { // drop the estimates, keep labels and arguments
 		var b strings.Builder
-		for _, line := range strings.SplitAfter(plan.Format(n), "\n") {
-			if i := strings.Index(line, "] rows="); i >= 0 {
+		for _, line := range strings.SplitAfter(obs.FormatPlan(n), "\n") {
+			if i := strings.Index(line, "] (est rows="); i >= 0 {
 				line = line[:i+1] + "\n"
 			}
 			b.WriteString(line)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/histogram"
+	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/reopt"
@@ -138,7 +139,7 @@ func TestChoosePicksMatchingScenario(t *testing.T) {
 		t.Errorf("chose scenario %g for keep-everything bindings, want 1.0", scenario)
 	}
 	if strings.Contains(Shape(res.Root), "ij(") {
-		t.Errorf("keep-all choice still contains an index join:\n%s", plan.Format(res.Root))
+		t.Errorf("keep-all choice still contains an index join:\n%s", obs.FormatPlan(res.Root))
 	}
 
 	_, scenario, err = p.Choose(plan.Params{"v1": types.NewFloat(5), "v2": types.NewFloat(0)})

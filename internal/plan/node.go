@@ -483,30 +483,6 @@ func (l *Limit) Label() string { return "limit" }
 // Describe implements Node.
 func (l *Limit) Describe() string { return fmt.Sprintf("%d", l.N) }
 
-// Format renders the plan tree with annotations, for EXPLAIN output and
-// the tests' golden assertions.
-func Format(n Node) string {
-	var b strings.Builder
-	format(&b, n, 0)
-	return b.String()
-}
-
-func format(b *strings.Builder, n Node, depth int) {
-	e := n.Est()
-	fmt.Fprintf(b, "%s%s [%s] rows=%.0f cost=%.1f",
-		strings.Repeat("  ", depth), n.Label(), n.Describe(), e.Rows, e.Cost)
-	if e.MemMax > 0 {
-		fmt.Fprintf(b, " mem=%.0f..%.0f", e.MemMin, e.MemMax)
-		if e.Grant > 0 {
-			fmt.Fprintf(b, " grant=%.0f", e.Grant)
-		}
-	}
-	b.WriteByte('\n')
-	for _, c := range n.Children() {
-		format(b, c, depth+1)
-	}
-}
-
 // Walk visits every node of the plan in pre-order.
 func Walk(n Node, fn func(Node)) {
 	fn(n)

@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/histogram"
+	"repro/internal/obs"
 	"repro/internal/optimizer"
-	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -95,8 +95,8 @@ func TestHitOnResubmittedParameterizedSQL(t *testing.T) {
 	if got == res || got.Root == res.Root {
 		t.Fatal("cache returned the stored plan itself, not a clone")
 	}
-	if plan.Format(got.Root) != plan.Format(res.Root) {
-		t.Errorf("cloned plan differs:\n%s\nvs\n%s", plan.Format(got.Root), plan.Format(res.Root))
+	if obs.FormatPlan(got.Root) != obs.FormatPlan(res.Root) {
+		t.Errorf("cloned plan differs:\n%s\nvs\n%s", obs.FormatPlan(got.Root), obs.FormatPlan(res.Root))
 	}
 	// Mutating the clone (as execution does) must not poison the cache.
 	got.Root.Est().Rows = -1

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -267,7 +268,7 @@ func TestFlooredAggregateDemandFollowsObservedGroups(t *testing.T) {
 	}
 	cnode, ok := dec.leafTop.(*plan.Collector)
 	if agg == nil || !ok {
-		t.Fatalf("want an aggregate over a join whose build input is observed: %s", plan.Format(res.Root))
+		t.Fatalf("want an aggregate over a join whose build input is observed: %s", obs.FormatPlan(res.Root))
 	}
 	if got := agg.Est().MemMax; got != 64<<10 {
 		t.Fatalf("planned aggregate demand = %g, want the 64 KiB floor", got)

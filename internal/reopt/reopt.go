@@ -272,9 +272,11 @@ type Stats struct {
 	// harness reports.
 	EstimatedCost float64
 	// Parallel execution accounting (zero when Degree < 2): the degree
-	// the query ran at and how many worker goroutines its exchanges
-	// spawned. Every worker's work is in the metered total cost; how
-	// much of it overlapped is a question for the stopwatch.
+	// the query ran at and how many goroutines its exchange regions
+	// started (exec.Ctx.Workers): N for a leaf gather, 2N+1 for a
+	// hash-join stage, N+1 for an aggregation. Every worker's work is in
+	// the metered total cost; how much of it overlapped is a question
+	// for the stopwatch.
 	Degree         int
 	WorkersSpawned int
 }
@@ -494,38 +496,6 @@ func (d *Dispatcher) arm(res *optimizer.Result, st *Stats, ctx *exec.Ctx) error 
 	return nil
 }
 
-// armParallel prepares a context for parallel execution: a per-query
-// worker pool (panic containment, goroutine accounting). No-op below
-// degree 2, or when the session pre-installed its own pool.
-func (d *Dispatcher) armParallel(ctx *exec.Ctx) *exchange.Pool {
-	if d.Cfg.Degree < 2 {
-		return nil
-	}
-	var pool *exchange.Pool
-	if ctx.Spawn == nil {
-		pool = exchange.NewPool()
-		ctx.Spawn = pool.Go
-	}
-	return pool
-}
-
-// finishParallel joins the query's worker pool (every exchange region
-// has been closed by now, so this is prompt), surfaces any contained
-// worker panic as the query error, and folds the parallel accounting
-// into the stats.
-func (d *Dispatcher) finishParallel(pool *exchange.Pool, st *Stats, err error) error {
-	if d.Cfg.Degree > 1 {
-		st.Degree = d.Cfg.Degree
-	}
-	if pool != nil {
-		if werr := pool.Wait(); err == nil {
-			err = werr
-		}
-		st.WorkersSpawned = pool.Spawned()
-	}
-	return err
-}
-
 // RunSQL parses, compiles, and executes one query, applying Dynamic
 // Re-Optimization per the configured mode.
 func (d *Dispatcher) RunSQL(src string, params plan.Params, ctx *exec.Ctx) ([]types.Tuple, *Stats, error) {
@@ -551,9 +521,14 @@ func (d *Dispatcher) RunSQL(src string, params plan.Params, ctx *exec.Ctx) ([]ty
 func (d *Dispatcher) RunPlan(res *optimizer.Result, params plan.Params, ctx *exec.Ctx) ([]types.Tuple, *Stats, error) {
 	st := &Stats{}
 	d.query = res.Query
-	pool := d.armParallel(ctx)
+	if d.Cfg.Degree > 1 {
+		st.Degree = d.Cfg.Degree
+		ctx.Workers = new(atomic.Int64)
+	}
 	rows, err := d.dispatch(res, params, ctx, st, nil)
-	err = d.finishParallel(pool, st, err)
+	if ctx.Workers != nil {
+		st.WorkersSpawned = int(ctx.Workers.Load())
+	}
 	return rows, st, err
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/histogram"
+	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -372,7 +373,7 @@ func TestCollectorsOnlyOnBuildInputs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(ins) != c.want {
-			t.Errorf("%q: %d collectors, want %d\n%s", c.src, len(ins), c.want, plan.Format(res.Root))
+			t.Errorf("%q: %d collectors, want %d\n%s", c.src, len(ins), c.want, obs.FormatPlan(res.Root))
 		}
 		parents := parentLinks(res.Root)
 		sawIndexJoin := false
@@ -381,7 +382,7 @@ func TestCollectorsOnlyOnBuildInputs(t *testing.T) {
 			sawIndexJoin = sawIndexJoin || ok
 		})
 		if sawIndexJoin != c.indexJoin {
-			t.Fatalf("%q: index join in plan %v, want %v\n%s", c.src, sawIndexJoin, c.indexJoin, plan.Format(res.Root))
+			t.Fatalf("%q: index join in plan %v, want %v\n%s", c.src, sawIndexJoin, c.indexJoin, obs.FormatPlan(res.Root))
 		}
 		for _, in := range ins {
 			var below plan.Node = in.Collector
@@ -421,14 +422,14 @@ func TestNoCollectorOverAnExactKeyLookup(t *testing.T) {
 			}
 		})
 		if keyed != (want == 0) {
-			t.Fatalf("%s: index scan in the plan: %v\n%s", src, keyed, plan.Format(res.Root))
+			t.Fatalf("%s: index scan in the plan: %v\n%s", src, keyed, obs.FormatPlan(res.Root))
 		}
 		ins, err := Insert(res, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(ins) != want {
-			t.Errorf("%s: %d collectors, want %d\n%s", src, len(ins), want, plan.Format(res.Root))
+			t.Errorf("%s: %d collectors, want %d\n%s", src, len(ins), want, obs.FormatPlan(res.Root))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -77,9 +78,17 @@ func runFaultSweep(t *testing.T, cfg Config, degree int, mustSee []string) {
 			select orders.*, l_shipmode
 			from orders, lineitem where o_orderkey = l_orderkey limit 10`})
 	}
+	// No worker outlives its query: after each Exec, failed or not, the
+	// goroutine count comes back to what it was before the query.
 	run := func(q tpcd.Query) error {
+		before := runtime.NumGoroutine()
 		_, err := m.Session().Exec(context.Background(), q.SQL,
 			Options{Mode: reopt.ModeFull, NoCache: true, Parallel: degree})
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines outlive the query, %d ran before it", q.Name, runtime.NumGoroutine(), before)
+			}
+		}
 		return err
 	}
 

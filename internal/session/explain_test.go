@@ -102,6 +102,45 @@ func TestParallelOperatorsAllRun(t *testing.T) {
 	}
 }
 
+// TestParallelWorkersCountTheGathers: Stats.WorkersSpawned counts every
+// goroutine the query's exchange regions started, exactly. Each gather
+// of the progress record's plan starts N workers over a leaf segment,
+// N workers, the build router and N probe producers over a hash join,
+// and N partial aggregations and their router under an aggregation.
+func TestParallelWorkersCountTheGathers(t *testing.T) {
+	_, m := newTPCDManager(t, Config{})
+	for _, q := range tpcd.Queries() {
+		for _, n := range []int{2, 4} {
+			res, err := m.Session().Exec(context.Background(), q.SQL, Options{Mode: reopt.ModeOff, Parallel: n})
+			if err != nil {
+				t.Fatalf("%s at degree %d: %v", q.Name, n, err)
+			}
+			ops := m.Progress().Get(res.Query).Snapshot(true).Operators
+			want := 0
+			for i, op := range ops {
+				if op.Label != "exchange" {
+					continue
+				}
+				j := i + 1
+				for ops[j].Label == "statistics-collector" || ops[j].Label == "filter" {
+					j++
+				}
+				switch ops[j].Label {
+				case "hash-join":
+					want += 2*n + 1
+				case "aggregate":
+					want += n + 1
+				default:
+					want += n
+				}
+			}
+			if want == 0 || res.Stats.WorkersSpawned != want {
+				t.Errorf("%s at degree %d: %d workers spawned, want %d", q.Name, n, res.Stats.WorkersSpawned, want)
+			}
+		}
+	}
+}
+
 // TestExplainAnalyzeWithoutProgress: NoProgress keeps a query out of the
 // progress registry, and EXPLAIN ANALYZE still renders its actuals.
 func TestExplainAnalyzeWithoutProgress(t *testing.T) {
