@@ -1,11 +1,14 @@
 package exchange
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/storage"
@@ -77,6 +80,39 @@ func TestPoolContainsPanics(t *testing.T) {
 	}
 	if n := c.Workers.Load(); n != 2 {
 		t.Errorf("Workers = %d, want 2", n)
+	}
+}
+
+// TestSpawnLabelsByRole: a region goroutine carries its role's pprof
+// labels, so a CPU profile splits a parallel query by role, and labelling
+// it allocates nothing.
+func TestSpawnLabelsByRole(t *testing.T) {
+	c := &exec.Ctx{}
+	r := newRegion(context.Background())
+	hold := make(chan struct{})
+	r.spawn(c, "probe-route-1", func() error { <-hold; return nil })
+	var prof bytes.Buffer
+	for i := 0; i < 200 && !strings.Contains(prof.String(), `"role":"probe-route"`); i++ {
+		time.Sleep(time.Millisecond)
+		prof.Reset()
+		if err := pprof.Lookup("goroutine").WriteTo(&prof, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(hold)
+	r.wg.Wait()
+	if !strings.Contains(prof.String(), `"role":"probe-route"`) {
+		t.Errorf("no goroutine labelled role=probe-route in:\n%s", prof.String())
+	}
+	spawn := func(label string) func() {
+		return func() {
+			r := newRegion(context.Background())
+			r.spawn(c, label, func() error { return nil })
+			r.wg.Wait()
+		}
+	}
+	if labelled, plain := testing.AllocsPerRun(100, spawn("join-worker-0")), testing.AllocsPerRun(100, spawn("unlabelled-0")); labelled != plain {
+		t.Errorf("a labelled spawn allocates %.0f objects, an unlabelled one %.0f", labelled, plain)
 	}
 }
 

@@ -3,6 +3,8 @@ package exchange
 import (
 	"context"
 	"fmt"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -146,18 +148,37 @@ func (r *region) cause() error {
 	return r.ctx.Err()
 }
 
+// roleLabels holds the pprof labels of each role a region goroutine
+// plays, by the prefix of its spawn label ("probe-route" of
+// "probe-route-1"), built once: setting them allocates nothing, and a
+// CPU profile of a parallel query splits by role (go tool pprof
+// -tagfocus role=probe-route).
+var roleLabels = func() map[string]context.Context {
+	m := map[string]context.Context{}
+	for _, role := range []string{"gather-worker", "join-worker", "agg-worker", "build-route", "probe-route", "agg-route"} {
+		m[role] = pprof.WithLabels(context.Background(), pprof.Labels("role", role))
+	}
+	return m
+}()
+
 // spawn runs fn on a goroutine the region owns: it is counted in the
-// region's WaitGroup and in the query's Workers, panics are recovered
-// into fail, and a non-nil return value fails the region. The done hooks
-// run, in order, after the error is recorded and before the WaitGroup is
-// released, so whoever a hook wakes — a waiter on a group, the consumer
-// of a queue it closes — also observes the error.
+// region's WaitGroup and in the query's Workers, carries its role's
+// pprof labels, panics are recovered into fail, and a non-nil return
+// value fails the region. The done hooks run, in order, after the error
+// is recorded and before the WaitGroup is released, so whoever a hook
+// wakes — a waiter on a group, the consumer of a queue it closes — also
+// observes the error.
 func (r *region) spawn(c *exec.Ctx, label string, fn func() error, done ...func()) {
 	r.wg.Add(1)
 	if c.Workers != nil {
 		c.Workers.Add(1)
 	}
 	go func() {
+		if i := strings.LastIndexByte(label, '-'); i > 0 {
+			if lc, ok := roleLabels[label[:i]]; ok {
+				pprof.SetGoroutineLabels(lc)
+			}
+		}
 		defer func() {
 			if p := recover(); p != nil {
 				r.fail(panicErr(label, p))

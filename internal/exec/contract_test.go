@@ -385,3 +385,78 @@ func TestDMLMatchTestsFiltersBeforeDecoding(t *testing.T) {
 		t.Errorf("matching 1 row of 2000 allocated %.0f times", allocs)
 	}
 }
+
+// TestLentHashJoinRecyclesItsOutputs: a hash join whose consumer lends
+// carves each probe tuple's outputs from one Values block it reuses, in
+// memory and spilled. Its consumer reads what it reads from a join it
+// cannot lend, for a few blocks where that join allocates one per 16 KiB
+// of outputs; and an output kept past the next probe tuple's reads
+// NULLs.
+func TestLentHashJoinRecyclesItsOutputs(t *testing.T) {
+	e := newEnv(256)
+	big := e.makeTable(t, "big", 6000, 1000)
+	dim := e.makeTable(t, "dim", 500, 500)
+	node := func(grant float64) *plan.HashJoin {
+		j := &plan.HashJoin{Build: scanNode(dim), Probe: scanNode(big), BuildKeys: []int{0}, ProbeKeys: []int{1}}
+		j.Est().Grant = grant
+		return j
+	}
+	join := func(grant float64) *HashJoin {
+		return NewHashJoin(node(grant), mustBuild(t, e, scanNode(dim)), mustBuild(t, e, scanNode(big)), e.ctx)
+	}
+	for _, grant := range []float64{0, 4096} {
+		run := func(lent bool) []types.Tuple {
+			var in Operator = join(grant)
+			if !lent {
+				in = opaque{in}
+			}
+			jn := node(grant)
+			sch := jn.Schema()
+			p := &plan.Project{Input: jn,
+				Exprs: []plan.Expr{&plan.ColExpr{Idx: 0, Col: sch.Columns[0]}, &plan.ColExpr{Idx: 5, Col: sch.Columns[5]}},
+				Out:   sch.Project([]int{0, 5})}
+			return collectAll(t, NewProject(p, in, e.ctx))
+		}
+		got, want := run(true), run(false)
+		if len(got) != len(want) || len(got) < 1000 {
+			t.Fatalf("grant %.0f: %d rows lent, %d not", grant, len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("grant %.0f: row %d reads %v lent, %v not", grant, i, got[i], want[i])
+			}
+		}
+		gc := debug.SetGCPercent(-1)
+		lentAllocs := testing.AllocsPerRun(1, func() { run(true) })
+		keptAllocs := testing.AllocsPerRun(1, func() { run(false) })
+		debug.SetGCPercent(gc)
+		if lentAllocs > keptAllocs-15 {
+			t.Errorf("grant %.0f: %.0f allocations lent, %.0f not, over %d outputs: the join did not recycle",
+				grant, lentAllocs, keptAllocs, len(got))
+		}
+	}
+
+	j := join(0)
+	if !j.Lend() {
+		t.Fatal("a join before its probe phase refused the loan")
+	}
+	if err := j.Open(); err != nil {
+		t.Fatal(err)
+	}
+	kept, err := j.Next()
+	if err != nil || kept == nil {
+		t.Fatalf("first output %v, %v", kept, err)
+	}
+	if n, err := Drain(j); err != nil || n == 0 {
+		t.Fatalf("join drained %d more rows, %v", n, err)
+	}
+	for i, v := range kept {
+		if !v.IsNull() {
+			t.Fatalf("an output kept against the loan reads %v at column %d, not NULL", v, i)
+		}
+	}
+	if j.Lend() {
+		t.Error("a join in its probe phase took a loan")
+	}
+	j.Close()
+}

@@ -139,14 +139,15 @@ func (c *Ctx) Err() error {
 // that keeps no input tuple past its next call to its input's Next — Agg,
 // a HashJoin's probe, Project, IndexJoin's outer side, an exchange
 // producer whose queue's reader is one of those — calls Lend on the input
-// before opening it. Two kinds of operator honour the promise. A scan
+// before opening it. Three kinds of operator honour the promise. A scan
 // clears a page's tuples when it loads the next and carves the new ones
-// from the same Values block. An exchange (internal/exchange's gather and
-// the queue reader of its worker pipelines) carries the values in a
-// chunk's block, which is cleared and reused once the reader has moved
-// past the chunk. Either way a broken promise reads NULLs or other rows,
-// never quietly stale values. Strings are never recycled. Everything else
-// keeps the default.
+// from the same Values block. A HashJoin does the same with the outputs
+// of one probe tuple once it has emitted them all. An exchange
+// (internal/exchange's gather and the queue reader of its worker
+// pipelines) carries the values in a chunk's block, which is cleared and
+// reused once the reader has moved past the chunk. Either way a broken
+// promise reads NULLs or other rows, never quietly stale values. Strings
+// are never recycled. Everything else keeps the default.
 //
 // The partitions an operator spills are its own, read back through
 // scanners it re-aims file after file (storage.HeapScanner.Reset), and
@@ -169,8 +170,8 @@ type Operator interface {
 // something. It walks down through the operators that pass their input's
 // tuples on as they are to the one that mints them: a heap scan, which
 // makes use of the promise only if it has not opened yet, or an operator
-// of another package that implements Lend — the exchange's gather and
-// queue reader. It leaves anything else alone.
+// that implements Lend — a HashJoin before its probe phase, the
+// exchange's gather and queue reader. It leaves anything else alone.
 func Lend(op Operator) bool {
 	for {
 		switch o := op.(type) {

@@ -54,6 +54,10 @@ type HashJoin struct {
 	pending     []types.Tuple // joined outputs of the last probe tuple matched
 	head        int           // next of pending to emit
 	curPart     int           // the partition loaded; -1 before the first
+	// lent is set by Lend: pending's outputs are then cleared once all
+	// are emitted, and the next probe tuple's carved from their block.
+	lent  bool
+	block []types.Value
 }
 
 // NewHashJoin builds a hash join operator. The memory grant is read from
@@ -210,17 +214,35 @@ func writePart(parts []*storage.HeapFile, t types.Tuple, h uint64) error {
 	return err
 }
 
+// Lend is exec.Lend's hook: the consumer keeps no output past its next
+// call to Next. Before the probe phase starts it makes the join carve
+// each probe tuple's outputs from one Values block, cleared and reused
+// once all of them are emitted (types.Arena.Recycle), as a lent scan
+// does a page's, and reports true; after, it reports false.
+func (j *HashJoin) Lend() bool {
+	if j.probeOpened {
+		return false
+	}
+	j.lent = true
+	return true
+}
+
 // Next implements Operator: the probe phase.
 func (j *HashJoin) Next() (types.Tuple, error) {
 	for {
 		if j.head < len(j.pending) {
 			t := j.pending[j.head]
-			j.pending[j.head] = nil // emitted: the caller's, not ours to pin
+			if !j.lent {
+				j.pending[j.head] = nil // emitted: the caller's, not ours to pin
+			}
 			j.head++
 			j.ctx.Meter.ChargeTuples(1)
 			return t, nil
 		}
 		// Drained: the next match fills the same backing array.
+		if j.lent && len(j.pending) > 0 {
+			j.recycle()
+		}
 		j.pending, j.head = j.pending[:0], 0
 		if j.probeDone {
 			return nil, nil
@@ -308,6 +330,18 @@ func (j *HashJoin) match(t types.Tuple) {
 			j.pending = append(j.pending, j.mem.Concat(b, t))
 		}
 	}
+}
+
+// recycle clears the emitted outputs of a lent join and makes their
+// block the one the next probe tuple's are carved from.
+func (j *HashJoin) recycle() {
+	used := 0
+	for i, t := range j.pending {
+		used += len(t)
+		clear(t)
+		j.pending[i] = nil
+	}
+	j.block = j.mem.Recycle(j.block, used)
 }
 
 func (j *HashJoin) keysEqual(b, p types.Tuple) bool {

@@ -173,12 +173,30 @@ func (p *Progress) Enabled() bool { return p != nil }
 // ANALYZE. Safe on nil.
 func (p *Progress) Timed() bool { return p != nil && p.timed }
 
+// OpLayout is what a plan node shows of itself: its Label and its
+// Describe, both structural. A plan's layout lists its nodes' in
+// pre-order.
+type OpLayout struct {
+	Label, Detail string
+}
+
+// Layout returns the layout of the plan under root.
+func Layout(root plan.Node) []OpLayout {
+	var out []OpLayout
+	plan.Walk(root, func(n plan.Node) { out = append(out, layoutOf(n)) })
+	return out
+}
+
+func layoutOf(n plan.Node) OpLayout { return OpLayout{n.Label(), n.Describe()} }
+
 // StartPlan registers a plan's operators (pre-order), capturing labels
-// and estimates while the plan is quiescent. The dispatcher calls it for
-// the initial plan and again after every switch; operators of earlier
-// plans keep their entries, so a snapshot shows the whole history.
-// Safe on nil.
-func (p *Progress) StartPlan(root plan.Node) {
+// and estimates while the plan is quiescent. layout, when non-nil, is
+// the plan's (Layout): a plan-cache hit passes its entry's instead of
+// describing every node again. The dispatcher calls StartPlan for the
+// initial plan and again after every switch; operators of earlier plans
+// keep their entries, so a snapshot shows the whole history. Safe on
+// nil.
+func (p *Progress) StartPlan(root plan.Node, layout []OpLayout) {
 	if p == nil || root == nil {
 		return
 	}
@@ -187,25 +205,33 @@ func (p *Progress) StartPlan(root plan.Node) {
 	if p.timed {
 		p.roots = append(p.roots, root)
 	}
-	p.walk(root, 0)
+	pos := 0
+	p.walk(root, 0, layout, &pos)
 }
 
-func (p *Progress) walk(n plan.Node, depth int) {
+// walk registers n's subtree; *pos is n's position in the plan's
+// pre-order, the index of its layout.
+func (p *Progress) walk(n plan.Node, depth int, layout []OpLayout, pos *int) {
 	if n == nil {
 		return
 	}
 	if _, ok := p.ops[n]; !ok {
-		p.add(n, depth)
+		if layout != nil {
+			p.add(n, depth, layout[*pos])
+		} else {
+			p.add(n, depth, layoutOf(n))
+		}
 	}
+	*pos++
 	for _, c := range n.Children() {
-		p.walk(c, depth+1)
+		p.walk(c, depth+1, layout, pos)
 	}
 }
 
-// add registers a node's record, capturing its label and estimates.
-// Caller holds mu.
-func (p *Progress) add(n plan.Node, depth int) *OpProgress {
-	o := &OpProgress{ID: len(p.list), Depth: depth, Label: n.Label(), Detail: n.Describe()}
+// add registers a node's record, capturing its estimates. Caller holds
+// mu.
+func (p *Progress) add(n plan.Node, depth int, l OpLayout) *OpProgress {
+	o := &OpProgress{ID: len(p.list), Depth: depth, Label: l.Label, Detail: l.Detail}
 	if e := n.Est(); e != nil {
 		o.EstRows = e.Rows
 		o.EstCost = e.Cost
@@ -228,7 +254,7 @@ func (p *Progress) Op(n plan.Node) *OpProgress {
 	if o := p.ops[n]; o != nil {
 		return o
 	}
-	return p.add(n, 0)
+	return p.add(n, 0, layoutOf(n))
 }
 
 // SetEstimate records the optimizer's total cost estimate (first plan

@@ -21,7 +21,7 @@ func TestNilProgressIsDisabledNoOp(t *testing.T) {
 	if p.Enabled() {
 		t.Fatal("nil progress reports enabled")
 	}
-	p.StartPlan(nil)
+	p.StartPlan(nil, nil)
 	p.SetEstimate(10)
 	p.NoteRatio(nil)
 	p.RecordDecision(2, true)
@@ -159,7 +159,7 @@ func TestOnlyATimedProgressMeasuresCost(t *testing.T) {
 	inner := &plan.Scan{Table: &catalog.Table{Name: "t"}}
 	outer := &plan.Filter{Input: inner}
 	record := func(p *Progress) {
-		p.StartPlan(outer)
+		p.StartPlan(outer, nil)
 		p.Op(outer).AddCost(5)
 		p.Op(inner).AddCost(2)
 		p.Op(inner).RecordWorker(2, 10)

@@ -114,6 +114,20 @@ func (t *Trace) Emit(kind, msg string, kv ...any) {
 	t.add(Event{Kind: kind, Msg: msg, Attrs: attrs})
 }
 
+// Replay records events another trace kept (Events), in order, as if
+// emitted now: each is stamped with this trace's query tag and
+// sequenced here. The events' Attrs are shared, not copied; no reader
+// writes them. Safe on nil (no-op).
+func (t *Trace) Replay(events []Event) {
+	if t == nil {
+		return
+	}
+	for _, e := range events {
+		e.Query = ""
+		t.add(e)
+	}
+}
+
 // add stamps, sequences, and buffers one event, then forwards it
 // outside the lock (the forward target has its own lock; never holding
 // both at once rules out ordering deadlocks).

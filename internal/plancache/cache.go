@@ -8,10 +8,21 @@
 // so differently-configured sessions never share a plan shaped for the
 // wrong cost model.
 //
-// Every hit hands out a deep clone of the pristine plan: the dispatcher
-// mutates plan annotations (improved estimates, memory grants) and the
-// tree itself (SCIA collector insertion) during execution, so the cached
-// original must never be executed directly.
+// An entry's key starts with the statement's normalized text, rendered
+// once, when the entry is stored. The entry holds the pristine plan, the
+// request texts that have named it (at most maxAliases, indexed by text
+// and fingerprint, dropped with the entry), and the dispatcher's memo of
+// arming the plan (reopt.Memo: the tree the SCIA placed its collectors
+// in, their trace events, the progress layout). A hit on a request text
+// it has seen skips the parser and the renderer; a hit the memo has
+// armed before skips the SCIA and the operators' descriptions. Only
+// SELECTs are stored, so DML text is never indexed.
+//
+// The dispatcher mutates plan annotations (improved estimates, memory
+// grants) and the tree itself (SCIA collector insertion) during
+// execution, so the cached original is never executed directly: Get
+// hands out a deep clone, and Lookup's plan is armed through its
+// Ticket's memo, which clones it.
 //
 // Invalidation is versioned, not evented, and scoped to what a plan
 // actually references: entries record the catalog's schema version plus
@@ -34,21 +45,28 @@ package plancache
 
 import (
 	"container/list"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/optimizer"
 	"repro/internal/plan"
+	"repro/internal/reopt"
 	"repro/internal/sql"
 )
+
+// maxAliases bounds the request texts one entry is indexed under: the
+// whitespace and case variants a client sends of one statement.
+const maxAliases = 8
 
 // Cache is a concurrency-safe LRU of optimized plans.
 type Cache struct {
 	mu        sync.Mutex
 	cap       int
 	entries   map[string]*entry
-	lru       *list.List // front = most recent; elements hold keys
+	aliases   map[alias]string // request text → the key of its entry
+	lru       *list.List       // front = most recent; elements hold keys
 	schemaVer func() int64
 	tableVer  func(name string) int64
 
@@ -56,12 +74,19 @@ type Cache struct {
 }
 
 // entry is one cached plan. Storing or replacing a plan makes a new
-// entry, so a Ticket names exactly one plan.
+// entry, so a Ticket names exactly one plan; a replacement takes over
+// the aliases, and starts a memo of its own.
 type entry struct {
-	res  *optimizer.Result
-	vers Versions
-	elem *list.Element
+	res     *optimizer.Result
+	vers    Versions
+	elem    *list.Element
+	aliases []alias
+	memo    reopt.Memo
 }
+
+// alias is a request text under the optimizer fingerprint it was sent
+// with: the two determine the statement's key.
+type alias struct{ src, fingerprint string }
 
 // Versions is the catalog state an entry is valid for: the schema
 // version and the statistics version of every table the statement
@@ -76,6 +101,25 @@ type Versions struct {
 type Ticket struct {
 	key string
 	e   *entry
+}
+
+// Text returns the normalized SQL of the entry t names, which a key
+// TextKey built starts with. Host-variable names and fingerprints hold
+// no "|vars=".
+func (t Ticket) Text() string {
+	if i := strings.LastIndex(t.key, "|vars="); i >= 0 {
+		return t.key[:i]
+	}
+	return t.key
+}
+
+// Memo returns the dispatcher's memo of arming the plan of the entry t
+// names; nil for the zero Ticket.
+func (t Ticket) Memo() *reopt.Memo {
+	if t.e == nil {
+		return nil
+	}
+	return &t.e.memo
 }
 
 // New returns a cache of at most capacity plans. schemaVer reports the
@@ -96,6 +140,7 @@ func New(capacity int, schemaVer func() int64, tableVer func(name string) int64)
 	return &Cache{
 		cap:       capacity,
 		entries:   make(map[string]*entry),
+		aliases:   make(map[alias]string),
 		lru:       list.New(),
 		schemaVer: schemaVer,
 		tableVer:  tableVer,
@@ -106,28 +151,70 @@ func New(capacity int, schemaVer func() int64, tableVer func(name string) int64)
 // A stale entry (catalog statistics changed since it was stored) counts
 // as a miss and is dropped.
 func (c *Cache) Get(key string) *optimizer.Result {
-	res, _ := c.Lookup(key)
-	return res
+	if res, _ := c.Lookup(key); res != nil {
+		return cloneResult(res)
+	}
+	return nil
 }
 
-// Lookup is Get that also returns the Ticket of the entry it served.
+// Lookup serves the entry for key and returns its Ticket, or nil on a
+// miss. The Result is the caller's, but its Root and Order are the
+// entry's own: run it through reopt with Ticket.Memo, which arms a clone
+// of the tree and only reads the order, or clone it first.
 func (c *Cache) Lookup(key string) (*optimizer.Result, Ticket) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	res, tk := c.serveLocked(key)
+	if res == nil {
+		c.misses++
+	}
+	return res, tk
+}
+
+// LookupText is Lookup by a request text the entry was aliased under
+// with the same fingerprint (Alias): a hit skips parsing and rendering
+// the statement. A text it does not know counts nothing; the caller
+// parses it and looks the statement up by key.
+func (c *Cache) LookupText(src, fingerprint string) (*optimizer.Result, Ticket) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key, ok := c.aliases[alias{src, fingerprint}]
+	if !ok {
+		return nil, Ticket{}
+	}
+	return c.serveLocked(key)
+}
+
+// serveLocked counts a hit and serves the entry for key, or drops it if
+// it is stale and counts the invalidation. The caller counts a miss.
+func (c *Cache) serveLocked(key string) (*optimizer.Result, Ticket) {
 	e, ok := c.entries[key]
 	if !ok {
-		c.misses++
 		return nil, Ticket{}
 	}
 	if !c.validLocked(e) {
 		c.removeLocked(key, e)
 		c.invalidations++
-		c.misses++
 		return nil, Ticket{}
 	}
 	c.hits++
 	c.lru.MoveToFront(e.elem)
-	return cloneResult(e.res), Ticket{key: key, e: e}
+	res := *e.res
+	return &res, Ticket{key: key, e: e}
+}
+
+// Alias indexes the entry t names under the request text src and the
+// fingerprint it was sent with, so LookupText finds it. It does nothing
+// once the entry is gone or holds maxAliases texts.
+func (c *Cache) Alias(t Ticket, src, fingerprint string) {
+	a := alias{src, fingerprint}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[t.key]; !ok || e != t.e || len(e.aliases) >= maxAliases || slices.Contains(e.aliases, a) {
+		return
+	}
+	t.e.aliases = append(t.e.aliases, a)
+	c.aliases[a] = t.key
 }
 
 // Versions reads the catalog versions a plan of stmt is valid for. A
@@ -165,7 +252,7 @@ func (c *Cache) PutAt(key string, res *optimizer.Result, vers Versions) Ticket {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.entries[key]; ok {
-		e.elem = old.elem
+		e.elem, e.aliases = old.elem, old.aliases
 		c.entries[key] = e
 		c.lru.MoveToFront(e.elem)
 		return Ticket{key: key, e: e}
@@ -205,7 +292,7 @@ func (c *Cache) Replace(t Ticket, res *optimizer.Result) bool {
 	if !ok || old != t.e {
 		return false
 	}
-	c.entries[t.key] = &entry{res: clone, vers: old.vers, elem: old.elem}
+	c.entries[t.key] = &entry{res: clone, vers: old.vers, elem: old.elem, aliases: old.aliases}
 	c.feedbacks++
 	return true
 }
@@ -227,11 +314,15 @@ func (c *Cache) validLocked(e *entry) bool {
 func (c *Cache) removeLocked(key string, e *entry) {
 	c.lru.Remove(e.elem)
 	delete(c.entries, key)
+	for _, a := range e.aliases {
+		delete(c.aliases, a)
+	}
 }
 
 // Stats reports cache traffic.
 type Stats struct {
 	Entries       int
+	Aliases       int // request texts indexed, over every entry
 	Hits          int64
 	Misses        int64
 	Invalidations int64 // misses caused by a statistics-version change
@@ -246,6 +337,7 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	return Stats{
 		Entries:       len(c.entries),
+		Aliases:       len(c.aliases),
 		Hits:          c.hits,
 		Misses:        c.misses,
 		Invalidations: c.invalidations,
@@ -274,8 +366,15 @@ func cloneResult(res *optimizer.Result) *optimizer.Result {
 // source collapse), the sorted host-variable signature, and the
 // caller's optimizer fingerprint.
 func Key(stmt *sql.SelectStmt, fingerprint string) string {
-	vars := HostVars(stmt)
-	return stmt.SQL() + "|vars=" + strings.Join(vars, ",") + "|" + fingerprint
+	return TextKey(stmt.SQL(), stmt, fingerprint)
+}
+
+// TextKey is Key for a caller that has rendered the statement's
+// normalized text already. The key starts with the text, which hits on
+// an entry stored under it read back (Ticket.Text): the statement's
+// rendering before Analyze expands a star, as a miss renders it.
+func TextKey(text string, stmt *sql.SelectStmt, fingerprint string) string {
+	return text + "|vars=" + strings.Join(HostVars(stmt), ",") + "|" + fingerprint
 }
 
 // HostVars returns the sorted set of host-variable names a statement

@@ -156,6 +156,12 @@ type Config struct {
 	// plan registrations, SCIA placements, and one decision event per
 	// checkpoint. Nil (the default) disables tracing.
 	Trace *obs.Trace
+	// Memo, when non-nil, is the plan-cache entry's record of arming the
+	// plan RunPlan is given, whose Root is then the entry's own tree:
+	// RunPlan arms a clone of it, from the memo when the memo was made
+	// under this configuration, and otherwise from scratch, leaving the
+	// memo for the next run.
+	Memo *Memo
 }
 
 // DefaultConfig returns the paper's parameterization.
@@ -469,30 +475,124 @@ func (d *Dispatcher) OptimizeWith(stmt *sql.SelectStmt, ov optimizer.Overlay) (*
 	return o.Optimize(q)
 }
 
+// Memo is what arming a plan-cache entry's plan derives from the plan
+// alone, kept with the entry so its later runs skip the work: the tree
+// scia.Insert returned, the events its placement traced, and the
+// progress layout of the plan as armed. Grants and exchanges are not in
+// it: memmgr.Allocate runs on every execution, because grants depend on
+// the lease. It holds one armed form, for the SCIA configuration and
+// degree of the run that made it; a run under another arms from scratch
+// and replaces it. The zero Memo is empty and ready for use.
+type Memo struct {
+	armed atomic.Pointer[armed]
+}
+
+// armed is a Memo's content, immutable once stored.
+type armed struct {
+	key        armKey
+	root       plan.Node // after SCIA, before grants and exchanges; never executed
+	collectors int
+	events     []obs.Event // the SCIA's trace events, untagged
+	layout     []obs.OpLayout
+}
+
+// armKey is everything besides the plan that arming reads to build what
+// a Memo keeps.
+type armKey struct {
+	collect bool
+	scia    scia.Config // without its Trace
+	degree  int
+}
+
+// armKey returns the key of the dispatcher's configuration.
+func (d *Dispatcher) armKey() armKey {
+	k := armKey{collect: policies[d.Cfg.Mode].collect, scia: d.sciaConfig(), degree: d.Cfg.Degree}
+	k.scia.Trace = nil
+	return k
+}
+
 // arm turns an optimized plan into the one that executes: SCIA
 // collectors (if the mode collects), the Memory Manager's grants under
 // the current budget, exchange operators for the configured degree, and
-// the registration observers read.
+// the registration observers read. A memo is the plan's that RunPlan
+// was given, and serves its first arm alone: a remainder plan after a
+// switch arms from scratch.
 func (d *Dispatcher) arm(res *optimizer.Result, st *Stats, ctx *exec.Ctx) error {
 	if int(d.Cfg.Mode) >= len(policies) {
 		return fmt.Errorf("reopt: unknown mode %v", d.Cfg.Mode)
 	}
-	if policies[d.Cfg.Mode].collect {
-		ins, err := scia.Insert(res, d.sciaConfig())
-		if err != nil {
+	memo, key := d.Cfg.Memo, d.armKey()
+	d.Cfg.Memo = nil
+	var layout []obs.OpLayout
+	var fresh *armed // what this arm leaves in the memo
+	switch a := memo.load(key); {
+	case a != nil:
+		// The collectors are numbered as collect numbers them: the plan
+		// RunPlan starts from is the query's first, so from 1, as
+		// scia.Insert numbers them.
+		res.Root = plan.Clone(a.root)
+		st.CollectorsInserted += a.collectors
+		d.Cfg.Trace.Replay(a.events)
+		layout = a.layout
+	case memo != nil:
+		fresh = &armed{key: key, root: res.Root}
+		res.Root = plan.Clone(res.Root)
+		fallthrough
+	default:
+		if err := d.collect(res, st, fresh); err != nil {
 			return err
-		}
-		// Collector IDs run on across the query's plans: a spliced stream
-		// still carries a collector of the plan it came from, whose report
-		// the new plan's dispatch must not take for one of its own.
-		for _, in := range ins {
-			st.CollectorsInserted++
-			in.Collector.ID = st.CollectorsInserted
 		}
 	}
 	memmgr.New(d.budget()).Allocate(res.Root)
 	res.Root = exchange.Parallelize(res.Root, d.Cfg.Degree)
-	d.registerPlan(res, st, ctx)
+	if fresh != nil {
+		fresh.layout = obs.Layout(res.Root)
+		layout = fresh.layout
+		memo.armed.Store(fresh)
+	}
+	d.registerPlan(res, st, ctx, layout)
+	return nil
+}
+
+// collect places the SCIA's collectors on res's plan, if the mode
+// collects. Given a memo's armed form to fill, it keeps there the tree
+// they were placed in and the events the placement traced, and replays
+// those into the query's trace.
+func (d *Dispatcher) collect(res *optimizer.Result, st *Stats, a *armed) error {
+	if !policies[d.Cfg.Mode].collect {
+		return nil
+	}
+	cfg := d.sciaConfig()
+	if a != nil {
+		cfg.Trace = obs.NewTrace(0)
+	}
+	ins, err := scia.Insert(res, cfg)
+	if err != nil {
+		return err
+	}
+	if a != nil {
+		a.root, a.collectors, a.events = plan.Clone(res.Root), len(ins), cfg.Trace.Events()
+		d.Cfg.Trace.Replay(a.events)
+	}
+	// Collector IDs run on across the query's plans: a spliced stream
+	// still carries a collector of the plan it came from, whose report
+	// the new plan's dispatch must not take for one of its own.
+	for _, in := range ins {
+		st.CollectorsInserted++
+		in.Collector.ID = st.CollectorsInserted
+	}
+	return nil
+}
+
+// load returns the memo's armed form if it was made under key. Safe on
+// nil.
+func (m *Memo) load(key armKey) *armed {
+	if m == nil {
+		return nil
+	}
+	if a := m.armed.Load(); a != nil && a.key == key {
+		return a
+	}
 	return nil
 }
 
@@ -567,11 +667,11 @@ func (d *Dispatcher) sciaConfig() scia.Config {
 // later ones are re-optimized remainders), the initial estimated total
 // cost, and the trace. A switch is recorded before its remainder plan
 // registers, so the plan's index is one past the switches so far.
-func (d *Dispatcher) registerPlan(res *optimizer.Result, st *Stats, ctx *exec.Ctx) {
+func (d *Dispatcher) registerPlan(res *optimizer.Result, st *Stats, ctx *exec.Ctx, layout []obs.OpLayout) {
 	if st.EstimatedCost == 0 {
 		st.EstimatedCost = res.Root.Est().Cost
 	}
-	ctx.Prog.StartPlan(res.Root)
+	ctx.Prog.StartPlan(res.Root, layout)
 	ctx.Prog.SetEstimate(res.Root.Est().Cost)
 	if d.Cfg.Trace.Enabled() {
 		d.Cfg.Trace.Emit("plan", "plan compiled",

@@ -24,6 +24,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -562,7 +563,14 @@ func (s *Session) exec(ctx context.Context, src string, pre *optimizer.Result, o
 	defer m.schemaMu.RUnlock()
 
 	if pre != nil {
-		return s.execSelect(ctx, pre.Query.Stmt, pre, opts, tag)
+		return s.execSelect(ctx, &query{stmt: pre.Query.Stmt, text: pre.Query.Stmt.SQL(), res: pre}, opts, tag)
+	}
+	// A SELECT the plan cache has served under this text before skips
+	// the parser and the renderer.
+	if m.cache != nil && !opts.NoCache {
+		if res, tk := m.cache.LookupText(src, s.fingerprint(opts)); res != nil {
+			return s.execSelect(ctx, &query{stmt: res.Query.Stmt, text: tk.Text(), res: res, tk: tk, hit: true}, opts, tag)
+		}
 	}
 	stmt, err := sql.ParseStatement(src)
 	if err != nil {
@@ -570,7 +578,7 @@ func (s *Session) exec(ctx context.Context, src string, pre *optimizer.Result, o
 	}
 	switch st := stmt.(type) {
 	case *sql.SelectStmt:
-		return s.execSelect(ctx, st, nil, opts, tag)
+		return s.execSelect(ctx, &query{stmt: st, text: st.SQL(), src: src}, opts, tag)
 	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
 		return s.execDML(ctx, st, opts, tag)
 	case *sql.BeginStmt:
@@ -623,9 +631,10 @@ type stmtRun struct {
 	qp       *obs.Progress // a query's progress record; nil for DML
 }
 
-// begin opens one statement with a trace ring of traceCap events.
-func (s *Session) begin(stmt sql.Stmt, opts Options, tag string, traceCap int) *stmtRun {
-	r := &stmtRun{m: s.m, tag: tag, sql: stmt.SQL(), opts: opts, start: time.Now(),
+// begin opens one statement, whose normalized text is text, with a
+// trace ring of traceCap events.
+func (s *Session) begin(text string, opts Options, tag string, traceCap int) *stmtRun {
+	r := &stmtRun{m: s.m, tag: tag, sql: text, opts: opts, start: time.Now(),
 		tr: obs.NewTrace(traceCap), meter: s.m.meter.Tributary(), params: make(plan.Params, len(opts.Params))}
 	r.tr.SetQuery(tag)
 	r.tr.SetForward(s.m.engTrace)
@@ -671,31 +680,44 @@ func (r *stmtRun) result(out *Result) *Result {
 	return out
 }
 
+// query is one SELECT on its way to the dispatcher: its statement and
+// normalized text, the request text it came as (empty for a prepared
+// plan), and once planned its plan and the plan-cache entry that plan
+// was served from or stored as (the zero Ticket when the cache is
+// bypassed). A plan served from an entry shares its Root with the entry;
+// the dispatcher arms a clone through the entry's memo.
+type query struct {
+	stmt *sql.SelectStmt
+	text string
+	src  string
+	res  *optimizer.Result
+	tk   plancache.Ticket
+	hit  bool
+}
+
 // execSelect runs one query under the broker's memory admission (or its
-// private Options.MemBudget) and the re-optimizing dispatcher; pre, when
-// non-nil, is stmt's plan, already optimized. Reads execute under a
+// private Options.MemBudget) and the re-optimizing dispatcher, planning
+// it first unless q holds its plan. Reads execute under a
 // snapshot: the open explicit transaction's if one exists (so a
 // transaction reads its own uncommitted writes), otherwise a fresh read
 // snapshot registered with the transaction manager so concurrent
 // committers stay invisible and the garbage collector keeps every
 // version the query can still see.
-func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *optimizer.Result, opts Options, tag string) (*Result, error) {
+func (s *Session) execSelect(ctx context.Context, q *query, opts Options, tag string) (*Result, error) {
 	m := s.m
 	ten := tenant.Canonical(opts.Tenant)
 	if opts.Tenant == "" {
 		ten = s.Tenant()
 	}
-	r := s.begin(stmt, opts, tag, obs.DefaultTraceCap)
+	r := s.begin(q.text, opts, tag, obs.DefaultTraceCap)
 	defer r.end()
 	tr := r.tr
-	res, hit := pre, false
-	var tk plancache.Ticket
-	if res == nil {
-		var err error
-		if res, hit, tk, err = s.plan(stmt, opts); err != nil {
+	if q.res == nil {
+		if err := s.plan(q, opts); err != nil {
 			return nil, err
 		}
 	}
+	res, hit := q.res, q.hit
 	fedBack := res.Overlay != nil
 	// Column names come from the pristine root: dispatch may wrap or
 	// replace it (collector insertion, plan switches).
@@ -771,6 +793,7 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 		}
 		cfg := s.dispatcherConfig(opts, lease, tag)
 		cfg.Trace = tr
+		cfg.Memo = q.tk.Memo()
 		mu = cfg.Mu
 		d = reopt.New(m.cat, cfg)
 		ectx := &exec.Ctx{Context: ctx, Pool: m.pool, Meter: r.meter, Params: r.params, Trace: tr, Snap: snap, Prog: qp}
@@ -800,15 +823,15 @@ func (s *Session) execSelect(ctx context.Context, stmt *sql.SelectStmt, pre *opt
 			tr.Emit("preempt", "suspended at checkpoint, re-queueing for admission",
 				"tenant", ten, "resume", preempted)
 		}
-		res, _, tk, err = s.plan(stmt, opts)
-		if err != nil {
+		if err = s.plan(q, opts); err != nil {
 			return nil, err
 		}
+		res = q.res
 	}
 	// Inside an explicit transaction the snapshot sees the transaction's
 	// own uncommitted writes, rows no other run would see.
 	if r.tx == nil {
-		s.learn(stmt, opts, tk, res.Overlay, st)
+		s.learn(q.stmt, opts, q.tk, res.Overlay, st)
 	}
 	spent := r.meter.Snapshot()
 	cost := spent.Cost()
@@ -855,7 +878,7 @@ func (s *Session) chooseTarget(node plan.Node, stmt sql.Stmt, opts Options) (err
 // first-writer-wins conflict) is rolled back and closed.
 func (s *Session) execDML(ctx context.Context, stmt sql.Stmt, opts Options, tag string) (*Result, error) {
 	m := s.m
-	r := s.begin(stmt, opts, tag, dmlTraceCap)
+	r := s.begin(stmt.SQL(), opts, tag, dmlTraceCap)
 	defer r.end()
 	node, err := plan.PlanDML(m.cat, stmt)
 	if err != nil {
@@ -970,34 +993,42 @@ func (m *Manager) QueriesRun() int64 { return m.queries.Load() }
 // Uptime reports time since the manager was created.
 func (m *Manager) Uptime() time.Duration { return time.Since(m.start) }
 
-// plan resolves the statement to an executable optimizer result,
-// consulting the plan cache, and returns the Ticket of the cache entry
-// it came from or was stored as (zero when the cache is bypassed). The
+// plan resolves q's statement to an executable optimizer result,
+// consulting the plan cache, and records in q the plan and the Ticket of
+// the cache entry it came from or was stored as. The entry is aliased
+// under q's request text, so the text's next run skips the parser. The
 // optimizer runs through the dispatcher's own entry
 // (reopt.Dispatcher.Optimize) with no lease attached, so under the
 // fixed budget — the manager's, or the query's private one — and the
 // cache key is stable across admissions; the broker's actual grant
 // reshapes memory at allocation time, not plan shape.
-func (s *Session) plan(stmt *sql.SelectStmt, opts Options) (*optimizer.Result, bool, plancache.Ticket, error) {
+func (s *Session) plan(q *query, opts Options) error {
 	m := s.m
-	var key string
+	q.res, q.tk, q.hit = nil, plancache.Ticket{}, false
+	var fp, key string
 	var vers plancache.Versions
 	if m.cache != nil && !opts.NoCache {
-		key = plancache.Key(stmt, s.fingerprint(opts))
-		if res, tk := m.cache.Lookup(key); res != nil {
-			return res, true, tk, nil
+		fp = s.fingerprint(opts)
+		key = plancache.TextKey(q.text, q.stmt, fp)
+		if q.res, q.tk = m.cache.Lookup(key); q.res != nil {
+			q.hit = true
 		}
-		vers = m.cache.Versions(stmt)
+		vers = m.cache.Versions(q.stmt)
 	}
-	res, err := reopt.New(m.cat, s.dispatcherConfig(opts, nil, "")).Optimize(stmt)
-	if err != nil {
-		return nil, false, plancache.Ticket{}, err
+	if q.res == nil {
+		res, err := reopt.New(m.cat, s.dispatcherConfig(opts, nil, "")).Optimize(q.stmt)
+		if err != nil {
+			return err
+		}
+		q.res = res
+		if key != "" {
+			q.tk = m.cache.PutAt(key, res, vers)
+		}
 	}
-	var tk plancache.Ticket
-	if key != "" {
-		tk = m.cache.PutAt(key, res, vers)
+	if q.src != "" && key != "" {
+		m.cache.Alias(q.tk, q.src, fp)
 	}
-	return res, false, tk, nil
+	return nil
 }
 
 // learn feeds the rows a successful run observed back into the
@@ -1034,8 +1065,12 @@ func (s *Session) learn(stmt *sql.SelectStmt, opts Options, tk plancache.Ticket,
 // and a future optimizer that costs them per degree must not share
 // entries across degrees.
 func (s *Session) fingerprint(opts Options) string {
-	return fmt.Sprintf("mem=%.0f|idxjoin=%t|pool=%d|par=%d",
-		s.budget(opts), !opts.DisableIndexJoin, s.m.pool.Capacity(), normDegree(opts.Parallel))
+	var buf [64]byte
+	b := strconv.AppendFloat(append(buf[:0], "mem="...), s.budget(opts), 'f', 0, 64)
+	b = strconv.AppendBool(append(b, "|idxjoin="...), !opts.DisableIndexJoin)
+	b = strconv.AppendInt(append(b, "|pool="...), int64(s.m.pool.Capacity()), 10)
+	b = strconv.AppendInt(append(b, "|par="...), int64(normDegree(opts.Parallel)), 10)
+	return string(b)
 }
 
 // budget is the fixed operator-memory budget the query is optimized
